@@ -349,10 +349,10 @@ func NewTripleSpec(m, nc int, d [3]int) SweepConfigSpec { return sweep.TripleSpe
 // one per CPU: stream 1 fixed at bank 0, the rest swept.
 func NewNStreamSpec(m, nc int, d []int) SweepConfigSpec { return sweep.NStreamSpec(m, nc, d) }
 
-// SweepSpec sweeps one spec sequentially over all placements of its
-// swept streams; NewSweepEngine(...).SweepSpec is the parallel, cached
-// equivalent.
-func SweepSpec(spec SweepConfigSpec) SweepSpecResult { return sweep.SweepSpec(spec) }
+// SweepSpecGrid sweeps a list of specs sequentially, each over all
+// placements of its swept streams, one result per spec in input order;
+// NewSweepEngine(...).SpecGrid is the parallel, cached equivalent.
+func SweepSpecGrid(specs []SweepConfigSpec) []SweepSpecResult { return sweep.SpecGrid(specs) }
 
 // SweepNStreamGrid sweeps every nondecreasing n-tuple of allowed
 // distances of an (m, nc) memory over all placements sequentially;

@@ -129,9 +129,9 @@ func TestFacadeSpecSweep(t *testing.T) {
 	if fam := spec.Family(); fam != "pair" {
 		t.Fatalf("pair spec compiles into family %q", fam)
 	}
-	seq := ivm.SweepSpec(spec)
+	seq := ivm.SweepSpecGrid([]ivm.SweepConfigSpec{spec})[0]
 	eng := ivm.NewSweepEngine(ivm.SweepOptions{Workers: 2})
-	par := eng.SweepSpec(spec)
+	par := eng.SpecGrid([]ivm.SweepConfigSpec{spec})[0]
 	if !par.SimMin.Equal(seq.SimMin) || !par.SimMax.Equal(seq.SimMax) || par.Starts != seq.Starts {
 		t.Fatalf("engine spec sweep %+v != sequential %+v", par, seq)
 	}
@@ -139,7 +139,7 @@ func TestFacadeSpecSweep(t *testing.T) {
 	if fam := four.Family(); fam != "stream4" {
 		t.Fatalf("four-stream spec compiles into family %q", fam)
 	}
-	r := eng.SweepSpec(four)
+	r := eng.SpecGrid([]ivm.SweepConfigSpec{four})[0]
 	if r.Starts != 64 || r.Violations != 0 {
 		t.Fatalf("four-stream sweep %+v", r)
 	}

@@ -280,15 +280,15 @@ func BenchmarkSweepTriplesParallel(b *testing.B) {
 		for _, g := range tripleBenchGrid {
 			eng.TripleGrid(g.m, g.nc)
 		}
-		hitRate = eng.Metrics().TripleHitRate()
+		hitRate = eng.Metrics().FamilyHitRate("triple")
 	}
 	b.ReportMetric(hitRate*100, "triple_cache_hit_%")
 	b.ReportMetric(seq.Seconds()/(b.Elapsed().Seconds()/float64(b.N)), "speedup_vs_seq")
 }
 
 // The EXPERIMENTS.md section grids: the Fig. 7 modulus and the X-MP
-// layout, canonicalised under the full unit group (the default,
-// validated by the section-units campaign).
+// layout, canonicalised under the full unit group (sound by the
+// zero-mismatch campaign recorded in docs/CACHING.md §5).
 var sectionBenchGrid = []struct{ m, s, nc int }{{12, 3, 3}, {16, 4, 4}}
 
 func BenchmarkSweepSectionsSequential(b *testing.B) {
@@ -315,7 +315,7 @@ func BenchmarkSweepSectionsParallel(b *testing.B) {
 		for _, g := range sectionBenchGrid {
 			eng.SectionGrid(g.m, g.s, g.nc)
 		}
-		hitRate = eng.Metrics().SectionHitRate()
+		hitRate = eng.Metrics().FamilyHitRate("section")
 	}
 	b.ReportMetric(hitRate*100, "section_cache_hit_%")
 	b.ReportMetric(seq.Seconds()/(b.Elapsed().Seconds()/float64(b.N)), "speedup_vs_seq")
@@ -329,10 +329,10 @@ func BenchmarkSweepTripleCensusTranslated(b *testing.B) {
 	var base, translated float64
 	for i := 0; i < b.N; i++ {
 		eng := sweep.NewEngine(sweep.Options{Workers: 4})
-		eng.Triples(13, 4)
+		eng.SpecGrid(sweep.TripleCensusSpecs(13, 4, [3]int{0, 1, 2}))
 		m0 := eng.Metrics().Family("triple")
 		base = float64(m0.Hits) / float64(m0.Hits+m0.Misses)
-		eng.TriplesAt(13, 4, [3]int{5, 6, 7})
+		eng.SpecGrid(sweep.TripleCensusSpecs(13, 4, [3]int{5, 6, 7}))
 		m1 := eng.Metrics().Family("triple")
 		dh, dm := m1.Hits-m0.Hits, m1.Misses-m0.Misses
 		translated = float64(dh) / float64(dh+dm)

@@ -30,7 +30,7 @@ import (
 )
 
 func main() {
-	study := flag.String("study", "all", "which study: pairs|triples|sections|section-units|policies|multitask|skew|kernels|random|all")
+	study := flag.String("study", "all", "which study: pairs|triples|sections|policies|multitask|skew|kernels|random|all")
 	n := flag.Int("n", 512, "vector length per stream")
 	maxInc := flag.Int("maxinc", 16, "largest increment to sweep")
 	workers := flag.Int("workers", 0, "sweep worker goroutines for the engine studies; 0 selects GOMAXPROCS")
@@ -94,12 +94,6 @@ func main() {
 	}
 	if *study == "sections" || *study == "all" {
 		sectionsStudy(engine())
-		ran = true
-	}
-	if *study == "section-units" || *study == "all" {
-		if !sectionUnitsStudy(*workers, *cache) {
-			os.Exit(1)
-		}
 		ran = true
 	}
 	if *study == "policies" || *study == "all" {
@@ -179,7 +173,7 @@ func triplesStudy(eng *sweep.Engine) {
 	m := eng.Metrics()
 	tf := m.Family("triple")
 	fmt.Printf("triple cache: %.0f%% hits (%d/%d)\n",
-		m.TripleHitRate()*100, tf.Hits, tf.Hits+tf.Misses)
+		m.FamilyHitRate("triple")*100, tf.Hits, tf.Hits+tf.Misses)
 	fmt.Println()
 }
 
@@ -196,50 +190,8 @@ func sectionsStudy(eng *sweep.Engine) {
 	m := eng.Metrics()
 	sf := m.Family("section")
 	fmt.Printf("section cache: %.0f%% hits (%d/%d)\n",
-		m.SectionHitRate()*100, sf.Hits, sf.Hits+sf.Misses)
+		m.FamilyHitRate("section")*100, sf.Hits, sf.Hits+sf.Misses)
 	fmt.Println()
-}
-
-// sectionUnitsStudy is the differential soundness campaign for the
-// full-unit-group section canonicalisation: on every section grid from
-// EXPERIMENTS.md it runs the cold sequential sweep, the engine under
-// the full unit group (the default), and the engine restricted to the
-// conservative section-fixing subgroup u ≡ 1 (mod s), and demands all
-// three agree result-for-result. It reports both hit rates so the
-// cache win of the larger group is visible next to its soundness.
-func sectionUnitsStudy(workers, cache int) bool {
-	fmt.Println("== section canonicalisation soundness: full unit group vs u ≡ 1 (mod s) subgroup vs cold sweep")
-	grids := []struct{ m, s, nc int }{{12, 2, 2}, {12, 3, 3}, {16, 4, 4}, {8, 2, 2}}
-	tbl := &textplot.Table{Header: []string{"m", "s", "nc", "pairs", "mismatch", "full hits", "subgroup hits"}}
-	ok := true
-	for _, g := range grids {
-		cold := sweep.SectionGrid(g.m, g.s, g.nc)
-		full := sweep.NewEngine(sweep.Options{Workers: workers, CacheSize: cache})
-		fullRes := full.SectionGrid(g.m, g.s, g.nc)
-		off := false
-		sub := sweep.NewEngine(sweep.Options{Workers: workers, CacheSize: cache, SectionFullUnits: &off})
-		subRes := sub.SectionGrid(g.m, g.s, g.nc)
-		mismatch := 0
-		for i := range cold {
-			if !reflect.DeepEqual(cold[i], fullRes[i]) || !reflect.DeepEqual(cold[i], subRes[i]) {
-				mismatch++
-			}
-		}
-		if mismatch > 0 {
-			ok = false
-		}
-		tbl.Add(g.m, g.s, g.nc, len(cold), mismatch,
-			fmt.Sprintf("%.1f%%", full.Metrics().SectionHitRate()*100),
-			fmt.Sprintf("%.1f%%", sub.Metrics().SectionHitRate()*100))
-	}
-	fmt.Print(tbl.String())
-	if ok {
-		fmt.Println("zero mismatches: the full unit group is sound on every section grid.")
-	} else {
-		fmt.Println("MISMATCHES FOUND: the full-unit section canonicalisation is unsound here.")
-	}
-	fmt.Println()
-	return ok
 }
 
 // policiesStudy is the policy-dimension reproduction and soundness
@@ -314,10 +266,7 @@ func policiesStudy(workers, cache int) bool {
 		for i := range specs {
 			specs[i] = specs[i].WithPolicy(c.priority, c.mapping)
 		}
-		cold := make([]sweep.SpecResult, len(specs))
-		for i, sp := range specs {
-			cold[i] = sweep.SweepSpec(sp)
-		}
+		cold := sweep.SpecGrid(specs)
 		eng := sweep.NewEngine(sweep.Options{Workers: workers, CacheSize: cache})
 		engRes := eng.SpecGrid(specs)
 		warmRes := eng.SpecGrid(specs)

@@ -53,7 +53,6 @@ func main() {
 	triples := flag.Bool("triples", false, "sweep three-stream triples (all relative placements) against the capacity bounds instead")
 	census := flag.Bool("triple-census", false, "with -triples: only the fixed placement (0,1,2) per triple, the cheap regime scan")
 	streams := flag.Int("streams", 0, "sweep N concurrent streams (one per CPU, all relative placements) against the capacity bounds; 0 selects the pair sweep")
-	fullUnits := flag.Bool("section-full-units", true, "canonicalise section sweeps under the full unit group (validated by ivmablate -study section-units); false restricts to u ≡ 1 (mod s)")
 	full := flag.Bool("full", false, "print the full per-pair table (default: summary only)")
 	workers := flag.Int("workers", 0, "sweep worker goroutines; 0 selects GOMAXPROCS")
 	cache := flag.Int("cache", sweep.DefaultCacheSize, "cyclic-state cache entries, shared by pair, triple and section sweeps; negative disables caching")
@@ -137,8 +136,7 @@ func main() {
 	}
 	eng := sweep.NewEngine(sweep.Options{
 		Workers: *workers, CacheSize: *cache, CollectStats: *showStats,
-		SectionFullUnits: fullUnits, Timeline: timeline,
-		Analytic: analytic, PackedKernel: packed,
+		Timeline: timeline, Analytic: analytic, PackedKernel: packed,
 		Provenance: prov, Progress: progressSink(prog),
 		ItemLatency: latencySink(itemLatency),
 	})
@@ -373,10 +371,9 @@ func runSweeps(eng *sweep.Engine, m, nc, secs, streams int, triples, census, ful
 	}
 	if triples {
 		if census {
-			results := eng.Triples(m, nc)
-			sum := sweep.SummariseTriples(results)
+			sum := sweep.SummariseSpecGrid(eng.SpecGrid(sweep.TripleCensusSpecs(m, nc, [3]int{0, 1, 2})))
 			fmt.Printf("m=%d n_c=%d: %d distance triples at placement (0,1,2); capacity bound attained by %d, violated by %d\n",
-				m, nc, sum.Triples, sum.Tight, sum.Violations)
+				m, nc, sum.Triples, sum.TightStarts, sum.Violations)
 			return
 		}
 		results := eng.TripleGrid(m, nc)

@@ -96,14 +96,14 @@ func main() {
 		fmt.Printf("\nIdealised triad streams (INC,INC,INC) on m=16 n_c=4, all relative placements:\n")
 		fmt.Printf("%-4s %12s %12s %12s %12s %10s\n", "INC", "bound min", "bound max", "sim min", "sim max", "tight")
 		for inc := 1; inc <= *maxInc; inc++ {
-			r := eng.SweepTriple(16, 4, [3]int{inc, inc, inc})
+			r := eng.SpecGrid([]sweep.ConfigSpec{sweep.TripleSpec(16, 4, [3]int{inc, inc, inc})})[0]
 			fmt.Printf("%-4d %12s %12s %12s %12s %6d/%d\n",
 				inc, r.BoundMin, r.BoundMax, r.SimMin, r.SimMax, r.TightStarts, r.Starts)
 		}
 		m := eng.Metrics()
 		tf := m.Family("triple")
 		fmt.Printf("engine: %d placements, %.0f%% cache hits\n",
-			tf.Hits+tf.Misses, m.TripleHitRate()*100)
+			tf.Hits+tf.Misses, m.FamilyHitRate("triple")*100)
 	}
 
 	if err := stopProf(); err != nil {

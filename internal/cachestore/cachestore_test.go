@@ -249,7 +249,8 @@ func TestStoreEngineSeam(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := sweep.NewEngine(sweep.Options{Workers: 2, CacheSink: s})
-	want := a.SweepPair(13, 4, 1, 6)
+	specs := []sweep.ConfigSpec{sweep.PairSpec(13, 4, 1, 6)}
+	want := a.SpecGrid(specs)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestStoreEngineSeam(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := b.SweepPair(13, 4, 1, 6)
+	got := b.SpecGrid(specs)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("seeded sweep differs:\n got %+v\nwant %+v", got, want)
 	}

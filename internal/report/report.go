@@ -158,12 +158,12 @@ func Grids(w io.Writer, grids [][2]int) { gridsWith(w, grids, nil) }
 func gridsWith(w io.Writer, grids [][2]int, eng *sweep.Engine) {
 	grid := sweep.Grid
 	sectionGrid := sweep.SectionGrid
-	triples := sweep.SweepTriples
+	specGrid := sweep.SpecGrid
 	tripleGrid := sweep.TripleGrid
 	if eng != nil {
 		grid = eng.Grid
 		sectionGrid = eng.SectionGrid
-		triples = eng.Triples
+		specGrid = eng.SpecGrid
 		tripleGrid = eng.TripleGrid
 	}
 
@@ -196,9 +196,9 @@ func gridsWith(w io.Writer, grids [][2]int, eng *sweep.Engine) {
 
 	fmt.Fprintln(w, "## Three-stream capacity bounds")
 	fmt.Fprintln(w)
-	tr := sweep.SummariseTriples(triples(12, 3))
+	tr := sweep.SummariseSpecGrid(specGrid(sweep.TripleCensusSpecs(12, 3, [3]int{0, 1, 2})))
 	fmt.Fprintf(w, "m=12 n_c=3: %d triples at placement (0,1,2), bound attained by %d, violated by %d\n\n",
-		tr.Triples, tr.Tight, tr.Violations)
+		tr.Triples, tr.TightStarts, tr.Violations)
 	tg := sweep.SummariseTripleGrid(8, 2, tripleGrid(8, 2))
 	fmt.Fprintf(w, "m=8 n_c=2, all placements: %d triples over %d placements, bound attained somewhere by %d (%d placements), violated by %d\n\n",
 		tg.Triples, tg.Starts, tg.TightSomewhere, tg.TightStarts, tg.Violations)

@@ -554,7 +554,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		priority = pr
 	}
-	specs := make([]sweep.ConfigSpec, 0, max(m, 0))
+	// A sweep of m rows is an m-spec batch: bound it like /v1/batch
+	// before allocating anything sized by the query.
+	if m <= 0 || m > MaxBatch {
+		httpError(w, http.StatusBadRequest, "sweep: %d banks outside [1, %d]", m, MaxBatch)
+		return
+	}
+	specs := make([]sweep.ConfigSpec, 0, m)
 	for b2 := 0; b2 < m; b2++ {
 		streams := []sweep.Stream{
 			{D: d1, B: b1, CPU: 0},
@@ -567,10 +573,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			M: m, S: sections, NC: nc, Streams: streams,
 			Mapping: mapping, Priority: priority,
 		})
-	}
-	if len(specs) == 0 {
-		httpError(w, http.StatusBadRequest, "sweep: %d banks", m)
-		return
 	}
 	info := requestInfo(r)
 	results, err := s.eng.ResolveBatchCtx(r.Context(), specs)

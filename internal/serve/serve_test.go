@@ -193,6 +193,14 @@ func TestServeErrors(t *testing.T) {
 		{"batch empty", 400, func() (int, []byte) { return postJSON(t, ts.URL+"/v1/batch", `{"specs":[]}`) }},
 		{"sweep POST", 405, func() (int, []byte) { return postJSON(t, ts.URL+"/v1/sweep", "{}") }},
 		{"sweep missing m", 400, func() (int, []byte) { return get(ts.URL + "/v1/sweep?nc=4&d1=1&d2=2") }},
+		// A sweep of m rows is an m-spec batch: m beyond MaxBatch is
+		// refused before anything sized by m is allocated.
+		{"sweep m over MaxBatch", 400, func() (int, []byte) {
+			return get(fmt.Sprintf("%s/v1/sweep?m=%d&nc=4&d1=1&d2=2", ts.URL, MaxBatch+1))
+		}},
+		{"sweep huge m", 400, func() (int, []byte) {
+			return get(fmt.Sprintf("%s/v1/sweep?m=%d&nc=4&d1=1&d2=2", ts.URL, 1<<40))
+		}},
 		{"sweep bad consecutive", 400, func() (int, []byte) {
 			return get(ts.URL + "/v1/sweep?m=12&s=3&nc=4&d1=1&d2=2&consecutive=maybe")
 		}},

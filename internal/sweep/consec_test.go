@@ -1,9 +1,6 @@
 package sweep
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestDifferentialConsecutiveSections pins the consecutive-mapping
 // cache against the cold sequential sweep. The canonicalisation group
@@ -19,20 +16,20 @@ func TestDifferentialConsecutiveSections(t *testing.T) {
 		{12, 4, 2},
 		{16, 4, 4},
 	}
-	eng := NewEngine(Options{Workers: 4})
+	// The second list translates the first stream's start by m/s.
+	var specs, moved []ConfigSpec
 	for _, g := range grids {
 		for d1 := 0; d1 < g.m; d1 += 3 {
 			for d2 := d1; d2 < g.m; d2 += 2 {
+				specs = append(specs, ConsecSectionPairSpec(g.m, g.s, g.nc, d1, d2))
 				spec := ConsecSectionPairSpec(g.m, g.s, g.nc, d1, d2)
-				cold := SweepSpec(spec)
-				got := eng.SweepSpec(spec)
-				if !reflect.DeepEqual(cold, got) {
-					t.Fatalf("m=%d s=%d nc=%d (%d,%d): engine %+v != sequential %+v",
-						g.m, g.s, g.nc, d1, d2, got, cold)
-				}
+				spec.Streams[0].B = g.m / g.s
+				moved = append(moved, spec)
 			}
 		}
 	}
+	eng := NewEngine(Options{Workers: 4})
+	sameRows(t, "consecutive", SpecGrid(specs), eng.SpecGrid(specs))
 	fam := eng.Metrics().Families["section-consec"]
 	if fam.Misses == 0 {
 		t.Fatalf("consecutive sweeps never simulated: %+v", fam)
@@ -41,20 +38,7 @@ func TestDifferentialConsecutiveSections(t *testing.T) {
 	// Translating the first stream's start by m/s lands every
 	// placement on an orbit the b1=0 pass already simulated: the
 	// second pass must answer entirely from the cache.
-	for _, g := range grids {
-		for d1 := 0; d1 < g.m; d1 += 3 {
-			for d2 := d1; d2 < g.m; d2 += 2 {
-				spec := ConsecSectionPairSpec(g.m, g.s, g.nc, d1, d2)
-				spec.Streams[0].B = g.m / g.s
-				cold := SweepSpec(spec)
-				got := eng.SweepSpec(spec)
-				if !reflect.DeepEqual(cold, got) {
-					t.Fatalf("m=%d s=%d nc=%d (%d,%d) b1=%d: engine %+v != sequential %+v",
-						g.m, g.s, g.nc, d1, d2, g.m/g.s, got, cold)
-				}
-			}
-		}
-	}
+	sameRows(t, "translated consecutive", SpecGrid(moved), eng.SpecGrid(moved))
 	shifted := eng.Metrics().Families["section-consec"]
 	if shifted.Misses != fam.Misses {
 		t.Fatalf("translated pass simulated %d new orbits; the m/s translation group should cover it",

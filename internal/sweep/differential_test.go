@@ -14,32 +14,39 @@ import (
 // Random pairs must agree result-for-result, and every simulated
 // bandwidth must sit inside the provable [1/n_c, capacity] sandwich.
 
+// sameRows fails the test at the first row where the engine's results
+// differ from the cold oracle's.
+func sameRows[R any](t *testing.T, what string, cold, eng []R) {
+	t.Helper()
+	if len(cold) != len(eng) {
+		t.Fatalf("%s: engine returned %d rows, cold oracle %d", what, len(eng), len(cold))
+	}
+	for i := range cold {
+		if !reflect.DeepEqual(cold[i], eng[i]) {
+			t.Fatalf("%s row %d: engine %+v != cold oracle %+v", what, i, eng[i], cold[i])
+		}
+	}
+}
+
 func TestDifferentialRandomPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(19850712))
-	eng := NewEngine(Options{Workers: 4})
+	var specs []ConfigSpec
 	for trial := 0; trial < 50; trial++ {
 		m := 2 + rng.Intn(15) // 2..16
 		nc := 1 + rng.Intn(4) // 1..4
-		d1 := rng.Intn(m)
-		d2 := rng.Intn(m)
-		seq := SweepPair(m, nc, d1, d2)
-		par := eng.SweepPair(m, nc, d1, d2)
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("trial %d m=%d nc=%d (%d,%d): engine %+v != sequential %+v",
-				trial, m, nc, d1, d2, par, seq)
+		specs = append(specs, PairSpec(m, nc, rng.Intn(m), rng.Intn(m)))
+	}
+	eng := NewEngine(Options{Workers: 4})
+	seq := coldSpecs(specs, pairFold)
+	sameRows(t, "random pairs", seq, sweepSpecs(eng, specs, pairFold))
+	for _, r := range seq {
+		lo, hi := core.PairBandwidthBounds(r.M, r.NC, r.D1, r.D2)
+		if r.SimMin.Cmp(lo) < 0 || r.SimMax.Cmp(hi) > 0 {
+			t.Fatalf("m=%d nc=%d (%d,%d): sim [%s,%s] outside bounds [%s,%s]",
+				r.M, r.NC, r.D1, r.D2, r.SimMin, r.SimMax, lo, hi)
 		}
-		lo, hi := core.PairBandwidthBounds(m, nc, d1, d2)
-		if seq.SimMin.Cmp(lo) < 0 {
-			t.Fatalf("trial %d m=%d nc=%d (%d,%d): sim min %s below analytic lower bound %s",
-				trial, m, nc, d1, d2, seq.SimMin, lo)
-		}
-		if seq.SimMax.Cmp(hi) > 0 {
-			t.Fatalf("trial %d m=%d nc=%d (%d,%d): sim max %s above analytic upper bound %s",
-				trial, m, nc, d1, d2, seq.SimMax, hi)
-		}
-		if !seq.Agree {
-			t.Fatalf("trial %d m=%d nc=%d (%d,%d): analysis and simulation disagree: %+v",
-				trial, m, nc, d1, d2, seq)
+		if !r.Agree {
+			t.Fatalf("m=%d nc=%d (%d,%d): analysis and simulation disagree: %+v", r.M, r.NC, r.D1, r.D2, r)
 		}
 	}
 	if eng.Metrics().CacheHits == 0 {

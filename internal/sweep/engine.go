@@ -91,15 +91,6 @@ type Options struct {
 	// differentially tested against. Both kernels produce identical
 	// cyclic states, so results are byte-identical either way.
 	PackedKernel *bool
-	// SectionFullUnits selects the scaling group used to canonicalise
-	// sectioned configurations. When nil or pointing at true (the
-	// default), the full unit group of Z_m is used: a unit u permutes
-	// the sections k -> u·k mod s, and the arbitration is
-	// section-symmetric, so the renumbered system is isomorphic — the
-	// claim the differential campaign of docs/CACHING.md validates.
-	// Point at false to restrict canonicalisation to the conservative
-	// subgroup u ≡ 1 (mod s) that fixes every section (the PR 3 key).
-	SectionFullUnits *bool
 }
 
 // ProgressSink receives the engine's work-item progress. It is
@@ -120,12 +111,6 @@ type ProgressSink interface {
 type LatencySink interface {
 	// ObserveNS records one completed item's wall latency.
 	ObserveNS(ns int64)
-}
-
-// sectionFullUnits reports whether sectioned canonicalisation may scale
-// by the full unit group rather than the section-fixing subgroup.
-func (o Options) sectionFullUnits() bool {
-	return o.SectionFullUnits == nil || *o.SectionFullUnits
 }
 
 // analytic reports whether the classifier gate short-circuits provable
@@ -322,16 +307,6 @@ func (m Metrics) FamilyHitRate(name string) float64 {
 	return hitRate(f.Hits, f.Misses)
 }
 
-// PairHitRate returns the cache hit fraction of the sectionless pair
-// sweeps.
-func (m Metrics) PairHitRate() float64 { return m.FamilyHitRate("pair") }
-
-// TripleHitRate returns the cache hit fraction of the triple sweeps.
-func (m Metrics) TripleHitRate() float64 { return m.FamilyHitRate("triple") }
-
-// SectionHitRate returns the cache hit fraction of the section sweeps.
-func (m Metrics) SectionHitRate() float64 { return m.FamilyHitRate("section") }
-
 // Table renders the counters as an aligned text table. Per-family
 // cache rows appear only for families that saw traffic, legacy
 // families first.
@@ -363,16 +338,17 @@ func (m Metrics) Table() string {
 // Engine is the parallel sweep harness: a bounded worker pool over
 // spec-driven sweeps with a sharded memoization cache of cyclic steady
 // states. Results are always returned in the sequential sweep order,
-// so output is byte-identical to Grid/SectionGrid/SweepTriples/
-// TripleGrid/SweepSpec regardless of worker count or cache state.
+// so output is byte-identical to the cold package functions Grid,
+// SectionGrid, TripleGrid, NStreamGrid and SpecGrid regardless of
+// worker count or cache state.
 //
 // Every sweep — pair, triple, section or generic N-stream — routes
-// through one path: the spec is compiled against the worker
-// (compiledSpec), each placement's configuration vector
-// (d_1..d_N, b_1..b_N) is canonicalised by the spec's modmath pipeline
-// (translation orbits composed with the unit-group scaling action,
-// restricted per Options.SectionFullUnits on sectioned memories), and
-// the canonical representative keys the cache. On a miss the CANONICAL
+// through one path, sweepSpecs: one work item per spec, the spec
+// compiled against the worker (compiledSpec), each placement's
+// configuration vector (d_1..d_N, b_1..b_N) canonicalised by the
+// spec's modmath pipeline (translation orbits composed with the
+// unit-group scaling action), and the canonical representative keying
+// the cache. On a miss the CANONICAL
 // representative is simulated, so the cached value is exactly what any
 // placement of the orbit would produce; docs/CACHING.md derives the
 // isomorphisms. An Engine is safe for concurrent use by multiple
@@ -554,137 +530,52 @@ func (e *Engine) run(n int, f func(w *worker, i int)) {
 	wg.Wait()
 }
 
-// Grid is the parallel, cached equivalent of Grid: same pairs, same
-// order, same values.
-func (e *Engine) Grid(m, nc int) []PairResult {
-	pairs := gridPairs(m, nc)
-	out := make([]PairResult, len(pairs))
-	e.run(len(pairs), func(w *worker, i int) {
-		out[i] = w.sweepPair(m, nc, pairs[i][0], pairs[i][1])
-	})
-	return out
-}
-
-// SweepPair sweeps one pair through the engine (cache and reusable
-// simulator included), returning exactly what SweepPair returns.
-func (e *Engine) SweepPair(m, nc, d1, d2 int) PairResult {
-	var out PairResult
-	e.run(1, func(w *worker, _ int) {
-		out = w.sweepPair(m, nc, d1, d2)
-	})
-	return out
-}
-
-// SectionGrid is the parallel, cached equivalent of SectionGrid: same
-// pairs, same order, same values. Placements are canonicalised under
-// the section-respecting pipeline before the cache lookup.
-func (e *Engine) SectionGrid(m, s, nc int) []SectionPairResult {
-	pairs := gridPairs(m, nc)
-	out := make([]SectionPairResult, len(pairs))
-	e.run(len(pairs), func(w *worker, i int) {
-		out[i] = w.sweepSectionPair(m, s, nc, pairs[i][0], pairs[i][1])
-	})
-	return out
-}
-
-// SweepSectionPair sweeps one section pair through the engine,
-// returning exactly what SweepSectionPair returns.
-func (e *Engine) SweepSectionPair(m, s, nc, d1, d2 int) SectionPairResult {
-	var out SectionPairResult
-	e.run(1, func(w *worker, _ int) {
-		out = w.sweepSectionPair(m, s, nc, d1, d2)
-	})
-	return out
-}
-
-// Triples is the parallel, cached equivalent of SweepTriples (the
-// fixed-placement census at starts (0, 1, 2)).
-func (e *Engine) Triples(m, nc int) []TripleResult {
-	return e.TriplesAt(m, nc, [3]int{0, 1, 2})
-}
-
-// TriplesAt runs the fixed-placement triple census at an arbitrary
-// start placement b. Placements that are translates of one another
-// canonicalise to the same cache key, so TriplesAt(m, nc, {t, 1+t,
-// 2+t}) replays the cyclic states of the standard census for free —
-// the translation-orbit benchmark of scripts/bench.sh measures exactly
-// that reuse.
-func (e *Engine) TriplesAt(m, nc int, b [3]int) []TripleResult {
-	triples := tripleList(m)
-	out := make([]TripleResult, len(triples))
-	e.run(len(triples), func(w *worker, i int) {
-		e.pairs.Add(1)
-		d := triples[i]
-		cs := w.compile(TripleCensusSpec(m, nc, d, b))
-		cs.b[0], cs.b[1], cs.b[2] = b[0], b[1], b[2]
-		out[i] = tripleFrom(m, nc, d, b, w.bw(cs, cs.b))
-	})
-	return out
-}
-
-// TripleGrid is the parallel, cached equivalent of TripleGrid: every
-// distance triple over all m^2 relative placements, byte-identical to
-// the sequential path.
-func (e *Engine) TripleGrid(m, nc int) []TripleSweepResult {
-	triples := tripleList(m)
-	out := make([]TripleSweepResult, len(triples))
-	e.run(len(triples), func(w *worker, i int) {
-		out[i] = w.sweepTriple(m, nc, triples[i])
-	})
-	return out
-}
-
-// SweepTriple sweeps one distance triple over all relative placements
-// through the engine, returning exactly what SweepTriple returns.
-func (e *Engine) SweepTriple(m, nc int, d [3]int) TripleSweepResult {
-	var out TripleSweepResult
-	e.run(1, func(w *worker, _ int) {
-		out = w.sweepTriple(m, nc, d)
-	})
-	return out
-}
-
-// SweepSpec sweeps one ConfigSpec through the engine — the parallel,
-// cached equivalent of the sequential SweepSpec function.
-func (e *Engine) SweepSpec(spec ConfigSpec) SpecResult {
-	var out SpecResult
-	e.run(1, func(w *worker, _ int) {
-		e.pairs.Add(1)
-		cs := w.compile(spec)
-		out = sweepSpecWith(spec, func(b []int) rat.Rational { return w.bw(cs, b) })
-	})
-	return out
-}
-
-// SpecGrid sweeps an explicit list of ConfigSpecs through the engine,
-// one work item per spec, results in input order. It is the generic
-// grid for policy sweeps: non-default (priority, mapping) specs do not
-// fit the theorem-comparing Grid/SectionGrid result shapes (those
-// embed fixed-priority analysis), but their capacity bounds are
-// priority-independent, so SpecResult is exact for any policy.
-func (e *Engine) SpecGrid(specs []ConfigSpec) []SpecResult {
-	out := make([]SpecResult, len(specs))
+// sweepSpecs is the engine half of the sweep route: one work item per
+// spec, folded by fold over the placements it resolves through the
+// worker's cached answer route (gate, canonical-key cache, simulation).
+// coldSpecs runs the same folds on the cold oracle.
+func sweepSpecs[R any](e *Engine, specs []ConfigSpec, fold func(ConfigSpec, func(b []int) rat.Rational) R) []R {
+	out := make([]R, len(specs))
 	e.run(len(specs), func(w *worker, i int) {
 		e.pairs.Add(1)
 		cs := w.compile(specs[i])
-		out[i] = sweepSpecWith(specs[i], func(b []int) rat.Rational { return w.bw(cs, b) })
+		out[i] = fold(specs[i], func(b []int) rat.Rational { return w.bw(cs, b) })
 	})
 	return out
+}
+
+// Grid is the parallel, cached equivalent of Grid: same pairs, same
+// order, same values.
+func (e *Engine) Grid(m, nc int) []PairResult { return sweepSpecs(e, GridSpecs(m, 0, nc), pairFold) }
+
+// SectionGrid is the parallel, cached equivalent of SectionGrid.
+// Placements are canonicalised under the section-respecting pipeline
+// before the cache lookup.
+func (e *Engine) SectionGrid(m, s, nc int) []SectionPairResult {
+	return sweepSpecs(e, GridSpecs(m, s, nc), sectionFold)
+}
+
+// TripleGrid is the parallel, cached equivalent of TripleGrid: every
+// distance triple over all m^2 relative placements.
+func (e *Engine) TripleGrid(m, nc int) []TripleSweepResult {
+	return tripleResults(sweepSpecs(e, tripleSpecs(m, nc), specFold))
 }
 
 // NStreamGrid is the parallel, cached equivalent of NStreamGrid: every
 // nondecreasing non-self-conflicting distance N-tuple over all
 // m^(N-1) relative placements.
 func (e *Engine) NStreamGrid(m, nc, n int) []SpecResult {
-	specs := nStreamSpecs(m, nc, n)
-	out := make([]SpecResult, len(specs))
-	e.run(len(specs), func(w *worker, i int) {
-		e.pairs.Add(1)
-		cs := w.compile(specs[i])
-		out[i] = sweepSpecWith(specs[i], func(b []int) rat.Rational { return w.bw(cs, b) })
-	})
-	return out
+	return sweepSpecs(e, nStreamSpecs(m, nc, n), specFold)
 }
+
+// SpecGrid is the parallel, cached equivalent of SpecGrid: one work
+// item per spec, results in input order. It is the generic grid for
+// the triple census (TripleCensusSpecs) and for policy sweeps:
+// non-default (priority, mapping) specs do not fit the
+// theorem-comparing Grid/SectionGrid result shapes (those embed
+// fixed-priority analysis), but their capacity bounds are
+// priority-independent, so SpecResult is exact for any policy.
+func (e *Engine) SpecGrid(specs []ConfigSpec) []SpecResult { return sweepSpecs(e, specs, specFold) }
 
 // --- Workers ------------------------------------------------------------
 
@@ -779,30 +670,12 @@ func (w *worker) findCycle(sys *memsys.System, what string) memsys.Cycle {
 	return c
 }
 
-func (w *worker) sweepPair(m, nc, d1, d2 int) PairResult {
-	w.e.pairs.Add(1)
-	cs := w.compile(PairSpec(m, nc, d1, d2))
-	return sweepPairWith(m, nc, d1, d2, cs.twoStreamBW(w))
-}
-
-func (w *worker) sweepSectionPair(m, s, nc, d1, d2 int) SectionPairResult {
-	w.e.pairs.Add(1)
-	cs := w.compile(SectionPairSpec(m, s, nc, d1, d2))
-	return sweepSectionPairWith(m, s, nc, d1, d2, cs.twoStreamBW(w))
-}
-
-func (w *worker) sweepTriple(m, nc int, d [3]int) TripleSweepResult {
-	w.e.pairs.Add(1)
-	cs := w.compile(TripleSpec(m, nc, d))
-	return sweepTripleWith(m, nc, d, cs.tripleBW(w))
-}
-
 // pipelineFor returns the memoised canonicalisation pipeline of an
 // (m, s) memory: translation normalisation by multiples of the section
 // count (every translation when sectionless), composed with scaling
-// minimisation over the full unit group — or over the section-fixing
-// subgroup when Options.SectionFullUnits disables the stronger
-// reduction on a sectioned memory.
+// minimisation over the full unit group. On a sectioned memory a unit
+// permutes the symmetric sections, so the full group stays sound — the
+// zero-mismatch campaign recorded in docs/CACHING.md §5.
 //
 // Consecutive mapping gets its own, narrower group: translations by
 // multiples of the section width g = m/s (which shift whole section
@@ -821,13 +694,9 @@ func (w *worker) sweepTriple(m, nc int, d [3]int) TripleSweepResult {
 // mapping; the policy differential campaign (TestDifferentialPolicies,
 // ivmablate -study policies) is the empirical gate on that argument.
 func (w *worker) pipelineFor(m, s int, mapping memsys.SectionMapping) modmath.Pipeline {
-	step := 1
+	step, fix := 1, 1
 	if s > 1 {
 		step = s
-	}
-	fix := 1
-	if s > 1 && !w.e.opt.sectionFullUnits() {
-		fix = s
 	}
 	if mapping == memsys.ConsecutiveSections {
 		step = m / s
@@ -866,8 +735,8 @@ type compiledSpec struct {
 	gate        *core.PairGate
 	gateTheorem string
 
-	// vec is the (d_1..d_N, b_1..b_N) canonicalisation scratch; b is
-	// the start-vector scratch handed to bw by the sweep adapters.
+	// vec is the (d_1..d_N, b_1..b_N) canonicalisation scratch; b holds
+	// the spec's own starts, the placement ResolveBatch answers.
 	vec []int
 	b   []int
 }
@@ -937,24 +806,6 @@ func (cs *compiledSpec) key(b []int) cacheKey {
 		nc:     cs.spec.NC,
 		cpus:   cs.cpus,
 		vec:    packInts(cs.vec),
-	}
-}
-
-// twoStreamBW adapts the cached resolver to the two-stream sweep loops
-// (pair and section): stream 1 at its fixed start, stream 2 at b2.
-func (cs *compiledSpec) twoStreamBW(w *worker) func(b2 int) rat.Rational {
-	return func(b2 int) rat.Rational {
-		cs.b[0], cs.b[1] = cs.spec.Streams[0].B, b2
-		return w.bw(cs, cs.b)
-	}
-}
-
-// tripleBW adapts the cached resolver to the triple sweep loop:
-// stream 1 at its fixed start, streams 2 and 3 at (b2, b3).
-func (cs *compiledSpec) tripleBW(w *worker) func(b2, b3 int) rat.Rational {
-	return func(b2, b3 int) rat.Rational {
-		cs.b[0], cs.b[1], cs.b[2] = cs.spec.Streams[0].B, b2, b3
-		return w.bw(cs, cs.b)
 	}
 }
 

@@ -49,14 +49,17 @@ func TestEngineSectionGridMatchesSequential(t *testing.T) {
 	}
 }
 
+// The fixed-placement triple census through the engine must match the
+// cold census row for row, and so summarise identically.
 func TestEngineTriplesMatchesSequential(t *testing.T) {
-	seq := SweepTriples(8, 2)
+	specs := TripleCensusSpecs(8, 2, [3]int{0, 1, 2})
+	seq := SpecGrid(specs)
 	eng := NewEngine(Options{Workers: 4})
-	par := eng.Triples(8, 2)
+	par := eng.SpecGrid(specs)
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("parallel triples differ from sequential")
 	}
-	if !reflect.DeepEqual(SummariseTriples(seq), SummariseTriples(par)) {
+	if !reflect.DeepEqual(SummariseSpecGrid(seq), SummariseSpecGrid(par)) {
 		t.Fatal("triple summaries differ")
 	}
 }
@@ -174,18 +177,15 @@ func TestCanonicalKeyOrbitInvariant(t *testing.T) {
 
 // Triple keys are constant on affine orbits of (d1,d2,d3; b1,b2,b3);
 // section keys under the full unit group composed with translations by
-// multiples of s by default, and only under the section-fixing
-// subgroup when Options.SectionFullUnits is pointed at false.
+// multiples of s.
 func TestCanonicalKeyOrbitInvariantTripleAndSection(t *testing.T) {
 	w := &worker{e: NewEngine(Options{})}
-	off := false
-	wSub := &worker{e: NewEngine(Options{SectionFullUnits: &off})}
 	tripleKey := func(m, d1, d2, d3, b2, b3 int) cacheKey {
 		cs := w.compile(TripleSpec(m, 2, [3]int{d1, d2, d3}))
 		return cs.key([]int{0, b2, b3})
 	}
-	sectionKey := func(wk *worker, m, s, d1, d2, b1, b2 int) cacheKey {
-		cs := wk.compile(SectionPairSpec(m, s, 2, d1, d2))
+	sectionKey := func(m, s, d1, d2, b1, b2 int) cacheKey {
+		cs := w.compile(SectionPairSpec(m, s, 2, d1, d2))
 		return cs.key([]int{b1, b2})
 	}
 	for _, m := range []int{8, 12} {
@@ -200,20 +200,13 @@ func TestCanonicalKeyOrbitInvariantTripleAndSection(t *testing.T) {
 						}
 					}
 					s := 4
-					wantFull := sectionKey(w, m, s, d1, d2, 0, b2)
+					wantSec := sectionKey(m, s, d1, d2, 0, b2)
 					for _, u := range modmath.Units(m) {
 						for tr := 0; tr < m; tr += s {
-							if got := sectionKey(w, m, s, u*d1, u*d2, tr, u*b2+tr); got != wantFull {
+							if got := sectionKey(m, s, u*d1, u*d2, tr, u*b2+tr); got != wantSec {
 								t.Fatalf("m=%d s=%d (%d,%d;0,%d) under u=%d t=%d: %+v != %+v",
-									m, s, d1, d2, b2, u, tr, got, wantFull)
+									m, s, d1, d2, b2, u, tr, got, wantSec)
 							}
-						}
-					}
-					wantSub := sectionKey(wSub, m, s, d1, d2, 0, b2)
-					for _, u := range modmath.UnitsFixing(m, s) {
-						if got := sectionKey(wSub, m, s, u*d1, u*d2, 0, u*b2); got != wantSub {
-							t.Fatalf("m=%d s=%d subgroup (%d,%d,%d) scaled by %d: %+v != %+v",
-								m, s, d1, d2, b2, u, got, wantSub)
 						}
 					}
 				}

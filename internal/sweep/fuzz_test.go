@@ -56,10 +56,10 @@ func FuzzSweepPair(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, mRaw, ncRaw, d1Raw, d2Raw uint8) {
 		m, nc, d1, d2 := decodeFuzzPair(mRaw, ncRaw, d1Raw, d2Raw)
-		seq := SweepPair(m, nc, d1, d2)
+		specs := []ConfigSpec{PairSpec(m, nc, d1, d2)}
+		seq := coldSpecs(specs, pairFold)[0]
 		eng := NewEngine(Options{Workers: 2, CacheSize: 256})
-		par := eng.SweepPair(m, nc, d1, d2)
-		if !reflect.DeepEqual(seq, par) {
+		if par := sweepSpecs(eng, specs, pairFold)[0]; !reflect.DeepEqual(seq, par) {
 			t.Fatalf("m=%d nc=%d (%d,%d): engine %+v != sequential %+v", m, nc, d1, d2, par, seq)
 		}
 		lo, hi := core.PairBandwidthBounds(m, nc, d1, d2)

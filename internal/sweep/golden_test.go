@@ -43,13 +43,20 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
+// census82 is the golden fixed-placement triple census: (8, 2) at the
+// standard starts (0, 1, 2).
+var census82 = TripleCensusSpecs(8, 2, [3]int{0, 1, 2})
+
 // censusText renders a fixed-placement triple census in a stable
-// format owned by this test (the census has no table renderer).
-func censusText(results []TripleResult) string {
+// format owned by this test (the census has no table renderer). Each
+// census row is one placement, so SimMin is its bandwidth and BoundMin
+// its capacity bound.
+func censusText(results []SpecResult) string {
 	var b strings.Builder
 	for _, r := range results {
+		st := r.Spec.Streams
 		fmt.Fprintf(&b, "(%d,%d,%d) bw=%s bound=%s tight=%v\n",
-			r.D[0], r.D[1], r.D[2], r.Bandwidth, r.Bound, r.BoundTight)
+			st[0].D, st[1].D, st[2].D, r.SimMin, r.BoundMin, r.TightStarts == 1)
 	}
 	return b.String()
 }
@@ -60,7 +67,7 @@ func TestGoldenSequentialSweeps(t *testing.T) {
 	checkGolden(t, "pair_grid_12_3.golden", Table(Grid(12, 3)))
 	checkGolden(t, "pair_grid_16_4.golden", Table(Grid(16, 4)))
 	checkGolden(t, "triple_grid_6_2.golden", TripleGridTable(TripleGrid(6, 2)))
-	checkGolden(t, "triple_census_8_2.golden", censusText(SweepTriples(8, 2)))
+	checkGolden(t, "triple_census_8_2.golden", censusText(SpecGrid(census82)))
 	checkGolden(t, "section_grid_12_3_3.golden", SectionTable(SectionGrid(12, 3, 3)))
 	checkGolden(t, "section_grid_16_4_4.golden", SectionTable(SectionGrid(16, 4, 4)))
 	checkGolden(t, "nstream_grid_4_2_4.golden", SpecTable(NStreamGrid(4, 2, 4)))
@@ -80,7 +87,7 @@ func TestGoldenEngineSweeps(t *testing.T) {
 		checkGolden(t, "pair_grid_12_3.golden", Table(eng.Grid(12, 3)))
 		checkGolden(t, "pair_grid_16_4.golden", Table(eng.Grid(16, 4)))
 		checkGolden(t, "triple_grid_6_2.golden", TripleGridTable(eng.TripleGrid(6, 2)))
-		checkGolden(t, "triple_census_8_2.golden", censusText(eng.Triples(8, 2)))
+		checkGolden(t, "triple_census_8_2.golden", censusText(eng.SpecGrid(census82)))
 		checkGolden(t, "section_grid_12_3_3.golden", SectionTable(eng.SectionGrid(12, 3, 3)))
 		checkGolden(t, "section_grid_16_4_4.golden", SectionTable(eng.SectionGrid(16, 4, 4)))
 		checkGolden(t, "nstream_grid_4_2_4.golden", SpecTable(eng.NStreamGrid(4, 2, 4)))
@@ -111,7 +118,7 @@ func TestGoldenFastPathOnOff(t *testing.T) {
 			checkGolden(t, "pair_grid_12_3.golden", Table(eng.Grid(12, 3)))
 			checkGolden(t, "pair_grid_16_4.golden", Table(eng.Grid(16, 4)))
 			checkGolden(t, "triple_grid_6_2.golden", TripleGridTable(eng.TripleGrid(6, 2)))
-			checkGolden(t, "triple_census_8_2.golden", censusText(eng.Triples(8, 2)))
+			checkGolden(t, "triple_census_8_2.golden", censusText(eng.SpecGrid(census82)))
 			checkGolden(t, "section_grid_12_3_3.golden", SectionTable(eng.SectionGrid(12, 3, 3)))
 			checkGolden(t, "section_grid_16_4_4.golden", SectionTable(eng.SectionGrid(16, 4, 4)))
 			checkGolden(t, "nstream_grid_4_2_4.golden", SpecTable(eng.NStreamGrid(4, 2, 4)))

@@ -28,7 +28,7 @@ func (s *recordingSink) Put(rec CacheRecord) {
 func TestCacheSinkEmitsSimulationsOnce(t *testing.T) {
 	sink := &recordingSink{}
 	eng := NewEngine(Options{Workers: 1, CacheSink: sink})
-	res := eng.SweepPair(13, 4, 1, 6)
+	eng.SpecGrid([]ConfigSpec{PairSpec(13, 4, 1, 6)})
 	m := eng.Metrics()
 	if m.CacheMisses == 0 {
 		t.Fatal("sweep had no misses; sink test needs simulations")
@@ -49,14 +49,13 @@ func TestCacheSinkEmitsSimulationsOnce(t *testing.T) {
 	// before the cache.
 	gatedSink := &recordingSink{}
 	gated := NewEngine(Options{Workers: 1, CacheSink: gatedSink})
-	gated.SweepPair(16, 4, 1, 2)
+	gated.SpecGrid([]ConfigSpec{PairSpec(16, 4, 1, 2)})
 	if gm := gated.Metrics(); gm.AnalyticHits == 0 {
 		t.Fatal("expected the 16/4 1(+)2 pair to gate analytically")
 	}
 	if len(gatedSink.recs) != 0 {
 		t.Fatalf("analytic sweep emitted %d cache records", len(gatedSink.recs))
 	}
-	_ = res
 }
 
 // TestCacheRecordsSeedRoundTrip pins the persistence seam end to end

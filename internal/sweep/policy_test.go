@@ -3,7 +3,6 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"ivm/internal/memsys"
@@ -98,22 +97,11 @@ func TestDifferentialPolicies(t *testing.T) {
 		t.Run(fmt.Sprintf("%v_%v", combo.priority, combo.mapping), func(t *testing.T) {
 			specs := policySpecs(combo.priority, combo.mapping)
 			eng := NewEngine(Options{Workers: 4})
-			for _, spec := range specs {
-				cold := SweepSpec(spec)
-				got := eng.SweepSpec(spec)
-				if !reflect.DeepEqual(cold, got) {
-					t.Fatalf("%s %+v: engine %+v != sequential %+v", spec.Family(), spec, got, cold)
-				}
-			}
+			cold := SpecGrid(specs)
+			sameRows(t, "cold engine", cold, eng.SpecGrid(specs))
 			// Second pass: same specs, warm cache — still byte-equal.
 			firstMetrics := eng.Metrics()
-			for _, spec := range specs {
-				cold := SweepSpec(spec)
-				got := eng.SweepSpec(spec)
-				if !reflect.DeepEqual(cold, got) {
-					t.Fatalf("warm %s %+v: engine %+v != sequential %+v", spec.Family(), spec, got, cold)
-				}
-			}
+			sameRows(t, "warm engine", cold, eng.SpecGrid(specs))
 			warmMetrics := eng.Metrics()
 			if warmMetrics.CacheMisses != firstMetrics.CacheMisses {
 				t.Fatalf("warm pass simulated %d new orbits",
@@ -157,13 +145,7 @@ func TestDifferentialPackedVsScalarPolicies(t *testing.T) {
 			specs := policySpecs(combo.priority, combo.mapping)
 			scalar := NewEngine(Options{Workers: 2, PackedKernel: &off})
 			packed := NewEngine(Options{Workers: 2, PackedKernel: &on})
-			for _, spec := range specs {
-				a := scalar.SweepSpec(spec)
-				b := packed.SweepSpec(spec)
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("%s %+v: packed %+v != scalar %+v", spec.Family(), spec, b, a)
-				}
-			}
+			sameRows(t, "packed vs scalar", scalar.SpecGrid(specs), packed.SpecGrid(specs))
 			if n := packed.Metrics().PackedFallbacks; n != 0 {
 				t.Fatalf("packed engine fell back to scalar %d times; every rule is packed-supported", n)
 			}
@@ -196,10 +178,7 @@ func TestPolicyProvenanceConservation(t *testing.T) {
 			on := true
 			prov := NewProvenance(64)
 			eng := NewEngine(Options{Workers: 2, Analytic: &on, Provenance: prov})
-			specs := policySpecs(combo.priority, combo.mapping)
-			for _, spec := range specs {
-				eng.SweepSpec(spec)
-			}
+			eng.SpecGrid(policySpecs(combo.priority, combo.mapping))
 			snap := prov.Snapshot()
 			for _, name := range snap.FamilyNames() {
 				f := snap.Families[name]

@@ -103,8 +103,7 @@ func TestResolveBatchOrderAndSplit(t *testing.T) {
 	if len(got) != len(specs) {
 		t.Fatalf("batch returned %d results for %d specs", len(got), len(specs))
 	}
-	for i, spec := range specs {
-		cold := SweepSpec(spec)
+	for i, cold := range SpecGrid(specs) {
 		if !got[i].BW.Equal(cold.SimMin) || !cold.SimMin.Equal(cold.SimMax) {
 			t.Fatalf("batch item %d: b_eff %s, cold %s..%s", i, got[i].BW, cold.SimMin, cold.SimMax)
 		}

@@ -30,20 +30,20 @@ type SectionPairResult struct {
 	Agree bool
 }
 
-// SweepSectionPair sweeps all relative starts of one pair. The
-// bandwidth resolver is the cold spec path; the engine substitutes the
-// memo cache with the section-respecting canonicalisation pipeline.
-func SweepSectionPair(m, s, nc, d1, d2 int) SectionPairResult {
-	return sweepSectionPairWith(m, s, nc, d1, d2, coldTwoStreamBW(SectionPairSpec(m, s, nc, d1, d2)))
-}
-
-func sweepSectionPairWith(m, s, nc, d1, d2 int, bw func(b2 int) rat.Rational) SectionPairResult {
+// sectionFold is the Theorem 8/9 fold of a sectioned two-stream spec:
+// stream 2 swept over all m starts against stream 1's fixed start, the
+// conflict-free placements checked against the section theorems.
+func sectionFold(spec ConfigSpec, bw func(b []int) rat.Rational) SectionPairResult {
+	m, s, nc := spec.M, spec.S, spec.NC
+	d1, d2 := spec.Streams[0].D, spec.Streams[1].D
 	res := SectionPairResult{M: m, S: s, NC: nc, D1: d1, D2: d2, Agree: true}
 	res.TheoryFree, res.TheoryStart = core.SectionConflictFree(m, s, nc, d1, d2)
 	two := rat.New(2, 1)
 	s1 := stream.Infinite(m, 0, d1)
+	b := []int{spec.Streams[0].B, 0}
 	for b2 := 0; b2 < m; b2++ {
-		free := bw(b2).Equal(two)
+		b[1] = b2
+		free := bw(b).Equal(two)
 		res.SimStarts++
 		if free {
 			res.SimFreeStarts++
@@ -59,22 +59,20 @@ func sweepSectionPairWith(m, s, nc, d1, d2 int, bw func(b2 int) rat.Rational) Se
 		}
 	}
 	// The constructed start must simulate conflict free.
-	if res.TheoryFree && !bw(res.TheoryStart).Equal(two) {
-		res.Agree = false
+	if res.TheoryFree {
+		b[1] = res.TheoryStart
+		if !bw(b).Equal(two) {
+			res.Agree = false
+		}
 	}
 	return res
 }
 
 // SectionGrid sweeps every non-self-conflicting pair of an (m, s, n_c)
-// system. Sequential reference path; Engine.SectionGrid is the
-// parallel equivalent.
+// system. Cold oracle path; Engine.SectionGrid is the parallel, cached
+// equivalent.
 func SectionGrid(m, s, nc int) []SectionPairResult {
-	pairs := gridPairs(m, nc)
-	out := make([]SectionPairResult, len(pairs))
-	for i, p := range pairs {
-		out[i] = SweepSectionPair(m, s, nc, p[0], p[1])
-	}
-	return out
+	return coldSpecs(GridSpecs(m, s, nc), sectionFold)
 }
 
 // SectionTable renders a section grid.
@@ -89,5 +87,3 @@ func SectionTable(results []SectionPairResult) string {
 	}
 	return t.String()
 }
-
-// Three-stream sweeps live in triples.go.

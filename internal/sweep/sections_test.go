@@ -39,7 +39,7 @@ func TestSectionTableRendering(t *testing.T) {
 
 // Fig. 7's pair appears in the section grid as theory-free at offset 3.
 func TestSectionGridContainsFig7(t *testing.T) {
-	r := SweepSectionPair(12, 2, 2, 1, 1)
+	r := coldSpecs([]ConfigSpec{SectionPairSpec(12, 2, 2, 1, 1)}, sectionFold)[0]
 	if !r.TheoryFree || r.TheoryStart != 3 {
 		t.Fatalf("Fig. 7 pair: %+v", r)
 	}
@@ -54,8 +54,7 @@ func TestSectionGridContainsFig7(t *testing.T) {
 // Engine.SectionGrid must stay byte-identical to SectionGrid for any
 // worker count and cache configuration — the section cache only ever
 // collapses placements that are isomorphic under the section pipeline
-// (full unit group by default, validated by the section-units
-// differential campaign).
+// (the full unit group).
 func TestEngineSectionGridByteIdenticalToSequential(t *testing.T) {
 	for _, g := range []struct{ m, s, nc int }{{12, 3, 3}, {8, 2, 2}} {
 		seq := SectionGrid(g.m, g.s, g.nc)
@@ -95,66 +94,33 @@ func TestEngineSectionGridCacheAccounting(t *testing.T) {
 	if len(m.Families) != 1 {
 		t.Fatalf("section sweep leaked into other family counters: %+v", m.Families)
 	}
-	if hr := m.SectionHitRate(); hr <= 0 || hr >= 1 {
+	if hr := m.FamilyHitRate("section"); hr <= 0 || hr >= 1 {
 		t.Fatalf("section hit rate %v out of (0,1)", hr)
 	}
 	snap := eng.Snapshot()
-	if snap.SectionCacheHitRate != m.SectionHitRate() || snap.PairCacheHitRate != 0 {
+	if snap.SectionCacheHitRate != m.FamilyHitRate("section") || snap.PairCacheHitRate != 0 {
 		t.Fatalf("snapshot per-kind rates inconsistent: %+v", snap)
 	}
 }
 
-// The section-units campaign (test half of `ivmablate -study
-// section-units`): on every EXPERIMENTS.md section grid, the cold
-// sequential sweep, the default full-unit-group engine and the engine
-// restricted to the conservative u ≡ 1 (mod s) subgroup must agree
-// result-for-result, and the full group must hit the cache at least as
-// often as the subgroup.
+// The section-units campaign (docs/CACHING.md §5): on every
+// EXPERIMENTS.md section grid, the engine canonicalising under the full
+// unit group must agree result-for-result with the cold sequential
+// sweep, and must collapse some placements into cache hits.
 func TestSectionUnitsCampaign(t *testing.T) {
 	for _, g := range []struct{ m, s, nc int }{
 		{12, 2, 2}, {12, 3, 3}, {16, 4, 4}, {8, 2, 2},
 	} {
 		cold := SectionGrid(g.m, g.s, g.nc)
-		// One worker each: concurrent workers can both miss the same key
-		// (results identical, counters noisy), and the hit-rate comparison
-		// below needs deterministic counters.
-		full := NewEngine(Options{Workers: 1})
-		off := false
-		sub := NewEngine(Options{Workers: 1, SectionFullUnits: &off})
-		if got := full.SectionGrid(g.m, g.s, g.nc); !reflect.DeepEqual(cold, got) {
-			t.Fatalf("m=%d s=%d nc=%d: full-unit engine differs from cold sweep", g.m, g.s, g.nc)
+		// One worker: concurrent workers can both miss the same key
+		// (results identical, counters noisy), and the hit count below
+		// needs deterministic counters.
+		eng := NewEngine(Options{Workers: 1})
+		if got := eng.SectionGrid(g.m, g.s, g.nc); !reflect.DeepEqual(cold, got) {
+			t.Fatalf("m=%d s=%d nc=%d: engine differs from cold sweep", g.m, g.s, g.nc)
 		}
-		if got := sub.SectionGrid(g.m, g.s, g.nc); !reflect.DeepEqual(cold, got) {
-			t.Fatalf("m=%d s=%d nc=%d: subgroup engine differs from cold sweep", g.m, g.s, g.nc)
-		}
-		if fh, sh := full.Metrics().SectionHitRate(), sub.Metrics().SectionHitRate(); fh < sh {
-			t.Fatalf("m=%d s=%d nc=%d: full group hit rate %.3f below subgroup %.3f",
-				g.m, g.s, g.nc, fh, sh)
-		}
-	}
-}
-
-// The randomised half of the campaign: seeded random sectioned pairs
-// through both canonicalisation groups against the cold sweep.
-func TestSectionUnitsCampaignRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(19850806))
-	full := NewEngine(Options{Workers: 2})
-	off := false
-	sub := NewEngine(Options{Workers: 2, SectionFullUnits: &off})
-	for trial := 0; trial < 40; trial++ {
-		m := 2 + rng.Intn(15)
-		divs := modmath.Divisors(m)
-		s := divs[rng.Intn(len(divs))]
-		nc := 1 + rng.Intn(4)
-		d1, d2 := rng.Intn(m), rng.Intn(m)
-		cold := SweepSectionPair(m, s, nc, d1, d2)
-		if got := full.SweepSectionPair(m, s, nc, d1, d2); !reflect.DeepEqual(cold, got) {
-			t.Fatalf("trial %d m=%d s=%d nc=%d (%d,%d): full-unit engine differs from cold sweep",
-				trial, m, s, nc, d1, d2)
-		}
-		if got := sub.SweepSectionPair(m, s, nc, d1, d2); !reflect.DeepEqual(cold, got) {
-			t.Fatalf("trial %d m=%d s=%d nc=%d (%d,%d): subgroup engine differs from cold sweep",
-				trial, m, s, nc, d1, d2)
+		if hits := eng.Metrics().Family("section").Hits; hits == 0 {
+			t.Fatalf("m=%d s=%d nc=%d: full unit group produced no cache hits", g.m, g.s, g.nc)
 		}
 	}
 }
@@ -164,20 +130,16 @@ func TestSectionUnitsCampaignRandom(t *testing.T) {
 // uncached everywhere, not just on the curated grids.
 func TestDifferentialRandomSections(t *testing.T) {
 	rng := rand.New(rand.NewSource(19850804))
-	eng := NewEngine(Options{Workers: 4})
+	var specs []ConfigSpec
 	for trial := 0; trial < 30; trial++ {
 		m := 2 + rng.Intn(15) // 2..16
 		divs := modmath.Divisors(m)
 		s := divs[rng.Intn(len(divs))]
 		nc := 1 + rng.Intn(4)
-		d1, d2 := rng.Intn(m), rng.Intn(m)
-		seq := SweepSectionPair(m, s, nc, d1, d2)
-		par := eng.SweepSectionPair(m, s, nc, d1, d2)
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("trial %d m=%d s=%d nc=%d (%d,%d): engine %+v != sequential %+v",
-				trial, m, s, nc, d1, d2, par, seq)
-		}
+		specs = append(specs, SectionPairSpec(m, s, nc, rng.Intn(m), rng.Intn(m)))
 	}
+	eng := NewEngine(Options{Workers: 4})
+	sameRows(t, "random sections", coldSpecs(specs, sectionFold), sweepSpecs(eng, specs, sectionFold))
 }
 
 // FuzzSweepSectionPair differentially tests one sectioned pair per
@@ -198,29 +160,31 @@ func FuzzSweepSectionPair(f *testing.F) {
 		s := divs[int(sRaw)%len(divs)]
 		nc := 1 + int(ncRaw%4)
 		d1, d2 := int(d1Raw)%m, int(d2Raw)%m
-		seq := SweepSectionPair(m, s, nc, d1, d2)
+		specs := []ConfigSpec{SectionPairSpec(m, s, nc, d1, d2)}
+		seq := coldSpecs(specs, sectionFold)[0]
 		eng := NewEngine(Options{Workers: 2, CacheSize: 256})
-		par := eng.SweepSectionPair(m, s, nc, d1, d2)
-		if !reflect.DeepEqual(seq, par) {
+		if par := sweepSpecs(eng, specs, sectionFold)[0]; !reflect.DeepEqual(seq, par) {
 			t.Fatalf("m=%d s=%d nc=%d (%d,%d): engine %+v != sequential %+v", m, s, nc, d1, d2, par, seq)
 		}
 	})
 }
 
+// The fixed-placement triple census: no capacity-bound violations, and
+// the bound attained by some triples.
 func TestTripleSweepBoundsHold(t *testing.T) {
-	results := SweepTriples(8, 2)
-	s := SummariseTriples(results)
+	results := SpecGrid(TripleCensusSpecs(8, 2, [3]int{0, 1, 2}))
+	s := SummariseSpecGrid(results)
 	if s.Violations != 0 {
 		t.Fatalf("%d capacity-bound violations", s.Violations)
 	}
-	if s.Triples == 0 || s.Tight == 0 {
+	if s.Triples == 0 || s.TightStarts == 0 {
 		t.Fatalf("summary %+v: expected some tight triples", s)
 	}
 	// All-unit-stride triple with spread starts is conflict-free: bound
 	// 3, attained.
 	for _, r := range results {
-		if r.D == [3]int{1, 1, 1} {
-			if !r.BoundTight || r.Bandwidth.Float() != 3 {
+		if st := r.Spec.Streams; st[0].D == 1 && st[1].D == 1 && st[2].D == 1 {
+			if r.TightStarts != 1 || r.SimMin.Float() != 3 {
 				t.Fatalf("unit triple: %+v", r)
 			}
 		}
@@ -231,15 +195,14 @@ func TestTripleSweepXMPScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("16-bank triple sweep")
 	}
-	results := SweepTriples(16, 4)
-	s := SummariseTriples(results)
+	s := SummariseSpecGrid(SpecGrid(TripleCensusSpecs(16, 4, [3]int{0, 1, 2})))
 	if s.Violations != 0 {
 		t.Fatalf("%d violations at X-MP scale", s.Violations)
 	}
 	// The bound should be attained reasonably often (conflict-free and
 	// saturated triples) but not always (barrier triples sit strictly
 	// inside it).
-	if s.Tight == 0 || s.Tight == s.Triples {
-		t.Fatalf("tightness degenerate: %d/%d", s.Tight, s.Triples)
+	if s.TightStarts == 0 || s.TightStarts == s.Triples {
+		t.Fatalf("tightness degenerate: %d/%d", s.TightStarts, s.Triples)
 	}
 }

@@ -69,9 +69,9 @@ func (e *Engine) Snapshot() Snapshot {
 		Metrics:             m,
 		CacheHitRate:        m.HitRate(),
 		AnalyticHitRate:     m.AnalyticHitRate(),
-		PairCacheHitRate:    m.PairHitRate(),
-		TripleCacheHitRate:  m.TripleHitRate(),
-		SectionCacheHitRate: m.SectionHitRate(),
+		PairCacheHitRate:    m.FamilyHitRate("pair"),
+		TripleCacheHitRate:  m.FamilyHitRate("triple"),
+		SectionCacheHitRate: m.FamilyHitRate("section"),
 		WallNS:              e.wallNS.Load(),
 		CycleDetectNS:       e.cycleNS.Load(),
 	}

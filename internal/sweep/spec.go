@@ -14,12 +14,13 @@ import (
 // The generic N-stream configuration specification. The paper's model
 // is one machine with p ports, so stride pairs, stride triples and the
 // sectioned Theorem 8/9 pairs are all the same object at different N
-// and CPU layouts; ConfigSpec expresses that object directly, and one
-// engine path (worker.bw) sweeps, canonicalises and caches every
-// family through it. The pair/triple/section sweep entry points are
-// kept as thin result-shaping layers over this spec — their tables are
-// byte-identical to the pre-spec implementation, which the golden
-// tests under testdata/ pin.
+// and CPU layouts; ConfigSpec expresses that object directly. Every
+// sweep entry point is a spec list run through one route — sweepSpecs
+// on the engine (worker.bw canonicalises and caches every family),
+// coldSpecs for the cold oracle — and reduced per spec by one of three
+// folds: pairFold (Theorems 2–7), sectionFold (Theorems 8/9) or
+// specFold (the capacity bound). The tables are byte-identical to the
+// pre-spec implementation, which the golden tests under testdata/ pin.
 
 // Stream is one access stream of a ConfigSpec: stride D issued from
 // CPU, starting at bank B. When Sweep is set, grid sweeps iterate the
@@ -253,8 +254,8 @@ func describeSpec(spec ConfigSpec, v []int) string {
 	return fmt.Sprintf("%s m=%d s=%d nc=%d v=%v", spec.Family(), spec.M, spec.S, spec.NC, v)
 }
 
-// simulateSpecVec is the cold path shared by every sequential sweep: a
-// fresh system per placement, simulating configuration vector v.
+// simulateSpecVec is the cold oracle: a fresh system per placement,
+// simulating configuration vector v.
 func simulateSpecVec(spec ConfigSpec, v []int) rat.Rational {
 	sys := memsys.New(specConfig(spec))
 	addSpecStreams(sys, spec, v)
@@ -265,38 +266,35 @@ func simulateSpecVec(spec ConfigSpec, v []int) rat.Rational {
 	return c.EffectiveBandwidth()
 }
 
-// coldSpecBW adapts simulateSpecVec to a start-vector resolver with
-// the spec's own distances, for the sequential family sweeps.
-func coldSpecBW(spec ConfigSpec) func(b []int) rat.Rational {
-	n := len(spec.Streams)
-	v := make([]int, 2*n)
-	for i, st := range spec.Streams {
-		v[i] = st.D
+// coldSpecs is the oracle half of the sweep route: the folds the engine
+// runs in sweepSpecs, with every placement resolved by simulateSpecVec —
+// no gate, no cache, no reused simulator — so the differential tests
+// compare two independent routes to the same rows.
+func coldSpecs[R any](specs []ConfigSpec, fold func(ConfigSpec, func(b []int) rat.Rational) R) []R {
+	out := make([]R, len(specs))
+	for i, spec := range specs {
+		if err := spec.Validate(); err != nil {
+			panic("sweep: " + err.Error())
+		}
+		n := len(spec.Streams)
+		v := make([]int, 2*n)
+		for j, st := range spec.Streams {
+			v[j] = st.D
+		}
+		out[i] = fold(spec, func(b []int) rat.Rational {
+			copy(v[n:], b)
+			return simulateSpecVec(spec, v)
+		})
 	}
-	return func(b []int) rat.Rational {
-		copy(v[n:], b)
-		return simulateSpecVec(spec, v)
-	}
-}
-
-// coldTwoStreamBW is coldSpecBW shaped for the pair/section sweep
-// loops: stream 1 at its fixed start, stream 2 at b2.
-func coldTwoStreamBW(spec ConfigSpec) func(b2 int) rat.Rational {
-	bw := coldSpecBW(spec)
-	b := make([]int, 2)
-	b[0] = spec.Streams[0].B
-	return func(b2 int) rat.Rational {
-		b[1] = b2
-		return bw(b)
-	}
+	return out
 }
 
 // --- The generic sweep --------------------------------------------------
 
 // SpecResult compares the simulated cyclic states of one ConfigSpec —
 // over every placement of its swept streams — with the per-placement
-// capacity bounds of core.MultiStreamBound; the N-stream analogue of
-// TripleSweepResult.
+// capacity bounds of core.MultiStreamBound. With no swept stream it is
+// one fixed placement (the triple census row).
 type SpecResult struct {
 	Spec ConfigSpec
 	// SimMin/SimMax are the extreme cyclic-state bandwidths over the
@@ -325,10 +323,10 @@ func specBound(spec ConfigSpec, b []int) rat.Rational {
 	return core.MultiStreamBound(spec.M, spec.S, spec.NC, sets)
 }
 
-// sweepSpecWith enumerates every placement of the spec's swept streams
-// (each over [0, m), nested in stream order) and folds the bandwidths
-// bw reports against the capacity bounds.
-func sweepSpecWith(spec ConfigSpec, bw func(b []int) rat.Rational) SpecResult {
+// specFold is the capacity-bound fold: it enumerates every placement
+// of the spec's swept streams (each over [0, m), nested in stream
+// order) and folds the bandwidths bw reports against the bounds.
+func specFold(spec ConfigSpec, bw func(b []int) rat.Rational) SpecResult {
 	res := SpecResult{Spec: spec}
 	b := make([]int, len(spec.Streams))
 	for i, st := range spec.Streams {
@@ -376,15 +374,10 @@ func sweepSpecWith(spec ConfigSpec, bw func(b []int) rat.Rational) SpecResult {
 	return res
 }
 
-// SweepSpec sweeps one ConfigSpec sequentially (cold simulation per
-// placement). Engine.SweepSpec is the parallel, cached equivalent and
-// returns byte-identical results.
-func SweepSpec(spec ConfigSpec) SpecResult {
-	if err := spec.Validate(); err != nil {
-		panic("sweep: " + err.Error())
-	}
-	return sweepSpecWith(spec, coldSpecBW(spec))
-}
+// SpecGrid sweeps an explicit list of ConfigSpecs, one result per spec
+// in input order, on the cold oracle path; Engine.SpecGrid is the
+// parallel, cached equivalent and returns byte-identical results.
+func SpecGrid(specs []ConfigSpec) []SpecResult { return coldSpecs(specs, specFold) }
 
 // nStreamDistances enumerates the nondecreasing distance N-tuples of
 // the N-stream grid in sweep order, skipping self-conflicting streams
@@ -417,16 +410,9 @@ func nStreamDistances(m, nc, n int) [][]int {
 // N-tuple of an (m, n_c) memory, one stream per CPU, over all m^(N-1)
 // relative placements. For N = 2 and 3 the specs fall into the "pair"
 // and "triple" cache families, so the cyclic states are shared with
-// the dedicated grids. Sequential reference path; Engine.NStreamGrid
-// is the parallel, cached equivalent.
-func NStreamGrid(m, nc, n int) []SpecResult {
-	specs := nStreamSpecs(m, nc, n)
-	out := make([]SpecResult, len(specs))
-	for i, spec := range specs {
-		out[i] = SweepSpec(spec)
-	}
-	return out
-}
+// the dedicated grids. Cold oracle path; Engine.NStreamGrid is the
+// parallel, cached equivalent.
+func NStreamGrid(m, nc, n int) []SpecResult { return coldSpecs(nStreamSpecs(m, nc, n), specFold) }
 
 func nStreamSpecs(m, nc, n int) []ConfigSpec {
 	ds := nStreamDistances(m, nc, n)
@@ -439,9 +425,10 @@ func nStreamSpecs(m, nc, n int) []ConfigSpec {
 
 // GridSpecs lists the pair sweep's distance pairs (Grid's enumeration)
 // as specs, in sweep order; s != 0 selects the section sweep's
-// enumeration instead. Combined with ConfigSpec.WithPolicy and
-// Engine.SpecGrid this is the policy sweep: the same pair families
-// under any arbitration priority and section mapping.
+// enumeration instead. Grid and SectionGrid fold exactly these specs;
+// combined with ConfigSpec.WithPolicy and SpecGrid this is the policy
+// sweep: the same pair families under any arbitration priority and
+// section mapping.
 func GridSpecs(m, s, nc int) []ConfigSpec {
 	pairs := gridPairs(m, nc)
 	out := make([]ConfigSpec, len(pairs))

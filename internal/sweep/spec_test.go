@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ivm/internal/memsys"
 	"ivm/internal/modmath"
 )
 
@@ -51,53 +52,87 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// The generic sweep over a pair spec must report the same simulated
-// range as the dedicated pair sweep — they enumerate the same
+// The capacity-bound fold over a pair spec must report the same
+// simulated range as the pair fold — they enumerate the same
 // placements of the same streams.
 func TestSweepSpecMatchesPairSweep(t *testing.T) {
-	pair := SweepPair(8, 2, 1, 2)
-	spec := SweepSpec(PairSpec(8, 2, 1, 2))
+	pair := coldPair(8, 2, 1, 2)
+	spec := SpecGrid([]ConfigSpec{PairSpec(8, 2, 1, 2)})[0]
 	if !spec.SimMin.Equal(pair.SimMin) || !spec.SimMax.Equal(pair.SimMax) || spec.Starts != pair.Starts {
 		t.Fatalf("generic %+v != pair sweep %+v", spec, pair)
 	}
-	triple := SweepTriple(6, 2, [3]int{1, 2, 3})
-	tspec := SweepSpec(TripleSpec(6, 2, [3]int{1, 2, 3}))
-	if !tspec.SimMin.Equal(triple.SimMin) || !tspec.SimMax.Equal(triple.SimMax) ||
-		!tspec.BoundMin.Equal(triple.BoundMin) || !tspec.BoundMax.Equal(triple.BoundMax) ||
-		tspec.Starts != triple.Starts || tspec.TightStarts != triple.TightStarts {
-		t.Fatalf("generic %+v != triple sweep %+v", tspec, triple)
-	}
 }
 
-// Engine.SweepSpec must be indistinguishable from the sequential
-// SweepSpec across spec shapes, worker counts and cache configurations.
+// Every sweep entry point on the engine must be indistinguishable from
+// its cold oracle — the same rows in the same order — over every fold
+// (pair, section, spec) and every spec family the route carries, for
+// any worker count and cache configuration. With the default cache, a
+// census at translated starts (3,4,5) run after the standard (0,1,2)
+// census must be answered entirely from the cache (translation orbits).
 func TestEngineSweepSpecMatchesSequential(t *testing.T) {
-	specs := []ConfigSpec{
+	census := TripleCensusSpecs(8, 2, [3]int{0, 1, 2})
+	shifted := TripleCensusSpecs(8, 2, [3]int{3, 4, 5})
+	policy := GridSpecs(12, 3, 3)
+	for i := range policy {
+		policy[i] = policy[i].WithPolicy(memsys.CyclicPriority, memsys.ConsecutiveSections)
+	}
+	policy = append(policy, PairSpec(8, 2, 1, 3).WithPolicy(memsys.RoundRobinPerCPU, memsys.CyclicSections))
+	mixed := []ConfigSpec{
 		PairSpec(8, 2, 2, 6),
 		SectionPairSpec(12, 3, 2, 1, 4),
-		TripleSpec(5, 2, [3]int{1, 2, 3}),
-		NStreamSpec(4, 1, []int{1, 1, 2, 3}),
 		// A sectioned three-stream shape no legacy family covers.
 		{M: 8, S: 2, NC: 2, Streams: []Stream{
 			{D: 1, CPU: 0}, {D: 2, CPU: 0, Sweep: true}, {D: 2, CPU: 1, Sweep: true},
 		}},
 	}
-	for _, spec := range specs {
-		seq := SweepSpec(spec)
-		for _, opt := range []Options{
-			{Workers: 1, CacheSize: -1},
-			{Workers: 4},
-		} {
-			eng := NewEngine(opt)
-			par := eng.SweepSpec(spec)
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("spec %+v opts %+v: engine %+v != sequential %+v", spec, opt, par, seq)
-			}
-		}
-		if seq.Violations != 0 {
-			t.Fatalf("spec %+v: %d capacity-bound violations", spec, seq.Violations)
+	rows := []struct {
+		name    string
+		sweep   func(e *Engine) any // nil e selects the cold oracle
+		allHits bool                // every placement answered from the triple cache
+	}{
+		{"pair grid", func(e *Engine) any { return pick(e, Grid, e.Grid)(8, 2) }, false},
+		{"section grid", func(e *Engine) any { return pick(e, SectionGrid, e.SectionGrid)(8, 2, 2) }, false},
+		{"triple grid", func(e *Engine) any { return pick(e, TripleGrid, e.TripleGrid)(5, 2) }, false},
+		{"triple census", func(e *Engine) any { return pick(e, SpecGrid, e.SpecGrid)(census) }, false},
+		{"translated census", func(e *Engine) any { return pick(e, SpecGrid, e.SpecGrid)(shifted) }, true},
+		{"n-stream grid", func(e *Engine) any { return pick(e, NStreamGrid, e.NStreamGrid)(4, 1, 4) }, false},
+		{"policy specs", func(e *Engine) any { return pick(e, SpecGrid, e.SpecGrid)(policy) }, false},
+		{"mixed specs", func(e *Engine) any { return pick(e, SpecGrid, e.SpecGrid)(mixed) }, false},
+	}
+	cold := make([]any, len(rows))
+	for i, r := range rows {
+		cold[i] = r.sweep(nil)
+		if rs, ok := cold[i].([]SpecResult); ok && SummariseSpecGrid(rs).Violations != 0 {
+			t.Fatalf("%s: capacity-bound violations", r.name)
 		}
 	}
+	for _, opt := range []Options{
+		{Workers: 1, CacheSize: -1},
+		{Workers: 4},
+		{Workers: 4, CacheSize: 64},
+	} {
+		eng := NewEngine(opt)
+		for i, r := range rows {
+			before := eng.Metrics().Family("triple")
+			if got := r.sweep(eng); !reflect.DeepEqual(got, cold[i]) {
+				t.Fatalf("%s, opts %+v: engine differs from the cold oracle", r.name, opt)
+			}
+			after := eng.Metrics().Family("triple")
+			if r.allHits && opt.CacheSize == 0 && (after.Misses != before.Misses || after.Hits == before.Hits) {
+				t.Fatalf("%s, opts %+v: %d misses, %d hits; want every placement from the cache",
+					r.name, opt, after.Misses-before.Misses, after.Hits-before.Hits)
+			}
+		}
+	}
+}
+
+// pick returns the engine's entry point when e is non-nil, else the
+// cold oracle's.
+func pick[F any](e *Engine, cold, eng F) F {
+	if e == nil {
+		return cold
+	}
+	return eng
 }
 
 // The two-stream N-stream grid is the pair grid in generic clothing:
@@ -176,9 +211,10 @@ func TestEngineNStreamGridFourStreams(t *testing.T) {
 // must match a cold simulation of the translated placements.
 func TestTriplesAtTranslationReuse(t *testing.T) {
 	eng := NewEngine(Options{Workers: 2})
-	base := eng.Triples(6, 2)
+	base := eng.SpecGrid(TripleCensusSpecs(6, 2, [3]int{0, 1, 2}))
 	m0 := eng.Metrics().Family("triple")
-	shifted := eng.TriplesAt(6, 2, [3]int{3, 4, 5})
+	shiftedSpecs := TripleCensusSpecs(6, 2, [3]int{3, 4, 5})
+	shifted := eng.SpecGrid(shiftedSpecs)
 	m1 := eng.Metrics().Family("triple")
 	if m1.Misses != m0.Misses {
 		t.Fatalf("translated census missed the cache %d times; translation orbits should collapse it",
@@ -187,14 +223,11 @@ func TestTriplesAtTranslationReuse(t *testing.T) {
 	if m1.Hits <= m0.Hits {
 		t.Fatal("translated census produced no cache hits")
 	}
-	cold := SweepTriplesAt(6, 2, [3]int{3, 4, 5})
-	if !reflect.DeepEqual(shifted, cold) {
-		t.Fatal("cached translated census differs from cold simulation")
-	}
+	sameRows(t, "translated census", SpecGrid(shiftedSpecs), shifted)
 	for i := range base {
-		if !base[i].Bandwidth.Equal(shifted[i].Bandwidth) {
+		if !base[i].SimMin.Equal(shifted[i].SimMin) {
 			t.Fatalf("triple %v: bandwidth %s at (0,1,2) but %s at (3,4,5)",
-				base[i].D, base[i].Bandwidth, shifted[i].Bandwidth)
+				base[i].Spec.Streams, base[i].SimMin, shifted[i].SimMin)
 		}
 	}
 }
@@ -282,17 +315,13 @@ func specKeyTransformInvariant(t *testing.T, w *worker, spec ConfigSpec, u, shif
 }
 
 // allowedTransforms draws a unit and a translation legal for the
-// spec's section structure under the engine's options.
-func allowedTransforms(rng *rand.Rand, spec ConfigSpec, fullUnits bool) (u, shift int) {
+// spec's section structure.
+func allowedTransforms(rng *rand.Rand, spec ConfigSpec) (u, shift int) {
 	step := 1
 	if spec.S > 1 {
 		step = spec.S
 	}
-	fix := 1
-	if spec.S > 1 && !fullUnits {
-		fix = spec.S
-	}
-	units := modmath.UnitsFixing(spec.M, fix)
+	units := modmath.Units(spec.M)
 	return units[rng.Intn(len(units))], step * rng.Intn(spec.M/step)
 }
 
@@ -301,14 +330,10 @@ func allowedTransforms(rng *rand.Rand, spec ConfigSpec, fullUnits bool) (u, shif
 func TestSpecKeyOrbitInvariantRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(19850805))
 	w := &worker{e: NewEngine(Options{})}
-	off := false
-	wSub := &worker{e: NewEngine(Options{SectionFullUnits: &off})}
 	for trial := 0; trial < 300; trial++ {
 		spec := randSpec(rng)
-		u, shift := allowedTransforms(rng, spec, true)
+		u, shift := allowedTransforms(rng, spec)
 		specKeyTransformInvariant(t, w, spec, u, shift)
-		uSub, shiftSub := allowedTransforms(rng, spec, false)
-		specKeyTransformInvariant(t, wSub, spec, uSub, shiftSub)
 	}
 }
 

@@ -28,22 +28,21 @@ type PairResult struct {
 	Agree bool
 }
 
-// SweepPair simulates all m relative starts of the pair and checks the
-// analytic verdict. The bandwidth resolver is the cold spec path; the
-// engine's workers substitute the memo cache and a reused per-worker
-// system.
-func SweepPair(m, nc, d1, d2 int) PairResult {
-	return sweepPairWith(m, nc, d1, d2, coldTwoStreamBW(PairSpec(m, nc, d1, d2)))
-}
-
-func sweepPairWith(m, nc, d1, d2 int, bw func(b2 int) rat.Rational) PairResult {
+// pairFold is the Theorem 2–7 fold of a two-stream spec: stream 2
+// swept over all m starts against stream 1's fixed start, every cyclic
+// state checked against core.Analyze's verdict.
+func pairFold(spec ConfigSpec, bw func(b []int) rat.Rational) PairResult {
+	m, nc := spec.M, spec.NC
+	d1, d2 := spec.Streams[0].D, spec.Streams[1].D
 	a := core.Analyze(m, nc, d1, d2)
 	res := PairResult{M: m, NC: nc, D1: d1, D2: d2, Analysis: a}
 	first := true
 	attained := false
 	allMatch := true
+	b := []int{spec.Streams[0].B, 0}
 	for b2 := 0; b2 < m; b2++ {
-		v := bw(b2)
+		b[1] = b2
+		v := bw(b)
 		if first || v.Cmp(res.SimMin) < 0 {
 			res.SimMin = v
 		}
@@ -95,16 +94,9 @@ func gridPairs(m, nc int) [][2]int {
 
 // Grid sweeps every distance pair of an (m, nc) system, skipping
 // self-conflicting pairs, and returns the per-pair comparisons. This
-// is the sequential reference path; Engine.Grid produces byte-identical
-// results in parallel.
-func Grid(m, nc int) []PairResult {
-	pairs := gridPairs(m, nc)
-	out := make([]PairResult, len(pairs))
-	for i, p := range pairs {
-		out[i] = SweepPair(m, nc, p[0], p[1])
-	}
-	return out
-}
+// is the cold oracle path; Engine.Grid produces byte-identical results
+// in parallel.
+func Grid(m, nc int) []PairResult { return coldSpecs(GridSpecs(m, 0, nc), pairFold) }
 
 // Summary aggregates a grid sweep.
 type Summary struct {

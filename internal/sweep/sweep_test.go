@@ -8,8 +8,13 @@ import (
 	"ivm/internal/rat"
 )
 
+// coldPair folds one pair spec on the cold oracle route.
+func coldPair(m, nc, d1, d2 int) PairResult {
+	return coldSpecs([]ConfigSpec{PairSpec(m, nc, d1, d2)}, pairFold)[0]
+}
+
 func TestSweepPairFig2(t *testing.T) {
-	r := SweepPair(12, 3, 1, 7)
+	r := coldPair(12, 3, 1, 7)
 	if r.Analysis.Regime != core.RegimeConflictFree {
 		t.Fatalf("regime = %s", r.Analysis.Regime)
 	}
@@ -25,7 +30,7 @@ func TestSweepPairFig2(t *testing.T) {
 }
 
 func TestSweepPairBarrier(t *testing.T) {
-	r := SweepPair(16, 2, 1, 2)
+	r := coldPair(16, 2, 1, 2)
 	if r.Analysis.Regime != core.RegimeUniqueBarrier {
 		t.Fatalf("regime = %s", r.Analysis.Regime)
 	}

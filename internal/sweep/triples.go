@@ -3,37 +3,24 @@ package sweep
 import (
 	"fmt"
 
-	"ivm/internal/core"
 	"ivm/internal/rat"
-	"ivm/internal/stream"
 	"ivm/internal/textplot"
 )
 
 // Three-stream sweeps. The paper analyses one and two streams; these
 // sweeps quantify how far its pairwise reasoning carries for three by
 // measuring every distance triple against the aggregate capacity
-// bounds of core.MultiStreamBound. Two granularities exist:
+// bounds of core.MultiStreamBound. Both granularities are spec lists
+// folded by specFold:
 //
-//   - the census (SweepTriples / Engine.Triples): one fixed placement
-//     (starts 0, 1, 2) per triple — cheap, the historical Fig. 8–10
-//     regime scan;
-//   - the start sweep (SweepTriple / TripleGrid / Engine.TripleGrid):
-//     all m^2 relative placements (b1 = 0, b2, b3 in [0, m)) per
-//     triple, the exact three-stream analogue of the pair sweep's
-//     all-starts loop. This is the path the isomorphism-canonical
-//     cache accelerates: (d1, d2, d3, b2, b3) is canonicalised under
-//     the unit group of Z_m, so only one placement per orbit is ever
-//     simulated (docs/CACHING.md).
-
-// TripleResult records one fixed-placement three-stream measurement
-// (starts 0, 1, 2) against the capacity bound of core.MultiStreamBound.
-type TripleResult struct {
-	M, NC      int
-	D          [3]int
-	Bandwidth  rat.Rational
-	Bound      rat.Rational
-	BoundTight bool
-}
+//   - the census (SpecGrid over TripleCensusSpecs): one fixed placement
+//     per triple — cheap, the historical Fig. 8–10 regime scan;
+//   - the start sweep (TripleGrid): all m^2 relative placements
+//     (b1 = 0, b2, b3 in [0, m)) per triple, the exact three-stream
+//     analogue of the pair sweep's all-starts loop. This is the path the
+//     isomorphism-canonical cache accelerates: (d1, d2, d3, b2, b3) is
+//     canonicalised under the unit group of Z_m, so only one placement
+//     per orbit is ever simulated (docs/CACHING.md).
 
 // tripleList enumerates the unordered distance triples in sweep order.
 func tripleList(m int) [][3]int {
@@ -48,90 +35,36 @@ func tripleList(m int) [][3]int {
 	return out
 }
 
-// coldTripleBW adapts simulateSpecVec to the triple sweep loops:
-// stream 1 at its fixed start, streams 2 and 3 at (b2, b3).
-func coldTripleBW(spec ConfigSpec) func(b2, b3 int) rat.Rational {
-	bw := coldSpecBW(spec)
-	b := make([]int, 3)
-	b[0] = spec.Streams[0].B
-	return func(b2, b3 int) rat.Rational {
-		b[1], b[2] = b2, b3
-		return bw(b)
-	}
-}
-
-// tripleBound is the aggregate capacity bound of one placement; it
-// depends on the starts because the union of access sets does.
-func tripleBound(m, nc int, d, b [3]int) rat.Rational {
-	return core.MultiStreamBound(m, 0, nc, []core.StreamSet{
-		{Stream: stream.Infinite(m, b[0], d[0]), CPU: 0},
-		{Stream: stream.Infinite(m, b[1], d[1]), CPU: 1},
-		{Stream: stream.Infinite(m, b[2], d[2]), CPU: 2},
-	})
-}
-
-// tripleFrom packages one measured fixed-placement triple against its
-// capacity bound at placement b.
-func tripleFrom(m, nc int, d, b [3]int, bw rat.Rational) TripleResult {
-	bound := tripleBound(m, nc, d, b)
-	return TripleResult{
-		M: m, NC: nc, D: d,
-		Bandwidth: bw, Bound: bound,
-		BoundTight: bw.Equal(bound),
-	}
-}
-
-// SweepTriples measures every unordered distance triple of an (m, n_c)
-// memory at the fixed placement (starts 0, 1, 2) against the aggregate
-// capacity bound, reporting how often the bound is attained. Sequential
-// reference path; Engine.Triples is the parallel equivalent. For the
-// all-placements sweep see TripleGrid.
-func SweepTriples(m, nc int) []TripleResult {
-	return SweepTriplesAt(m, nc, [3]int{0, 1, 2})
-}
-
-// SweepTriplesAt runs the fixed-placement census at an arbitrary start
-// placement b — sequentially and cold; Engine.TriplesAt is the cached
-// equivalent, where placements translate-equivalent to an earlier
-// census replay its cyclic states from the cache.
-func SweepTriplesAt(m, nc int, b [3]int) []TripleResult {
+// tripleSpecs lists TripleGrid's all-placements specs in sweep order.
+func tripleSpecs(m, nc int) []ConfigSpec {
 	triples := tripleList(m)
-	out := make([]TripleResult, len(triples))
+	specs := make([]ConfigSpec, len(triples))
 	for i, d := range triples {
-		bw := coldTripleBW(TripleCensusSpec(m, nc, d, b))
-		out[i] = tripleFrom(m, nc, d, b, bw(b[1], b[2]))
+		specs[i] = TripleSpec(m, nc, d)
 	}
-	return out
+	return specs
 }
 
-// TripleSummary aggregates a fixed-placement triple census.
-type TripleSummary struct {
-	Triples    int
-	Tight      int
-	Violations int // bound exceeded — must be zero
-}
-
-// SummariseTriples reduces a fixed-placement triple census.
-func SummariseTriples(results []TripleResult) TripleSummary {
-	var s TripleSummary
-	s.Triples = len(results)
-	for _, r := range results {
-		if r.BoundTight {
-			s.Tight++
-		}
-		if r.Bandwidth.Cmp(r.Bound) > 0 {
-			s.Violations++
-		}
+// TripleCensusSpecs lists the fixed-placement triple census of an
+// (m, n_c) memory at start placement b: every unordered distance
+// triple, in sweep order, with the three starts held at b. SpecGrid
+// over the list is the census — each SpecResult has one start, its
+// bandwidth in SimMin = SimMax and its capacity bound in BoundMin =
+// BoundMax. A census at translated starts (t, 1+t, 2+t) shares the
+// cache keys of the standard (0, 1, 2) census.
+func TripleCensusSpecs(m, nc int, b [3]int) []ConfigSpec {
+	triples := tripleList(m)
+	specs := make([]ConfigSpec, len(triples))
+	for i, d := range triples {
+		specs[i] = TripleCensusSpec(m, nc, d, b)
 	}
-	return s
+	return specs
 }
-
-// --- All relative placements -------------------------------------------
 
 // TripleSweepResult compares the per-placement capacity bounds of one
 // distance triple with the simulated cyclic states over all m^2
 // relative placements (b1 = 0; b2, b3 sweep [0, m)) — the three-stream
-// analogue of PairResult.
+// analogue of PairResult, and a field copy of the triple's SpecResult.
 type TripleSweepResult struct {
 	M, NC int
 	D     [3]int
@@ -153,57 +86,28 @@ type TripleSweepResult struct {
 	Violations int
 }
 
-// SweepTriple sweeps all m^2 relative placements of one distance
-// triple and compares each cyclic state against its capacity bound.
-// Sequential reference path; Engine.SweepTriple is the parallel,
-// cached equivalent and returns byte-identical results.
-func SweepTriple(m, nc int, d [3]int) TripleSweepResult {
-	return sweepTripleWith(m, nc, d, coldTripleBW(TripleSpec(m, nc, d)))
-}
-
-func sweepTripleWith(m, nc int, d [3]int, bw func(b2, b3 int) rat.Rational) TripleSweepResult {
-	res := TripleSweepResult{M: m, NC: nc, D: d}
-	first := true
-	for b2 := 0; b2 < m; b2++ {
-		for b3 := 0; b3 < m; b3++ {
-			v := bw(b2, b3)
-			bound := tripleBound(m, nc, d, [3]int{0, b2, b3})
-			if first || v.Cmp(res.SimMin) < 0 {
-				res.SimMin = v
-			}
-			if first || v.Cmp(res.SimMax) > 0 {
-				res.SimMax = v
-			}
-			if first || bound.Cmp(res.BoundMin) < 0 {
-				res.BoundMin = bound
-			}
-			if first || bound.Cmp(res.BoundMax) > 0 {
-				res.BoundMax = bound
-			}
-			first = false
-			res.Starts++
-			switch v.Cmp(bound) {
-			case 0:
-				res.TightStarts++
-			case 1:
-				res.Violations++
-			}
+// tripleResults copies three-stream SpecResults into the
+// TripleSweepResult rows the triple tables render.
+func tripleResults(rs []SpecResult) []TripleSweepResult {
+	out := make([]TripleSweepResult, len(rs))
+	for i, r := range rs {
+		st := r.Spec.Streams
+		out[i] = TripleSweepResult{
+			M: r.Spec.M, NC: r.Spec.NC, D: [3]int{st[0].D, st[1].D, st[2].D},
+			SimMin: r.SimMin, SimMax: r.SimMax, BoundMin: r.BoundMin, BoundMax: r.BoundMax,
+			Starts: r.Starts, TightStarts: r.TightStarts, Violations: r.Violations,
 		}
 	}
-	return res
+	return out
 }
 
 // TripleGrid sweeps every unordered distance triple of an (m, n_c)
-// memory over all relative placements. Sequential reference path;
-// Engine.TripleGrid produces byte-identical results in parallel, with
-// the cyclic-state cache collapsing isomorphic placements.
+// memory over all relative placements, comparing each cyclic state
+// against its capacity bound. Cold oracle path; Engine.TripleGrid
+// produces byte-identical results in parallel, with the cyclic-state
+// cache collapsing isomorphic placements.
 func TripleGrid(m, nc int) []TripleSweepResult {
-	triples := tripleList(m)
-	out := make([]TripleSweepResult, len(triples))
-	for i, d := range triples {
-		out[i] = SweepTriple(m, nc, d)
-	}
-	return out
+	return tripleResults(coldSpecs(tripleSpecs(m, nc), specFold))
 }
 
 // TripleGridSummary aggregates an all-placements triple sweep.

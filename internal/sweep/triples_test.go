@@ -51,7 +51,7 @@ func TestEngineTripleGridHitRate(t *testing.T) {
 		t.Fatalf("triple hits %d + misses %d != %d placements",
 			tf.Hits, tf.Misses, starts)
 	}
-	if hr := m.TripleHitRate(); hr < 0.5 {
+	if hr := m.FamilyHitRate("triple"); hr < 0.5 {
 		t.Fatalf("triple hit rate %.2f below the 0.5 acceptance floor", hr)
 	}
 	if len(m.Families) != 1 {
@@ -67,21 +67,17 @@ func TestEngineTripleGridHitRate(t *testing.T) {
 // routes to the same numbers.
 func TestDifferentialRandomTriples(t *testing.T) {
 	rng := rand.New(rand.NewSource(19850803))
-	eng := NewEngine(Options{Workers: 4})
+	var specs []ConfigSpec
 	for trial := 0; trial < 12; trial++ {
 		m := 2 + rng.Intn(7) // 2..8
 		nc := 1 + rng.Intn(3)
-		d := [3]int{rng.Intn(m), rng.Intn(m), rng.Intn(m)}
-		seq := SweepTriple(m, nc, d)
-		par := eng.SweepTriple(m, nc, d)
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("trial %d m=%d nc=%d d=%v: engine %+v != sequential %+v",
-				trial, m, nc, d, par, seq)
-		}
-		if seq.Violations != 0 {
-			t.Fatalf("trial %d m=%d nc=%d d=%v: %d capacity-bound violations",
-				trial, m, nc, d, seq.Violations)
-		}
+		specs = append(specs, TripleSpec(m, nc, [3]int{rng.Intn(m), rng.Intn(m), rng.Intn(m)}))
+	}
+	eng := NewEngine(Options{Workers: 4})
+	seq := SpecGrid(specs)
+	sameRows(t, "random triples", seq, eng.SpecGrid(specs))
+	if s := SummariseSpecGrid(seq); s.Violations != 0 {
+		t.Fatalf("%d capacity-bound violations", s.Violations)
 	}
 	if eng.Metrics().Family("triple").Hits == 0 {
 		t.Fatal("random triples never hit the cache; canonicalisation is not collapsing orbits")
@@ -92,7 +88,7 @@ func TestDifferentialRandomTriples(t *testing.T) {
 // fixed placement (0, 1, 2) is one of the m^2 swept placements, so its
 // bandwidth lies inside [SimMin, SimMax].
 func TestTripleCensusInsideGridRange(t *testing.T) {
-	census := SweepTriples(6, 2)
+	census := tripleResults(SpecGrid(TripleCensusSpecs(6, 2, [3]int{0, 1, 2})))
 	grid := TripleGrid(6, 2)
 	if len(census) != len(grid) {
 		t.Fatalf("census has %d triples, grid %d", len(census), len(grid))
@@ -102,9 +98,9 @@ func TestTripleCensusInsideGridRange(t *testing.T) {
 		if c.D != g.D {
 			t.Fatalf("row %d: census triple %v != grid triple %v", i, c.D, g.D)
 		}
-		if c.Bandwidth.Cmp(g.SimMin) < 0 || c.Bandwidth.Cmp(g.SimMax) > 0 {
+		if c.SimMin.Cmp(g.SimMin) < 0 || c.SimMin.Cmp(g.SimMax) > 0 {
 			t.Fatalf("triple %v: census bandwidth %s outside grid range [%s, %s]",
-				c.D, c.Bandwidth, g.SimMin, g.SimMax)
+				c.D, c.SimMin, g.SimMin, g.SimMax)
 		}
 	}
 }
@@ -155,10 +151,10 @@ func FuzzSweepTriple(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, mRaw, ncRaw, d1Raw, d2Raw, d3Raw uint8) {
 		m, nc, d := decodeFuzzTriple(mRaw, ncRaw, d1Raw, d2Raw, d3Raw)
-		seq := SweepTriple(m, nc, d)
+		specs := []ConfigSpec{TripleSpec(m, nc, d)}
+		seq := SpecGrid(specs)[0]
 		eng := NewEngine(Options{Workers: 2, CacheSize: 256})
-		par := eng.SweepTriple(m, nc, d)
-		if !reflect.DeepEqual(seq, par) {
+		if par := eng.SpecGrid(specs)[0]; !reflect.DeepEqual(seq, par) {
 			t.Fatalf("m=%d nc=%d d=%v: engine %+v != sequential %+v", m, nc, d, par, seq)
 		}
 		if seq.Violations != 0 {

@@ -53,6 +53,10 @@ go run ./internal/tools/docscheck \
 
 go test -race "$@"
 go test -race ./internal/obs/...
+
+# bench/ is its own module (replace ivm => ../), so the root ./...
+# patterns above never compile it — yet it imports the sweep surface.
+(cd bench && go vet ./... && go test ./...)
 go test -race ./internal/memsys ./internal/sweep
 
 # Differential equivalence harness, short mode: every Differential*
