@@ -42,7 +42,9 @@ var benchSink sweep.SpanSink
 
 // BenchmarkDetachedSpan measures the detached span path: the engine's
 // per-phase cost when no TraceContext rides the request — a nil-sink
-// check and nothing else, mirroring resolveSpans' guards.
+// check and nothing else, mirroring the guards of the answer route's
+// phase timer (phaseTimer in internal/sweep). internal/sweep's
+// TestDetachedResolveAllocs guards the whole detached route.
 func BenchmarkDetachedSpan(b *testing.B) {
 	detached := func() {
 		if benchSink != nil {

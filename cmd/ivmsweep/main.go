@@ -126,10 +126,6 @@ func main() {
 	if *provenanceFlag || *provenanceCSV != "" || *metricsOut != "" || *metricsAddr != "" {
 		prov = sweep.NewProvenance(0)
 	}
-	var prog *obs.Progress
-	if *progressEvery > 0 || *metricsAddr != "" {
-		prog = obs.NewProgress(prov)
-	}
 	var itemLatency *obs.LatencyHist
 	if *latencyFlag {
 		itemLatency = obs.NewLatencyHist()
@@ -137,9 +133,12 @@ func main() {
 	eng := sweep.NewEngine(sweep.Options{
 		Workers: *workers, CacheSize: *cache, CollectStats: *showStats,
 		Timeline: timeline, Analytic: analytic, PackedKernel: packed,
-		Provenance: prov, Progress: progressSink(prog),
-		ItemLatency: latencySink(itemLatency),
+		Provenance: prov, ItemLatency: latencySink(itemLatency),
 	})
+	var prog *obs.Progress
+	if *progressEvery > 0 || *metricsAddr != "" {
+		prog = obs.NewProgress(eng)
+	}
 	if *metricsAddr != "" {
 		closer, err := obs.ServeMetrics("ivmsweep", *metricsAddr, func() *sweep.Engine { return eng }, prog, itemLatency)
 		if err != nil {
@@ -266,15 +265,6 @@ func exportCache(eng *sweep.Engine, dir string) error {
 	fmt.Fprintf(os.Stderr, "exported %d cached states to %s (%d new)\n",
 		len(records), store.Path(), added)
 	return nil
-}
-
-// progressSink adapts a possibly-nil tracker to the engine's sink
-// interface without boxing a typed nil into a non-nil interface.
-func progressSink(p *obs.Progress) sweep.ProgressSink {
-	if p == nil {
-		return nil
-	}
-	return p
 }
 
 // latencySink adapts a possibly-nil histogram to the engine's sink

@@ -1,71 +1,60 @@
 package obs
 
-// Live sweep progress: a Progress implements sweep.ProgressSink, so an
-// engine announces planned work (Add) and completions (Done) to it;
-// the reporter derives throughput and ETA, renders a one-line status
-// for periodic stderr updates (Start), and exposes itself as an expvar
-// and a Prometheus source — how a multi-hour census stays observable
-// from the terminal that launched it and from a scraper alike.
+// Live sweep progress: a Progress reads an engine's own work-item
+// counters (Engine.WorkItems: planned, completed, first-planned clock)
+// and its Metrics path split, derives throughput and ETA, renders a
+// one-line status for periodic stderr updates (Start), and exposes
+// itself as an expvar and a Prometheus source — how a multi-hour
+// census stays observable from the terminal that launched it and from
+// a scraper alike. The engine needs no hook for it: progress is a view
+// over counters it keeps anyway.
 
 import (
 	"expvar"
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"ivm/internal/sweep"
 )
 
-// Progress tracks sweep completion against planned work. All methods
-// are safe for concurrent use; the zero value is not ready — build
+// Progress tracks an engine's sweep completion against planned work.
+// All methods are safe for concurrent use with running sweeps; build
 // with NewProgress.
 type Progress struct {
-	total, done atomic.Int64
-	startNS     atomic.Int64 // wall clock of the first Add, ns since epoch
-	// prov, when attached, contributes the per-path counters to the
-	// rendered status line.
-	prov *sweep.Provenance
+	eng *sweep.Engine
 }
 
-// Progress must satisfy the engine's sink interface.
-var _ sweep.ProgressSink = (*Progress)(nil)
-
-// NewProgress builds an idle progress tracker; prov optionally
-// attaches a provenance recorder whose per-path counters the status
-// line reports (nil for none).
-func NewProgress(prov *sweep.Provenance) *Progress {
-	return &Progress{prov: prov}
+// NewProgress builds a progress view over eng.
+func NewProgress(eng *sweep.Engine) *Progress {
+	return &Progress{eng: eng}
 }
-
-// Add announces total new planned work items (the engine calls it at
-// the start of every sweep). The first call starts the clock.
-func (p *Progress) Add(total int64) {
-	p.startNS.CompareAndSwap(0, time.Now().UnixNano())
-	p.total.Add(total)
-}
-
-// Done records n completed work items.
-func (p *Progress) Done(n int64) { p.done.Add(n) }
 
 // ProgressSnapshot is one observation of a progress tracker.
 type ProgressSnapshot struct {
 	Total   int64   `json:"total"`
 	Done    int64   `json:"done"`
 	Elapsed float64 `json:"elapsed_seconds"`
-	// Rate is completed items per second since the first Add; ETA the
-	// projected seconds until the remaining items complete at that rate
-	// (0 until the rate is measurable).
+	// Rate is completed items per second since the first planned item;
+	// ETA the projected seconds until the remaining items complete at
+	// that rate (0 until the rate is measurable).
 	Rate float64 `json:"items_per_second"`
 	ETA  float64 `json:"eta_seconds"`
 }
 
-// Snapshot observes the tracker: totals, elapsed wall time, completion
+// Snapshot observes the engine: totals, elapsed wall time, completion
 // rate and projected time to finish.
 func (p *Progress) Snapshot() ProgressSnapshot {
-	s := ProgressSnapshot{Total: p.total.Load(), Done: p.done.Load()}
-	if start := p.startNS.Load(); start > 0 {
-		s.Elapsed = time.Since(time.Unix(0, start)).Seconds()
+	total, done, since := p.eng.WorkItems()
+	return progressAt(total, done, since)
+}
+
+// progressAt derives a snapshot from planned and completed item counts
+// and the wall clock of the first planned item (zero when none).
+func progressAt(total, done int64, since time.Time) ProgressSnapshot {
+	s := ProgressSnapshot{Total: total, Done: done}
+	if !since.IsZero() {
+		s.Elapsed = time.Since(since).Seconds()
 	}
 	if s.Elapsed > 0 && s.Done > 0 {
 		s.Rate = float64(s.Done) / s.Elapsed
@@ -76,9 +65,10 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 	return s
 }
 
-// Line renders the one-line status: completion, throughput, ETA, and —
-// when a provenance recorder is attached — the per-path split of the
-// placements resolved so far.
+// Line renders the one-line status: completion, throughput, ETA, and
+// the per-path split of the placements resolved so far. Every
+// simulation runs exactly one steady-state detection, so the engine's
+// CyclesFound is the simulated share.
 func (p *Progress) Line() string {
 	s := p.Snapshot()
 	pctDone := 0.0
@@ -87,18 +77,11 @@ func (p *Progress) Line() string {
 	}
 	line := fmt.Sprintf("progress: %d/%d items (%.1f%%), %.1f items/s, ETA %s",
 		s.Done, s.Total, pctDone, s.Rate, fmtETA(s.ETA))
-	if p.prov != nil {
-		var analytic, cache, sim int64
-		ps := p.prov.Snapshot()
-		for _, f := range ps.Families {
-			analytic += f.Analytic
-			cache += f.CacheHits
-			sim += f.SimScalar + f.SimPacked
-		}
-		if n := analytic + cache + sim; n > 0 {
-			line += fmt.Sprintf(" | paths: analytic %s, cache %s, sim %s",
-				pctOf(analytic, n), pctOf(cache, n), pctOf(sim, n))
-		}
+	m := p.eng.Metrics()
+	analytic, cache, sim := m.AnalyticHits, m.CacheHits, m.CyclesFound
+	if n := analytic + cache + sim; n > 0 {
+		line += fmt.Sprintf(" | paths: analytic %s, cache %s, sim %s",
+			pctOf(analytic, n), pctOf(cache, n), pctOf(sim, n))
 	}
 	return line
 }

@@ -3,7 +3,6 @@ package sweep
 import (
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"ivm/internal/core"
@@ -70,41 +69,34 @@ func TestDifferentialGridWithinBounds(t *testing.T) {
 	}
 }
 
-// The memo cache must be semantics-preserving: for every key ever
-// answered from the cache, a cold recomputation of that canonical
-// representative yields the identical rational, and pair-level results
-// computed through the cache match the cache-free sweep field-for-field.
+// The memo cache must be semantics-preserving: for every entry the
+// cache holds — a superset of the keys any hit was answered from — a
+// cold recomputation of that canonical representative yields the
+// identical rational, and pair-level results computed through the
+// cache match the cache-free sweep field-for-field.
 func TestCacheSemanticsPreserving(t *testing.T) {
 	eng := NewEngine(Options{Workers: 4})
-	var mu sync.Mutex
-	hitKeys := make(map[cacheKey]bool)
-	eng.onHit = func(k cacheKey) {
-		mu.Lock()
-		hitKeys[k] = true
-		mu.Unlock()
-	}
 	cached := eng.Grid(12, 3)
-	eng.Grid(12, 3) // second pass: every start is a hit
-	if len(hitKeys) == 0 {
+	eng.Grid(12, 3) // second pass: every simulated start is a hit
+	if eng.Metrics().CacheHits == 0 {
 		t.Fatal("no cache hits observed")
 	}
-	for k := range hitKeys {
-		got, ok := eng.cache.get(k)
-		if !ok {
-			t.Fatalf("hit key %+v evicted from an oversized cache", k)
+	records := eng.CacheRecords()
+	if len(records) == 0 {
+		t.Fatal("no cache entries to recompute")
+	}
+	for _, r := range records {
+		if r.Family != "pair" {
+			t.Fatalf("pair grid produced a %q cache entry: %+v", r.Family, r)
 		}
-		if k.family != "pair" {
-			t.Fatalf("pair grid produced a %q cache key: %+v", k.family, k)
+		// Simulate the canonical configuration v = (d1, d2, b1, b2)
+		// cold.
+		if len(r.Vec) != 4 {
+			t.Fatalf("pair entry %+v has a %d-element vector", r, len(r.Vec))
 		}
-		// Rebuild the canonical configuration from the key and simulate
-		// it cold: v = (d1, d2, b1, b2).
-		v := unpackInts(k.vec)
-		if len(v) != 4 {
-			t.Fatalf("pair key %+v unpacked to %v", k, v)
-		}
-		cold := simulateSpecVec(PairSpec(k.m, k.nc, v[0], v[1]), v)
-		if !got.Equal(cold) {
-			t.Fatalf("key %+v: cached %s != cold recomputation %s", k, got, cold)
+		cold := simulateSpecVec(PairSpec(r.M, r.NC, r.Vec[0], r.Vec[1]), r.Vec)
+		if !r.BW.Equal(cold) {
+			t.Fatalf("entry %+v: cached %s != cold recomputation %s", r, r.BW, cold)
 		}
 	}
 	for i, r := range Grid(12, 3) {

@@ -56,10 +56,6 @@ type Options struct {
 	// default) records nothing and costs the hot path nothing, exactly
 	// like Timeline.
 	Provenance *Provenance
-	// Progress, when non-nil, receives the engine's work-item totals
-	// (one Add per sweep call, one Done per completed item) so a live
-	// reporter can show items/s and an ETA; nil is off and free.
-	Progress ProgressSink
 	// ItemLatency, when non-nil, receives every completed work item's
 	// wall latency in nanoseconds (obs.LatencyHist implements it), so
 	// sweeps and the serving layer can report latency distributions and
@@ -93,21 +89,10 @@ type Options struct {
 	PackedKernel *bool
 }
 
-// ProgressSink receives the engine's work-item progress. It is
-// implemented by obs.Progress; the indirection keeps internal/sweep
-// free of an obs dependency (obs imports sweep). Implementations must
-// be safe for concurrent use.
-type ProgressSink interface {
-	// Add grows the expected work-item total (called once per sweep).
-	Add(total int64)
-	// Done marks n work items completed.
-	Done(n int64)
-}
-
 // LatencySink receives per-work-item latencies. It is implemented by
 // obs.LatencyHist; the indirection keeps internal/sweep free of an obs
-// dependency, exactly like ProgressSink. Implementations must be safe
-// for concurrent use.
+// dependency (obs imports sweep). Implementations must be safe for
+// concurrent use.
 type LatencySink interface {
 	// ObserveNS records one completed item's wall latency.
 	ObserveNS(ns int64)
@@ -360,8 +345,11 @@ type Engine struct {
 	famMu sync.Mutex
 	fams  map[string]*familyCounter
 
-	cycles, steps, pairs atomic.Int64
-	packedFallbacks      atomic.Int64
+	// pairs counts completed work items (Metrics.PairsSwept), planned
+	// the items every sweep and batch announced, and startNS is the
+	// wall clock of the first announcement; WorkItems reads all three.
+	cycles, steps, pairs, planned atomic.Int64
+	packedFallbacks, startNS      atomic.Int64
 
 	// Observability counters (see Snapshot): wall time spent inside
 	// sweep calls, wall time inside steady-state detection, and the
@@ -371,9 +359,6 @@ type Engine struct {
 	mu           sync.Mutex
 	stats        *stats.Collector
 	workerTotals []WorkerStat
-
-	// onHit is a test hook observing cache hits (set before sweeping).
-	onHit func(cacheKey)
 }
 
 // familyCounter is one family's hit/miss/analytic counters; workers
@@ -445,6 +430,17 @@ func (e *Engine) Metrics() Metrics {
 	return m
 }
 
+// WorkItems reports the engine's work-item progress for a live
+// reporter (obs.Progress): the items every sweep and batch planned so
+// far, the items completed (Metrics.PairsSwept), and the wall clock at
+// which the first was planned (the zero Time before any).
+func (e *Engine) WorkItems() (planned, done int64, since time.Time) {
+	if ns := e.startNS.Load(); ns != 0 {
+		since = time.Unix(0, ns)
+	}
+	return e.planned.Load(), e.pairs.Load(), since
+}
+
 // Stats returns the merged per-bank statistics of the most recent
 // sweep call, or nil unless Options.CollectStats is set. Cache hits
 // skip simulation, so the collector covers only the states that were
@@ -477,11 +473,9 @@ func (e *Engine) run(n int, f func(w *worker, i int)) {
 	}
 	start := time.Now()
 	defer func() { e.wallNS.Add(time.Since(start).Nanoseconds()) }()
+	e.startNS.CompareAndSwap(0, start.UnixNano())
+	e.planned.Add(int64(n))
 	tl := e.opt.Timeline
-	progress := e.opt.Progress
-	if progress != nil {
-		progress.Add(int64(n))
-	}
 	lat := e.opt.ItemLatency
 	work := func(w *worker, i int) {
 		t0 := time.Now()
@@ -490,12 +484,10 @@ func (e *Engine) run(n int, f func(w *worker, i int)) {
 		itemNS := time.Since(t0).Nanoseconds()
 		w.busyNS += itemNS
 		w.items++
+		e.pairs.Add(1)
 		tl.Slice(w.id, TimelineItem, ts, i, "")
 		if lat != nil {
 			lat.ObserveNS(itemNS)
-		}
-		if progress != nil {
-			progress.Done(1)
 		}
 	}
 	workers := e.workers()
@@ -537,9 +529,8 @@ func (e *Engine) run(n int, f func(w *worker, i int)) {
 func sweepSpecs[R any](e *Engine, specs []ConfigSpec, fold func(ConfigSpec, func(b []int) rat.Rational) R) []R {
 	out := make([]R, len(specs))
 	e.run(len(specs), func(w *worker, i int) {
-		e.pairs.Add(1)
 		cs := w.compile(specs[i])
-		out[i] = fold(specs[i], func(b []int) rat.Rational { return w.bw(cs, b) })
+		out[i] = fold(specs[i], func(b []int) rat.Rational { return w.resolve(cs, b, nil).BW })
 	})
 	return out
 }
@@ -650,24 +641,6 @@ func (w *worker) flushStats() {
 	}
 	e.mu.Unlock()
 	w.col = nil
-}
-
-// findCycle runs steady-state detection on the worker's simulator and
-// accounts for it in the engine counters.
-func (w *worker) findCycle(sys *memsys.System, what string) memsys.Cycle {
-	tl := w.e.opt.Timeline
-	t0 := time.Now()
-	ts := tl.Start()
-	c, err := sys.FindCycle(findCycleBudget)
-	w.e.cycleNS.Add(time.Since(t0).Nanoseconds())
-	tl.Slice(w.id, TimelineFindCycle, ts, -1, "")
-	if err != nil {
-		panic(fmt.Sprintf("sweep: %s: %v", what, err))
-	}
-	w.e.cycles.Add(1)
-	w.e.steps.Add(c.Lead + c.Length)
-	w.steps += c.Lead + c.Length
-	return c
 }
 
 // pipelineFor returns the memoised canonicalisation pipeline of an
@@ -787,18 +760,24 @@ func (w *worker) compile(spec ConfigSpec) *compiledSpec {
 	return cs
 }
 
+// load fills cs.vec with the configuration vector (d_1..d_N, b_1..b_N)
+// of placement b.
+func (cs *compiledSpec) load(b []int) {
+	n := len(cs.spec.Streams)
+	for i, st := range cs.spec.Streams {
+		cs.vec[i] = st.D
+	}
+	copy(cs.vec[n:], b)
+}
+
 // key canonicalises the placement b of the compiled spec and returns
 // its cache key, leaving the canonical configuration vector in cs.vec.
 // The canonical representative is the lexicographically smallest
 // member of the placement's orbit under the spec's pipeline, so
 // isomorphic placements collide in the cache by construction.
 func (cs *compiledSpec) key(b []int) cacheKey {
-	n := len(cs.spec.Streams)
-	for i, st := range cs.spec.Streams {
-		cs.vec[i] = st.D
-	}
-	copy(cs.vec[n:], b)
-	cs.canon.Canonicalize(cs.vec, n)
+	cs.load(b)
+	cs.canon.Canonicalize(cs.vec, len(cs.spec.Streams))
 	return cacheKey{
 		family: cs.family,
 		m:      cs.spec.M,
@@ -809,157 +788,149 @@ func (cs *compiledSpec) key(b []int) cacheKey {
 	}
 }
 
-// bw resolves one placement of a compiled spec, through the cache when
-// enabled. On a miss the CANONICAL representative is simulated — not
-// the requested placement — so the cached value is exactly what any
-// placement of the orbit would produce.
-func (w *worker) bw(cs *compiledSpec, b []int) rat.Rational {
-	v, _ := w.resolve(cs, b, false)
-	return v
-}
-
-// resolution is the per-placement attribution resolve reports beside
-// the bandwidth: the path taken, the gate's theorem identifier on
-// analytic answers, the canonical configuration vector (copied only
-// when the caller asked for it), and the simulation cost on misses.
-type resolution struct {
-	path     Path
-	theorem  string
-	canon    []int
-	cycleLen int64
-	clocks   int64
-}
-
-// canonCopy copies the canonical vector when the caller wants it
-// returned; the scratch vector itself is reused per work item.
-func canonCopy(vec []int, want bool) []int {
-	if !want {
-		return nil
-	}
-	return append([]int(nil), vec...)
-}
-
-// resolve is the engine's single answer route: analytic gate, then
-// canonical-key cache, then simulation of the canonical representative,
-// reporting which path resolved the placement. bw is its thin wrapper;
-// Engine.Resolve surfaces the attribution to API callers.
-func (w *worker) resolve(cs *compiledSpec, b []int, wantCanon bool) (rat.Rational, resolution) {
-	return w.resolveSpans(cs, b, wantCanon, nil)
-}
-
-// resolveSpans is resolve with an optional request-scoped span sink:
-// when sp is non-nil (a query arrived through ResolveCtx with a sink
-// on its context) the gate probe, canonicalisation, cache probe and
-// simulation phases are reported as named spans. A nil sink costs the
-// path only nil checks — the detached-span zero-allocation guard pins
-// that.
-func (w *worker) resolveSpans(cs *compiledSpec, b []int, wantCanon bool, sp SpanSink) (rat.Rational, resolution) {
-	e := w.e
-	tl := e.opt.Timeline
-	prov := e.opt.Provenance
+// resolve is the engine's single answer route, the paper's three
+// answers in order: the analytic gate (Theorems 2/3, Eq. 29), the
+// canonical-key cache (an isomorphic placement already solved), then
+// simulation of the cyclic steady state. On a miss the CANONICAL
+// representative is simulated — not the requested placement — so the
+// cached value is exactly what any placement of the orbit would
+// produce; with caching disabled the placement itself is simulated.
+// Every step is timed by one phaseTimer and every answer is accounted
+// by one record call. sp is the request's span sink, nil when
+// detached. Canonical, when set, aliases the scratch cs.vec, so
+// ResolveBatchCtx copies it (and sets Family).
+func (w *worker) resolve(cs *compiledSpec, b []int, sp SpanSink) Resolution {
 	if cs.gate != nil {
-		var gs int64
-		if sp != nil {
-			gs = sp.Start()
-		}
+		t := w.begin(sp, noSlice, SpanGate)
 		v, ok := cs.gate.BandwidthAt(b[0], b[1])
-		if sp != nil {
-			sp.Span(SpanGate, gs)
-		}
+		t.end(cs.family)
 		if ok {
-			cs.counter.analytic.Add(1)
-			tl.Instant(w.id, TimelineAnalytic, -1, cs.family)
-			prov.Analytic(cs.family, cs.gateTheorem)
-			return v, resolution{path: PathAnalytic, theorem: cs.gateTheorem}
+			return w.record(cs, Resolution{BW: v, Path: PathAnalytic, Theorem: cs.gateTheorem}, cacheKey{}, 0)
 		}
 	}
-	packed := cs.kernel == memsys.KernelPacked
-	simPath := PathSimScalar
-	if packed {
-		simPath = PathSimPacked
-	}
-	if e.cache == nil {
-		n := len(cs.spec.Streams)
-		for i, st := range cs.spec.Streams {
-			cs.vec[i] = st.D
+	var key cacheKey
+	if w.e.cache == nil {
+		cs.load(b)
+	} else {
+		t := w.begin(sp, TimelineCanon, SpanCanon)
+		key = cs.key(b)
+		t.end(cs.family)
+		t = w.begin(sp, noSlice, SpanCacheProbe)
+		bw, ok := w.e.cache.get(key)
+		t.end(cs.family)
+		if ok {
+			return w.record(cs, Resolution{BW: bw, Path: PathCache}, key, 0)
 		}
-		copy(cs.vec[n:], b)
-		var ss int64
-		if sp != nil {
-			ss = sp.Start()
-		}
-		bw, c := w.simulate(cs, cs.vec)
-		if sp != nil {
-			sp.Span(SpanSimulate, ss)
-		}
-		prov.Simulated(cs.family, cs.spec.M, cs.spec.S, cs.spec.NC, cs.vec, packed, c.Length, c.Lead+c.Length)
-		return bw, resolution{path: simPath, cycleLen: c.Length, clocks: c.Lead + c.Length}
 	}
-	ts := tl.Start()
-	var ks int64
-	if sp != nil {
-		ks = sp.Start()
-	}
-	key := cs.key(b)
-	if sp != nil {
-		sp.Span(SpanCanon, ks)
-	}
-	tl.Slice(w.id, TimelineCanon, ts, -1, cs.family)
-	var ps int64
-	if sp != nil {
-		ps = sp.Start()
-	}
-	bw, ok := e.cache.get(key)
-	if sp != nil {
-		sp.Span(SpanCacheProbe, ps)
-	}
-	if ok {
-		e.hit(cs.counter, key)
+	t := w.begin(sp, TimelineSimulate, SpanSimulate)
+	r := w.simulate(cs, cs.vec)
+	t.end(cs.family)
+	return w.record(cs, r, key, t.tl)
+}
+
+// record is the answer route's one recording point: it accounts one
+// resolved placement in its family counter, the Timeline and the
+// Provenance and, on a cached miss, stores the answer in the cache and
+// hands it to the CacheSink. key is the placement's cache key (zero on
+// analytic answers and when caching is disabled). simNS is the Timeline
+// stamp at which a simulation began: the cache-miss instant is stamped
+// there, at the miss decision, not when the simulation has finished.
+func (w *worker) record(cs *compiledSpec, r Resolution, key cacheKey, simNS int64) Resolution {
+	e := w.e
+	tl, prov := e.opt.Timeline, e.opt.Provenance
+	switch r.Path {
+	case PathAnalytic:
+		cs.counter.analytic.Add(1)
+		tl.Instant(w.id, TimelineAnalytic, -1, cs.family)
+		prov.Analytic(cs.family, r.Theorem)
+		return r
+	case PathCache:
+		cs.counter.hits.Add(1)
 		tl.Instant(w.id, TimelineCacheHit, -1, cs.family)
 		prov.CacheHit(cs.family, cs.spec.M, cs.spec.S, cs.spec.NC, cs.vec)
-		return bw, resolution{path: PathCache, canon: canonCopy(cs.vec, wantCanon)}
+		r.Canonical = cs.vec
+		return r
 	}
-	e.miss(cs.counter)
-	tl.Instant(w.id, TimelineCacheMiss, -1, cs.family)
-	ts = tl.Start()
-	var ss int64
-	if sp != nil {
-		ss = sp.Start()
+	prov.Simulated(cs.family, cs.spec.M, cs.spec.S, cs.spec.NC, cs.vec, r.Path == PathSimPacked, r.CycleLength, r.Clocks)
+	if e.cache == nil {
+		return r
 	}
-	bw, c := w.simulate(cs, cs.vec)
-	if sp != nil {
-		sp.Span(SpanSimulate, ss)
-	}
-	tl.Slice(w.id, TimelineSimulate, ts, -1, cs.family)
-	prov.Simulated(cs.family, cs.spec.M, cs.spec.S, cs.spec.NC, cs.vec, packed, c.Length, c.Lead+c.Length)
-	e.cache.put(key, bw)
+	r.Canonical = cs.vec
+	cs.counter.misses.Add(1)
+	tl.instantAt(w.id, TimelineCacheMiss, simNS, -1, cs.family)
+	e.cache.put(key, r.BW)
 	if sink := e.opt.CacheSink; sink != nil {
 		sink.Put(CacheRecord{
 			Family: cs.family,
 			M:      cs.spec.M, S: cs.spec.S, NC: cs.spec.NC,
 			CPUs: append([]int(nil), cs.cpuList...),
 			Vec:  append([]int(nil), cs.vec...),
-			BW:   bw,
+			BW:   r.BW,
 		})
 	}
-	return bw, resolution{path: simPath, canon: canonCopy(cs.vec, wantCanon), cycleLen: c.Length, clocks: c.Lead + c.Length}
+	return r
 }
 
-func (e *Engine) hit(c *familyCounter, key cacheKey) {
-	c.hits.Add(1)
-	if e.onHit != nil {
-		e.onHit(key)
+// noSlice marks a route phase the Timeline does not slice: the gate
+// and the cache probe appear only as spans.
+const noSlice TimelineKind = -1
+
+// phaseTimer times one step of the answer route into the Timeline (a
+// slice of kind, unless noSlice) and the request's SpanSink (a span
+// named span) together. Detached — nil Timeline and nil sink — it
+// reads no clock and allocates nothing.
+type phaseTimer struct {
+	w      *worker
+	sp     SpanSink
+	kind   TimelineKind
+	span   string
+	tl, ss int64
+}
+
+// begin opens a phase on the worker; end closes it.
+func (w *worker) begin(sp SpanSink, kind TimelineKind, span string) phaseTimer {
+	t := phaseTimer{w: w, sp: sp, kind: kind, span: span}
+	if kind != noSlice {
+		t.tl = w.e.opt.Timeline.Start()
+	}
+	if sp != nil {
+		t.ss = sp.Start()
+	}
+	return t
+}
+
+func (t phaseTimer) end(family string) {
+	if t.kind != noSlice {
+		t.w.e.opt.Timeline.Slice(t.w.id, t.kind, t.tl, -1, family)
+	}
+	if t.sp != nil {
+		t.sp.Span(t.span, t.ss)
 	}
 }
 
-func (e *Engine) miss(c *familyCounter) { c.misses.Add(1) }
-
 // simulate runs the compiled spec at configuration vector v on the
-// worker's reusable simulator, returning the bandwidth and the
-// detected steady state (for provenance records).
-func (w *worker) simulate(cs *compiledSpec, v []int) (rat.Rational, memsys.Cycle) {
+// worker's reusable simulator and detects its steady state, accounting
+// the detection in the engine counters; the answer carries the kernel's
+// path and the cycle's cost.
+func (w *worker) simulate(cs *compiledSpec, v []int) Resolution {
 	sys := w.system(cs.cfg, cs.kernel)
 	addSpecStreams(sys, cs.spec, v)
-	c := w.findCycle(sys, describeSpec(cs.spec, v))
-	return c.EffectiveBandwidth(), c
+	tl := w.e.opt.Timeline
+	t0 := time.Now()
+	ts := tl.Start()
+	c, err := sys.FindCycle(findCycleBudget)
+	w.e.cycleNS.Add(time.Since(t0).Nanoseconds())
+	tl.Slice(w.id, TimelineFindCycle, ts, -1, "")
+	if err != nil {
+		panic(fmt.Sprintf("sweep: %s: %v", describeSpec(cs.spec, v), err))
+	}
+	clocks := c.Lead + c.Length
+	w.e.cycles.Add(1)
+	w.e.steps.Add(clocks)
+	w.steps += clocks
+	r := Resolution{BW: c.EffectiveBandwidth(), Path: PathSimScalar, CycleLength: c.Length, Clocks: clocks}
+	if cs.kernel == memsys.KernelPacked {
+		r.Path = PathSimPacked
+	}
+	return r
 }

@@ -294,11 +294,11 @@ func BenchmarkProvenanceDetached(b *testing.B) {
 	w := &worker{e: eng}
 	cs := w.compile(PairSpec(13, 4, 1, 6))
 	bb := []int{0, 7}
-	w.bw(cs, bb)
+	w.resolve(cs, bb, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.bw(cs, bb)
+		w.resolve(cs, bb, nil)
 	}
 }
 
@@ -309,10 +309,10 @@ func BenchmarkProvenanceAttached(b *testing.B) {
 	w := &worker{e: eng}
 	cs := w.compile(PairSpec(13, 4, 1, 6))
 	bb := []int{0, 7}
-	w.bw(cs, bb)
+	w.resolve(cs, bb, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.bw(cs, bb)
+		w.resolve(cs, bb, nil)
 	}
 }

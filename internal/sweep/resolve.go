@@ -106,20 +106,11 @@ func (e *Engine) ResolveBatchCtx(ctx context.Context, specs []ConfigSpec) ([]Res
 	sp := SpanSinkFrom(ctx)
 	out := make([]Resolution, len(specs))
 	e.run(len(specs), func(w *worker, i int) {
-		e.pairs.Add(1)
 		cs := w.compile(specs[i])
-		var bw rat.Rational
-		var r resolution
-		bw, r = w.resolveSpans(cs, cs.b, true, sp)
-		out[i] = Resolution{
-			BW:          bw,
-			Family:      cs.family,
-			Path:        r.path,
-			Theorem:     r.theorem,
-			Canonical:   r.canon,
-			CycleLength: r.cycleLen,
-			Clocks:      r.clocks,
-		}
+		r := w.resolve(cs, cs.b, sp)
+		r.Family = cs.family
+		r.Canonical = append([]int(nil), r.Canonical...) // nil stays nil
+		out[i] = r
 	})
 	return out, nil
 }

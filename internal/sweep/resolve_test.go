@@ -110,6 +110,29 @@ func TestResolveBatchOrderAndSplit(t *testing.T) {
 	}
 }
 
+// The detached answer route — no Timeline, Provenance, sinks or span
+// sink, as in a sweep — allocates nothing on an analytic answer and
+// only the packed cache key on a cache hit.
+func TestDetachedResolveAllocs(t *testing.T) {
+	w := &worker{e: NewEngine(Options{Workers: 1})}
+	gated := w.compile(PairSpec(16, 4, 1, 2)) // eq-29 answers every placement
+	b := []int{0, 5}
+	if r := w.resolve(gated, b, nil); r.Path != PathAnalytic {
+		t.Fatalf("gated pair resolved on %v", r.Path)
+	}
+	if n := testing.AllocsPerRun(100, func() { w.resolve(gated, b, nil) }); n != 0 {
+		t.Errorf("detached analytic answer allocates %v per op, want 0", n)
+	}
+	census := w.compile(TripleCensusSpec(13, 4, [3]int{1, 2, 6}, [3]int{0, 1, 2}))
+	w.resolve(census, census.b, nil) // simulate once; every later call hits
+	if r := w.resolve(census, census.b, nil); r.Path != PathCache {
+		t.Fatalf("repeated census placement resolved on %v", r.Path)
+	}
+	if n := testing.AllocsPerRun(100, func() { w.resolve(census, census.b, nil) }); n > 2 {
+		t.Errorf("detached cache hit allocates %v per op, want at most 2 (the packed key)", n)
+	}
+}
+
 // TestResolveRejectsBadSpecs pins the validation surface: resolution
 // returns errors (never panics) on swept streams, out-of-range
 // coordinates and invalid shapes.

@@ -4,11 +4,13 @@ package sweep
 // context.Context into Engine.ResolveCtx/ResolveBatchCtx and receives
 // the named phases of every resolution — gate, canonicalise,
 // cache-probe, simulate — so a serving layer can reconstruct one
-// request's anatomy. Like ProgressSink, the interface keeps
+// request's anatomy. Like LatencySink, the interface keeps
 // internal/sweep free of an obs dependency (obs.TraceContext is the
-// implementation, and obs imports sweep). A nil sink is fully
-// detached: the resolve hot path takes two nil checks and allocates
-// nothing, the same contract as a nil Timeline or Provenance.
+// implementation, and obs imports sweep). The answer route's phase
+// timer reports each phase to the sink and the Timeline together; a
+// nil sink is fully detached — one nil check per phase boundary, no
+// clock read, no allocation — the same contract as a nil Timeline or
+// Provenance.
 
 import "context"
 

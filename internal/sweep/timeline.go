@@ -149,12 +149,15 @@ func (t *Timeline) Slice(worker int, kind TimelineKind, startNS int64, item int,
 
 // Instant records a zero-duration event stamped now.
 func (t *Timeline) Instant(worker int, kind TimelineKind, item int, family string) {
+	t.instantAt(worker, kind, t.Start(), item, family)
+}
+
+// instantAt records a zero-duration event stamped atNS (a Start stamp).
+func (t *Timeline) instantAt(worker int, kind TimelineKind, atNS int64, item int, family string) {
 	if t == nil {
 		return
 	}
-	t.record(TimelineEvent{
-		Worker: worker, Kind: kind, StartNS: time.Since(t.epoch).Nanoseconds(), Item: item, Family: family,
-	})
+	t.record(TimelineEvent{Worker: worker, Kind: kind, StartNS: atNS, Item: item, Family: family})
 }
 
 func (t *Timeline) record(e TimelineEvent) {

@@ -42,9 +42,12 @@ func TestTimelineRecordsEngineWork(t *testing.T) {
 	if len(items) != len(want) || counts[TimelineItem] != len(want) {
 		t.Errorf("item slices cover %d/%d items (%d slices)", len(items), len(want), counts[TimelineItem])
 	}
-	// Hit/miss instants agree with the engine's own counters, and every
-	// placement was canonicalised.
+	// Analytic/hit/miss instants agree with the engine's own counters,
+	// and every cache probe was canonicalised.
 	m := e.Metrics()
+	if m.AnalyticHits == 0 || int64(counts[TimelineAnalytic]) != m.AnalyticHits {
+		t.Errorf("timeline saw %d analytic answers, metrics say %d", counts[TimelineAnalytic], m.AnalyticHits)
+	}
 	if int64(counts[TimelineCacheHit]) != m.CacheHits || int64(counts[TimelineCacheMiss]) != m.CacheMisses {
 		t.Errorf("timeline saw %d hits / %d misses, metrics say %d / %d",
 			counts[TimelineCacheHit], counts[TimelineCacheMiss], m.CacheHits, m.CacheMisses)
@@ -58,7 +61,7 @@ func TestTimelineRecordsEngineWork(t *testing.T) {
 		t.Errorf("%d simulate / %d find-cycle slices for %d misses",
 			counts[TimelineSimulate], counts[TimelineFindCycle], m.CacheMisses)
 	}
-	if !sort.SliceIsSorted(events, func(i, j int) bool { return events[i].StartNS <= events[j].StartNS }) {
+	if !sort.SliceIsSorted(events, func(i, j int) bool { return events[i].StartNS < events[j].StartNS }) {
 		t.Error("Events() not sorted by start time")
 	}
 
@@ -66,6 +69,38 @@ func TestTimelineRecordsEngineWork(t *testing.T) {
 	if len(s.TimelineEvents) != len(events) || s.TimelineDropped != 0 {
 		t.Errorf("snapshot carries %d events (dropped %d), timeline has %d",
 			len(s.TimelineEvents), s.TimelineDropped, len(events))
+	}
+}
+
+// Every simulation is one simulate slice around one find-cycle slice,
+// whether or not the cache is on: with caching disabled the placement
+// itself simulates through the same route tail. A cache-miss instant
+// is the miss decision: it is stamped at the start of its simulate
+// slice, not when the simulation has finished.
+func TestTimelineSimulateSlicesMatchCycles(t *testing.T) {
+	off := false
+	for _, cacheSize := range []int{0, -1} {
+		tl := NewTimeline(0)
+		e := NewEngine(Options{Workers: 1, CacheSize: cacheSize, Analytic: &off, Timeline: tl})
+		e.Grid(8, 2)
+		counts := map[TimelineKind]int64{}
+		simAt := map[[2]int64]bool{}
+		for _, ev := range tl.Events() {
+			counts[ev.Kind]++
+			if ev.Kind == TimelineSimulate {
+				simAt[[2]int64{int64(ev.Worker), ev.StartNS}] = true
+			}
+		}
+		for _, ev := range tl.Events() {
+			if ev.Kind == TimelineCacheMiss && !simAt[[2]int64{int64(ev.Worker), ev.StartNS}] {
+				t.Errorf("cache-miss instant at %d ns does not open a simulate slice", ev.StartNS)
+			}
+		}
+		m := e.Metrics()
+		if m.CyclesFound == 0 || counts[TimelineSimulate] != m.CyclesFound || counts[TimelineFindCycle] != m.CyclesFound {
+			t.Errorf("cache %d: %d simulate / %d find-cycle slices for %d cycles found",
+				cacheSize, counts[TimelineSimulate], counts[TimelineFindCycle], m.CyclesFound)
+		}
 	}
 }
 
@@ -94,7 +129,7 @@ func TestTimelineNilIsNoOp(t *testing.T) {
 }
 
 func TestTimelineKindJSONRoundTrip(t *testing.T) {
-	for k := TimelineItem; k <= TimelineCacheMiss; k++ {
+	for k := TimelineItem; int(k) < len(timelineKindNames); k++ {
 		data, err := json.Marshal(k)
 		if err != nil {
 			t.Fatal(err)

@@ -13,7 +13,8 @@
 # scripts/benchdiff.go, gating on catastrophic timing regressions.
 # Live probes close the run:
 # ivmsweep serving -metrics-addr on a loopback port is scraped over
-# HTTP, pinning the Prometheus exposition format end to end
+# HTTP, pinning the Prometheus exposition format end to end and, once
+# the sweep finishes, progress done = planned = sweep units
 # (docs/OBSERVABILITY.md); ivmserved answers a known analytic pair
 # with byte-pinned JSON plus a healthy /healthz (docs/SERVING.md); and
 # a request tagged with a fixed X-Request-ID is followed end to end
@@ -134,10 +135,30 @@ for line in \
 		exit 1
 	fi
 done
+# Progress end to end: once the sweep has finished (ivmsweep announces
+# its linger), the progress view read from the engine must count every
+# planned item as done, and agree with the engine's own unit counter.
+for _ in $(seq 1 300); do
+	grep -q '^metrics server lingering' "$tmp/stderr" && break
+	sleep 0.1
+done
+if ! grep -q '^metrics server lingering' "$tmp/stderr"; then
+	echo "check.sh: ivmsweep did not finish its sweep" >&2
+	exit 1
+fi
+metrics="$(curl -fsS "http://$addr/metrics")"
+sample() { printf '%s\n' "$metrics" | sed -n "s/^$1 //p"; }
+done_items="$(sample ivm_progress_items_done_total)"
+planned="$(sample ivm_progress_items)"
+units="$(sample ivm_sweep_units_total)"
+if [ -z "$done_items" ] || [ "$done_items" = 0 ] || [ "$done_items" != "$planned" ] || [ "$done_items" != "$units" ]; then
+	echo "check.sh: progress drifted: done $done_items, planned $planned, sweep units $units" >&2
+	exit 1
+fi
 kill "$srv" 2>/dev/null || true
 wait "$srv" 2>/dev/null || true
 srv=""
-echo "check.sh: live /metrics and /healthz probes OK (http://$addr)"
+echo "check.sh: live /metrics, /healthz and progress probes OK (http://$addr; $done_items items)"
 
 # Live serving probe: an ivmserved instance on a loopback port must
 # answer the known unique-barrier pair (m=16 nc=4 strides 1,2; eq-29
