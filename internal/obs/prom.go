@@ -258,6 +258,7 @@ func SweepPromMetrics(eng *sweep.Engine) func() []PromMetric {
 			Counter("ivm_sweep_cache_misses_total", "Placements that had to be simulated.", float64(m.CacheMisses)),
 			Counter("ivm_sweep_analytic_hits_total", "Placements answered by the theorem-driven classifier gate.", float64(m.AnalyticHits)),
 			Gauge("ivm_sweep_cache_entries", "Entries currently held by the bandwidth cache.", float64(m.CacheEntries)),
+			Counter("ivm_sweep_cache_evicted_total", "Cache entries discarded by wholesale shard drops.", float64(eng.CacheEvicted())),
 			Gauge("ivm_sweep_cache_hit_ratio", "Cache hits over cache traffic (0 when unused).", m.HitRate()),
 			Gauge("ivm_sweep_analytic_hit_ratio", "Analytic answers over all placements resolved.", m.AnalyticHitRate()),
 			Counter("ivm_sweep_wall_seconds_total", "Wall time spent inside sweep calls.", float64(s.WallNS)/1e9),

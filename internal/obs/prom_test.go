@@ -198,6 +198,7 @@ func TestSweepPromMetricsLive(t *testing.T) {
 		"ivm_up 1",
 		"# TYPE ivm_sweep_units_total counter",
 		"# TYPE ivm_sweep_cache_hit_ratio gauge",
+		"ivm_sweep_cache_evicted_total 0",
 		`ivm_sweep_family_cache_hits_total{family="pair"}`,
 		`ivm_sweep_family_cache_hits_total{family="stream4"}`,
 		`ivm_provenance_path_total{family="pair",path="analytic"}`,

@@ -253,7 +253,7 @@ func TestStatuszPage(t *testing.T) {
 	page, _ := io.ReadAll(resp.Body)
 	for _, want := range []string{
 		"ivmserved status", "uptime:", "endpoints", "bandwidth", "p95",
-		"answer paths", "analytic", "engine", "cache hit rate", "slow requests",
+		"answer paths", "analytic", "engine", "cache evicted:     0", "cache hit rate", "slow requests",
 	} {
 		if !strings.Contains(string(page), want) {
 			t.Errorf("/statusz lacks %q:\n%s", want, page)

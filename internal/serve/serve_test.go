@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"ivm/internal/cachestore"
+	"ivm/internal/rat"
 	"ivm/internal/sweep"
 )
 
@@ -386,4 +388,73 @@ func TestServeRestartWarmStart(t *testing.T) {
 			t.Fatalf("spec %d: warm response %s, in-process %s", i, gotJSON, wantJSON)
 		}
 	}
+}
+
+// A restarted server must hold its whole store in cache: with more
+// records than DefaultCacheSize/2, New sizes the cache at twice the
+// record count, and every seeded record must stay resident — no shard
+// may overflow and drop its generation while the store is replayed.
+// The records are synthetic 4-stream entries (SeedCache checks shape
+// only), drawn like the batch workloads' specs.
+func TestServeNewSeedsWholeStore(t *testing.T) {
+	const n = 40000
+	if n <= sweep.DefaultCacheSize/2 {
+		t.Fatalf("%d records do not exceed DefaultCacheSize/2", n)
+	}
+	dir := t.TempDir()
+	store, err := cachestore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	want := make(map[string]sweep.CacheRecord, n)
+	for len(want) < n {
+		rec := sweep.CacheRecord{Family: "stream4", M: 16, NC: 4,
+			CPUs: make([]int, 4), Vec: make([]int, 8),
+			BW: rat.New(int64(1+r.IntN(8)), 4)}
+		for j := range rec.CPUs {
+			rec.CPUs[j] = r.IntN(2)
+			rec.Vec[j] = 1 + r.IntN(15)
+			rec.Vec[4+j] = r.IntN(16)
+		}
+		if _, dup := want[recordID(rec)]; !dup {
+			want[recordID(rec)] = rec
+			store.Put(rec)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store, err = cachestore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	s, err := New(Options{Workers: 1, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := s.Engine()
+	if got := eng.Metrics().CacheEntries; got != n {
+		t.Fatalf("cache holds %d of %d seeded records", got, n)
+	}
+	if ev := eng.CacheEvicted(); ev != 0 {
+		t.Fatalf("seeding evicted %d entries", ev)
+	}
+	got := eng.CacheRecords()
+	if len(got) != n {
+		t.Fatalf("CacheRecords returned %d records, want %d", len(got), n)
+	}
+	for _, rec := range got {
+		w, ok := want[recordID(rec)]
+		if !ok || w.BW != rec.BW {
+			t.Fatalf("CacheRecords returned %+v, not a seeded record", rec)
+		}
+	}
+}
+
+// recordID is a cache record's content address as a map key.
+func recordID(rec sweep.CacheRecord) string {
+	return fmt.Sprint(rec.Family, rec.M, rec.S, rec.NC, rec.CPUs, rec.Vec)
 }

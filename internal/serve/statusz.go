@@ -52,6 +52,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "pairs resolved:    %d\n", snap.Metrics.PairsSwept)
 	fmt.Fprintf(&b, "cycles simulated:  %d\n", snap.Metrics.CyclesFound)
 	fmt.Fprintf(&b, "steps simulated:   %d\n", snap.Metrics.StepsSimulated)
+	fmt.Fprintf(&b, "cache evicted:     %d\n", s.eng.CacheEvicted())
 	fmt.Fprintf(&b, "cache hit rate:    %.4f\n", snap.CacheHitRate)
 	fmt.Fprintf(&b, "analytic hit rate: %.4f\n", snap.AnalyticHitRate)
 	if len(snap.FamilyHitRates) > 0 {

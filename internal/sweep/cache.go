@@ -3,6 +3,7 @@ package sweep
 import (
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 
 	"ivm/internal/rat"
 )
@@ -49,7 +50,14 @@ func unpackInts(s string) []int {
 	return out
 }
 
-// shard spreads keys over the cache shards with an FNV-style mix.
+// shard spreads keys over the cache shards: an FNV-style mix of every
+// key component, finished with the murmur3 64-bit avalanche, whose top
+// bits select the shard. The cache is itself a cacheShardCount-way
+// interleaved memory, and the mix alone repeats its low bits with
+// period 2: h % 16 sent every 4-stream key to the 8 odd shards, as a
+// stride sharing a factor with m reaches only m/gcd(d, m) banks. So
+// the index must come from avalanched high bits. There is no
+// per-process seed: shard placement repeats from run to run.
 func (k cacheKey) shard() int {
 	h := uint64(2166136261)
 	mix := func(v int) {
@@ -68,19 +76,31 @@ func (k cacheKey) shard() int {
 	for i := 0; i < len(k.vec); i++ {
 		mix(int(k.vec[i]))
 	}
-	return int(h % cacheShardCount)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return int(h >> (64 - cacheShardBits))
 }
 
-const cacheShardCount = 16
+const (
+	cacheShardBits  = 4
+	cacheShardCount = 1 << cacheShardBits
+)
 
 // bwCache is a sharded, size-bounded memoization cache of cyclic-state
 // bandwidths. Sharding keeps lock contention off the workers' hot
 // path; eviction is generational — a full shard is dropped wholesale
 // rather than tracking recency, which is cheap and, because cached
 // values are pure functions of the key, only ever costs a recompute.
-// All configuration families share the shards and the size budget.
+// Shard maps grow with their own occupancy rather than being
+// preallocated at the cap, so a lightly used cache does not hold
+// perShard empty slots in every shard. All configuration families share the shards
+// and the size budget; evicted counts the entries the drops discarded.
 type bwCache struct {
 	perShard int
+	evicted  atomic.Int64
 	shards   [cacheShardCount]bwShard
 }
 
@@ -109,8 +129,12 @@ func (c *bwCache) get(k cacheKey) (rat.Rational, bool) {
 func (c *bwCache) put(k cacheKey, v rat.Rational) {
 	s := &c.shards[k.shard()]
 	s.mu.Lock()
-	if s.m == nil || len(s.m) >= c.perShard {
-		s.m = make(map[cacheKey]rat.Rational, c.perShard)
+	if len(s.m) >= c.perShard {
+		c.evicted.Add(int64(len(s.m)))
+		s.m = nil
+	}
+	if s.m == nil {
+		s.m = make(map[cacheKey]rat.Rational)
 	}
 	s.m[k] = v
 	s.mu.Unlock()

@@ -430,6 +430,17 @@ func (e *Engine) Metrics() Metrics {
 	return m
 }
 
+// CacheEvicted counts the cache entries discarded so far by wholesale
+// shard drops (zero when caching is disabled). A nonzero count means a
+// shard overflowed its share of Options.CacheSize. It is kept out of
+// Metrics, whose JSON layout downstream readers pin.
+func (e *Engine) CacheEvicted() int64 {
+	if e.cache == nil {
+		return 0
+	}
+	return e.cache.evicted.Load()
+}
+
 // WorkItems reports the engine's work-item progress for a live
 // reporter (obs.Progress): the items every sweep and batch planned so
 // far, the items completed (Metrics.PairsSwept), and the wall clock at

@@ -112,7 +112,7 @@ func TestEngineCacheDisabled(t *testing.T) {
 }
 
 // A pathologically small cache must evict, not break: results stay
-// identical and the entry count stays bounded.
+// identical, the entry count stays bounded and the drops are counted.
 func TestEngineCacheEviction(t *testing.T) {
 	eng := NewEngine(Options{Workers: 2, CacheSize: 1})
 	seq := Grid(12, 3)
@@ -122,6 +122,9 @@ func TestEngineCacheEviction(t *testing.T) {
 	}
 	if n := eng.Metrics().CacheEntries; n > cacheShardCount {
 		t.Fatalf("cache holds %d entries, bound is one per shard", n)
+	}
+	if eng.CacheEvicted() == 0 {
+		t.Fatal("a 1-entry cache evicted nothing")
 	}
 }
 

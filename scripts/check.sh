@@ -19,7 +19,9 @@
 # with byte-pinned JSON plus a healthy /healthz (docs/SERVING.md); and
 # a request tagged with a fixed X-Request-ID is followed end to end
 # through the access log, the Chrome trace export and the
-# request-duration histogram (docs/SERVING.md).
+# request-duration histogram (docs/SERVING.md); and a restarted
+# ivmserved on the same store answers a 4-stream orbit the first
+# instance simulated from its cache, with no misses or evictions.
 #
 # Golden files: the exporter tests in internal/obs compare against
 # testdata/; after an intentional output change, regenerate with
@@ -262,7 +264,57 @@ if ! curl -fsS "http://$addr/statusz" | grep -q 'ivmserved status'; then
 	echo "check.sh: /statusz did not render" >&2
 	exit 1
 fi
+# A 4-stream spec is outside the analytic gate, so this instance must
+# simulate it and append the orbit to its store for the restart below.
+body4='{"m":16,"nc":4,"streams":[{"d":1,"b":0,"cpu":0},{"d":3,"b":5,"cpu":1},{"d":5,"b":2,"cpu":0},{"d":7,"b":9,"cpu":1}]}'
+cold4="$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$body4" "http://$addr/v1/bandwidth")"
+case "$cold4" in
+*'"path":"sim-'*) ;;
+*)
+	echo "check.sh: 4-stream spec was not simulated on a fresh store: $cold4" >&2
+	exit 1
+	;;
+esac
 kill "$srv" 2>/dev/null || true
 wait "$srv" 2>/dev/null || true
 srv=""
 echo "check.sh: live ivmserved probe OK, trace $rid followed through log, trace export and histogram (http://$addr)"
+
+# Warm-restart probe (docs/CACHING.md, "Shards and eviction"): a second
+# ivmserved on the same -cache-dir must answer the 4-stream spec the
+# first instance simulated from its cache, having seeded the whole
+# store without a miss or a wholesale shard drop.
+"$tmp/ivmserved" -addr 127.0.0.1:0 -cache-dir "$tmp/cache" \
+	2> "$tmp/served2-stderr" &
+srv=$!
+addr=""
+for _ in $(seq 1 100); do
+	addr="$(sed -n 's#^ivmserved listening on http://\(.*\)$#\1#p' "$tmp/served2-stderr")"
+	[ -n "$addr" ] && break
+	sleep 0.1
+done
+if [ -z "$addr" ]; then
+	echo "check.sh: restarted ivmserved did not announce an address" >&2
+	cat "$tmp/served2-stderr" >&2
+	exit 1
+fi
+warm4="$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$body4" "http://$addr/v1/bandwidth")"
+case "$warm4" in
+*'"path":"cache"'*) ;;
+*)
+	echo "check.sh: restarted ivmserved did not answer the stored 4-stream orbit from cache: $warm4" >&2
+	exit 1
+	;;
+esac
+metrics="$(curl -fsS "http://$addr/metrics")"
+for want in 'ivm_sweep_cache_misses_total 0' 'ivm_sweep_cache_evicted_total 0'; do
+	if ! printf '%s\n' "$metrics" | grep -qx "$want"; then
+		echo "check.sh: restarted ivmserved /metrics lacks \"$want\"" >&2
+		printf '%s\n' "$metrics" | grep '^ivm_sweep_cache_' >&2 || true
+		exit 1
+	fi
+done
+kill "$srv" 2>/dev/null || true
+wait "$srv" 2>/dev/null || true
+srv=""
+echo "check.sh: warm-restart probe OK, stored orbit answered from cache with no misses or evictions (http://$addr)"
