@@ -388,13 +388,12 @@ func BenchmarkSweepPolicies(b *testing.B) {
 func BenchmarkSweepProvenance(b *testing.B) {
 	var snap sweep.ProvenanceSnapshot
 	for i := 0; i < b.N; i++ {
-		prov := sweep.NewProvenance(0)
-		eng := sweep.NewEngine(sweep.Options{Workers: 4, Provenance: prov})
+		eng := sweep.NewEngine(sweep.Options{Workers: 4, Provenance: sweep.NewProvenance(0)})
 		for _, g := range sweepBenchGrid {
 			eng.Grid(g.m, g.nc)
 		}
 		eng.NStreamGrid(4, 1, 4)
-		snap = prov.Snapshot()
+		snap = *eng.Snapshot().Provenance
 	}
 	var analytic, cache, sim, resolved int64
 	for _, f := range snap.Families {

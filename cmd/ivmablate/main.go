@@ -124,7 +124,7 @@ func main() {
 	}
 	if *provenanceFlag && eng != nil {
 		fmt.Println("== result provenance of the engine studies")
-		fmt.Print(prov.Snapshot().Table())
+		fmt.Print(eng.Snapshot().Provenance.Table())
 		fmt.Println()
 	}
 	if *metricsOut != "" && eng != nil {

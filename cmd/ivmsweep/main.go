@@ -130,11 +130,15 @@ func main() {
 	if *latencyFlag {
 		itemLatency = obs.NewLatencyHist()
 	}
-	eng := sweep.NewEngine(sweep.Options{
+	eopt := sweep.Options{
 		Workers: *workers, CacheSize: *cache, CollectStats: *showStats,
 		Timeline: timeline, Analytic: analytic, PackedKernel: packed,
-		Provenance: prov, ItemLatency: latencySink(itemLatency),
-	})
+		Provenance: prov,
+	}
+	if itemLatency != nil {
+		eopt.ItemLatency = itemLatency
+	}
+	eng := sweep.NewEngine(eopt)
 	var prog *obs.Progress
 	if *progressEvery > 0 || *metricsAddr != "" {
 		prog = obs.NewProgress(eng)
@@ -166,11 +170,11 @@ func main() {
 	}
 	if *provenanceFlag {
 		fmt.Println()
-		fmt.Print(prov.Snapshot().Table())
+		fmt.Print(eng.Snapshot().Provenance.Table())
 	}
 	if *provenanceCSV != "" {
 		if err := writeFile(*provenanceCSV, func(w *os.File) error {
-			return prov.Snapshot().WriteCSV(w)
+			return eng.Snapshot().Provenance.WriteCSV(w)
 		}); err != nil {
 			fail("%v", err)
 		}
@@ -265,15 +269,6 @@ func exportCache(eng *sweep.Engine, dir string) error {
 	fmt.Fprintf(os.Stderr, "exported %d cached states to %s (%d new)\n",
 		len(records), store.Path(), added)
 	return nil
-}
-
-// latencySink adapts a possibly-nil histogram to the engine's sink
-// interface without boxing a typed nil into a non-nil interface.
-func latencySink(h *obs.LatencyHist) sweep.LatencySink {
-	if h == nil {
-		return nil
-	}
-	return h
 }
 
 // sweepFlags collects the mutually exclusive sweep-family selectors
@@ -418,7 +413,7 @@ func traceOnePair(m, nc int, spec string) (*obs.Tracer, error) {
 	tr := obs.Attach(sys, obs.TracerOptions{})
 	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, int64(d1)))
 	sys.AddPort(1, "2", memsys.NewInfiniteStrided(int64(b2), int64(d2)))
-	cyc, err := sys.FindCycle(1 << 22)
+	cyc, err := sys.FindCycle(sweep.FindCycleBudget)
 	if err != nil {
 		return nil, fmt.Errorf("trace pair %s: %w", spec, err)
 	}

@@ -66,9 +66,9 @@ func progressAt(total, done int64, since time.Time) ProgressSnapshot {
 }
 
 // Line renders the one-line status: completion, throughput, ETA, and
-// the per-path split of the placements resolved so far. Every
-// simulation runs exactly one steady-state detection, so the engine's
-// CyclesFound is the simulated share.
+// the per-path split of the placements resolved so far, read from the
+// engine's answer tally through Metrics (CyclesFound is the tally's
+// simulated count, cached or not).
 func (p *Progress) Line() string {
 	s := p.Snapshot()
 	pctDone := 0.0

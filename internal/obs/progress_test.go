@@ -35,11 +35,16 @@ func TestProgressTracksEngine(t *testing.T) {
 	}
 }
 
-// The status line's path split comes from the engine's own counters:
-// it must equal the split a provenance recorder attributes.
+// The status line's path split comes from the engine's answer tally,
+// with or without caching: it must equal the tally's split.
 func TestProgressLineAndPaths(t *testing.T) {
-	prov := sweep.NewProvenance(0)
-	eng := sweep.NewEngine(sweep.Options{Workers: 2, Provenance: prov})
+	for _, cache := range []int{0, -1} {
+		t.Run(fmt.Sprintf("cache=%d", cache), func(t *testing.T) { checkProgressLine(t, cache) })
+	}
+}
+
+func checkProgressLine(t *testing.T, cacheSize int) {
+	eng := sweep.NewEngine(sweep.Options{Workers: 2, CacheSize: cacheSize})
 	prog := NewProgress(eng)
 	eng.Grid(13, 4)
 	line := prog.Line()
@@ -49,7 +54,7 @@ func TestProgressLineAndPaths(t *testing.T) {
 		}
 	}
 	var analytic, cache, sim int64
-	for _, f := range prov.Snapshot().Families {
+	for _, f := range eng.Tally() {
 		analytic += f.Analytic
 		cache += f.CacheHits
 		sim += f.SimScalar + f.SimPacked
@@ -57,7 +62,7 @@ func TestProgressLineAndPaths(t *testing.T) {
 	n := analytic + cache + sim
 	want := fmt.Sprintf("paths: analytic %s, cache %s, sim %s", pctOf(analytic, n), pctOf(cache, n), pctOf(sim, n))
 	if !strings.HasSuffix(line, want) {
-		t.Errorf("status line %q, want the provenance split %q", line, want)
+		t.Errorf("status line %q, want the tally's split %q", line, want)
 	}
 }
 

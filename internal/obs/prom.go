@@ -308,10 +308,9 @@ func provenancePromMetrics(ps sweep.ProvenanceSnapshot) []PromMetric {
 	sort.Strings(names)
 	for _, name := range names {
 		f := ps.Families[name]
-		path = path.Sample("family", name, "path", sweep.PathAnalytic.String(), f.Analytic)
-		path = path.Sample("family", name, "path", sweep.PathCache.String(), f.CacheHits)
-		path = path.Sample("family", name, "path", sweep.PathSimScalar.String(), f.SimScalar)
-		path = path.Sample("family", name, "path", sweep.PathSimPacked.String(), f.SimPacked)
+		for p := sweep.PathAnalytic; p <= sweep.PathSimPacked; p++ {
+			path = path.Sample("family", name, "path", p.String(), f.Count(p))
+		}
 		thms := make([]string, 0, len(f.Theorems))
 		for id := range f.Theorems {
 			thms = append(thms, id)

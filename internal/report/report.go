@@ -82,11 +82,11 @@ func Engine(w io.Writer, eng *sweep.Engine) {
 	fmt.Fprintln(w, "## Sweep engine")
 	fmt.Fprintln(w)
 	fmt.Fprint(w, eng.Metrics().Table())
-	if prov := eng.Options().Provenance; prov != nil {
+	if prov := eng.Snapshot().Provenance; prov != nil {
 		fmt.Fprintln(w)
 		fmt.Fprintln(w, "## Result provenance")
 		fmt.Fprintln(w)
-		fmt.Fprint(w, prov.Snapshot().Table())
+		fmt.Fprint(w, prov.Table())
 	}
 }
 

@@ -18,6 +18,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ivm/internal/sweep"
 )
 
 // syncWriter serialises the access log against test readers.
@@ -129,49 +131,73 @@ func TestRequestIDPropagation(t *testing.T) {
 
 // TestAccessLog checks the one-line-per-request slog contract: the
 // request ID is byte-greppable and the line carries endpoint, status,
-// answer path and theorem.
+// answer path and theorem — for a single query and for a sweep, whose
+// line names the sweep's dominant answer path.
 func TestAccessLog(t *testing.T) {
 	var logw syncWriter
 	_, ts := newTestServer(t, Options{
 		Workers:   1,
 		AccessLog: slog.New(slog.NewJSONHandler(&logw, nil)),
 	})
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/bandwidth", strings.NewReader(pinnedPairSpec))
-	if err != nil {
-		t.Fatal(err)
+	get := func(method, path, body, id string) {
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Request-ID", id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // body irrelevant here
+		resp.Body.Close()
 	}
-	req.Header.Set("X-Request-ID", "grep-me-123")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck // body irrelevant here
-	resp.Body.Close()
+	get(http.MethodPost, "/v1/bandwidth", pinnedPairSpec, "grep-me-123")
+	// m=12 nc=3 (1,3) is gated at every start (eq-29).
+	get(http.MethodGet, "/v1/sweep?m=12&nc=3&d1=1&d2=3", "", "grep-sweep-456")
 
-	var line map[string]any
+	for id, want := range map[string]map[string]any{
+		"grep-me-123": {
+			"msg": "request", "id": "grep-me-123", "endpoint": "bandwidth",
+			"status": 200.0, "path": "analytic", "theorem": "eq-29", "results": 1.0,
+		},
+		"grep-sweep-456": {
+			"msg": "request", "id": "grep-sweep-456", "endpoint": "sweep",
+			"status": 200.0, "path": "analytic", "family": "pair", "results": 12.0,
+		},
+	} {
+		line := accessLogLine(t, &logw, id)
+		for key, v := range want {
+			if got := line[key]; got != v {
+				t.Errorf("%s: access log %s = %v, want %v", id, key, got, v)
+			}
+		}
+		if dur, ok := line["dur_ms"].(float64); !ok || dur < 0 {
+			t.Errorf("%s: access log dur_ms = %v", id, line["dur_ms"])
+		}
+	}
+}
+
+// accessLogLine waits for the access-log line of request id (written
+// after the response, so a beat behind the client) and decodes it.
+func accessLogLine(t *testing.T, logw *syncWriter, id string) map[string]any {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if raw := logw.String(); strings.Contains(raw, "grep-me-123") {
-			if err := json.Unmarshal([]byte(strings.SplitN(raw, "\n", 2)[0]), &line); err != nil {
+		for _, raw := range strings.Split(logw.String(), "\n") {
+			if !strings.Contains(raw, `"id":"`+id+`"`) {
+				continue
+			}
+			var line map[string]any
+			if err := json.Unmarshal([]byte(raw), &line); err != nil {
 				t.Fatalf("access log line is not JSON: %v\n%s", err, raw)
 			}
-			break
+			return line
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("request ID never reached the access log:\n%s", logw.String())
+			t.Fatalf("request ID %s never reached the access log:\n%s", id, logw.String())
 		}
 		time.Sleep(time.Millisecond)
-	}
-	for key, want := range map[string]any{
-		"msg": "request", "id": "grep-me-123", "endpoint": "bandwidth",
-		"status": 200.0, "path": "analytic", "theorem": "eq-29", "results": 1.0,
-	} {
-		if got := line[key]; got != want {
-			t.Errorf("access log %s = %v, want %v", key, got, want)
-		}
-	}
-	if dur, ok := line["dur_ms"].(float64); !ok || dur < 0 {
-		t.Errorf("access log dur_ms = %v", line["dur_ms"])
 	}
 }
 
@@ -387,5 +413,101 @@ func TestSanitizeRequestID(t *testing.T) {
 		if got := sanitizeRequestID(raw); got != want {
 			t.Errorf("sanitizeRequestID(%q) = %q, want %q", raw, got, want)
 		}
+	}
+}
+
+// scrape fetches /metrics and indexes every sample line by its series
+// (name plus label set, as printed).
+func scrape(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out := make(map[string]float64)
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		var v float64
+		if _, err := fmt.Sscanf(line[i+1:], "%g", &v); err != nil {
+			t.Fatalf("bad sample %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// TestServedCountersAgree drives a mixed batch — a gated pair, a
+// simulated 4-stream spec and its repeat, a cache hit — plus one sweep,
+// and checks that every counter of answered placements reads the one
+// engine tally: ivmserved_responses_total per path equals the paths the
+// responses carried, the tally summed over families, and
+// ivm_provenance_path_total summed over families; and that each
+// endpoint's request count and seconds are its histogram's _count and
+// _sum.
+func TestServedCountersAgree(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Workers: 1})
+	four := `{"m":16,"nc":4,"streams":[{"d":1,"b":0,"cpu":0},{"d":3,"b":5,"cpu":1},{"d":5,"b":2,"cpu":0},{"d":7,"b":9,"cpu":1}]}`
+	status, body := postJSON(t, ts.URL+"/v1/batch", `{"specs":[`+pinnedPairSpec+`,`+four+`,`+four+`]}`)
+	if status != http.StatusOK {
+		t.Fatalf("batch: %d %s", status, body)
+	}
+	var batch BatchResponse
+	if err := json.Unmarshal(body, &batch); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int64{}
+	for _, r := range batch.Results {
+		seen[r.Path]++
+	}
+	if seen["analytic"] != 1 || seen["sim-packed"] != 1 || seen["cache"] != 1 {
+		t.Fatalf("batch paths %v, want one analytic, one sim-packed, one cache", seen)
+	}
+	resp, err := http.Get(ts.URL + "/v1/sweep?m=13&nc=4&d1=1&d2=6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var row SweepRowJSON
+		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
+			t.Fatal(err)
+		}
+		seen[row.Path]++
+	}
+	resp.Body.Close()
+
+	m := scrape(t, ts.URL)
+	tally := srv.Engine().Tally()
+	for p := sweep.PathAnalytic; p <= sweep.PathSimPacked; p++ {
+		var fromTally int64
+		var fromProv float64
+		for fam, f := range tally {
+			fromTally += f.Count(p)
+			fromProv += m[fmt.Sprintf(`ivm_provenance_path_total{family=%q,path=%q}`, fam, p)]
+		}
+		got := m[fmt.Sprintf(`ivmserved_responses_total{path=%q}`, p)]
+		if got != float64(seen[p.String()]) || got != float64(fromTally) || got != fromProv {
+			t.Errorf("path %s: responses_total %g, responses carried %d, tally %d, provenance %g",
+				p, got, seen[p.String()], fromTally, fromProv)
+		}
+	}
+	for _, ep := range endpointNames {
+		label := fmt.Sprintf(`{endpoint=%q}`, ep)
+		if req, n := m["ivmserved_requests_total"+label], m["ivmserved_request_duration_seconds_count"+label]; req != n {
+			t.Errorf("%s: requests_total %g != histogram _count %g", ep, req, n)
+		}
+		if secs, sum := m["ivmserved_request_seconds_total"+label], m["ivmserved_request_duration_seconds_sum"+label]; secs != sum {
+			t.Errorf("%s: request_seconds_total %g != histogram _sum %g", ep, secs, sum)
+		}
+	}
+	if m[`ivmserved_requests_total{endpoint="batch"}`] != 1 || m[`ivmserved_requests_total{endpoint="sweep"}`] != 1 {
+		t.Errorf("request counts drifted: batch %g, sweep %g",
+			m[`ivmserved_requests_total{endpoint="batch"}`], m[`ivmserved_requests_total{endpoint="sweep"}`])
 	}
 }

@@ -104,43 +104,49 @@ func withRequestInfo(ctx context.Context, info *reqInfo) context.Context {
 }
 
 // traceRingCapacity bounds the completed request traces retained for
-// /debug/requests.trace.
-const traceRingCapacity = 256
+// /debug/requests.trace; slowRingCapacity the slow requests retained
+// for /statusz.
+const (
+	traceRingCapacity = 256
+	slowRingCapacity  = 32
+)
 
-// traceRing retains the last traceRingCapacity completed requests.
-type traceRing struct {
-	mu    sync.Mutex
-	buf   []obs.RequestTrace
-	next  int
-	total int64
+// ring retains the last capacity values added, plus the all-time
+// count.
+type ring[T any] struct {
+	mu       sync.Mutex
+	capacity int
+	buf      []T
+	next     int
+	total    int64
 }
 
-// add retains one completed request, evicting the oldest past
-// capacity.
-func (r *traceRing) add(t obs.RequestTrace) {
+// newRing builds an empty ring retaining at most capacity values.
+func newRing[T any](capacity int) *ring[T] { return &ring[T]{capacity: capacity} }
+
+// add retains one value, evicting the oldest past capacity.
+func (r *ring[T]) add(v T) {
 	r.mu.Lock()
-	if len(r.buf) < traceRingCapacity {
-		r.buf = append(r.buf, t)
+	if len(r.buf) < r.capacity {
+		r.buf = append(r.buf, v)
 	} else {
-		r.buf[r.next] = t
-		r.next = (r.next + 1) % traceRingCapacity
+		r.buf[r.next] = v
+		r.next = (r.next + 1) % r.capacity
 	}
 	r.total++
 	r.mu.Unlock()
 }
 
-// snapshot returns the retained traces oldest-first.
-func (r *traceRing) snapshot() []obs.RequestTrace {
+// snapshot returns the retained values oldest-first plus the all-time
+// count.
+func (r *ring[T]) snapshot() ([]T, int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]obs.RequestTrace, 0, len(r.buf))
+	out := make([]T, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
 	out = append(out, r.buf[:r.next]...)
-	return out
+	return out, r.total
 }
-
-// slowRingCapacity bounds the slow requests retained for /statusz.
-const slowRingCapacity = 32
 
 // slowEntry is one retained slow request: identity, outcome, full
 // provenance and the span breakdown, enough to triage without
@@ -156,36 +162,4 @@ type slowEntry struct {
 	Family   string
 	Results  int
 	Spans    []obs.Span
-}
-
-// slowRing retains the last slowRingCapacity slow requests.
-type slowRing struct {
-	mu    sync.Mutex
-	buf   []slowEntry
-	next  int
-	total int64
-}
-
-// add retains one slow request, evicting the oldest past capacity.
-func (r *slowRing) add(e slowEntry) {
-	r.mu.Lock()
-	if len(r.buf) < slowRingCapacity {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.next] = e
-		r.next = (r.next + 1) % slowRingCapacity
-	}
-	r.total++
-	r.mu.Unlock()
-}
-
-// snapshot returns the retained slow requests oldest-first plus the
-// all-time slow count.
-func (r *slowRing) snapshot() ([]slowEntry, int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]slowEntry, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out, r.total
 }

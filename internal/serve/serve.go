@@ -68,17 +68,6 @@ type Options struct {
 	SlowThreshold time.Duration
 }
 
-// numPaths is the provenance path count ([sweep.PathAnalytic,
-// sweep.PathSimPacked] is the engine's full range).
-const numPaths = int(sweep.PathSimPacked) + 1
-
-// endpointStats is one endpoint's request counters.
-type endpointStats struct {
-	requests atomic.Int64
-	errors   atomic.Int64
-	nanos    atomic.Int64
-}
-
 // endpointNames indexes the instrumented endpoints.
 var endpointNames = []string{"bandwidth", "batch", "sweep", "healthz"}
 
@@ -86,7 +75,6 @@ var endpointNames = []string{"bandwidth", "batch", "sweep", "healthz"}
 // with Handler; the Server holds no listener of its own.
 type Server struct {
 	eng    *sweep.Engine
-	prov   *sweep.Provenance
 	store  *cachestore.Store
 	reg    *obs.Registry
 	seeded int
@@ -97,11 +85,13 @@ type Server struct {
 	idBase        string
 	reqSeq        atomic.Int64
 
-	endpoints [4]endpointStats
-	latency   [4]*obs.LatencyHist
-	paths     [numPaths]atomic.Int64
-	traces    traceRing
-	slow      slowRing
+	// latency is each endpoint's request count, summed duration and
+	// distribution in one histogram; errors counts its 4xx/5xx answers.
+	// Answer paths are the engine's tally (sweep.Engine.Tally).
+	latency [4]*obs.LatencyHist
+	errors  [4]atomic.Int64
+	traces  *ring[obs.RequestTrace]
+	slow    *ring[slowEntry]
 }
 
 // New builds a server: a provenance-recording engine sized for the
@@ -125,13 +115,14 @@ func New(opt Options) (*Server, error) {
 		return nil, fmt.Errorf("serve: caching disabled (CacheSize %d): the server IS the cache", opt.CacheSize)
 	}
 	s := &Server{
-		prov:          sweep.NewProvenance(0),
 		store:         opt.Store,
 		reg:           obs.NewRegistry(),
 		accessLog:     opt.AccessLog,
 		slowThreshold: opt.SlowThreshold,
 		start:         time.Now(),
 		idBase:        newIDBase(),
+		traces:        newRing[obs.RequestTrace](traceRingCapacity),
+		slow:          newRing[slowEntry](slowRingCapacity),
 	}
 	for i := range s.latency {
 		s.latency[i] = obs.NewLatencyHist()
@@ -139,7 +130,7 @@ func New(opt Options) (*Server, error) {
 	eopt := sweep.Options{
 		Workers:      opt.Workers,
 		CacheSize:    size,
-		Provenance:   s.prov,
+		Provenance:   sweep.NewProvenance(0),
 		Analytic:     opt.Analytic,
 		PackedKernel: opt.PackedKernel,
 	}
@@ -221,7 +212,6 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // on the response), the slog access log, the slow-query log, and the
 // completed-request trace ring.
 func (s *Server) instrument(endpoint int, h http.Handler) http.Handler {
-	st := &s.endpoints[endpoint]
 	name := endpointNames[endpoint]
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
@@ -233,11 +223,9 @@ func (s *Server) instrument(endpoint int, h http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h.ServeHTTP(sw, r.WithContext(ctx))
 		dur := time.Since(t0)
-		st.requests.Add(1)
-		st.nanos.Add(dur.Nanoseconds())
 		s.latency[endpoint].Observe(dur)
 		if sw.status >= 400 {
-			st.errors.Add(1)
+			s.errors[endpoint].Add(1)
 		}
 		spans := tc.Spans()
 		s.traces.add(obs.RequestTrace{
@@ -310,14 +298,22 @@ func spanBreakdown(spans []obs.Span) string {
 	return out
 }
 
-// countPath folds one resolution into the hit-path counters.
-func (s *Server) countPath(p sweep.Path) {
-	if i := int(p); i >= 0 && i < numPaths {
-		s.paths[i].Add(1)
+// pathCounts sums the engine's answer tally over families: the
+// results resolved by each answer path (every placement the server's
+// engine resolves is one query result).
+func (s *Server) pathCounts() [sweep.PathSimPacked + 1]int64 {
+	var n [sweep.PathSimPacked + 1]int64
+	for _, f := range s.eng.Tally() {
+		for p := range n {
+			n[p] += f.Count(sweep.Path(p))
+		}
 	}
+	return n
 }
 
-// promMetrics renders the ivmserved_* counters.
+// promMetrics renders the ivmserved_* counters: request counts and
+// seconds are each endpoint's histogram count and sum, the answer-path
+// split is the engine's tally.
 func (s *Server) promMetrics() []obs.PromMetric {
 	req := obs.PromMetric{Name: "ivmserved_requests_total",
 		Help: "API requests served, by endpoint.", Type: "counter"}
@@ -325,21 +321,19 @@ func (s *Server) promMetrics() []obs.PromMetric {
 		Help: "API requests answered with a 4xx/5xx status, by endpoint.", Type: "counter"}
 	secs := obs.PromMetric{Name: "ivmserved_request_seconds_total",
 		Help: "Wall time spent handling API requests, by endpoint.", Type: "counter"}
-	for i, name := range endpointNames {
-		st := &s.endpoints[i]
-		req = req.Sample("endpoint", name, st.requests.Load())
-		errs = errs.Sample("endpoint", name, st.errors.Load())
-		secs = secs.Sample("endpoint", name, float64(st.nanos.Load())/1e9)
-	}
 	hist := obs.Histogram("ivmserved_request_duration_seconds",
 		"API request latency distribution, by endpoint (log2 buckets).")
 	for i, name := range endpointNames {
-		hist = hist.HistSample(s.latency[i].Snapshot(), "endpoint", name)
+		snap := s.latency[i].Snapshot()
+		req = req.Sample("endpoint", name, snap.Count)
+		errs = errs.Sample("endpoint", name, s.errors[i].Load())
+		secs = secs.Sample("endpoint", name, snap.SumSeconds)
+		hist = hist.HistSample(snap, "endpoint", name)
 	}
 	paths := obs.PromMetric{Name: "ivmserved_responses_total",
-		Help: "Query results returned, by answer path.", Type: "counter"}
-	for i := 0; i < numPaths; i++ {
-		paths = paths.Sample("path", sweep.Path(i).String(), s.paths[i].Load())
+		Help: "Query results resolved, by answer path.", Type: "counter"}
+	for p, n := range s.pathCounts() {
+		paths = paths.Sample("path", sweep.Path(p).String(), n)
 	}
 	out := []obs.PromMetric{req, errs, secs, hist, paths,
 		obs.Gauge("ivmserved_cache_seeded_records",
@@ -400,7 +394,6 @@ func (s *Server) handleBandwidth(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.countPath(res.Path)
 	info.path = res.Path.String()
 	info.theorem = res.Theorem
 	info.family = res.Family
@@ -450,7 +443,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := BatchResponse{Results: make([]ResultJSON, len(results)), Paths: make(map[string]int)}
 	for i, res := range results {
-		s.countPath(res.Path)
 		resp.Results[i] = resultJSON(res)
 		resp.Paths[res.Path.String()]++
 	}
@@ -580,7 +572,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	paths := make(map[string]int)
+	for _, res := range results {
+		paths[res.Path.String()]++
+	}
 	info.results = len(results)
+	info.path = dominantPath(paths)
 	if len(results) > 0 {
 		info.family = results[0].Family
 	}
@@ -589,7 +586,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	es := info.tc.Start()
 	for b2, res := range results {
-		s.countPath(res.Path)
 		if err := enc.Encode(SweepRowJSON{B2: b2, ResultJSON: resultJSON(res)}); err != nil {
 			return // client gone; rows already written stand
 		}
@@ -610,7 +606,8 @@ func (s *Server) handleRequestTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	obs.WriteRequestTrace(w, s.traces.snapshot()) //nolint:errcheck // client gone
+	traces, _ := s.traces.snapshot()
+	obs.WriteRequestTrace(w, traces) //nolint:errcheck // client gone
 }
 
 // handleHealthz reports liveness plus store integrity: 200 with

@@ -34,17 +34,16 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "%-10s %10s %8s %10s %10s %10s %10s\n",
 		"endpoint", "requests", "errors", "mean", "p50", "p95", "p99")
 	for i, name := range endpointNames {
-		st := &s.endpoints[i]
 		snap := s.latency[i].Snapshot()
 		fmt.Fprintf(&b, "%-10s %10d %8d %10s %10s %10s %10s\n",
-			name, st.requests.Load(), st.errors.Load(),
+			name, snap.Count, s.errors[i].Load(),
 			fmtStatusDur(snap.Mean()), fmtStatusDur(snap.P50),
 			fmtStatusDur(snap.P95), fmtStatusDur(snap.P99))
 	}
 
 	b.WriteString("\nanswer paths\n------------\n")
-	for i := 0; i < numPaths; i++ {
-		fmt.Fprintf(&b, "%-12s %10d\n", sweep.Path(i).String(), s.paths[i].Load())
+	for p, n := range s.pathCounts() {
+		fmt.Fprintf(&b, "%-12s %10d\n", sweep.Path(p).String(), n)
 	}
 
 	snap := s.eng.Snapshot()
@@ -55,15 +54,15 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "cache evicted:     %d\n", s.eng.CacheEvicted())
 	fmt.Fprintf(&b, "cache hit rate:    %.4f\n", snap.CacheHitRate)
 	fmt.Fprintf(&b, "analytic hit rate: %.4f\n", snap.AnalyticHitRate)
-	if len(snap.FamilyHitRates) > 0 {
-		fams := make([]string, 0, len(snap.FamilyHitRates))
-		for name := range snap.FamilyHitRates {
-			fams = append(fams, name)
+	if fams := snap.Metrics.Families; len(fams) > 0 {
+		names := make([]string, 0, len(fams))
+		for name := range fams {
+			names = append(names, name)
 		}
-		sort.Strings(fams)
+		sort.Strings(names)
 		b.WriteString("per-family cache hit rates:\n")
-		for _, name := range fams {
-			fmt.Fprintf(&b, "  %-16s %.4f\n", name, snap.FamilyHitRates[name])
+		for _, name := range names {
+			fmt.Fprintf(&b, "  %-16s %.4f\n", name, snap.Metrics.FamilyHitRate(name))
 		}
 	}
 

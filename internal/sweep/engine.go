@@ -1,12 +1,9 @@
 package sweep
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,9 +16,10 @@ import (
 	"ivm/internal/textplot"
 )
 
-// findCycleBudget is the per-simulation clock budget for steady-state
-// detection, shared by the sequential and parallel paths.
-const findCycleBudget = 1 << 22
+// FindCycleBudget is the per-simulation clock budget for steady-state
+// detection, shared by the sequential and parallel paths and by the
+// CLIs that trace one pair's search.
+const FindCycleBudget = 1 << 22
 
 // DefaultCacheSize is the engine's cyclic-state cache capacity (total
 // entries across shards) when Options.CacheSize is zero.
@@ -128,138 +126,52 @@ func (o Options) kernel() memsys.Kernel {
 }
 
 // FamilyMetrics is the cache and fast-path traffic of one configuration
-// family.
+// family, derived from the engine's answer tally.
 type FamilyMetrics struct {
-	Hits     int64
-	Misses   int64
-	Analytic int64
+	Hits     int64 `json:"cache_hits"`
+	Misses   int64 `json:"cache_misses"`
+	Analytic int64 `json:"analytic_hits"`
 }
 
 // Metrics are the engine's cumulative counters. All values aggregate
 // over every sweep the engine has run; Families splits the cache
 // totals by configuration family (ConfigSpec.Family), holding only
-// families that saw traffic. The JSON encoding is stable across the
-// ConfigSpec refactor: the historical families keep their flat
-// pair_cache_hits / triple_cache_misses / … field names (emitted even
-// when zero), and any other family appears as <family>_cache_hits /
-// <family>_cache_misses.
+// families that saw traffic. The placement counts (hits, misses,
+// analytic answers, cycles and steps) are all read from the answer
+// tally (see Tally); misses count simulations only while caching is
+// enabled, so HitRate stays a cache hit rate.
 type Metrics struct {
-	CacheHits   int64 // starts answered from the memo cache (all families)
-	CacheMisses int64 // starts that had to be simulated (all families)
+	CacheHits   int64 `json:"cache_hits"`   // starts answered from the memo cache (all families)
+	CacheMisses int64 `json:"cache_misses"` // starts that had to be simulated (all families)
 	// AnalyticHits counts starts answered by the theorem-driven
 	// classifier gate (Options.Analytic) without simulating or touching
-	// the cache; encoded as analytic_hits / <family>_analytic_hits.
-	AnalyticHits int64
+	// the cache.
+	AnalyticHits int64 `json:"analytic_hits"`
 	// Families is the per-family cache traffic, keyed by
 	// ConfigSpec.Family ("pair", "triple", "section", "stream4", …).
-	Families       map[string]FamilyMetrics
-	CacheEntries   int   // entries currently cached
-	CyclesFound    int64 // cyclic steady states detected
-	StepsSimulated int64 // clock periods stepped across all simulations
-	PairsSwept     int64 // sweep units (pairs/triples/section pairs/specs) completed
+	Families       map[string]FamilyMetrics `json:"families,omitempty"`
+	CacheEntries   int                      `json:"cache_entries"`   // entries currently cached
+	CyclesFound    int64                    `json:"cycles_found"`    // cyclic steady states detected
+	StepsSimulated int64                    `json:"steps_simulated"` // clock periods stepped across all simulations
+	PairsSwept     int64                    `json:"pairs_swept"`     // sweep units (pairs/triples/section pairs/specs) completed
 	// PackedFallbacks counts specs that requested the packed kernel but
 	// were compiled onto the scalar one because the packed grant loop
 	// does not implement their priority rule
 	// (memsys.PackedSupportsPriority). Structurally zero while every
 	// known rule is packed-supported; the counter keeps any future
-	// partial-coverage kernel honest. Encoded as packed_fallbacks.
-	PackedFallbacks int64
+	// partial-coverage kernel honest.
+	PackedFallbacks int64 `json:"packed_fallbacks"`
 }
 
-// legacyFamilies are the families that predate the generic spec layer;
-// their counters are always present in the JSON encoding, zero or not,
-// so downstream consumers of BENCH_sweep.json keep their fields.
-var legacyFamilies = []string{"pair", "triple", "section"}
-
-// familyOrder lists the families of m in rendering order: the legacy
-// three first (when present, or forced when includeLegacy), then the
-// rest sorted by name.
-func familyOrder(fams map[string]FamilyMetrics, includeLegacy bool) []string {
-	var names []string
-	for _, name := range legacyFamilies {
-		if _, ok := fams[name]; ok || includeLegacy {
-			names = append(names, name)
-		}
+// sortedKeys lists a family-keyed map's names in sorted order, the
+// order every per-family table renders in.
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
 	}
-	var rest []string
-	for name := range fams {
-		legacy := false
-		for _, l := range legacyFamilies {
-			if name == l {
-				legacy = true
-				break
-			}
-		}
-		if !legacy {
-			rest = append(rest, name)
-		}
-	}
-	sort.Strings(rest)
-	return append(names, rest...)
-}
-
-// MarshalJSON encodes the counters with the pre-refactor field layout
-// (see the Metrics doc comment).
-func (m Metrics) MarshalJSON() ([]byte, error) {
-	var b bytes.Buffer
-	b.WriteByte('{')
-	field := func(name string, v int64) {
-		if b.Len() > 1 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%q:%d", name, v)
-	}
-	field("cache_hits", m.CacheHits)
-	field("cache_misses", m.CacheMisses)
-	field("analytic_hits", m.AnalyticHits)
-	for _, name := range familyOrder(m.Families, true) {
-		f := m.Families[name]
-		field(name+"_cache_hits", f.Hits)
-		field(name+"_cache_misses", f.Misses)
-		field(name+"_analytic_hits", f.Analytic)
-	}
-	field("cache_entries", int64(m.CacheEntries))
-	field("cycles_found", m.CyclesFound)
-	field("steps_simulated", m.StepsSimulated)
-	field("pairs_swept", m.PairsSwept)
-	field("packed_fallbacks", m.PackedFallbacks)
-	b.WriteByte('}')
-	return b.Bytes(), nil
-}
-
-// UnmarshalJSON inverts MarshalJSON, rebuilding Families from the
-// <family>_cache_hits/_misses fields (families without traffic are
-// dropped, matching what Engine.Metrics reports).
-func (m *Metrics) UnmarshalJSON(data []byte) error {
-	var raw map[string]int64
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	*m = Metrics{
-		CacheHits:       raw["cache_hits"],
-		CacheMisses:     raw["cache_misses"],
-		AnalyticHits:    raw["analytic_hits"],
-		CacheEntries:    int(raw["cache_entries"]),
-		CyclesFound:     raw["cycles_found"],
-		StepsSimulated:  raw["steps_simulated"],
-		PairsSwept:      raw["pairs_swept"],
-		PackedFallbacks: raw["packed_fallbacks"],
-	}
-	for k, hits := range raw {
-		if k == "cache_hits" || !strings.HasSuffix(k, "_cache_hits") {
-			continue
-		}
-		name := strings.TrimSuffix(k, "_cache_hits")
-		f := FamilyMetrics{Hits: hits, Misses: raw[name+"_cache_misses"], Analytic: raw[name+"_analytic_hits"]}
-		if f.Hits+f.Misses+f.Analytic == 0 {
-			continue
-		}
-		if m.Families == nil {
-			m.Families = make(map[string]FamilyMetrics)
-		}
-		m.Families[name] = f
-	}
-	return nil
+	sort.Strings(names)
+	return names
 }
 
 func hitRate(hits, misses int64) float64 {
@@ -293,8 +205,8 @@ func (m Metrics) FamilyHitRate(name string) float64 {
 }
 
 // Table renders the counters as an aligned text table. Per-family
-// cache rows appear only for families that saw traffic, legacy
-// families first.
+// cache rows appear only for families that saw traffic, sorted by
+// name.
 func (m Metrics) Table() string {
 	t := &textplot.Table{Header: []string{"engine counter", "value"}}
 	t.Add("sweep units", m.PairsSwept)
@@ -309,11 +221,8 @@ func (m Metrics) Table() string {
 	if m.PackedFallbacks > 0 {
 		t.Add("packed fallbacks", m.PackedFallbacks)
 	}
-	for _, name := range familyOrder(m.Families, false) {
+	for _, name := range sortedKeys(m.Families) {
 		f := m.Families[name]
-		if f.Hits+f.Misses+f.Analytic == 0 {
-			continue
-		}
 		t.Add(name+" hit rate",
 			fmt.Sprintf("%.1f%% (%d/%d)", hitRate(f.Hits, f.Misses)*100, f.Hits, f.Hits+f.Misses))
 	}
@@ -342,14 +251,16 @@ type Engine struct {
 	opt   Options
 	cache *bwCache
 
+	// famMu guards fams, the answer tally: one familyCounter per
+	// configuration family, the engine's only count of resolved
+	// placements (see Tally).
 	famMu sync.Mutex
 	fams  map[string]*familyCounter
 
 	// pairs counts completed work items (Metrics.PairsSwept), planned
 	// the items every sweep and batch announced, and startNS is the
 	// wall clock of the first announcement; WorkItems reads all three.
-	cycles, steps, pairs, planned atomic.Int64
-	packedFallbacks, startNS      atomic.Int64
+	pairs, planned, packedFallbacks, startNS atomic.Int64
 
 	// Observability counters (see Snapshot): wall time spent inside
 	// sweep calls, wall time inside steady-state detection, and the
@@ -361,17 +272,21 @@ type Engine struct {
 	workerTotals []WorkerStat
 }
 
-// familyCounter is one family's hit/miss/analytic counters; workers
-// cache the pointer per compiled spec so the hot path is two atomic
-// adds away from the map.
+// familyCounter is one family's answer tally: placements by answer
+// path, analytic answers by theorem, and the clocks its simulations
+// stepped. worker.record is its only writer; compile resolves the
+// family and theorem counters once per spec, so recording an answer
+// is an atomic add away from the maps.
 type familyCounter struct {
-	hits, misses, analytic atomic.Int64
+	paths    [numPaths]atomic.Int64
+	clocks   atomic.Int64
+	theorems map[string]*atomic.Int64 // guarded by Engine.famMu
 }
 
 // NewEngine builds an engine; the zero Options select GOMAXPROCS
 // workers and the default cache size.
 func NewEngine(opt Options) *Engine {
-	e := &Engine{opt: opt}
+	e := &Engine{opt: opt, fams: make(map[string]*familyCounter)}
 	if opt.CacheSize >= 0 {
 		size := opt.CacheSize
 		if size == 0 {
@@ -385,47 +300,93 @@ func NewEngine(opt Options) *Engine {
 // Options returns the engine's configuration.
 func (e *Engine) Options() Options { return e.opt }
 
-// familyCounter returns (creating on first use) the counter of one
-// configuration family.
-func (e *Engine) familyCounter(name string) *familyCounter {
+// tally returns (creating on first use) the counter of one
+// configuration family and, unless theorem is empty, the counter of
+// one of its analytic theorems.
+func (e *Engine) tally(family, theorem string) (*familyCounter, *atomic.Int64) {
 	e.famMu.Lock()
 	defer e.famMu.Unlock()
-	if e.fams == nil {
-		e.fams = make(map[string]*familyCounter)
-	}
-	c := e.fams[name]
+	c := e.fams[family]
 	if c == nil {
-		c = &familyCounter{}
-		e.fams[name] = c
+		c = &familyCounter{theorems: make(map[string]*atomic.Int64)}
+		e.fams[family] = c
 	}
-	return c
+	if theorem == "" {
+		return c, nil
+	}
+	n := c.theorems[theorem]
+	if n == nil {
+		n = new(atomic.Int64)
+		c.theorems[theorem] = n
+	}
+	return c, n
+}
+
+// Tally reads the answer tally, the engine's one count of resolved
+// placements: per family with traffic, the placements each path
+// answered, the analytic answers per theorem and the clocks simulated.
+// The orbit fields stay zero; Snapshot joins them from the Provenance
+// recorder. Metrics, the provenance view and ivmserved's answer-path
+// counters are all read from here.
+func (e *Engine) Tally() map[string]FamilyProvenance {
+	e.famMu.Lock()
+	defer e.famMu.Unlock()
+	out := make(map[string]FamilyProvenance, len(e.fams))
+	for name, c := range e.fams {
+		f := FamilyProvenance{
+			Analytic:  c.paths[PathAnalytic].Load(),
+			CacheHits: c.paths[PathCache].Load(),
+			SimScalar: c.paths[PathSimScalar].Load(),
+			SimPacked: c.paths[PathSimPacked].Load(),
+			SimClocks: c.clocks.Load(),
+		}
+		f.Resolved = f.Analytic + f.CacheHits + f.SimScalar + f.SimPacked
+		if f.Resolved == 0 {
+			continue
+		}
+		for id, n := range c.theorems {
+			if v := n.Load(); v > 0 {
+				if f.Theorems == nil {
+					f.Theorems = make(map[string]int64)
+				}
+				f.Theorems[id] = v
+			}
+		}
+		out[name] = f
+	}
+	return out
 }
 
 // Metrics snapshots the engine's cumulative counters.
-func (e *Engine) Metrics() Metrics {
+func (e *Engine) Metrics() Metrics { return e.metrics(e.Tally()) }
+
+// metrics derives the counters from one read of the tally.
+func (e *Engine) metrics(tally map[string]FamilyProvenance) Metrics {
 	m := Metrics{
-		CyclesFound:     e.cycles.Load(),
-		StepsSimulated:  e.steps.Load(),
 		PairsSwept:      e.pairs.Load(),
 		PackedFallbacks: e.packedFallbacks.Load(),
 	}
-	e.famMu.Lock()
-	for name, c := range e.fams {
-		h, mi, an := c.hits.Load(), c.misses.Load(), c.analytic.Load()
-		if h+mi+an == 0 {
+	if e.cache != nil {
+		m.CacheEntries = e.cache.Len()
+	}
+	for name, f := range tally {
+		sims := f.SimScalar + f.SimPacked
+		m.CyclesFound += sims
+		m.StepsSimulated += f.SimClocks
+		fm := FamilyMetrics{Hits: f.CacheHits, Analytic: f.Analytic}
+		if e.cache != nil {
+			fm.Misses = sims
+		}
+		if fm.Hits+fm.Misses+fm.Analytic == 0 {
 			continue
 		}
 		if m.Families == nil {
 			m.Families = make(map[string]FamilyMetrics)
 		}
-		m.Families[name] = FamilyMetrics{Hits: h, Misses: mi, Analytic: an}
-		m.CacheHits += h
-		m.CacheMisses += mi
-		m.AnalyticHits += an
-	}
-	e.famMu.Unlock()
-	if e.cache != nil {
-		m.CacheEntries = e.cache.Len()
+		m.Families[name] = fm
+		m.CacheHits += fm.Hits
+		m.CacheMisses += fm.Misses
+		m.AnalyticHits += fm.Analytic
 	}
 	return m
 }
@@ -702,7 +663,6 @@ type compiledSpec struct {
 	family  string
 	cpus    string
 	cpuList []int
-	counter *familyCounter
 	canon   modmath.Pipeline
 	cfg     memsys.Config
 	// kernel is the inner-loop implementation this spec simulates on:
@@ -714,10 +674,15 @@ type compiledSpec struct {
 	// gate is the analytic fast path for this spec, or nil when the
 	// spec is outside the theorems' model (sectioned, not two streams)
 	// or the classifier has no start-independent closed form for it.
-	// gateTheorem is the gate's theorem identifier for provenance
-	// records, compiled once beside it.
+	// gateTheorem is the gate's theorem identifier, compiled once
+	// beside it.
 	gate        *core.PairGate
 	gateTheorem string
+
+	// counter is the family's tally and theorem the gate theorem's
+	// count (nil without a gate), resolved once per spec.
+	counter *familyCounter
+	theorem *atomic.Int64
 
 	// vec is the (d_1..d_N, b_1..b_N) canonicalisation scratch; b holds
 	// the spec's own starts, the placement ResolveBatch answers.
@@ -752,7 +717,6 @@ func (w *worker) compile(spec ConfigSpec) *compiledSpec {
 		cs.kernel = memsys.KernelScalar
 		w.e.packedFallbacks.Add(1)
 	}
-	cs.counter = w.e.familyCounter(cs.family)
 	for i, st := range spec.Streams {
 		cs.b[i] = st.B
 	}
@@ -768,6 +732,7 @@ func (w *worker) compile(spec ConfigSpec) *compiledSpec {
 			cs.gateTheorem = g.TheoremID()
 		}
 	}
+	cs.counter, cs.theorem = w.e.tally(cs.family, cs.gateTheorem)
 	return cs
 }
 
@@ -839,35 +804,38 @@ func (w *worker) resolve(cs *compiledSpec, b []int, sp SpanSink) Resolution {
 	return w.record(cs, r, key, t.tl)
 }
 
-// record is the answer route's one recording point: it accounts one
-// resolved placement in its family counter, the Timeline and the
-// Provenance and, on a cached miss, stores the answer in the cache and
-// hands it to the CacheSink. key is the placement's cache key (zero on
-// analytic answers and when caching is disabled). simNS is the Timeline
-// stamp at which a simulation began: the cache-miss instant is stamped
-// there, at the miss decision, not when the simulation has finished.
+// record is the answer route's one recording point and the only writer
+// of the answer tally: it counts one resolved placement by path (with
+// its theorem when analytic, its clocks when simulated), marks it on
+// the Timeline, adds it to its orbit's Provenance row when it was
+// canonicalised or simulated and, on a cached miss, stores the answer
+// in the cache and hands it to the CacheSink. key is the placement's
+// cache key (zero on analytic answers and when caching is disabled).
+// simNS is the Timeline stamp at which a simulation began: the
+// cache-miss instant is stamped there, at the miss decision, not when
+// the simulation has finished.
 func (w *worker) record(cs *compiledSpec, r Resolution, key cacheKey, simNS int64) Resolution {
 	e := w.e
-	tl, prov := e.opt.Timeline, e.opt.Provenance
+	tl := e.opt.Timeline
+	cs.counter.paths[r.Path].Add(1)
 	switch r.Path {
 	case PathAnalytic:
-		cs.counter.analytic.Add(1)
+		cs.theorem.Add(1)
 		tl.Instant(w.id, TimelineAnalytic, -1, cs.family)
-		prov.Analytic(cs.family, r.Theorem)
 		return r
 	case PathCache:
-		cs.counter.hits.Add(1)
 		tl.Instant(w.id, TimelineCacheHit, -1, cs.family)
-		prov.CacheHit(cs.family, cs.spec.M, cs.spec.S, cs.spec.NC, cs.vec)
+		e.opt.Provenance.observe(cs, r)
 		r.Canonical = cs.vec
 		return r
 	}
-	prov.Simulated(cs.family, cs.spec.M, cs.spec.S, cs.spec.NC, cs.vec, r.Path == PathSimPacked, r.CycleLength, r.Clocks)
+	cs.counter.clocks.Add(r.Clocks)
+	w.steps += r.Clocks
+	e.opt.Provenance.observe(cs, r)
 	if e.cache == nil {
 		return r
 	}
 	r.Canonical = cs.vec
-	cs.counter.misses.Add(1)
 	tl.instantAt(w.id, TimelineCacheMiss, simNS, -1, cs.family)
 	e.cache.put(key, r.BW)
 	if sink := e.opt.CacheSink; sink != nil {
@@ -920,26 +888,21 @@ func (t phaseTimer) end(family string) {
 }
 
 // simulate runs the compiled spec at configuration vector v on the
-// worker's reusable simulator and detects its steady state, accounting
-// the detection in the engine counters; the answer carries the kernel's
-// path and the cycle's cost.
+// worker's reusable simulator and detects its steady state; the answer
+// carries the kernel's path and the cycle's cost, which record counts.
 func (w *worker) simulate(cs *compiledSpec, v []int) Resolution {
 	sys := w.system(cs.cfg, cs.kernel)
 	addSpecStreams(sys, cs.spec, v)
 	tl := w.e.opt.Timeline
 	t0 := time.Now()
 	ts := tl.Start()
-	c, err := sys.FindCycle(findCycleBudget)
+	c, err := sys.FindCycle(FindCycleBudget)
 	w.e.cycleNS.Add(time.Since(t0).Nanoseconds())
 	tl.Slice(w.id, TimelineFindCycle, ts, -1, "")
 	if err != nil {
 		panic(fmt.Sprintf("sweep: %s: %v", describeSpec(cs.spec, v), err))
 	}
-	clocks := c.Lead + c.Length
-	w.e.cycles.Add(1)
-	w.e.steps.Add(clocks)
-	w.steps += clocks
-	r := Resolution{BW: c.EffectiveBandwidth(), Path: PathSimScalar, CycleLength: c.Length, Clocks: clocks}
+	r := Resolution{BW: c.EffectiveBandwidth(), Path: PathSimScalar, CycleLength: c.Length, Clocks: c.Lead + c.Length}
 	if cs.kernel == memsys.KernelPacked {
 		r.Path = PathSimPacked
 	}

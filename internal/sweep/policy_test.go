@@ -169,23 +169,20 @@ func TestDifferentialPackedVsScalarPolicies(t *testing.T) {
 }
 
 // TestPolicyProvenanceConservation checks the conservation invariant
-// analytic+cache+sim == resolved per policy family, and that the
-// analytic gate never answers a non-fixed-priority spec.
+// analytic+cache+sim == placements swept per policy family, and that
+// the analytic gate never answers a non-fixed-priority spec.
 func TestPolicyProvenanceConservation(t *testing.T) {
 	for _, combo := range policyCombos {
 		combo := combo
 		t.Run(fmt.Sprintf("%v_%v", combo.priority, combo.mapping), func(t *testing.T) {
 			on := true
-			prov := NewProvenance(64)
-			eng := NewEngine(Options{Workers: 2, Analytic: &on, Provenance: prov})
-			eng.SpecGrid(policySpecs(combo.priority, combo.mapping))
-			snap := prov.Snapshot()
+			eng := NewEngine(Options{Workers: 2, Analytic: &on, Provenance: NewProvenance(64)})
+			specs := policySpecs(combo.priority, combo.mapping)
+			eng.SpecGrid(specs)
+			checkConservation(t, eng, specPlacements(specs))
+			snap := eng.Snapshot().Provenance
 			for _, name := range snap.FamilyNames() {
 				f := snap.Families[name]
-				if got := f.Analytic + f.CacheHits + f.SimScalar + f.SimPacked; got != f.Resolved {
-					t.Fatalf("family %q: analytic %d + cache %d + sim %d+%d != resolved %d",
-						name, f.Analytic, f.CacheHits, f.SimScalar, f.SimPacked, f.Resolved)
-				}
 				if combo.priority != memsys.FixedPriority && f.Analytic != 0 {
 					t.Fatalf("family %q: %d analytic answers under %v; the gate must decline",
 						name, f.Analytic, combo.priority)

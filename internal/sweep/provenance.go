@@ -1,20 +1,21 @@
 package sweep
 
-// Result provenance: when Options.Provenance is set, the engine
-// records WHICH of its three answer routes resolved every placement —
-// the theorem-driven analytic gate, the canonical-key cache, or a
-// (scalar or bit-packed) simulation — together with the evidence
-// behind the answer: the theorem/equation identifier when the gate
-// fired, the canonical key and observed orbit population on cache
-// traffic, and the cycle length plus clocks simulated on misses. The
-// recorder is nil-safe like Timeline: a detached (nil) recorder costs
-// the hot path nothing and allocates nothing. The aggregated view
-// (ProvenanceSnapshot) is what makes large censuses explainable — it
-// names the per-family path split, the theorems doing the analytic
-// work, the orbit-size distribution behind each cache hit rate, and
-// the top unexplained orbits whose simulations were never reused (the
-// diagnosis of the stream4 family's low hit rate; see
-// docs/OBSERVABILITY.md).
+// Result provenance: the engine's answer tally (Engine.Tally) counts
+// WHICH of its three answer routes resolved every placement — the
+// theorem-driven analytic gate (per theorem/equation identifier), the
+// canonical-key cache, or a (scalar or bit-packed) simulation (with
+// the clocks it stepped). When Options.Provenance is set, the recorder
+// adds the per-orbit evidence behind cache traffic and simulations:
+// the canonical key, its observed population, and the cycle length
+// plus clocks of its simulations. The recorder is nil-safe like
+// Timeline: a detached (nil) recorder costs the hot path nothing and
+// allocates nothing. Engine.Snapshot joins the tally and the orbit
+// rows into the aggregated view (ProvenanceSnapshot), which is what
+// makes large censuses explainable — it names the per-family path
+// split, the theorems doing the analytic work, the orbit-size
+// distribution behind each cache hit rate, and the top unexplained
+// orbits whose simulations were never reused (the diagnosis of the
+// stream4 family's low hit rate; see docs/OBSERVABILITY.md).
 
 import (
 	"encoding/csv"
@@ -64,28 +65,22 @@ func (p Path) String() string {
 }
 
 // DefaultProvenanceOrbits bounds the per-orbit attribution table of a
-// recorder built by NewProvenance(0). Path and theorem counters stay
-// exact past the bound; only new per-orbit rows are dropped (and
-// counted in ProvenanceSnapshot.DroppedOrbits).
+// recorder built by NewProvenance(0). Path and theorem counts are the
+// engine's tally and stay exact past the bound; only new per-orbit rows
+// are dropped (and counted in ProvenanceSnapshot.DroppedOrbits).
 const DefaultProvenanceOrbits = 1 << 18
 
-// Provenance is a bounded recorder of per-placement result provenance.
-// All methods are safe for concurrent use and are no-ops on a nil
-// receiver, which is how the engine runs unrecorded — the detached
-// path adds no allocations (the overhead tests pin that).
+// Provenance is a bounded recorder of per-orbit result provenance,
+// attached to one engine through Options.Provenance. It is safe for
+// concurrent use and a no-op on a nil receiver, which is how the engine
+// runs unrecorded — the detached path adds no allocations (the overhead
+// tests pin that).
 type Provenance struct {
 	mu        sync.Mutex
 	maxOrbits int
-	fams      map[string]*famProvenance
+	rows      int // orbit rows tracked across all families
+	orbits    map[string]map[orbitKey]*orbitProvenance
 	dropped   int64
-}
-
-// famProvenance is one family's provenance aggregation.
-type famProvenance struct {
-	paths    [numPaths]int64
-	clocks   int64 // lead + cycle clocks across this family's simulations
-	theorems map[string]int64
-	orbits   map[orbitKey]*orbitProvenance
 }
 
 // orbitKey identifies one canonical orbit inside a family: the memory
@@ -107,101 +102,47 @@ type orbitProvenance struct {
 
 // NewProvenance builds a recorder tracking at most maxOrbits distinct
 // canonical orbits (0 selects DefaultProvenanceOrbits); past the
-// bound, path counters stay exact and further new orbits are only
-// counted as dropped.
+// bound, further new orbits are only counted as dropped.
 func NewProvenance(maxOrbits int) *Provenance {
 	if maxOrbits <= 0 {
 		maxOrbits = DefaultProvenanceOrbits
 	}
-	return &Provenance{maxOrbits: maxOrbits}
+	return &Provenance{maxOrbits: maxOrbits, orbits: make(map[string]map[orbitKey]*orbitProvenance)}
 }
 
-// family returns (creating on first use) one family's aggregation.
-// Callers hold p.mu.
-func (p *Provenance) family(name string) *famProvenance {
-	if p.fams == nil {
-		p.fams = make(map[string]*famProvenance)
+// observe adds one canonicalised or simulated placement of cs to its
+// orbit's row: a cache hit, or a simulation with its steady state
+// (cycle length and lead+cycle clocks). cs.vec holds the configuration
+// vector that keyed the cache or was simulated.
+func (p *Provenance) observe(cs *compiledSpec, r Resolution) {
+	if p == nil {
+		return
 	}
-	f := p.fams[name]
-	if f == nil {
-		f = &famProvenance{theorems: make(map[string]int64)}
-		p.fams[name] = f
+	key := orbitKey{cs.spec.M, cs.spec.S, cs.spec.NC, packInts(cs.vec)}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	fam := p.orbits[cs.family]
+	if fam == nil {
+		fam = make(map[orbitKey]*orbitProvenance)
+		p.orbits[cs.family] = fam
 	}
-	return f
-}
-
-// orbit returns the orbit row for key, nil when the recorder is at its
-// orbit capacity and the key is new. Callers hold p.mu.
-func (p *Provenance) orbit(f *famProvenance, key orbitKey, vec []int) *orbitProvenance {
-	if f.orbits == nil {
-		f.orbits = make(map[orbitKey]*orbitProvenance)
-	}
-	o := f.orbits[key]
+	o := fam[key]
 	if o == nil {
-		total := 0
-		for _, fam := range p.fams {
-			total += len(fam.orbits)
-		}
-		if total >= p.maxOrbits {
+		if p.rows >= p.maxOrbits {
 			p.dropped++
-			return nil
+			return
 		}
-		o = &orbitProvenance{vec: append([]int(nil), vec...)}
-		f.orbits[key] = o
+		o = &orbitProvenance{vec: append([]int(nil), cs.vec...)}
+		fam[key] = o
+		p.rows++
 	}
-	return o
-}
-
-// Analytic records a placement answered by the classifier gate under
-// the given theorem/equation identifier (core.PairGate.TheoremID).
-func (p *Provenance) Analytic(family, theorem string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	f := p.family(family)
-	f.paths[PathAnalytic]++
-	f.theorems[theorem]++
-	p.mu.Unlock()
-}
-
-// CacheHit records a placement answered from the canonical-key cache;
-// vec is the canonical configuration vector the key was built from.
-func (p *Provenance) CacheHit(family string, m, s, nc int, vec []int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	f := p.family(family)
-	f.paths[PathCache]++
-	if o := p.orbit(f, orbitKey{m, s, nc, packInts(vec)}, vec); o != nil {
+	if r.Path == PathCache {
 		o.hits++
-	}
-	p.mu.Unlock()
-}
-
-// Simulated records a placement that had to be simulated (a cache
-// miss, or any placement when caching is disabled): the kernel it ran
-// on, the canonical configuration vector that was simulated, and the
-// detected steady state (cycle length and lead+cycle clocks stepped).
-func (p *Provenance) Simulated(family string, m, s, nc int, vec []int, packed bool, cycleLen, clocks int64) {
-	if p == nil {
 		return
 	}
-	path := PathSimScalar
-	if packed {
-		path = PathSimPacked
-	}
-	p.mu.Lock()
-	f := p.family(family)
-	f.paths[path]++
-	f.clocks += clocks
-	if o := p.orbit(f, orbitKey{m, s, nc, packInts(vec)}, vec); o != nil {
-		o.misses++
-		o.cycleLen = cycleLen
-		o.clocks += clocks
-	}
-	p.mu.Unlock()
+	o.misses++
+	o.cycleLen = r.CycleLength
+	o.clocks += r.Clocks
 }
 
 // --- Aggregated snapshot ------------------------------------------------
@@ -282,48 +223,47 @@ type FamilyProvenance struct {
 	UnexplainedOrbits []OrbitInfo `json:"unexplained_orbits,omitempty"`
 }
 
+// Count returns the placements of the family that path p answered.
+func (f FamilyProvenance) Count(p Path) int64 {
+	switch p {
+	case PathAnalytic:
+		return f.Analytic
+	case PathCache:
+		return f.CacheHits
+	case PathSimScalar:
+		return f.SimScalar
+	case PathSimPacked:
+		return f.SimPacked
+	}
+	return 0
+}
+
 // TopOrbitK caps the per-family top-orbit and unexplained-orbit lists
 // of a provenance snapshot.
 const TopOrbitK = 8
 
-// ProvenanceSnapshot is the aggregated attribution view of one
-// recorder, JSON-serialisable into metrics snapshots.
+// ProvenanceSnapshot is the aggregated attribution view of one engine
+// (Snapshot.Provenance), JSON-serialisable into metrics snapshots.
 type ProvenanceSnapshot struct {
 	// Families maps ConfigSpec.Family to its aggregation.
 	Families map[string]FamilyProvenance `json:"families"`
 	// DroppedOrbits counts canonical orbits past the recorder's
 	// capacity bound whose per-orbit rows were not tracked (the path
-	// counters above remain exact regardless).
+	// counts above are the engine's tally and stay exact regardless).
 	DroppedOrbits int64 `json:"dropped_orbits,omitempty"`
 }
 
-// Snapshot aggregates the recorder into its attribution view. Safe to
-// call concurrently with recording; nil recorders return the zero
-// snapshot.
-func (p *Provenance) Snapshot() ProvenanceSnapshot {
-	if p == nil {
-		return ProvenanceSnapshot{}
-	}
+// view joins the engine's answer tally with the recorder's orbit rows
+// into the attribution view (Engine.Snapshot is its one caller). Safe
+// to call concurrently with recording.
+func (p *Provenance) view(tally map[string]FamilyProvenance) ProvenanceSnapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := ProvenanceSnapshot{DroppedOrbits: p.dropped}
-	for name, f := range p.fams {
-		fp := FamilyProvenance{
-			Analytic:  f.paths[PathAnalytic],
-			CacheHits: f.paths[PathCache],
-			SimScalar: f.paths[PathSimScalar],
-			SimPacked: f.paths[PathSimPacked],
-			SimClocks: f.clocks,
-		}
-		fp.Resolved = fp.Analytic + fp.CacheHits + fp.SimScalar + fp.SimPacked
-		for thm, n := range f.theorems {
-			if fp.Theorems == nil {
-				fp.Theorems = make(map[string]int64)
-			}
-			fp.Theorems[thm] = n
-		}
-		orbits := make([]OrbitInfo, 0, len(f.orbits))
-		for key, o := range f.orbits {
+	for name, fp := range tally {
+		fam := p.orbits[name]
+		orbits := make([]OrbitInfo, 0, len(fam))
+		for key, o := range fam {
 			orbits = append(orbits, OrbitInfo{
 				M: key.m, S: key.s, NC: key.nc, Vec: o.vec,
 				Hits: o.hits, Misses: o.misses, Size: o.hits + o.misses,
@@ -437,15 +377,9 @@ func orbitSizeHistogram(orbits []OrbitInfo) []OrbitSizeBucket {
 	return buckets
 }
 
-// FamilyNames lists the snapshot's family names, legacy families first
-// (matching the Metrics rendering order), the rest sorted.
-func (s ProvenanceSnapshot) FamilyNames() []string {
-	fams := make(map[string]FamilyMetrics, len(s.Families))
-	for name := range s.Families {
-		fams[name] = FamilyMetrics{}
-	}
-	return familyOrder(fams, false)
-}
+// FamilyNames lists the snapshot's family names in sorted order
+// (matching the Metrics rendering order).
+func (s ProvenanceSnapshot) FamilyNames() []string { return sortedKeys(s.Families) }
 
 // pct renders a share as "12.3%", "-" when the denominator is zero.
 func pct(n, total int64) string {
@@ -473,12 +407,7 @@ func (s ProvenanceSnapshot) Table() string {
 	rows := 0
 	for _, name := range s.FamilyNames() {
 		f := s.Families[name]
-		ids := make([]string, 0, len(f.Theorems))
-		for id := range f.Theorems {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
+		for _, id := range sortedKeys(f.Theorems) {
 			thm.Add(name, id, f.Theorems[id])
 			rows++
 		}
@@ -536,12 +465,7 @@ func (s ProvenanceSnapshot) WriteCSV(w io.Writer) error {
 		row(name, "path", PathCache.String(), f.CacheHits, f.CacheHits, 0)
 		row(name, "path", PathSimScalar.String(), f.SimScalar, f.SimScalar, 0)
 		row(name, "path", PathSimPacked.String(), f.SimPacked, f.SimPacked, f.SimClocks)
-		ids := make([]string, 0, len(f.Theorems))
-		for id := range f.Theorems {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
+		for _, id := range sortedKeys(f.Theorems) {
 			row(name, "theorem", id, f.Theorems[id], f.Theorems[id], 0)
 		}
 		for _, b := range f.OrbitSizes {

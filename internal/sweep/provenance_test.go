@@ -8,85 +8,96 @@ import (
 	"testing"
 )
 
-// Conservation: every placement the engine resolves must be
-// attributed to exactly one provenance path, so per family
-// analytic + cache hits + simulations == placements resolved, and the
-// provenance counters must agree with the engine's own metrics.
-func checkConservation(t *testing.T, eng *Engine, prov *Provenance) {
+// Conservation: every placement the engine resolves takes exactly one
+// path, so per family analytic + cache hits + simulations must equal
+// the placements the sweeps visited, counted independently of the
+// engine (want, keyed by family). The Metrics derived from the same
+// tally must agree with the provenance view path by path.
+func checkConservation(t *testing.T, eng *Engine, want map[string]int64) {
 	t.Helper()
-	snap := prov.Snapshot()
-	m := eng.Metrics()
-	for name, f := range snap.Families {
-		if got := f.Analytic + f.CacheHits + f.SimScalar + f.SimPacked; got != f.Resolved {
-			t.Errorf("%s: path sum %d != resolved %d", name, got, f.Resolved)
+	snap := eng.Snapshot()
+	if snap.Provenance == nil {
+		t.Fatal("snapshot lacks provenance despite attached recorder")
+	}
+	fams := snap.Provenance.Families
+	for name, n := range want {
+		f := fams[name]
+		if got := f.Analytic + f.CacheHits + f.SimScalar + f.SimPacked; got != n {
+			t.Errorf("%s: analytic %d + cache %d + sim %d+%d = %d, want %d placements",
+				name, f.Analytic, f.CacheHits, f.SimScalar, f.SimPacked, got, n)
 		}
-		em := m.Family(name)
-		if em.Hits+em.Misses+em.Analytic == 0 {
-			// Cache disabled: the engine keeps no per-family counters,
-			// so only the path-sum invariant above applies.
-			continue
-		}
-		if f.Resolved != em.Hits+em.Misses+em.Analytic {
-			t.Errorf("%s: provenance resolved %d != engine hits+misses+analytic %d",
-				name, f.Resolved, em.Hits+em.Misses+em.Analytic)
-		}
-		if f.Analytic != em.Analytic {
-			t.Errorf("%s: provenance analytic %d != engine analytic %d", name, f.Analytic, em.Analytic)
-		}
-		if f.CacheHits != em.Hits {
-			t.Errorf("%s: provenance cache hits %d != engine hits %d", name, f.CacheHits, em.Hits)
-		}
-		if f.SimScalar+f.SimPacked != em.Misses {
-			t.Errorf("%s: provenance sims %d != engine misses %d", name, f.SimScalar+f.SimPacked, em.Misses)
+		if f.Resolved != n {
+			t.Errorf("%s: resolved %d, want %d placements", name, f.Resolved, n)
 		}
 	}
-	for name, em := range m.Families {
-		if _, ok := snap.Families[name]; !ok && em.Hits+em.Misses+em.Analytic > 0 {
-			t.Errorf("family %s has engine traffic but no provenance", name)
+	for name, f := range fams {
+		if _, ok := want[name]; !ok {
+			t.Errorf("family %s resolved %d placements no sweep visited", name, f.Resolved)
+		}
+		em := snap.Metrics.Families[name]
+		misses := int64(0)
+		if eng.cache != nil {
+			misses = f.SimScalar + f.SimPacked
+		}
+		if em.Analytic != f.Analytic || em.Hits != f.CacheHits || em.Misses != misses {
+			t.Errorf("%s: metrics %+v disagree with provenance %+v", name, em, f)
 		}
 	}
+}
+
+// specPlacements counts the placements a sweep of specs visits, per
+// family: m starts for every swept stream of a spec.
+func specPlacements(specs []ConfigSpec) map[string]int64 {
+	out := make(map[string]int64)
+	for _, spec := range specs {
+		n := int64(1)
+		for _, st := range spec.Streams {
+			if st.Sweep {
+				n *= int64(spec.M)
+			}
+		}
+		out[spec.Family()] += n
+	}
+	return out
 }
 
 func TestProvenanceConservationPairs(t *testing.T) {
-	prov := NewProvenance(0)
-	eng := NewEngine(Options{Workers: 3, Provenance: prov})
+	eng := NewEngine(Options{Workers: 3, Provenance: NewProvenance(0)})
 	const m, nc = 13, 4
-	eng.Grid(m, nc)
-	checkConservation(t, eng, prov)
-	// Every pair sweeps its m starts, so the pair family must have
-	// resolved exactly pairs*m placements.
-	want := int64(len(gridPairs(m, nc)) * m)
-	if got := prov.Snapshot().Families["pair"].Resolved; got != want {
-		t.Errorf("pair resolved = %d, want %d", got, want)
-	}
+	pairs := eng.Grid(m, nc)
+	// Every pair sweeps its m starts.
+	checkConservation(t, eng, map[string]int64{"pair": int64(len(pairs) * m)})
 }
 
 func TestProvenanceConservationTriples(t *testing.T) {
-	prov := NewProvenance(0)
-	eng := NewEngine(Options{Workers: 3, Provenance: prov})
-	eng.TripleGrid(7, 2)
-	checkConservation(t, eng, prov)
+	eng := NewEngine(Options{Workers: 3, Provenance: NewProvenance(0)})
+	const m = 7
+	triples := eng.TripleGrid(m, 2)
+	// Every triple sweeps all m^2 relative placements.
+	checkConservation(t, eng, map[string]int64{"triple": int64(len(triples) * m * m)})
 }
 
 func TestProvenanceConservationSections(t *testing.T) {
-	prov := NewProvenance(0)
-	eng := NewEngine(Options{Workers: 3, Provenance: prov})
-	eng.SectionGrid(12, 3, 3)
-	checkConservation(t, eng, prov)
-	if _, ok := prov.Snapshot().Families["section"]; !ok {
-		t.Fatal("no section family recorded")
+	eng := NewEngine(Options{Workers: 3, Provenance: NewProvenance(0)})
+	const m = 12
+	var want int64
+	for _, r := range eng.SectionGrid(m, 3, 3) {
+		// m starts, plus the constructed conflict-free start when the
+		// section theorems predict one.
+		want += m
+		if r.TheoryFree {
+			want++
+		}
 	}
+	checkConservation(t, eng, map[string]int64{"section": want})
 }
 
 func TestProvenanceConservationStream4(t *testing.T) {
-	prov := NewProvenance(0)
-	eng := NewEngine(Options{Workers: 3, Provenance: prov})
-	eng.NStreamGrid(4, 1, 4)
-	checkConservation(t, eng, prov)
-	f, ok := prov.Snapshot().Families["stream4"]
-	if !ok {
-		t.Fatal("no stream4 family recorded")
-	}
+	eng := NewEngine(Options{Workers: 3, Provenance: NewProvenance(0)})
+	const m = 4
+	tuples := eng.NStreamGrid(m, 1, 4)
+	checkConservation(t, eng, map[string]int64{"stream4": int64(len(tuples) * m * m * m)})
+	f := eng.Snapshot().Provenance.Families["stream4"]
 	// The miss-attribution view must name the top unexplained orbits
 	// of the worst family — that is the view's whole point.
 	if f.SimScalar+f.SimPacked > 0 && len(f.UnexplainedOrbits) == 0 {
@@ -98,11 +109,10 @@ func TestProvenanceConservationStream4(t *testing.T) {
 // simulates) and when the analytic gate is off.
 func TestProvenanceConservationNoCacheNoGate(t *testing.T) {
 	off := false
-	prov := NewProvenance(0)
-	eng := NewEngine(Options{Workers: 2, CacheSize: -1, Analytic: &off, Provenance: prov, PackedKernel: &off})
+	eng := NewEngine(Options{Workers: 2, CacheSize: -1, Analytic: &off, Provenance: NewProvenance(0), PackedKernel: &off})
 	eng.Grid(8, 2)
-	checkConservation(t, eng, prov)
-	f := prov.Snapshot().Families["pair"]
+	checkConservation(t, eng, specPlacements(GridSpecs(8, 0, 2)))
+	f := eng.Snapshot().Provenance.Families["pair"]
 	if f.Analytic != 0 || f.CacheHits != 0 || f.SimPacked != 0 {
 		t.Errorf("gate+cache off must simulate on the scalar kernel only: %+v", f)
 	}
@@ -114,10 +124,9 @@ func TestProvenanceConservationNoCacheNoGate(t *testing.T) {
 // The theorem table must attribute analytic answers to the gate's
 // theorem identifiers and sum to the analytic path count.
 func TestProvenanceTheoremAttribution(t *testing.T) {
-	prov := NewProvenance(0)
-	eng := NewEngine(Options{Provenance: prov})
+	eng := NewEngine(Options{Provenance: NewProvenance(0)})
 	eng.Grid(16, 4)
-	f := prov.Snapshot().Families["pair"]
+	f := eng.Snapshot().Provenance.Families["pair"]
 	if f.Analytic == 0 {
 		t.Fatal("theorem-dense grid produced no analytic answers")
 	}
@@ -139,10 +148,9 @@ func TestProvenanceTheoremAttribution(t *testing.T) {
 // orbit rows, singleton count must match the size-1 bucket, and the
 // top-orbit list must be sorted by explained placements.
 func TestProvenanceOrbitAccounting(t *testing.T) {
-	prov := NewProvenance(0)
-	eng := NewEngine(Options{Workers: 2, Provenance: prov})
+	eng := NewEngine(Options{Workers: 2, Provenance: NewProvenance(0)})
 	eng.Grid(13, 4)
-	f := prov.Snapshot().Families["pair"]
+	f := eng.Snapshot().Provenance.Families["pair"]
 	var placements, orbits int64
 	for _, b := range f.OrbitSizes {
 		placements += b.Placements
@@ -176,11 +184,10 @@ func TestProvenanceSnapshotDeterministic(t *testing.T) {
 	// the same canonical key, making the hit/miss split (legitimately)
 	// schedule-dependent.
 	run := func() ProvenanceSnapshot {
-		prov := NewProvenance(0)
-		eng := NewEngine(Options{Workers: 1, Provenance: prov})
+		eng := NewEngine(Options{Workers: 1, Provenance: NewProvenance(0)})
 		eng.Grid(12, 3)
 		eng.TripleGrid(7, 2)
-		return prov.Snapshot()
+		return *eng.Snapshot().Provenance
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
@@ -192,12 +199,11 @@ func TestProvenanceSnapshotDeterministic(t *testing.T) {
 }
 
 // The orbit capacity bound must drop per-orbit rows, count them, and
-// leave the exact path counters untouched.
+// leave the exact path counts untouched.
 func TestProvenanceOrbitCapacity(t *testing.T) {
-	prov := NewProvenance(4)
-	eng := NewEngine(Options{Workers: 1, Provenance: prov})
-	eng.Grid(13, 4)
-	snap := prov.Snapshot()
+	eng := NewEngine(Options{Workers: 1, Provenance: NewProvenance(4)})
+	pairs := eng.Grid(13, 4)
+	snap := *eng.Snapshot().Provenance
 	if snap.DroppedOrbits == 0 {
 		t.Fatal("tiny capacity dropped nothing")
 	}
@@ -208,14 +214,13 @@ func TestProvenanceOrbitCapacity(t *testing.T) {
 	if orbits > 4 {
 		t.Errorf("tracked %d orbits past capacity 4", orbits)
 	}
-	checkConservation(t, eng, prov)
+	checkConservation(t, eng, map[string]int64{"pair": int64(len(pairs) * 13)})
 }
 
 // JSON: the provenance snapshot must round-trip inside the engine
 // snapshot, and be absent when no recorder was attached.
 func TestProvenanceSnapshotJSON(t *testing.T) {
-	prov := NewProvenance(0)
-	eng := NewEngine(Options{Provenance: prov})
+	eng := NewEngine(Options{Provenance: NewProvenance(0)})
 	eng.Grid(8, 2)
 	s := eng.Snapshot()
 	if s.Provenance == nil {
@@ -240,11 +245,10 @@ func TestProvenanceSnapshotJSON(t *testing.T) {
 }
 
 func TestProvenanceCSV(t *testing.T) {
-	prov := NewProvenance(0)
-	eng := NewEngine(Options{Provenance: prov})
+	eng := NewEngine(Options{Provenance: NewProvenance(0)})
 	eng.Grid(13, 4)
 	var buf bytes.Buffer
-	if err := prov.Snapshot().WriteCSV(&buf); err != nil {
+	if err := eng.Snapshot().Provenance.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -261,10 +265,9 @@ func TestProvenanceCSV(t *testing.T) {
 
 // The attribution table must name the headline views.
 func TestProvenanceTable(t *testing.T) {
-	prov := NewProvenance(0)
-	eng := NewEngine(Options{Provenance: prov})
+	eng := NewEngine(Options{Provenance: NewProvenance(0)})
 	eng.Grid(13, 4)
-	out := prov.Snapshot().Table()
+	out := eng.Snapshot().Provenance.Table()
 	for _, want := range []string{"path split", "analytic attribution", "orbit sizes", "unexplained orbits", "pair"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("attribution table lacks %q:\n%s", want, out)
@@ -277,11 +280,11 @@ func TestProvenanceTable(t *testing.T) {
 // guarantee of internal/obs/overhead_test.go.
 func TestDetachedProvenanceAllocatesNothing(t *testing.T) {
 	var p *Provenance
-	vec := []int{1, 6, 0, 7}
+	cs := (&worker{e: NewEngine(Options{})}).compile(PairSpec(13, 4, 1, 6))
+	cs.load([]int{0, 7})
 	if allocs := testing.AllocsPerRun(500, func() {
-		p.Analytic("pair", "theorem-3")
-		p.CacheHit("pair", 13, 0, 4, vec)
-		p.Simulated("pair", 13, 0, 4, vec, true, 13, 26)
+		p.observe(cs, Resolution{Path: PathCache})
+		p.observe(cs, Resolution{Path: PathSimPacked, CycleLength: 13, Clocks: 26})
 	}); allocs != 0 {
 		t.Errorf("detached provenance allocates %.1f objects/record, want 0", allocs)
 	}
@@ -315,4 +318,30 @@ func BenchmarkProvenanceAttached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w.resolve(cs, bb, nil)
 	}
+}
+
+// The tally and the provenance view are read while workers record
+// (ivmserved scrapes /metrics mid-request): every read must see a
+// consistent, non-decreasing count, and the final view must conserve.
+func TestTallyReadDuringSweep(t *testing.T) {
+	eng := NewEngine(Options{Workers: 4, Provenance: NewProvenance(0)})
+	done := make(chan struct{})
+	var last int64
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			var n int64
+			for _, f := range eng.Snapshot().Provenance.Families {
+				n += f.Resolved
+			}
+			if n < last {
+				t.Errorf("resolved count fell from %d to %d", last, n)
+			}
+			last = n
+		}
+	}()
+	const m = 13
+	pairs := eng.Grid(m, 4)
+	<-done
+	checkConservation(t, eng, map[string]int64{"pair": int64(len(pairs) * m)})
 }

@@ -97,9 +97,8 @@ func TestEngineSectionGridCacheAccounting(t *testing.T) {
 	if hr := m.FamilyHitRate("section"); hr <= 0 || hr >= 1 {
 		t.Fatalf("section hit rate %v out of (0,1)", hr)
 	}
-	snap := eng.Snapshot()
-	if snap.SectionCacheHitRate != m.FamilyHitRate("section") || snap.PairCacheHitRate != 0 {
-		t.Fatalf("snapshot per-kind rates inconsistent: %+v", snap)
+	if snap := eng.Snapshot(); snap.CacheHitRate != m.FamilyHitRate("section") {
+		t.Fatalf("one-family snapshot hit rate %v != section rate %v", snap.CacheHitRate, m.FamilyHitRate("section"))
 	}
 }
 

@@ -26,14 +26,6 @@ type Snapshot struct {
 	// AnalyticHitRate is the fraction of starts the classifier gate
 	// answered without simulation or cache traffic.
 	AnalyticHitRate float64 `json:"analytic_hit_rate"`
-	// Per-family hit rates, splitting CacheHitRate by configuration
-	// kind (zero when that family saw no traffic).
-	PairCacheHitRate    float64 `json:"pair_cache_hit_rate"`
-	TripleCacheHitRate  float64 `json:"triple_cache_hit_rate"`
-	SectionCacheHitRate float64 `json:"section_cache_hit_rate"`
-	// FamilyHitRates carries every configuration family with traffic,
-	// including generic N-stream families that have no flat field above.
-	FamilyHitRates map[string]float64 `json:"family_hit_rates,omitempty"`
 	// WallNS is wall time spent inside sweep calls; CycleDetectNS the
 	// part spent in steady-state detection (summed across workers, so
 	// it can exceed WallNS on a multi-core sweep).
@@ -52,10 +44,10 @@ type Snapshot struct {
 	TimelineEvents  []TimelineEvent `json:"timeline_events,omitempty"`
 	TimelineDropped int64           `json:"timeline_dropped,omitempty"`
 	// Provenance holds the aggregated result-attribution view when
-	// Options.Provenance was set (absent otherwise): per-family path
-	// splits, per-theorem analytic hits, orbit-size histograms and the
-	// top unexplained orbits. Readers built before this field existed
-	// ignore it.
+	// Options.Provenance was set (absent otherwise): the answer tally's
+	// per-family path splits and per-theorem analytic hits joined with
+	// the recorder's orbit-size histograms and top unexplained orbits.
+	// Readers built before this field existed ignore it.
 	Provenance *ProvenanceSnapshot `json:"provenance,omitempty"`
 }
 
@@ -63,23 +55,15 @@ type Snapshot struct {
 // Safe to call concurrently with running sweeps; slots still mid-item
 // report their work as of their last finished sweep.
 func (e *Engine) Snapshot() Snapshot {
-	m := e.Metrics()
+	tally := e.Tally()
+	m := e.metrics(tally)
 	s := Snapshot{
-		Workers:             e.workers(),
-		Metrics:             m,
-		CacheHitRate:        m.HitRate(),
-		AnalyticHitRate:     m.AnalyticHitRate(),
-		PairCacheHitRate:    m.FamilyHitRate("pair"),
-		TripleCacheHitRate:  m.FamilyHitRate("triple"),
-		SectionCacheHitRate: m.FamilyHitRate("section"),
-		WallNS:              e.wallNS.Load(),
-		CycleDetectNS:       e.cycleNS.Load(),
-	}
-	for name := range m.Families {
-		if s.FamilyHitRates == nil {
-			s.FamilyHitRates = make(map[string]float64)
-		}
-		s.FamilyHitRates[name] = m.FamilyHitRate(name)
+		Workers:         e.workers(),
+		Metrics:         m,
+		CacheHitRate:    m.HitRate(),
+		AnalyticHitRate: m.AnalyticHitRate(),
+		WallNS:          e.wallNS.Load(),
+		CycleDetectNS:   e.cycleNS.Load(),
 	}
 	if m.CyclesFound > 0 {
 		s.MeanCycleClocks = float64(m.StepsSimulated) / float64(m.CyclesFound)
@@ -93,7 +77,7 @@ func (e *Engine) Snapshot() Snapshot {
 		s.TimelineDropped = tl.Dropped()
 	}
 	if prov := e.opt.Provenance; prov != nil {
-		ps := prov.Snapshot()
+		ps := prov.view(tally)
 		s.Provenance = &ps
 	}
 	for i := range s.PerWorker {

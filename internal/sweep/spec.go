@@ -259,7 +259,7 @@ func describeSpec(spec ConfigSpec, v []int) string {
 func simulateSpecVec(spec ConfigSpec, v []int) rat.Rational {
 	sys := memsys.New(specConfig(spec))
 	addSpecStreams(sys, spec, v)
-	c, err := sys.FindCycle(findCycleBudget)
+	c, err := sys.FindCycle(FindCycleBudget)
 	if err != nil {
 		panic(fmt.Sprintf("sweep: %s: %v", describeSpec(spec, v), err))
 	}

@@ -232,28 +232,35 @@ func TestTriplesAtTranslationReuse(t *testing.T) {
 	}
 }
 
-// Metrics JSON must keep the legacy flat fields (even when zero), carry
-// generic families, and round-trip exactly.
+// Metrics JSON is the plain struct encoding: per-family counters nest
+// under "families" keyed by family name (the pre-spec flat
+// pair_cache_hits / triple_cache_misses fields are gone), and the
+// encoding round-trips exactly.
 func TestMetricsJSONGenericFamilies(t *testing.T) {
 	m := Metrics{
-		CacheHits: 12, CacheMisses: 5,
+		CacheHits: 12, CacheMisses: 5, AnalyticHits: 7,
 		Families: map[string]FamilyMetrics{
-			"pair":    {Hits: 10, Misses: 3},
+			"pair":    {Hits: 10, Misses: 3, Analytic: 7},
 			"stream4": {Hits: 2, Misses: 2},
 		},
-		CacheEntries: 4, CyclesFound: 5, StepsSimulated: 100, PairsSwept: 3,
+		CacheEntries: 4, CyclesFound: 5, StepsSimulated: 100, PairsSwept: 3, PackedFallbacks: 1,
 	}
 	data, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`"cache_hits":12`, `"pair_cache_hits":10`, `"triple_cache_hits":0`,
-		`"section_cache_misses":0`, `"stream4_cache_hits":2`, `"pairs_swept":3`,
+		`"cache_hits":12`, `"analytic_hits":7`,
+		`"pair":{"cache_hits":10,"cache_misses":3,"analytic_hits":7}`,
+		`"stream4":{"cache_hits":2,"cache_misses":2,"analytic_hits":0}`,
+		`"cycles_found":5`, `"pairs_swept":3`, `"packed_fallbacks":1`,
 	} {
 		if !strings.Contains(string(data), want) {
 			t.Fatalf("marshal missing %s: %s", want, data)
 		}
+	}
+	if strings.Contains(string(data), "pair_cache_hits") || strings.Contains(string(data), "triple") {
+		t.Fatalf("marshal carries legacy flat family fields: %s", data)
 	}
 	var back Metrics
 	if err := json.Unmarshal(data, &back); err != nil {
@@ -261,6 +268,20 @@ func TestMetricsJSONGenericFamilies(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m, back) {
 		t.Fatalf("round trip %+v != %+v", back, m)
+	}
+	// A live engine's counters round-trip the same way.
+	eng := NewEngine(Options{Workers: 1})
+	eng.Grid(8, 2)
+	live := eng.Metrics()
+	if data, err = json.Marshal(live); err != nil {
+		t.Fatal(err)
+	}
+	back = Metrics{}
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(live, back) {
+		t.Fatalf("live round trip %+v != %+v", back, live)
 	}
 }
 

@@ -19,7 +19,9 @@
 # with byte-pinned JSON plus a healthy /healthz (docs/SERVING.md); and
 # a request tagged with a fixed X-Request-ID is followed end to end
 # through the access log, the Chrome trace export and the
-# request-duration histogram (docs/SERVING.md); and a restarted
+# request-duration histogram (docs/SERVING.md), with the request
+# counter equal to the histogram's _count and the answer-path counter
+# summing to the provenance path counter; and a restarted
 # ivmserved on the same store answers a 4-stream orbit the first
 # instance simulated from its cache, with no misses or evictions.
 #
@@ -275,6 +277,23 @@ case "$cold4" in
 	exit 1
 	;;
 esac
+# One tally per answer: the request counter is the latency histogram's
+# _count, and the answer-path counter sums to the provenance path
+# counter, both read from the engine's one count of resolved placements.
+metrics="$(curl -fsS "http://$addr/metrics")"
+reqs="$(sample 'ivmserved_requests_total{endpoint="bandwidth"}')"
+hcount="$(sample 'ivmserved_request_duration_seconds_count{endpoint="bandwidth"}')"
+if [ -z "$reqs" ] || [ "$reqs" != "$hcount" ]; then
+	echo "check.sh: ivmserved_requests_total{endpoint=\"bandwidth\"} $reqs != histogram _count $hcount" >&2
+	exit 1
+fi
+sumseries() { printf '%s\n' "$metrics" | awk -v p="$1{" 'index($0, p) == 1 { s += $NF } END { print s + 0 }'; }
+responses="$(sumseries ivmserved_responses_total)"
+provpaths="$(sumseries ivm_provenance_path_total)"
+if [ "$responses" = 0 ] || [ "$responses" != "$provpaths" ]; then
+	echo "check.sh: ivmserved_responses_total sums to $responses, ivm_provenance_path_total to $provpaths" >&2
+	exit 1
+fi
 kill "$srv" 2>/dev/null || true
 wait "$srv" 2>/dev/null || true
 srv=""
