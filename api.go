@@ -404,7 +404,7 @@ type TraceEvent = obs.Event
 // simulator's listener seam and keeps exact atomic totals.
 type Tracer = obs.Tracer
 
-// TracerOptions size the tracer's event ring and sampling.
+// TracerOptions size the tracer's event ring.
 type TracerOptions = obs.TracerOptions
 
 // TraceStats are a tracer's exact totals and ring state.

@@ -13,15 +13,15 @@ package ivm
 import (
 	"testing"
 
-	"ivm/internal/obs"
+	"ivm/internal/obs/latency"
 	"ivm/internal/sweep"
 )
 
 // BenchmarkLatencyHist measures recording one observation into the
-// lock-free histogram — the cost every work item pays under
-// ivmsweep -latency and every HTTP request pays in ivmserved.
+// lock-free histogram — the cost every sweep work item and every HTTP
+// request to ivmserved pays.
 func BenchmarkLatencyHist(b *testing.B) {
-	h := obs.NewLatencyHist()
+	h := new(latency.Hist)
 	if n := testing.AllocsPerRun(100, func() { h.ObserveNS(4096) }); n != 0 {
 		b.Fatalf("ObserveNS allocates %v per op, want 0", n)
 	}

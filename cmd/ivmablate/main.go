@@ -6,11 +6,12 @@
 //
 // Observability: -metrics-out writes the engine studies' counters as
 // JSON, -metrics-addr serves them live (Prometheus text at /metrics,
-// JSON at /metrics.json, /healthz, expvar, pprof) while the studies
-// run, -provenance appends the result-attribution report of the
-// engine studies (which theorem, cache orbit or simulation answered
-// each placement), and -trace-out exports the sweep workers' timeline
-// as a Chrome trace_event file for chrome://tracing or Perfetto.
+// JSON at /metrics.json, /healthz, the runtime's expvar and pprof)
+// while the studies run, -provenance appends the result-attribution
+// report of the engine studies (which theorem, cache orbit or
+// simulation answered each placement), and -trace-out exports the
+// sweep workers' timeline as a Chrome trace_event file for
+// chrome://tracing or Perfetto.
 package main
 
 import (
@@ -47,6 +48,7 @@ func main() {
 	packed, err := sweep.KernelOption(*kernelName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
 		os.Exit(2)
 	}
 
@@ -77,7 +79,7 @@ func main() {
 	if *metricsAddr != "" {
 		// The engine is created lazily by the first engine study, so the
 		// metrics sources resolve it on every poll.
-		closer, err := obs.ServeMetrics("ivmablate", *metricsAddr, func() *sweep.Engine { return eng }, nil)
+		closer, err := obs.ServeMetrics(*metricsAddr, func() *sweep.Engine { return eng }, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -253,7 +255,7 @@ func policiesStudy(workers, cache int) bool {
 		{memsys.CyclicPriority, memsys.ConsecutiveSections},
 		{memsys.RoundRobinPerCPU, memsys.ConsecutiveSections},
 	}
-	tblB := &textplot.Table{Header: []string{"priority", "mapping", "specs", "placements", "mismatch", "hit rate", "packed fallbacks"}}
+	tblB := &textplot.Table{Header: []string{"priority", "mapping", "specs", "placements", "mismatch", "hit rate"}}
 	for _, c := range combos {
 		// Sectionless pair grid only under the cyclic mapping (the
 		// consecutive mapping needs sections); the sectioned grid under
@@ -286,7 +288,7 @@ func policiesStudy(workers, cache int) bool {
 			rate = float64(m.CacheHits) / float64(lookups)
 		}
 		tblB.Add(c.priority.String(), c.mapping.String(), len(specs), placements, mismatch,
-			fmt.Sprintf("%.1f%%", rate*100), m.PackedFallbacks)
+			fmt.Sprintf("%.1f%%", rate*100))
 	}
 	fmt.Print(tblB.String())
 	if ok {

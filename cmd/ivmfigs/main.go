@@ -32,7 +32,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *metricsAddr != "" {
-		closer, err := obs.ServeMetrics("ivmfigs", *metricsAddr, nil, nil)
+		closer, err := obs.ServeMetrics(*metricsAddr, nil, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -12,8 +12,8 @@
 // -metrics-out captures the engine snapshot (cache hit rate,
 // per-worker utilisation, provenance) as JSON, -metrics-addr serves it
 // live (Prometheus text at /metrics, JSON at /metrics.json, /healthz,
-// expvar, pprof) while the report generates, and the shared
-// -cpuprofile/-memprofile/-trace flags profile the run.
+// the runtime's expvar and pprof) while the report generates, and the
+// shared -cpuprofile/-memprofile/-trace flags profile the run.
 package main
 
 import (
@@ -36,13 +36,15 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the engine metrics snapshot as JSON to this file")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address: /metrics Prometheus text, /metrics.json, /healthz, /debug/vars expvar, /debug/pprof")
 	provenanceFlag := flag.Bool("provenance", true, "record result provenance and append the attribution section to the report")
-	latencyFlag := flag.Bool("latency", false, "record a per-work-item latency histogram and print p50/p95/p99 to stderr (also in -metrics-out); off by default so regenerated reports stay deterministic")
+	latencyFlag := flag.Bool("latency", false, "print the engine's per-work-item latency histogram as p50/p95/p99 to stderr (also in -metrics-out); off by default so regenerated reports stay deterministic")
 	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
 
 	packed, err := sweep.KernelOption(*kernelName)
 	if err != nil {
-		fail(err)
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	stop, err := prof.Start()
@@ -58,17 +60,11 @@ func main() {
 	if *provenanceFlag {
 		prov = sweep.NewProvenance(0)
 	}
-	eopt := sweep.Options{Workers: *workers, CacheSize: *cache,
-		Analytic: analytic, PackedKernel: packed, Provenance: prov}
-	var itemLatency *obs.LatencyHist
-	if *latencyFlag {
-		itemLatency = obs.NewLatencyHist()
-		eopt.ItemLatency = itemLatency
-	}
-	eng := sweep.NewEngine(eopt)
+	eng := sweep.NewEngine(sweep.Options{Workers: *workers, CacheSize: *cache,
+		Analytic: analytic, PackedKernel: packed, Provenance: prov})
 	opts.Engine = eng
 	if *metricsAddr != "" {
-		closer, err := obs.ServeMetrics("ivmreport", *metricsAddr, func() *sweep.Engine { return eng }, nil, itemLatency)
+		closer, err := obs.ServeMetrics(*metricsAddr, func() *sweep.Engine { return eng }, nil)
 		if err != nil {
 			fail(err)
 		}
@@ -79,14 +75,14 @@ func main() {
 		stop()
 		fail(err)
 	}
-	if itemLatency != nil {
-		fmt.Fprintf(os.Stderr, "work-item latency: %s\n", itemLatency.Snapshot().Summary())
+	if *latencyFlag {
+		fmt.Fprintf(os.Stderr, "work-item latency: %s\n", eng.ItemLatency().Summary())
 	}
 	if *metricsOut != "" {
 		snap := eng.Snapshot()
 		out := obs.Snapshot{Engine: &snap}
-		if itemLatency != nil {
-			ls := itemLatency.Snapshot()
+		if *latencyFlag {
+			ls := eng.ItemLatency()
 			out.ItemLatency = &ls
 		}
 		if err := obs.WriteSnapshotFile(*metricsOut, out); err != nil {

@@ -63,7 +63,7 @@ func main() {
 		fail("%v", err)
 	}
 	if *metricsAddr != "" {
-		closer, err := obs.ServeMetrics("ivmsim", *metricsAddr, nil, nil)
+		closer, err := obs.ServeMetrics(*metricsAddr, nil, nil)
 		if err != nil {
 			fail("%v", err)
 		}
@@ -104,7 +104,7 @@ func main() {
 		if streamFile, err = os.Create(*csvStream); err != nil {
 			fail("%v", err)
 		}
-		stream = obs.NewCSVStream(streamFile, obs.StreamOptions{})
+		stream = obs.NewCSVStream(streamFile)
 		listeners = append(listeners, stream)
 	}
 	if len(listeners) > 1 {

@@ -18,17 +18,17 @@
 // utilisation, the worker timeline when traced, and the provenance
 // attribution when recorded) and -metrics-addr serves them live while
 // the sweep runs: Prometheus text exposition at /metrics, the JSON
-// view at /metrics.json, /healthz, expvar and pprof (-metrics-linger
-// keeps the server up after the sweeps so a scraper can read the final
-// counters). -provenance appends the result-attribution report — which
-// theorem, cache orbit or simulation answered each placement, and
-// which orbits a low hit rate hides — and -provenance-csv exports it
-// in long form; -progress prints a live status line (items/s, ETA,
-// path split) at the given period. -cpuprofile/-memprofile/-trace
-// write pprof/runtime profiles of the whole run. -cache-export dir
-// appends the run's cached cyclic states to a persistent cache store
-// (internal/cachestore) that ivmserved -cache-dir warm-starts from;
-// see docs/SERVING.md.
+// view at /metrics.json, /healthz, the runtime's expvar and pprof
+// (-metrics-linger keeps the server up after the sweeps so a scraper
+// can read the final counters). -provenance appends the
+// result-attribution report — which theorem, cache orbit or
+// simulation answered each placement, and which orbits a low hit rate
+// hides — and -provenance-csv exports it in long form; -progress
+// prints a live status line (items/s, ETA, path split) at the given
+// period. -cpuprofile/-memprofile/-trace write pprof/runtime profiles
+// of the whole run. -cache-export dir appends the run's cached cyclic
+// states to a persistent cache store (internal/cachestore) that
+// ivmserved -cache-dir warm-starts from; see docs/SERVING.md.
 package main
 
 import (
@@ -72,7 +72,7 @@ func main() {
 	provenanceFlag := flag.Bool("provenance", false, "print the result-attribution report: per-family path split, per-theorem analytic hits, orbit sizes and the top unexplained orbits")
 	provenanceCSV := flag.String("provenance-csv", "", "write the result-attribution report as long-form CSV")
 	progressEvery := flag.Duration("progress", 0, "print a live progress line (items/s, ETA, path split) to stderr at this period; 0 disables")
-	latencyFlag := flag.Bool("latency", false, "record a per-work-item latency histogram and print p50/p95/p99 (also in -metrics-out and -metrics-addr)")
+	latencyFlag := flag.Bool("latency", false, "print the engine's per-work-item latency histogram as p50/p95/p99 (also in -metrics-out)")
 	cacheExport := flag.String("cache-export", "", "after the sweeps, export the cyclic-state cache to the persistent store in this directory (warm-start set for ivmserved -cache-dir)")
 	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -126,25 +126,17 @@ func main() {
 	if *provenanceFlag || *provenanceCSV != "" || *metricsOut != "" || *metricsAddr != "" {
 		prov = sweep.NewProvenance(0)
 	}
-	var itemLatency *obs.LatencyHist
-	if *latencyFlag {
-		itemLatency = obs.NewLatencyHist()
-	}
-	eopt := sweep.Options{
+	eng := sweep.NewEngine(sweep.Options{
 		Workers: *workers, CacheSize: *cache, CollectStats: *showStats,
 		Timeline: timeline, Analytic: analytic, PackedKernel: packed,
 		Provenance: prov,
-	}
-	if itemLatency != nil {
-		eopt.ItemLatency = itemLatency
-	}
-	eng := sweep.NewEngine(eopt)
+	})
 	var prog *obs.Progress
 	if *progressEvery > 0 || *metricsAddr != "" {
 		prog = obs.NewProgress(eng)
 	}
 	if *metricsAddr != "" {
-		closer, err := obs.ServeMetrics("ivmsweep", *metricsAddr, func() *sweep.Engine { return eng }, prog, itemLatency)
+		closer, err := obs.ServeMetrics(*metricsAddr, func() *sweep.Engine { return eng }, prog)
 		if err != nil {
 			fail("%v", err)
 		}
@@ -165,8 +157,8 @@ func main() {
 
 	fmt.Println()
 	fmt.Print(eng.Metrics().Table())
-	if itemLatency != nil {
-		fmt.Printf("\nwork-item latency: %s\n", itemLatency.Snapshot().Summary())
+	if *latencyFlag {
+		fmt.Printf("\nwork-item latency: %s\n", eng.ItemLatency().Summary())
 	}
 	if *provenanceFlag {
 		fmt.Println()
@@ -229,8 +221,8 @@ func main() {
 			cs := col.Snapshot()
 			snap.Stats = &cs
 		}
-		if itemLatency != nil {
-			ls := itemLatency.Snapshot()
+		if *latencyFlag {
+			ls := eng.ItemLatency()
 			snap.ItemLatency = &ls
 		}
 		if err := obs.WriteSnapshotFile(*metricsOut, snap); err != nil {

@@ -12,7 +12,8 @@
 // Observability: the shared -cpuprofile/-memprofile/-trace flags
 // profile the run, and -metrics-addr serves the live endpoints
 // (Prometheus text at /metrics — including the -bounds engine's
-// counters — /metrics.json, /healthz, expvar, pprof) while it runs.
+// counters — /metrics.json, /healthz, the runtime's expvar and pprof)
+// while it runs.
 package main
 
 import (
@@ -44,9 +45,9 @@ func main() {
 
 	packed, err := sweep.KernelOption(*kernelName)
 	if err != nil {
-		fmt.Println(err)
+		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
-		return
+		os.Exit(2)
 	}
 
 	stopProf, err := prof.Start()
@@ -59,7 +60,7 @@ func main() {
 	// resolve it lazily on every poll.
 	var eng *sweep.Engine
 	if *metricsAddr != "" {
-		closer, err := obs.ServeMetrics("ivmtriad", *metricsAddr, func() *sweep.Engine { return eng }, nil)
+		closer, err := obs.ServeMetrics(*metricsAddr, func() *sweep.Engine { return eng }, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -50,8 +50,7 @@ func (s *System) Kernel() Kernel { return s.kernel }
 // priority rule natively. All three rules share the generic rotation
 // machinery (advanceRotation; the rr pointer is part of both kernels'
 // cycle-state keys), so the answer is true for every known rule; the
-// function exists so callers that must fall back to the scalar oracle
-// for an unsupported rule — and count the fallback — have a single
+// function gives callers that pick a kernel per priority rule a single
 // authoritative predicate to ask, rather than assuming.
 func PackedSupportsPriority(pr PriorityRule) bool {
 	switch pr {

@@ -3,8 +3,8 @@ package obs
 // Shared -metrics-addr wiring for the CLIs: one call builds the
 // registry, connects the engine's JSON and Prometheus sources (lazily,
 // so commands that build their engine on demand can pass a resolver),
-// attaches an optional progress tracker, publishes expvar, starts the
-// server and announces the endpoints on stderr.
+// attaches an optional progress tracker, starts the server and
+// announces the endpoints on stderr.
 
 import (
 	"fmt"
@@ -15,31 +15,25 @@ import (
 )
 
 // ServeMetrics starts the live metrics server for a CLI run and
-// returns its closer. name keys the expvar publication; engine
-// resolves the sweep engine on every poll (nil, or returning nil,
-// serves only the liveness gauge plus expvar/pprof); prog optionally
-// adds the progress tracker's JSON and Prometheus views; a non-nil
-// itemLatency histogram (the engine's ItemLatency sink under
-// -latency) adds the ivm_sweep_item_duration_seconds histogram and
-// the item_latency JSON view. The endpoint summary is printed to
-// stderr so an operator can copy the scrape URL.
-func ServeMetrics(name, addr string, engine func() *sweep.Engine, prog *Progress, itemLatency ...*LatencyHist) (io.Closer, error) {
+// returns its closer. engine resolves the sweep engine on every poll
+// (nil, or returning nil, serves only the liveness gauge plus the
+// runtime's expvar and pprof) and adds its snapshot and work-item
+// latency histogram to /metrics.json beside its Prometheus metrics;
+// prog optionally adds the progress tracker's JSON and Prometheus
+// views. The endpoint summary is printed to stderr so an operator can
+// copy the scrape URL.
+func ServeMetrics(addr string, engine func() *sweep.Engine, prog *Progress) (io.Closer, error) {
 	reg := NewRegistry()
-	for _, h := range itemLatency {
-		if h == nil {
-			continue
-		}
-		h := h
-		reg.Register("item_latency", func() any { return h.Snapshot() })
-		reg.RegisterProm("item_latency", func() []PromMetric {
-			return []PromMetric{Histogram("ivm_sweep_item_duration_seconds",
-				"Sweep work-item latency distribution (log2 buckets).").HistSample(h.Snapshot())}
-		})
-	}
 	if engine != nil {
 		reg.Register("engine", func() any {
 			if eng := engine(); eng != nil {
 				return eng.Snapshot()
+			}
+			return nil
+		})
+		reg.Register("item_latency", func() any {
+			if eng := engine(); eng != nil {
+				return eng.ItemLatency()
 			}
 			return nil
 		})
@@ -54,7 +48,6 @@ func ServeMetrics(name, addr string, engine func() *sweep.Engine, prog *Progress
 		reg.Register("progress", func() any { return prog.Snapshot() })
 		reg.RegisterProm("progress", prog.PromMetrics)
 	}
-	reg.Publish(name)
 	bound, closer, err := reg.Serve(addr)
 	if err != nil {
 		return nil, err

@@ -1,10 +1,17 @@
 package obs
 
+// The latency histogram lives in the leaf package internal/obs/latency
+// so the sweep engine can own one; these tests pin it as obs renders it
+// (bucket bounds, the quantile estimator, the summary line and the
+// /metrics.json shape) through its exported API.
+
 import (
 	"encoding/json"
 	"math"
 	"testing"
 	"time"
+
+	"ivm/internal/obs/latency"
 )
 
 // closeTo reports a, b equal within 1e-12 relative tolerance — tight
@@ -21,7 +28,7 @@ func closeTo(a, b float64) bool {
 // TestLatencyHistBuckets pins the log2 bucketing: bucket k holds
 // [2^(k-1), 2^k) nanoseconds.
 func TestLatencyHistBuckets(t *testing.T) {
-	h := NewLatencyHist()
+	h := new(latency.Hist)
 	h.ObserveNS(1023) // bits.Len64 = 10: [512, 1024)
 	h.ObserveNS(1024) // bits.Len64 = 11: [1024, 2048)
 	h.ObserveNS(-5)   // clamps to 0: bucket 0
@@ -50,20 +57,20 @@ func TestLatencyHistBuckets(t *testing.T) {
 func TestLatencyHistQuantileGolden(t *testing.T) {
 	// 100 observations of 1000ns: all in bucket [512, 1024), so every
 	// quantile interpolates linearly inside that bucket.
-	uniform := NewLatencyHist()
+	uniform := new(latency.Hist)
 	for i := 0; i < 100; i++ {
 		uniform.ObserveNS(1000)
 	}
 	// One observation each at 100ns, 10us, 1ms: the quantiles walk the
 	// cumulative counts across three widely separated buckets.
-	spread := NewLatencyHist()
+	spread := new(latency.Hist)
 	spread.ObserveNS(100)
 	spread.ObserveNS(10_000)
 	spread.ObserveNS(1_000_000)
 
 	for _, tc := range []struct {
 		name          string
-		h             *LatencyHist
+		h             *latency.Hist
 		p50, p95, p99 float64
 	}{
 		{"uniform-1us", uniform, 768e-9, 998.4e-9, 1018.88e-9},
@@ -84,7 +91,7 @@ func TestLatencyHistQuantileGolden(t *testing.T) {
 // empty histogram, a single observation, and p so small the rank
 // clamps to the first observation.
 func TestLatencyHistQuantileEdges(t *testing.T) {
-	var nilHist *LatencyHist
+	var nilHist *latency.Hist
 	if nilHist.Quantile(0.5) != 0 || nilHist.Count() != 0 {
 		t.Error("nil histogram must report zero quantiles and count")
 	}
@@ -94,12 +101,12 @@ func TestLatencyHistQuantileEdges(t *testing.T) {
 		t.Errorf("nil snapshot = %+v, want zero", snap)
 	}
 
-	empty := NewLatencyHist()
+	empty := new(latency.Hist)
 	if got := empty.Quantile(0.99); got != 0 {
 		t.Errorf("empty Quantile = %g, want 0", got)
 	}
 
-	one := NewLatencyHist()
+	one := new(latency.Hist)
 	one.ObserveNS(700) // bucket [512, 1024), rank clamps to 1
 	p01, p99 := one.Quantile(0.01), one.Quantile(0.99)
 	if p01 != p99 {
@@ -113,7 +120,7 @@ func TestLatencyHistQuantileEdges(t *testing.T) {
 // TestLatencyHistSummary checks the human-readable one-liner and the
 // snapshot's JSON round trip (the /metrics.json shape).
 func TestLatencyHistSummary(t *testing.T) {
-	h := NewLatencyHist()
+	h := new(latency.Hist)
 	if got := h.Snapshot().Summary(); got != "n=0 p50=- p95=- p99=- mean=-" {
 		t.Errorf("empty summary = %q", got)
 	}
@@ -126,7 +133,7 @@ func TestLatencyHistSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back LatencyHistSnapshot
+	var back latency.Snapshot
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +145,7 @@ func TestLatencyHistSummary(t *testing.T) {
 // TestLatencyHistObserveAllocs pins the hot path at zero allocations:
 // the histogram sits on the engine's per-item route.
 func TestLatencyHistObserveAllocs(t *testing.T) {
-	h := NewLatencyHist()
+	h := new(latency.Hist)
 	if n := testing.AllocsPerRun(200, func() { h.ObserveNS(12345) }); n != 0 {
 		t.Errorf("ObserveNS allocates %v times per call, want 0", n)
 	}

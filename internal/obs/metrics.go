@@ -11,6 +11,7 @@ import (
 	"os"
 	"sync"
 
+	"ivm/internal/obs/latency"
 	"ivm/internal/stats"
 	"ivm/internal/sweep"
 )
@@ -30,11 +31,11 @@ type Snapshot struct {
 	// traced steady state (ivmsim -phase-hist). Readers built before
 	// this field existed ignore it: ReadSnapshot skips unknown keys.
 	PhaseHistogram *PhaseHistogram `json:"phase_histogram,omitempty"`
-	// ItemLatency holds the work-item latency histogram when the run
-	// attached one (ivmsweep/ivmreport -latency): log2 buckets plus
-	// estimated p50/p95/p99. Readers built before this field existed
-	// ignore it.
-	ItemLatency *LatencyHistSnapshot `json:"item_latency,omitempty"`
+	// ItemLatency holds the engine's work-item latency histogram when
+	// the run asked for it (ivmsweep/ivmreport -latency): log2 buckets
+	// plus estimated p50/p95/p99. Readers built before this field
+	// existed ignore it.
+	ItemLatency *latency.Snapshot `json:"item_latency,omitempty"`
 }
 
 // WriteSnapshot serialises the snapshot as indented JSON.
@@ -71,8 +72,8 @@ func WriteSnapshotFile(path string, s Snapshot) error {
 // every request, so a long sweep can be watched while it runs. It
 // serves its own JSON (ServeHTTP); Serve mounts the Prometheus text
 // exposition at /metrics, the JSON view at /metrics.json, a liveness
-// probe at /healthz, expvar under /debug/vars and net/http/pprof under
-// /debug/pprof.
+// probe at /healthz, the runtime's stock expvar variables (cmdline,
+// memstats) under /debug/vars and net/http/pprof under /debug/pprof.
 type Registry struct {
 	mu          sync.Mutex
 	sources     map[string]func() any
@@ -115,22 +116,10 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// published guards expvar.Publish, which panics on duplicate names.
-var published sync.Map
-
-// Publish exposes the registry under the given name in the process's
-// expvar set (/debug/vars). Publishing the same name twice is a
-// no-op: the first registry keeps the name.
-func (r *Registry) Publish(name string) {
-	if _, loaded := published.LoadOrStore(name, true); loaded {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Gather() }))
-}
-
 // Mount attaches the registry's observability endpoints to mux: the
 // Prometheus text exposition at /metrics, the gathered JSON view at
-// /metrics.json, expvar at /debug/vars and pprof at /debug/pprof/.
+// /metrics.json, the stock expvar variables at /debug/vars and pprof at
+// /debug/pprof/.
 // Liveness (/healthz) is deliberately NOT mounted — callers own it, so
 // a server with real health state (ivmserved's store integrity) can
 // report it while Serve keeps its plain "ok".

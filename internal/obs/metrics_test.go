@@ -194,8 +194,6 @@ func TestRegistryServesJSON(t *testing.T) {
 func TestRegistryServeEndToEnd(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register("static", func() any { return map[string]int{"answer": 42} })
-	reg.Publish("obs_test_registry")
-	reg.Publish("obs_test_registry") // duplicate must not panic
 
 	addr, closer, err := reg.Serve("127.0.0.1:0")
 	if err != nil {

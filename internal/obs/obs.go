@@ -1,10 +1,10 @@
 // Package obs is the observability layer over the simulator's
-// memsys.Listener seam: a ring-buffered, optionally sampled event
-// tracer cheap enough to leave attached, exporters that turn a traced
-// window into a Chrome trace_event file (chrome://tracing, Perfetto),
-// a CSV timeline or a plain-text bank-occupancy strip chart, and a
-// metrics registry that snapshots engine/collector counters to JSON
-// and serves them live over expvar and net/http/pprof.
+// memsys.Listener seam: a ring-buffered event tracer cheap enough to
+// leave attached, exporters that turn a traced window into a Chrome
+// trace_event file (chrome://tracing, Perfetto), a CSV timeline or a
+// plain-text bank-occupancy strip chart, and a metrics registry that
+// snapshots engine/collector counters to JSON and serves them live as
+// Prometheus text and JSON beside net/http/pprof.
 //
 // The tracer's totals (grants, delays, per-kind conflict counts) are
 // kept in sync/atomic counters and are safe to read from another
@@ -47,10 +47,6 @@ type TracerOptions struct {
 	// counted as dropped), so a trace always holds the most recent
 	// window.
 	Capacity int
-	// SampleEvery records events only for clocks t with t % SampleEvery
-	// == 0; values <= 1 record every clock. Sampling thins the ring but
-	// never the counters, which stay exact.
-	SampleEvery int64
 }
 
 // Tracer records simulator events into a preallocated ring and keeps
@@ -61,11 +57,10 @@ type Tracer struct {
 	n    int // filled slots
 	next int // next write position
 
-	grants     atomic.Int64
-	delays     atomic.Int64
-	kinds      [4]atomic.Int64 // indexed by memsys.ConflictKind
-	dropped    atomic.Int64    // ring overwrites
-	sampledOut atomic.Int64    // events skipped by SampleEvery
+	grants  atomic.Int64
+	delays  atomic.Int64
+	kinds   [4]atomic.Int64 // indexed by memsys.ConflictKind
+	dropped atomic.Int64    // ring overwrites
 
 	haveClock  atomic.Bool
 	firstClock atomic.Int64
@@ -101,10 +96,6 @@ func (t *Tracer) Observe(e memsys.Event) {
 	}
 	t.lastClock.Store(e.Clock)
 
-	if t.opt.SampleEvery > 1 && e.Clock%t.opt.SampleEvery != 0 {
-		t.sampledOut.Add(1)
-		return
-	}
 	ev := Event{Clock: e.Clock, Port: e.Port.ID, Label: e.Port.Label, CPU: e.Port.CPU, Bank: e.Bank, Kind: e.Kind, Blocker: -1}
 	if e.Blocker != nil {
 		ev.Blocker = e.Blocker.ID
@@ -149,12 +140,11 @@ func (t *Tracer) Dropped() int64 { return t.dropped.Load() }
 // TraceStats is the JSON-serialisable summary of a tracer: exact
 // totals plus the state of the event ring.
 type TraceStats struct {
-	Events                int     `json:"events"`      // events currently in the ring
-	Recorded              int64   `json:"recorded"`    // events ever written to the ring
-	Dropped               int64   `json:"dropped"`     // ring overwrites (oldest lost)
-	SampledOut            int64   `json:"sampled_out"` // skipped by SampleEvery
-	Grants                int64   `json:"grants"`      // exact, unaffected by sampling
-	Delays                int64   `json:"delays"`      // exact, unaffected by sampling
+	Events                int     `json:"events"`   // events currently in the ring
+	Recorded              int64   `json:"recorded"` // events ever written to the ring
+	Dropped               int64   `json:"dropped"`  // ring overwrites (oldest lost)
+	Grants                int64   `json:"grants"`   // exact, unaffected by ring overwrites
+	Delays                int64   `json:"delays"`   // exact, unaffected by ring overwrites
 	BankConflicts         int64   `json:"bank_conflicts"`
 	SimultaneousConflicts int64   `json:"simultaneous_conflicts"`
 	SectionConflicts      int64   `json:"section_conflicts"`
@@ -169,7 +159,6 @@ func (t *Tracer) Stats() TraceStats {
 	s := TraceStats{
 		Events:                t.n,
 		Dropped:               t.dropped.Load(),
-		SampledOut:            t.sampledOut.Load(),
 		Grants:                t.grants.Load(),
 		Delays:                t.delays.Load(),
 		BankConflicts:         t.kinds[memsys.BankConflict].Load(),

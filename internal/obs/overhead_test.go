@@ -99,15 +99,3 @@ func BenchmarkStepTracerAttached(b *testing.B) {
 		sys.Step()
 	}
 }
-
-// BenchmarkStepTracerSampled measures the tracer with 1-in-64
-// sampling: counters stay exact, ring writes become rare.
-func BenchmarkStepTracerSampled(b *testing.B) {
-	sys := contendedSystem()
-	Attach(sys, TracerOptions{Capacity: 1 << 12, SampleEvery: 64})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.Step()
-	}
-}

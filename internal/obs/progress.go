@@ -4,13 +4,12 @@ package obs
 // counters (Engine.WorkItems: planned, completed, first-planned clock)
 // and its Metrics path split, derives throughput and ETA, renders a
 // one-line status for periodic stderr updates (Start), and exposes
-// itself as an expvar and a Prometheus source — how a multi-hour
+// itself as a JSON and a Prometheus source — how a multi-hour
 // census stays observable from the terminal that launched it and from
 // a scraper alike. The engine needs no hook for it: progress is a view
 // over counters it keeps anyway.
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"time"
@@ -128,16 +127,6 @@ func (p *Progress) Start(w io.Writer, every time.Duration) (stop func()) {
 		<-finished
 		fmt.Fprintln(w, p.Line()) //nolint:errcheck // best-effort status
 	}
-}
-
-// Publish exposes the tracker's snapshot in the process's expvar set
-// (/debug/vars) under name. Publishing the same name twice is a no-op,
-// matching Registry.Publish.
-func (p *Progress) Publish(name string) {
-	if _, loaded := published.LoadOrStore(name, true); loaded {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return p.Snapshot() }))
 }
 
 // PromMetrics adapts the tracker to a Prometheus source for

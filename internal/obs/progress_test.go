@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -67,10 +68,11 @@ func checkProgressLine(t *testing.T, cacheSize int) {
 }
 
 // partBatch starts a Workers-1 engine resolving n fixed placements
-// and holds it after k items complete: the item-latency sink runs in
-// the pool after an item is counted done, so while it blocks the
-// engine has planned n items and completed exactly k. release lets
-// the batch finish and waits for it.
+// and holds it after k items complete: each 3-stream census item
+// canonicalises exactly once, so the batch's span sink blocks at the
+// (k+1)-th canonicalise span, inside item k+1, while the engine has
+// planned n items and completed exactly k. release lets the batch
+// finish and waits for it.
 func partBatch(t *testing.T, n, k int) (eng *sweep.Engine, release func()) {
 	t.Helper()
 	specs := make([]sweep.ConfigSpec, n)
@@ -78,10 +80,11 @@ func partBatch(t *testing.T, n, k int) (eng *sweep.Engine, release func()) {
 		specs[i] = sweep.TripleCensusSpec(13, 4, [3]int{1, 2, 6}, [3]int{0, i % 13, i / 13 % 13})
 	}
 	held, resume := make(chan struct{}), make(chan struct{})
-	eng = sweep.NewEngine(sweep.Options{Workers: 1, ItemLatency: &holdAt{k: int64(k), held: held, resume: resume}})
+	eng = sweep.NewEngine(sweep.Options{Workers: 1})
+	ctx := sweep.WithSpanSink(context.Background(), &holdAt{k: int64(k + 1), held: held, resume: resume})
 	finished := make(chan error, 1)
 	go func() {
-		_, err := eng.ResolveBatch(specs)
+		_, err := eng.ResolveBatchCtx(ctx, specs)
 		finished <- err
 	}()
 	select {
@@ -98,7 +101,7 @@ func partBatch(t *testing.T, n, k int) (eng *sweep.Engine, release func()) {
 	}
 }
 
-// holdAt is a LatencySink that blocks the k-th observation until
+// holdAt is a span sink that blocks the k-th canonicalise span until
 // resume is closed, announcing it on held.
 type holdAt struct {
 	n            atomic.Int64
@@ -106,8 +109,10 @@ type holdAt struct {
 	held, resume chan struct{}
 }
 
-func (h *holdAt) ObserveNS(int64) {
-	if h.n.Add(1) == h.k {
+func (h *holdAt) Start() int64 { return 0 }
+
+func (h *holdAt) Span(name string, _ int64) {
+	if name == sweep.SpanCanon && h.n.Add(1) == h.k {
 		close(h.held)
 		<-h.resume
 	}

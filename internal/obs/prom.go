@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ivm/internal/obs/latency"
 	"ivm/internal/sweep"
 )
 
@@ -90,13 +91,23 @@ func Histogram(name, help string) PromMetric {
 	return PromMetric{Name: name, Help: help, Type: "histogram"}
 }
 
+// The exposition window: histogram bucket series are emitted for upper
+// bounds 2^expoMinBucket..2^expoMaxBucket nanoseconds (~4.1us to
+// ~17.2s) plus +Inf, keeping the per-series cardinality bounded while
+// spanning every plausible request latency. Counts outside the window
+// still land in _sum/_count and the edge buckets' cumulative totals.
+const (
+	expoMinBucket = 12
+	expoMaxBucket = 34
+)
+
 // HistSample appends one histogram series to the metric from a
-// LatencyHist snapshot: cumulative _bucket samples over the fixed
-// exposition window (upper bounds 2^12..2^34 ns in seconds, so every
-// series of the family shares the same le grid) plus +Inf, then _sum
-// and _count. pairs are label name/value pairs applied to every
-// sample of the series: HistSample(snap, "endpoint", "batch").
-func (m PromMetric) HistSample(snap LatencyHistSnapshot, pairs ...any) PromMetric {
+// latency.Hist snapshot: cumulative _bucket samples over the fixed
+// exposition window (so every series of the family shares the same le
+// grid) plus +Inf, then _sum and _count. pairs are label name/value
+// pairs applied to every sample of the series:
+// HistSample(snap, "endpoint", "batch").
+func (m PromMetric) HistSample(snap latency.Snapshot, pairs ...any) PromMetric {
 	if len(pairs)%2 != 0 {
 		panic("obs: HistSample wants label name/value pairs")
 	}
@@ -112,7 +123,7 @@ func (m PromMetric) HistSample(snap LatencyHistSnapshot, pairs ...any) PromMetri
 	var cum int64
 	bi := 0
 	for k := expoMinBucket; k <= expoMaxBucket; k++ {
-		upper := bucketUpperNS(k) / 1e9
+		upper := float64(int64(1)<<k) / 1e9
 		for bi < len(snap.Buckets) && snap.Buckets[bi].UpperSeconds <= upper {
 			cum += snap.Buckets[bi].Count
 			bi++
@@ -242,9 +253,10 @@ func (r *Registry) PromHandler() http.Handler {
 }
 
 // SweepPromMetrics adapts a sweep engine to a Prometheus source:
-// global and per-family cache counters, wall and detection time, and —
-// when the engine records provenance — the per-path, per-theorem and
-// orbit attribution counters.
+// global and per-family cache counters, wall and detection time, the
+// work-item latency histogram, and — when the engine records
+// provenance — the per-path, per-theorem and orbit attribution
+// counters.
 func SweepPromMetrics(eng *sweep.Engine) func() []PromMetric {
 	return func() []PromMetric {
 		s := eng.Snapshot()
@@ -263,6 +275,7 @@ func SweepPromMetrics(eng *sweep.Engine) func() []PromMetric {
 			Gauge("ivm_sweep_analytic_hit_ratio", "Analytic answers over all placements resolved.", m.AnalyticHitRate()),
 			Counter("ivm_sweep_wall_seconds_total", "Wall time spent inside sweep calls.", float64(s.WallNS)/1e9),
 			Counter("ivm_sweep_cycle_detect_seconds_total", "Wall time spent in steady-state detection, summed across workers.", float64(s.CycleDetectNS)/1e9),
+			Histogram("ivm_sweep_item_duration_seconds", "Sweep work-item latency distribution (log2 buckets).").HistSample(eng.ItemLatency()),
 		}
 		famNames := make([]string, 0, len(m.Families))
 		for name := range m.Families {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"ivm/internal/obs/latency"
 	"ivm/internal/sweep"
 )
 
@@ -132,7 +133,7 @@ func checkExposition(t *testing.T, out string) {
 // HELP/TYPE header, cumulative _bucket series over the fixed le grid,
 // the +Inf bucket equal to _count, and _sum carrying the total.
 func TestHistogramExposition(t *testing.T) {
-	h := NewLatencyHist()
+	h := new(latency.Hist)
 	h.ObserveNS(5_000)      // ~5us, inside the exposition window
 	h.ObserveNS(1_000_000)  // 1ms
 	h.ObserveNS(40_000_000) // 40ms
@@ -229,5 +230,17 @@ func TestSweepPromMetricsLive(t *testing.T) {
 		if want := float64(f.Hits + f.Misses + f.Analytic); sum != want {
 			t.Errorf("%s: scraped path sum %g != engine resolved %g", fam, sum, want)
 		}
+	}
+	// The engine observes every work item it completes: the item
+	// histogram's _count is the sweep unit counter.
+	scraped := func(name string) string {
+		match := regexp.MustCompile(`(?m)^` + name + ` (\S+)$`).FindStringSubmatch(out)
+		if match == nil {
+			t.Fatalf("no %s sample", name)
+		}
+		return match[1]
+	}
+	if n, units := scraped("ivm_sweep_item_duration_seconds_count"), scraped("ivm_sweep_units_total"); n != units {
+		t.Errorf("ivm_sweep_item_duration_seconds_count %s != ivm_sweep_units_total %s", n, units)
 	}
 }

@@ -17,23 +17,11 @@ import (
 // the simulation (attach it only when the full timeline is wanted;
 // the detached hot loop stays free as always).
 
-// DefaultStreamFlushEvery is the flush window of a CSVStream when
-// StreamOptions leaves FlushEvery zero: how many rows may sit in the
-// buffer before it is forced to the underlying writer.
+// DefaultStreamFlushEvery is the flush window of a CSVStream: how many
+// rows may sit in the buffer before it is forced to the underlying
+// writer, so a consumer tailing the file sees progress in bounded
+// windows.
 const DefaultStreamFlushEvery = 1 << 12
-
-// StreamOptions configures a CSVStream.
-type StreamOptions struct {
-	// FlushEvery forces a flush after that many rows, so a consumer
-	// tailing the file sees progress in bounded windows; 0 selects
-	// DefaultStreamFlushEvery, negative flushes only on Close (and
-	// when the internal buffer fills).
-	FlushEvery int64
-	// SampleEvery writes only events of clocks t with t % SampleEvery
-	// == 0, mirroring TracerOptions.SampleEvery; values <= 1 write
-	// every event.
-	SampleEvery int64
-}
 
 // CSVStream is a memsys.Listener that exports the event timeline as
 // CSV incrementally. The row format is byte-identical to WriteCSV:
@@ -42,7 +30,6 @@ type StreamOptions struct {
 // everything the ring dropped. Errors are sticky: the first write
 // error stops further output and is returned by Err and Close.
 type CSVStream struct {
-	opt  StreamOptions
 	w    *bufio.Writer
 	rows int64 // rows written since the last forced flush
 	n    int64 // total event rows written
@@ -52,23 +39,17 @@ type CSVStream struct {
 // NewCSVStream builds a streaming exporter over w and writes the CSV
 // header immediately. Install it with System.SetListener, or
 // alongside a tracer via Tee.
-func NewCSVStream(w io.Writer, opt StreamOptions) *CSVStream {
-	if opt.FlushEvery == 0 {
-		opt.FlushEvery = DefaultStreamFlushEvery
-	}
-	s := &CSVStream{opt: opt, w: bufio.NewWriter(w)}
+func NewCSVStream(w io.Writer) *CSVStream {
+	s := &CSVStream{w: bufio.NewWriter(w)}
 	_, err := fmt.Fprintln(s.w, csvHeader)
 	s.err = err
 	return s
 }
 
 // Observe implements memsys.Listener: one CSV row per event, flushed
-// every FlushEvery rows.
+// every DefaultStreamFlushEvery rows.
 func (s *CSVStream) Observe(e memsys.Event) {
 	if s.err != nil {
-		return
-	}
-	if s.opt.SampleEvery > 1 && e.Clock%s.opt.SampleEvery != 0 {
 		return
 	}
 	ev := Event{Clock: e.Clock, Port: e.Port.ID, Label: e.Port.Label, CPU: e.Port.CPU, Bank: e.Bank, Kind: e.Kind, Blocker: -1}
@@ -80,7 +61,7 @@ func (s *CSVStream) Observe(e memsys.Event) {
 	}
 	s.n++
 	s.rows++
-	if s.opt.FlushEvery > 0 && s.rows >= s.opt.FlushEvery {
+	if s.rows >= DefaultStreamFlushEvery {
 		s.err = s.w.Flush()
 		s.rows = 0
 	}

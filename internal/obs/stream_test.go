@@ -16,7 +16,7 @@ func TestCSVStreamByteIdenticalToRing(t *testing.T) {
 	var streamed bytes.Buffer
 	sys := fig3()
 	tr := NewTracer(TracerOptions{Capacity: 4096})
-	cs := NewCSVStream(&streamed, StreamOptions{})
+	cs := NewCSVStream(&streamed)
 	sys.SetListener(Tee{tr, cs})
 	sys.Run(500)
 	if err := cs.Close(); err != nil {
@@ -44,7 +44,7 @@ func TestCSVStreamLosslessPastRingCapacity(t *testing.T) {
 	var streamed bytes.Buffer
 	sys := fig3()
 	tr := NewTracer(TracerOptions{Capacity: capacity})
-	cs := NewCSVStream(&streamed, StreamOptions{FlushEvery: 16})
+	cs := NewCSVStream(&streamed)
 	sys.SetListener(Tee{tr, cs})
 
 	// fig3 produces 2 events per clock; 10x the ring capacity in events.
@@ -85,28 +85,6 @@ func TestCSVStreamLosslessPastRingCapacity(t *testing.T) {
 	}
 }
 
-func TestCSVStreamSampling(t *testing.T) {
-	var full, sampled bytes.Buffer
-	sys := fig3()
-	cf := NewCSVStream(&full, StreamOptions{})
-	cp := NewCSVStream(&sampled, StreamOptions{SampleEvery: 4})
-	sys.SetListener(Tee{cf, cp})
-	sys.Run(64)
-	if err := errors.Join(cf.Close(), cp.Close()); err != nil {
-		t.Fatal(err)
-	}
-	if cp.Rows() == 0 || cp.Rows() >= cf.Rows() {
-		t.Fatalf("sampling did not thin the stream: %d vs %d rows", cp.Rows(), cf.Rows())
-	}
-	for _, line := range strings.Split(strings.TrimRight(sampled.String(), "\n"), "\n")[1:] {
-		clock := strings.SplitN(line, ",", 2)[0]
-		if !strings.HasSuffix(clock, "0") && !strings.HasSuffix(clock, "4") && !strings.HasSuffix(clock, "8") &&
-			!strings.HasSuffix(clock, "2") && !strings.HasSuffix(clock, "6") {
-			t.Fatalf("sampled row at odd clock: %q", line)
-		}
-	}
-}
-
 // errWriter fails after n writes, for sticky-error behaviour.
 type errWriter struct{ n int }
 
@@ -119,10 +97,12 @@ func (w *errWriter) Write(p []byte) (int, error) {
 }
 
 func TestCSVStreamStickyError(t *testing.T) {
-	cs := NewCSVStream(&errWriter{n: 1}, StreamOptions{FlushEvery: 1})
+	cs := NewCSVStream(&errWriter{n: 1})
 	sys := fig3()
 	sys.SetListener(cs)
-	sys.Run(32)
+	// Two events per clock: enough rows for several flush windows, so
+	// the second write reaches the failing writer mid-run.
+	sys.Run(DefaultStreamFlushEvery)
 	if cs.Err() == nil {
 		t.Fatal("write error not surfaced")
 	}
@@ -138,7 +118,7 @@ func TestCSVStreamStickyError(t *testing.T) {
 
 func TestCSVStreamHeaderOnly(t *testing.T) {
 	var buf bytes.Buffer
-	cs := NewCSVStream(&buf, StreamOptions{})
+	cs := NewCSVStream(&buf)
 	if err := cs.Close(); err != nil {
 		t.Fatal(err)
 	}

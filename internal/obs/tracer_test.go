@@ -93,32 +93,6 @@ func TestTracerRingWrapKeepsMostRecent(t *testing.T) {
 	}
 }
 
-func TestTracerSamplingThinsRingNotCounters(t *testing.T) {
-	sysAll := fig3()
-	all := Attach(sysAll, TracerOptions{})
-	sysAll.Run(64)
-
-	sysSampled := fig3()
-	sampled := Attach(sysSampled, TracerOptions{SampleEvery: 4})
-	sysSampled.Run(64)
-
-	if sampled.Grants() != all.Grants() || sampled.Delays() != all.Delays() {
-		t.Errorf("sampling changed exact totals: %d/%d vs %d/%d",
-			sampled.Grants(), sampled.Delays(), all.Grants(), all.Delays())
-	}
-	if len(sampled.Events()) >= len(all.Events()) {
-		t.Errorf("sampling did not thin the ring: %d vs %d", len(sampled.Events()), len(all.Events()))
-	}
-	for _, e := range sampled.Events() {
-		if e.Clock%4 != 0 {
-			t.Fatalf("sampled event at clock %d not on the grid", e.Clock)
-		}
-	}
-	if sampled.Stats().SampledOut == 0 {
-		t.Error("no events accounted as sampled out")
-	}
-}
-
 func TestTeeFansOut(t *testing.T) {
 	sys := fig3()
 	a := NewTracer(TracerOptions{})

@@ -32,6 +32,7 @@ import (
 	"ivm/internal/cachestore"
 	"ivm/internal/memsys"
 	"ivm/internal/obs"
+	"ivm/internal/obs/latency"
 	"ivm/internal/sweep"
 )
 
@@ -88,7 +89,7 @@ type Server struct {
 	// latency is each endpoint's request count, summed duration and
 	// distribution in one histogram; errors counts its 4xx/5xx answers.
 	// Answer paths are the engine's tally (sweep.Engine.Tally).
-	latency [4]*obs.LatencyHist
+	latency [4]latency.Hist
 	errors  [4]atomic.Int64
 	traces  *ring[obs.RequestTrace]
 	slow    *ring[slowEntry]
@@ -124,9 +125,6 @@ func New(opt Options) (*Server, error) {
 		traces:        newRing[obs.RequestTrace](traceRingCapacity),
 		slow:          newRing[slowEntry](slowRingCapacity),
 	}
-	for i := range s.latency {
-		s.latency[i] = obs.NewLatencyHist()
-	}
 	eopt := sweep.Options{
 		Workers:      opt.Workers,
 		CacheSize:    size,
@@ -148,7 +146,7 @@ func New(opt Options) (*Server, error) {
 	s.reg.RegisterProm("served", s.promMetrics)
 	s.reg.Register("engine", func() any { return s.eng.Snapshot() })
 	s.reg.Register("requests", func() any {
-		out := make(map[string]obs.LatencyHistSnapshot, len(endpointNames))
+		out := make(map[string]latency.Snapshot, len(endpointNames))
 		for i, name := range endpointNames {
 			out[name] = s.latency[i].Snapshot()
 		}
@@ -369,6 +367,17 @@ const (
 	spanEncode = "encode"
 )
 
+// decodeBody decodes the request's JSON body into v and closes the
+// body. The decoder has normally read the body to its end, so closing
+// it here spares net/http the discard copy, through a pooled 8 KiB
+// buffer, that it otherwise makes of an unclosed body before writing
+// the response header.
+func decodeBody(r *http.Request, v any) error {
+	err := json.NewDecoder(r.Body).Decode(v)
+	r.Body.Close() //nolint:errcheck // the decode error is the one to report
+	return err
+}
+
 // handleBandwidth answers POST /v1/bandwidth: one SpecJSON in, one
 // ResultJSON out.
 func (s *Server) handleBandwidth(w http.ResponseWriter, r *http.Request) {
@@ -379,7 +388,7 @@ func (s *Server) handleBandwidth(w http.ResponseWriter, r *http.Request) {
 	info := requestInfo(r)
 	ds := info.tc.Start()
 	var sj SpecJSON
-	if err := json.NewDecoder(r.Body).Decode(&sj); err != nil {
+	if err := decodeBody(r, &sj); err != nil {
 		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}
@@ -414,7 +423,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	info := requestInfo(r)
 	ds := info.tc.Start()
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad batch: %v", err)
 		return
 	}

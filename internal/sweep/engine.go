@@ -11,6 +11,7 @@ import (
 	"ivm/internal/core"
 	"ivm/internal/memsys"
 	"ivm/internal/modmath"
+	"ivm/internal/obs/latency"
 	"ivm/internal/rat"
 	"ivm/internal/stats"
 	"ivm/internal/textplot"
@@ -54,11 +55,6 @@ type Options struct {
 	// default) records nothing and costs the hot path nothing, exactly
 	// like Timeline.
 	Provenance *Provenance
-	// ItemLatency, when non-nil, receives every completed work item's
-	// wall latency in nanoseconds (obs.LatencyHist implements it), so
-	// sweeps and the serving layer can report latency distributions and
-	// quantiles, not just means; nil is off and free.
-	ItemLatency LatencySink
 	// CacheSink, when non-nil, receives one CacheRecord per simulated
 	// canonical orbit, immediately after the result enters the in-RAM
 	// cache, so a persistent store (internal/cachestore) can append it
@@ -85,15 +81,6 @@ type Options struct {
 	// differentially tested against. Both kernels produce identical
 	// cyclic states, so results are byte-identical either way.
 	PackedKernel *bool
-}
-
-// LatencySink receives per-work-item latencies. It is implemented by
-// obs.LatencyHist; the indirection keeps internal/sweep free of an obs
-// dependency (obs imports sweep). Implementations must be safe for
-// concurrent use.
-type LatencySink interface {
-	// ObserveNS records one completed item's wall latency.
-	ObserveNS(ns int64)
 }
 
 // analytic reports whether the classifier gate short-circuits provable
@@ -154,13 +141,6 @@ type Metrics struct {
 	CyclesFound    int64                    `json:"cycles_found"`    // cyclic steady states detected
 	StepsSimulated int64                    `json:"steps_simulated"` // clock periods stepped across all simulations
 	PairsSwept     int64                    `json:"pairs_swept"`     // sweep units (pairs/triples/section pairs/specs) completed
-	// PackedFallbacks counts specs that requested the packed kernel but
-	// were compiled onto the scalar one because the packed grant loop
-	// does not implement their priority rule
-	// (memsys.PackedSupportsPriority). Structurally zero while every
-	// known rule is packed-supported; the counter keeps any future
-	// partial-coverage kernel honest.
-	PackedFallbacks int64 `json:"packed_fallbacks"`
 }
 
 // sortedKeys lists a family-keyed map's names in sorted order, the
@@ -218,9 +198,6 @@ func (m Metrics) Table() string {
 	t.Add("cache entries", m.CacheEntries)
 	t.Add("cache hit rate", fmt.Sprintf("%.1f%%", m.HitRate()*100))
 	t.Add("analytic hit rate", fmt.Sprintf("%.1f%%", m.AnalyticHitRate()*100))
-	if m.PackedFallbacks > 0 {
-		t.Add("packed fallbacks", m.PackedFallbacks)
-	}
 	for _, name := range sortedKeys(m.Families) {
 		f := m.Families[name]
 		t.Add(name+" hit rate",
@@ -260,12 +237,14 @@ type Engine struct {
 	// pairs counts completed work items (Metrics.PairsSwept), planned
 	// the items every sweep and batch announced, and startNS is the
 	// wall clock of the first announcement; WorkItems reads all three.
-	pairs, planned, packedFallbacks, startNS atomic.Int64
+	pairs, planned, startNS atomic.Int64
 
 	// Observability counters (see Snapshot): wall time spent inside
-	// sweep calls, wall time inside steady-state detection, and the
+	// sweep calls, wall time inside steady-state detection, the
+	// work-item latency distribution (see ItemLatency) and the
 	// cumulative per-pool-slot work totals.
 	wallNS, cycleNS atomic.Int64
+	itemLatency     latency.Hist
 
 	mu           sync.Mutex
 	stats        *stats.Collector
@@ -362,10 +341,7 @@ func (e *Engine) Metrics() Metrics { return e.metrics(e.Tally()) }
 
 // metrics derives the counters from one read of the tally.
 func (e *Engine) metrics(tally map[string]FamilyProvenance) Metrics {
-	m := Metrics{
-		PairsSwept:      e.pairs.Load(),
-		PackedFallbacks: e.packedFallbacks.Load(),
-	}
+	m := Metrics{PairsSwept: e.pairs.Load()}
 	if e.cache != nil {
 		m.CacheEntries = e.cache.Len()
 	}
@@ -413,6 +389,11 @@ func (e *Engine) WorkItems() (planned, done int64, since time.Time) {
 	return e.planned.Load(), e.pairs.Load(), since
 }
 
+// ItemLatency snapshots the wall latency distribution of every work
+// item the engine has completed: the same per-item clock reads that
+// fill the per-worker busy time, observed into a log2 histogram.
+func (e *Engine) ItemLatency() latency.Snapshot { return e.itemLatency.Snapshot() }
+
 // Stats returns the merged per-bank statistics of the most recent
 // sweep call, or nil unless Options.CollectStats is set. Cache hits
 // skip simulation, so the collector covers only the states that were
@@ -448,7 +429,6 @@ func (e *Engine) run(n int, f func(w *worker, i int)) {
 	e.startNS.CompareAndSwap(0, start.UnixNano())
 	e.planned.Add(int64(n))
 	tl := e.opt.Timeline
-	lat := e.opt.ItemLatency
 	work := func(w *worker, i int) {
 		t0 := time.Now()
 		ts := tl.Start()
@@ -458,9 +438,7 @@ func (e *Engine) run(n int, f func(w *worker, i int)) {
 		w.items++
 		e.pairs.Add(1)
 		tl.Slice(w.id, TimelineItem, ts, i, "")
-		if lat != nil {
-			lat.ObserveNS(itemNS)
-		}
+		e.itemLatency.ObserveNS(itemNS)
 	}
 	workers := e.workers()
 	if workers > n {
@@ -562,21 +540,18 @@ type worker struct {
 	pipeM, pipeStep, pipeFix int
 }
 
-// system returns the worker's simulator for cfg on kernel kern, reset
-// and ready for ports — reusing allocations whenever the configuration
-// repeats. The kernel is (re)applied after Reset because it is now a
-// per-spec choice (compile may fall a spec back to scalar), and
-// SetKernel is legal there: every bank is idle and the call is a no-op
-// when the kernel is unchanged.
-func (w *worker) system(cfg memsys.Config, kern memsys.Kernel) *memsys.System {
+// system returns the worker's simulator for cfg on the engine's
+// kernel, reset and ready for ports — reusing allocations whenever the
+// configuration repeats. Reset keeps the kernel, so it is set once,
+// when the simulator is built.
+func (w *worker) system(cfg memsys.Config) *memsys.System {
 	if w.sys != nil && w.cfg == cfg {
 		w.sys.Reset()
-		w.sys.SetKernel(kern)
 		return w.sys
 	}
 	w.flushStats()
 	w.sys = memsys.New(cfg)
-	w.sys.SetKernel(kern)
+	w.sys.SetKernel(w.e.opt.kernel())
 	w.cfg = cfg
 	if w.e.opt.CollectStats {
 		w.col = stats.Attach(w.sys)
@@ -665,11 +640,6 @@ type compiledSpec struct {
 	cpuList []int
 	canon   modmath.Pipeline
 	cfg     memsys.Config
-	// kernel is the inner-loop implementation this spec simulates on:
-	// the engine-wide request, demoted to scalar (with the fallback
-	// counted) when the packed kernel does not cover the spec's
-	// priority rule.
-	kernel memsys.Kernel
 
 	// gate is the analytic fast path for this spec, or nil when the
 	// spec is outside the theorems' model (sectioned, not two streams)
@@ -709,13 +679,8 @@ func (w *worker) compile(spec ConfigSpec) *compiledSpec {
 		cpuList: cpus,
 		canon:   w.pipelineFor(spec.M, spec.S, spec.Mapping),
 		cfg:     specConfig(spec),
-		kernel:  w.e.opt.kernel(),
 		vec:     make([]int, 2*n),
 		b:       make([]int, n),
-	}
-	if cs.kernel == memsys.KernelPacked && !memsys.PackedSupportsPriority(spec.Priority) {
-		cs.kernel = memsys.KernelScalar
-		w.e.packedFallbacks.Add(1)
 	}
 	for i, st := range spec.Streams {
 		cs.b[i] = st.B
@@ -891,7 +856,7 @@ func (t phaseTimer) end(family string) {
 // worker's reusable simulator and detects its steady state; the answer
 // carries the kernel's path and the cycle's cost, which record counts.
 func (w *worker) simulate(cs *compiledSpec, v []int) Resolution {
-	sys := w.system(cs.cfg, cs.kernel)
+	sys := w.system(cs.cfg)
 	addSpecStreams(sys, cs.spec, v)
 	tl := w.e.opt.Timeline
 	t0 := time.Now()
@@ -903,7 +868,7 @@ func (w *worker) simulate(cs *compiledSpec, v []int) Resolution {
 		panic(fmt.Sprintf("sweep: %s: %v", describeSpec(cs.spec, v), err))
 	}
 	r := Resolution{BW: c.EffectiveBandwidth(), Path: PathSimScalar, CycleLength: c.Length, Clocks: c.Lead + c.Length}
-	if cs.kernel == memsys.KernelPacked {
+	if sys.Kernel() == memsys.KernelPacked {
 		r.Path = PathSimPacked
 	}
 	return r

@@ -11,18 +11,14 @@ import (
 )
 
 // One recording point, many observers: every observer the answer
-// route feeds — Timeline, Provenance, CacheSink, ItemLatency and a
-// request's SpanSink — must report exactly the accounting the
+// route feeds — Timeline, Provenance, CacheSink, the item latency
+// histogram and a request's SpanSink — must report exactly the accounting the
 // engine's own counters keep, for every family, pool size and cache
 // setting.
 
 type countingCacheSink struct{ n atomic.Int64 }
 
 func (c *countingCacheSink) Put(CacheRecord) { c.n.Add(1) }
-
-type countingLatency struct{ n atomic.Int64 }
-
-func (c *countingLatency) ObserveNS(int64) { c.n.Add(1) }
 
 type countingSpans struct {
 	mu sync.Mutex
@@ -72,10 +68,9 @@ func TestObserversSeeOneRecord(t *testing.T) {
 			t.Run(fmt.Sprintf("workers=%d/cache=%d", workers, cacheSize), func(t *testing.T) {
 				tl := NewTimeline(1 << 20)
 				var sink countingCacheSink
-				var lat countingLatency
 				eng := NewEngine(Options{
 					Workers: workers, CacheSize: cacheSize,
-					Timeline: tl, Provenance: NewProvenance(0), CacheSink: &sink, ItemLatency: &lat,
+					Timeline: tl, Provenance: NewProvenance(0), CacheSink: &sink,
 				})
 				eng.SpecGrid(specs)
 				before := eng.Metrics()
@@ -91,7 +86,7 @@ func TestObserversSeeOneRecord(t *testing.T) {
 						paths[r.Path]++
 					}
 				}
-				checkObservers(t, eng, tl, sink.n.Load(), lat.n.Load())
+				checkObservers(t, eng, tl, sink.n.Load())
 				checkBatchSpans(t, eng, batch, before, paths, spans.n)
 			})
 		}
@@ -99,7 +94,7 @@ func TestObserversSeeOneRecord(t *testing.T) {
 }
 
 // checkObservers compares every observer with the engine's Metrics.
-func checkObservers(t *testing.T, eng *Engine, tl *Timeline, cacheRecords, latencies int64) {
+func checkObservers(t *testing.T, eng *Engine, tl *Timeline, cacheRecords int64) {
 	t.Helper()
 	snap := eng.Snapshot()
 	m := snap.Metrics
@@ -148,8 +143,8 @@ func checkObservers(t *testing.T, eng *Engine, tl *Timeline, cacheRecords, laten
 	if cacheRecords != m.CacheMisses {
 		t.Errorf("cache sink saw %d records for %d misses", cacheRecords, m.CacheMisses)
 	}
-	if latencies != m.PairsSwept {
-		t.Errorf("%d latency observations for %d items", latencies, m.PairsSwept)
+	if n := eng.ItemLatency().Count; n != m.PairsSwept {
+		t.Errorf("%d latency observations for %d items", n, m.PairsSwept)
 	}
 }
 

@@ -7,8 +7,7 @@ package sweep
 // through SeedCache on the next start, which is how ivmserved warm
 // loads a prior sweep's simulations (docs/SERVING.md). The seam lives
 // here, not in cachestore, so internal/sweep stays free of a store
-// dependency (cachestore imports sweep), mirroring the LatencySink
-// indirection.
+// dependency (cachestore imports sweep).
 
 import (
 	"fmt"

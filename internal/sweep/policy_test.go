@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -134,9 +133,8 @@ func TestDifferentialPolicies(t *testing.T) {
 
 // TestDifferentialPackedVsScalarPolicies holds the packed-kernel engine
 // to the scalar-kernel engine over every policy combo, and requires the
-// packed engine to have taken the packed path (no silent fallback: the
-// fallback counter stays zero and non-fixed-priority resolves report
-// path sim-packed).
+// packed engine to have taken the packed path (non-fixed-priority
+// resolves report path sim-packed).
 func TestDifferentialPackedVsScalarPolicies(t *testing.T) {
 	for _, combo := range policyCombos {
 		combo := combo
@@ -146,13 +144,10 @@ func TestDifferentialPackedVsScalarPolicies(t *testing.T) {
 			scalar := NewEngine(Options{Workers: 2, PackedKernel: &off})
 			packed := NewEngine(Options{Workers: 2, PackedKernel: &on})
 			sameRows(t, "packed vs scalar", scalar.SpecGrid(specs), packed.SpecGrid(specs))
-			if n := packed.Metrics().PackedFallbacks; n != 0 {
-				t.Fatalf("packed engine fell back to scalar %d times; every rule is packed-supported", n)
-			}
 
 			// A single-placement resolve on a fresh packed engine must
-			// attribute to sim-packed, proving the packed grant loop —
-			// not a fallback — answered the non-fixed-priority spec.
+			// attribute to sim-packed, proving the packed grant loop
+			// answered the non-fixed-priority spec.
 			spec := specs[0]
 			for i := range spec.Streams {
 				spec.Streams[i].Sweep = false
@@ -236,29 +231,5 @@ func TestPolicyResolveMatchesColdSim(t *testing.T) {
 				t.Fatalf("translated resolve b_eff %s, cold %s", second.BW, cold)
 			}
 		})
-	}
-}
-
-// TestMetricsPackedFallbacksRoundTrip pins the packed_fallbacks JSON
-// field through Marshal/Unmarshal.
-func TestMetricsPackedFallbacksRoundTrip(t *testing.T) {
-	m := Metrics{CacheHits: 3, CacheMisses: 2, PackedFallbacks: 7}
-	data, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]int64
-	if err := json.Unmarshal(data, &raw); err != nil {
-		t.Fatal(err)
-	}
-	if raw["packed_fallbacks"] != 7 {
-		t.Fatalf("encoded %s lacks packed_fallbacks=7", data)
-	}
-	var back Metrics
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.PackedFallbacks != 7 {
-		t.Fatalf("round-trip lost PackedFallbacks: %+v", back)
 	}
 }

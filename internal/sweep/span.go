@@ -4,7 +4,7 @@ package sweep
 // context.Context into Engine.ResolveCtx/ResolveBatchCtx and receives
 // the named phases of every resolution — gate, canonicalise,
 // cache-probe, simulate — so a serving layer can reconstruct one
-// request's anatomy. Like LatencySink, the interface keeps
+// request's anatomy. Like CacheSink, the interface keeps
 // internal/sweep free of an obs dependency (obs.TraceContext is the
 // implementation, and obs imports sweep). The answer route's phase
 // timer reports each phase to the sink and the Timeline together; a

@@ -243,7 +243,7 @@ func TestMetricsJSONGenericFamilies(t *testing.T) {
 			"pair":    {Hits: 10, Misses: 3, Analytic: 7},
 			"stream4": {Hits: 2, Misses: 2},
 		},
-		CacheEntries: 4, CyclesFound: 5, StepsSimulated: 100, PairsSwept: 3, PackedFallbacks: 1,
+		CacheEntries: 4, CyclesFound: 5, StepsSimulated: 100, PairsSwept: 3,
 	}
 	data, err := json.Marshal(m)
 	if err != nil {
@@ -253,7 +253,7 @@ func TestMetricsJSONGenericFamilies(t *testing.T) {
 		`"cache_hits":12`, `"analytic_hits":7`,
 		`"pair":{"cache_hits":10,"cache_misses":3,"analytic_hits":7}`,
 		`"stream4":{"cache_hits":2,"cache_misses":2,"analytic_hits":0}`,
-		`"cycles_found":5`, `"pairs_swept":3`, `"packed_fallbacks":1`,
+		`"cycles_found":5`, `"pairs_swept":3`,
 	} {
 		if !strings.Contains(string(data), want) {
 			t.Fatalf("marshal missing %s: %s", want, data)
@@ -261,6 +261,9 @@ func TestMetricsJSONGenericFamilies(t *testing.T) {
 	}
 	if strings.Contains(string(data), "pair_cache_hits") || strings.Contains(string(data), "triple") {
 		t.Fatalf("marshal carries legacy flat family fields: %s", data)
+	}
+	if strings.Contains(string(data), "packed_fallbacks") {
+		t.Fatalf("marshal carries the removed packed_fallbacks field: %s", data)
 	}
 	var back Metrics
 	if err := json.Unmarshal(data, &back); err != nil {

@@ -14,8 +14,8 @@
 # Live probes close the run:
 # ivmsweep serving -metrics-addr on a loopback port is scraped over
 # HTTP, pinning the Prometheus exposition format end to end and, once
-# the sweep finishes, progress done = planned = sweep units
-# (docs/OBSERVABILITY.md); ivmserved answers a known analytic pair
+# the sweep finishes, progress done = planned = sweep units = the
+# work-item latency histogram's _count (docs/OBSERVABILITY.md); ivmserved answers a known analytic pair
 # with byte-pinned JSON plus a healthy /healthz (docs/SERVING.md); and
 # a request tagged with a fixed X-Request-ID is followed end to end
 # through the access log, the Chrome trace export and the
@@ -53,7 +53,7 @@ go vet ./...
 # carry a doc comment, and every relative Markdown link must resolve.
 go run ./internal/tools/docscheck \
 	internal/sweep internal/modmath internal/memsys internal/stats \
-	internal/obs internal/obs/profile internal/textplot \
+	internal/obs internal/obs/latency internal/obs/profile internal/textplot \
 	internal/core internal/report internal/serve internal/cachestore
 
 go test -race "$@"
@@ -141,7 +141,9 @@ for line in \
 done
 # Progress end to end: once the sweep has finished (ivmsweep announces
 # its linger), the progress view read from the engine must count every
-# planned item as done, and agree with the engine's own unit counter.
+# planned item as done, and agree with the engine's own unit counter
+# and with the item latency histogram the engine observes every item
+# into.
 for _ in $(seq 1 300); do
 	grep -q '^metrics server lingering' "$tmp/stderr" && break
 	sleep 0.1
@@ -157,6 +159,11 @@ planned="$(sample ivm_progress_items)"
 units="$(sample ivm_sweep_units_total)"
 if [ -z "$done_items" ] || [ "$done_items" = 0 ] || [ "$done_items" != "$planned" ] || [ "$done_items" != "$units" ]; then
 	echo "check.sh: progress drifted: done $done_items, planned $planned, sweep units $units" >&2
+	exit 1
+fi
+item_count="$(sample ivm_sweep_item_duration_seconds_count)"
+if [ "$item_count" != "$units" ]; then
+	echo "check.sh: ivm_sweep_item_duration_seconds_count $item_count != ivm_sweep_units_total $units" >&2
 	exit 1
 fi
 kill "$srv" 2>/dev/null || true
