@@ -13,6 +13,7 @@ package memsys
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math/bits"
 )
 
@@ -290,31 +291,20 @@ func (s *System) blockedStretch(end int64) int64 {
 // key length tracks the port count, not the bank count; the two
 // encodings are injective on the same state space, so the recurrence is
 // found at the same clock and the returned window is identical to the
-// scalar kernel's.
+// scalar kernel's. The visited states go into the system's recurrence
+// table, so a system reused through Reset searches without allocating.
 func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
 	np := len(s.ports)
-	const stride = 5 // grants, bank, simultaneous, section, idle
-	type packedSnap struct {
-		clock  int64
-		counts []int64
-	}
-	seen := make(map[string]packedSnap)
-	key := make([]byte, 0, 16+4*np)
-	counts := func() []int64 {
-		cs := make([]int64, stride*np)
-		for i, p := range s.ports {
-			c := p.Count
-			j := stride * i
-			cs[j], cs[j+1], cs[j+2], cs[j+3], cs[j+4] =
-				c.Grants, c.Bank, c.Simultaneous, c.Section, c.Idle
-		}
-		return cs
-	}
+	t := &s.states
+	t.reset(np)
 
 	for s.clock < start+maxClocks {
 		s.expireTo(s.clock)
-		key = key[:0]
-		key = binary.AppendVarint(key, int64(s.rr))
+		// The key is appended straight onto the arena: insert keeps it
+		// there, and a recurrence ends the search before anything else
+		// is appended.
+		from := len(t.arena)
+		key := binary.AppendVarint(t.arena, int64(s.rr))
 		for _, p := range s.ports {
 			if addr, ok := p.Src.Pending(s.clock); ok {
 				key = binary.AppendVarint(key, int64(s.mapper.Bank(addr)))
@@ -330,29 +320,134 @@ func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
 				key = binary.AppendVarint(key, s.expiry[b]-s.clock)
 			}
 		}
-		if prev, ok := seen[string(key)]; ok {
-			cur := counts()
+		t.arena = key
+		key = key[from:]
+		h := maphash.Bytes(t.seed, key)
+		prev, head := t.lookup(h, key)
+		if prev >= 0 {
 			c := Cycle{
-				Lead:      prev.clock - start,
-				Length:    s.clock - prev.clock,
+				Lead:      int64(prev),
+				Length:    s.clock - start - int64(prev),
 				Grants:    make([]int64, np),
 				Conflicts: make([]Counters, np),
 			}
-			for i := 0; i < np; i++ {
-				j := stride * i
-				c.Grants[i] = cur[j] - prev.counts[j]
+			was := t.counts[int(prev)*stateStride*np:]
+			for i, p := range s.ports {
+				j := stateStride * i
+				cur := p.Count
+				c.Grants[i] = since(cur.Grants, was[j])
 				c.Conflicts[i] = Counters{
-					Grants:       cur[j] - prev.counts[j],
-					Bank:         cur[j+1] - prev.counts[j+1],
-					Simultaneous: cur[j+2] - prev.counts[j+2],
-					Section:      cur[j+3] - prev.counts[j+3],
-					Idle:         cur[j+4] - prev.counts[j+4],
+					Grants:       since(cur.Grants, was[j]),
+					Bank:         since(cur.Bank, was[j+1]),
+					Simultaneous: since(cur.Simultaneous, was[j+2]),
+					Section:      since(cur.Section, was[j+3]),
+					Idle:         since(cur.Idle, was[j+4]),
 				}
 			}
 			return c, nil
 		}
-		seen[string(key)] = packedSnap{clock: s.clock, counts: counts()}
+		t.insert(h, head)
+		for _, p := range s.ports {
+			c := p.Count
+			t.counts = append(t.counts,
+				uint32(c.Grants), uint32(c.Bank), uint32(c.Simultaneous), uint32(c.Section), uint32(c.Idle))
+		}
 		s.stepPacked()
 	}
 	return Cycle{}, ErrNoCycle
+}
+
+// stateStride is the number of per-port counters a recurrence-table
+// state records: grants, bank, simultaneous, section, idle.
+const stateStride = 5
+
+// since returns how far a port counter has advanced from the value a
+// recurrence-table state recorded. The table keeps counters modulo
+// 2^32, which halves its largest array; the difference is still exact
+// because a counter grows by at most one per clock, so it advances by
+// at most the window's length, and the table's int32 state indices
+// keep that below 2^31.
+func since(cur int64, was uint32) int64 { return int64(uint32(cur) - was) }
+
+// keptStates bounds the states a recurrence table keeps its storage
+// for: a search that visited more releases the table at the next
+// reset, so one long search neither pins its memory on a reused
+// system nor makes every later reset clear a map sized for it.
+const keptStates = 1 << 12
+
+// recurrenceTable records the states one packed FindCycle search has
+// visited. State i is the state at clock start+i (the search advances
+// one clock per state), so the table stores no clocks:
+//   - its key is arena[keyEnd[i-1]:keyEnd[i]] (from 0 for i = 0);
+//   - its port counters, modulo 2^32 (see since), are
+//     counts[i·stride·p : (i+1)·stride·p];
+//   - chain[i] is the previous state whose key has the same 64-bit
+//     hash, or -1.
+//
+// head maps a key hash to the most recent state with that hash, so a
+// lookup walks one hash's chain comparing the full key bytes: a hash
+// collision between two different states is never taken for a
+// recurrence. The System keeps its table across Reset; reset truncates
+// it, so a reused system appends into the storage the previous search
+// grew.
+type recurrenceTable struct {
+	seed   maphash.Seed
+	head   map[uint64]int32
+	chain  []int32
+	keyEnd []int
+	arena  []byte
+	counts []uint32
+}
+
+// reset empties the table for a search over np ports, keeping its
+// storage unless the previous search outgrew keptStates.
+func (t *recurrenceTable) reset(np int) {
+	if t.head == nil || len(t.keyEnd) > keptStates {
+		// A census search visits about 62 states on average, and a key
+		// takes one or two bytes per port plus two per busy bank.
+		const hint = 64
+		if t.head == nil {
+			t.seed = maphash.MakeSeed()
+		}
+		t.head = make(map[uint64]int32, hint)
+		t.chain = make([]int32, 0, hint)
+		t.keyEnd = make([]int, 0, hint)
+		t.arena = make([]byte, 0, hint*(8+2*np))
+		t.counts = make([]uint32, 0, hint*stateStride*np)
+		return
+	}
+	clear(t.head)
+	t.chain = t.chain[:0]
+	t.keyEnd = t.keyEnd[:0]
+	t.arena = t.arena[:0]
+	t.counts = t.counts[:0]
+}
+
+// lookup returns the recorded state whose key equals key, or -1, and
+// the most recent state with hash h, or -1 when h is new. h is key's
+// hash.
+func (t *recurrenceTable) lookup(h uint64, key []byte) (state, head int32) {
+	head, ok := t.head[h]
+	if !ok {
+		return -1, -1
+	}
+	for i := head; i >= 0; i = t.chain[i] {
+		from := 0
+		if i > 0 {
+			from = t.keyEnd[i-1]
+		}
+		if string(t.arena[from:t.keyEnd[i]]) == string(key) {
+			return i, head
+		}
+	}
+	return -1, head
+}
+
+// insert records the key the caller appended to the arena as the next
+// state, chained after head, the state lookup reported for the key's
+// hash h; the caller appends the state's counters.
+func (t *recurrenceTable) insert(h uint64, head int32) {
+	t.head[h] = int32(len(t.keyEnd))
+	t.chain = append(t.chain, head)
+	t.keyEnd = append(t.keyEnd, len(t.arena))
 }

@@ -321,6 +321,7 @@ type System struct {
 	expiry  []int64
 	wheel   [][]int32
 	expired int64
+	states  recurrenceTable // FindCycle's visited states, kept across Reset
 }
 
 // New creates a memory system with the default modulo bank mapping.

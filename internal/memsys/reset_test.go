@@ -1,12 +1,15 @@
 package memsys
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // A system reused through Reset must find exactly the same cyclic
 // steady state as a fresh one — same lead, length, per-port grants and
 // bandwidth — even after simulating an unrelated configuration of
 // streams in between. This is the contract the parallel sweep's
-// per-worker system reuse relies on.
+// per-worker system reuse relies on, on either kernel.
 func TestResetReuseMatchesFresh(t *testing.T) {
 	type pair struct{ m, nc, d1, b2, d2 int }
 	pairs := []pair{
@@ -15,42 +18,74 @@ func TestResetReuseMatchesFresh(t *testing.T) {
 		{16, 4, 8, 1, 8}, // self-conflicting
 		{13, 6, 1, 0, 6}, // Fig. 3 again, now on a dirty system
 	}
-	fresh := make([]Cycle, len(pairs))
-	for i, p := range pairs {
-		sys := New(Config{Banks: p.m, BankBusy: p.nc, CPUs: 2})
-		sys.AddPort(0, "1", NewInfiniteStrided(0, int64(p.d1)))
-		sys.AddPort(1, "2", NewInfiniteStrided(int64(p.b2), int64(p.d2)))
-		c, err := sys.FindCycle(1 << 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh[i] = c
-	}
-
-	var reused *System
-	for i, p := range pairs {
-		cfg := Config{Banks: p.m, BankBusy: p.nc, CPUs: 2}
-		if reused == nil || reused.Config() != cfg {
-			reused = New(cfg)
-		} else {
-			reused.Reset()
-		}
-		reused.AddPort(0, "1", NewInfiniteStrided(0, int64(p.d1)))
-		reused.AddPort(1, "2", NewInfiniteStrided(int64(p.b2), int64(p.d2)))
-		c, err := reused.FindCycle(1 << 20)
-		if err != nil {
-			t.Fatalf("reused %v: %v", p, err)
-		}
-		if c.Lead != fresh[i].Lead || c.Length != fresh[i].Length {
-			t.Fatalf("reused %v: lead/length %d/%d, fresh %d/%d", p, c.Lead, c.Length, fresh[i].Lead, fresh[i].Length)
-		}
-		for pt := range c.Grants {
-			if c.Grants[pt] != fresh[i].Grants[pt] {
-				t.Fatalf("reused %v: grants %v, fresh %v", p, c.Grants, fresh[i].Grants)
+	for _, k := range []Kernel{KernelScalar, KernelPacked} {
+		t.Run(k.String(), func(t *testing.T) {
+			fresh := make([]Cycle, len(pairs))
+			for i, p := range pairs {
+				sys := New(Config{Banks: p.m, BankBusy: p.nc, CPUs: 2})
+				sys.SetKernel(k)
+				attachPlacement(sys, p.d1, p.b2, p.d2)
+				c, err := sys.FindCycle(1 << 20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh[i] = c
 			}
+
+			var reused *System
+			for i, p := range pairs {
+				cfg := Config{Banks: p.m, BankBusy: p.nc, CPUs: 2}
+				if reused == nil || reused.Config() != cfg {
+					reused = New(cfg)
+					reused.SetKernel(k)
+				} else {
+					reused.Reset()
+				}
+				attachPlacement(reused, p.d1, p.b2, p.d2)
+				c, err := reused.FindCycle(1 << 20)
+				if err != nil {
+					t.Fatalf("reused %v: %v", p, err)
+				}
+				if !reflect.DeepEqual(c, fresh[i]) {
+					t.Fatalf("reused %v:\n got %+v\nfresh %+v", p, c, fresh[i])
+				}
+			}
+		})
+	}
+}
+
+// TestResetReusePackedAcrossShapes reuses one packed system for a 2-,
+// then a 4-, then a 2-stream search, so the recurrence table's counter
+// stride and key lengths change between searches. Each cycle must
+// equal a fresh packed system's and the scalar oracle's.
+func TestResetReusePackedAcrossShapes(t *testing.T) {
+	cfg := Config{Banks: 16, BankBusy: 4, CPUs: 2}
+	shapes := [][]StreamSpec{
+		{{Start: 0, Distance: 1, CPU: 0}, {Start: 3, Distance: 7, CPU: 1}},
+		{{Start: 0, Distance: 1, CPU: 0}, {Start: 3, Distance: 7, CPU: 1},
+			{Start: 5, Distance: 3, CPU: 0}, {Start: 9, Distance: 5, CPU: 1}},
+		{{Start: 1, Distance: 5, CPU: 0}, {Start: 2, Distance: 6, CPU: 1}},
+	}
+	reused := New(cfg)
+	reused.SetKernel(KernelPacked)
+	for i, specs := range shapes {
+		reused.Reset()
+		reused.AddStreams(specs...)
+		got, err := reused.FindCycle(1 << 20)
+		if err != nil {
+			t.Fatalf("shape %d: %v", i, err)
 		}
-		if !c.EffectiveBandwidth().Equal(fresh[i].EffectiveBandwidth()) {
-			t.Fatalf("reused %v: b_eff %s, fresh %s", p, c.EffectiveBandwidth(), fresh[i].EffectiveBandwidth())
+		for _, k := range []Kernel{KernelPacked, KernelScalar} {
+			fresh := New(cfg)
+			fresh.SetKernel(k)
+			fresh.AddStreams(specs...)
+			want, err := fresh.FindCycle(1 << 20)
+			if err != nil {
+				t.Fatalf("shape %d fresh %v: %v", i, k, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("shape %d (%d streams): reused packed\n%+v\nfresh %v\n%+v", i, len(specs), got, k, want)
+			}
 		}
 	}
 }

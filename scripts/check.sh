@@ -8,7 +8,8 @@
 # exercised under the race detector too, including a short pass over
 # the differential equivalence harness (docs/KERNEL.md) that pins the
 # packed kernel and the analytic gate to the scalar oracle with the
-# fast path forced both on and off. A single-iteration bench.sh run
+# fast path forced both on and off, followed by ten seconds of fuzzing
+# the packed kernel against that oracle. A single-iteration bench.sh run
 # is then diffed against the committed BENCH_sweep.json by
 # scripts/benchdiff.go, gating on catastrophic timing regressions.
 # Live probes close the run:
@@ -70,6 +71,12 @@ go test -race ./internal/memsys ./internal/sweep
 # analytic gate and packed kernel forced on against the same sweeps
 # forced off — so this pass exercises the fast path both on and off.
 go test -race -short -run Differential ./internal/memsys ./internal/sweep
+
+# Bounded fuzzing past the seed corpora: FuzzKernelEquivalence spends
+# ten seconds on new configurations, each held to the scalar oracle
+# clock by clock and through FindCycle. A failing input is saved under
+# internal/memsys/testdata/fuzz/ and replays as a seed from then on.
+go test -run '^$' -fuzz '^FuzzKernelEquivalence$' -fuzztime 10s ./internal/memsys
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"; [ -n "${srv:-}" ] && kill "$srv" 2>/dev/null || true' EXIT
