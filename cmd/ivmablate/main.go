@@ -36,21 +36,12 @@ func main() {
 	maxInc := flag.Int("maxinc", 16, "largest increment to sweep")
 	workers := flag.Int("workers", 0, "sweep worker goroutines for the engine studies; 0 selects GOMAXPROCS")
 	cache := flag.Int("cache", sweep.DefaultCacheSize, "cyclic-state cache entries for the engine studies, shared by pair, triple and section sweeps; negative disables")
-	analytic := flag.Bool("analytic", true, "answer theorem-provable pair placements analytically instead of simulating (results are byte-identical either way)")
-	kernelName := flag.String("kernel", "packed", "simulator kernel for the engine studies: packed (bit-packed bank-busy) or scalar (the reference oracle)")
 	metricsOut := flag.String("metrics-out", "", "write the engine studies' metrics snapshot as JSON")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address: /metrics Prometheus text, /metrics.json, /healthz, /debug/vars expvar, /debug/pprof")
 	provenanceFlag := flag.Bool("provenance", false, "print the engine studies' result-attribution report (per-family path split, theorem hits, orbit sizes)")
 	traceOut := flag.String("trace-out", "", "write the engine studies' worker timeline as Chrome trace_event JSON (open in chrome://tracing or Perfetto)")
 	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
-
-	packed, err := sweep.KernelOption(*kernelName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	stop, err := prof.Start()
 	if err != nil {
@@ -72,7 +63,7 @@ func main() {
 	engine := func() *sweep.Engine {
 		if eng == nil {
 			eng = sweep.NewEngine(sweep.Options{Workers: *workers, CacheSize: *cache, Timeline: timeline,
-				Analytic: analytic, PackedKernel: packed, Provenance: prov})
+				Provenance: prov})
 		}
 		return eng
 	}
@@ -207,8 +198,8 @@ func sectionsStudy(eng *sweep.Engine) {
 // differential campaign over every (priority, mapping) combination:
 // the cold sequential sweep, the cached parallel engine, and a warm
 // re-run on the same engine must agree result-for-result, with the
-// cache hit rate and packed-kernel fallbacks of each combination
-// reported next to its mismatch count.
+// cache hit rate of each combination reported next to its mismatch
+// count.
 func policiesStudy(workers, cache int) bool {
 	fmt.Println("== policy dimensions: Fig. 8a/8b/9 reproduction and the per-policy differential campaign")
 	ok := true

@@ -31,21 +31,12 @@ func main() {
 	fast := flag.Bool("fast", false, "shrink the expensive sweeps")
 	workers := flag.Int("workers", 0, "sweep worker goroutines; 0 selects GOMAXPROCS")
 	cache := flag.Int("cache", sweep.DefaultCacheSize, "cyclic-state cache entries, shared by pair, triple and section sweeps; negative disables caching")
-	analytic := flag.Bool("analytic", true, "answer theorem-provable pair placements analytically instead of simulating (results are byte-identical either way)")
-	kernelName := flag.String("kernel", "packed", "simulator kernel: packed (bit-packed bank-busy) or scalar (the reference oracle)")
 	metricsOut := flag.String("metrics-out", "", "write the engine metrics snapshot as JSON to this file")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address: /metrics Prometheus text, /metrics.json, /healthz, /debug/vars expvar, /debug/pprof")
 	provenanceFlag := flag.Bool("provenance", true, "record result provenance and append the attribution section to the report")
 	latencyFlag := flag.Bool("latency", false, "print the engine's per-work-item latency histogram as p50/p95/p99 to stderr (also in -metrics-out); off by default so regenerated reports stay deterministic")
 	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
-
-	packed, err := sweep.KernelOption(*kernelName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	stop, err := prof.Start()
 	if err != nil {
@@ -60,8 +51,7 @@ func main() {
 	if *provenanceFlag {
 		prov = sweep.NewProvenance(0)
 	}
-	eng := sweep.NewEngine(sweep.Options{Workers: *workers, CacheSize: *cache,
-		Analytic: analytic, PackedKernel: packed, Provenance: prov})
+	eng := sweep.NewEngine(sweep.Options{Workers: *workers, CacheSize: *cache, Provenance: prov})
 	opts.Engine = eng
 	if *metricsAddr != "" {
 		closer, err := obs.ServeMetrics(*metricsAddr, func() *sweep.Engine { return eng }, nil)

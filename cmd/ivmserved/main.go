@@ -47,7 +47,6 @@ import (
 
 	"ivm/internal/cachestore"
 	"ivm/internal/serve"
-	"ivm/internal/sweep"
 )
 
 func main() {
@@ -56,23 +55,13 @@ func main() {
 	cacheSize := flag.Int("cache", 0, "in-RAM cyclic-state cache entries; 0 sizes automatically (at least the default, grown to hold the store)")
 	workers := flag.Int("workers", 0, "resolver worker goroutines; 0 selects GOMAXPROCS")
 	syncEvery := flag.Duration("sync", 5*time.Second, "fsync interval for the persistent store's log")
-	analytic := flag.Bool("analytic", true, "answer theorem-provable pair placements analytically instead of simulating (results are byte-identical either way)")
-	kernelName := flag.String("kernel", "packed", "simulator kernel: packed (bit-packed bank-busy) or scalar (the reference oracle)")
 	accessLog := flag.String("access-log", "", "write a JSON access log (one line per request) to this file; \"-\" for stderr")
 	slowMS := flag.Int("slow-ms", 0, "log requests slower than this many milliseconds at WARN with their span breakdown and keep them on /statusz; 0 disables")
 	flag.Parse()
 
-	packed, err := sweep.KernelOption(*kernelName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		flag.Usage()
-		os.Exit(2)
-	}
-
 	opt := serve.Options{
-		Workers:   *workers,
-		CacheSize: *cacheSize,
-		Analytic:  analytic, PackedKernel: packed,
+		Workers:       *workers,
+		CacheSize:     *cacheSize,
 		SlowThreshold: time.Duration(*slowMS) * time.Millisecond,
 	}
 	if *accessLog != "" {
@@ -89,6 +78,7 @@ func main() {
 	}
 	var store *cachestore.Store
 	if *cacheDir != "" {
+		var err error
 		store, err = cachestore.Open(*cacheDir)
 		if err != nil {
 			fail("%v", err)

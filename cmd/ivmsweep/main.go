@@ -56,11 +56,8 @@ func main() {
 	full := flag.Bool("full", false, "print the full per-pair table (default: summary only)")
 	workers := flag.Int("workers", 0, "sweep worker goroutines; 0 selects GOMAXPROCS")
 	cache := flag.Int("cache", sweep.DefaultCacheSize, "cyclic-state cache entries, shared by pair, triple and section sweeps; negative disables caching")
-	analytic := flag.Bool("analytic", true, "answer theorem-provable pair placements analytically instead of simulating (results are byte-identical either way)")
 	priorityName := flag.String("priority", "fixed", "arbitration priority rule: fixed, cyclic or rr-cpu; non-default rules run the pair/section families through the generic spec grid")
 	mappingName := flag.String("mapping", "cyclic", "bank-to-section mapping: cyclic or consecutive (consecutive requires -s)")
-	strict := flag.Bool("strict", false, "treat flag-combination warnings as errors")
-	kernelName := flag.String("kernel", "packed", "simulator kernel: packed (bit-packed bank-busy) or scalar (the reference oracle)")
 	showStats := flag.Bool("stats", false, "collect and print per-bank statistics of the simulated states")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON of the sweep worker timeline plus the traced pair's cycle search (open in chrome://tracing or Perfetto)")
 	csvOut := flag.String("csv-out", "", "write the traced pair's event timeline as CSV")
@@ -89,21 +86,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	warning, err := validateSweepFlags(sweepFlags{
+	if err := validateSweepFlags(sweepFlags{
 		streams: *streams, secs: *secs, triples: *triples, census: *census,
-		priority: priority, mapping: mapping, analytic: *analytic, strict: *strict,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if warning != "" {
-		fmt.Fprintln(os.Stderr, "warning: "+warning)
-	}
-
-	packed, err := sweep.KernelOption(*kernelName)
-	if err != nil {
+		priority: priority, mapping: mapping,
+	}); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
 		os.Exit(2)
@@ -128,8 +114,7 @@ func main() {
 	}
 	eng := sweep.NewEngine(sweep.Options{
 		Workers: *workers, CacheSize: *cache, CollectStats: *showStats,
-		Timeline: timeline, Analytic: analytic, PackedKernel: packed,
-		Provenance: prov,
+		Timeline: timeline, Provenance: prov,
 	})
 	var prog *obs.Progress
 	if *progressEvery > 0 || *metricsAddr != "" {
@@ -272,8 +257,6 @@ type sweepFlags struct {
 	census   bool
 	priority memsys.PriorityRule
 	mapping  memsys.SectionMapping
-	analytic bool
-	strict   bool
 }
 
 // defaultPolicy reports whether the flags select the historical
@@ -283,40 +266,30 @@ func (f sweepFlags) defaultPolicy() bool {
 }
 
 // validateSweepFlags rejects conflicting flag combinations with a
-// usage error instead of silently ignoring one of the flags. A
-// combination that is legal but surprising — the analytic gate under a
-// priority rule its theorems do not cover — comes back as a warning,
-// promoted to an error under -strict.
-func validateSweepFlags(f sweepFlags) (warning string, err error) {
+// usage error instead of silently ignoring one of the flags.
+func validateSweepFlags(f sweepFlags) error {
 	if f.streams < 0 || f.streams == 1 {
-		return "", fmt.Errorf("-streams wants 0 (pair sweep) or at least 2 streams, got %d", f.streams)
+		return fmt.Errorf("-streams wants 0 (pair sweep) or at least 2 streams, got %d", f.streams)
 	}
 	if f.census && !f.triples {
-		return "", fmt.Errorf("-triple-census only applies together with -triples")
+		return fmt.Errorf("-triple-census only applies together with -triples")
 	}
 	if f.triples && f.secs != 0 {
-		return "", fmt.Errorf("-triples sweeps are sectionless; -s selects the section-theorem pair sweep: pick one")
+		return fmt.Errorf("-triples sweeps are sectionless; -s selects the section-theorem pair sweep: pick one")
 	}
 	if f.streams >= 2 && f.triples {
-		return "", fmt.Errorf("-streams and -triples select different sweeps: pick one")
+		return fmt.Errorf("-streams and -triples select different sweeps: pick one")
 	}
 	if f.streams >= 2 && f.secs != 0 {
-		return "", fmt.Errorf("the -streams grid is sectionless; -s selects the section-theorem pair sweep: pick one")
+		return fmt.Errorf("the -streams grid is sectionless; -s selects the section-theorem pair sweep: pick one")
 	}
 	if f.mapping == memsys.ConsecutiveSections && f.secs == 0 {
-		return "", fmt.Errorf("-mapping consecutive partitions banks into sections; it needs -s")
+		return fmt.Errorf("-mapping consecutive partitions banks into sections; it needs -s")
 	}
 	if !f.defaultPolicy() && (f.triples || f.streams >= 2) {
-		return "", fmt.Errorf("-priority/-mapping sweeps cover the pair and section families; drop -triples/-streams")
+		return fmt.Errorf("-priority/-mapping sweeps cover the pair and section families; drop -triples/-streams")
 	}
-	if f.analytic && f.priority != memsys.FixedPriority {
-		msg := fmt.Sprintf("analytic gate does not cover %s priority, ignoring -analytic", f.priority)
-		if f.strict {
-			return "", fmt.Errorf("%s: rerun with -analytic=false (strict)", msg)
-		}
-		return msg, nil
-	}
-	return "", nil
+	return nil
 }
 
 func runSweeps(eng *sweep.Engine, m, nc, secs, streams int, triples, census, full bool, priority memsys.PriorityRule, mapping memsys.SectionMapping) {

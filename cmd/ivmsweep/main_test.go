@@ -21,8 +21,8 @@ func TestValidateSweepFlags(t *testing.T) {
 		{secs: 4, mapping: memsys.ConsecutiveSections, priority: memsys.CyclicPriority},
 	}
 	for _, f := range good {
-		if w, err := validateSweepFlags(f); err != nil || w != "" {
-			t.Errorf("%+v rejected: warning %q err %v", f, w, err)
+		if err := validateSweepFlags(f); err != nil {
+			t.Errorf("%+v rejected: %v", f, err)
 		}
 	}
 	bad := []struct {
@@ -38,10 +38,9 @@ func TestValidateSweepFlags(t *testing.T) {
 		{sweepFlags{mapping: memsys.ConsecutiveSections}, "-s"},
 		{sweepFlags{priority: memsys.CyclicPriority, triples: true}, "pair and section families"},
 		{sweepFlags{priority: memsys.RoundRobinPerCPU, streams: 3}, "pair and section families"},
-		{sweepFlags{priority: memsys.CyclicPriority, analytic: true, strict: true}, "analytic gate"},
 	}
 	for _, c := range bad {
-		_, err := validateSweepFlags(c.f)
+		err := validateSweepFlags(c.f)
 		if err == nil {
 			t.Errorf("%+v accepted", c.f)
 			continue
@@ -49,24 +48,6 @@ func TestValidateSweepFlags(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%+v: error %q does not mention %q", c.f, err, c.want)
 		}
-	}
-}
-
-// TestValidateSweepFlagsAnalyticWarning pins the satellite behaviour:
-// -analytic with a non-fixed priority warns (the gate declines anyway)
-// and only -strict promotes the warning to an error.
-func TestValidateSweepFlagsAnalyticWarning(t *testing.T) {
-	for _, prio := range []memsys.PriorityRule{memsys.CyclicPriority, memsys.RoundRobinPerCPU} {
-		w, err := validateSweepFlags(sweepFlags{priority: prio, analytic: true})
-		if err != nil {
-			t.Fatalf("priority %v: unexpected error %v", prio, err)
-		}
-		if !strings.Contains(w, "analytic gate does not cover") || !strings.Contains(w, prio.String()) {
-			t.Fatalf("priority %v: warning %q", prio, w)
-		}
-	}
-	if w, err := validateSweepFlags(sweepFlags{priority: memsys.FixedPriority, analytic: true}); err != nil || w != "" {
-		t.Fatalf("fixed priority warned: %q, %v", w, err)
 	}
 }
 

@@ -37,18 +37,9 @@ func main() {
 	bounds := flag.Bool("bounds", false, "append the idealised three-stream capacity-bound sweep per increment (all placements, cached engine)")
 	workers := flag.Int("workers", 0, "sweep worker goroutines for -bounds; 0 selects GOMAXPROCS")
 	cache := flag.Int("cache", sweep.DefaultCacheSize, "cyclic-state cache entries for -bounds, shared by pair, triple and section sweeps; negative disables caching")
-	analytic := flag.Bool("analytic", true, "answer theorem-provable pair placements analytically instead of simulating (results are byte-identical either way)")
-	kernelName := flag.String("kernel", "packed", "simulator kernel for -bounds: packed (bit-packed bank-busy) or scalar (the reference oracle)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address: /metrics Prometheus text, /metrics.json, /healthz, /debug/vars expvar, /debug/pprof")
 	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
-
-	packed, err := sweep.KernelOption(*kernelName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	stopProf, err := prof.Start()
 	if err != nil {
@@ -92,8 +83,7 @@ func main() {
 	}
 
 	if *bounds {
-		eng = sweep.NewEngine(sweep.Options{Workers: *workers, CacheSize: *cache,
-			Analytic: analytic, PackedKernel: packed})
+		eng = sweep.NewEngine(sweep.Options{Workers: *workers, CacheSize: *cache})
 		fmt.Printf("\nIdealised triad streams (INC,INC,INC) on m=16 n_c=4, all relative placements:\n")
 		fmt.Printf("%-4s %12s %12s %12s %12s %10s\n", "INC", "bound min", "bound max", "sim min", "sim max", "tight")
 		for inc := 1; inc <= *maxInc; inc++ {

@@ -54,10 +54,6 @@ type Options struct {
 	// is appended back through the engine's CacheSink. The caller
 	// keeps ownership (Sync/Close).
 	Store *cachestore.Store
-	// Analytic and PackedKernel forward to sweep.Options; nil selects
-	// the defaults (gate on, packed kernel).
-	Analytic     *bool
-	PackedKernel *bool
 	// AccessLog, when non-nil, receives one structured line per API
 	// request (msg "request": id, endpoint, method, status, duration,
 	// answer path, theorem, family, result count) and a WARN line with
@@ -126,11 +122,9 @@ func New(opt Options) (*Server, error) {
 		slow:          newRing[slowEntry](slowRingCapacity),
 	}
 	eopt := sweep.Options{
-		Workers:      opt.Workers,
-		CacheSize:    size,
-		Provenance:   sweep.NewProvenance(0),
-		Analytic:     opt.Analytic,
-		PackedKernel: opt.PackedKernel,
+		Workers:    opt.Workers,
+		CacheSize:  size,
+		Provenance: sweep.NewProvenance(0),
 	}
 	if opt.Store != nil {
 		eopt.CacheSink = opt.Store

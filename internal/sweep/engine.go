@@ -70,9 +70,12 @@ type Options struct {
 	// return their b_eff analytically, without simulating or touching
 	// the cache; everything else simulates as before. Nil or pointing
 	// at true enables the gate (the default); point at false to force
-	// every placement through simulation (the differential tests and
-	// the scalar baseline benchmarks do). Gated answers are exactly the
+	// every placement through simulation. Gated answers are exactly the
 	// values simulation would produce — the goldens pin byte-identity.
+	//
+	// No CLI or server sets Analytic or PackedKernel: both exist to
+	// select the reference route for the differential tests, the root
+	// benchmark baselines and ivmbench's oracle.
 	Analytic *bool
 	// PackedKernel selects the memsys kernel the workers simulate on.
 	// Nil or pointing at true selects the bit-packed bank-busy kernel
@@ -87,21 +90,6 @@ type Options struct {
 // placements.
 func (o Options) analytic() bool {
 	return o.Analytic == nil || *o.Analytic
-}
-
-// KernelOption parses a -kernel flag value into the Options.PackedKernel
-// setting: "packed" selects the bit-packed bank-busy kernel, "scalar"
-// the reference oracle loop. The sweeping CLIs share this parser.
-func KernelOption(name string) (*bool, error) {
-	switch name {
-	case "packed":
-		v := true
-		return &v, nil
-	case "scalar":
-		v := false
-		return &v, nil
-	}
-	return nil, fmt.Errorf("sweep: unknown kernel %q (want packed or scalar)", name)
 }
 
 // kernel returns the memsys kernel the workers simulate on.

@@ -5,8 +5,8 @@
 //  1. Every exported top-level identifier (types, funcs, methods,
 //     consts, vars) in the audited packages carries a doc comment, and
 //     every audited package has a package comment. The audited set is
-//     given as directory arguments; scripts/check.sh passes
-//     internal/sweep, internal/modmath and internal/obs.
+//     given as directory arguments; scripts/check.sh lists the
+//     packages it audits.
 //  2. Every relative link in the repository's Markdown files resolves
 //     to an existing file (anchors are stripped; absolute URLs are
 //     ignored).

@@ -13,6 +13,8 @@
 # is then diffed against the committed BENCH_sweep.json by
 # scripts/benchdiff.go, gating on catastrophic timing regressions.
 # Live probes close the run:
+# the default ivmsweep runs under the cyclic and rr-cpu priority rules
+# must exit 0 with nothing on stderr;
 # ivmsweep serving -metrics-addr on a loopback port is scraped over
 # HTTP, pinning the Prometheus exposition format end to end and, once
 # the sweep finishes, progress done = planned = sweep units = the
@@ -103,6 +105,25 @@ fi
 # itself is golden-tested in internal/obs (prom_test.go); this step
 # pins the served wire format end to end.
 go build -o "$tmp/ivmsweep" ./cmd/ivmsweep
+
+# Quiet-default probe: valid sweeps under the non-fixed priority rules
+# must exit 0 and write nothing to stderr (no flag-combination warning
+# for a run that sets no fast-path option).
+for args in "-m 8 -nc 2 -priority cyclic" "-m 12 -s 3 -nc 3 -priority rr-cpu -mapping consecutive"; do
+	# shellcheck disable=SC2086 # args is a word list
+	if ! "$tmp/ivmsweep" $args > /dev/null 2> "$tmp/quiet-stderr"; then
+		echo "check.sh: ivmsweep $args failed:" >&2
+		cat "$tmp/quiet-stderr" >&2
+		exit 1
+	fi
+	if [ -s "$tmp/quiet-stderr" ]; then
+		echo "check.sh: ivmsweep $args wrote to stderr:" >&2
+		cat "$tmp/quiet-stderr" >&2
+		exit 1
+	fi
+done
+echo "check.sh: quiet-default probe OK, cyclic and rr-cpu sweeps exit 0 with empty stderr"
+
 "$tmp/ivmsweep" -m 13 -nc 4 -metrics-addr 127.0.0.1:0 -metrics-linger 30s \
 	> /dev/null 2> "$tmp/stderr" &
 srv=$!
