@@ -3,15 +3,10 @@
 // CPUs for a uniform access environment), bank-skewing schemes on the
 // full machine model, the elementary-kernel stride sweeps, and the
 // classical random-access baselines the introduction contrasts with.
-//
-// Observability: -metrics-out writes the engine studies' counters as
-// JSON, -metrics-addr serves them live (Prometheus text at /metrics,
-// JSON at /metrics.json, /healthz, the runtime's expvar and pprof)
-// while the studies run, -provenance appends the result-attribution
-// report of the engine studies (which theorem, cache orbit or
-// simulation answered each placement), and -trace-out exports the
-// sweep workers' timeline as a Chrome trace_event file for
-// chrome://tracing or Perfetto.
+// The policies study adds the Fig. 8a/8b/9 reproduction and the
+// cold/cached/warm differential campaign over every (priority,
+// mapping) combination; it exits 1 on any mismatch. The Theorem 2-9
+// pair, triple and section grids are ivmsweep's job.
 package main
 
 import (
@@ -22,7 +17,6 @@ import (
 
 	"ivm/internal/machine"
 	"ivm/internal/memsys"
-	"ivm/internal/obs"
 	"ivm/internal/obs/profile"
 	"ivm/internal/randaccess"
 	"ivm/internal/sweep"
@@ -31,15 +25,10 @@ import (
 )
 
 func main() {
-	study := flag.String("study", "all", "which study: pairs|triples|sections|policies|multitask|skew|kernels|random|all")
+	study := flag.String("study", "all", "which study: policies|multitask|skew|kernels|random|all")
 	n := flag.Int("n", 512, "vector length per stream")
 	maxInc := flag.Int("maxinc", 16, "largest increment to sweep")
-	workers := flag.Int("workers", 0, "sweep worker goroutines for the engine studies; 0 selects GOMAXPROCS")
-	cache := flag.Int("cache", sweep.DefaultCacheSize, "cyclic-state cache entries for the engine studies, shared by pair, triple and section sweeps; negative disables")
-	metricsOut := flag.String("metrics-out", "", "write the engine studies' metrics snapshot as JSON")
-	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address: /metrics Prometheus text, /metrics.json, /healthz, /debug/vars expvar, /debug/pprof")
-	provenanceFlag := flag.Bool("provenance", false, "print the engine studies' result-attribution report (per-family path split, theorem hits, orbit sizes)")
-	traceOut := flag.String("trace-out", "", "write the engine studies' worker timeline as Chrome trace_event JSON (open in chrome://tracing or Perfetto)")
+	workers := flag.Int("workers", 0, "sweep worker goroutines for the policies study; 0 selects GOMAXPROCS")
 	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -51,46 +40,8 @@ func main() {
 
 	cfg := machine.DefaultConfig()
 	ran := false
-	var timeline *sweep.Timeline
-	if *traceOut != "" {
-		timeline = sweep.NewTimeline(0)
-	}
-	var prov *sweep.Provenance
-	if *provenanceFlag || *metricsOut != "" || *metricsAddr != "" {
-		prov = sweep.NewProvenance(0)
-	}
-	var eng *sweep.Engine
-	engine := func() *sweep.Engine {
-		if eng == nil {
-			eng = sweep.NewEngine(sweep.Options{Workers: *workers, CacheSize: *cache, Timeline: timeline,
-				Provenance: prov})
-		}
-		return eng
-	}
-	if *metricsAddr != "" {
-		// The engine is created lazily by the first engine study, so the
-		// metrics sources resolve it on every poll.
-		closer, err := obs.ServeMetrics(*metricsAddr, func() *sweep.Engine { return eng }, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer closer.Close()
-	}
-	if *study == "pairs" || *study == "all" {
-		pairs(engine())
-		ran = true
-	}
-	if *study == "triples" || *study == "all" {
-		triplesStudy(engine())
-		ran = true
-	}
-	if *study == "sections" || *study == "all" {
-		sectionsStudy(engine())
-		ran = true
-	}
 	if *study == "policies" || *study == "all" {
-		if !policiesStudy(*workers, *cache) {
+		if !policiesStudy(*workers) {
 			os.Exit(1)
 		}
 		ran = true
@@ -115,76 +66,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown study %q\n", *study)
 		os.Exit(1)
 	}
-	if *provenanceFlag && eng != nil {
-		fmt.Println("== result provenance of the engine studies")
-		fmt.Print(eng.Snapshot().Provenance.Table())
-		fmt.Println()
-	}
-	if *metricsOut != "" && eng != nil {
-		snap := eng.Snapshot()
-		if err := obs.WriteSnapshotFile(*metricsOut, obs.Snapshot{Engine: &snap}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err == nil {
-			err = obs.WriteWorkerTrace(f, timeline.Events())
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if d := timeline.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "warning: worker timeline dropped %d events past its capacity\n", d)
-		}
-	}
 	if err := stop(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-func pairs(eng *sweep.Engine) {
-	fmt.Println("== pair grid on the X-MP memory (m=16, nc=4): cached parallel sweep vs the analysis")
-	results := eng.Grid(16, 4)
-	fmt.Print(sweep.SummaryTable(sweep.Summarise(16, 4, results)))
-	fmt.Print(eng.Metrics().Table())
-	fmt.Println()
-}
-
-func triplesStudy(eng *sweep.Engine) {
-	fmt.Println("== three-stream capacity bounds (m=8, nc=2): all placements vs core.MultiStreamBound")
-	results := eng.TripleGrid(8, 2)
-	s := sweep.SummariseTripleGrid(8, 2, results)
-	fmt.Printf("%d triples over %d placements: bound attained somewhere by %d triples (%d placements), violated by %d\n",
-		s.Triples, s.Starts, s.TightSomewhere, s.TightStarts, s.Violations)
-	m := eng.Metrics()
-	tf := m.Family("triple")
-	fmt.Printf("triple cache: %.0f%% hits (%d/%d)\n",
-		m.FamilyHitRate("triple")*100, tf.Hits, tf.Hits+tf.Misses)
-	fmt.Println()
-}
-
-func sectionsStudy(eng *sweep.Engine) {
-	fmt.Println("== section theorems on the X-MP layout (m=16, s=4, nc=4): cached parallel sweep")
-	results := eng.SectionGrid(16, 4, 4)
-	bad := 0
-	for _, r := range results {
-		if !r.Agree {
-			bad++
-		}
-	}
-	fmt.Printf("%d pairs, %d disagreements\n", len(results), bad)
-	m := eng.Metrics()
-	sf := m.Family("section")
-	fmt.Printf("section cache: %.0f%% hits (%d/%d)\n",
-		m.FamilyHitRate("section")*100, sf.Hits, sf.Hits+sf.Misses)
-	fmt.Println()
 }
 
 // policiesStudy is the policy-dimension reproduction and soundness
@@ -200,7 +85,7 @@ func sectionsStudy(eng *sweep.Engine) {
 // re-run on the same engine must agree result-for-result, with the
 // cache hit rate of each combination reported next to its mismatch
 // count.
-func policiesStudy(workers, cache int) bool {
+func policiesStudy(workers int) bool {
 	fmt.Println("== policy dimensions: Fig. 8a/8b/9 reproduction and the per-policy differential campaign")
 	ok := true
 
@@ -214,7 +99,7 @@ func policiesStudy(workers, cache int) bool {
 		{"8b", memsys.CyclicPriority, memsys.CyclicSections, "2"},
 		{"9", memsys.FixedPriority, memsys.ConsecutiveSections, "2"},
 	}
-	feng := sweep.NewEngine(sweep.Options{Workers: workers, CacheSize: cache})
+	feng := sweep.NewEngine(sweep.Options{Workers: workers})
 	tblA := &textplot.Table{Header: []string{"figure", "priority", "mapping", "b_eff", "path", "want", "ok"}}
 	for _, f := range figs {
 		spec := sweep.ConfigSpec{
@@ -260,7 +145,7 @@ func policiesStudy(workers, cache int) bool {
 			specs[i] = specs[i].WithPolicy(c.priority, c.mapping)
 		}
 		cold := sweep.SpecGrid(specs)
-		eng := sweep.NewEngine(sweep.Options{Workers: workers, CacheSize: cache})
+		eng := sweep.NewEngine(sweep.Options{Workers: workers})
 		engRes := eng.SpecGrid(specs)
 		warmRes := eng.SpecGrid(specs)
 		mismatch, placements := 0, 0

@@ -54,7 +54,7 @@ func main() {
 	eng := sweep.NewEngine(sweep.Options{Workers: *workers, CacheSize: *cache, Provenance: prov})
 	opts.Engine = eng
 	if *metricsAddr != "" {
-		closer, err := obs.ServeMetrics(*metricsAddr, func() *sweep.Engine { return eng }, nil)
+		closer, err := obs.ServeMetrics(*metricsAddr, eng, nil)
 		if err != nil {
 			fail(err)
 		}

@@ -8,12 +8,12 @@
 //	ivmsim -m 13 -nc 6 -streams 0:1,0:6
 //
 // Observability: -trace-out exports the timeline window as a Chrome
-// trace_event file (chrome://tracing, Perfetto), -csv-out as a CSV
-// timeline (the ring's window; -csv-stream streams the whole run
-// losslessly), -strip prints the bank-occupancy strip chart,
-// -phase-hist prints the per-cycle conflict phase histogram of the
-// steady state (-phase-csv exports it), and -metrics-out writes the
-// statistics, trace totals and phase histogram as JSON. -metrics-addr
+// trace_event file (chrome://tracing, Perfetto), -csv-out streams the
+// whole run losslessly as a CSV timeline, -strip prints the
+// bank-occupancy strip chart, -phase-hist prints the per-cycle
+// conflict phase histogram of the steady state (-phase-csv exports
+// it), and -metrics-out writes the statistics, trace totals and phase
+// histogram as JSON. -metrics-addr
 // serves the shared debug endpoints (/metrics Prometheus liveness,
 // /healthz, expvar, pprof) while the run executes, and
 // -cpuprofile/-memprofile/-trace profile the run itself.
@@ -48,8 +48,7 @@ func main() {
 	statsFlag := flag.Bool("stats", false, "print per-bank utilisation and delay-run statistics")
 	statsClocks := flag.Int64("statsclocks", 2048, "clocks to gather statistics over")
 	traceOut := flag.String("trace-out", "", "write the timeline window as Chrome trace_event JSON (open in chrome://tracing or Perfetto)")
-	csvOut := flag.String("csv-out", "", "write the timeline window as a CSV event timeline")
-	csvStream := flag.String("csv-stream", "", "stream the whole timeline run to this CSV file losslessly (not bounded by the trace ring)")
+	csvOut := flag.String("csv-out", "", "stream the whole timeline run to this CSV file losslessly (not bounded by the trace ring)")
 	stripFlag := flag.Bool("strip", false, "print the timeline window's bank-occupancy strip chart")
 	phaseHist := flag.Bool("phase-hist", false, "print the steady-state cycle's conflict phase histogram (grants/conflicts by clock phase and bank)")
 	phaseCSV := flag.String("phase-csv", "", "write the phase histogram as CSV (phase x bank, long form)")
@@ -92,16 +91,16 @@ func main() {
 	var stream *obs.CSVStream
 	var streamFile *os.File
 	listeners := obs.Tee{rec}
-	if *traceOut != "" || *csvOut != "" || *stripFlag || *metricsOut != "" {
+	if *traceOut != "" || *stripFlag || *metricsOut != "" {
 		// The tracer shares the listener seam with the timeline
 		// recorder, observing the same window.
 		tracer = obs.NewTracer(obs.TracerOptions{})
 		listeners = append(listeners, tracer)
 	}
-	if *csvStream != "" {
+	if *csvOut != "" {
 		// The streaming exporter writes rows as they happen, so the run
 		// is exported losslessly even past the tracer's ring capacity.
-		if streamFile, err = os.Create(*csvStream); err != nil {
+		if streamFile, err = os.Create(*csvOut); err != nil {
 			fail("%v", err)
 		}
 		stream = obs.NewCSVStream(streamFile)
@@ -197,17 +196,6 @@ func main() {
 				return obs.WriteChromeTrace(w, events, *m, *nc)
 			}); err != nil {
 				fail("%v", err)
-			}
-		}
-		if *csvOut != "" {
-			if err := writeFile(*csvOut, func(w *os.File) error {
-				return obs.WriteCSV(w, events)
-			}); err != nil {
-				fail("%v", err)
-			}
-			if d := tracer.Stats().Dropped; d > 0 {
-				fmt.Fprintf(os.Stderr,
-					"warning: trace ring wrapped, -csv-out lost the oldest %d events; -csv-stream exports losslessly\n", d)
 			}
 		}
 		if *stripFlag {

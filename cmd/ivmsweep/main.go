@@ -121,7 +121,7 @@ func main() {
 		prog = obs.NewProgress(eng)
 	}
 	if *metricsAddr != "" {
-		closer, err := obs.ServeMetrics(*metricsAddr, func() *sweep.Engine { return eng }, prog)
+		closer, err := obs.ServeMetrics(*metricsAddr, eng, prog)
 		if err != nil {
 			fail("%v", err)
 		}

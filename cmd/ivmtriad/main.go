@@ -47,11 +47,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The engine exists only when -bounds runs; the metrics sources
-	// resolve it lazily on every poll.
+	// The engine exists only when -bounds runs; it is built before the
+	// metrics server starts, so the server only ever reads it.
 	var eng *sweep.Engine
+	if *bounds {
+		eng = sweep.NewEngine(sweep.Options{Workers: *workers, CacheSize: *cache})
+	}
 	if *metricsAddr != "" {
-		closer, err := obs.ServeMetrics(*metricsAddr, func() *sweep.Engine { return eng }, nil)
+		closer, err := obs.ServeMetrics(*metricsAddr, eng, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -83,7 +86,6 @@ func main() {
 	}
 
 	if *bounds {
-		eng = sweep.NewEngine(sweep.Options{Workers: *workers, CacheSize: *cache})
 		fmt.Printf("\nIdealised triad streams (INC,INC,INC) on m=16 n_c=4, all relative placements:\n")
 		fmt.Printf("%-4s %12s %12s %12s %12s %10s\n", "INC", "bound min", "bound max", "sim min", "sim max", "tight")
 		for inc := 1; inc <= *maxInc; inc++ {

@@ -15,7 +15,7 @@ import (
 // one clock reads as 1us in chrome://tracing or Perfetto.
 
 // Process IDs of the trace tracks: simulation banks and ports, plus
-// the sweep-engine worker pool (see WriteWorkerTrace).
+// the sweep-engine worker pool (see WriteCombinedChromeTrace).
 const (
 	chromePidBanks   = 1
 	chromePidPorts   = 2

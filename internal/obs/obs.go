@@ -8,9 +8,10 @@
 //
 // The tracer's totals (grants, delays, per-kind conflict counts) are
 // kept in sync/atomic counters and are safe to read from another
-// goroutine while a simulation runs — that is what -metrics-addr
-// serves. The event ring itself is single-writer and meant to be read
-// after the run.
+// goroutine while a simulation runs; the CLIs read them after the run
+// into the -metrics-out snapshot, and no live metrics registry
+// registers a tracer. The event ring itself is single-writer and meant
+// to be read after the run.
 package obs
 
 import (

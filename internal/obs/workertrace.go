@@ -66,18 +66,12 @@ func workerChromeEvents(events []sweep.TimelineEvent) []chromeEvent {
 	return out
 }
 
-// WriteWorkerTrace renders a sweep worker timeline (Timeline.Events
-// or Snapshot.TimelineEvents) as a Chrome trace_event JSON document.
-func WriteWorkerTrace(w io.Writer, events []sweep.TimelineEvent) error {
-	return encodeChromeDoc(w, workerChromeEvents(events))
-}
-
 // WriteCombinedChromeTrace renders one document holding both views:
 // the simulation's bank/port tracks (when simEvents is non-empty;
 // banks and bankBusy describe that system) and the sweep worker
 // timeline. Either half may be empty — ivmsweep's -trace-out passes a
-// traced reference pair alongside the engine timeline, while
-// ivmablate passes only the timeline.
+// traced reference pair alongside the engine timeline; with no
+// simulation events the document holds the worker timeline alone.
 func WriteCombinedChromeTrace(w io.Writer, simEvents []Event, banks, bankBusy int, workerEvents []sweep.TimelineEvent) error {
 	var evs []chromeEvent
 	if len(simEvents) > 0 {

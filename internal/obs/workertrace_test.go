@@ -27,7 +27,7 @@ func syntheticTimeline() []sweep.TimelineEvent {
 
 func TestWorkerTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteWorkerTrace(&buf, syntheticTimeline()); err != nil {
+	if err := WriteCombinedChromeTrace(&buf, nil, 0, 0, syntheticTimeline()); err != nil {
 		t.Fatal(err)
 	}
 	golden(t, "workertrace.json", buf.Bytes())
@@ -87,7 +87,7 @@ func TestWorkerTraceFromEngine(t *testing.T) {
 	e := sweep.NewEngine(sweep.Options{Workers: 4, Timeline: tl})
 	e.Grid(12, 3)
 	var buf bytes.Buffer
-	if err := WriteWorkerTrace(&buf, tl.Events()); err != nil {
+	if err := WriteCombinedChromeTrace(&buf, nil, 0, 0, tl.Events()); err != nil {
 		t.Fatal(err)
 	}
 	s := parseTrace(t, buf.Bytes())
@@ -110,7 +110,7 @@ func TestWorkerTraceFromEngine(t *testing.T) {
 }
 
 func TestCombinedTraceHalves(t *testing.T) {
-	// Worker-only: ivmablate's shape.
+	// Worker-only: no simulation events.
 	var buf bytes.Buffer
 	if err := WriteCombinedChromeTrace(&buf, nil, 0, 0, syntheticTimeline()); err != nil {
 		t.Fatal(err)

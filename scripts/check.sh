@@ -15,6 +15,8 @@
 # Live probes close the run:
 # the default ivmsweep runs under the cyclic and rr-cpu priority rules
 # must exit 0 with nothing on stderr;
+# ivmablate's default run (every study, including the policy campaign
+# that exits 1 on any cold/cached/warm mismatch) must exit 0;
 # ivmsweep serving -metrics-addr on a loopback port is scraped over
 # HTTP, pinning the Prometheus exposition format end to end and, once
 # the sweep finishes, progress done = planned = sweep units = the
@@ -105,6 +107,7 @@ fi
 # itself is golden-tested in internal/obs (prom_test.go); this step
 # pins the served wire format end to end.
 go build -o "$tmp/ivmsweep" ./cmd/ivmsweep
+go build -o "$tmp/ivmablate" ./cmd/ivmablate
 
 # Quiet-default probe: valid sweeps under the non-fixed priority rules
 # must exit 0 and write nothing to stderr (no flag-combination warning
@@ -123,6 +126,15 @@ for args in "-m 8 -nc 2 -priority cyclic" "-m 12 -s 3 -nc 3 -priority rr-cpu -ma
 	fi
 done
 echo "check.sh: quiet-default probe OK, cyclic and rr-cpu sweeps exit 0 with empty stderr"
+
+# Ablation probe: every ivmablate study runs; the policy campaign
+# exits 1 on any mismatch between the cold, cached and warm paths.
+if ! "$tmp/ivmablate" > "$tmp/ablate.out" 2>&1; then
+	echo "check.sh: ivmablate failed:" >&2
+	cat "$tmp/ablate.out" >&2
+	exit 1
+fi
+echo "check.sh: ablation probe OK, every ivmablate study exits 0"
 
 "$tmp/ivmsweep" -m 13 -nc 4 -metrics-addr 127.0.0.1:0 -metrics-linger 30s \
 	> /dev/null 2> "$tmp/stderr" &
