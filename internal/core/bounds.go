@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"ivm/internal/modmath"
 	"ivm/internal/rat"
 	"ivm/internal/stream"
 )
@@ -82,18 +83,26 @@ type StreamSet struct {
 	CPU    int
 }
 
-// MultiStreamBound returns the tightest of several exact capacity
-// bounds on the aggregate steady-state bandwidth of the given streams
-// against an (m, s, n_c) memory (s = 0 means one section per bank):
+// bitsetBanks is the largest bank count whose touched-bank bitset
+// MultiStreamBound keeps on the stack.
+const bitsetBanks = 256
+
+// MultiStreamBound returns the tightest of three exact capacity bounds
+// on the aggregate steady-state bandwidth of the given streams against
+// an (m, s, n_c) memory (s = 0 means one section per bank):
 //
-//  1. the port bound: one request per stream per clock;
-//  2. the per-stream self-conflict bound sum_i min(1, r_i/n_c);
-//  3. the bank-capacity bound |union of access sets| / n_c — every
-//     touched bank serves at most one grant per n_c clocks;
-//  4. per-bank demand: a bank shared by k streams... subsumed by 3 for
-//     the aggregate; and
-//  5. the path bound: a CPU with q ports into s sections is granted at
+//  1. the self-conflict bound sum_i min(1, r_i/n_c) of §III-A, which
+//     subsumes the port bound of one request per stream per clock;
+//  2. the bank-capacity bound |Z_1 ∪ … ∪ Z_p| / n_c: every touched
+//     bank serves at most one grant per n_c clocks, which subsumes any
+//     per-bank demand bound for the aggregate; and
+//  3. the path bound: a CPU with q ports into s sections is granted at
 //     most min(q, s) requests per clock.
+//
+// By Theorem 1 a stream's access set Z_i is the residue class of its
+// start modulo g_i = gcd(m, d_i) = m/r_i, so the union is counted by
+// walking each coset b_i mod g_i, +g_i, … through a bitset of touched
+// banks. The function allocates nothing for m <= 256.
 func MultiStreamBound(m, s, nc int, sets []StreamSet) rat.Rational {
 	checkParams(m, nc)
 	if s == 0 {
@@ -103,44 +112,53 @@ func MultiStreamBound(m, s, nc int, sets []StreamSet) rat.Rational {
 		panic(fmt.Sprintf("core: sections %d must divide banks %d", s, m))
 	}
 
-	// 1. port bound and 2. self-conflict bound.
+	var stack [bitsetBanks / 64]uint64
+	words := stack[:]
+	if m > bitsetBanks {
+		words = make([]uint64, (m+63)/64)
+	}
 	selfBound := rat.Zero()
+	touched := 0
 	for _, st := range sets {
 		if st.Stream.Banks != m {
 			panic(fmt.Sprintf("core: stream %v uses %d banks, system has %d", st.Stream, st.Stream.Banks, m))
 		}
 		selfBound = selfBound.Add(SingleStreamBandwidth(m, nc, st.Stream.Distance))
-	}
-
-	// 3. bank-capacity bound over the union of access sets.
-	touched := make(map[int]bool)
-	for _, st := range sets {
-		for _, b := range st.Stream.AccessSet() {
-			touched[b] = true
+		g := m / ReturnNumber(m, st.Stream.Distance)
+		for b := modmath.Mod(st.Stream.Start, g); b < m; b += g {
+			if bit := uint64(1) << (b & 63); words[b>>6]&bit == 0 {
+				words[b>>6] |= bit
+				touched++
+			}
 		}
 	}
-	bankBound := rat.New(int64(len(touched)), int64(nc))
+	bankBound := rat.New(int64(touched), int64(nc))
 
-	// 5. path bound per CPU.
-	perCPU := make(map[int]int)
-	for _, st := range sets {
-		perCPU[st.CPU]++
-	}
+	// The path bound tallies each CPU at its first stream.
 	pathTotal := 0
-	for _, q := range perCPU {
-		if q < s {
-			pathTotal += q
-		} else {
-			pathTotal += s
+next:
+	for i, st := range sets {
+		for _, prev := range sets[:i] {
+			if prev.CPU == st.CPU {
+				continue next
+			}
 		}
+		q := 0
+		for _, other := range sets[i:] {
+			if other.CPU == st.CPU {
+				q++
+			}
+		}
+		pathTotal += min(q, s)
 	}
 	pathBound := rat.FromInt(int64(pathTotal))
 
 	best := selfBound
-	for _, b := range []rat.Rational{bankBound, pathBound} {
-		if b.Cmp(best) < 0 {
-			best = b
-		}
+	if bankBound.Cmp(best) < 0 {
+		best = bankBound
+	}
+	if pathBound.Cmp(best) < 0 {
+		best = pathBound
 	}
 	return best
 }

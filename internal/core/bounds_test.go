@@ -183,3 +183,146 @@ func TestMultiStreamBoundValidation(t *testing.T) {
 	}()
 	MultiStreamBound(16, 0, 4, []StreamSet{{Stream: stream.Infinite(8, 0, 1)}})
 }
+
+// unionBound is the capacity-bound formula MultiStreamBound replaced,
+// kept as its oracle: the union of the materialised access sets and a
+// map tally of ports per CPU.
+func unionBound(m, s, nc int, sets []StreamSet) rat.Rational {
+	if s == 0 {
+		s = m
+	}
+	best := rat.Zero()
+	touched := make(map[int]bool)
+	perCPU := make(map[int]int)
+	for _, st := range sets {
+		best = best.Add(SingleStreamBandwidth(m, nc, st.Stream.Distance))
+		for _, b := range st.Stream.AccessSet() {
+			touched[b] = true
+		}
+		perCPU[st.CPU]++
+	}
+	path := 0
+	for _, q := range perCPU {
+		path += min(q, s)
+	}
+	for _, b := range []rat.Rational{rat.New(int64(len(touched)), int64(nc)), rat.FromInt(int64(path))} {
+		if b.Cmp(best) < 0 {
+			best = b
+		}
+	}
+	return best
+}
+
+// boundGrid is a family of placements to hold MultiStreamBound to the
+// oracle on: streams with distances d on CPUs cpu, stream 1 at bank 0
+// and every later stream swept over [0, m).
+type boundGrid struct {
+	name      string
+	m, s, nc  int
+	distances [][]int
+	cpu       []int
+}
+
+// checkAgainstOracle compares MultiStreamBound with unionBound on
+// every placement of g and returns how many it compared.
+func checkAgainstOracle(t *testing.T, g boundGrid) int {
+	t.Helper()
+	n := len(g.cpu)
+	sets := make([]StreamSet, n)
+	b := make([]int, n)
+	count := 0
+	for _, d := range g.distances {
+		var rec func(i int)
+		rec = func(i int) {
+			if i == n {
+				for j := range sets {
+					sets[j] = StreamSet{Stream: stream.Infinite(g.m, b[j], d[j]), CPU: g.cpu[j]}
+				}
+				got, want := MultiStreamBound(g.m, g.s, g.nc, sets), unionBound(g.m, g.s, g.nc, sets)
+				if !got.Equal(want) {
+					t.Fatalf("%s: d=%v b=%v: bound %s, oracle %s", g.name, d, b, got, want)
+				}
+				count++
+				return
+			}
+			for b[i] = 0; b[i] < g.m; b[i]++ {
+				rec(i + 1)
+			}
+		}
+		b[0] = 0
+		rec(1)
+	}
+	return count
+}
+
+// nondecreasing lists the nondecreasing n-tuples over allowed.
+func nondecreasing(allowed []int, n int) [][]int {
+	var out [][]int
+	tuple := make([]int, n)
+	var rec func(i, lo int)
+	rec = func(i, lo int) {
+		if i == n {
+			out = append(out, append([]int(nil), tuple...))
+			return
+		}
+		for j := lo; j < len(allowed); j++ {
+			tuple[i] = allowed[j]
+			rec(i+1, j)
+		}
+	}
+	rec(0, 0)
+	return out
+}
+
+// distancesFrom lists the distances of an m-bank memory whose return
+// number is at least minReturn.
+func distancesFrom(m, minReturn int) []int {
+	var out []int
+	for d := 0; d < m; d++ {
+		if ReturnNumber(m, d) >= minReturn {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// MultiStreamBound counts the access-set union through Theorem 1's
+// cosets and tallies the path bound without a map; it must equal the
+// union-of-sets formula on every placement of the census's triple
+// grid (13, 4), its 4-stream grid (8, 2, 4) and its (16, 4, 4) section
+// grid, on mixed CPU layouts, and on an m > 256 memory, whose bitset
+// lives on the heap.
+func TestMultiStreamBoundMatchesUnionOracle(t *testing.T) {
+	grids := []boundGrid{
+		{name: "triple grid", m: 13, nc: 4, distances: nondecreasing(distancesFrom(13, 1), 3), cpu: []int{0, 1, 2}},
+		{name: "4-stream grid", m: 8, nc: 2, distances: nondecreasing(distancesFrom(8, 2), 4), cpu: []int{0, 1, 2, 3}},
+		{name: "section grid", m: 16, s: 4, nc: 4, distances: nondecreasing(distancesFrom(16, 4), 2), cpu: []int{0, 0}},
+		{name: "mixed CPUs", m: 12, s: 3, nc: 3, distances: nondecreasing(distancesFrom(12, 1), 3), cpu: []int{1, 0, 1}},
+		{name: "two CPUs of four streams", m: 6, s: 2, nc: 2, distances: nondecreasing(distancesFrom(6, 1), 4), cpu: []int{0, 1, 1, 0}},
+		{name: "m > 256", m: 384, s: 6, nc: 8, distances: [][]int{{1, 96}, {6, 128}, {0, 64}, {256, 300}}, cpu: []int{0, 0}},
+	}
+	for _, g := range grids {
+		t.Logf("%s: %d placements", g.name, checkAgainstOracle(t, g))
+	}
+
+	// Random shapes: any CPU layout, sections and stream count.
+	rng := rand.New(rand.NewSource(19850821))
+	for trial := 0; trial < 2000; trial++ {
+		m := 1 + rng.Intn(300)
+		divs := []int{0}
+		for s := 1; s <= m; s++ {
+			if m%s == 0 {
+				divs = append(divs, s)
+			}
+		}
+		s := divs[rng.Intn(len(divs))]
+		nc := 1 + rng.Intn(8)
+		sets := make([]StreamSet, 1+rng.Intn(6))
+		for i := range sets {
+			sets[i] = StreamSet{Stream: stream.Infinite(m, rng.Intn(m), rng.Intn(m)), CPU: rng.Intn(3)}
+		}
+		if got, want := MultiStreamBound(m, s, nc, sets), unionBound(m, s, nc, sets); !got.Equal(want) {
+			t.Fatalf("m=%d s=%d nc=%d %+v: bound %s, oracle %s", m, s, nc, sets, got, want)
+		}
+	}
+}

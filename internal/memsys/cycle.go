@@ -3,6 +3,7 @@ package memsys
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"ivm/internal/rat"
@@ -165,12 +166,42 @@ type StreamSpec struct {
 // the one construction path from declarative stream specs to live
 // ports; SteadyBandwidth and the sweep engine's generic ConfigSpec
 // path both build on it.
+//
+// After Reset, AddStreams re-arms the ports (and their sources) it
+// built before, in the order it built them, and allocates only when a
+// placement has more streams than any before it. A re-armed port's
+// ID, CPU, Label, Src and Count describe the new stream, so a caller
+// must not keep a Port that AddStreams built past the next Reset. The
+// exception is a listener: while one is attached, AddStreams builds
+// fresh ports and never re-arms them, because a listener may keep
+// Event.Port. AddPort never re-arms.
 func (s *System) AddStreams(specs ...StreamSpec) {
 	for i, sp := range specs {
 		label := sp.Label
 		if label == "" {
-			label = fmt.Sprintf("%d", i+1)
+			label = strconv.Itoa(i + 1)
 		}
-		s.AddPort(sp.CPU, label, NewInfiniteStrided(int64(sp.Start), int64(sp.Distance)))
+		var p *streamPort
+		switch {
+		case s.listener != nil:
+			p = new(streamPort)
+		case s.rearmed < len(s.streamPorts):
+			p = s.streamPorts[s.rearmed]
+			s.rearmed++
+		default:
+			p = new(streamPort)
+			s.streamPorts = append(s.streamPorts, p)
+			s.rearmed++
+		}
+		p.src = StridedSource{Addr: int64(sp.Start), Stride: int64(sp.Distance), Remaining: -1}
+		p.Port = Port{CPU: sp.CPU, Label: label, Src: &p.src}
+		s.attach(&p.Port)
 	}
+}
+
+// streamPort is a port AddStreams built together with its infinite
+// strided source, in one allocation.
+type streamPort struct {
+	Port
+	src StridedSource
 }

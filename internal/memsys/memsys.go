@@ -322,6 +322,12 @@ type System struct {
 	wheel   [][]int32
 	expired int64
 	states  recurrenceTable // FindCycle's visited states, kept across Reset
+
+	// The ports AddStreams built without a listener, in the order it
+	// built them, and how many of them are attached since the last
+	// Reset; the next AddStreams re-arms the rest in order.
+	streamPorts []*streamPort
+	rearmed     int
 }
 
 // New creates a memory system with the default modulo bank mapping.
@@ -379,8 +385,15 @@ func (s *System) Config() Config { return s.cfg }
 // Reset O(m) instead of O(m·s) — so clock-derived quantities of a
 // later run (FindCycle leads, listener event clocks) are relative to
 // the clock at reuse.
+//
+// The ports AddStreams built are kept too: the next AddStreams re-arms
+// them for its streams instead of allocating (see AddStreams), so a
+// Port taken from Ports before Reset may describe a different stream
+// after it. Ports attached with AddPort, and ports a listener could
+// have seen (see SetListener), are never re-armed.
 func (s *System) Reset() {
 	s.ports = s.ports[:0]
+	s.rearmed = 0
 	for b := range s.busy {
 		s.busy[b] = 0
 		s.owner[b] = nil
@@ -392,18 +405,31 @@ func (s *System) Reset() {
 // Mapper returns the address-to-bank mapping in use.
 func (s *System) Mapper() BankMapper { return s.mapper }
 
-// SetListener installs an event listener (nil to remove).
-func (s *System) SetListener(l Listener) { s.listener = l }
+// SetListener installs an event listener (nil to remove). Installing
+// one retires the ports AddStreams built so far from re-arming, since
+// the listener may keep them.
+func (s *System) SetListener(l Listener) {
+	s.listener = l
+	if l != nil {
+		s.streamPorts, s.rearmed = nil, 0
+	}
+}
 
 // AddPort attaches a source as a new port on the given CPU and returns
 // the port. Ports arbitrate in ID order under FixedPriority.
 func (s *System) AddPort(cpu int, label string, src Source) *Port {
-	if cpu < 0 || cpu >= s.cfg.cpus() {
-		panic(fmt.Sprintf("memsys: CPU %d out of range [0,%d)", cpu, s.cfg.cpus()))
-	}
-	p := &Port{ID: len(s.ports), CPU: cpu, Label: label, Src: src}
-	s.ports = append(s.ports, p)
+	p := &Port{CPU: cpu, Label: label, Src: src}
+	s.attach(p)
 	return p
+}
+
+// attach appends p as the next port, numbering it by position.
+func (s *System) attach(p *Port) {
+	if p.CPU < 0 || p.CPU >= s.cfg.cpus() {
+		panic(fmt.Sprintf("memsys: CPU %d out of range [0,%d)", p.CPU, s.cfg.cpus()))
+	}
+	p.ID = len(s.ports)
+	s.ports = append(s.ports, p)
 }
 
 // Ports returns the attached ports in ID order.

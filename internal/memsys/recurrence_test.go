@@ -29,30 +29,42 @@ func newPackedSystem(m, nc int) *System {
 }
 
 // TestFindCyclePackedReusedAllocs pins the reused packed search to a
-// constant allocation count, independent of how many clocks it runs:
-// the two ports, their two sources and the Cycle's two slices. Every
-// visited state goes into the system's recurrence table, whose storage
-// a reused system keeps, so a per-clock allocation would make the
-// longer searches allocate more.
+// constant allocation count, independent of how many clocks it runs.
+// Every visited state goes into the system's recurrence table, whose
+// storage a reused system keeps, so a per-clock allocation would make
+// the longer searches allocate more. Ports attached with AddPort cost
+// their two ports and two sources, and the Cycle its two slices; the
+// census attaches with AddStreams, which re-arms the ports it built
+// for the previous placement, so only the Cycle's slices remain.
 func TestFindCyclePackedReusedAllocs(t *testing.T) {
-	const want = 6
-	for _, p := range searchPlacements {
-		sys := newPackedSystem(p.m, p.nc)
-		var c Cycle
-		var err error
-		allocs := testing.AllocsPerRun(50, func() {
-			sys.Reset()
-			attachPlacement(sys, p.d1, p.b2, p.d2)
-			c, err = sys.FindCycle(1 << 20)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := c.Lead + c.Length; got != p.clocks {
-			t.Fatalf("%+v: search ran %d clocks, want %d", p, got, p.clocks)
-		}
-		if allocs != want {
-			t.Errorf("%+v: reused search over %d clocks made %v allocations, want %d", p, p.clocks, allocs, want)
+	for _, route := range []struct {
+		name   string
+		want   float64
+		attach func(sys *System, d1, b2, d2 int)
+	}{
+		{"AddPort", 6, attachPlacement},
+		{"AddStreams", 2, func(sys *System, d1, b2, d2 int) {
+			sys.AddStreams(StreamSpec{Distance: d1, CPU: 0}, StreamSpec{Start: b2, Distance: d2, CPU: 1})
+		}},
+	} {
+		for _, p := range searchPlacements {
+			sys := newPackedSystem(p.m, p.nc)
+			var c Cycle
+			var err error
+			allocs := testing.AllocsPerRun(50, func() {
+				sys.Reset()
+				route.attach(sys, p.d1, p.b2, p.d2)
+				c, err = sys.FindCycle(1 << 20)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Lead + c.Length; got != p.clocks {
+				t.Fatalf("%s %+v: search ran %d clocks, want %d", route.name, p, got, p.clocks)
+			}
+			if allocs != route.want {
+				t.Errorf("%s %+v: reused search over %d clocks made %v allocations, want %v", route.name, p, p.clocks, allocs, route.want)
+			}
 		}
 	}
 }

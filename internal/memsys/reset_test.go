@@ -158,3 +158,50 @@ func TestResetKeepsClock(t *testing.T) {
 		}
 	}
 }
+
+// portRecorder keeps every port an event names, as a timeline does.
+type portRecorder struct{ ports []*Port }
+
+func (r *portRecorder) Observe(e Event) { r.ports = append(r.ports, e.Port) }
+
+// A listener may keep Event.Port, so AddStreams never re-arms a port a
+// listener could have seen. Two ways to see one: ports built while a
+// listener is attached, and ports built before a listener that is
+// detached again before the next AddStreams. Either way the kept ports
+// keep their ID and Label after Reset and the next AddStreams; a
+// re-armed port would read label "z".
+func TestAddStreamsKeepsListenedPorts(t *testing.T) {
+	for _, attachFirst := range []bool{true, false} {
+		sys := newPackedSystem(16, 4)
+		rec := &portRecorder{}
+		if attachFirst {
+			sys.SetListener(rec)
+		}
+		sys.AddStreams(StreamSpec{Distance: 1, CPU: 0, Label: "a"}, StreamSpec{Start: 3, Distance: 7, CPU: 1, Label: "b"})
+		if !attachFirst {
+			sys.SetListener(rec)
+		}
+		sys.Run(8)
+		if len(rec.ports) == 0 {
+			t.Fatal("listener saw no events")
+		}
+		kept := append([]*Port(nil), sys.Ports()...)
+		if !attachFirst {
+			sys.SetListener(nil)
+		}
+
+		sys.Reset()
+		sys.AddStreams(StreamSpec{Start: 1, Distance: 5, CPU: 1, Label: "z"}, StreamSpec{Start: 2, Distance: 3, CPU: 0, Label: "z"})
+		sys.Run(8)
+		for i, p := range kept {
+			if p.ID != i || p.Label != "ab"[i:i+1] {
+				t.Errorf("listener attached first %v: kept port %d reads ID %d label %q after the next AddStreams", attachFirst, i, p.ID, p.Label)
+			}
+			for _, now := range sys.Ports() {
+				if now == p {
+					t.Errorf("listener attached first %v: kept port %d was re-armed", attachFirst, i)
+				}
+			}
+		}
+	}
+}

@@ -27,11 +27,15 @@ type cacheKey struct {
 // packInts encodes a vector as a compact varint string for use as a
 // map-key component.
 func packInts(v []int) string {
-	b := make([]byte, 0, 2*len(v))
+	return string(appendPacked(make([]byte, 0, 2*len(v)), v))
+}
+
+// appendPacked appends packInts's encoding of v to dst.
+func appendPacked(dst []byte, v []int) []byte {
 	for _, x := range v {
-		b = binary.AppendVarint(b, int64(x))
+		dst = binary.AppendVarint(dst, int64(x))
 	}
-	return string(b)
+	return dst
 }
 
 // unpackInts inverts packInts (differential tests reconstruct cached
@@ -58,7 +62,10 @@ func unpackInts(s string) []int {
 // stride sharing a factor with m reaches only m/gcd(d, m) banks. So
 // the index must come from avalanched high bits. There is no
 // per-process seed: shard placement repeats from run to run.
-func (k cacheKey) shard() int {
+func (k cacheKey) shard() int { return shardOf(k, k.vec) }
+
+// shardOf is k's shard with vec standing in for k.vec.
+func shardOf[V string | []byte](k cacheKey, vec V) int {
 	h := uint64(2166136261)
 	mix := func(v int) {
 		h ^= uint64(uint32(v))
@@ -73,8 +80,8 @@ func (k cacheKey) shard() int {
 	for i := 0; i < len(k.cpus); i++ {
 		mix(int(k.cpus[i]))
 	}
-	for i := 0; i < len(k.vec); i++ {
-		mix(int(k.vec[i]))
+	for i := 0; i < len(vec); i++ {
+		mix(int(vec[i]))
 	}
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
@@ -118,14 +125,22 @@ func newBWCache(size int) *bwCache {
 	return &bwCache{perShard: per}
 }
 
-func (c *bwCache) get(k cacheKey) (rat.Rational, bool) {
-	s := &c.shards[k.shard()]
+// get looks up the key k whose packed configuration vector is vec;
+// k.vec is ignored. The string(vec) conversion sits inside the map
+// index expression, where the compiler makes it without allocating,
+// so a probe builds no key string: the route builds one only on a
+// miss, to put the answer.
+func (c *bwCache) get(k cacheKey, vec []byte) (rat.Rational, bool) {
+	s := &c.shards[shardOf(k, vec)]
 	s.mu.Lock()
-	v, ok := s.m[k]
+	v, ok := s.m[cacheKey{family: k.family, m: k.m, s: k.s, nc: k.nc, cpus: k.cpus, vec: string(vec)}]
 	s.mu.Unlock()
 	return v, ok
 }
 
+// put stores v under k and keeps k's strings: the route builds a fresh
+// key per miss and SeedCache one per record, so a clone here would
+// only add garbage.
 func (c *bwCache) put(k cacheKey, v rat.Rational) {
 	s := &c.shards[k.shard()]
 	s.mu.Lock()

@@ -7,6 +7,13 @@ import (
 	"ivm/internal/rat"
 )
 
+// keyAt packs placement b of cs and returns its cache key, the key the
+// answer route puts on a miss.
+func keyAt(cs *compiledSpec, b []int) cacheKey {
+	cs.pack(b)
+	return cs.key()
+}
+
 // spreadKeys collects the distinct canonical cache keys of every
 // placement of specs that the engine would cache: specFold enumerates
 // the placements, and those the analytic gate answers are left out, as
@@ -20,7 +27,7 @@ func spreadKeys(w *worker, specs []ConfigSpec, keys map[cacheKey]struct{}) {
 					return v
 				}
 			}
-			keys[cs.key(b)] = struct{}{}
+			keys[keyAt(cs, b)] = struct{}{}
 			return rat.One()
 		})
 	}

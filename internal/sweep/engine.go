@@ -642,10 +642,14 @@ type compiledSpec struct {
 	counter *familyCounter
 	theorem *atomic.Int64
 
-	// vec is the (d_1..d_N, b_1..b_N) canonicalisation scratch; b holds
-	// the spec's own starts, the placement ResolveBatch answers.
-	vec []int
-	b   []int
+	// vec is the (d_1..d_N, b_1..b_N) canonicalisation scratch and
+	// packed its packed form, the cache probe's key bytes; b holds the
+	// spec's own starts, the placement ResolveBatch answers. head is the
+	// spec's cache key without its vector.
+	vec    []int
+	packed []byte
+	b      []int
+	head   cacheKey
 }
 
 // compile validates and binds spec to the worker. The returned value
@@ -670,6 +674,7 @@ func (w *worker) compile(spec ConfigSpec) *compiledSpec {
 		vec:     make([]int, 2*n),
 		b:       make([]int, n),
 	}
+	cs.head = cacheKey{family: cs.family, m: spec.M, s: spec.S, nc: spec.NC, cpus: cs.cpus}
 	for i, st := range spec.Streams {
 		cs.b[i] = st.B
 	}
@@ -699,22 +704,25 @@ func (cs *compiledSpec) load(b []int) {
 	copy(cs.vec[n:], b)
 }
 
-// key canonicalises the placement b of the compiled spec and returns
-// its cache key, leaving the canonical configuration vector in cs.vec.
-// The canonical representative is the lexicographically smallest
-// member of the placement's orbit under the spec's pipeline, so
-// isomorphic placements collide in the cache by construction.
-func (cs *compiledSpec) key(b []int) cacheKey {
+// pack canonicalises the placement b of the compiled spec into cs.vec
+// and packs the canonical vector into cs.packed, the bytes the cache
+// probe looks up. The canonical representative is the
+// lexicographically smallest member of the placement's orbit under the
+// spec's pipeline, so isomorphic placements collide in the cache by
+// construction.
+func (cs *compiledSpec) pack(b []int) {
 	cs.load(b)
 	cs.canon.Canonicalize(cs.vec, len(cs.spec.Streams))
-	return cacheKey{
-		family: cs.family,
-		m:      cs.spec.M,
-		s:      cs.spec.S,
-		nc:     cs.spec.NC,
-		cpus:   cs.cpus,
-		vec:    packInts(cs.vec),
-	}
+	cs.packed = appendPacked(cs.packed[:0], cs.vec)
+}
+
+// key returns the cache key of the vector pack last packed. It builds
+// the key's vector string, so the route calls it only on a miss, to
+// put the answer.
+func (cs *compiledSpec) key() cacheKey {
+	k := cs.head
+	k.vec = string(cs.packed)
+	return k
 }
 
 // resolve is the engine's single answer route, the paper's three
@@ -734,27 +742,26 @@ func (w *worker) resolve(cs *compiledSpec, b []int, sp SpanSink) Resolution {
 		v, ok := cs.gate.BandwidthAt(b[0], b[1])
 		t.end(cs.family)
 		if ok {
-			return w.record(cs, Resolution{BW: v, Path: PathAnalytic, Theorem: cs.gateTheorem}, cacheKey{}, 0)
+			return w.record(cs, Resolution{BW: v, Path: PathAnalytic, Theorem: cs.gateTheorem}, 0)
 		}
 	}
-	var key cacheKey
 	if w.e.cache == nil {
 		cs.load(b)
 	} else {
 		t := w.begin(sp, TimelineCanon, SpanCanon)
-		key = cs.key(b)
+		cs.pack(b)
 		t.end(cs.family)
 		t = w.begin(sp, noSlice, SpanCacheProbe)
-		bw, ok := w.e.cache.get(key)
+		bw, ok := w.e.cache.get(cs.head, cs.packed)
 		t.end(cs.family)
 		if ok {
-			return w.record(cs, Resolution{BW: bw, Path: PathCache}, key, 0)
+			return w.record(cs, Resolution{BW: bw, Path: PathCache}, 0)
 		}
 	}
 	t := w.begin(sp, TimelineSimulate, SpanSimulate)
 	r := w.simulate(cs, cs.vec)
 	t.end(cs.family)
-	return w.record(cs, r, key, t.tl)
+	return w.record(cs, r, t.tl)
 }
 
 // record is the answer route's one recording point and the only writer
@@ -762,12 +769,11 @@ func (w *worker) resolve(cs *compiledSpec, b []int, sp SpanSink) Resolution {
 // its theorem when analytic, its clocks when simulated), marks it on
 // the Timeline, adds it to its orbit's Provenance row when it was
 // canonicalised or simulated and, on a cached miss, stores the answer
-// in the cache and hands it to the CacheSink. key is the placement's
-// cache key (zero on analytic answers and when caching is disabled).
-// simNS is the Timeline stamp at which a simulation began: the
-// cache-miss instant is stamped there, at the miss decision, not when
-// the simulation has finished.
-func (w *worker) record(cs *compiledSpec, r Resolution, key cacheKey, simNS int64) Resolution {
+// in the cache, under the key of the vector cs.pack packed, and hands
+// it to the CacheSink. simNS is the Timeline stamp at which a
+// simulation began: the cache-miss instant is stamped there, at the
+// miss decision, not when the simulation has finished.
+func (w *worker) record(cs *compiledSpec, r Resolution, simNS int64) Resolution {
 	e := w.e
 	tl := e.opt.Timeline
 	cs.counter.paths[r.Path].Add(1)
@@ -790,7 +796,7 @@ func (w *worker) record(cs *compiledSpec, r Resolution, key cacheKey, simNS int6
 	}
 	r.Canonical = cs.vec
 	tl.instantAt(w.id, TimelineCacheMiss, simNS, -1, cs.family)
-	e.cache.put(key, r.BW)
+	e.cache.put(cs.key(), r.BW)
 	if sink := e.opt.CacheSink; sink != nil {
 		sink.Put(CacheRecord{
 			Family: cs.family,

@@ -155,7 +155,7 @@ func TestCanonicalKeyOrbitInvariant(t *testing.T) {
 	w := &worker{e: NewEngine(Options{})}
 	pairKey := func(m, d1, d2, b1, b2 int) cacheKey {
 		cs := w.compile(PairSpec(m, 4, d1, d2))
-		return cs.key([]int{b1, b2})
+		return keyAt(cs, []int{b1, b2})
 	}
 	for _, m := range []int{5, 12, 16} {
 		units := modmath.Units(m)
@@ -185,11 +185,11 @@ func TestCanonicalKeyOrbitInvariantTripleAndSection(t *testing.T) {
 	w := &worker{e: NewEngine(Options{})}
 	tripleKey := func(m, d1, d2, d3, b2, b3 int) cacheKey {
 		cs := w.compile(TripleSpec(m, 2, [3]int{d1, d2, d3}))
-		return cs.key([]int{0, b2, b3})
+		return keyAt(cs, []int{0, b2, b3})
 	}
 	sectionKey := func(m, s, d1, d2, b1, b2 int) cacheKey {
 		cs := w.compile(SectionPairSpec(m, s, 2, d1, d2))
-		return cs.key([]int{b1, b2})
+		return keyAt(cs, []int{b1, b2})
 	}
 	for _, m := range []int{8, 12} {
 		for d1 := 0; d1 < m; d1 += 2 {

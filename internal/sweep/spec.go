@@ -314,11 +314,14 @@ type SpecResult struct {
 	Violations int
 }
 
-// specBound is the aggregate capacity bound of one placement.
+// specBound is the aggregate capacity bound of one placement. Its
+// stream sets live in a stack buffer for up to eight streams, so the
+// bound of a census placement allocates nothing.
 func specBound(spec ConfigSpec, b []int) rat.Rational {
-	sets := make([]core.StreamSet, len(spec.Streams))
+	var buf [8]core.StreamSet
+	sets := buf[:0]
 	for i, st := range spec.Streams {
-		sets[i] = core.StreamSet{Stream: stream.Infinite(spec.M, b[i], st.D), CPU: st.CPU}
+		sets = append(sets, core.StreamSet{Stream: stream.Infinite(spec.M, b[i], st.D), CPU: st.CPU})
 	}
 	return core.MultiStreamBound(spec.M, spec.S, spec.NC, sets)
 }

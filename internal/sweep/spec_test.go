@@ -316,7 +316,7 @@ func specKeyTransformInvariant(t *testing.T, w *worker, spec ConfigSpec, u, shif
 	for i, st := range spec.Streams {
 		b[i] = st.B
 	}
-	want := cs.key(b)
+	want := keyAt(cs, b)
 
 	moved := spec
 	moved.Streams = append([]Stream(nil), spec.Streams...)
@@ -327,7 +327,7 @@ func specKeyTransformInvariant(t *testing.T, w *worker, spec ConfigSpec, u, shif
 		moved.Streams[i].B = bm[i]
 	}
 	csm := w.compile(moved)
-	if got := csm.key(bm); got != want {
+	if got := keyAt(csm, bm); got != want {
 		t.Fatalf("spec %+v under u=%d t=%d: key %+v != %+v", spec, u, shift, got, want)
 	}
 	// Idempotence: canonicalising the canonical vector is a fixed point.
@@ -393,4 +393,25 @@ func FuzzSpecCanonical(f *testing.F) {
 		w := &worker{e: NewEngine(Options{})}
 		specKeyTransformInvariant(t, w, spec, u, shift)
 	})
+}
+
+// specBound runs once per placement of every specFold sweep; on an
+// m <= 256 memory it allocates nothing, its stream sets on the stack
+// and core.MultiStreamBound's bitset too.
+func TestSpecBoundAllocs(t *testing.T) {
+	specs := []ConfigSpec{
+		TripleSpec(13, 4, [3]int{1, 2, 6}),
+		NStreamSpec(8, 2, []int{1, 3, 5, 7}),
+		SectionPairSpec(16, 4, 4, 1, 3),
+		{M: 256, S: 8, NC: 4, Streams: []Stream{{D: 1}, {D: 64, CPU: 1}, {D: 3, CPU: 1}}},
+	}
+	for _, spec := range specs {
+		b := make([]int, len(spec.Streams))
+		for i := range b {
+			b[i] = i + 1
+		}
+		if n := testing.AllocsPerRun(100, func() { specBound(spec, b) }); n != 0 {
+			t.Errorf("specBound(%s, m=%d) allocates %v per op, want 0", spec.Family(), spec.M, n)
+		}
+	}
 }

@@ -12,6 +12,8 @@
 # the packed kernel against that oracle. A single-iteration bench.sh run
 # is then diffed against the committed BENCH_sweep.json by
 # scripts/benchdiff.go, gating on catastrophic timing regressions.
+# A one-second ivmbench sweep-census run pins the full census digest,
+# the paper-scale triple and 4-stream tables included.
 # Live probes close the run:
 # the default ivmsweep runs under the cyclic and rr-cpu priority rules
 # must exit 0 with nothing on stderr;
@@ -84,6 +86,17 @@ go test -run '^$' -fuzz '^FuzzKernelEquivalence$' -fuzztime 10s ./internal/memsy
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"; [ -n "${srv:-}" ] && kill "$srv" 2>/dev/null || true' EXIT
+
+# Full-census pin: ivmbench's sweep-census workload renders the
+# paper-scale (13, 4) triple and (8, 2, 4) 4-stream tables, which the
+# goldens and bench's TestQuick leave out, and exits nonzero when the
+# census digest drifts from its pin.
+if ! bash bench/run.sh --workload sweep-census --seed 1 --seconds 1 --trace 0 > "$tmp/census.log" 2>&1; then
+	cat "$tmp/census.log" >&2
+	echo "check.sh: ivmbench sweep-census failed or its census digest drifted" >&2
+	exit 1
+fi
+echo "check.sh: full-census pin OK, ivmbench sweep-census exits 0"
 
 # Benchmark regression gate: a single-iteration bench.sh run diffed
 # against the committed BENCH_sweep.json. One iteration is noisy (the
