@@ -3,9 +3,7 @@
 // effective bandwidth of each example.
 //
 // Observability: the shared -cpuprofile/-memprofile/-trace flags
-// profile the run, and -metrics-addr serves the shared debug
-// endpoints (/metrics Prometheus liveness, /healthz, expvar, pprof)
-// while it executes.
+// profile the run.
 package main
 
 import (
@@ -14,7 +12,6 @@ import (
 	"os"
 
 	"ivm/internal/figures"
-	"ivm/internal/obs"
 	"ivm/internal/obs/profile"
 	"ivm/internal/trace"
 )
@@ -22,7 +19,6 @@ import (
 func main() {
 	fig := flag.String("fig", "", "figure id (2..9, 8a, 8b); empty = all")
 	clocks := flag.Int64("clocks", 34, "timeline width in clock periods")
-	metricsAddr := flag.String("metrics-addr", "", "serve liveness and debug endpoints on this address: /metrics Prometheus text, /healthz, /debug/vars expvar, /debug/pprof")
 	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -30,14 +26,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	if *metricsAddr != "" {
-		closer, err := obs.ServeMetrics(*metricsAddr, nil, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer closer.Close()
 	}
 
 	figs := figures.All()

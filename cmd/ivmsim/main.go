@@ -13,10 +13,8 @@
 // bank-occupancy strip chart, -phase-hist prints the per-cycle
 // conflict phase histogram of the steady state (-phase-csv exports
 // it), and -metrics-out writes the statistics, trace totals and phase
-// histogram as JSON. -metrics-addr
-// serves the shared debug endpoints (/metrics Prometheus liveness,
-// /healthz, expvar, pprof) while the run executes, and
-// -cpuprofile/-memprofile/-trace profile the run itself.
+// histogram as JSON. -cpuprofile/-memprofile/-trace profile the run
+// itself.
 package main
 
 import (
@@ -53,20 +51,12 @@ func main() {
 	phaseHist := flag.Bool("phase-hist", false, "print the steady-state cycle's conflict phase histogram (grants/conflicts by clock phase and bank)")
 	phaseCSV := flag.String("phase-csv", "", "write the phase histogram as CSV (phase x bank, long form)")
 	metricsOut := flag.String("metrics-out", "", "write statistics, trace totals and the phase histogram as a JSON metrics snapshot")
-	metricsAddr := flag.String("metrics-addr", "", "serve liveness and debug endpoints on this address: /metrics Prometheus text, /healthz, /debug/vars expvar, /debug/pprof")
 	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
 
 	stop, err := prof.Start()
 	if err != nil {
 		fail("%v", err)
-	}
-	if *metricsAddr != "" {
-		closer, err := obs.ServeMetrics(*metricsAddr, nil, nil)
-		if err != nil {
-			fail("%v", err)
-		}
-		defer closer.Close()
 	}
 
 	cfg := memsys.Config{Banks: *m, Sections: *s, BankBusy: *nc, CPUs: *cpus}

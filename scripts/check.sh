@@ -58,7 +58,7 @@ go vet ./...
 
 # docs step: every exported identifier in the audited packages must
 # carry a doc comment, and every relative Markdown link must resolve.
-go run ./internal/tools/docscheck \
+go run ./internal/tools/docscheck . \
 	internal/sweep internal/modmath internal/memsys internal/stats \
 	internal/obs internal/obs/latency internal/obs/profile internal/textplot \
 	internal/core internal/report internal/serve internal/cachestore
