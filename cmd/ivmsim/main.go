@@ -99,9 +99,7 @@ func main() {
 	if len(listeners) > 1 {
 		sys.SetListener(listeners)
 	}
-	for i, sp := range specs {
-		sys.AddPort(sp.CPU, fmt.Sprintf("%d", i+1), memsys.NewInfiniteStrided(int64(sp.Start), int64(sp.Distance)))
-	}
+	sys.AddStreams(specs...)
 	sys.Run(*clocks)
 	if stream != nil {
 		if err := stream.Close(); err != nil {
@@ -121,9 +119,7 @@ func main() {
 
 	// Fresh system for exact steady-state measurement.
 	sys2 := memsys.New(cfg)
-	for i, sp := range specs {
-		sys2.AddPort(sp.CPU, fmt.Sprintf("%d", i+1), memsys.NewInfiniteStrided(int64(sp.Start), int64(sp.Distance)))
-	}
+	sys2.AddStreams(specs...)
 	cyc, err := sys2.FindCycle(1 << 22)
 	if err != nil {
 		fail("cycle detection: %v", err)
@@ -165,9 +161,7 @@ func main() {
 	if *statsFlag || *metricsOut != "" {
 		sys3 := memsys.New(cfg)
 		col = stats.Attach(sys3)
-		for i, sp := range specs {
-			sys3.AddPort(sp.CPU, fmt.Sprintf("%d", i+1), memsys.NewInfiniteStrided(int64(sp.Start), int64(sp.Distance)))
-		}
+		sys3.AddStreams(specs...)
 		sys3.Run(*statsClocks)
 	}
 	if *statsFlag {

@@ -8,17 +8,15 @@
 // (The engine-counter footer is diagnostic: concurrent workers can
 // both miss the same cache key, so its counts may vary by a few.)
 //
-// Observability: -trace-out exports a combined Chrome trace_event
-// file for chrome://tracing or Perfetto — the sweep engine's worker
-// timeline (work-item slices, cache hit/miss instants, simulation and
-// canonicalisation spans) alongside the cycle search of one reference
-// pair (-trace-pair); -csv-out writes that pair's window as CSV,
-// -strip prints its bank-occupancy strip chart; -metrics-out writes a
-// JSON snapshot of the engine counters (cache hit rate, per-worker
-// utilisation, the worker timeline when traced, and the provenance
-// attribution when recorded) and -metrics-addr serves them live while
-// the sweep runs: Prometheus text exposition at /metrics, the JSON
-// view at /metrics.json, /healthz, the runtime's expvar and pprof
+// Observability covers the sweep itself: -trace-out exports the sweep
+// engine's worker timeline (work-item slices, cache hit/miss instants,
+// simulation and canonicalisation spans) as a Chrome trace_event file
+// for chrome://tracing or Perfetto; -metrics-out writes a JSON snapshot
+// of the engine counters (cache hit rate, per-worker utilisation, the
+// worker timeline when traced, and the provenance attribution when
+// recorded) and -metrics-addr serves them live while the sweep runs:
+// Prometheus text exposition at /metrics, the JSON view at
+// /metrics.json, /healthz, the runtime's expvar and pprof
 // (-metrics-linger keeps the server up after the sweeps so a scraper
 // can read the final counters). -provenance appends the
 // result-attribution report — which theorem, cache orbit or
@@ -29,14 +27,15 @@
 // of the whole run. -cache-export dir appends the run's cached cyclic
 // states to a persistent cache store (internal/cachestore) that
 // ivmserved -cache-dir warm-starts from; see docs/SERVING.md.
+//
+// One simulation's bank and port timeline, strip chart and per-bank
+// statistics are ivmsim's: ivmsim -trace-out, -csv-out, -strip, -stats.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"ivm/internal/cachestore"
@@ -58,12 +57,8 @@ func main() {
 	cache := flag.Int("cache", sweep.DefaultCacheSize, "cyclic-state cache entries, shared by pair, triple and section sweeps; negative disables caching")
 	priorityName := flag.String("priority", "fixed", "arbitration priority rule: fixed, cyclic or rr-cpu; non-default rules run the pair/section families through the generic spec grid")
 	mappingName := flag.String("mapping", "cyclic", "bank-to-section mapping: cyclic or consecutive (consecutive requires -s)")
-	showStats := flag.Bool("stats", false, "collect and print per-bank statistics of the simulated states")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON of the sweep worker timeline plus the traced pair's cycle search (open in chrome://tracing or Perfetto)")
-	csvOut := flag.String("csv-out", "", "write the traced pair's event timeline as CSV")
-	tracePair := flag.String("trace-pair", "1:2:0", "pair to trace as d1:d2[:b2]")
-	strip := flag.Bool("strip", false, "print the traced pair's bank-occupancy strip chart")
-	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot (engine counters, per-worker utilisation, stats, trace totals, provenance)")
+	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON of the sweep worker timeline (open in chrome://tracing or Perfetto)")
+	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot (engine counters, per-worker utilisation, provenance)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address: /metrics Prometheus text, /metrics.json, /healthz, /debug/vars expvar, /debug/pprof")
 	metricsLinger := flag.Duration("metrics-linger", 0, "keep the -metrics-addr server up this long after the sweeps finish (lets a scraper read the final counters)")
 	provenanceFlag := flag.Bool("provenance", false, "print the result-attribution report: per-family path split, per-theorem analytic hits, orbit sizes and the top unexplained orbits")
@@ -113,8 +108,7 @@ func main() {
 		prov = sweep.NewProvenance(0)
 	}
 	eng := sweep.NewEngine(sweep.Options{
-		Workers: *workers, CacheSize: *cache, CollectStats: *showStats,
-		Timeline: timeline, Provenance: prov,
+		Workers: *workers, CacheSize: *cache, Timeline: timeline, Provenance: prov,
 	})
 	var prog *obs.Progress
 	if *progressEvery > 0 || *metricsAddr != "" {
@@ -156,56 +150,20 @@ func main() {
 			fail("%v", err)
 		}
 	}
-	col := eng.Stats()
-	if col != nil {
-		fmt.Println()
-		fmt.Print(col.Report())
-	}
-
-	var traceStats *obs.TraceStats
-	if *traceOut != "" || *csvOut != "" || *strip {
-		tr, err := traceOnePair(*m, *nc, *tracePair)
-		if err != nil {
+	if *traceOut != "" {
+		if err := writeFile(*traceOut, func(w *os.File) error {
+			return obs.WriteWorkerTrace(w, timeline.Events())
+		}); err != nil {
 			fail("%v", err)
 		}
-		events := tr.Events()
-		if *traceOut != "" {
-			if err := writeFile(*traceOut, func(w *os.File) error {
-				return obs.WriteCombinedChromeTrace(w, events, *m, *nc, timeline.Events())
-			}); err != nil {
-				fail("%v", err)
-			}
-			if d := timeline.Dropped(); d > 0 {
-				fmt.Fprintf(os.Stderr, "warning: worker timeline dropped %d events past its capacity\n", d)
-			}
+		if d := timeline.Dropped(); d > 0 {
+			fmt.Fprintf(os.Stderr, "warning: worker timeline dropped %d events past its capacity\n", d)
 		}
-		if *csvOut != "" {
-			if err := writeFile(*csvOut, func(w *os.File) error {
-				return obs.WriteCSV(w, events)
-			}); err != nil {
-				fail("%v", err)
-			}
-		}
-		if d := tr.Stats().Dropped; d > 0 {
-			fmt.Fprintf(os.Stderr,
-				"warning: trace ring wrapped, the exported window lost the oldest %d events\n", d)
-		}
-		if *strip {
-			fmt.Println()
-			fmt.Print(obs.StripChart(events, *m, *nc))
-		}
-		s := tr.Stats()
-		traceStats = &s
 	}
 
 	if *metricsOut != "" {
-		snap := obs.Snapshot{Trace: traceStats}
 		es := eng.Snapshot()
-		snap.Engine = &es
-		if col != nil {
-			cs := col.Snapshot()
-			snap.Stats = &cs
-		}
+		snap := obs.Snapshot{Engine: &es}
 		if *latencyFlag {
 			ls := eng.ItemLatency()
 			snap.ItemLatency = &ls
@@ -364,45 +322,6 @@ func runSweeps(eng *sweep.Engine, m, nc, secs, streams int, triples, census, ful
 		fmt.Println("\ndisagreements:")
 		fmt.Print(sweep.Table(s.Disagree))
 	}
-}
-
-// traceOnePair re-simulates one pair's steady-state search with a
-// tracer attached, so the exported trace shows the transient before
-// the streams synchronise into their cyclic state.
-func traceOnePair(m, nc int, spec string) (*obs.Tracer, error) {
-	d1, d2, b2, err := parsePairSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	sys := memsys.New(memsys.Config{Banks: m, BankBusy: nc, CPUs: 2})
-	tr := obs.Attach(sys, obs.TracerOptions{})
-	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, int64(d1)))
-	sys.AddPort(1, "2", memsys.NewInfiniteStrided(int64(b2), int64(d2)))
-	cyc, err := sys.FindCycle(sweep.FindCycleBudget)
-	if err != nil {
-		return nil, fmt.Errorf("trace pair %s: %w", spec, err)
-	}
-	fmt.Printf("\ntraced pair %d(+)%d from b2=%d: b_eff=%s (lead %d, cycle %d)\n",
-		d1, d2, b2, cyc.EffectiveBandwidth(), cyc.Lead, cyc.Length)
-	return tr, nil
-}
-
-func parsePairSpec(spec string) (d1, d2, b2 int, err error) {
-	fields := strings.Split(spec, ":")
-	if len(fields) < 2 || len(fields) > 3 {
-		return 0, 0, 0, fmt.Errorf("trace pair: want d1:d2[:b2], got %q", spec)
-	}
-	vals := make([]int, len(fields))
-	for i, f := range fields {
-		if vals[i], err = strconv.Atoi(strings.TrimSpace(f)); err != nil {
-			return 0, 0, 0, fmt.Errorf("trace pair %q: %v", spec, err)
-		}
-	}
-	d1, d2 = vals[0], vals[1]
-	if len(vals) == 3 {
-		b2 = vals[2]
-	}
-	return d1, d2, b2, nil
 }
 
 func writeFile(path string, write func(*os.File) error) error {

@@ -50,16 +50,3 @@ func TestValidateSweepFlags(t *testing.T) {
 		}
 	}
 }
-
-func TestParsePairSpec(t *testing.T) {
-	d1, d2, b2, err := parsePairSpec("1:2:3")
-	if err != nil || d1 != 1 || d2 != 2 || b2 != 3 {
-		t.Fatalf("parsePairSpec(1:2:3) = %d,%d,%d,%v", d1, d2, b2, err)
-	}
-	if _, _, _, err := parsePairSpec("1"); err == nil {
-		t.Fatal("single field accepted")
-	}
-	if _, _, _, err := parsePairSpec("1:x"); err == nil {
-		t.Fatal("non-numeric field accepted")
-	}
-}

@@ -29,13 +29,7 @@ type Figure struct {
 // Build constructs a fresh system with the figure's ports attached.
 func (f Figure) Build() *memsys.System {
 	sys := memsys.New(f.Config)
-	for i, sp := range f.Streams {
-		label := sp.Label
-		if label == "" {
-			label = fmt.Sprintf("%d", i+1)
-		}
-		sys.AddPort(sp.CPU, label, memsys.NewInfiniteStrided(int64(sp.Start), int64(sp.Distance)))
-	}
+	sys.AddStreams(f.Streams...)
 	return sys
 }
 

@@ -168,6 +168,10 @@ func TestChromeTraceEmptyWindow(t *testing.T) {
 	if len(doc.TraceEvents) != 2+4 { // 2 processes + 4 bank threads
 		t.Errorf("%d metadata events, want 6", len(doc.TraceEvents))
 	}
+	// Bad geometry fails fast, whatever the window holds.
+	if err := WriteChromeTrace(&buf, theorem3Example(t), 0, 0); err == nil {
+		t.Error("bad geometry accepted")
+	}
 }
 
 func TestWriteCSVEmptyWindow(t *testing.T) {

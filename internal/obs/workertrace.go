@@ -9,11 +9,11 @@ import (
 )
 
 // Sweep worker timeline export: the engine's TimelineEvents rendered
-// as a third Chrome trace process, "sweep workers", with one thread
-// per pool slot. Work items, canonicalisation and simulation spans
-// become 'X' slices; cache hits and misses become thread-scoped 'i'
-// instants, so chrome://tracing and Perfetto paint the memoisation
-// pattern directly onto the worker lanes.
+// as one Chrome trace process, "sweep workers", with one thread per
+// pool slot. Work items, canonicalisation and simulation spans become
+// 'X' slices; cache hits and misses become thread-scoped 'i' instants,
+// so chrome://tracing and Perfetto paint the memoisation pattern
+// directly onto the worker lanes.
 
 // workerChromeEvents converts the timeline into trace events:
 // metadata naming the worker process and its threads, then one slice
@@ -66,20 +66,10 @@ func workerChromeEvents(events []sweep.TimelineEvent) []chromeEvent {
 	return out
 }
 
-// WriteCombinedChromeTrace renders one document holding both views:
-// the simulation's bank/port tracks (when simEvents is non-empty;
-// banks and bankBusy describe that system) and the sweep worker
-// timeline. Either half may be empty — ivmsweep's -trace-out passes a
-// traced reference pair alongside the engine timeline; with no
-// simulation events the document holds the worker timeline alone.
-func WriteCombinedChromeTrace(w io.Writer, simEvents []Event, banks, bankBusy int, workerEvents []sweep.TimelineEvent) error {
-	var evs []chromeEvent
-	if len(simEvents) > 0 {
-		sim, err := simChromeEvents(simEvents, banks, bankBusy)
-		if err != nil {
-			return err
-		}
-		evs = sim
-	}
-	return encodeChromeDoc(w, append(evs, workerChromeEvents(workerEvents)...))
+// WriteWorkerTrace renders the sweep worker timeline as a Chrome
+// trace_event JSON document (ivmsweep -trace-out). The timeline is
+// wall-clock time, so it is its own document: a simulation's clock-unit
+// bank and port tracks come from WriteChromeTrace (ivmsim -trace-out).
+func WriteWorkerTrace(w io.Writer, events []sweep.TimelineEvent) error {
+	return encodeChromeDoc(w, workerChromeEvents(events))
 }

@@ -27,18 +27,10 @@ func syntheticTimeline() []sweep.TimelineEvent {
 
 func TestWorkerTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteCombinedChromeTrace(&buf, nil, 0, 0, syntheticTimeline()); err != nil {
+	if err := WriteWorkerTrace(&buf, syntheticTimeline()); err != nil {
 		t.Fatal(err)
 	}
 	golden(t, "workertrace.json", buf.Bytes())
-}
-
-func TestCombinedTraceGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCombinedChromeTrace(&buf, theorem3Example(t), 12, 3, syntheticTimeline()); err != nil {
-		t.Fatal(err)
-	}
-	golden(t, "combinedtrace.json", buf.Bytes())
 }
 
 // traceShape parses a trace_event document and tallies its events.
@@ -87,7 +79,7 @@ func TestWorkerTraceFromEngine(t *testing.T) {
 	e := sweep.NewEngine(sweep.Options{Workers: 4, Timeline: tl})
 	e.Grid(12, 3)
 	var buf bytes.Buffer
-	if err := WriteCombinedChromeTrace(&buf, nil, 0, 0, tl.Events()); err != nil {
+	if err := WriteWorkerTrace(&buf, tl.Events()); err != nil {
 		t.Fatal(err)
 	}
 	s := parseTrace(t, buf.Bytes())
@@ -106,28 +98,5 @@ func TestWorkerTraceFromEngine(t *testing.T) {
 	}
 	if m.AnalyticHits == 0 {
 		t.Error("no analytic-hit instants on the 12-bank grid")
-	}
-}
-
-func TestCombinedTraceHalves(t *testing.T) {
-	// Worker-only: no simulation events.
-	var buf bytes.Buffer
-	if err := WriteCombinedChromeTrace(&buf, nil, 0, 0, syntheticTimeline()); err != nil {
-		t.Fatal(err)
-	}
-	s := parseTrace(t, buf.Bytes())
-	if s.instants != 2 || s.slices != 6 {
-		t.Errorf("worker-only trace has %d instants, %d slices", s.instants, s.slices)
-	}
-	// Sim-only: same events WriteChromeTrace would emit, plus the (empty)
-	// worker process metadata.
-	buf.Reset()
-	if err := WriteCombinedChromeTrace(&buf, theorem3Example(t), 12, 3, nil); err != nil {
-		t.Fatal(err)
-	}
-	parseTrace(t, buf.Bytes())
-	// Bad sim geometry still fails fast.
-	if err := WriteCombinedChromeTrace(&buf, theorem3Example(t), 0, 0, nil); err == nil {
-		t.Error("bad geometry accepted")
 	}
 }

@@ -28,9 +28,11 @@ type Options struct {
 	Grids [][2]int
 	// MaxInc bounds the ablation sweeps.
 	MaxInc int
-	// Engine, when non-nil, runs every grid cross-validation sweep on
-	// the parallel sweep engine (byte-identical tables) and appends an
-	// engine-counter section to the report.
+	// Engine runs every grid cross-validation sweep and the policy
+	// comparison; nil selects a private default engine. A caller-supplied
+	// engine also gets an engine-counter section appended to the report.
+	// The tables are byte-identical to the cold sequential sweeps either
+	// way.
 	Engine *sweep.Engine
 }
 
@@ -61,8 +63,12 @@ func Write(w io.Writer, opts Options) error {
 	if err := PhaseHistograms(w); err != nil {
 		return err
 	}
-	gridsWith(w, opts.Grids, opts.Engine)
-	if err := PolicyComparison(w, opts.Engine); err != nil {
+	eng := opts.Engine
+	if eng == nil {
+		eng = sweep.NewEngine(sweep.Options{})
+	}
+	grids(w, opts.Grids, eng)
+	if err := PolicyComparison(w, eng); err != nil {
 		return err
 	}
 	Triad(w, opts.TriadN)
@@ -148,30 +154,15 @@ func PhaseHistograms(w io.Writer) error {
 	return nil
 }
 
-// Grids writes the exhaustive cross-validation summary, including the
+// grids writes the exhaustive cross-validation summary, including the
 // section-theorem grid on the X-MP layout and the three-stream
-// capacity-bound sweep, on the sequential reference path.
-func Grids(w io.Writer, grids [][2]int) { gridsWith(w, grids, nil) }
-
-// gridsWith runs the grid sections on the engine when one is given;
-// the tables are byte-identical either way.
-func gridsWith(w io.Writer, grids [][2]int, eng *sweep.Engine) {
-	grid := sweep.Grid
-	sectionGrid := sweep.SectionGrid
-	specGrid := sweep.SpecGrid
-	tripleGrid := sweep.TripleGrid
-	if eng != nil {
-		grid = eng.Grid
-		sectionGrid = eng.SectionGrid
-		specGrid = eng.SpecGrid
-		tripleGrid = eng.TripleGrid
-	}
-
+// capacity-bound sweep, on the engine.
+func grids(w io.Writer, systems [][2]int, eng *sweep.Engine) {
 	fmt.Fprintln(w, "## Analytic model vs simulator (all pairs x all starts)")
 	fmt.Fprintln(w)
 	tbl := &textplot.Table{Header: []string{"m", "n_c", "pairs", "disagreements"}}
-	for _, g := range grids {
-		results := grid(g[0], g[1])
+	for _, g := range systems {
+		results := eng.Grid(g[0], g[1])
 		s := sweep.Summarise(g[0], g[1], results)
 		tbl.Add(g[0], g[1], s.Pairs, len(s.Disagree))
 	}
@@ -182,7 +173,7 @@ func gridsWith(w io.Writer, grids [][2]int, eng *sweep.Engine) {
 	fmt.Fprintln(w)
 	tbl = &textplot.Table{Header: []string{"m", "s", "n_c", "pairs", "disagreements"}}
 	for _, g := range [][3]int{{12, 2, 2}, {16, 4, 4}} {
-		results := sectionGrid(g[0], g[1], g[2])
+		results := eng.SectionGrid(g[0], g[1], g[2])
 		bad := 0
 		for _, r := range results {
 			if !r.Agree {
@@ -196,10 +187,10 @@ func gridsWith(w io.Writer, grids [][2]int, eng *sweep.Engine) {
 
 	fmt.Fprintln(w, "## Three-stream capacity bounds")
 	fmt.Fprintln(w)
-	tr := sweep.SummariseSpecGrid(specGrid(sweep.TripleCensusSpecs(12, 3, [3]int{0, 1, 2})))
+	tr := sweep.SummariseSpecGrid(eng.SpecGrid(sweep.TripleCensusSpecs(12, 3, [3]int{0, 1, 2})))
 	fmt.Fprintf(w, "m=12 n_c=3: %d triples at placement (0,1,2), bound attained by %d, violated by %d\n\n",
 		tr.Triples, tr.TightStarts, tr.Violations)
-	tg := sweep.SummariseTripleGrid(8, 2, tripleGrid(8, 2))
+	tg := sweep.SummariseTripleGrid(8, 2, eng.TripleGrid(8, 2))
 	fmt.Fprintf(w, "m=8 n_c=2, all placements: %d triples over %d placements, bound attained somewhere by %d (%d placements), violated by %d\n\n",
 		tg.Triples, tg.Starts, tg.TightSomewhere, tg.TightStarts, tg.Violations)
 }
@@ -212,12 +203,8 @@ func gridsWith(w io.Writer, grids [][2]int, eng *sweep.Engine) {
 // section conflict (Fig. 8a); cyclic priority shares the loss and
 // recovers b_eff = 2 (Fig. 8b); the consecutive mapping removes the
 // conflict outright (Fig. 9). Per-CPU round robin degenerates to
-// fixed priority here because both streams issue from one CPU. A nil
-// engine gets a private default one.
+// fixed priority here because both streams issue from one CPU.
 func PolicyComparison(w io.Writer, eng *sweep.Engine) error {
-	if eng == nil {
-		eng = sweep.NewEngine(sweep.Options{})
-	}
 	rows := []struct {
 		figure   string
 		priority memsys.PriorityRule

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ivm/internal/sweep"
 )
 
 func TestWriteFastReport(t *testing.T) {
@@ -79,7 +81,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the report golden files")
 //	go test ./internal/report -run TestPolicyComparisonGolden -update
 func TestPolicyComparisonGolden(t *testing.T) {
 	var b strings.Builder
-	if err := PolicyComparison(&b, nil); err != nil {
+	if err := PolicyComparison(&b, sweep.NewEngine(sweep.Options{})); err != nil {
 		t.Fatal(err)
 	}
 	got := b.String()

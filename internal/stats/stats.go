@@ -35,10 +35,6 @@ type Collector struct {
 	lastClock  int64
 	haveClock  bool
 
-	// mergedClocks accumulates the observation windows of collectors
-	// folded in through Merge; they are treated as disjoint in time.
-	mergedClocks int64
-
 	curClock  int64
 	curGrants int
 	histogram []int64 // clocks with k grants; index k
@@ -138,58 +134,12 @@ func (c *Collector) bump(k int) {
 }
 
 // ObservedClocks returns the number of clock periods covered by the
-// observed events (inclusive of silent gaps between them), plus the
-// windows of any collectors folded in through Merge.
+// observed events (inclusive of silent gaps between them).
 func (c *Collector) ObservedClocks() int64 {
-	var own int64
-	if c.haveClock {
-		own = c.lastClock - c.firstClock + 1
+	if !c.haveClock {
+		return 0
 	}
-	return own + c.mergedClocks
-}
-
-// Merge folds another collector's totals into c, so per-worker
-// collectors of a parallel sweep can be combined into one aggregate
-// view. The two observation windows are treated as disjoint in time:
-// observed clocks add, and rate estimates (Bandwidth, Utilization)
-// become averages over the combined window. Only finished delay runs
-// are folded; a streak still open in o when Merge is called is
-// dropped, exactly as it is by o's own accessors. Merge panics if the
-// collectors were attached to systems of different geometry.
-func (c *Collector) Merge(o *Collector) {
-	if o == nil || o == c {
-		return
-	}
-	if o.banks != c.banks || o.bankBusy != c.bankBusy {
-		panic(fmt.Sprintf("stats: cannot merge collectors for %d banks (busy %d) into %d banks (busy %d)",
-			o.banks, o.bankBusy, c.banks, c.bankBusy))
-	}
-	for b := range o.BankGrants {
-		c.BankGrants[b] += o.BankGrants[b]
-		c.BankDelays[b] += o.BankDelays[b]
-	}
-	for k, v := range o.KindCounts {
-		c.KindCounts[k] += v
-	}
-	for port, hist := range o.runHist {
-		dst := c.runHist[port]
-		if dst == nil {
-			dst = make(map[int64]int64, len(hist))
-			c.runHist[port] = dst
-		}
-		for n, v := range hist {
-			dst[n] += v
-		}
-	}
-	for k, v := range o.histogram {
-		for len(c.histogram) <= k {
-			c.histogram = append(c.histogram, 0)
-		}
-		c.histogram[k] += v
-	}
-	c.totalGrants += o.totalGrants
-	c.totalDelays += o.totalDelays
-	c.mergedClocks += o.ObservedClocks()
+	return c.lastClock - c.firstClock + 1
 }
 
 // TotalGrants returns the number of granted requests observed.

@@ -156,77 +156,6 @@ func TestDelayRunLengthsMatchEq29(t *testing.T) {
 	check(13, 4, 7, 3, 2) // Fig. 5
 }
 
-// Merging two per-worker collectors must equal one collector that saw
-// both workloads: totals, histograms and rate denominators all add.
-func TestMergeEqualsCombinedObservation(t *testing.T) {
-	run := func(d int64, clocks int64) *Collector {
-		sys := memsys.New(memsys.Config{Banks: 8, BankBusy: 4, CPUs: 2})
-		c := Attach(sys)
-		sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1))
-		sys.AddPort(1, "2", memsys.NewInfiniteStrided(2, d))
-		sys.Run(clocks)
-		return c
-	}
-	a := run(0, 200)
-	b := run(3, 120)
-	wantGrants := a.TotalGrants() + b.TotalGrants()
-	wantDelays := a.TotalDelays() + b.TotalDelays()
-	wantClocks := a.ObservedClocks() + b.ObservedClocks()
-	wantBank0 := a.BankGrants[0] + b.BankGrants[0]
-	wantKind := a.KindCounts[memsys.BankConflict] + b.KindCounts[memsys.BankConflict]
-	aHist := a.GrantHistogram()
-	bHist := b.GrantHistogram()
-
-	a.Merge(b)
-	if a.TotalGrants() != wantGrants || a.TotalDelays() != wantDelays {
-		t.Fatalf("merged grants/delays = %d/%d, want %d/%d", a.TotalGrants(), a.TotalDelays(), wantGrants, wantDelays)
-	}
-	if a.ObservedClocks() != wantClocks {
-		t.Fatalf("merged clocks = %d, want %d", a.ObservedClocks(), wantClocks)
-	}
-	if a.BankGrants[0] != wantBank0 {
-		t.Fatalf("merged bank 0 grants = %d, want %d", a.BankGrants[0], wantBank0)
-	}
-	if a.KindCounts[memsys.BankConflict] != wantKind {
-		t.Fatalf("merged bank conflicts = %d, want %d", a.KindCounts[memsys.BankConflict], wantKind)
-	}
-	merged := a.GrantHistogram()
-	for k := range merged {
-		want := int64(0)
-		if k < len(aHist) {
-			want += aHist[k]
-		}
-		if k < len(bHist) {
-			want += bHist[k]
-		}
-		if merged[k] != want {
-			t.Fatalf("histogram[%d] = %d, want %d", k, merged[k], want)
-		}
-	}
-	if bw := a.Bandwidth(); bw != float64(wantGrants)/float64(wantClocks) {
-		t.Fatalf("merged bandwidth = %v", bw)
-	}
-	// Merging nil or self is a no-op.
-	a.Merge(nil)
-	a.Merge(a)
-	if a.TotalGrants() != wantGrants {
-		t.Fatal("nil/self merge changed totals")
-	}
-}
-
-func TestMergeGeometryMismatchPanics(t *testing.T) {
-	mk := func(banks int) *Collector {
-		sys := memsys.New(memsys.Config{Banks: banks, BankBusy: 2, CPUs: 1})
-		return Attach(sys)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging mismatched geometries must panic")
-		}
-	}()
-	mk(4).Merge(mk(8))
-}
-
 func TestDelayRunLengthsEmptyForFreePair(t *testing.T) {
 	sys := memsys.New(memsys.Config{Banks: 12, BankBusy: 3, CPUs: 2})
 	c := Attach(sys)

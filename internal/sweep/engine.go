@@ -13,7 +13,6 @@ import (
 	"ivm/internal/modmath"
 	"ivm/internal/obs/latency"
 	"ivm/internal/rat"
-	"ivm/internal/stats"
 	"ivm/internal/textplot"
 )
 
@@ -39,10 +38,6 @@ type Options struct {
 	// bank-renumbering isomorphisms (see docs/CACHING.md for the
 	// derivations).
 	CacheSize int
-	// CollectStats attaches a stats.Collector to every worker's
-	// simulator and merges them after each sweep (see Stats). Off by
-	// default: per-event collection slows the hot loop.
-	CollectStats bool
 	// Timeline, when non-nil, records what each worker slot is doing
 	// (work-item spans, cache hit/miss instants, canonicalisation and
 	// simulation slices) for Chrome-trace export; nil (the default)
@@ -157,8 +152,11 @@ func (m Metrics) HitRate() float64 { return hitRate(m.CacheHits, m.CacheMisses) 
 
 // AnalyticHitRate returns the fraction of starts answered by the
 // classifier gate out of all starts resolved, 0 when nothing ran.
+// Every start not answered analytically was a cache hit or a
+// simulation; CyclesFound counts the simulations whether or not the
+// cache is on (CacheMisses does only while it is).
 func (m Metrics) AnalyticHitRate() float64 {
-	return hitRate(m.AnalyticHits, m.CacheHits+m.CacheMisses)
+	return hitRate(m.AnalyticHits, m.CacheHits+m.CyclesFound)
 }
 
 // Family returns the cache traffic of one configuration family (the
@@ -235,7 +233,6 @@ type Engine struct {
 	itemLatency     latency.Hist
 
 	mu           sync.Mutex
-	stats        *stats.Collector
 	workerTotals []WorkerStat
 }
 
@@ -382,16 +379,6 @@ func (e *Engine) WorkItems() (planned, done int64, since time.Time) {
 // fill the per-worker busy time, observed into a log2 histogram.
 func (e *Engine) ItemLatency() latency.Snapshot { return e.itemLatency.Snapshot() }
 
-// Stats returns the merged per-bank statistics of the most recent
-// sweep call, or nil unless Options.CollectStats is set. Cache hits
-// skip simulation, so the collector covers only the states that were
-// actually simulated (the canonical orbit representatives).
-func (e *Engine) Stats() *stats.Collector {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
-}
-
 func (e *Engine) workers() int {
 	if e.opt.Workers > 0 {
 		return e.opt.Workers
@@ -404,11 +391,6 @@ func (e *Engine) workers() int {
 // must write results only into its own item's slot — that indexing is
 // what keeps the output deterministic.
 func (e *Engine) run(n int, f func(w *worker, i int)) {
-	if e.opt.CollectStats {
-		e.mu.Lock()
-		e.stats = nil
-		e.mu.Unlock()
-	}
 	if n == 0 {
 		return
 	}
@@ -509,14 +491,13 @@ func (e *Engine) SpecGrid(specs []ConfigSpec) []SpecResult { return sweepSpecs(e
 // --- Workers ------------------------------------------------------------
 
 // worker is the per-goroutine state of one pool member: a reusable
-// simulator, its collector, and the memoised canonicalisation pipeline
+// simulator and the memoised canonicalisation pipeline
 // of the current (modulus, sections) pair.
 type worker struct {
 	e   *Engine
 	id  int
 	sys *memsys.System
 	cfg memsys.Config
-	col *stats.Collector
 
 	// Per-slot work totals, folded into the engine by finish().
 	items  int64
@@ -537,19 +518,14 @@ func (w *worker) system(cfg memsys.Config) *memsys.System {
 		w.sys.Reset()
 		return w.sys
 	}
-	w.flushStats()
 	w.sys = memsys.New(cfg)
 	w.sys.SetKernel(w.e.opt.kernel())
 	w.cfg = cfg
-	if w.e.opt.CollectStats {
-		w.col = stats.Attach(w.sys)
-	}
 	return w.sys
 }
 
-// finish folds the worker's collector and work totals into the engine.
+// finish folds the worker's work totals into the engine.
 func (w *worker) finish() {
-	w.flushStats()
 	e := w.e
 	e.mu.Lock()
 	for len(e.workerTotals) <= w.id {
@@ -561,21 +537,6 @@ func (w *worker) finish() {
 	t.BusyNS += w.busyNS
 	e.mu.Unlock()
 	w.items, w.steps, w.busyNS = 0, 0, 0
-}
-
-func (w *worker) flushStats() {
-	if w.col == nil {
-		return
-	}
-	e := w.e
-	e.mu.Lock()
-	if e.stats == nil {
-		e.stats = w.col
-	} else {
-		e.stats.Merge(w.col)
-	}
-	e.mu.Unlock()
-	w.col = nil
 }
 
 // pipelineFor returns the memoised canonicalisation pipeline of an

@@ -23,7 +23,7 @@ func TestEngineGridByteIdenticalToSequential(t *testing.T) {
 			{Workers: 1, CacheSize: -1},
 			{Workers: 4},
 			{Workers: 4, CacheSize: 64},
-			{Workers: 3, CacheSize: -1, CollectStats: true},
+			{Workers: 3, CacheSize: -1},
 		} {
 			eng := NewEngine(opt)
 			par := eng.Grid(g.m, g.nc)
@@ -128,23 +128,21 @@ func TestEngineCacheEviction(t *testing.T) {
 	}
 }
 
-// Engine.Stats returns a merged per-bank view covering exactly the
-// simulated (non-cached) states.
-func TestEngineCollectStats(t *testing.T) {
-	eng := NewEngine(Options{Workers: 2, CacheSize: -1, CollectStats: true})
-	eng.Grid(8, 2)
-	col := eng.Stats()
-	if col == nil {
-		t.Fatal("CollectStats set but Stats() is nil")
-	}
-	if col.TotalGrants() == 0 || col.ObservedClocks() == 0 {
-		t.Fatal("merged collector is empty")
-	}
-	// Without the option no collector is built.
-	plain := NewEngine(Options{Workers: 2})
-	plain.Grid(8, 2)
-	if plain.Stats() != nil {
-		t.Fatal("Stats() must be nil when CollectStats is off")
+// The analytic hit rate counts every resolved placement, cached or
+// not: with the cache off the simulations still count against it, so a
+// cache-less engine and a cached one report the same rate on the same
+// grid — 114 of Grid(8, 2)'s 224 placements are answered analytically.
+func TestAnalyticHitRateIndependentOfCache(t *testing.T) {
+	for _, size := range []int{0, -1} {
+		eng := NewEngine(Options{Workers: 2, CacheSize: size})
+		eng.Grid(8, 2)
+		m := eng.Metrics()
+		if m.AnalyticHits != 114 {
+			t.Fatalf("cache %d: %d analytic hits, want 114", size, m.AnalyticHits)
+		}
+		if got, want := m.AnalyticHitRate(), 114.0/224; got != want {
+			t.Errorf("cache %d: analytic hit rate %v, want 114/224 = %v", size, got, want)
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // wall-clock events relative to the timeline's epoch. The recording
 // is lock-per-event and off by default (a nil Timeline is a no-op on
 // every method), so the sweeping hot path pays nothing unless a CLI
-// asked for a trace. obs.WriteCombinedChromeTrace renders the events
+// asked for a trace. obs.WriteWorkerTrace renders the events
 // as a Chrome trace_event document.
 
 // TimelineKind classifies one timeline event.

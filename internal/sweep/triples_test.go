@@ -17,7 +17,7 @@ func TestEngineTripleGridByteIdenticalToSequential(t *testing.T) {
 		{Workers: 1, CacheSize: -1},
 		{Workers: 4},
 		{Workers: 4, CacheSize: 64},
-		{Workers: 3, CacheSize: -1, CollectStats: true},
+		{Workers: 3, CacheSize: -1},
 	} {
 		eng := NewEngine(opt)
 		par := eng.TripleGrid(6, 2)

@@ -16,7 +16,9 @@
 # the paper-scale triple and 4-stream tables included.
 # Live probes close the run:
 # the default ivmsweep runs under the cyclic and rr-cpu priority rules
-# must exit 0 with nothing on stderr;
+# must exit 0 with nothing on stderr, and so must README's
+# ivmsweep -trace-out/-metrics-out command, which must write the
+# "sweep workers" timeline and an "engine" snapshot;
 # ivmablate's default run (every study, including the policy campaign
 # that exits 1 on any cold/cached/warm mismatch) must exit 0;
 # ivmsweep serving -metrics-addr on a loopback port is scraped over
@@ -139,6 +141,30 @@ for args in "-m 8 -nc 2 -priority cyclic" "-m 12 -s 3 -nc 3 -priority rr-cpu -ma
 	fi
 done
 echo "check.sh: quiet-default probe OK, cyclic and rr-cpu sweeps exit 0 with empty stderr"
+
+# Sweep-observability probe: README's ivmsweep -trace-out/-metrics-out
+# command on a small grid exits 0 with empty stderr, writes the worker
+# timeline and writes an engine snapshot.
+if ! "$tmp/ivmsweep" -m 8 -nc 2 -workers 2 -trace-out "$tmp/sweep-trace.json" \
+	-metrics-out "$tmp/sweep-metrics.json" > /dev/null 2> "$tmp/obs-stderr"; then
+	echo "check.sh: ivmsweep -trace-out/-metrics-out failed:" >&2
+	cat "$tmp/obs-stderr" >&2
+	exit 1
+fi
+if [ -s "$tmp/obs-stderr" ]; then
+	echo "check.sh: ivmsweep -trace-out/-metrics-out wrote to stderr:" >&2
+	cat "$tmp/obs-stderr" >&2
+	exit 1
+fi
+if ! grep -q '"sweep workers"' "$tmp/sweep-trace.json"; then
+	echo "check.sh: ivmsweep -trace-out has no \"sweep workers\" process" >&2
+	exit 1
+fi
+if ! grep -q '"engine"' "$tmp/sweep-metrics.json"; then
+	echo "check.sh: ivmsweep -metrics-out has no \"engine\" snapshot" >&2
+	exit 1
+fi
+echo "check.sh: sweep-observability probe OK, worker trace and engine snapshot written"
 
 # Ablation probe: every ivmablate study runs; the policy campaign
 # exits 1 on any mismatch between the cold, cached and warm paths.
