@@ -4,17 +4,16 @@ package memsys
 // simulator's inner loop that keeps the busy set as one bit per bank in
 // []uint64 words, tracks busy expiries in a small event wheel instead
 // of decrementing a per-bank counter every clock, skips ahead over
-// provably blocked stretches in Run, and hashes the packed state with a
-// cheap binary key in cycle detection. The scalar kernel (the loop in
+// provably blocked stretches in Run, and records the packed state as a
+// few fixed-width words in cycle detection. The scalar kernel (the loop in
 // Step) remains the reference implementation — the oracle the
 // differential suite in kernel_diff_test.go holds this kernel to,
 // clock by clock. docs/KERNEL.md derives the equivalence argument.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"math/bits"
+	"slices"
 )
 
 // Kernel selects the simulator's inner-loop implementation.
@@ -26,7 +25,7 @@ const (
 	KernelScalar Kernel = iota
 	// KernelPacked is the bit-packed bank-busy kernel: busy bits in
 	// []uint64 words, expiries in an event wheel, skip-ahead in Run,
-	// binary state keys in FindCycle. Semantically identical to
+	// word state keys in FindCycle. Semantically identical to
 	// KernelScalar (same grants, same conflict classification, same
 	// events, same cyclic states).
 	KernelPacked
@@ -284,13 +283,13 @@ func (s *System) blockedStretch(end int64) int64 {
 }
 
 // findCyclePacked is FindCycle on the packed kernel: the same per-clock
-// recurrence search, hashing the packed state — priority rotation,
+// recurrence search, recording the packed state — priority rotation,
 // per-port pending bank, and the busy banks with their remaining clocks
-// — into a compact binary key instead of the scalar kernel's formatted
-// string over all m banks. At most n_c·p banks are busy at once, so the
-// key length tracks the port count, not the bank count; the two
-// encodings are injective on the same state space, so the recurrence is
-// found at the same clock and the returned window is identical to the
+// — as a key of fixed-width words instead of the scalar kernel's
+// formatted string over all m banks. At most n_c·p banks are busy at
+// once, so the key length tracks the port count, not the bank count; the
+// two encodings are injective on the same state space, so the recurrence
+// is found at the same clock and the returned window is identical to the
 // scalar kernel's. The visited states go into the system's recurrence
 // table, so a system reused through Reset searches without allocating.
 func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
@@ -302,28 +301,35 @@ func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
 		s.expireTo(s.clock)
 		// The key is appended straight onto the arena: insert keeps it
 		// there, and a recurrence ends the search before anything else
-		// is appended.
+		// is appended. Its words are rr, then each port's pending bank
+		// + 1 (0 for none), then bank<<32 | remaining clocks per busy
+		// bank in ascending bank order. Both halves of a busy word fit
+		// in 32 bits: the wheel holds banks as int32, and a bank stays
+		// busy for at most n_c clocks, one less than the wheel's slots.
 		from := len(t.arena)
-		key := binary.AppendVarint(t.arena, int64(s.rr))
+		key := append(t.arena, uint64(s.rr))
+		h := mixWord(0, uint64(s.rr))
 		for _, p := range s.ports {
+			var pending uint64
 			if addr, ok := p.Src.Pending(s.clock); ok {
-				key = binary.AppendVarint(key, int64(s.mapper.Bank(addr)))
-			} else {
-				key = binary.AppendVarint(key, -1)
+				pending = uint64(s.mapper.Bank(addr)) + 1
 			}
+			key = append(key, pending)
+			h = mixWord(h, pending)
 		}
 		for wi, word := range s.words {
 			for word != 0 {
 				b := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
-				key = binary.AppendVarint(key, int64(b))
-				key = binary.AppendVarint(key, s.expiry[b]-s.clock)
+				w := uint64(b)<<32 | uint64(s.expiry[b]-s.clock)
+				key = append(key, w)
+				h = mixWord(h, w)
 			}
 		}
 		t.arena = key
 		key = key[from:]
-		h := maphash.Bytes(t.seed, key)
-		prev, head := t.lookup(h, key)
+		h = finishHash(h)
+		prev, slot := t.lookup(h, key)
 		if prev >= 0 {
 			c := Cycle{
 				Lead:      int64(prev),
@@ -346,7 +352,7 @@ func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
 			}
 			return c, nil
 		}
-		t.insert(h, head)
+		t.insert(h, slot)
 		for _, p := range s.ports {
 			c := p.Count
 			t.counts = append(t.counts,
@@ -355,6 +361,21 @@ func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
 		s.stepPacked()
 	}
 	return Cycle{}, ErrNoCycle
+}
+
+// mixWord folds one key word into a running state hash: the word is
+// xored in and the result multiplied by an odd constant. Both steps are
+// bijections of the running hash, so two keys of one length that differ
+// in a single word never share a hash.
+func mixWord(h, w uint64) uint64 { return (h ^ w) * 0x9e3779b97f4a7c15 }
+
+// finishHash closes a state hash with a xorshift–multiply–xorshift,
+// which brings the high bits, where a busy word keeps its bank, down to
+// the low bits the recurrence table indexes with.
+func finishHash(h uint64) uint64 {
+	h ^= h >> 32
+	h *= 0xd6e8feb86659fd93
+	return h ^ h>>32
 }
 
 // stateStride is the number of per-port counters a recurrence-table
@@ -372,82 +393,102 @@ func since(cur int64, was uint32) int64 { return int64(uint32(cur) - was) }
 // keptStates bounds the states a recurrence table keeps its storage
 // for: a search that visited more releases the table at the next
 // reset, so one long search neither pins its memory on a reused
-// system nor makes every later reset clear a map sized for it.
+// system nor makes every later reset clear a slot array sized for it.
 const keptStates = 1 << 12
 
 // recurrenceTable records the states one packed FindCycle search has
 // visited. State i is the state at clock start+i (the search advances
 // one clock per state), so the table stores no clocks:
 //   - its key is arena[keyEnd[i-1]:keyEnd[i]] (from 0 for i = 0);
+//   - hashes[i] is its key's hash (mixWord over its words, then
+//     finishHash);
 //   - its port counters, modulo 2^32 (see since), are
-//     counts[i·stride·p : (i+1)·stride·p];
-//   - chain[i] is the previous state whose key has the same 64-bit
-//     hash, or -1.
+//     counts[i·stride·p : (i+1)·stride·p].
 //
-// head maps a key hash to the most recent state with that hash, so a
-// lookup walks one hash's chain comparing the full key bytes: a hash
-// collision between two different states is never taken for a
-// recurrence. The System keeps its table across Reset; reset truncates
-// it, so a reused system appends into the storage the previous search
-// grew.
+// slots is an open-addressed index over the states: a power-of-two
+// array holding state+1, or 0 for an empty slot, probed linearly from
+// the slot a hash's low bits name. A lookup compares the stored hash
+// and then the full key words of each state on its probe run, so a
+// hash collision between two different states is never taken for a
+// recurrence. The slot array doubles at load ½, re-filed from the
+// stored hashes. The System keeps its table across Reset; reset
+// truncates it, so a reused system appends into the storage the
+// previous search grew.
 type recurrenceTable struct {
-	seed   maphash.Seed
-	head   map[uint64]int32
-	chain  []int32
+	slots  []int32
+	hashes []uint64
 	keyEnd []int
-	arena  []byte
+	arena  []uint64
 	counts []uint32
 }
 
 // reset empties the table for a search over np ports, keeping its
 // storage unless the previous search outgrew keptStates.
 func (t *recurrenceTable) reset(np int) {
-	if t.head == nil || len(t.keyEnd) > keptStates {
+	if t.slots == nil || len(t.hashes) > keptStates {
 		// A census search visits about 62 states on average, and a key
-		// takes one or two bytes per port plus two per busy bank.
+		// takes one word per port, one for rr and one per busy bank.
 		const hint = 64
-		if t.head == nil {
-			t.seed = maphash.MakeSeed()
-		}
-		t.head = make(map[uint64]int32, hint)
-		t.chain = make([]int32, 0, hint)
+		t.slots = make([]int32, 2*hint)
+		t.hashes = make([]uint64, 0, hint)
 		t.keyEnd = make([]int, 0, hint)
-		t.arena = make([]byte, 0, hint*(8+2*np))
+		t.arena = make([]uint64, 0, hint*(1+2*np))
 		t.counts = make([]uint32, 0, hint*stateStride*np)
 		return
 	}
-	clear(t.head)
-	t.chain = t.chain[:0]
+	clear(t.slots)
+	t.hashes = t.hashes[:0]
 	t.keyEnd = t.keyEnd[:0]
 	t.arena = t.arena[:0]
 	t.counts = t.counts[:0]
 }
 
-// lookup returns the recorded state whose key equals key, or -1, and
-// the most recent state with hash h, or -1 when h is new. h is key's
-// hash.
-func (t *recurrenceTable) lookup(h uint64, key []byte) (state, head int32) {
-	head, ok := t.head[h]
-	if !ok {
-		return -1, -1
-	}
-	for i := head; i >= 0; i = t.chain[i] {
-		from := 0
-		if i > 0 {
-			from = t.keyEnd[i-1]
+// lookup returns the recorded state whose key equals key, or -1 and the
+// empty slot where key's state goes. h is key's hash.
+func (t *recurrenceTable) lookup(h uint64, key []uint64) (state int32, slot int) {
+	mask := len(t.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		st := t.slots[i] - 1
+		if st < 0 {
+			return -1, i
 		}
-		if string(t.arena[from:t.keyEnd[i]]) == string(key) {
-			return i, head
+		if t.hashes[st] == h && slices.Equal(t.key(st), key) {
+			return st, i
 		}
 	}
-	return -1, head
+}
+
+// key returns state i's key words.
+func (t *recurrenceTable) key(i int32) []uint64 {
+	from := 0
+	if i > 0 {
+		from = t.keyEnd[i-1]
+	}
+	return t.arena[from:t.keyEnd[i]]
 }
 
 // insert records the key the caller appended to the arena as the next
-// state, chained after head, the state lookup reported for the key's
-// hash h; the caller appends the state's counters.
-func (t *recurrenceTable) insert(h uint64, head int32) {
-	t.head[h] = int32(len(t.keyEnd))
-	t.chain = append(t.chain, head)
+// state, with hash h, in the empty slot lookup returned for it; the
+// caller appends the state's counters.
+func (t *recurrenceTable) insert(h uint64, slot int) {
+	t.slots[slot] = int32(len(t.hashes)) + 1
+	t.hashes = append(t.hashes, h)
 	t.keyEnd = append(t.keyEnd, len(t.arena))
+	if 2*len(t.hashes) > len(t.slots) {
+		t.grow()
+	}
+}
+
+// grow doubles the slot array and re-files every state by its stored
+// hash.
+func (t *recurrenceTable) grow() {
+	t.slots = make([]int32, 2*len(t.slots))
+	mask := len(t.slots) - 1
+	for state, h := range t.hashes {
+		i := int(h) & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = int32(state) + 1
+	}
 }

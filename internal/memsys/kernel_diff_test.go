@@ -202,7 +202,9 @@ func TestDifferentialKernelFindCycle(t *testing.T) {
 }
 
 // TestDifferentialKernelRandom sweeps randomized (m, s, n_c, placement)
-// configurations through all three comparison modes with a fixed seed.
+// configurations through all three comparison modes with a fixed seed:
+// step by step, Run, and, when every stream is infinite, FindCycle over
+// two to four ports.
 func TestDifferentialKernelRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(19850607))
 	for trial := 0; trial < 60; trial++ {
@@ -219,11 +221,13 @@ func TestDifferentialKernelRandom(t *testing.T) {
 		}
 		np := rng.Intn(3) + 2
 		specs := make([]sourceSpec, 0, np)
+		periodic := true
 		for i := 0; i < np; i++ {
 			cpu := rng.Intn(cfg.CPUs)
 			start, dist := int64(rng.Intn(m)), int64(rng.Intn(m))
 			if rng.Intn(4) == 0 {
 				specs = append(specs, finiteSpec(cpu, start, dist, rng.Intn(60)+1))
+				periodic = false
 			} else {
 				specs = append(specs, infiniteSpec(cpu, start, dist))
 			}
@@ -236,6 +240,18 @@ func TestDifferentialKernelRandom(t *testing.T) {
 			scalar, packed = buildKernelPair(cfg, specs)
 			if gs, gp := scalar.Run(3000), packed.Run(3000); gs != gp {
 				t.Fatalf("Run totals diverge: scalar %d packed %d", gs, gp)
+			}
+			if !periodic {
+				return
+			}
+			scalar, packed = buildKernelPair(cfg, specs)
+			cs, errS := scalar.FindCycle(1 << 20)
+			cp, errP := packed.FindCycle(1 << 20)
+			if errS != nil || errP != nil {
+				t.Fatalf("FindCycle errors: scalar %v packed %v", errS, errP)
+			}
+			if !reflect.DeepEqual(cs, cp) {
+				t.Fatalf("cycle windows diverge:\nscalar %+v\npacked %+v", cs, cp)
 			}
 		})
 	}

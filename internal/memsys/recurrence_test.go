@@ -97,61 +97,141 @@ func TestFindCyclePackedCounterWrap(t *testing.T) {
 	}
 }
 
-// TestRecurrenceTableCollisionChain files distinct keys under one hash
-// value. A lookup must walk the chain and compare the full key, so each
-// key finds its own state, and a key whose hash is present but which
-// was never inserted is absent.
-func TestRecurrenceTableCollisionChain(t *testing.T) {
-	var tab recurrenceTable
-	tab.reset(2)
-	const h = 0x9e3779b97f4a7c15
-	keys := []string{"\x00\x02\x04", "\x00\x02\x06", "\x02", "\x00\x02\x04\x01"}
-	add := func(h uint64, key string) {
-		state, head := tab.lookup(h, []byte(key))
-		if state != -1 {
-			t.Fatalf("lookup(%q) before its insert = %d, want -1", key, state)
+// TestFindCyclePackedLongSearch runs one search past keptStates: a
+// unit-stride stream on 5000 banks visits all 5000 states before its
+// first recurrence. Its cycle must equal the scalar oracle's. The next
+// search on the same system releases the table it grew, and the one
+// after that is back at the reused AddStreams pin.
+func TestFindCyclePackedLongSearch(t *testing.T) {
+	const m = 5000
+	cfg := Config{Banks: m, BankBusy: 1, CPUs: 2}
+	long := StreamSpec{Distance: 1}
+	scalar := New(cfg)
+	scalar.AddStreams(long)
+	want, err := scalar.FindCycle(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := New(cfg)
+	sys.SetKernel(KernelPacked)
+	sys.AddStreams(long)
+	got, err := sys.FindCycle(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("long search gives\n%+v\nthe oracle\n%+v", got, want)
+	}
+	if n := len(sys.states.hashes); n <= keptStates {
+		t.Fatalf("long search recorded %d states, want more than %d", n, keptStates)
+	}
+
+	// Streams at distances m/4 and m/2 cycle over four banks and two,
+	// so this search recurs within a few clocks.
+	short := func() {
+		sys.Reset()
+		sys.AddStreams(StreamSpec{Distance: m / 4, CPU: 0}, StreamSpec{Start: 1, Distance: m / 2, CPU: 1})
+		if _, err = sys.FindCycle(1 << 20); err != nil {
+			t.Fatal(err)
 		}
-		tab.arena = append(tab.arena, key...)
-		tab.insert(h, head)
 	}
-	for _, k := range keys {
-		add(h, k)
+	short()
+	if n := cap(sys.states.hashes); n > keptStates {
+		t.Fatalf("search after the long one kept room for %d states, want the table released", n)
 	}
-	add(h+1, "\x07")
-	for i, k := range keys {
-		if got, _ := tab.lookup(h, []byte(k)); got != int32(i) {
-			t.Errorf("lookup(%q) = %d, want %d", k, got, i)
-		}
-	}
-	if got, _ := tab.lookup(h+1, []byte("\x07")); got != int32(len(keys)) {
-		t.Errorf("lookup of the other hash's key = %d, want %d", got, len(keys))
-	}
-	for _, absent := range []string{"\x00\x02", "\x07", ""} {
-		got, head := tab.lookup(h, []byte(absent))
-		if got != -1 || head != int32(len(keys)-1) {
-			t.Errorf("lookup(%q) under a shared hash = %d (head %d), want -1 (head %d)", absent, got, head, len(keys)-1)
-		}
-	}
-	if got, head := tab.lookup(h+2, []byte(keys[0])); got != -1 || head != -1 {
-		t.Errorf("lookup under an absent hash = %d (head %d), want -1 (head -1)", got, head)
+	if allocs := testing.AllocsPerRun(20, short); allocs != 2 {
+		t.Errorf("reused short search made %v allocations, want 2", allocs)
 	}
 }
 
+// TestRecurrenceTableProbe files distinct keys, some of them prefixes
+// of others, under one forced hash whose home is the second-last slot,
+// so the probe run wraps past the end of the slot array to index 0,
+// and keeps filing past the initial 64 states, so the table doubles and
+// re-files from its stored hashes. Every key must find its own state;
+// an absent key whose hash is present, or whose hash is not, must find
+// none and name an empty slot.
+func TestRecurrenceTableProbe(t *testing.T) {
+	var tab recurrenceTable
+	tab.reset(2)
+	initial := len(tab.slots)
+	// The home slot is the second-last before the table grows and
+	// after it doubles once.
+	h := uint64(0x9e3779b97f4a7c00) | uint64(2*initial-2)
+	keys := [][]uint64{{}, {1}, {1, 0}, {0, 1}, {1, 0, 0}}
+	for i := uint64(0); len(keys) < 80; i++ {
+		keys = append(keys, []uint64{2, i, i << 32})
+	}
+	add := func(h uint64, key []uint64) int {
+		state, slot := tab.lookup(h, key)
+		if state != -1 || tab.slots[slot] != 0 {
+			t.Fatalf("lookup(%v) before its insert = state %d, slot %d holding %d; want -1 and an empty slot", key, state, slot, tab.slots[slot])
+		}
+		tab.arena = append(tab.arena, key...)
+		tab.insert(h, slot)
+		return slot
+	}
+	for i, k := range keys {
+		slot := add(h, k)
+		if i == 2 && slot != 0 {
+			t.Fatalf("third key under a hash homed at slot %d went to slot %d, want the wrap to 0", len(tab.slots)-2, slot)
+		}
+	}
+	other := []uint64{7}
+	add(h+1, other)
+	if len(tab.slots) <= initial {
+		t.Fatalf("%d states left the slot array at %d slots, want it grown", len(keys)+1, len(tab.slots))
+	}
+	for i, k := range keys {
+		if got, _ := tab.lookup(h, k); got != int32(i) {
+			t.Errorf("lookup(%v) = %d, want %d", k, got, i)
+		}
+	}
+	if got, _ := tab.lookup(h+1, other); got != int32(len(keys)) {
+		t.Errorf("lookup of the other hash's key = %d, want %d", got, len(keys))
+	}
+	for _, absent := range []struct {
+		h   uint64
+		key []uint64
+	}{{h, []uint64{0}}, {h, other}, {h, []uint64{1, 0, 0, 0}}, {h + 2, []uint64{9}}} {
+		if got, slot := tab.lookup(absent.h, absent.key); got != -1 || tab.slots[slot] != 0 {
+			t.Errorf("lookup(%#x, %v) = state %d, slot %d holding %d; want -1 and an empty slot", absent.h, absent.key, got, slot, tab.slots[slot])
+		}
+	}
+}
+
+// quadPlacement is a 4-stream placement on the (m = 16, n_c = 4) memory
+// that batch workloads draw from, its streams alternating between CPUs 0
+// and 1. Its packed search runs 83 clocks over the longest key shape
+// the benchmarks send: rr, four pending banks and about five busy banks.
+var quadPlacement = []StreamSpec{
+	{Start: 0, Distance: 1, CPU: 0},
+	{Start: 5, Distance: 3, CPU: 1},
+	{Start: 9, Distance: 5, CPU: 0},
+	{Start: 2, Distance: 7, CPU: 1},
+}
+
 // BenchmarkFindCyclePacked times the packed search over the three
-// searchPlacements per op. fresh builds a new System per search, as a
-// cold oracle or a single served miss does; reused resets one System
-// per placement, as a sweep worker does.
+// searchPlacements and quadPlacement per op. fresh builds a new System
+// per search, as a cold oracle or a single served miss does; reused
+// resets one System per placement, as a sweep worker does.
 func BenchmarkFindCyclePacked(b *testing.B) {
+	search := func(sys *System) {
+		if _, err := sys.FindCycle(1 << 20); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, p := range searchPlacements {
 				sys := newPackedSystem(p.m, p.nc)
 				attachPlacement(sys, p.d1, p.b2, p.d2)
-				if _, err := sys.FindCycle(1 << 20); err != nil {
-					b.Fatal(err)
-				}
+				search(sys)
 			}
+			sys := newPackedSystem(16, 4)
+			sys.AddStreams(quadPlacement...)
+			search(sys)
 		}
 	})
 	b.Run("reused", func(b *testing.B) {
@@ -159,6 +239,7 @@ func BenchmarkFindCyclePacked(b *testing.B) {
 		for i, p := range searchPlacements {
 			systems[i] = newPackedSystem(p.m, p.nc)
 		}
+		quad := newPackedSystem(16, 4)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -166,10 +247,11 @@ func BenchmarkFindCyclePacked(b *testing.B) {
 				sys := systems[j]
 				sys.Reset()
 				attachPlacement(sys, p.d1, p.b2, p.d2)
-				if _, err := sys.FindCycle(1 << 20); err != nil {
-					b.Fatalf("%+v: %v", p, err)
-				}
+				search(sys)
 			}
+			quad.Reset()
+			quad.AddStreams(quadPlacement...)
+			search(quad)
 		}
 	})
 }
