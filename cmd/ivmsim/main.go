@@ -7,25 +7,29 @@
 //
 //	ivmsim -m 13 -nc 6 -streams 0:1,0:6
 //
-// Observability: -trace-out exports the timeline window as a Chrome
-// trace_event file (chrome://tracing, Perfetto), -csv-out streams the
-// whole run losslessly as a CSV timeline, -strip prints the
-// bank-occupancy strip chart, -phase-hist prints the per-cycle
-// conflict phase histogram of the steady state (-phase-csv exports
-// it), and -metrics-out writes the statistics, trace totals and phase
-// histogram as JSON. -cpuprofile/-memprofile/-trace profile the run
-// itself.
+// Observability: one tracer records the timeline run, its ring sized
+// to hold every event (at most one per stream per clock), and every
+// event export is read from it after the run: -trace-out writes a
+// Chrome trace_event file (chrome://tracing, Perfetto), -csv-out a CSV
+// timeline, -strip prints the bank-occupancy strip chart and
+// -metrics-out writes the trace totals beside the statistics.
+// -phase-hist prints the conflict phase histogram of the steady-state
+// cycle the b_eff table reports (-phase-csv exports it; -metrics-out
+// includes it). -cpuprofile/-memprofile/-trace profile the run itself.
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"ivm/internal/core"
 	"ivm/internal/memsys"
+	"ivm/internal/modmath"
 	"ivm/internal/obs"
 	"ivm/internal/obs/profile"
 	"ivm/internal/stats"
@@ -34,126 +38,122 @@ import (
 )
 
 func main() {
-	m := flag.Int("m", 16, "number of banks")
-	s := flag.Int("s", 0, "number of sections (0 = one per bank)")
-	nc := flag.Int("nc", 4, "bank busy time in clock periods")
-	cpus := flag.Int("cpus", 2, "number of CPUs (path groups)")
-	streamsFlag := flag.String("streams", "0:1,0:6", "comma-separated streams start:distance[:cpu]")
-	clocks := flag.Int64("clocks", 40, "timeline width in clock periods")
-	priority := flag.String("priority", "fixed", "priority rule: fixed|cyclic|rr-cpu")
-	mapping := flag.String("mapping", "cyclic", "bank-to-section mapping: cyclic|consecutive")
-	analyze := flag.Bool("analyze", true, "print the analytic verdict for two-stream runs")
-	statsFlag := flag.Bool("stats", false, "print per-bank utilisation and delay-run statistics")
-	statsClocks := flag.Int64("statsclocks", 2048, "clocks to gather statistics over")
-	traceOut := flag.String("trace-out", "", "write the timeline window as Chrome trace_event JSON (open in chrome://tracing or Perfetto)")
-	csvOut := flag.String("csv-out", "", "stream the whole timeline run to this CSV file losslessly (not bounded by the trace ring)")
-	stripFlag := flag.Bool("strip", false, "print the timeline window's bank-occupancy strip chart")
-	phaseHist := flag.Bool("phase-hist", false, "print the steady-state cycle's conflict phase histogram (grants/conflicts by clock phase and bank)")
-	phaseCSV := flag.String("phase-csv", "", "write the phase histogram as CSV (phase x bank, long form)")
-	metricsOut := flag.String("metrics-out", "", "write statistics, trace totals and the phase histogram as a JSON metrics snapshot")
-	prof := profile.AddFlags(flag.CommandLine)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
 
+// run parses args, simulates and writes the report to stdout and the
+// requested files.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ivmsim", flag.ExitOnError)
+	m := fs.Int("m", 16, "number of banks")
+	s := fs.Int("s", 0, "number of sections (0 = one per bank)")
+	nc := fs.Int("nc", 4, "bank busy time in clock periods")
+	cpus := fs.Int("cpus", 2, "number of CPUs (path groups; 0 = 1)")
+	streamsFlag := fs.String("streams", "0:1,0:6", "comma-separated streams start:distance[:cpu]")
+	clocks := fs.Int64("clocks", 40, "timeline width in clock periods")
+	priority := fs.String("priority", "fixed", "priority rule: fixed|cyclic|rr-cpu")
+	mapping := fs.String("mapping", "cyclic", "bank-to-section mapping: cyclic|consecutive")
+	analyze := fs.Bool("analyze", true, "print the analytic verdict for two-stream runs")
+	statsFlag := fs.Bool("stats", false, "print per-bank utilisation and delay-run statistics")
+	statsClocks := fs.Int64("statsclocks", 2048, "clocks to gather statistics over")
+	traceOut := fs.String("trace-out", "", "write the timeline run as Chrome trace_event JSON (open in chrome://tracing or Perfetto)")
+	csvOut := fs.String("csv-out", "", "write every event of the timeline run to this CSV file")
+	stripFlag := fs.Bool("strip", false, "print the timeline run's bank-occupancy strip chart")
+	phaseHist := fs.Bool("phase-hist", false, "print the steady-state cycle's conflict phase histogram (grants/conflicts by clock phase and bank)")
+	phaseCSV := fs.String("phase-csv", "", "write the phase histogram as CSV (phase x bank, long form)")
+	metricsOut := fs.String("metrics-out", "", "write statistics, trace totals and the phase histogram as a JSON metrics snapshot")
+	prof := profile.AddFlags(fs)
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2, -h exits 0
+
+	if *clocks < 0 {
+		return fmt.Errorf("-clocks %d: must not be negative", *clocks)
+	}
+	if *statsClocks < 0 {
+		return fmt.Errorf("-statsclocks %d: must not be negative", *statsClocks)
+	}
 	stop, err := prof.Start()
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 
 	cfg := memsys.Config{Banks: *m, Sections: *s, BankBusy: *nc, CPUs: *cpus}
 	if cfg.Priority, err = memsys.ParsePriority(*priority); err != nil {
-		fail("%v", err)
+		return err
 	}
 	if cfg.Mapping, err = memsys.ParseMapping(*mapping); err != nil {
-		fail("%v", err)
+		return err
 	}
 	if err := cfg.Validate(); err != nil {
-		fail("%v", err)
+		return err
 	}
 
 	specs, err := parseStreams(*streamsFlag, *m, *cpus)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 
 	sys := memsys.New(cfg)
 	rec := trace.Attach(sys, 0, *clocks)
 	var tracer *obs.Tracer
-	var stream *obs.CSVStream
-	var streamFile *os.File
-	listeners := obs.Tee{rec}
-	if *traceOut != "" || *stripFlag || *metricsOut != "" {
+	if *traceOut != "" || *csvOut != "" || *stripFlag || *metricsOut != "" {
 		// The tracer shares the listener seam with the timeline
-		// recorder, observing the same window.
-		tracer = obs.NewTracer(obs.TracerOptions{})
-		listeners = append(listeners, tracer)
-	}
-	if *csvOut != "" {
-		// The streaming exporter writes rows as they happen, so the run
-		// is exported losslessly even past the tracer's ring capacity.
-		if streamFile, err = os.Create(*csvOut); err != nil {
-			fail("%v", err)
-		}
-		stream = obs.NewCSVStream(streamFile)
-		listeners = append(listeners, stream)
-	}
-	if len(listeners) > 1 {
-		sys.SetListener(listeners)
+		// recorder. Each stream yields at most one event per clock, so
+		// a ring of clocks × streams events keeps the whole run.
+		tracer = obs.NewTracer(int(*clocks) * len(specs))
+		sys.SetListener(obs.Tee{rec, tracer})
 	}
 	sys.AddStreams(specs...)
 	sys.Run(*clocks)
-	if stream != nil {
-		if err := stream.Close(); err != nil {
-			fail("csv stream: %v", err)
-		}
-		if err := streamFile.Close(); err != nil {
-			fail("csv stream: %v", err)
-		}
-	}
 	if *s != 0 && *s != *m {
-		fmt.Print(rec.RenderWithSections(sys.Section))
+		fmt.Fprint(stdout, rec.RenderWithSections(sys.Section))
 	} else {
-		fmt.Print(rec.Render())
+		fmt.Fprint(stdout, rec.Render())
 	}
-	fmt.Println(trace.Legend())
-	fmt.Println()
+	fmt.Fprintln(stdout, trace.Legend())
+	fmt.Fprintln(stdout)
 
-	// Fresh system for exact steady-state measurement.
-	sys2 := memsys.New(cfg)
-	sys2.AddStreams(specs...)
-	cyc, err := sys2.FindCycle(1 << 22)
-	if err != nil {
-		fail("cycle detection: %v", err)
+	// One steady-state search on a fresh system, traced only when a
+	// phase histogram is wanted.
+	var cyc memsys.Cycle
+	var phist *obs.PhaseHistogram
+	if *phaseHist || *phaseCSV != "" || *metricsOut != "" {
+		h, c, err := obs.TracePhaseHistogram(cfg, specs, 1<<22)
+		if err != nil {
+			return err
+		}
+		cyc, phist = c, &h
+	} else {
+		sys2 := memsys.New(cfg)
+		sys2.AddStreams(specs...)
+		if cyc, err = sys2.FindCycle(1 << 22); err != nil {
+			return fmt.Errorf("cycle detection: %v", err)
+		}
 	}
-	fmt.Printf("steady state: b_eff = %s (cycle length %d, lead-in %d)\n\n", cyc.EffectiveBandwidth(), cyc.Length, cyc.Lead)
+	fmt.Fprintf(stdout, "steady state: b_eff = %s (cycle length %d, lead-in %d)\n\n", cyc.EffectiveBandwidth(), cyc.Length, cyc.Lead)
 	tbl := &textplot.Table{Header: []string{"stream", "start", "distance", "cpu", "b_eff", "bank", "simult", "section"}}
 	for i, sp := range specs {
 		c := cyc.Conflicts[i]
 		tbl.Add(i+1, sp.Start, sp.Distance, sp.CPU, cyc.PortBandwidth(i).String(), c.Bank, c.Simultaneous, c.Section)
 	}
-	fmt.Print(tbl.String())
+	fmt.Fprint(stdout, tbl.String())
 
 	if *analyze && len(specs) == 2 && (*s == 0 || *s == *m) {
 		a := core.Analyze(*m, *nc, specs[0].Distance, specs[1].Distance)
-		fmt.Printf("\nanalytic verdict: %s\n%s\n", a, a.Note)
+		fmt.Fprintf(stdout, "\nanalytic verdict: %s\n%s\n", a, a.Note)
 	}
 
-	var phist *obs.PhaseHistogram
-	if *phaseHist || *phaseCSV != "" || *metricsOut != "" {
-		h, _, err := obs.TracePhaseHistogram(cfg, specs, 1<<22)
-		if err != nil {
-			fail("phase histogram: %v", err)
-		}
-		phist = &h
-	}
 	if *phaseHist {
-		fmt.Println()
-		fmt.Print(phist.Render())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, phist.Render())
 	}
 	if *phaseCSV != "" {
-		if err := writeFile(*phaseCSV, func(w *os.File) error {
+		if err := writeFile(*phaseCSV, func(w io.Writer) error {
 			return obs.WritePhaseCSV(w, *phist)
 		}); err != nil {
-			fail("%v", err)
+			return err
 		}
 	}
 
@@ -165,10 +165,10 @@ func main() {
 		sys3.Run(*statsClocks)
 	}
 	if *statsFlag {
-		fmt.Printf("\nstatistics over %d clocks:\n%s", *statsClocks, col.Report())
+		fmt.Fprintf(stdout, "\nstatistics over %d clocks:\n%s", *statsClocks, col.Report())
 		for i := range specs {
 			if runs := col.DelayRunLengths(i); len(runs) > 0 {
-				fmt.Printf("stream %d delay-run lengths: %v\n", i+1, runs)
+				fmt.Fprintf(stdout, "stream %d delay-run lengths: %v\n", i+1, runs)
 			}
 		}
 	}
@@ -176,19 +176,26 @@ func main() {
 	if tracer != nil {
 		events := tracer.Events()
 		if *traceOut != "" {
-			if err := writeFile(*traceOut, func(w *os.File) error {
+			if err := writeFile(*traceOut, func(w io.Writer) error {
 				return obs.WriteChromeTrace(w, events, *m, *nc)
 			}); err != nil {
-				fail("%v", err)
+				return err
+			}
+		}
+		if *csvOut != "" {
+			if err := writeFile(*csvOut, func(w io.Writer) error {
+				return obs.WriteCSV(w, events)
+			}); err != nil {
+				return err
 			}
 		}
 		if *stripFlag {
-			fmt.Println()
-			fmt.Print(obs.StripChart(events, *m, *nc))
+			fmt.Fprintln(stdout)
+			fmt.Fprint(stdout, obs.StripChart(events, *m, *nc))
 		}
 	}
 	if *metricsOut != "" {
-		snap := obs.Snapshot{}
+		snap := obs.Snapshot{PhaseHistogram: phist}
 		if col != nil {
 			cs := col.Snapshot()
 			snap.Stats = &cs
@@ -197,29 +204,37 @@ func main() {
 			ts := tracer.Stats()
 			snap.Trace = &ts
 		}
-		snap.PhaseHistogram = phist
 		if err := obs.WriteSnapshotFile(*metricsOut, snap); err != nil {
-			fail("%v", err)
+			return err
 		}
 	}
-	if err := stop(); err != nil {
-		fail("%v", err)
-	}
+	return stop()
 }
 
-func writeFile(path string, write func(*os.File) error) error {
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	w := bufio.NewWriter(f)
+	if err := write(w); err != nil {
+		f.Close()
+		return err
+	}
+	if err := w.Flush(); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
+// parseStreams reads the -streams flag. Start and distance are reduced
+// into [0, m); streams without an explicit CPU go round-robin over the
+// CPUs, of which 0 means one, as in memsys.
 func parseStreams(flagVal string, m, cpus int) ([]memsys.StreamSpec, error) {
+	if cpus == 0 {
+		cpus = 1
+	}
 	var specs []memsys.StreamSpec
 	for i, part := range strings.Split(flagVal, ",") {
 		fields := strings.Split(strings.TrimSpace(part), ":")
@@ -243,15 +258,10 @@ func parseStreams(flagVal string, m, cpus int) ([]memsys.StreamSpec, error) {
 				return nil, fmt.Errorf("stream %d cpu %d out of range [0,%d)", i+1, cpu, cpus)
 			}
 		}
-		specs = append(specs, memsys.StreamSpec{Start: start % m, Distance: dist % m, CPU: cpu})
+		specs = append(specs, memsys.StreamSpec{Start: modmath.Mod(start, m), Distance: modmath.Mod(dist, m), CPU: cpu})
 	}
 	if len(specs) == 0 || len(specs) > 9 {
 		return nil, fmt.Errorf("need 1..9 streams, got %d", len(specs))
 	}
 	return specs, nil
-}
-
-func fail(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
 }

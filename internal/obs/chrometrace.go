@@ -134,36 +134,25 @@ func portsOf(events []Event) []portInfo {
 	return out
 }
 
-// csvHeader is the column row shared by the ring exporter (WriteCSV)
-// and the streaming exporter (CSVStream) — the two must stay
-// byte-identical on any window they both cover.
-const csvHeader = "clock,port,label,cpu,bank,kind,blocker"
-
-// writeCSVRow formats one event as a timeline row. Grants carry kind
-// "grant" and an empty blocker column.
-func writeCSVRow(w io.Writer, e Event) error {
-	kind, blocker := "grant", ""
-	if !e.Granted() {
-		kind = e.Kind.String()
-		blocker = fmt.Sprintf("%d", e.Blocker)
-	}
-	_, err := fmt.Fprintf(w, "%d,%d,%s,%d,%d,%s,%s\n",
-		e.Clock, e.Port, e.Label, e.CPU, e.Bank, kind, blocker)
-	return err
-}
-
 // WriteCSV renders the events as a CSV timeline with one row per
-// event: clock, port, label, cpu, bank, kind, blocker. It exports the
-// window the ring retained: on a run longer than the tracer's
-// capacity the oldest events are gone (TraceStats.Dropped counts
-// them), so the first row marks the truncation boundary, not the
-// start of the run — CSVStream is the lossless alternative.
+// event: clock, port, label, cpu, bank, kind, blocker. Grants carry
+// kind "grant" and an empty blocker column. It exports the window the
+// ring retained: on a run longer than the tracer's capacity the oldest
+// events are gone (TraceStats.Dropped counts them), so the first row
+// marks the truncation boundary, not the start of the run. A ring
+// sized to the run keeps it all.
 func WriteCSV(w io.Writer, events []Event) error {
-	if _, err := fmt.Fprintln(w, csvHeader); err != nil {
+	if _, err := fmt.Fprintln(w, "clock,port,label,cpu,bank,kind,blocker"); err != nil {
 		return err
 	}
 	for _, e := range events {
-		if err := writeCSVRow(w, e); err != nil {
+		kind, blocker := "grant", ""
+		if !e.Granted() {
+			kind = e.Kind.String()
+			blocker = fmt.Sprintf("%d", e.Blocker)
+		}
+		if _, err := fmt.Fprintf(w, "%d,%d,%s,%d,%d,%s,%s\n",
+			e.Clock, e.Port, e.Label, e.CPU, e.Bank, kind, blocker); err != nil {
 			return err
 		}
 	}

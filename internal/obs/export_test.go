@@ -25,12 +25,12 @@ var update = flag.Bool("update", false, "rewrite the exporter golden files")
 func theorem3Example(t *testing.T) []Event {
 	t.Helper()
 	sys := memsys.New(memsys.Config{Banks: 12, BankBusy: 3, CPUs: 2})
-	tr := Attach(sys, TracerOptions{})
+	tr := Attach(sys, DefaultTracerCapacity)
 	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1))
 	sys.AddPort(1, "2", memsys.NewInfiniteStrided(0, 7))
 	sys.Run(36)
 	events := tr.Events()
-	if tr.Delays() == 0 {
+	if tr.Stats().Delays == 0 {
 		t.Fatal("example should show a synchronisation transient")
 	}
 	return events
@@ -187,11 +187,11 @@ func TestWriteCSVEmptyWindow(t *testing.T) {
 // TestCSVRingWrappedBeforeExport pins the documented truncation
 // boundary of the ring exporter: once the ring wraps, WriteCSV holds
 // exactly the newest capacity rows, the first row is NOT the start of
-// the run, and TraceStats.Dropped accounts for the missing prefix —
-// the lossless alternative is CSVStream (see stream_test.go).
+// the run, and TraceStats.Dropped accounts for the missing prefix — a
+// ring sized to the run drops nothing (TestTracerSizedRingKeepsEveryEvent).
 func TestCSVRingWrappedBeforeExport(t *testing.T) {
 	sys := memsys.New(memsys.Config{Banks: 12, BankBusy: 3, CPUs: 2})
-	tr := Attach(sys, TracerOptions{Capacity: 32})
+	tr := Attach(sys, 32)
 	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1))
 	sys.AddPort(1, "2", memsys.NewInfiniteStrided(0, 7))
 	sys.Run(256) // 2 events per clock >> 32
@@ -207,8 +207,10 @@ func TestCSVRingWrappedBeforeExport(t *testing.T) {
 	if firstClock == "0" {
 		t.Error("export starts at clock 0 despite the wrap")
 	}
+	// Both ports request every clock: 2 events per clock.
 	st := tr.Stats()
-	if st.Dropped != st.Grants+st.Delays-32 {
-		t.Errorf("dropped %d of %d events, ring holds 32", st.Dropped, st.Grants+st.Delays)
+	if st.Recorded != 2*256 || st.Dropped != 2*256-32 || st.Grants+st.Delays != 32 {
+		t.Errorf("recorded %d, dropped %d, retained %d; want 512, 480, 32",
+			st.Recorded, st.Dropped, st.Grants+st.Delays)
 	}
 }

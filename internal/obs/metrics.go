@@ -25,7 +25,7 @@ type Snapshot struct {
 	Engine *sweep.Snapshot `json:"engine,omitempty"`
 	// Stats holds a stats.Collector's per-bank view of one simulation.
 	Stats *stats.Snapshot `json:"stats,omitempty"`
-	// Trace holds the tracer's exact totals for the traced window.
+	// Trace holds the tracer's totals over its retained events.
 	Trace *TraceStats `json:"trace,omitempty"`
 	// PhaseHistogram holds the per-cycle conflict phase histogram of a
 	// traced steady state (ivmsim -phase-hist). Readers built before

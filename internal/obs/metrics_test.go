@@ -33,7 +33,7 @@ func populatedSnapshot(t *testing.T) Snapshot {
 	cs := col.Snapshot()
 
 	sys2 := memsys.New(memsys.Config{Banks: 13, BankBusy: 6, CPUs: 2})
-	tr := Attach(sys2, TracerOptions{Capacity: 128})
+	tr := Attach(sys2, 128)
 	sys2.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1))
 	sys2.AddPort(1, "2", memsys.NewInfiniteStrided(0, 6))
 	sys2.Run(128)

@@ -25,8 +25,8 @@ func contendedSystem() *memsys.System {
 
 func TestDetachedTracerAllocatesNothing(t *testing.T) {
 	sys := contendedSystem()
-	_ = NewTracer(TracerOptions{Capacity: 1024}) // exists, never installed
-	sys.Run(64)                                  // warm up past the transient
+	_ = NewTracer(1024) // exists, never installed
+	sys.Run(64)         // warm up past the transient
 	if allocs := testing.AllocsPerRun(200, func() { sys.Step() }); allocs != 0 {
 		t.Errorf("hot loop with detached tracer allocates %.1f objects/step, want 0", allocs)
 	}
@@ -34,9 +34,9 @@ func TestDetachedTracerAllocatesNothing(t *testing.T) {
 
 func TestAttachThenDetachRestoresZeroAllocs(t *testing.T) {
 	sys := contendedSystem()
-	tr := Attach(sys, TracerOptions{Capacity: 1024})
+	tr := Attach(sys, 1024)
 	sys.Run(64)
-	if tr.Grants() == 0 {
+	if tr.Stats().Grants == 0 {
 		t.Fatal("tracer observed nothing while attached")
 	}
 	sys.SetListener(nil)
@@ -89,10 +89,10 @@ func BenchmarkStepDetached(b *testing.B) {
 }
 
 // BenchmarkStepTracerAttached measures the full tracer on the same
-// loop: atomic counters plus ring writes every clock.
+// loop: ring writes every clock.
 func BenchmarkStepTracerAttached(b *testing.B) {
 	sys := contendedSystem()
-	Attach(sys, TracerOptions{Capacity: 1 << 12})
+	Attach(sys, 1<<12)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

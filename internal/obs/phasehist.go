@@ -113,7 +113,7 @@ func BuildPhaseHistogram(events []Event, banks int, cycleStart, cycleLength int6
 // window starts inside the steady state).
 func TracePhaseHistogram(cfg memsys.Config, specs []memsys.StreamSpec, maxClocks int64) (PhaseHistogram, memsys.Cycle, error) {
 	sys := memsys.New(cfg)
-	tr := Attach(sys, TracerOptions{})
+	tr := Attach(sys, DefaultTracerCapacity)
 	sys.AddStreams(specs...)
 	cyc, err := sys.FindCycle(maxClocks)
 	if err != nil {

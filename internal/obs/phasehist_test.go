@@ -85,7 +85,7 @@ func TestPhaseHistogramFoldsRepetitions(t *testing.T) {
 	// Run several repetitions through a plain tracer; every repetition
 	// folds onto the same phases, so the histogram is k × one period.
 	sys := memsys.New(fig3Cfg)
-	tr := Attach(sys, TracerOptions{})
+	tr := Attach(sys, DefaultTracerCapacity)
 	sys.AddStreams(fig3Specs...)
 	cyc, err := sys.FindCycle(1 << 20)
 	if err != nil {

@@ -18,7 +18,7 @@ func fig3() *memsys.System {
 
 func TestTracerCountsMatchPortCounters(t *testing.T) {
 	sys := fig3()
-	tr := Attach(sys, TracerOptions{})
+	tr := Attach(sys, DefaultTracerCapacity)
 	sys.Run(200)
 
 	var wantGrants, wantBank, wantSim, wantSec int64
@@ -28,33 +28,82 @@ func TestTracerCountsMatchPortCounters(t *testing.T) {
 		wantSim += p.Count.Simultaneous
 		wantSec += p.Count.Section
 	}
-	if tr.Grants() != wantGrants {
-		t.Errorf("grants %d, ports say %d", tr.Grants(), wantGrants)
-	}
-	if tr.Delays() != wantBank+wantSim+wantSec {
-		t.Errorf("delays %d, ports say %d", tr.Delays(), wantBank+wantSim+wantSec)
-	}
-	if got := tr.KindCount(memsys.BankConflict); got != wantBank {
-		t.Errorf("bank conflicts %d, want %d", got, wantBank)
-	}
-	if got := tr.KindCount(memsys.SimultaneousConflict); got != wantSim {
-		t.Errorf("simultaneous %d, want %d", got, wantSim)
-	}
 	s := tr.Stats()
-	if s.Grants != wantGrants || s.BankConflicts != wantBank {
-		t.Errorf("stats snapshot %+v disagrees with counters", s)
+	if s.Grants != wantGrants {
+		t.Errorf("grants %d, ports say %d", s.Grants, wantGrants)
+	}
+	if s.Delays != wantBank+wantSim+wantSec {
+		t.Errorf("delays %d, ports say %d", s.Delays, wantBank+wantSim+wantSec)
+	}
+	if s.BankConflicts != wantBank || s.SimultaneousConflicts != wantSim || s.SectionConflicts != wantSec {
+		t.Errorf("conflicts bank/simult/section %d/%d/%d, ports say %d/%d/%d",
+			s.BankConflicts, s.SimultaneousConflicts, s.SectionConflicts, wantBank, wantSim, wantSec)
 	}
 	if s.Recorded != int64(len(tr.Events()))+s.Dropped {
 		t.Errorf("recorded %d != ring %d + dropped %d", s.Recorded, len(tr.Events()), s.Dropped)
+	}
+	if s.FirstClock != 0 || s.LastClock != 199 {
+		t.Errorf("clocks [%d, %d], want [0, 199]", s.FirstClock, s.LastClock)
 	}
 	if s.Bandwidth <= 0 || s.Bandwidth > 2 {
 		t.Errorf("bandwidth estimate %v out of range", s.Bandwidth)
 	}
 }
 
+// TestTracerSizedRingKeepsEveryEvent: a ring of clocks × ports events
+// holds a whole run, since each port yields at most one event per
+// clock. On a contended sectioned run, with all three conflict kinds,
+// nothing is dropped and the retained events carry every port's grants
+// and delays.
+func TestTracerSizedRingKeepsEveryEvent(t *testing.T) {
+	const clocks = 512
+	sys := contendedSystem()
+	tr := Attach(sys, clocks*len(sys.Ports()))
+	sys.Run(clocks)
+	if d := tr.Dropped(); d != 0 {
+		t.Fatalf("sized ring dropped %d events", d)
+	}
+	got := make([]memsys.Counters, len(sys.Ports()))
+	for _, e := range tr.Events() {
+		c := &got[e.Port]
+		switch e.Kind {
+		case memsys.NoConflict:
+			c.Grants++
+		case memsys.BankConflict:
+			c.Bank++
+		case memsys.SimultaneousConflict:
+			c.Simultaneous++
+		case memsys.SectionConflict:
+			c.Section++
+		}
+	}
+	var kinds [4]int64
+	for i, p := range sys.Ports() {
+		want := p.Count
+		if got[i].Grants != want.Grants || got[i].Bank != want.Bank ||
+			got[i].Simultaneous != want.Simultaneous || got[i].Section != want.Section {
+			t.Errorf("port %d: events give %+v, port counters %+v", i, got[i], want)
+		}
+		kinds[0] += want.Grants
+		kinds[1] += want.Bank
+		kinds[2] += want.Simultaneous
+		kinds[3] += want.Section
+	}
+	for k, n := range kinds {
+		if n == 0 {
+			t.Errorf("run has no events of kind %v; want a contended run", memsys.ConflictKind(k))
+		}
+	}
+	st := tr.Stats()
+	if st.Grants != kinds[0] || st.BankConflicts != kinds[1] ||
+		st.SimultaneousConflicts != kinds[2] || st.SectionConflicts != kinds[3] {
+		t.Errorf("stats %+v, port counters give %v", st, kinds)
+	}
+}
+
 func TestTracerEventsAreValueCopies(t *testing.T) {
 	sys := fig3()
-	tr := Attach(sys, TracerOptions{Capacity: 64})
+	tr := Attach(sys, 64)
 	sys.Run(20)
 	for _, e := range tr.Events() {
 		if e.Bank < 0 || e.Bank >= 13 {
@@ -71,7 +120,7 @@ func TestTracerEventsAreValueCopies(t *testing.T) {
 
 func TestTracerRingWrapKeepsMostRecent(t *testing.T) {
 	sys := fig3()
-	tr := Attach(sys, TracerOptions{Capacity: 16})
+	tr := Attach(sys, 16)
 	sys.Run(100)
 
 	events := tr.Events()
@@ -95,11 +144,11 @@ func TestTracerRingWrapKeepsMostRecent(t *testing.T) {
 
 func TestTeeFansOut(t *testing.T) {
 	sys := fig3()
-	a := NewTracer(TracerOptions{})
-	b := NewTracer(TracerOptions{})
+	a := NewTracer(0)
+	b := NewTracer(0)
 	sys.SetListener(Tee{a, nil, b})
 	sys.Run(50)
-	if a.Grants() == 0 || a.Grants() != b.Grants() || a.Delays() != b.Delays() {
-		t.Errorf("tee divergence: a=%d/%d b=%d/%d", a.Grants(), a.Delays(), b.Grants(), b.Delays())
+	if sa, sb := a.Stats(), b.Stats(); sa.Grants == 0 || sa != sb {
+		t.Errorf("tee divergence: a=%+v b=%+v", sa, sb)
 	}
 }

@@ -3,8 +3,8 @@
 # race-enabled tests.
 # Pass package patterns to narrow the test run (default: everything).
 # The observability package is always exercised under the race
-# detector, even for narrowed runs, because its tracer counters are
-# read across goroutines. The simulator and sweep packages are always
+# detector, even for narrowed runs, because its metrics registry,
+# progress reporter and request traces are read across goroutines. The simulator and sweep packages are always
 # exercised under the race detector too, including a short pass over
 # the differential equivalence harness (docs/KERNEL.md) that pins the
 # packed kernel and the analytic gate to the scalar oracle with the
@@ -21,6 +21,9 @@
 # "sweep workers" timeline and an "engine" snapshot;
 # ivmablate's default run (every study, including the policy campaign
 # that exits 1 on any cold/cached/warm mismatch) must exit 0;
+# EXPERIMENTS.md's two Fig. 10c–e ivmsim -csv-out commands must exit 0
+# with nothing on stderr, and their CSV conflict counts must equal the
+# table's rows;
 # ivmsweep serving -metrics-addr on a loopback port is scraped over
 # HTTP, pinning the Prometheus exposition format end to end and, once
 # the sweep finishes, progress done = planned = sweep units = the
@@ -174,6 +177,32 @@ if ! "$tmp/ivmablate" > "$tmp/ablate.out" 2>&1; then
 	exit 1
 fi
 echo "check.sh: ablation probe OK, every ivmablate study exits 0"
+
+# Fig. 10c–e probe: EXPERIMENTS.md's INC=4 and INC=5 ivmsim -csv-out
+# runs, counted with its awk command (in a fixed column order), must
+# reproduce the table's bank/simultaneous/section rows.
+go build -o "$tmp/ivmsim" ./cmd/ivmsim
+for row in "4 4609 1535 1" "5 5614 19 529"; do
+	read -r inc bank simult section <<< "$row"
+	if ! "$tmp/ivmsim" -m 16 -s 4 -nc 4 -clocks 2048 \
+		-streams "0:$inc:0,1:$inc:0,2:$inc:0,0:1:1,4:1:1,8:1:1" -csv-out "$tmp/inc$inc.csv" \
+		> /dev/null 2> "$tmp/ivmsim-stderr"; then
+		echo "check.sh: ivmsim INC=$inc -csv-out failed:" >&2
+		cat "$tmp/ivmsim-stderr" >&2
+		exit 1
+	fi
+	if [ -s "$tmp/ivmsim-stderr" ]; then
+		echo "check.sh: ivmsim INC=$inc -csv-out wrote to stderr:" >&2
+		cat "$tmp/ivmsim-stderr" >&2
+		exit 1
+	fi
+	got="$(awk -F, 'NR>1 && $6!="grant" {n[$6]++} END {print n["bank"]+0, n["simultaneous"]+0, n["section"]+0}' "$tmp/inc$inc.csv")"
+	if [ "$got" != "$bank $simult $section" ]; then
+		echo "check.sh: ivmsim INC=$inc conflict counts $got, EXPERIMENTS.md says $bank $simult $section" >&2
+		exit 1
+	fi
+done
+echo "check.sh: Fig. 10c-e probe OK, ivmsim -csv-out counts match EXPERIMENTS.md"
 
 "$tmp/ivmsweep" -m 13 -nc 4 -metrics-addr 127.0.0.1:0 -metrics-linger 30s \
 	> /dev/null 2> "$tmp/stderr" &
