@@ -82,7 +82,7 @@ func main() {
 		os.Exit(2)
 	}
 	if err := validateSweepFlags(sweepFlags{
-		streams: *streams, secs: *secs, triples: *triples, census: *census,
+		m: *m, nc: *nc, streams: *streams, secs: *secs, triples: *triples, census: *census,
 		priority: priority, mapping: mapping,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -206,9 +206,11 @@ func exportCache(eng *sweep.Engine, dir string) error {
 	return nil
 }
 
-// sweepFlags collects the mutually exclusive sweep-family selectors
-// and the policy dimensions for validation before any work starts.
+// sweepFlags collects the memory geometry, the mutually exclusive
+// sweep-family selectors and the policy dimensions for validation
+// before any work starts.
 type sweepFlags struct {
+	m, nc    int
 	streams  int
 	secs     int
 	triples  bool
@@ -223,9 +225,20 @@ func (f sweepFlags) defaultPolicy() bool {
 	return f.priority == memsys.FixedPriority && f.mapping == memsys.CyclicSections
 }
 
-// validateSweepFlags rejects conflicting flag combinations with a
-// usage error instead of silently ignoring one of the flags.
+// validateSweepFlags rejects an impossible memory geometry and
+// conflicting flag combinations with a usage error naming the flag,
+// instead of a panic from a sweep worker, an empty table, or silently
+// ignoring one of the flags.
 func validateSweepFlags(f sweepFlags) error {
+	if f.m < 1 {
+		return fmt.Errorf("-m wants at least 1 bank, got %d", f.m)
+	}
+	if f.nc < 1 {
+		return fmt.Errorf("-nc wants a bank busy time of at least 1 clock, got %d", f.nc)
+	}
+	if f.secs < 0 || f.secs > 0 && f.m%f.secs != 0 {
+		return fmt.Errorf("-s wants 0 or a section count that divides -m %d, got %d", f.m, f.secs)
+	}
 	if f.streams < 0 || f.streams == 1 {
 		return fmt.Errorf("-streams wants 0 (pair sweep) or at least 2 streams, got %d", f.streams)
 	}

@@ -81,7 +81,17 @@ func (s *System) SetKernel(k Kernel) {
 	if s.words == nil {
 		s.words = make([]uint64, (s.cfg.Banks+63)/64)
 		s.expiry = make([]int64, s.cfg.Banks)
-		s.wheel = make([][]int32, s.cfg.BankBusy+1)
+		// The smallest power of two above n_c: at least n_c+1 slots,
+		// indexed by a mask. The slots start empty in one shared array
+		// with room for a clock's grants to four ports, so a fresh
+		// system does not allocate per slot; a fuller slot outgrows its
+		// room by append.
+		s.wheel = make([][]int32, 1<<bits.Len(uint(s.cfg.BankBusy)))
+		const room = 4
+		backing := make([]int32, room*len(s.wheel))
+		for i := range s.wheel {
+			s.wheel[i] = backing[i*room : i*room : (i+1)*room]
+		}
 	}
 	s.clearPacked()
 }
@@ -114,13 +124,14 @@ func (s *System) packedBusy(bank int) bool {
 // bank granted at clock g is busy for clocks g .. g+n_c-1 and its
 // expiry event is scheduled at g+n_c, so draining slot t frees exactly
 // the banks the scalar kernel's end-of-step decrement would have
-// brought to zero before clock t's arbitration. The wheel has n_c+1
-// slots, one more than the longest pending horizon, so a slot never
-// holds events of two different clocks.
+// brought to zero before clock t's arbitration. The wheel has a power
+// of two of at least n_c+1 slots, more than the longest pending
+// horizon, so a slot never holds events of two different clocks, and
+// a clock's slot is the clock masked to the wheel length.
 func (s *System) expireTo(t int64) {
-	w := int64(len(s.wheel))
+	mask := int64(len(s.wheel) - 1)
 	for ; s.expired <= t; s.expired++ {
-		i := int(s.expired % w)
+		i := s.expired & mask
 		slot := s.wheel[i]
 		if len(slot) == 0 {
 			continue
@@ -136,26 +147,32 @@ func (s *System) expireTo(t int64) {
 // stepPacked is Step on the packed kernel: identical arbitration order,
 // conflict precedence, counters and events, with the busy set kept as
 // bits plus an expiry wheel instead of the scalar per-bank counters.
-func (s *System) stepPacked() int {
+// With pb nil, every port's source is asked for its request, as Step
+// does. findCyclePacked passes its pending-bank vector instead, which
+// holds every port's request as a bank and is advanced on each grant
+// (see pendingBanks).
+func (s *System) stepPacked(pb *pendingBanks) int {
 	t := s.clock
 	s.expireTo(t)
 	order := s.arbitrationOrder()
 	granted := 0
 
 	for _, p := range order {
-		if p.Src == nil || p.Src.Done() {
-			continue
+		var bank int
+		if pb != nil {
+			bank = int(pb.bank[p.ID])
+		} else {
+			if p.Src == nil || p.Src.Done() {
+				continue
+			}
+			addr, ok := p.Src.Pending(t)
+			if !ok {
+				p.Count.Idle++
+				continue
+			}
+			bank = s.checkedBank(addr)
 		}
-		addr, ok := p.Src.Pending(t)
-		if !ok {
-			p.Count.Idle++
-			continue
-		}
-		bank := s.mapper.Bank(addr)
-		if bank < 0 || bank >= s.cfg.Banks {
-			panic(fmt.Sprintf("memsys: mapper produced bank %d out of [0,%d)", bank, s.cfg.Banks))
-		}
-		sec := s.Section(bank)
+		sec := s.secOf[bank]
 
 		var kind ConflictKind
 		var blocker *Port
@@ -181,7 +198,7 @@ func (s *System) stepPacked() int {
 			s.words[bank>>6] |= 1 << (uint(bank) & 63)
 			exp := t + int64(s.cfg.BankBusy)
 			s.expiry[bank] = exp
-			slot := int(exp % int64(len(s.wheel)))
+			slot := exp & int64(len(s.wheel)-1)
 			s.wheel[slot] = append(s.wheel[slot], int32(bank))
 			s.owner[bank] = p
 			s.bankStamp[bank] = t
@@ -189,6 +206,9 @@ func (s *System) stepPacked() int {
 			s.pathStamp[p.CPU][sec] = t
 			s.pathWinner[p.CPU][sec] = p
 			p.Src.Grant(t)
+			if pb != nil {
+				pb.advance(s, p, t+1)
+			}
 			p.Count.Grants++
 			granted++
 			if s.listener != nil {
@@ -220,7 +240,7 @@ func (s *System) runPacked(n int64) int64 {
 	var total int64
 	end := s.clock + n
 	for s.clock < end {
-		g := s.stepPacked()
+		g := s.stepPacked(nil)
 		total += int64(g)
 		if g == 0 && s.clock < end {
 			s.blockedStretch(end)
@@ -292,30 +312,32 @@ func (s *System) blockedStretch(end int64) int64 {
 // is found at the same clock and the returned window is identical to the
 // scalar kernel's. The visited states go into the system's recurrence
 // table, so a system reused through Reset searches without allocating.
+// Each port's pending bank is resolved through the mapper once, at
+// entry; the key and the arbitration loop then share the pending-bank
+// vector, which a grant advances (see pendingBanks).
 func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
 	np := len(s.ports)
 	t := &s.states
 	t.reset(np)
+	pb := &s.pending
+	pb.load(s)
 
 	for s.clock < start+maxClocks {
 		s.expireTo(s.clock)
 		// The key is appended straight onto the arena: insert keeps it
 		// there, and a recurrence ends the search before anything else
 		// is appended. Its words are rr, then each port's pending bank
-		// + 1 (0 for none), then bank<<32 | remaining clocks per busy
-		// bank in ascending bank order. Both halves of a busy word fit
-		// in 32 bits: the wheel holds banks as int32, and a bank stays
-		// busy for at most n_c clocks, one less than the wheel's slots.
+		// (every port of a periodic source always has one), then
+		// bank<<32 | remaining clocks per busy bank in ascending bank
+		// order. Both halves of a busy word fit in 32 bits: the wheel
+		// holds banks as int32, and a bank stays busy for at most n_c
+		// clocks, fewer than the wheel's slots.
 		from := len(t.arena)
 		key := append(t.arena, uint64(s.rr))
 		h := mixWord(0, uint64(s.rr))
-		for _, p := range s.ports {
-			var pending uint64
-			if addr, ok := p.Src.Pending(s.clock); ok {
-				pending = uint64(s.mapper.Bank(addr)) + 1
-			}
-			key = append(key, pending)
-			h = mixWord(h, pending)
+		for _, b := range pb.bank {
+			key = append(key, uint64(b))
+			h = mixWord(h, uint64(b))
 		}
 		for wi, word := range s.words {
 			for word != 0 {
@@ -358,9 +380,66 @@ func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
 			t.counts = append(t.counts,
 				uint32(c.Grants), uint32(c.Bank), uint32(c.Simultaneous), uint32(c.Section), uint32(c.Idle))
 		}
-		s.stepPacked()
+		s.stepPacked(pb)
 	}
 	return Cycle{}, ErrNoCycle
+}
+
+// pendingBanks holds every port's pending request as a bank for one
+// packed FindCycle search, indexed by port ID. The state key and the
+// arbitration loop both read it, so a searched clock maps no address
+// and, under ModuloMapper, divides nothing. Sharing it is sound only
+// inside FindCycle: FindCycle admits only periodic sources (infinite
+// *StridedSource), whose request is always pending, is a pure function
+// of Addr, and changes only when Grant advances Addr, so the vector
+// changes only where stepPacked advances it. Step keeps asking each
+// source on demand, because a source such as machine's memPort may
+// change its request within a clock. The System keeps the vector
+// across Reset, so a reused search does not allocate it.
+type pendingBanks struct {
+	bank []int32 // per port: the bank of its pending request
+	step []int32 // per port, under ModuloMapper: its stride reduced mod m
+	// modulo reports that the mapper is ModuloMapper, so a grant
+	// advances bank by step with a compare-and-subtract.
+	modulo bool
+}
+
+// load resolves each port's pending request to its bank through the
+// mapper, panicking on a bank outside [0, m) as Step does, and under
+// ModuloMapper reduces each source's stride mod m.
+func (pb *pendingBanks) load(s *System) {
+	np := len(s.ports)
+	if cap(pb.bank) < np {
+		buf := make([]int32, 2*np)
+		pb.bank, pb.step = buf[:np:np], buf[np:]
+	}
+	pb.bank, pb.step = pb.bank[:np], pb.step[:np]
+	mm, modulo := s.mapper.(ModuloMapper)
+	pb.modulo = modulo
+	for i, p := range s.ports {
+		addr, _ := p.Src.Pending(s.clock)
+		pb.bank[i] = int32(s.checkedBank(addr))
+		if modulo {
+			pb.step[i] = int32(mm.Bank(p.Src.(*StridedSource).Stride))
+		}
+	}
+}
+
+// advance moves a granted port's pending bank on to its source's next
+// request, pending from clock next: by the reduced stride under
+// ModuloMapper (bank + step < 2m, so one subtraction reduces it), and
+// through the mapper otherwise.
+func (pb *pendingBanks) advance(s *System, p *Port, next int64) {
+	if !pb.modulo {
+		addr, _ := p.Src.Pending(next)
+		pb.bank[p.ID] = int32(s.checkedBank(addr))
+		return
+	}
+	b := int(pb.bank[p.ID]) + int(pb.step[p.ID])
+	if b >= s.cfg.Banks {
+		b -= s.cfg.Banks
+	}
+	pb.bank[p.ID] = int32(b)
 }
 
 // mixWord folds one key word into a running state hash: the word is

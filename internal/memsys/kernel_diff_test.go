@@ -50,8 +50,12 @@ func finiteSpec(cpu int, start, dist int64, n int) sourceSpec {
 }
 
 func buildKernelPair(cfg Config, specs []sourceSpec) (scalar, packed *System) {
-	scalar = New(cfg)
-	packed = New(cfg)
+	return buildMappedPair(cfg, ModuloMapper{M: cfg.Banks}, specs)
+}
+
+func buildMappedPair(cfg Config, mapper BankMapper, specs []sourceSpec) (scalar, packed *System) {
+	scalar = NewWithMapper(cfg, mapper)
+	packed = NewWithMapper(cfg, mapper)
 	packed.SetKernel(KernelPacked)
 	for i, sp := range specs {
 		label := fmt.Sprintf("%d", i+1)
@@ -117,6 +121,53 @@ func stepCompare(t *testing.T, scalar, packed *System, steps int) {
 	}
 }
 
+// rowSkew is a test-local mapper that is not ModuloMapper: row r of m
+// consecutive addresses is rotated by r, bank = (addr + addr/m) mod m.
+// Under it the packed FindCycle advances a granted port's pending bank
+// through the mapper rather than by the reduced stride. A skew can make
+// the recurrence FindCycle finds something other than a true period,
+// since the bank no longer determines the next one, but both kernels
+// must still find the same one.
+type rowSkew struct{ m int }
+
+func (r rowSkew) Bank(addr int64) int { return ModuloMapper{M: r.m}.Bank(addr + addr/int64(r.m)) }
+func (r rowSkew) Banks() int          { return r.m }
+
+// diffMappers are the mappers every differential FindCycle comparison
+// runs under.
+func diffMappers(m int) []BankMapper { return []BankMapper{ModuloMapper{M: m}, rowSkew{m}} }
+
+// compareFindCycle runs FindCycle on a fresh scalar/packed pair under
+// mapper and demands identical cycle windows. It then steps both on
+// with stepCompare and demands that every source stands at the same
+// address with the same issue count, so the state the packed search
+// leaves behind is the scalar search's. err is the scalar search's
+// error; the packed one must fail alike.
+func compareFindCycle(t *testing.T, cfg Config, mapper BankMapper, specs []sourceSpec, budget int64) (cs, cp Cycle, err error) {
+	t.Helper()
+	scalar, packed := buildMappedPair(cfg, mapper, specs)
+	cs, errS := scalar.FindCycle(budget)
+	cp, errP := packed.FindCycle(budget)
+	if (errS == nil) != (errP == nil) {
+		t.Fatalf("%T: FindCycle error mismatch: scalar %v packed %v", mapper, errS, errP)
+	}
+	if errS != nil {
+		return cs, cp, errS
+	}
+	if !reflect.DeepEqual(cs, cp) {
+		t.Fatalf("%T: cycle windows diverge:\nscalar %+v\npacked %+v", mapper, cs, cp)
+	}
+	stepCompare(t, scalar, packed, 300)
+	for i, port := range scalar.Ports() {
+		ss, sp := port.Src.(*StridedSource), packed.Ports()[i].Src.(*StridedSource)
+		if ss.Addr != sp.Addr || ss.Issued() != sp.Issued() {
+			t.Fatalf("%T port %d: scalar source at %d after %d grants, packed at %d after %d",
+				mapper, i, ss.Addr, ss.Issued(), sp.Addr, sp.Issued())
+		}
+	}
+	return cs, cp, nil
+}
+
 func corpusSpecs(m, d1, d2, b2, cpus int) []sourceSpec {
 	cpu2 := 1
 	if cpu2 >= cpus {
@@ -174,27 +225,22 @@ func TestDifferentialKernelRun(t *testing.T) {
 
 // TestDifferentialKernelFindCycle demands identical cycle windows —
 // Lead, Length, per-port grants and conflict classification — and
-// therefore identical b_eff from both cycle detectors.
+// therefore identical b_eff from both cycle detectors, under the modulo
+// mapper and the row skew, and identical states after them.
 func TestDifferentialKernelFindCycle(t *testing.T) {
 	for _, tc := range kernelDiffCorpus {
 		for _, prio := range []PriorityRule{FixedPriority, CyclicPriority, RoundRobinPerCPU} {
 			tc, prio := tc, prio
 			t.Run(fmt.Sprintf("%s/%v", tc.name, prio), func(t *testing.T) {
 				cfg := Config{Banks: tc.m, BankBusy: tc.nc, Sections: tc.sections, CPUs: tc.cpus, Priority: prio}
-				scalar, packed := buildKernelPair(cfg, corpusSpecs(tc.m, tc.d1, tc.d2, tc.b2, tc.cpus))
-				cs, errS := scalar.FindCycle(1 << 22)
-				cp, errP := packed.FindCycle(1 << 22)
-				if (errS == nil) != (errP == nil) {
-					t.Fatalf("error mismatch: scalar %v packed %v", errS, errP)
-				}
-				if errS != nil {
-					return
-				}
-				if !reflect.DeepEqual(cs, cp) {
-					t.Fatalf("cycle windows diverge:\nscalar %+v\npacked %+v", cs, cp)
-				}
-				if bs, bp := cs.EffectiveBandwidth(), cp.EffectiveBandwidth(); bs != bp {
-					t.Fatalf("b_eff diverges: scalar %v packed %v", bs, bp)
+				for _, mapper := range diffMappers(tc.m) {
+					cs, cp, err := compareFindCycle(t, cfg, mapper, corpusSpecs(tc.m, tc.d1, tc.d2, tc.b2, tc.cpus), 1<<22)
+					if err != nil {
+						continue
+					}
+					if bs, bp := cs.EffectiveBandwidth(), cp.EffectiveBandwidth(); bs != bp {
+						t.Fatalf("%T: b_eff diverges: scalar %v packed %v", mapper, bs, bp)
+					}
 				}
 			})
 		}
@@ -204,9 +250,13 @@ func TestDifferentialKernelFindCycle(t *testing.T) {
 // TestDifferentialKernelRandom sweeps randomized (m, s, n_c, placement)
 // configurations through all three comparison modes with a fixed seed:
 // step by step, Run, and, when every stream is infinite, FindCycle over
-// two to four ports.
+// two to four ports under both diffMappers. Starts and distances are
+// drawn in [0, m) and then lifted by a multiple of m in [-2m, 2m] from
+// a second generator, so they arrive signed and unreduced and the
+// packed search's stride reduction is held to the oracle too.
 func TestDifferentialKernelRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(19850607))
+	lift := rand.New(rand.NewSource(19851985))
 	for trial := 0; trial < 60; trial++ {
 		m := rng.Intn(24) + 1
 		nc := rng.Intn(6) + 1
@@ -225,6 +275,8 @@ func TestDifferentialKernelRandom(t *testing.T) {
 		for i := 0; i < np; i++ {
 			cpu := rng.Intn(cfg.CPUs)
 			start, dist := int64(rng.Intn(m)), int64(rng.Intn(m))
+			start += int64(m) * int64(lift.Intn(5)-2)
+			dist += int64(m) * int64(lift.Intn(5)-2)
 			if rng.Intn(4) == 0 {
 				specs = append(specs, finiteSpec(cpu, start, dist, rng.Intn(60)+1))
 				periodic = false
@@ -244,14 +296,10 @@ func TestDifferentialKernelRandom(t *testing.T) {
 			if !periodic {
 				return
 			}
-			scalar, packed = buildKernelPair(cfg, specs)
-			cs, errS := scalar.FindCycle(1 << 20)
-			cp, errP := packed.FindCycle(1 << 20)
-			if errS != nil || errP != nil {
-				t.Fatalf("FindCycle errors: scalar %v packed %v", errS, errP)
-			}
-			if !reflect.DeepEqual(cs, cp) {
-				t.Fatalf("cycle windows diverge:\nscalar %+v\npacked %+v", cs, cp)
+			for _, mapper := range diffMappers(m) {
+				if _, _, err := compareFindCycle(t, cfg, mapper, specs, 1<<20); err != nil {
+					t.Fatalf("%T: FindCycle: %v", mapper, err)
+				}
 			}
 		})
 	}
@@ -261,7 +309,9 @@ func TestDifferentialKernelRandom(t *testing.T) {
 // space but, instead of structural invariants, checks the packed kernel
 // against the scalar oracle: identical per-clock grants and busy state
 // over a mixed finite/infinite schedule, then identical FindCycle
-// output on a fresh infinite-only pair.
+// output on a fresh infinite-only pair under both diffMappers. Starts
+// and distances are the raw bytes read as signed, unreduced int8s, so
+// they may be negative or at least m.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(uint8(16), uint8(4), uint8(4), uint8(1), uint8(6), uint8(3), uint8(0), false)
 	f.Add(uint8(12), uint8(3), uint8(3), uint8(1), uint8(1), uint8(1), uint8(1), false)
@@ -284,7 +334,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("constructed invalid config: %v", err)
 		}
-		d1, d2, b2 := int64(int(d1Raw)%m), int64(int(d2Raw)%m), int64(int(b2Raw)%m)
+		d1, d2, b2 := int64(int8(d1Raw)), int64(int8(d2Raw)), int64(int8(b2Raw))
 		specs := []sourceSpec{
 			infiniteSpec(0, 0, d1),
 			infiniteSpec(1, b2, d2),
@@ -293,14 +343,8 @@ func FuzzKernelEquivalence(f *testing.F) {
 		scalar, packed := buildKernelPair(cfg, specs)
 		stepCompare(t, scalar, packed, 300)
 
-		scalar, packed = buildKernelPair(cfg, specs[:2])
-		cs, errS := scalar.FindCycle(1 << 20)
-		cp, errP := packed.FindCycle(1 << 20)
-		if (errS == nil) != (errP == nil) {
-			t.Fatalf("FindCycle error mismatch: scalar %v packed %v", errS, errP)
-		}
-		if errS == nil && !reflect.DeepEqual(cs, cp) {
-			t.Fatalf("cycle windows diverge:\nscalar %+v\npacked %+v", cs, cp)
+		for _, mapper := range diffMappers(m) {
+			compareFindCycle(t, cfg, mapper, specs[:2], 1<<20)
 		}
 	})
 }

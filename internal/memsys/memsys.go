@@ -299,6 +299,7 @@ type System struct {
 
 	busy  []int   // per bank: remaining busy clocks (0 = idle)
 	owner []*Port // per bank: port currently being serviced (busy > 0)
+	secOf []int32 // per bank: its section under the configured mapping
 
 	// Per-clock scratch, stamped with the clock to avoid clearing.
 	bankStamp  []int64 // bank granted this clock
@@ -314,14 +315,16 @@ type System struct {
 	// Packed-kernel state (see kernel.go), allocated by SetKernel and
 	// unused while kernel == KernelScalar: the busy set as one bit per
 	// bank, the absolute clock at which each busy bank frees, the
-	// expiry event wheel (n_c+1 slots keyed by clock modulo the wheel
-	// length) and the wheel's drain cursor.
+	// expiry event wheel (a power of two of at least n_c+1 slots,
+	// indexed by the clock masked to the wheel length) and the wheel's
+	// drain cursor.
 	kernel  Kernel
 	words   []uint64
 	expiry  []int64
 	wheel   [][]int32
 	expired int64
 	states  recurrenceTable // FindCycle's visited states, kept across Reset
+	pending pendingBanks    // FindCycle's per-port pending banks, kept across Reset
 
 	// The ports AddStreams built without a listener, in the order it
 	// built them, and how many of them are attached since the last
@@ -350,6 +353,7 @@ func NewWithMapper(cfg Config, mapper BankMapper) *System {
 		mapper: mapper,
 		busy:   make([]int, cfg.Banks),
 		owner:  make([]*Port, cfg.Banks),
+		secOf:  make([]int32, cfg.Banks),
 
 		bankStamp:  make([]int64, cfg.Banks),
 		bankWinner: make([]*Port, cfg.Banks),
@@ -359,6 +363,13 @@ func NewWithMapper(cfg Config, mapper BankMapper) *System {
 	}
 	nc := cfg.cpus()
 	ns := cfg.sections()
+	for b := range s.secOf {
+		if cfg.Mapping == ConsecutiveSections {
+			s.secOf[b] = int32(b / (cfg.Banks / ns))
+		} else {
+			s.secOf[b] = int32(b % ns)
+		}
+	}
 	s.pathStamp = make([][]int64, nc)
 	s.pathWinner = make([][]*Port, nc)
 	for c := 0; c < nc; c++ {
@@ -439,14 +450,16 @@ func (s *System) Ports() []*Port { return s.ports }
 func (s *System) Clock() int64 { return s.clock }
 
 // Section returns the section of a bank under the configured mapping.
-func (s *System) Section(bank int) int {
-	ns := s.cfg.sections()
-	switch s.cfg.Mapping {
-	case ConsecutiveSections:
-		return bank / (s.cfg.Banks / ns)
-	default:
-		return bank % ns
+func (s *System) Section(bank int) int { return int(s.secOf[bank]) }
+
+// checkedBank maps a request's address to its bank through the mapper
+// and panics when the mapper leaves [0, m) (a programming error).
+func (s *System) checkedBank(addr int64) int {
+	bank := s.mapper.Bank(addr)
+	if bank < 0 || bank >= s.cfg.Banks {
+		panic(fmt.Sprintf("memsys: mapper produced bank %d out of [0,%d)", bank, s.cfg.Banks))
 	}
+	return bank
 }
 
 // BankBusy returns the remaining busy clocks of a bank (0 = idle).
@@ -475,7 +488,7 @@ func (s *System) BankOwner(bank int) *Port {
 // classified. It returns the number of requests granted this clock.
 func (s *System) Step() int {
 	if s.kernel == KernelPacked {
-		return s.stepPacked()
+		return s.stepPacked(nil)
 	}
 	t := s.clock
 	order := s.arbitrationOrder()
@@ -490,11 +503,8 @@ func (s *System) Step() int {
 			p.Count.Idle++
 			continue
 		}
-		bank := s.mapper.Bank(addr)
-		if bank < 0 || bank >= s.cfg.Banks {
-			panic(fmt.Sprintf("memsys: mapper produced bank %d out of [0,%d)", bank, s.cfg.Banks))
-		}
-		sec := s.Section(bank)
+		bank := s.checkedBank(addr)
+		sec := s.secOf[bank]
 
 		var kind ConflictKind
 		var blocker *Port

@@ -16,9 +16,11 @@
 # the paper-scale triple and 4-stream tables included.
 # Live probes close the run:
 # the default ivmsweep runs under the cyclic and rr-cpu priority rules
-# must exit 0 with nothing on stderr, and so must README's
-# ivmsweep -trace-out/-metrics-out command, which must write the
-# "sweep workers" timeline and an "engine" snapshot;
+# must exit 0 with nothing on stderr; ivmsweep -m 8 -nc 0 and -m 0 must
+# exit 2 with a usage error naming the flag and no goroutine trace;
+# README's ivmsweep -trace-out/-metrics-out command must exit 0 with
+# nothing on stderr and write the "sweep workers" timeline and an
+# "engine" snapshot;
 # ivmablate's default run (every study, including the policy campaign
 # that exits 1 on any cold/cached/warm mismatch) must exit 0;
 # EXPERIMENTS.md's two Fig. 10c–e ivmsim -csv-out commands must exit 0
@@ -144,6 +146,24 @@ for args in "-m 8 -nc 2 -priority cyclic" "-m 12 -s 3 -nc 3 -priority rr-cpu -ma
 	fi
 done
 echo "check.sh: quiet-default probe OK, cyclic and rr-cpu sweeps exit 0 with empty stderr"
+
+# Bad-geometry probe: an impossible memory geometry is a usage error
+# (exit 2) whose message names the flag, not a panic from a sweep
+# worker and not an empty table. A goroutine trace is matched by its
+# "goroutine N [" header, since the usage text's -workers line says
+# "goroutines" too.
+for probe in "-m 8 -nc 0|-nc" "-m 0|-m"; do
+	args="${probe%|*}" flagname="${probe#*|}"
+	code=0
+	# shellcheck disable=SC2086 # args is a word list
+	"$tmp/ivmsweep" $args > /dev/null 2> "$tmp/geom-stderr" || code=$?
+	if [ "$code" -ne 2 ] || ! grep -qF -- "$flagname wants" "$tmp/geom-stderr" || grep -qE '^panic:|goroutine [0-9]+ \[' "$tmp/geom-stderr"; then
+		echo "check.sh: ivmsweep $args exited $code; want 2 and a usage error naming $flagname:" >&2
+		cat "$tmp/geom-stderr" >&2
+		exit 1
+	fi
+done
+echo "check.sh: bad-geometry probe OK, ivmsweep -m 8 -nc 0 and -m 0 exit 2 naming the flag"
 
 # Sweep-observability probe: README's ivmsweep -trace-out/-metrics-out
 # command on a small grid exits 0 with empty stderr, writes the worker
