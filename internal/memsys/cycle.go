@@ -48,8 +48,8 @@ func (c Cycle) PortBandwidth(i int) rat.Rational {
 }
 
 // ErrNotPeriodic is returned by FindCycle when a source's future
-// behaviour is not a pure function of the hashed state (finite or
-// data-dependent sources).
+// behaviour is not a pure function of the hashed state: finite or
+// data-dependent sources, or a bank mapper other than ModuloMapper.
 var ErrNotPeriodic = errors.New("memsys: system contains non-periodic sources; cycle detection needs infinite strided streams")
 
 // ErrNoCycle is returned when no recurrence was found within maxClocks.
@@ -58,14 +58,28 @@ var ErrNoCycle = errors.New("memsys: no cyclic state found within clock budget")
 type periodicSource interface{ periodic() bool }
 
 // FindCycle simulates until the memory state recurs and returns the
-// cyclic steady state. All sources must be infinite strided streams.
-// The state hashed per clock is (bank busy remainders, per-port pending
-// bank, priority rotation) — everything that determines the future.
+// cyclic steady state. All sources must be infinite strided streams,
+// and the mapper must be ModuloMapper. The state hashed per clock is
+// (bank busy remainders, per-port pending bank, priority rotation):
+// under the modulo mapping, with each port's stride fixed, that is
+// everything that determines the future. Under any other mapper the
+// pending bank need not determine the next one, so a recurring state
+// would prove no period; FindCycle returns ErrNotPeriodic there.
 // maxClocks and the returned Lead are relative to the clock at the
-// call, so FindCycle behaves identically on a fresh system and on one
-// reused through Reset.
+// call, so FindCycle returns the same Cycle on a fresh system and on
+// one reused through Reset.
+//
+// On the packed kernel, a system reused through Reset keeps the states
+// its earlier searches recorded while the port count and each port's
+// CPU and stride mod m stay the same (docs/KERNEL.md, "Shared
+// recurrence graph"). A search that reaches one of them stops there,
+// possibly before clock start + Lead + Length, so the state a search
+// leaves the system in is unspecified; only the returned Cycle is.
 func (s *System) FindCycle(maxClocks int64) (Cycle, error) {
 	start := s.clock
+	if _, ok := s.mapper.(ModuloMapper); !ok {
+		return Cycle{}, fmt.Errorf("%w (mapper %T)", ErrNotPeriodic, s.mapper)
+	}
 	for _, p := range s.ports {
 		ps, ok := p.Src.(periodicSource)
 		if !ok || !ps.periodic() {

@@ -48,22 +48,27 @@ func FuzzSimulatorInvariants(f *testing.F) {
 }
 
 // FuzzFindCycle checks that cycle detection always terminates with a
-// consistent cycle on two infinite streams.
+// consistent cycle on two infinite streams, one the key-free oracle
+// accepts.
 func FuzzFindCycle(f *testing.F) {
 	f.Add(uint8(13), uint8(6), uint8(1), uint8(6), uint8(0))
 	f.Add(uint8(16), uint8(4), uint8(1), uint8(2), uint8(5))
 	f.Fuzz(func(t *testing.T, mRaw, ncRaw, d1Raw, d2Raw, b2Raw uint8) {
 		m := int(mRaw%20) + 1
 		nc := int(ncRaw%5) + 1
-		sys := New(Config{Banks: m, BankBusy: nc, CPUs: 2})
-		sys.AddPort(0, "1", NewInfiniteStrided(0, int64(int(d1Raw)%m)))
-		sys.AddPort(1, "2", NewInfiniteStrided(int64(int(b2Raw)%m), int64(int(d2Raw)%m)))
-		c, err := sys.FindCycle(1 << 22)
+		build := func() *System {
+			sys := New(Config{Banks: m, BankBusy: nc, CPUs: 2})
+			sys.AddPort(0, "1", NewInfiniteStrided(0, int64(int(d1Raw)%m)))
+			sys.AddPort(1, "2", NewInfiniteStrided(int64(int(b2Raw)%m), int64(int(d2Raw)%m)))
+			return sys
+		}
+		c, err := build().FindCycle(1 << 22)
 		if err != nil {
 			t.Fatalf("no cycle: %v", err)
 		}
 		if c.Length <= 0 || c.TotalGrants() < 0 || c.TotalGrants() > 2*c.Length {
 			t.Fatalf("inconsistent cycle %+v", c)
 		}
+		checkCycleByRun(t, build(), c)
 	})
 }

@@ -207,7 +207,7 @@ func (s *System) stepPacked(pb *pendingBanks) int {
 			s.pathWinner[p.CPU][sec] = p
 			p.Src.Grant(t)
 			if pb != nil {
-				pb.advance(s, p, t+1)
+				pb.advance(s, p)
 			}
 			p.Count.Grants++
 			granted++
@@ -310,28 +310,33 @@ func (s *System) blockedStretch(end int64) int64 {
 // once, so the key length tracks the port count, not the bank count; the
 // two encodings are injective on the same state space, so the recurrence
 // is found at the same clock and the returned window is identical to the
-// scalar kernel's. The visited states go into the system's recurrence
-// table, so a system reused through Reset searches without allocating.
-// Each port's pending bank is resolved through the mapper once, at
-// entry; the key and the arbitration loop then share the pending-bank
-// vector, which a grant advances (see pendingBanks).
+// scalar kernel's. Each port's pending bank is resolved through the
+// mapper once, at entry; the key and the arbitration loop then share
+// the pending-bank vector, which a grant advances (see pendingBanks).
+//
+// The visited states go into the system's recurrence table, which
+// outlives the search: while the search geometry stays the same, a
+// later search stops at the first state any earlier one recorded and
+// reads its cycle from the table (see recurrenceTable). A listener
+// sees the whole search, so a search with one attached starts from an
+// empty table.
 func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
 	np := len(s.ports)
 	t := &s.states
-	t.reset(np)
 	pb := &s.pending
-	pb.load(s)
+	t.begin(np, pb.load(s) || s.listener != nil)
 
 	for s.clock < start+maxClocks {
 		s.expireTo(s.clock)
 		// The key is appended straight onto the arena: insert keeps it
-		// there, and a recurrence ends the search before anything else
-		// is appended. Its words are rr, then each port's pending bank
-		// (every port of a periodic source always has one), then
-		// bank<<32 | remaining clocks per busy bank in ascending bank
-		// order. Both halves of a busy word fit in 32 bits: the wheel
-		// holds banks as int32, and a bank stays busy for at most n_c
-		// clocks, fewer than the wheel's slots.
+		// there, and a recurrence takes it off again, because the table
+		// outlives the search and a state's key starts where the
+		// previous state's ended. Its words are rr, then each port's
+		// pending bank (every port of a periodic source always has
+		// one), then bank<<32 | remaining clocks per busy bank in
+		// ascending bank order. Both halves of a busy word fit in 32
+		// bits: the wheel holds banks as int32, and a bank stays busy
+		// for at most n_c clocks, fewer than the wheel's slots.
 		from := len(t.arena)
 		key := append(t.arena, uint64(s.rr))
 		h := mixWord(0, uint64(s.rr))
@@ -353,24 +358,20 @@ func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
 		h = finishHash(h)
 		prev, slot := t.lookup(h, key)
 		if prev >= 0 {
-			c := Cycle{
-				Lead:      int64(prev),
-				Length:    s.clock - start - int64(prev),
-				Grants:    make([]int64, np),
-				Conflicts: make([]Counters, np),
+			t.arena = t.arena[:from]
+			cyc, lead := t.finish(prev, s.ports)
+			length := t.lengths[cyc]
+			if lead+length >= maxClocks {
+				// A fresh search would not have come back to the
+				// cycle's first state within the budget.
+				return Cycle{}, ErrNoCycle
 			}
-			was := t.counts[int(prev)*stateStride*np:]
-			for i, p := range s.ports {
+			c := Cycle{Lead: lead, Length: length, Grants: make([]int64, np), Conflicts: make([]Counters, np)}
+			per := t.periods[int(cyc)*stateStride*np:]
+			for i := range c.Grants {
 				j := stateStride * i
-				cur := p.Count
-				c.Grants[i] = since(cur.Grants, was[j])
-				c.Conflicts[i] = Counters{
-					Grants:       since(cur.Grants, was[j]),
-					Bank:         since(cur.Bank, was[j+1]),
-					Simultaneous: since(cur.Simultaneous, was[j+2]),
-					Section:      since(cur.Section, was[j+3]),
-					Idle:         since(cur.Idle, was[j+4]),
-				}
+				c.Grants[i] = per[j]
+				c.Conflicts[i] = Counters{Grants: per[j], Bank: per[j+1], Simultaneous: per[j+2], Section: per[j+3], Idle: per[j+4]}
 			}
 			return c, nil
 		}
@@ -388,53 +389,51 @@ func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
 // pendingBanks holds every port's pending request as a bank for one
 // packed FindCycle search, indexed by port ID. The state key and the
 // arbitration loop both read it, so a searched clock maps no address
-// and, under ModuloMapper, divides nothing. Sharing it is sound only
-// inside FindCycle: FindCycle admits only periodic sources (infinite
-// *StridedSource), whose request is always pending, is a pure function
-// of Addr, and changes only when Grant advances Addr, so the vector
-// changes only where stepPacked advances it. Step keeps asking each
-// source on demand, because a source such as machine's memPort may
-// change its request within a clock. The System keeps the vector
-// across Reset, so a reused search does not allocate it.
+// and divides nothing. Sharing it is sound only inside FindCycle:
+// FindCycle admits only periodic sources (infinite *StridedSource)
+// under ModuloMapper, whose request is always pending, is a pure
+// function of Addr, and changes only when Grant advances Addr, so the
+// vector changes only where stepPacked advances it. Step keeps asking
+// each source on demand, because a source such as machine's memPort
+// may change its request within a clock. The System keeps the vector
+// across Reset, so a reused search does not allocate it, and the
+// strides and CPUs it holds are the geometry the next load compares
+// against.
 type pendingBanks struct {
 	bank []int32 // per port: the bank of its pending request
-	step []int32 // per port, under ModuloMapper: its stride reduced mod m
-	// modulo reports that the mapper is ModuloMapper, so a grant
-	// advances bank by step with a compare-and-subtract.
-	modulo bool
+	step []int32 // per port: its stride reduced mod m
+	cpu  []int32 // per port: its CPU
 }
 
-// load resolves each port's pending request to its bank through the
-// mapper, panicking on a bank outside [0, m) as Step does, and under
-// ModuloMapper reduces each source's stride mod m.
-func (pb *pendingBanks) load(s *System) {
+// load resolves each port's pending request to its bank, panicking on
+// a bank outside [0, m) as Step does, and reduces each source's stride
+// mod m. It reports whether the search geometry — the port count and
+// each port's CPU and reduced stride — differs from the previous
+// load's.
+func (pb *pendingBanks) load(s *System) (changed bool) {
 	np := len(s.ports)
+	changed = np != len(pb.bank)
 	if cap(pb.bank) < np {
-		buf := make([]int32, 2*np)
-		pb.bank, pb.step = buf[:np:np], buf[np:]
+		buf := make([]int32, 3*np)
+		pb.bank, pb.step, pb.cpu = buf[:np:np], buf[np:2*np:2*np], buf[2*np:]
 	}
-	pb.bank, pb.step = pb.bank[:np], pb.step[:np]
-	mm, modulo := s.mapper.(ModuloMapper)
-	pb.modulo = modulo
+	pb.bank, pb.step, pb.cpu = pb.bank[:np], pb.step[:np], pb.cpu[:np]
+	mm := ModuloMapper{M: s.cfg.Banks}
 	for i, p := range s.ports {
 		addr, _ := p.Src.Pending(s.clock)
 		pb.bank[i] = int32(s.checkedBank(addr))
-		if modulo {
-			pb.step[i] = int32(mm.Bank(p.Src.(*StridedSource).Stride))
+		step, cpu := int32(mm.Bank(p.Src.(*StridedSource).Stride)), int32(p.CPU)
+		if step != pb.step[i] || cpu != pb.cpu[i] {
+			changed = true
 		}
+		pb.step[i], pb.cpu[i] = step, cpu
 	}
+	return changed
 }
 
-// advance moves a granted port's pending bank on to its source's next
-// request, pending from clock next: by the reduced stride under
-// ModuloMapper (bank + step < 2m, so one subtraction reduces it), and
-// through the mapper otherwise.
-func (pb *pendingBanks) advance(s *System, p *Port, next int64) {
-	if !pb.modulo {
-		addr, _ := p.Src.Pending(next)
-		pb.bank[p.ID] = int32(s.checkedBank(addr))
-		return
-	}
+// advance moves a granted port's pending bank on by its reduced stride;
+// bank + step < 2m, so one subtraction reduces it.
+func (pb *pendingBanks) advance(s *System, p *Port) {
 	b := int(pb.bank[p.ID]) + int(pb.step[p.ID])
 	if b >= s.cfg.Banks {
 		b -= s.cfg.Banks
@@ -469,20 +468,29 @@ const stateStride = 5
 // keep that below 2^31.
 func since(cur int64, was uint32) int64 { return int64(uint32(cur) - was) }
 
-// keptStates bounds the states a recurrence table keeps its storage
-// for: a search that visited more releases the table at the next
-// reset, so one long search neither pins its memory on a reused
-// system nor makes every later reset clear a slot array sized for it.
+// keptStates bounds the states a recurrence table shares between
+// searches and keeps its storage for: once it holds more, the next
+// search starts from an empty table and gives the storage up, so one
+// long search neither pins its memory on a reused system nor makes
+// every later search clear a slot array sized for it.
 const keptStates = 1 << 12
 
-// recurrenceTable records the states one packed FindCycle search has
-// visited. State i is the state at clock start+i (the search advances
-// one clock per state), so the table stores no clocks:
-//   - its key is arena[keyEnd[i-1]:keyEnd[i]] (from 0 for i = 0);
-//   - hashes[i] is its key's hash (mixWord over its words, then
-//     finishHash);
-//   - its port counters, modulo 2^32 (see since), are
-//     counts[i·stride·p : (i+1)·stride·p].
+// recurrenceTable records the states the packed FindCycle searches of
+// one geometry have visited, and for each the cycle it leads into.
+// State i's key is arena[keyEnd[i-1]:keyEnd[i]] (from 0 for i = 0),
+// and hashes[i] is its key's hash (mixWord over its words, then
+// finishHash). The running search's states are base, base+1, …: its
+// state base+i is the state at clock start+i (the search advances one
+// clock per state), so the table stores no clocks, and its port
+// counters, modulo 2^32 (see since), are counts[i·stride·p :
+// (i+1)·stride·p].
+//
+// A finished search's states stay, each with exits[i], the cycle it
+// leads into and the clocks from it to that cycle (0 for a state on
+// the cycle). Cycle c has period lengths[c] and per-port
+// counters over one period periods[c·stride·p : (c+1)·stride·p], in
+// the order of counts. Every state of a recorded cycle is in the
+// table, because the search that found the cycle walked it whole.
 //
 // slots is an open-addressed index over the states: a power-of-two
 // array holding state+1, or 0 for an empty slot, probed linearly from
@@ -490,36 +498,90 @@ const keptStates = 1 << 12
 // and then the full key words of each state on its probe run, so a
 // hash collision between two different states is never taken for a
 // recurrence. The slot array doubles at load ½, re-filed from the
-// stored hashes. The System keeps its table across Reset; reset
-// truncates it, so a reused system appends into the storage the
-// previous search grew.
+// stored hashes. The System keeps its table across Reset; begin
+// empties it only when its states may not be shared, and keeps the
+// storage, so a reused system appends into what earlier searches grew.
 type recurrenceTable struct {
 	slots  []int32
 	hashes []uint64
 	keyEnd []int
 	arena  []uint64
 	counts []uint32
+	base   int32
+
+	exits   []stateExit
+	lengths []int64
+	periods []int64
 }
 
-// reset empties the table for a search over np ports, keeping its
-// storage unless the previous search outgrew keptStates.
-func (t *recurrenceTable) reset(np int) {
-	if t.slots == nil || len(t.hashes) > keptStates {
-		// A census search visits about 62 states on average, and a key
-		// takes one word per port, one for rr and one per busy bank.
+// stateExit is where a recorded state leads: the cycle it enters, and
+// the clocks it takes to enter it.
+type stateExit struct{ cycle, dist int32 }
+
+// begin starts a search over np ports. It empties the table first when
+// fresh is set, when the table outgrew keptStates, or when the last
+// search ended without a cycle, since that search's states then lead
+// nowhere the table knows. It keeps the storage unless the table
+// outgrew keptStates.
+func (t *recurrenceTable) begin(np int, fresh bool) {
+	switch {
+	case t.slots == nil || len(t.hashes) > keptStates:
+		// A census search from an empty table visits about 62 states on
+		// average, and a key takes one word per port, one for rr and one
+		// per busy bank.
 		const hint = 64
-		t.slots = make([]int32, 2*hint)
-		t.hashes = make([]uint64, 0, hint)
-		t.keyEnd = make([]int, 0, hint)
-		t.arena = make([]uint64, 0, hint*(1+2*np))
-		t.counts = make([]uint32, 0, hint*stateStride*np)
-		return
+		*t = recurrenceTable{
+			slots:  make([]int32, 2*hint),
+			hashes: make([]uint64, 0, hint),
+			keyEnd: make([]int, 0, hint),
+			arena:  make([]uint64, 0, hint*(1+2*np)),
+			counts: make([]uint32, 0, hint*stateStride*np),
+		}
+	case fresh || len(t.exits) != len(t.hashes):
+		clear(t.slots)
+		t.hashes = t.hashes[:0]
+		t.keyEnd = t.keyEnd[:0]
+		t.arena = t.arena[:0]
+		t.exits = t.exits[:0]
+		t.lengths, t.periods = t.lengths[:0], t.periods[:0]
 	}
-	clear(t.slots)
-	t.hashes = t.hashes[:0]
-	t.keyEnd = t.keyEnd[:0]
-	t.arena = t.arena[:0]
+	t.base = int32(len(t.hashes))
 	t.counts = t.counts[:0]
+}
+
+// finish ends the running search at its first recorded state, prev,
+// with the ports' counters as they stand at the hit, and returns the
+// cycle the search leads into and its lead. A hit on the search's own
+// state base+j closes a new cycle through its states from base+j on,
+// with lead j and the counters since that state; a hit k clocks in on
+// an earlier search's state joins that state's cycle with lead
+// k + its distance to the cycle. Either way the search's states are
+// filed with their exits.
+func (t *recurrenceTable) finish(prev int32, ports []*Port) (cyc int32, lead int64) {
+	end := int32(len(t.hashes))
+	t.exits = slices.Grow(t.exits, int(end-t.base))
+	if prev < t.base {
+		e := t.exits[prev]
+		for i := t.base; i < end; i++ {
+			t.exits = append(t.exits, stateExit{e.cycle, end - i + e.dist})
+		}
+		return e.cycle, int64(end - t.base + e.dist)
+	}
+	cyc = int32(len(t.lengths))
+	t.lengths = append(t.lengths, int64(end-prev))
+	was := t.counts[int(prev-t.base)*stateStride*len(ports):]
+	t.periods = slices.Grow(t.periods, stateStride*len(ports))
+	for i, p := range ports {
+		j := stateStride * i
+		c := p.Count
+		t.periods = append(t.periods,
+			since(c.Grants, was[j]), since(c.Bank, was[j+1]), since(c.Simultaneous, was[j+2]),
+			since(c.Section, was[j+3]), since(c.Idle, was[j+4]))
+	}
+	for i := t.base; i < end; i++ {
+		t.exits = append(t.exits, stateExit{cyc, max(prev-i, 0)})
+	}
+	return cyc, int64(prev - t.base)
 }
 
 // lookup returns the recorded state whose key equals key, or -1 and the

@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -123,49 +124,69 @@ func stepCompare(t *testing.T, scalar, packed *System, steps int) {
 
 // rowSkew is a test-local mapper that is not ModuloMapper: row r of m
 // consecutive addresses is rotated by r, bank = (addr + addr/m) mod m.
-// Under it the packed FindCycle advances a granted port's pending bank
-// through the mapper rather than by the reduced stride. A skew can make
-// the recurrence FindCycle finds something other than a true period,
-// since the bank no longer determines the next one, but both kernels
-// must still find the same one.
+// Under it the pending bank no longer determines the next one, so
+// FindCycle must refuse it (TestFindCycleRejectsNonModuloMapper); Step
+// and Run hold for any mapper, and the differential stepping
+// comparisons run under it too.
 type rowSkew struct{ m int }
 
 func (r rowSkew) Bank(addr int64) int { return ModuloMapper{M: r.m}.Bank(addr + addr/int64(r.m)) }
 func (r rowSkew) Banks() int          { return r.m }
 
-// diffMappers are the mappers every differential FindCycle comparison
-// runs under.
+// diffMappers are the mappers every differential Step and Run
+// comparison runs under.
 func diffMappers(m int) []BankMapper { return []BankMapper{ModuloMapper{M: m}, rowSkew{m}} }
 
-// compareFindCycle runs FindCycle on a fresh scalar/packed pair under
-// mapper and demands identical cycle windows. It then steps both on
-// with stepCompare and demands that every source stands at the same
-// address with the same issue count, so the state the packed search
-// leaves behind is the scalar search's. err is the scalar search's
-// error; the packed one must fail alike.
-func compareFindCycle(t *testing.T, cfg Config, mapper BankMapper, specs []sourceSpec, budget int64) (cs, cp Cycle, err error) {
+// compareFindCycle runs FindCycle on a fresh scalar/packed pair and
+// demands identical cycle windows, which the key-free oracle
+// (checkCycleByRun) must accept on a twin scalar system. It then steps
+// both on with stepCompare and demands that every source stands at the
+// same address with the same issue count, so the state the packed
+// search leaves behind on a fresh system is the scalar search's. err
+// is the scalar search's error; the packed one must fail alike.
+func compareFindCycle(t *testing.T, cfg Config, specs []sourceSpec, budget int64) (cs, cp Cycle, err error) {
 	t.Helper()
-	scalar, packed := buildMappedPair(cfg, mapper, specs)
+	scalar, packed := buildKernelPair(cfg, specs)
 	cs, errS := scalar.FindCycle(budget)
 	cp, errP := packed.FindCycle(budget)
 	if (errS == nil) != (errP == nil) {
-		t.Fatalf("%T: FindCycle error mismatch: scalar %v packed %v", mapper, errS, errP)
+		t.Fatalf("FindCycle error mismatch: scalar %v packed %v", errS, errP)
 	}
 	if errS != nil {
 		return cs, cp, errS
 	}
 	if !reflect.DeepEqual(cs, cp) {
-		t.Fatalf("%T: cycle windows diverge:\nscalar %+v\npacked %+v", mapper, cs, cp)
+		t.Fatalf("cycle windows diverge:\nscalar %+v\npacked %+v", cs, cp)
 	}
+	twin, _ := buildKernelPair(cfg, specs)
+	checkCycleByRun(t, twin, cs)
 	stepCompare(t, scalar, packed, 300)
 	for i, port := range scalar.Ports() {
 		ss, sp := port.Src.(*StridedSource), packed.Ports()[i].Src.(*StridedSource)
 		if ss.Addr != sp.Addr || ss.Issued() != sp.Issued() {
-			t.Fatalf("%T port %d: scalar source at %d after %d grants, packed at %d after %d",
-				mapper, i, ss.Addr, ss.Issued(), sp.Addr, sp.Issued())
+			t.Fatalf("port %d: scalar source at %d after %d grants, packed at %d after %d",
+				i, ss.Addr, ss.Issued(), sp.Addr, sp.Issued())
 		}
 	}
 	return cs, cp, nil
+}
+
+// TestFindCycleRejectsNonModuloMapper: under a mapper other than
+// ModuloMapper the state key does not determine the future, so both
+// kernels refuse the search with ErrNotPeriodic instead of returning a
+// recurrence that is no period. Under the row skew with one stream,
+// n_c = 2, m = 2 and d = 3, the first recurring key gives b_eff 1/2
+// where a long Run averages 2/3.
+func TestFindCycleRejectsNonModuloMapper(t *testing.T) {
+	cfg := Config{Banks: 2, BankBusy: 2}
+	for _, k := range []Kernel{KernelScalar, KernelPacked} {
+		sys := NewWithMapper(cfg, rowSkew{2})
+		sys.SetKernel(k)
+		sys.AddStreams(StreamSpec{Distance: 3})
+		if _, err := sys.FindCycle(1 << 20); !errors.Is(err, ErrNotPeriodic) {
+			t.Errorf("%v kernel: FindCycle under the row skew returned %v, want ErrNotPeriodic", k, err)
+		}
+	}
 }
 
 func corpusSpecs(m, d1, d2, b2, cpus int) []sourceSpec {
@@ -225,22 +246,20 @@ func TestDifferentialKernelRun(t *testing.T) {
 
 // TestDifferentialKernelFindCycle demands identical cycle windows —
 // Lead, Length, per-port grants and conflict classification — and
-// therefore identical b_eff from both cycle detectors, under the modulo
-// mapper and the row skew, and identical states after them.
+// therefore identical b_eff from both cycle detectors, a cycle the
+// key-free oracle accepts, and identical states after them.
 func TestDifferentialKernelFindCycle(t *testing.T) {
 	for _, tc := range kernelDiffCorpus {
 		for _, prio := range []PriorityRule{FixedPriority, CyclicPriority, RoundRobinPerCPU} {
 			tc, prio := tc, prio
 			t.Run(fmt.Sprintf("%s/%v", tc.name, prio), func(t *testing.T) {
 				cfg := Config{Banks: tc.m, BankBusy: tc.nc, Sections: tc.sections, CPUs: tc.cpus, Priority: prio}
-				for _, mapper := range diffMappers(tc.m) {
-					cs, cp, err := compareFindCycle(t, cfg, mapper, corpusSpecs(tc.m, tc.d1, tc.d2, tc.b2, tc.cpus), 1<<22)
-					if err != nil {
-						continue
-					}
-					if bs, bp := cs.EffectiveBandwidth(), cp.EffectiveBandwidth(); bs != bp {
-						t.Fatalf("%T: b_eff diverges: scalar %v packed %v", mapper, bs, bp)
-					}
+				cs, cp, err := compareFindCycle(t, cfg, corpusSpecs(tc.m, tc.d1, tc.d2, tc.b2, tc.cpus), 1<<22)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bs, bp := cs.EffectiveBandwidth(), cp.EffectiveBandwidth(); bs != bp {
+					t.Fatalf("b_eff diverges: scalar %v packed %v", bs, bp)
 				}
 			})
 		}
@@ -249,8 +268,8 @@ func TestDifferentialKernelFindCycle(t *testing.T) {
 
 // TestDifferentialKernelRandom sweeps randomized (m, s, n_c, placement)
 // configurations through all three comparison modes with a fixed seed:
-// step by step, Run, and, when every stream is infinite, FindCycle over
-// two to four ports under both diffMappers. Starts and distances are
+// step by step and Run under both diffMappers, and, when every stream
+// is infinite, FindCycle over two to four ports. Starts and distances are
 // drawn in [0, m) and then lifted by a multiple of m in [-2m, 2m] from
 // a second generator, so they arrive signed and unreduced and the
 // packed search's stride reduction is held to the oracle too.
@@ -286,20 +305,20 @@ func TestDifferentialKernelRandom(t *testing.T) {
 		}
 		name := fmt.Sprintf("trial%02d_m%d_s%d_nc%d", trial, m, s, nc)
 		t.Run(name, func(t *testing.T) {
-			scalar, packed := buildKernelPair(cfg, specs)
-			stepCompare(t, scalar, packed, 200)
-			// Fresh pair for the skip-ahead Run path.
-			scalar, packed = buildKernelPair(cfg, specs)
-			if gs, gp := scalar.Run(3000), packed.Run(3000); gs != gp {
-				t.Fatalf("Run totals diverge: scalar %d packed %d", gs, gp)
+			for _, mapper := range diffMappers(m) {
+				scalar, packed := buildMappedPair(cfg, mapper, specs)
+				stepCompare(t, scalar, packed, 200)
+				// Fresh pair for the skip-ahead Run path.
+				scalar, packed = buildMappedPair(cfg, mapper, specs)
+				if gs, gp := scalar.Run(3000), packed.Run(3000); gs != gp {
+					t.Fatalf("%T: Run totals diverge: scalar %d packed %d", mapper, gs, gp)
+				}
 			}
 			if !periodic {
 				return
 			}
-			for _, mapper := range diffMappers(m) {
-				if _, _, err := compareFindCycle(t, cfg, mapper, specs, 1<<20); err != nil {
-					t.Fatalf("%T: FindCycle: %v", mapper, err)
-				}
+			if _, _, err := compareFindCycle(t, cfg, specs, 1<<20); err != nil {
+				t.Fatalf("FindCycle: %v", err)
 			}
 		})
 	}
@@ -308,10 +327,11 @@ func TestDifferentialKernelRandom(t *testing.T) {
 // FuzzKernelEquivalence mirrors FuzzSimulatorInvariants' configuration
 // space but, instead of structural invariants, checks the packed kernel
 // against the scalar oracle: identical per-clock grants and busy state
-// over a mixed finite/infinite schedule, then identical FindCycle
-// output on a fresh infinite-only pair under both diffMappers. Starts
-// and distances are the raw bytes read as signed, unreduced int8s, so
-// they may be negative or at least m.
+// over a mixed finite/infinite schedule under both diffMappers, then
+// identical FindCycle output, which the key-free oracle must accept, on
+// a fresh infinite-only pair. Starts and distances are the raw bytes
+// read as signed, unreduced int8s, so they may be negative or at least
+// m.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(uint8(16), uint8(4), uint8(4), uint8(1), uint8(6), uint8(3), uint8(0), false)
 	f.Add(uint8(12), uint8(3), uint8(3), uint8(1), uint8(1), uint8(1), uint8(1), false)
@@ -340,11 +360,10 @@ func FuzzKernelEquivalence(f *testing.F) {
 			infiniteSpec(1, b2, d2),
 			finiteSpec(0, 2, 1, 40),
 		}
-		scalar, packed := buildKernelPair(cfg, specs)
-		stepCompare(t, scalar, packed, 300)
-
 		for _, mapper := range diffMappers(m) {
-			compareFindCycle(t, cfg, mapper, specs[:2], 1<<20)
+			scalar, packed := buildMappedPair(cfg, mapper, specs)
+			stepCompare(t, scalar, packed, 300)
 		}
+		compareFindCycle(t, cfg, specs[:2], 1<<20)
 	})
 }

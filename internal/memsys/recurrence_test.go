@@ -153,7 +153,7 @@ func TestFindCyclePackedLongSearch(t *testing.T) {
 // none and name an empty slot.
 func TestRecurrenceTableProbe(t *testing.T) {
 	var tab recurrenceTable
-	tab.reset(2)
+	tab.begin(2, true)
 	initial := len(tab.slots)
 	// The home slot is the second-last before the table grows and
 	// after it doubles once.
@@ -214,7 +214,10 @@ var quadPlacement = []StreamSpec{
 // BenchmarkFindCyclePacked times the packed search over the three
 // searchPlacements and quadPlacement per op. fresh builds a new System
 // per search, as a cold oracle or a single served miss does; reused
-// resets one System per placement, as a sweep worker does.
+// resets one System per placement and searches it again. A repeated
+// placement on a reused system is a warm-table hit: its first state is
+// one the previous op recorded, so reused times the hit path, not the
+// walk. BenchmarkFindCycleItem times the walk on a reused system.
 func BenchmarkFindCyclePacked(b *testing.B) {
 	search := func(sys *System) {
 		if _, err := sys.FindCycle(1 << 20); err != nil {
@@ -254,4 +257,47 @@ func BenchmarkFindCyclePacked(b *testing.B) {
 			search(quad)
 		}
 	})
+}
+
+// BenchmarkFindCycleItem times the packed searches of two census work
+// items per op: every placement of a (13, 4) triple row and of an
+// (8, 2, 4) 4-stream row (tripleRow and stream4Row). shared searches
+// an item's placements on one System, as a sweep worker does, so each
+// search stops at the first state an earlier one recorded; fresh builds
+// a System per placement, as the cold oracle does. states/search is
+// the states a search steps and records.
+func BenchmarkFindCycleItem(b *testing.B) {
+	rows := []censusRow{tripleRow, stream4Row}
+	items := make([][][]StreamSpec, len(rows))
+	for i, r := range rows {
+		items[i] = r.placements()
+	}
+	for _, shared := range []bool{true, false} {
+		name := "fresh"
+		if shared {
+			name = "shared"
+		}
+		b.Run(name, func(b *testing.B) {
+			var states, searches int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j, r := range rows {
+					var sys *System
+					for _, p := range items[j] {
+						if sys == nil || !shared {
+							sys = New(r.cfg)
+							sys.SetKernel(KernelPacked)
+						}
+						_, clocks, err := reusedSearch(sys, p, 1<<20)
+						if err != nil {
+							b.Fatal(err)
+						}
+						states += clocks
+						searches++
+					}
+				}
+			}
+			b.ReportMetric(float64(states)/float64(searches), "states/search")
+		})
+	}
 }

@@ -65,8 +65,9 @@ func (s *StridedSource) Done() bool { return s.Remaining == 0 }
 // Issued returns how many requests have been granted so far.
 func (s *StridedSource) Issued() int64 { return s.issued }
 
-// periodic marks the source as safe for state-hash cycle detection: its
-// future bank sequence is a pure function of the pending bank.
+// periodic marks the source as safe for state-hash cycle detection:
+// under ModuloMapper, its future bank sequence is a pure function of
+// the pending bank.
 func (s *StridedSource) periodic() bool { return s.Remaining < 0 }
 
 // IdleSource never issues; useful as a placeholder port.

@@ -16,7 +16,9 @@
 # the paper-scale triple and 4-stream tables included.
 # Live probes close the run:
 # the default ivmsweep runs under the cyclic and rr-cpu priority rules
-# must exit 0 with nothing on stderr; ivmsweep -m 8 -nc 0 and -m 0 must
+# must exit 0 with nothing on stderr; ivmsweep -triples -m 13 -nc 4
+# -full must print byte-identical tables at -workers 1 and 2, with and
+# without the cache; ivmsweep -m 8 -nc 0 and -m 0 must
 # exit 2 with a usage error naming the flag and no goroutine trace;
 # README's ivmsweep -trace-out/-metrics-out command must exit 0 with
 # nothing on stderr and write the "sweep workers" timeline and an
@@ -146,6 +148,43 @@ for args in "-m 8 -nc 2 -priority cyclic" "-m 12 -s 3 -nc 3 -priority rr-cpu -ma
 	fi
 done
 echo "check.sh: quiet-default probe OK, cyclic and rr-cpu sweeps exit 0 with empty stderr"
+
+# Worker-count determinism probe: a sweep worker's simulator keeps the
+# states its searches recorded and stops a later search at the first
+# one it meets, so what a worker has recorded depends on which
+# placements the scheduler gave it; the answers must not. The (13, 4)
+# triple grid must print byte-identical tables at -workers 1 and 2,
+# with the cache at its default size (-cache 0) and with -cache -1,
+# where every placement is
+# simulated itself rather than its canonical representative, and the
+# two must agree. The cached runs' engine counter footer is left out:
+# two workers may both miss on one key. With -cache -1 the footer is
+# compared too, and its clocks simulated must be the sum of Lead +
+# Length over the grid's 76895 placements as fresh searches find them.
+for cache in 0 -1; do
+	for w in 1 2; do
+		if ! "$tmp/ivmsweep" -triples -m 13 -nc 4 -full -workers "$w" -cache "$cache" > "$tmp/triples-$cache-w$w.txt" 2> "$tmp/triples-stderr"; then
+			echo "check.sh: ivmsweep -triples -m 13 -nc 4 -full -workers $w -cache $cache failed:" >&2
+			cat "$tmp/triples-stderr" >&2
+			exit 1
+		fi
+		sed '/^engine counter/,$d' "$tmp/triples-$cache-w$w.txt" > "$tmp/triples-$cache-w$w.table"
+	done
+done
+for pair in "0-w1.table 0-w2.table" "-1-w1.txt -1-w2.txt" "0-w1.table -1-w1.table"; do
+	read -r a b <<< "$pair"
+	if ! cmp -s "$tmp/triples-$a" "$tmp/triples-$b"; then
+		echo "check.sh: ivmsweep -triples -m 13 -nc 4 -full output differs between runs $a and $b (cache-workers):" >&2
+		diff "$tmp/triples-$a" "$tmp/triples-$b" | head -20 >&2
+		exit 1
+	fi
+done
+if ! grep -qx 'steps simulated *12464128 *' "$tmp/triples--1-w1.txt"; then
+	echo "check.sh: ivmsweep -triples -m 13 -nc 4 -full -cache -1 simulated other clocks than fresh searches do:" >&2
+	grep '^steps simulated' "$tmp/triples--1-w1.txt" >&2
+	exit 1
+fi
+echo "check.sh: worker-count determinism probe OK, (13, 4) triple tables identical at -workers 1 and 2, cached and uncached"
 
 # Bad-geometry probe: an impossible memory geometry is a usage error
 # (exit 2) whose message names the flag, not a panic from a sweep
