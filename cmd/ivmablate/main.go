@@ -31,6 +31,11 @@ func main() {
 	workers := flag.Int("workers", 0, "sweep worker goroutines for the policies study; 0 selects GOMAXPROCS")
 	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
+	if err := validateAblateFlags(*n, *maxInc); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	stop, err := prof.Start()
 	if err != nil {
@@ -70,6 +75,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// validateAblateFlags rejects a vector length or increment range that
+// leaves the multitask, skew and kernels studies nothing to run, with a
+// usage error naming the flag, instead of a panic from the workload
+// builder or an empty table.
+func validateAblateFlags(n, maxInc int) error {
+	if n < 1 {
+		return fmt.Errorf("-n wants a vector length of at least 1, got %d", n)
+	}
+	if maxInc < 1 {
+		return fmt.Errorf("-maxinc wants a largest increment of at least 1, got %d", maxInc)
+	}
+	return nil
 }
 
 // policiesStudy is the policy-dimension reproduction and soundness

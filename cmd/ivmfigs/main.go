@@ -21,6 +21,11 @@ func main() {
 	clocks := flag.Int64("clocks", 34, "timeline width in clock periods")
 	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
+	if err := validateFigsFlags(*clocks); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	stop, err := prof.Start()
 	if err != nil {
@@ -56,4 +61,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// validateFigsFlags rejects a negative timeline width with a usage
+// error naming the flag, instead of a panic from the timeline recorder.
+func validateFigsFlags(clocks int64) error {
+	if clocks < 0 {
+		return fmt.Errorf("-clocks wants a timeline width of at least 0 clock periods, got %d", clocks)
+	}
+	return nil
 }

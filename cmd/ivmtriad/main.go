@@ -40,6 +40,11 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address: /metrics Prometheus text, /metrics.json, /healthz, /debug/vars expvar, /debug/pprof")
 	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
+	if err := validateTriadFlags(*n, *maxInc); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	stopProf, err := prof.Start()
 	if err != nil {
@@ -103,4 +108,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// validateTriadFlags rejects a vector length or increment range that
+// leaves nothing to run, with a usage error naming the flag, instead of
+// a panic from the workload builder or an empty table.
+func validateTriadFlags(n, maxInc int) error {
+	if n < 1 {
+		return fmt.Errorf("-n wants a vector length of at least 1, got %d", n)
+	}
+	if maxInc < 1 {
+		return fmt.Errorf("-maxinc wants a largest increment of at least 1, got %d", maxInc)
+	}
+	return nil
 }

@@ -69,12 +69,16 @@ type periodicSource interface{ periodic() bool }
 // call, so FindCycle returns the same Cycle on a fresh system and on
 // one reused through Reset.
 //
-// On the packed kernel, a system reused through Reset keeps the states
+// Either kernel leaves the system in its state at the clock the search
+// stopped at, so Step continues from there. On the packed kernel
+// without a listener, a system reused through Reset keeps the states
 // its earlier searches recorded while the port count and each port's
 // CPU and stride mod m stay the same (docs/KERNEL.md, "Shared
 // recurrence graph"). A search that reaches one of them stops there,
-// possibly before clock start + Lead + Length, so the state a search
-// leaves the system in is unspecified; only the returned Cycle is.
+// possibly before clock start + Lead + Length, so the clock a search
+// stops at is unspecified; only the returned Cycle is. With a listener
+// attached, FindCycle runs the scalar search on either kernel, so the
+// events cover every clock of the search.
 func (s *System) FindCycle(maxClocks int64) (Cycle, error) {
 	start := s.clock
 	if _, ok := s.mapper.(ModuloMapper); !ok {
@@ -86,7 +90,7 @@ func (s *System) FindCycle(maxClocks int64) (Cycle, error) {
 			return Cycle{}, fmt.Errorf("%w (port %d is %s)", ErrNotPeriodic, p.ID, describeSource(p.Src))
 		}
 	}
-	if s.kernel == KernelPacked {
+	if s.kernel == KernelPacked && s.listener == nil {
 		return s.findCyclePacked(start, maxClocks)
 	}
 

@@ -1,14 +1,16 @@
 package memsys
 
-// The bit-packed bank-busy kernel: an alternative implementation of the
-// simulator's inner loop that keeps the busy set as one bit per bank in
-// []uint64 words, tracks busy expiries in a small event wheel instead
-// of decrementing a per-bank counter every clock, skips ahead over
-// provably blocked stretches in Run, and records the packed state as a
-// few fixed-width words in cycle detection. The scalar kernel (the loop in
-// Step) remains the reference implementation — the oracle the
-// differential suite in kernel_diff_test.go holds this kernel to,
-// clock by clock. docs/KERNEL.md derives the equivalence argument.
+// The bit-packed bank-busy kernel: FindCycle's search on a packed copy
+// of the bank-busy state. The busy set is one bit per bank in []uint64
+// words, busy expiries sit in a small event wheel instead of a per-bank
+// counter decremented every clock, and each visited state is recorded
+// as a few fixed-width words. The packed state exists only inside a
+// search: findCyclePacked loads it from the scalar counters on entry
+// and writes it back before it returns, so Step, Run and the accessors
+// have one body, the scalar one, on either kernel. The scalar search
+// remains the reference implementation, the oracle the differential
+// suite in kernel_diff_test.go holds this one to. docs/KERNEL.md
+// derives the equivalence argument.
 
 import (
 	"fmt"
@@ -16,18 +18,20 @@ import (
 	"slices"
 )
 
-// Kernel selects the simulator's inner-loop implementation.
+// Kernel selects how FindCycle searches for the cyclic state.
 type Kernel int
 
 const (
-	// KernelScalar is the reference per-bank busy-counter loop — the
-	// oracle every other kernel is differentially tested against.
+	// KernelScalar searches by stepping the reference per-bank
+	// busy-counter loop and recording each state as a formatted string —
+	// the oracle every other kernel is differentially tested against.
 	KernelScalar Kernel = iota
-	// KernelPacked is the bit-packed bank-busy kernel: busy bits in
-	// []uint64 words, expiries in an event wheel, skip-ahead in Run,
-	// word state keys in FindCycle. Semantically identical to
-	// KernelScalar (same grants, same conflict classification, same
-	// events, same cyclic states).
+	// KernelPacked searches on the bit-packed bank-busy state: busy bits
+	// in []uint64 words, expiries in an event wheel, word state keys in
+	// a recurrence table that later searches share. It finds the same
+	// Cycle as KernelScalar. Step and Run are the scalar loop on either
+	// kernel, and a search with a listener attached runs the scalar
+	// search, so a listener sees the same events on both.
 	KernelPacked
 )
 
@@ -43,7 +47,7 @@ func (k Kernel) String() string {
 	}
 }
 
-// Kernel returns the kernel the system is running on.
+// Kernel returns the kernel FindCycle searches on.
 func (s *System) Kernel() Kernel { return s.kernel }
 
 // PackedSupportsPriority reports whether the packed kernel implements a
@@ -61,23 +65,17 @@ func PackedSupportsPriority(pr PriorityRule) bool {
 	}
 }
 
-// SetKernel switches the simulator's inner-loop implementation. The
-// switch is only legal while every bank is idle (e.g. right after New
-// or Reset); switching mid-simulation would need a state conversion
-// and is a programming error, so it panics.
-func (s *System) SetKernel(k Kernel) {
-	if k == s.kernel {
-		return
-	}
-	for b := range s.busy {
-		if s.BankBusy(b) != 0 {
-			panic("memsys: SetKernel while banks are busy")
-		}
-	}
-	s.kernel = k
-	if k != KernelPacked {
-		return
-	}
+// SetKernel selects how FindCycle searches. It may be called at any
+// time, mid-run included: between searches the bank state is the
+// scalar counters on either kernel.
+func (s *System) SetKernel(k Kernel) { s.kernel = k }
+
+// loadPacked starts a packed search: it builds the packed busy set from
+// the scalar counters, a bank with b clocks left expiring at clock + b,
+// and zeroes the counters, so while the search runs the packed state is
+// the only record of the busy banks. The first search on a system
+// allocates the packed state; later ones empty and refill it.
+func (s *System) loadPacked() {
 	if s.words == nil {
 		s.words = make([]uint64, (s.cfg.Banks+63)/64)
 		s.expiry = make([]int64, s.cfg.Banks)
@@ -93,26 +91,40 @@ func (s *System) SetKernel(k Kernel) {
 			s.wheel[i] = backing[i*room : i*room : (i+1)*room]
 		}
 	}
-	s.clearPacked()
-}
-
-// clearPacked empties the packed busy set and the event wheel and
-// re-anchors the wheel's drain cursor at the current clock, so a reused
-// system cannot observe stale bits or stale expiry events.
-func (s *System) clearPacked() {
-	if s.words == nil {
-		return
-	}
-	for i := range s.words {
-		s.words[i] = 0
-	}
+	clear(s.words)
 	for i := range s.wheel {
 		s.wheel[i] = s.wheel[i][:0]
 	}
 	s.expired = s.clock
+	mask := int64(len(s.wheel) - 1)
+	for b, left := range s.busy {
+		if left == 0 {
+			continue
+		}
+		s.words[b>>6] |= 1 << (uint(b) & 63)
+		exp := s.clock + int64(left)
+		s.expiry[b] = exp
+		s.wheel[exp&mask] = append(s.wheel[exp&mask], int32(b))
+		s.busy[b] = 0
+	}
 }
 
-// packedBusy reports whether a bank is busy under the packed kernel.
+// storePacked ends a packed search: it writes each live busy bit back
+// into the scalar counters as the clocks it has left, so Step continues
+// from the clock the search stopped at.
+func (s *System) storePacked() {
+	for wi, word := range s.words {
+		for word != 0 {
+			b := wi<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if s.packedBusy(b) {
+				s.busy[b] = int(s.expiry[b] - s.clock)
+			}
+		}
+	}
+}
+
+// packedBusy reports whether a bank is busy during a packed search.
 // The expiry guard makes the answer exact even when the bank's wheel
 // slot has not been drained yet (bits are cleared lazily by expireTo).
 func (s *System) packedBusy(bank int) bool {
@@ -120,14 +132,14 @@ func (s *System) packedBusy(bank int) bool {
 }
 
 // expireTo drains the event wheel up to and including clock t, clearing
-// the busy bit and owner of every bank whose busy period ends by t. A
-// bank granted at clock g is busy for clocks g .. g+n_c-1 and its
-// expiry event is scheduled at g+n_c, so draining slot t frees exactly
-// the banks the scalar kernel's end-of-step decrement would have
-// brought to zero before clock t's arbitration. The wheel has a power
-// of two of at least n_c+1 slots, more than the longest pending
-// horizon, so a slot never holds events of two different clocks, and
-// a clock's slot is the clock masked to the wheel length.
+// the busy bit of every bank whose busy period ends by t. A bank
+// granted at clock g is busy for clocks g .. g+n_c-1 and its expiry
+// event is scheduled at g+n_c, so draining slot t frees exactly the
+// banks the scalar kernel's end-of-step decrement would have brought to
+// zero before clock t's arbitration. The wheel has a power of two of
+// at least n_c+1 slots, more than the longest pending horizon, so a
+// slot never holds events of two different clocks, and a clock's slot
+// is the clock masked to the wheel length.
 func (s *System) expireTo(t int64) {
 	mask := int64(len(s.wheel) - 1)
 	for ; s.expired <= t; s.expired++ {
@@ -138,63 +150,39 @@ func (s *System) expireTo(t int64) {
 		}
 		for _, b := range slot {
 			s.words[b>>6] &^= 1 << (uint(b) & 63)
-			s.owner[b] = nil
 		}
 		s.wheel[i] = slot[:0]
 	}
 }
 
-// stepPacked is Step on the packed kernel: identical arbitration order,
-// conflict precedence, counters and events, with the busy set kept as
-// bits plus an expiry wheel instead of the scalar per-bank counters.
-// With pb nil, every port's source is asked for its request, as Step
-// does. findCyclePacked passes its pending-bank vector instead, which
-// holds every port's request as a bank and is advanced on each grant
-// (see pendingBanks).
-func (s *System) stepPacked(pb *pendingBanks) int {
+// stepPacked is one clock of a packed search: Step's arbitration order,
+// conflict precedence and counters, with the busy set kept as bits plus
+// an expiry wheel instead of the scalar per-bank counters, and each
+// port's request read from the search's pending-bank vector, which a
+// grant advances (see pendingBanks). A listened search runs on the
+// scalar kernel, so no event is built here.
+func (s *System) stepPacked(pb *pendingBanks) {
 	t := s.clock
 	s.expireTo(t)
-	order := s.arbitrationOrder()
-	granted := 0
-
-	for _, p := range order {
-		var bank int
-		if pb != nil {
-			bank = int(pb.bank[p.ID])
-		} else {
-			if p.Src == nil || p.Src.Done() {
-				continue
-			}
-			addr, ok := p.Src.Pending(t)
-			if !ok {
-				p.Count.Idle++
-				continue
-			}
-			bank = s.checkedBank(addr)
-		}
+	for _, p := range s.arbitrationOrder() {
+		bank := int(pb.bank[p.ID])
 		sec := s.secOf[bank]
-
-		var kind ConflictKind
-		var blocker *Port
 		switch {
 		case s.bankStamp[bank] == t:
 			// Same precedence as the scalar kernel: a bank granted
 			// earlier this clock was inactive when both ports requested
 			// it, so the loser sees a simultaneous (different CPU) or
 			// section (same CPU) conflict, not a bank conflict.
-			w := s.bankWinner[bank]
-			if w.CPU != p.CPU {
-				kind, blocker = SimultaneousConflict, w
+			if s.bankWinner[bank].CPU != p.CPU {
+				p.Count.Simultaneous++
 			} else {
-				kind, blocker = SectionConflict, w
+				p.Count.Section++
 			}
 		case s.packedBusy(bank):
-			kind, blocker = BankConflict, s.owner[bank]
+			p.Count.Bank++
 		case s.pathStamp[p.CPU][sec] == t:
-			kind, blocker = SectionConflict, s.pathWinner[p.CPU][sec]
-		}
-
-		if kind == NoConflict {
+			p.Count.Section++
+		default:
 			s.words[bank>>6] |= 1 << (uint(bank) & 63)
 			exp := t + int64(s.cfg.BankBusy)
 			s.expiry[bank] = exp
@@ -204,102 +192,13 @@ func (s *System) stepPacked(pb *pendingBanks) int {
 			s.bankStamp[bank] = t
 			s.bankWinner[bank] = p
 			s.pathStamp[p.CPU][sec] = t
-			s.pathWinner[p.CPU][sec] = p
 			p.Src.Grant(t)
-			if pb != nil {
-				pb.advance(s, p)
-			}
+			pb.advance(s, p)
 			p.Count.Grants++
-			granted++
-			if s.listener != nil {
-				s.listener.Observe(Event{Clock: t, Port: p, Bank: bank, Kind: NoConflict})
-			}
-		} else {
-			switch kind {
-			case BankConflict:
-				p.Count.Bank++
-			case SimultaneousConflict:
-				p.Count.Simultaneous++
-			case SectionConflict:
-				p.Count.Section++
-			}
-			if s.listener != nil {
-				s.listener.Observe(Event{Clock: t, Port: p, Bank: bank, Kind: kind, Blocker: blocker})
-			}
 		}
 	}
-
-	s.advanceRotation(1)
+	s.advanceRotation()
 	s.clock++
-	return granted
-}
-
-// runPacked is Run on the packed kernel without a listener attached:
-// per-clock stepping with skip-ahead over provably blocked stretches.
-func (s *System) runPacked(n int64) int64 {
-	var total int64
-	end := s.clock + n
-	for s.clock < end {
-		g := s.stepPacked(nil)
-		total += int64(g)
-		if g == 0 && s.clock < end {
-			s.blockedStretch(end)
-		}
-	}
-	return total
-}
-
-// blockedStretch implements the skip-ahead after a zero-grant clock: if
-// every non-done port holds an infinite periodic stream whose requested
-// bank is busy, nothing can change before the earliest requested expiry
-// — a clock with zero grants classifies every delay as a bank conflict
-// (simultaneous and section conflicts require a same-clock grant), the
-// pending banks stay put, and the busy set only shrinks. The stretch's
-// per-clock effects (one bank-conflict delay per port, the cyclic
-// priority rotation, the clock) are applied in bulk, byte-identical to
-// stepping each clock. Returns the clocks skipped (0 when no skip is
-// provable: an idle, finite or data-dependent source, or a requested
-// bank already free).
-func (s *System) blockedStretch(end int64) int64 {
-	next := int64(-1)
-	active := 0
-	for _, p := range s.ports {
-		if p.Src == nil || p.Src.Done() {
-			continue
-		}
-		ps, ok := p.Src.(periodicSource)
-		if !ok || !ps.periodic() {
-			return 0
-		}
-		addr, pending := p.Src.Pending(s.clock)
-		if !pending {
-			return 0
-		}
-		bank := s.mapper.Bank(addr)
-		if !s.packedBusy(bank) {
-			return 0
-		}
-		if next < 0 || s.expiry[bank] < next {
-			next = s.expiry[bank]
-		}
-		active++
-	}
-	if active == 0 || next <= s.clock {
-		return 0
-	}
-	if next > end {
-		next = end
-	}
-	delta := next - s.clock
-	for _, p := range s.ports {
-		if p.Src == nil || p.Src.Done() {
-			continue
-		}
-		p.Count.Bank += delta
-	}
-	s.advanceRotation(delta)
-	s.clock = next
-	return delta
 }
 
 // findCyclePacked is FindCycle on the packed kernel: the same per-clock
@@ -313,18 +212,19 @@ func (s *System) blockedStretch(end int64) int64 {
 // scalar kernel's. Each port's pending bank is resolved through the
 // mapper once, at entry; the key and the arbitration loop then share
 // the pending-bank vector, which a grant advances (see pendingBanks).
+// The search loads the packed busy set from the scalar counters on
+// entry and writes it back on every return (loadPacked, storePacked).
 //
 // The visited states go into the system's recurrence table, which
 // outlives the search: while the search geometry stays the same, a
 // later search stops at the first state any earlier one recorded and
-// reads its cycle from the table (see recurrenceTable). A listener
-// sees the whole search, so a search with one attached starts from an
-// empty table.
+// reads its cycle from the table (see recurrenceTable).
 func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
 	np := len(s.ports)
 	t := &s.states
 	pb := &s.pending
-	t.begin(np, pb.load(s) || s.listener != nil)
+	t.begin(np, pb.load(s))
+	s.loadPacked()
 
 	for s.clock < start+maxClocks {
 		s.expireTo(s.clock)
@@ -358,6 +258,7 @@ func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
 		h = finishHash(h)
 		prev, slot := t.lookup(h, key)
 		if prev >= 0 {
+			s.storePacked()
 			t.arena = t.arena[:from]
 			cyc, lead := t.finish(prev, s.ports)
 			length := t.lengths[cyc]
@@ -383,6 +284,7 @@ func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
 		}
 		s.stepPacked(pb)
 	}
+	s.storePacked()
 	return Cycle{}, ErrNoCycle
 }
 
@@ -393,9 +295,9 @@ func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
 // FindCycle admits only periodic sources (infinite *StridedSource)
 // under ModuloMapper, whose request is always pending, is a pure
 // function of Addr, and changes only when Grant advances Addr, so the
-// vector changes only where stepPacked advances it. Step keeps asking
-// each source on demand, because a source such as machine's memPort
-// may change its request within a clock. The System keeps the vector
+// vector changes only where stepPacked advances it. Step asks each
+// source on demand, because a source such as machine's memPort may
+// change its request within a clock. The System keeps the vector
 // across Reset, so a reused search does not allocate it, and the
 // strides and CPUs it holds are the geometry the next load compares
 // against.

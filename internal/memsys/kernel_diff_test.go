@@ -8,13 +8,13 @@ import (
 	"testing"
 )
 
-// The differential equivalence suite for the bit-packed kernel: every
-// test here drives a scalar system and a packed system through the same
-// schedule and demands byte-identical observables — grant order, per
-// -clock events (including conflict classification and blocker), per
-// -bank busy state, Run totals, FindCycle windows and b_eff. The scalar
-// kernel is the oracle; see docs/KERNEL.md for the soundness argument
-// this suite is the executable form of.
+// The differential equivalence suite for the bit-packed search: every
+// test here runs FindCycle on a scalar system and a packed system built
+// alike and demands identical Cycles and b_eff, then steps both on and
+// demands identical grants, events, per-bank busy state and sources,
+// which pins the packed search's write-back of the bank state. The
+// scalar kernel is the oracle; see docs/KERNEL.md for the soundness
+// argument this suite is the executable form of.
 
 // kernelDiffCorpus covers all six classifier regimes with the same
 // (m, n_c, d1, d2) seeds the sweep fuzz corpus uses, so any divergence
@@ -51,12 +51,8 @@ func finiteSpec(cpu int, start, dist int64, n int) sourceSpec {
 }
 
 func buildKernelPair(cfg Config, specs []sourceSpec) (scalar, packed *System) {
-	return buildMappedPair(cfg, ModuloMapper{M: cfg.Banks}, specs)
-}
-
-func buildMappedPair(cfg Config, mapper BankMapper, specs []sourceSpec) (scalar, packed *System) {
-	scalar = NewWithMapper(cfg, mapper)
-	packed = NewWithMapper(cfg, mapper)
+	scalar = New(cfg)
+	packed = New(cfg)
 	packed.SetKernel(KernelPacked)
 	for i, sp := range specs {
 		label := fmt.Sprintf("%d", i+1)
@@ -86,7 +82,7 @@ func (r *eventRecorder) Observe(e Event) {
 	r.events = append(r.events, recEvent{e.Clock, e.Port.ID, e.Bank, e.Kind, blocker})
 }
 
-// stepCompare drives both systems clock-by-clock and asserts identical
+// stepCompare drives both systems clock by clock and asserts identical
 // grants, event streams, busy state and owners after every clock.
 func stepCompare(t *testing.T, scalar, packed *System, steps int) {
 	t.Helper()
@@ -125,28 +121,25 @@ func stepCompare(t *testing.T, scalar, packed *System, steps int) {
 // rowSkew is a test-local mapper that is not ModuloMapper: row r of m
 // consecutive addresses is rotated by r, bank = (addr + addr/m) mod m.
 // Under it the pending bank no longer determines the next one, so
-// FindCycle must refuse it (TestFindCycleRejectsNonModuloMapper); Step
-// and Run hold for any mapper, and the differential stepping
-// comparisons run under it too.
+// FindCycle must refuse it (TestFindCycleRejectsNonModuloMapper).
 type rowSkew struct{ m int }
 
 func (r rowSkew) Bank(addr int64) int { return ModuloMapper{M: r.m}.Bank(addr + addr/int64(r.m)) }
 func (r rowSkew) Banks() int          { return r.m }
 
-// diffMappers are the mappers every differential Step and Run
-// comparison runs under.
-func diffMappers(m int) []BankMapper { return []BankMapper{ModuloMapper{M: m}, rowSkew{m}} }
-
-// compareFindCycle runs FindCycle on a fresh scalar/packed pair and
-// demands identical cycle windows, which the key-free oracle
-// (checkCycleByRun) must accept on a twin scalar system. It then steps
-// both on with stepCompare and demands that every source stands at the
-// same address with the same issue count, so the state the packed
-// search leaves behind on a fresh system is the scalar search's. err
-// is the scalar search's error; the packed one must fail alike.
-func compareFindCycle(t *testing.T, cfg Config, specs []sourceSpec, budget int64) (cs, cp Cycle, err error) {
+// compareFindCycle runs warm clocks on a fresh scalar/packed pair, so
+// each search starts from the banks those clocks left busy, then runs
+// FindCycle on both and demands identical cycle windows, which the
+// key-free oracle (checkCycleByRun) must accept on a twin scalar
+// system. It then steps both on with stepCompare and demands that
+// every source stands at the same address with the same issue count,
+// so the state the packed search writes back is the scalar search's.
+// err is the scalar search's error; the packed one must fail alike.
+func compareFindCycle(t *testing.T, cfg Config, specs []sourceSpec, budget, warm int64) (cs, cp Cycle, err error) {
 	t.Helper()
 	scalar, packed := buildKernelPair(cfg, specs)
+	scalar.Run(warm)
+	packed.Run(warm)
 	cs, errS := scalar.FindCycle(budget)
 	cp, errP := packed.FindCycle(budget)
 	if (errS == nil) != (errP == nil) {
@@ -159,6 +152,7 @@ func compareFindCycle(t *testing.T, cfg Config, specs []sourceSpec, budget int64
 		t.Fatalf("cycle windows diverge:\nscalar %+v\npacked %+v", cs, cp)
 	}
 	twin, _ := buildKernelPair(cfg, specs)
+	twin.Run(warm)
 	checkCycleByRun(t, twin, cs)
 	stepCompare(t, scalar, packed, 300)
 	for i, port := range scalar.Ports() {
@@ -200,76 +194,41 @@ func corpusSpecs(m, d1, d2, b2, cpus int) []sourceSpec {
 	}
 }
 
-// TestDifferentialKernelStepByStep holds the packed kernel to the
-// scalar oracle one clock at a time across all six regimes, with
-// sections, two CPUs and a finite third stream in the mix.
-func TestDifferentialKernelStepByStep(t *testing.T) {
-	for _, tc := range kernelDiffCorpus {
-		for _, prio := range []PriorityRule{FixedPriority, CyclicPriority, RoundRobinPerCPU} {
-			name := fmt.Sprintf("%s/%v", tc.name, prio)
-			t.Run(name, func(t *testing.T) {
-				cfg := Config{Banks: tc.m, BankBusy: tc.nc, Sections: tc.sections, CPUs: tc.cpus, Priority: prio}
-				specs := corpusSpecs(tc.m, tc.d1, tc.d2, tc.b2, tc.cpus)
-				specs = append(specs, finiteSpec(0, 2, 1, 40))
-				scalar, packed := buildKernelPair(cfg, specs)
-				stepCompare(t, scalar, packed, 300)
-			})
-		}
-	}
-}
-
-// TestDifferentialKernelRun exercises the packed Run skip-ahead (no
-// listener attached, so blocked stretches are applied in bulk) and
-// demands identical totals, clocks and counters.
-func TestDifferentialKernelRun(t *testing.T) {
-	for _, tc := range kernelDiffCorpus {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Banks: tc.m, BankBusy: tc.nc, Sections: tc.sections, CPUs: tc.cpus, Priority: CyclicPriority}
-			scalar, packed := buildKernelPair(cfg, corpusSpecs(tc.m, tc.d1, tc.d2, tc.b2, tc.cpus))
-			const clocks = 5000
-			gs, gp := scalar.Run(clocks), packed.Run(clocks)
-			if gs != gp {
-				t.Fatalf("scalar granted %d, packed %d", gs, gp)
-			}
-			if scalar.Clock() != packed.Clock() {
-				t.Fatalf("clocks diverge: scalar %d packed %d", scalar.Clock(), packed.Clock())
-			}
-			for i := range scalar.Ports() {
-				cs, cp := scalar.Ports()[i].Count, packed.Ports()[i].Count
-				if cs != cp {
-					t.Fatalf("port %d counters diverge: scalar %+v packed %+v", i, cs, cp)
-				}
-			}
-		})
-	}
-}
-
 // TestDifferentialKernelFindCycle demands identical cycle windows —
 // Lead, Length, per-port grants and conflict classification — and
 // therefore identical b_eff from both cycle detectors, a cycle the
-// key-free oracle accepts, and identical states after them.
+// key-free oracle accepts, and identical states after them. Each
+// search starts k clocks into a run, k = 0 .. n_c + 1, so from k = 1
+// on it begins with banks part way through their busy time, which the
+// packed search must load from the scalar counters.
 func TestDifferentialKernelFindCycle(t *testing.T) {
 	for _, tc := range kernelDiffCorpus {
 		for _, prio := range []PriorityRule{FixedPriority, CyclicPriority, RoundRobinPerCPU} {
-			tc, prio := tc, prio
+			cfg := Config{Banks: tc.m, BankBusy: tc.nc, Sections: tc.sections, CPUs: tc.cpus, Priority: prio}
+			specs := corpusSpecs(tc.m, tc.d1, tc.d2, tc.b2, tc.cpus)
 			t.Run(fmt.Sprintf("%s/%v", tc.name, prio), func(t *testing.T) {
-				cfg := Config{Banks: tc.m, BankBusy: tc.nc, Sections: tc.sections, CPUs: tc.cpus, Priority: prio}
-				cs, cp, err := compareFindCycle(t, cfg, corpusSpecs(tc.m, tc.d1, tc.d2, tc.b2, tc.cpus), 1<<22)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if bs, bp := cs.EffectiveBandwidth(), cp.EffectiveBandwidth(); bs != bp {
-					t.Fatalf("b_eff diverges: scalar %v packed %v", bs, bp)
+				for k := int64(0); k <= int64(tc.nc)+1; k++ {
+					t.Run(fmt.Sprintf("warm%d", k), func(t *testing.T) {
+						cs, cp, err := compareFindCycle(t, cfg, specs, 1<<22, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if bs, bp := cs.EffectiveBandwidth(), cp.EffectiveBandwidth(); bs != bp {
+							t.Fatalf("b_eff diverges: scalar %v packed %v", bs, bp)
+						}
+					})
 				}
 			})
 		}
 	}
 }
 
-// TestDifferentialKernelRandom sweeps randomized (m, s, n_c, placement)
-// configurations through all three comparison modes with a fixed seed:
-// step by step and Run under both diffMappers, and, when every stream
-// is infinite, FindCycle over two to four ports. Starts and distances are
+// TestDifferentialKernelRandom compares FindCycle on randomized
+// (m, s, n_c, placement) configurations of two to four ports, drawn
+// with a fixed seed. A trial with a finite stream must fail with
+// ErrNotPeriodic on both kernels and is then searched over its
+// infinite streams. Each trial first runs trial mod (n_c + 2) clocks,
+// so most searches start with banks busy. Starts and distances are
 // drawn in [0, m) and then lifted by a multiple of m in [-2m, 2m] from
 // a second generator, so they arrive signed and unreduced and the
 // packed search's stride reduction is held to the oracle too.
@@ -289,8 +248,7 @@ func TestDifferentialKernelRandom(t *testing.T) {
 			cfg.Mapping = ConsecutiveSections
 		}
 		np := rng.Intn(3) + 2
-		specs := make([]sourceSpec, 0, np)
-		periodic := true
+		var specs, infinite []sourceSpec
 		for i := 0; i < np; i++ {
 			cpu := rng.Intn(cfg.CPUs)
 			start, dist := int64(rng.Intn(m)), int64(rng.Intn(m))
@@ -298,26 +256,23 @@ func TestDifferentialKernelRandom(t *testing.T) {
 			dist += int64(m) * int64(lift.Intn(5)-2)
 			if rng.Intn(4) == 0 {
 				specs = append(specs, finiteSpec(cpu, start, dist, rng.Intn(60)+1))
-				periodic = false
 			} else {
 				specs = append(specs, infiniteSpec(cpu, start, dist))
+				infinite = append(infinite, specs[i])
 			}
 		}
+		warm := int64(trial % (nc + 2))
 		name := fmt.Sprintf("trial%02d_m%d_s%d_nc%d", trial, m, s, nc)
 		t.Run(name, func(t *testing.T) {
-			for _, mapper := range diffMappers(m) {
-				scalar, packed := buildMappedPair(cfg, mapper, specs)
-				stepCompare(t, scalar, packed, 200)
-				// Fresh pair for the skip-ahead Run path.
-				scalar, packed = buildMappedPair(cfg, mapper, specs)
-				if gs, gp := scalar.Run(3000), packed.Run(3000); gs != gp {
-					t.Fatalf("%T: Run totals diverge: scalar %d packed %d", mapper, gs, gp)
+			if len(infinite) < len(specs) {
+				if _, _, err := compareFindCycle(t, cfg, specs, 1<<20, warm); !errors.Is(err, ErrNotPeriodic) {
+					t.Fatalf("FindCycle with a finite stream: %v, want ErrNotPeriodic", err)
 				}
 			}
-			if !periodic {
+			if len(infinite) == 0 {
 				return
 			}
-			if _, _, err := compareFindCycle(t, cfg, specs, 1<<20); err != nil {
+			if _, _, err := compareFindCycle(t, cfg, infinite, 1<<20, warm); err != nil {
 				t.Fatalf("FindCycle: %v", err)
 			}
 		})
@@ -325,13 +280,12 @@ func TestDifferentialKernelRandom(t *testing.T) {
 }
 
 // FuzzKernelEquivalence mirrors FuzzSimulatorInvariants' configuration
-// space but, instead of structural invariants, checks the packed kernel
-// against the scalar oracle: identical per-clock grants and busy state
-// over a mixed finite/infinite schedule under both diffMappers, then
-// identical FindCycle output, which the key-free oracle must accept, on
-// a fresh infinite-only pair. Starts and distances are the raw bytes
-// read as signed, unreduced int8s, so they may be negative or at least
-// m.
+// space but, instead of structural invariants, checks the packed search
+// against the scalar oracle: identical FindCycle output, which the
+// key-free oracle must accept, and identical states after it, on a pair
+// of two infinite streams that first runs up to n_c + 1 clocks. Starts
+// and distances are the raw bytes read as signed, unreduced int8s, so
+// they may be negative or at least m.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(uint8(16), uint8(4), uint8(4), uint8(1), uint8(6), uint8(3), uint8(0), false)
 	f.Add(uint8(12), uint8(3), uint8(3), uint8(1), uint8(1), uint8(1), uint8(1), false)
@@ -358,12 +312,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 		specs := []sourceSpec{
 			infiniteSpec(0, 0, d1),
 			infiniteSpec(1, b2, d2),
-			finiteSpec(0, 2, 1, 40),
 		}
-		for _, mapper := range diffMappers(m) {
-			scalar, packed := buildMappedPair(cfg, mapper, specs)
-			stepCompare(t, scalar, packed, 300)
-		}
-		compareFindCycle(t, cfg, specs[:2], 1<<20)
+		compareFindCycle(t, cfg, specs, 1<<20, int64(prioRaw/3)%int64(nc+2))
 	})
 }

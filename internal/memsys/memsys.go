@@ -312,9 +312,10 @@ type System struct {
 	order    []*Port // arbitration-order scratch, reused across clocks
 	listener Listener
 
-	// Packed-kernel state (see kernel.go), allocated by SetKernel and
-	// unused while kernel == KernelScalar: the busy set as one bit per
-	// bank, the absolute clock at which each busy bank frees, the
+	// Packed-search state (see kernel.go), allocated by the first
+	// packed FindCycle and live only inside a packed search, which
+	// loads it from busy and writes it back: the busy set as one bit
+	// per bank, the absolute clock at which each busy bank frees, the
 	// expiry event wheel (a power of two of at least n_c+1 slots,
 	// indexed by the clock masked to the wheel length) and the wheel's
 	// drain cursor.
@@ -388,8 +389,7 @@ func (s *System) Config() Config { return s.cfg }
 // Reset returns the system to an empty initial state while keeping its
 // allocations, so one System can be reused for many simulations (the
 // parallel sweep engine holds one per worker): all ports are detached,
-// every bank is freed — including the packed kernel's busy bits and
-// pending expiry events — and the priority rotation returns to zero.
+// every bank is freed and the priority rotation returns to zero.
 // The configuration, bank mapper, kernel and listener are kept. The
 // clock is NOT rewound — the per-clock grant stamps stay valid
 // precisely because the clock only moves forward, which is what makes
@@ -410,7 +410,6 @@ func (s *System) Reset() {
 		s.owner[b] = nil
 	}
 	s.rr = 0
-	s.clearPacked()
 }
 
 // Mapper returns the address-to-bank mapping in use.
@@ -463,15 +462,7 @@ func (s *System) checkedBank(addr int64) int {
 }
 
 // BankBusy returns the remaining busy clocks of a bank (0 = idle).
-func (s *System) BankBusy(bank int) int {
-	if s.kernel == KernelPacked {
-		if !s.packedBusy(bank) {
-			return 0
-		}
-		return int(s.expiry[bank] - s.clock)
-	}
-	return s.busy[bank]
-}
+func (s *System) BankBusy(bank int) int { return s.busy[bank] }
 
 // BankOwner returns the port currently being serviced by the bank, or
 // nil if the bank is idle.
@@ -487,9 +478,6 @@ func (s *System) BankOwner(bank int) *Port {
 // for n_c clocks and their path for this clock; losers are delayed and
 // classified. It returns the number of requests granted this clock.
 func (s *System) Step() int {
-	if s.kernel == KernelPacked {
-		return s.stepPacked(nil)
-	}
 	t := s.clock
 	order := s.arbitrationOrder()
 	granted := 0
@@ -565,7 +553,7 @@ func (s *System) Step() int {
 			s.busy[b]--
 		}
 	}
-	s.advanceRotation(1)
+	s.advanceRotation()
 	s.clock++
 	return granted
 }
@@ -584,16 +572,15 @@ func (s *System) rotationModulus() int {
 	}
 }
 
-// advanceRotation moves the rotating priority pointer forward by delta
-// clock periods (delta may exceed the modulus; blocked-stretch skipping
-// applies whole stretches at once). A degenerate modulus pins rr at 0.
-func (s *System) advanceRotation(delta int64) {
-	m := int64(s.rotationModulus())
+// advanceRotation moves the rotating priority pointer forward by one
+// clock period. A degenerate modulus pins rr at 0.
+func (s *System) advanceRotation() {
+	m := s.rotationModulus()
 	if m <= 1 {
 		s.rr = 0
 		return
 	}
-	s.rr = int((((int64(s.rr) + delta) % m) + m) % m)
+	s.rr = (s.rr + 1) % m
 }
 
 // PriorityHolderAt returns the port (or, under RoundRobinPerCPU, the
@@ -666,13 +653,8 @@ func (s *System) arbitrationOrder() []*Port {
 }
 
 // Run advances the simulation by n clock periods and returns the total
-// number of grants. On the packed kernel without a listener it skips
-// ahead over provably blocked stretches (see blockedStretch); counters
-// and end state are identical to stepping every clock.
+// number of grants.
 func (s *System) Run(n int64) int64 {
-	if s.kernel == KernelPacked && s.listener == nil {
-		return s.runPacked(n)
-	}
 	var total int64
 	for i := int64(0); i < n; i++ {
 		total += int64(s.Step())

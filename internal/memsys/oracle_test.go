@@ -9,11 +9,12 @@ import "testing"
 // and 64 expose all of them.
 const oracleRepeats = 64
 
-// checkCycleByRun is the key-free cycle oracle. twin is a fresh system
-// built like the one whose search returned c. The oracle runs it on the
-// scalar kernel for c.Lead + k·c.Length clocks and requires each port's
-// grants and conflict counters over [Lead, Lead + k·Length) to equal
-// exactly k times c's. No state key enters, so a key that misses part
+// checkCycleByRun is the key-free cycle oracle. twin is a system built
+// and run like the one whose search returned c, up to the clock that
+// search started at. The oracle runs it on the scalar kernel for
+// c.Lead + k·c.Length clocks and requires each port's grants and
+// conflict counters over [Lead, Lead + k·Length) to equal exactly k
+// times c's. No state key enters, so a key that misses part
 // of the state cannot fool it, as it fools a comparison of two searches
 // that build the same key.
 func checkCycleByRun(t testing.TB, twin *System, c Cycle) {

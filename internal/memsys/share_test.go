@@ -258,10 +258,12 @@ func TestSharedSearchBudget(t *testing.T) {
 	t.Fatal("no placement of the row stops on a shared state before its last clock")
 }
 
-// TestSharedSearchListened attaches a listener to a system whose table
-// already holds every state of the placement searched next. The search
-// must still emit events for every one of its Lead + Length clocks, as
-// a fresh one does, and return the fresh Cycle.
+// TestSharedSearchListened attaches a listener to a packed system whose
+// table already holds every state of the placement searched next. The
+// search must still emit events for every one of its Lead + Length
+// clocks, return the fresh Cycle, and emit the event stream a listened
+// scalar search of the placement emits, clock for clock from the
+// search's start.
 func TestSharedSearchListened(t *testing.T) {
 	row := tripleRow
 	ps := row.placements()
@@ -286,6 +288,21 @@ func TestSharedSearchListened(t *testing.T) {
 	}
 	if n := want.Lead + want.Length; clocks != n || int64(len(seen)) != n {
 		t.Fatalf("listened search stepped %d clocks with events at %d, want all %d", clocks, len(seen), n)
+	}
+
+	scalar := New(row.cfg)
+	scalarRec := &eventRecorder{}
+	scalar.SetListener(scalarRec)
+	scalar.AddStreams(p...)
+	if _, err := scalar.FindCycle(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	start := sys.Clock() - clocks
+	for i := range rec.events {
+		rec.events[i].Clock -= start
+	}
+	if !reflect.DeepEqual(rec.events, scalarRec.events) {
+		t.Fatalf("listened packed search emits\n%+v\na listened scalar search\n%+v", rec.events, scalarRec.events)
 	}
 }
 

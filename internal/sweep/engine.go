@@ -17,8 +17,8 @@ import (
 )
 
 // FindCycleBudget is the per-simulation clock budget for steady-state
-// detection, shared by the sequential and parallel paths and by the
-// CLIs that trace one pair's search.
+// detection, shared by the engine's workers and the cold oracle
+// (simulateSpecVec).
 const FindCycleBudget = 1 << 22
 
 // DefaultCacheSize is the engine's cyclic-state cache capacity (total
@@ -72,12 +72,12 @@ type Options struct {
 	// select the reference route for the differential tests, the root
 	// benchmark baselines and ivmbench's oracle.
 	Analytic *bool
-	// PackedKernel selects the memsys kernel the workers simulate on.
-	// Nil or pointing at true selects the bit-packed bank-busy kernel
-	// (memsys.KernelPacked, the default); point at false for the
-	// scalar reference kernel, which stays the oracle the packed one is
-	// differentially tested against. Both kernels produce identical
-	// cyclic states, so results are byte-identical either way.
+	// PackedKernel selects the memsys kernel the workers' FindCycle
+	// searches on. Nil or pointing at true selects the bit-packed
+	// search (memsys.KernelPacked, the default); point at false for the
+	// scalar reference search, which stays the oracle the packed one is
+	// differentially tested against. Both find identical cyclic states,
+	// so results are byte-identical either way.
 	PackedKernel *bool
 }
 
@@ -87,7 +87,7 @@ func (o Options) analytic() bool {
 	return o.Analytic == nil || *o.Analytic
 }
 
-// kernel returns the memsys kernel the workers simulate on.
+// kernel returns the memsys kernel the workers search on.
 func (o Options) kernel() memsys.Kernel {
 	if o.PackedKernel == nil || *o.PackedKernel {
 		return memsys.KernelPacked

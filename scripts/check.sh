@@ -18,7 +18,8 @@
 # the default ivmsweep runs under the cyclic and rr-cpu priority rules
 # must exit 0 with nothing on stderr; ivmsweep -triples -m 13 -nc 4
 # -full must print byte-identical tables at -workers 1 and 2, with and
-# without the cache; ivmsweep -m 8 -nc 0 and -m 0 must
+# without the cache; ivmsweep -m 8 -nc 0 and -m 0, ivmtriad -n 0 and
+# -maxinc 0, ivmablate -study kernels -n 0 and ivmfigs -clocks -1 must
 # exit 2 with a usage error naming the flag and no goroutine trace;
 # README's ivmsweep -trace-out/-metrics-out command must exit 0 with
 # nothing on stderr and write the "sweep workers" timeline and an
@@ -81,16 +82,19 @@ go test -race ./internal/obs/...
 go test -race ./internal/memsys ./internal/sweep
 
 # Differential equivalence harness, short mode: every Differential*
-# test pits the fast path against the reference — the packed kernel
-# clock-by-clock against the scalar oracle, and sweeps with the
-# analytic gate and packed kernel forced on against the same sweeps
-# forced off — so this pass exercises the fast path both on and off.
+# test pits the fast path against the reference — the packed FindCycle
+# search against the scalar oracle's, from idle and from busy banks,
+# with the state it writes back stepped on and compared, and sweeps
+# with the analytic gate and packed kernel forced on against the same
+# sweeps forced off — so this pass exercises the fast path both on and
+# off.
 go test -race -short -run Differential ./internal/memsys ./internal/sweep
 
 # Bounded fuzzing past the seed corpora: FuzzKernelEquivalence spends
 # ten seconds on new configurations, each held to the scalar oracle
-# clock by clock and through FindCycle. A failing input is saved under
-# internal/memsys/testdata/fuzz/ and replays as a seed from then on.
+# through FindCycle and the state the search leaves behind. A failing
+# input is saved under internal/memsys/testdata/fuzz/ and replays as a
+# seed from then on.
 go test -run '^$' -fuzz '^FuzzKernelEquivalence$' -fuzztime 10s ./internal/memsys
 
 tmp="$(mktemp -d)"
@@ -130,6 +134,8 @@ fi
 # pins the served wire format end to end.
 go build -o "$tmp/ivmsweep" ./cmd/ivmsweep
 go build -o "$tmp/ivmablate" ./cmd/ivmablate
+go build -o "$tmp/ivmtriad" ./cmd/ivmtriad
+go build -o "$tmp/ivmfigs" ./cmd/ivmfigs
 
 # Quiet-default probe: valid sweeps under the non-fixed priority rules
 # must exit 0 and write nothing to stderr (no flag-combination warning
@@ -186,23 +192,25 @@ if ! grep -qx 'steps simulated *12464128 *' "$tmp/triples--1-w1.txt"; then
 fi
 echo "check.sh: worker-count determinism probe OK, (13, 4) triple tables identical at -workers 1 and 2, cached and uncached"
 
-# Bad-geometry probe: an impossible memory geometry is a usage error
-# (exit 2) whose message names the flag, not a panic from a sweep
-# worker and not an empty table. A goroutine trace is matched by its
+# Bad-geometry probe: an impossible memory geometry, vector length,
+# increment range or timeline width is a usage error (exit 2) whose
+# message names the flag, not a panic from a sweep worker or workload
+# builder and not an empty table. A goroutine trace is matched by its
 # "goroutine N [" header, since the usage text's -workers line says
 # "goroutines" too.
-for probe in "-m 8 -nc 0|-nc" "-m 0|-m"; do
+for probe in "ivmsweep -m 8 -nc 0|-nc" "ivmsweep -m 0|-m" "ivmtriad -n 0|-n" "ivmtriad -maxinc 0|-maxinc" \
+	"ivmablate -study kernels -n 0|-n" "ivmfigs -clocks -1|-clocks"; do
 	args="${probe%|*}" flagname="${probe#*|}"
+	read -r -a argv <<< "$args"
 	code=0
-	# shellcheck disable=SC2086 # args is a word list
-	"$tmp/ivmsweep" $args > /dev/null 2> "$tmp/geom-stderr" || code=$?
+	"$tmp/${argv[0]}" "${argv[@]:1}" > /dev/null 2> "$tmp/geom-stderr" || code=$?
 	if [ "$code" -ne 2 ] || ! grep -qF -- "$flagname wants" "$tmp/geom-stderr" || grep -qE '^panic:|goroutine [0-9]+ \[' "$tmp/geom-stderr"; then
-		echo "check.sh: ivmsweep $args exited $code; want 2 and a usage error naming $flagname:" >&2
+		echo "check.sh: $args exited $code; want 2 and a usage error naming $flagname:" >&2
 		cat "$tmp/geom-stderr" >&2
 		exit 1
 	fi
 done
-echo "check.sh: bad-geometry probe OK, ivmsweep -m 8 -nc 0 and -m 0 exit 2 naming the flag"
+echo "check.sh: bad-geometry probe OK, ivmsweep -m 8 -nc 0 and -m 0, ivmtriad -n 0 and -maxinc 0, ivmablate -study kernels -n 0 and ivmfigs -clocks -1 exit 2 naming the flag"
 
 # Sweep-observability probe: README's ivmsweep -trace-out/-metrics-out
 # command on a small grid exits 0 with empty stderr, writes the worker
