@@ -84,7 +84,7 @@ type StreamSet struct {
 }
 
 // bitsetBanks is the largest bank count whose touched-bank bitset
-// MultiStreamBound keeps on the stack.
+// CapacityBound.At keeps on the stack.
 const bitsetBanks = 256
 
 // MultiStreamBound returns the tightest of three exact capacity bounds
@@ -99,11 +99,36 @@ const bitsetBanks = 256
 //  3. the path bound: a CPU with q ports into s sections is granted at
 //     most min(q, s) requests per clock.
 //
-// By Theorem 1 a stream's access set Z_i is the residue class of its
-// start modulo g_i = gcd(m, d_i) = m/r_i, so the union is counted by
-// walking each coset b_i mod g_i, +g_i, … through a bitset of touched
-// banks. The function allocates nothing for m <= 256.
+// It is NewCapacityBound(m, s, nc, sets).At of the streams' starts; a
+// caller bounding many placements of the same streams builds the
+// CapacityBound once.
 func MultiStreamBound(m, s, nc int, sets []StreamSet) rat.Rational {
+	starts := make([]int, len(sets))
+	for i, st := range sets {
+		starts[i] = st.Stream.Start
+	}
+	c := NewCapacityBound(m, s, nc, sets)
+	return c.At(starts)
+}
+
+// A CapacityBound is MultiStreamBound with its start-free part worked
+// out once. Only the bank-capacity bound depends on where the streams
+// start: the self-conflict and path bounds read distances and CPUs
+// alone, and by Theorem 1 stream i's access set Z_i is the residue
+// class of its start modulo g_i = gcd(m, d_i) = m/r_i, whatever that
+// start is.
+type CapacityBound struct {
+	m, nc int
+	// cosets holds each stream's g_i and startFree the tighter of the
+	// self-conflict and path bounds.
+	cosets    []int
+	startFree rat.Rational
+}
+
+// NewCapacityBound builds the capacity bound of the given streams on an
+// (m, s, n_c) memory; the streams' starts are ignored, At supplies
+// them.
+func NewCapacityBound(m, s, nc int, sets []StreamSet) CapacityBound {
 	checkParams(m, nc)
 	if s == 0 {
 		s = m
@@ -111,28 +136,15 @@ func MultiStreamBound(m, s, nc int, sets []StreamSet) rat.Rational {
 	if s <= 0 || m%s != 0 {
 		panic(fmt.Sprintf("core: sections %d must divide banks %d", s, m))
 	}
-
-	var stack [bitsetBanks / 64]uint64
-	words := stack[:]
-	if m > bitsetBanks {
-		words = make([]uint64, (m+63)/64)
-	}
-	selfBound := rat.Zero()
-	touched := 0
-	for _, st := range sets {
+	c := CapacityBound{m: m, nc: nc, cosets: make([]int, len(sets))}
+	self := rat.Zero()
+	for i, st := range sets {
 		if st.Stream.Banks != m {
 			panic(fmt.Sprintf("core: stream %v uses %d banks, system has %d", st.Stream, st.Stream.Banks, m))
 		}
-		selfBound = selfBound.Add(SingleStreamBandwidth(m, nc, st.Stream.Distance))
-		g := m / ReturnNumber(m, st.Stream.Distance)
-		for b := modmath.Mod(st.Stream.Start, g); b < m; b += g {
-			if bit := uint64(1) << (b & 63); words[b>>6]&bit == 0 {
-				words[b>>6] |= bit
-				touched++
-			}
-		}
+		self = self.Add(SingleStreamBandwidth(m, nc, st.Stream.Distance))
+		c.cosets[i] = m / ReturnNumber(m, st.Stream.Distance)
 	}
-	bankBound := rat.New(int64(touched), int64(nc))
 
 	// The path bound tallies each CPU at its first stream.
 	pathTotal := 0
@@ -151,14 +163,39 @@ next:
 		}
 		pathTotal += min(q, s)
 	}
-	pathBound := rat.FromInt(int64(pathTotal))
+	c.startFree = self
+	if path := rat.FromInt(int64(pathTotal)); path.Cmp(self) < 0 {
+		c.startFree = path
+	}
+	return c
+}
 
-	best := selfBound
-	if bankBound.Cmp(best) < 0 {
-		best = bankBound
+// At returns the bound of the placement whose stream i starts at bank
+// starts[i]. It counts the access-set union by walking each coset
+// b_i mod g_i, +g_i, … through a bitset of touched banks, and
+// allocates nothing for m <= 256.
+func (c *CapacityBound) At(starts []int) rat.Rational {
+	if len(starts) != len(c.cosets) {
+		panic(fmt.Sprintf("core: %d starts for %d streams", len(starts), len(c.cosets)))
 	}
-	if pathBound.Cmp(best) < 0 {
-		best = pathBound
+	var stack [bitsetBanks / 64]uint64
+	words := stack[:]
+	if c.m > bitsetBanks {
+		words = make([]uint64, (c.m+63)/64)
 	}
-	return best
+	touched := 0
+	for i, g := range c.cosets {
+		for b := modmath.Mod(starts[i], g); b < c.m; b += g {
+			if bit := uint64(1) << (b & 63); words[b>>6]&bit == 0 {
+				words[b>>6] |= bit
+				touched++
+			}
+		}
+	}
+	// touched/n_c < Num/Den, cross-multiplied: both denominators are
+	// positive and startFree is in lowest terms.
+	if int64(touched)*c.startFree.Den < c.startFree.Num*int64(c.nc) {
+		return rat.New(int64(touched), int64(c.nc))
+	}
+	return c.startFree
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -223,8 +224,9 @@ type boundGrid struct {
 	cpu       []int
 }
 
-// checkAgainstOracle compares MultiStreamBound with unionBound on
-// every placement of g and returns how many it compared.
+// checkAgainstOracle compares MultiStreamBound and the per-placement
+// half of a CapacityBound, built once per distance tuple, with
+// unionBound on every placement of g and returns how many it compared.
 func checkAgainstOracle(t *testing.T, g boundGrid) int {
 	t.Helper()
 	n := len(g.cpu)
@@ -232,15 +234,22 @@ func checkAgainstOracle(t *testing.T, g boundGrid) int {
 	b := make([]int, n)
 	count := 0
 	for _, d := range g.distances {
+		for j := range sets {
+			sets[j] = StreamSet{Stream: stream.Infinite(g.m, 0, d[j]), CPU: g.cpu[j]}
+		}
+		capacity := NewCapacityBound(g.m, g.s, g.nc, sets)
 		var rec func(i int)
 		rec = func(i int) {
 			if i == n {
 				for j := range sets {
 					sets[j] = StreamSet{Stream: stream.Infinite(g.m, b[j], d[j]), CPU: g.cpu[j]}
 				}
-				got, want := MultiStreamBound(g.m, g.s, g.nc, sets), unionBound(g.m, g.s, g.nc, sets)
-				if !got.Equal(want) {
+				want := unionBound(g.m, g.s, g.nc, sets)
+				if got := MultiStreamBound(g.m, g.s, g.nc, sets); !got.Equal(want) {
 					t.Fatalf("%s: d=%v b=%v: bound %s, oracle %s", g.name, d, b, got, want)
+				}
+				if got := capacity.At(b); !got.Equal(want) {
+					t.Fatalf("%s: d=%v b=%v: per-spec bound %s, oracle %s", g.name, d, b, got, want)
 				}
 				count++
 				return
@@ -253,6 +262,31 @@ func checkAgainstOracle(t *testing.T, g boundGrid) int {
 		rec(1)
 	}
 	return count
+}
+
+// The capacity bound built once per spec gives, on every placement of
+// the census's specs, the value MultiStreamBound and the union oracle
+// give: the pair grids, the section grids, the (13, 4) triple grid
+// and the (8, 2, 4) 4-stream grid, every distance tuple included.
+func TestCapacityBoundMatchesOnCensus(t *testing.T) {
+	var grids []boundGrid
+	for _, p := range [][2]int{{8, 2}, {12, 3}, {13, 4}, {16, 4}, {32, 2}} {
+		grids = append(grids, boundGrid{name: fmt.Sprintf("pair grid (%d, %d)", p[0], p[1]), m: p[0], nc: p[1],
+			distances: nondecreasing(distancesFrom(p[0], 1), 2), cpu: []int{0, 1}})
+	}
+	for _, p := range [][3]int{{12, 3, 3}, {16, 4, 4}} {
+		grids = append(grids, boundGrid{name: fmt.Sprintf("section grid (%d, %d, %d)", p[0], p[1], p[2]), m: p[0], s: p[1], nc: p[2],
+			distances: nondecreasing(distancesFrom(p[0], 1), 2), cpu: []int{0, 0}})
+	}
+	grids = append(grids,
+		boundGrid{name: "triple grid (13, 4)", m: 13, nc: 4, distances: nondecreasing(distancesFrom(13, 1), 3), cpu: []int{0, 1, 2}},
+		boundGrid{name: "4-stream grid (8, 2, 4)", m: 8, nc: 2, distances: nondecreasing(distancesFrom(8, 2), 4), cpu: []int{0, 1, 2, 3}},
+	)
+	for _, g := range grids {
+		t.Run(g.name, func(t *testing.T) {
+			t.Logf("%d placements", checkAgainstOracle(t, g))
+		})
+	}
 }
 
 // nondecreasing lists the nondecreasing n-tuples over allowed.

@@ -314,16 +314,14 @@ type SpecResult struct {
 	Violations int
 }
 
-// specBound is the aggregate capacity bound of one placement. Its
-// stream sets live in a stack buffer for up to eight streams, so the
-// bound of a census placement allocates nothing.
-func specBound(spec ConfigSpec, b []int) rat.Rational {
-	var buf [8]core.StreamSet
-	sets := buf[:0]
+// specCapacity is the aggregate capacity bound of the spec's streams,
+// built once per spec; At bounds one placement without allocating.
+func specCapacity(spec ConfigSpec) core.CapacityBound {
+	sets := make([]core.StreamSet, len(spec.Streams))
 	for i, st := range spec.Streams {
-		sets = append(sets, core.StreamSet{Stream: stream.Infinite(spec.M, b[i], st.D), CPU: st.CPU})
+		sets[i] = core.StreamSet{Stream: stream.Infinite(spec.M, st.B, st.D), CPU: st.CPU}
 	}
-	return core.MultiStreamBound(spec.M, spec.S, spec.NC, sets)
+	return core.NewCapacityBound(spec.M, spec.S, spec.NC, sets)
 }
 
 // specFold is the capacity-bound fold: it enumerates every placement
@@ -331,6 +329,7 @@ func specBound(spec ConfigSpec, b []int) rat.Rational {
 // order) and folds the bandwidths bw reports against the bounds.
 func specFold(spec ConfigSpec, bw func(b []int) rat.Rational) SpecResult {
 	res := SpecResult{Spec: spec}
+	capacity := specCapacity(spec)
 	b := make([]int, len(spec.Streams))
 	for i, st := range spec.Streams {
 		b[i] = st.B
@@ -340,7 +339,7 @@ func specFold(spec ConfigSpec, bw func(b []int) rat.Rational) SpecResult {
 	rec = func(i int) {
 		if i == len(spec.Streams) {
 			v := bw(b)
-			bound := specBound(spec, b)
+			bound := capacity.At(b)
 			if first || v.Cmp(res.SimMin) < 0 {
 				res.SimMin = v
 			}

@@ -363,7 +363,8 @@ func TestSpecKeyOrbitInvariantRandom(t *testing.T) {
 
 // FuzzSpecCanonical drives the same property from fuzz inputs: the
 // canonical key is orbit-invariant and canonicalisation idempotent for
-// arbitrary spec shapes.
+// arbitrary spec shapes, and a worker that canonicalised one spec
+// keys the next as a fresh worker would.
 func FuzzSpecCanonical(f *testing.F) {
 	f.Add(uint8(11), uint8(1), uint8(2), uint8(3), uint8(7), uint8(2))
 	f.Add(uint8(15), uint8(4), uint8(3), uint8(1), uint8(3), uint8(9))
@@ -392,12 +393,33 @@ func FuzzSpecCanonical(f *testing.F) {
 		shift := step * (int(shiftRaw) % (m / step))
 		w := &worker{e: NewEngine(Options{})}
 		specKeyTransformInvariant(t, w, spec, u, shift)
+
+		// A second spec of the same (m, s) with other distances, then
+		// the first again, on the same worker: each key must be the one
+		// a fresh worker gives, so a canonicaliser that kept what it
+		// worked out for the previous distances shows as a mismatch.
+		other := spec
+		other.Streams = append([]Stream(nil), spec.Streams...)
+		other.Streams[0].D = (spec.Streams[0].D + 1 + rng.Intn(m-1)) % m
+		for i := 1; i < n; i++ {
+			other.Streams[i].D = rng.Intn(m)
+		}
+		for _, sp := range []ConfigSpec{other, spec} {
+			b := make([]int, n)
+			for i, st := range sp.Streams {
+				b[i] = st.B
+			}
+			fresh := &worker{e: NewEngine(Options{})}
+			if got, want := keyAt(w.compile(sp), b), keyAt(fresh.compile(sp), b); got != want {
+				t.Fatalf("spec %+v after another spec on the worker: key %+v, fresh worker %+v", sp, got, want)
+			}
+		}
 	})
 }
 
-// specBound runs once per placement of every specFold sweep; on an
-// m <= 256 memory it allocates nothing, its stream sets on the stack
-// and core.MultiStreamBound's bitset too.
+// The capacity bound runs once per placement of every specFold sweep;
+// on an m <= 256 memory its per-placement half allocates nothing, the
+// touched-bank bitset on the stack.
 func TestSpecBoundAllocs(t *testing.T) {
 	specs := []ConfigSpec{
 		TripleSpec(13, 4, [3]int{1, 2, 6}),
@@ -406,12 +428,13 @@ func TestSpecBoundAllocs(t *testing.T) {
 		{M: 256, S: 8, NC: 4, Streams: []Stream{{D: 1}, {D: 64, CPU: 1}, {D: 3, CPU: 1}}},
 	}
 	for _, spec := range specs {
+		capacity := specCapacity(spec)
 		b := make([]int, len(spec.Streams))
 		for i := range b {
 			b[i] = i + 1
 		}
-		if n := testing.AllocsPerRun(100, func() { specBound(spec, b) }); n != 0 {
-			t.Errorf("specBound(%s, m=%d) allocates %v per op, want 0", spec.Family(), spec.M, n)
+		if n := testing.AllocsPerRun(100, func() { capacity.At(b) }); n != 0 {
+			t.Errorf("capacity.At(%s, m=%d) allocates %v per op, want 0", spec.Family(), spec.M, n)
 		}
 	}
 }

@@ -9,7 +9,8 @@
 # the differential equivalence harness (docs/KERNEL.md) that pins the
 # packed kernel and the analytic gate to the scalar oracle with the
 # fast path forced both on and off, followed by ten seconds of fuzzing
-# the packed kernel against that oracle. A single-iteration bench.sh run
+# the packed kernel against that oracle and ten of fuzzing the sweep's
+# canonical keys. A single-iteration bench.sh run
 # is then diffed against the committed BENCH_sweep.json by
 # scripts/benchdiff.go, gating on catastrophic timing regressions.
 # A one-second ivmbench sweep-census run pins the full census digest,
@@ -96,6 +97,12 @@ go test -race -short -run Differential ./internal/memsys ./internal/sweep
 # input is saved under internal/memsys/testdata/fuzz/ and replays as a
 # seed from then on.
 go test -run '^$' -fuzz '^FuzzKernelEquivalence$' -fuzztime 10s ./internal/memsys
+
+# FuzzSpecCanonical spends ten seconds on new spec shapes: each canonical
+# key must be orbit-invariant and idempotent, and a worker that keyed
+# one spec must key the next as a fresh worker does. Failing inputs go
+# to internal/sweep/testdata/fuzz/.
+go test -run '^$' -fuzz '^FuzzSpecCanonical$' -fuzztime 10s ./internal/sweep
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"; [ -n "${srv:-}" ] && kill "$srv" 2>/dev/null || true' EXIT
