@@ -60,11 +60,9 @@ func (r Rational) Float() float64 {
 	return float64(r.Num) / float64(r.Den)
 }
 
-// Equal reports exact equality (both sides reduced).
-func (r Rational) Equal(o Rational) bool {
-	rr, oo := r.reduced(), o.reduced()
-	return rr.Num == oo.Num && rr.Den == oo.Den
-}
+// Equal reports exact equality. Like Cmp it cross-multiplies the
+// stored terms when both denominators are positive.
+func (r Rational) Equal(o Rational) bool { return r.Cmp(o) == 0 }
 
 func (r Rational) reduced() Rational {
 	if r.Den == 0 {
@@ -74,11 +72,17 @@ func (r Rational) reduced() Rational {
 }
 
 // Cmp returns -1, 0, or +1 as r is less than, equal to, or greater
-// than o.
+// than o. With both denominators positive, as every constructor leaves
+// them, the stored terms are cross-multiplied as they are: the sign of
+// a/b - c/d is that of ad - cb whether or not the fractions are in
+// lowest terms. Only the zero value and hand-built literals with a
+// non-positive denominator are reduced first.
 func (r Rational) Cmp(o Rational) int {
-	rr, oo := r.reduced(), o.reduced()
-	lhs := rr.Num * oo.Den
-	rhs := oo.Num * rr.Den
+	if r.Den <= 0 || o.Den <= 0 {
+		r, o = r.reduced(), o.reduced()
+	}
+	lhs := r.Num * o.Den
+	rhs := o.Num * r.Den
 	switch {
 	case lhs < rhs:
 		return -1

@@ -117,3 +117,58 @@ func TestAddSubInverseProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// reducingCmp is Cmp as it was before the cross-multiplying fast path:
+// both operands reduced to lowest terms first.
+func reducingCmp(r, o Rational) int {
+	rr, oo := r.reduced(), o.reduced()
+	lhs, rhs := rr.Num*oo.Den, oo.Num*rr.Den
+	switch {
+	case lhs < rhs:
+		return -1
+	case lhs > rhs:
+		return 1
+	}
+	return 0
+}
+
+// Cmp and Equal cross-multiply the stored terms when both denominators
+// are positive and reduce only otherwise; either way they must order
+// like the reducing form, on reduced values, unreduced and
+// negative-denominator literals, and the zero value.
+func TestCmpMatchesReducingForm(t *testing.T) {
+	literal := func(num int8, den int8, scale uint8) Rational {
+		k := int64(scale%5) + 1 // scale 1..5 leaves the literal unreduced
+		return Rational{Num: int64(num) * k, Den: int64(den) * k}
+	}
+	f := func(a, b, c, d int8, s1, s2 uint8, zero uint8) bool {
+		x, y := literal(a, b, s1), literal(c, d, s2)
+		switch zero % 4 {
+		case 1:
+			x = Rational{}
+		case 2:
+			y = Rational{}
+		}
+		want := reducingCmp(x, y)
+		return x.Cmp(y) == want && y.Cmp(x) == -want && x.Equal(y) == (want == 0)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+	for _, c := range []struct {
+		x, y Rational
+		want int
+	}{
+		{Rational{2, 4}, New(1, 2), 0},
+		{Rational{1, -2}, New(-1, 2), 0},
+		{Rational{-3, -6}, New(1, 2), 0},
+		{Rational{}, Zero(), 0},
+		{Rational{5, 0}, Zero(), 0},
+		{Rational{}, Rational{-1, 3}, 1},
+		{Rational{4, -6}, Rational{-1, 2}, -1},
+	} {
+		if got := c.x.Cmp(c.y); got != c.want || got != reducingCmp(c.x, c.y) {
+			t.Errorf("%+v.Cmp(%+v) = %d, want %d", c.x, c.y, got, c.want)
+		}
+	}
+}

@@ -8,20 +8,112 @@ import (
 	"ivm/internal/rat"
 )
 
-// cacheKey identifies one cyclic steady state in canonical
+// A cache key identifies one cyclic steady state in canonical
 // (orbit-minimal) form: the spec's configuration family, the memory
 // shape (m, s, n_c), the structural CPU layout, and the packed
 // configuration vector (d_1..d_N, b_1..b_N) after canonicalisation
-// through the spec's pipeline (see compiledSpec.key and
+// through the spec's pipeline (see compiledSpec.pack and
 // docs/CACHING.md). The CPU layout is part of the key because two
 // specs with equal vectors but different port topologies are different
 // simulations; the family string alone does not pin it for the generic
 // "streamN"/"sectionN" shapes.
+//
+// A key is one byte string: the head, which the spec fixes, then the
+// vector.
+//
+//	varint len(family), family,
+//	varint m, varint s, varint n_c,
+//	varint len(cpus), cpus (varint per stream),
+//	vec (varint per coordinate, to the end)
+//
+// Every field is delimited, so equal strings are equal keys.
+
+// cacheKeyInline is the longest key held inline in a cacheKey. A
+// census key takes 15 to 24 bytes; a longer key (a long policy family
+// name, many streams or a large m) spills to a string.
+const cacheKeyInline = 39
+
+// cacheKey is a key of at most cacheKeyInline bytes, held inline and
+// zero-padded beside its length. It holds no pointer, so a shard map
+// of them is never scanned by the collector and a probe or a put
+// builds no string.
 type cacheKey struct {
-	family   string
-	m, s, nc int
-	cpus     string
-	vec      string
+	n uint8
+	b [cacheKeyInline]byte
+}
+
+// inlineKey holds key in a cacheKey; it reports false when key is too
+// long and must spill.
+func inlineKey(key []byte) (cacheKey, bool) {
+	var k cacheKey
+	if len(key) > cacheKeyInline {
+		return k, false
+	}
+	k.n = uint8(len(key))
+	copy(k.b[:], key)
+	return k, true
+}
+
+// bytes returns the key's byte string.
+func (k *cacheKey) bytes() []byte { return k.b[:k.n] }
+
+// keyBuf builds the cache keys of one spec: buf holds the spec's head
+// and then the packed vector of the placement last packed, and mix is
+// the shard hash state after the head, worked out once per spec.
+type keyBuf struct {
+	buf  []byte
+	head int
+	mix  uint64
+}
+
+// newKeyBuf builds the key head of a spec's family, memory shape and
+// CPU layout.
+func newKeyBuf(family string, m, s, nc int, cpus []int) keyBuf {
+	cpuBytes := appendPacked(nil, cpus)
+	// Room for the head and a vector of 2N coordinates of up to two
+	// bytes each, so packing a placement does not grow it.
+	buf := make([]byte, 0, len(family)+len(cpuBytes)+16+4*len(cpus))
+	buf = binary.AppendVarint(buf, int64(len(family)))
+	buf = append(buf, family...)
+	buf = binary.AppendVarint(buf, int64(m))
+	buf = binary.AppendVarint(buf, int64(s))
+	buf = binary.AppendVarint(buf, int64(nc))
+	buf = binary.AppendVarint(buf, int64(len(cpuBytes)))
+	buf = append(buf, cpuBytes...)
+	return keyBuf{buf: buf, head: len(buf), mix: headMix(family, m, s, nc, cpuBytes)}
+}
+
+// setVec packs vec after the head.
+func (k *keyBuf) setVec(vec []int) { k.buf = appendPacked(k.buf[:k.head], vec) }
+
+// shard is the shard of the key setVec last packed.
+func (k *keyBuf) shard() int { return finishShard(k.mix, k.buf[k.head:]) }
+
+// keyParts are the decoded fields of a key.
+type keyParts struct {
+	family    []byte
+	m, s, nc  int
+	cpus, vec []byte
+}
+
+// parseKey decodes a key built by keyBuf. Keys never leave the
+// process, so a malformed one is a bug and panics.
+func parseKey(key []byte) keyParts {
+	var p keyParts
+	next := func() int {
+		x, n := binary.Varint(key)
+		if n <= 0 {
+			panic("sweep: corrupt cache key")
+		}
+		key = key[n:]
+		return int(x)
+	}
+	n := next()
+	p.family, key = key[:n], key[n:]
+	p.m, p.s, p.nc = next(), next(), next()
+	n = next()
+	p.cpus, p.vec = key[:n], key[n:]
+	return p
 }
 
 // packInts encodes a vector as a compact varint string for use as a
@@ -38,10 +130,8 @@ func appendPacked(dst []byte, v []int) []byte {
 	return dst
 }
 
-// unpackInts inverts packInts (differential tests reconstruct cached
-// configurations from their keys).
-func unpackInts(s string) []int {
-	b := []byte(s)
+// unpackInts inverts packInts.
+func unpackInts(b []byte) []int {
 	var out []int
 	for len(b) > 0 {
 		x, n := binary.Varint(b)
@@ -54,34 +144,41 @@ func unpackInts(s string) []int {
 	return out
 }
 
-// shard spreads keys over the cache shards: an FNV-style mix of every
-// key component, finished with the murmur3 64-bit avalanche, whose top
-// bits select the shard. The cache is itself a cacheShardCount-way
-// interleaved memory, and the mix alone repeats its low bits with
-// period 2: h % 16 sent every 4-stream key to the 8 odd shards, as a
-// stride sharing a factor with m reaches only m/gcd(d, m) banks. So
-// the index must come from avalanched high bits. There is no
-// per-process seed: shard placement repeats from run to run.
-func (k cacheKey) shard() int { return shardOf(k, k.vec) }
-
-// shardOf is k's shard with vec standing in for k.vec.
-func shardOf[V string | []byte](k cacheKey, vec V) int {
+// headMix and finishShard spread keys over the cache shards: an
+// FNV-style mix of every key component (the family's bytes, m, s and
+// n_c, the packed CPU layout's bytes, then the packed vector's),
+// finished with the murmur3 64-bit avalanche, whose top bits select the
+// shard. The cache is itself a cacheShardCount-way interleaved memory,
+// and the mix alone repeats its low bits with period 2: h % 16 sent
+// every 4-stream key to the 8 odd shards, as a stride sharing a factor
+// with m reaches only m/gcd(d, m) banks. So the index must come from
+// avalanched high bits. There is no per-process seed: shard placement
+// repeats from run to run. headMix mixes the head, which a spec fixes,
+// so the answer route mixes only the vector per placement.
+func headMix[S string | []byte](family S, m, s, nc int, cpus []byte) uint64 {
 	h := uint64(2166136261)
-	mix := func(v int) {
-		h ^= uint64(uint32(v))
-		h *= 16777619
+	for i := 0; i < len(family); i++ {
+		h = mixShard(h, int(family[i]))
 	}
-	for i := 0; i < len(k.family); i++ {
-		mix(int(k.family[i]))
+	h = mixShard(h, m)
+	h = mixShard(h, s)
+	h = mixShard(h, nc)
+	for _, c := range cpus {
+		h = mixShard(h, int(c))
 	}
-	mix(k.m)
-	mix(k.s)
-	mix(k.nc)
-	for i := 0; i < len(k.cpus); i++ {
-		mix(int(k.cpus[i]))
-	}
-	for i := 0; i < len(vec); i++ {
-		mix(int(vec[i]))
+	return h
+}
+
+func mixShard(h uint64, v int) uint64 {
+	h ^= uint64(uint32(v))
+	return h * 16777619
+}
+
+// finishShard mixes the packed vector into the head's state h and
+// returns the shard index.
+func finishShard(h uint64, vec []byte) int {
+	for _, c := range vec {
+		h = mixShard(h, int(c))
 	}
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
@@ -111,9 +208,12 @@ type bwCache struct {
 	shards   [cacheShardCount]bwShard
 }
 
+// bwShard holds its keys inline in m and spilled keys in spill; the
+// two share the shard's bound and are dropped together.
 type bwShard struct {
-	mu sync.Mutex
-	m  map[cacheKey]rat.Rational
+	mu    sync.Mutex
+	m     map[cacheKey]rat.Rational
+	spill map[string]rat.Rational
 }
 
 // newBWCache builds a cache bounded at roughly size entries in total.
@@ -125,33 +225,45 @@ func newBWCache(size int) *bwCache {
 	return &bwCache{perShard: per}
 }
 
-// get looks up the key k whose packed configuration vector is vec;
-// k.vec is ignored. The string(vec) conversion sits inside the map
-// index expression, where the compiler makes it without allocating,
-// so a probe builds no key string: the route builds one only on a
-// miss, to put the answer.
-func (c *bwCache) get(k cacheKey, vec []byte) (rat.Rational, bool) {
-	s := &c.shards[shardOf(k, vec)]
+// get looks up the key k last packed. It allocates nothing: an inline
+// key is built on the stack, and a spilled key's string(k.buf)
+// conversion sits inside the map index expression, where the compiler
+// makes it without allocating.
+func (c *bwCache) get(k *keyBuf) (rat.Rational, bool) {
+	s := &c.shards[k.shard()]
+	var v rat.Rational
+	var ok bool
 	s.mu.Lock()
-	v, ok := s.m[cacheKey{family: k.family, m: k.m, s: k.s, nc: k.nc, cpus: k.cpus, vec: string(vec)}]
+	if ik, in := inlineKey(k.buf); in {
+		v, ok = s.m[ik]
+	} else {
+		v, ok = s.spill[string(k.buf)]
+	}
 	s.mu.Unlock()
 	return v, ok
 }
 
-// put stores v under k and keeps k's strings: the route builds a fresh
-// key per miss and SeedCache one per record, so a clone here would
-// only add garbage.
-func (c *bwCache) put(k cacheKey, v rat.Rational) {
+// put stores v under the key k last packed. An inline key allocates
+// nothing beyond the map's own growth; only a spilled key builds its
+// string.
+func (c *bwCache) put(k *keyBuf, v rat.Rational) {
 	s := &c.shards[k.shard()]
 	s.mu.Lock()
-	if len(s.m) >= c.perShard {
-		c.evicted.Add(int64(len(s.m)))
-		s.m = nil
+	if n := len(s.m) + len(s.spill); n >= c.perShard {
+		c.evicted.Add(int64(n))
+		s.m, s.spill = nil, nil
 	}
-	if s.m == nil {
-		s.m = make(map[cacheKey]rat.Rational)
+	if ik, in := inlineKey(k.buf); in {
+		if s.m == nil {
+			s.m = make(map[cacheKey]rat.Rational)
+		}
+		s.m[ik] = v
+	} else {
+		if s.spill == nil {
+			s.spill = make(map[string]rat.Rational)
+		}
+		s.spill[string(k.buf)] = v
 	}
-	s.m[k] = v
 	s.mu.Unlock()
 }
 
@@ -161,7 +273,7 @@ func (c *bwCache) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += len(s.m)
+		n += len(s.m) + len(s.spill)
 		s.mu.Unlock()
 	}
 	return n

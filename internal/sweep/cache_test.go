@@ -8,10 +8,22 @@ import (
 )
 
 // keyAt packs placement b of cs and returns its cache key, the key the
-// answer route puts on a miss.
+// answer route puts on a miss. The tests' specs are small enough for
+// every key to be held inline.
 func keyAt(cs *compiledSpec, b []int) cacheKey {
 	cs.pack(b)
-	return cs.key()
+	k, ok := inlineKey(cs.key.buf)
+	if !ok {
+		panic("sweep: test key spills")
+	}
+	return k
+}
+
+// shard is the key's shard, worked out from its decoded fields as the
+// answer route works it out from a spec's head and a packed vector.
+func (k cacheKey) shard() int {
+	p := parseKey(k.bytes())
+	return finishShard(headMix(p.family, p.m, p.s, p.nc, p.cpus), p.vec)
 }
 
 // spreadKeys collects the distinct canonical cache keys of every

@@ -200,8 +200,9 @@ func (m Metrics) Table() string {
 // worker count or cache state.
 //
 // Every sweep — pair, triple, section or generic N-stream — routes
-// through one path, sweepSpecs: one work item per spec, the spec
-// compiled against the worker (compiledSpec), each placement's
+// through one path, sweepSpecs: one work item per spec (per class of
+// unit-isomorphic specs in the capacity-bound grids, see specGrid),
+// the spec compiled against the worker (compiledSpec), each placement's
 // configuration vector (d_1..d_N, b_1..b_N) canonicalised by the
 // spec's modmath pipeline (translation orbits composed with the
 // unit-group scaling action), and the canonical representative keying
@@ -469,14 +470,14 @@ func (e *Engine) SectionGrid(m, s, nc int) []SectionPairResult {
 // TripleGrid is the parallel, cached equivalent of TripleGrid: every
 // distance triple over all m^2 relative placements.
 func (e *Engine) TripleGrid(m, nc int) []TripleSweepResult {
-	return tripleResults(sweepSpecs(e, tripleSpecs(m, nc), specFold))
+	return tripleResults(e.specGrid(tripleSpecs(m, nc)))
 }
 
 // NStreamGrid is the parallel, cached equivalent of NStreamGrid: every
 // nondecreasing non-self-conflicting distance N-tuple over all
 // m^(N-1) relative placements.
 func (e *Engine) NStreamGrid(m, nc, n int) []SpecResult {
-	return sweepSpecs(e, nStreamSpecs(m, nc, n), specFold)
+	return e.specGrid(nStreamSpecs(m, nc, n))
 }
 
 // SpecGrid is the parallel, cached equivalent of SpecGrid: one work
@@ -486,7 +487,7 @@ func (e *Engine) NStreamGrid(m, nc, n int) []SpecResult {
 // theorem-comparing Grid/SectionGrid result shapes (those embed
 // fixed-priority analysis), but their capacity bounds are
 // priority-independent, so SpecResult is exact for any policy.
-func (e *Engine) SpecGrid(specs []ConfigSpec) []SpecResult { return sweepSpecs(e, specs, specFold) }
+func (e *Engine) SpecGrid(specs []ConfigSpec) []SpecResult { return e.specGrid(specs) }
 
 // --- Workers ------------------------------------------------------------
 
@@ -578,6 +579,26 @@ func (w *worker) pipelineFor(m, s int, mapping memsys.SectionMapping) modmath.Pi
 	return w.pipe
 }
 
+// pairGate returns the analytic fast path for spec, or nil when the
+// gate is off, the spec is outside the theorems' model (sectioned, not
+// two streams) or the classifier has no start-independent closed form
+// for it. The classifier's model is a sectionless two-stream memory
+// with stream 1 holding the fixed priority — exactly what specConfig
+// builds for such specs, so the gate is sound for any CPU layout (with
+// s = m every path conflict is already a bank-level event).
+// NewPairGateUnder declines every other priority rule: those specs
+// always simulate, whatever Options.Analytic says.
+func (e *Engine) pairGate(spec ConfigSpec) *core.PairGate {
+	if !e.opt.analytic() || spec.S != 0 || len(spec.Streams) != 2 {
+		return nil
+	}
+	g := core.NewPairGateUnder(spec.M, spec.NC, spec.Streams[0].D, spec.Streams[1].D, spec.Priority)
+	if !g.Active() {
+		return nil
+	}
+	return &g
+}
+
 // compiledSpec binds one ConfigSpec to a worker for the duration of a
 // work item: the derived family and counter, the canonicalisation
 // pipeline, the simulator configuration, and the scratch vectors the
@@ -585,7 +606,6 @@ func (w *worker) pipelineFor(m, s int, mapping memsys.SectionMapping) modmath.Pi
 type compiledSpec struct {
 	spec    ConfigSpec
 	family  string
-	cpus    string
 	cpuList []int
 	canon   modmath.Pipeline
 	cfg     memsys.Config
@@ -603,14 +623,12 @@ type compiledSpec struct {
 	counter *familyCounter
 	theorem *atomic.Int64
 
-	// vec is the (d_1..d_N, b_1..b_N) canonicalisation scratch and
-	// packed its packed form, the cache probe's key bytes; b holds the
-	// spec's own starts, the placement ResolveBatch answers. head is the
-	// spec's cache key without its vector.
-	vec    []int
-	packed []byte
-	b      []int
-	head   cacheKey
+	// vec is the (d_1..d_N, b_1..b_N) canonicalisation scratch and key
+	// the cache key of its packed form, the spec's head built once; b
+	// holds the spec's own starts, the placement ResolveBatch answers.
+	vec []int
+	key keyBuf
+	b   []int
 }
 
 // compile validates and binds spec to the worker. The returned value
@@ -628,28 +646,19 @@ func (w *worker) compile(spec ConfigSpec) *compiledSpec {
 	cs := &compiledSpec{
 		spec:    spec,
 		family:  spec.Family(),
-		cpus:    packInts(cpus),
 		cpuList: cpus,
 		canon:   w.pipelineFor(spec.M, spec.S, spec.Mapping),
 		cfg:     specConfig(spec),
 		vec:     make([]int, 2*n),
 		b:       make([]int, n),
+		gate:    w.e.pairGate(spec),
 	}
-	cs.head = cacheKey{family: cs.family, m: spec.M, s: spec.S, nc: spec.NC, cpus: cs.cpus}
+	cs.key = newKeyBuf(cs.family, spec.M, spec.S, spec.NC, cpus)
 	for i, st := range spec.Streams {
 		cs.b[i] = st.B
 	}
-	// The classifier's model is a sectionless two-stream memory with
-	// stream 1 holding the fixed priority — exactly what specConfig
-	// builds for such specs, so the gate is sound for any CPU layout
-	// (with s = m every path conflict is already a bank-level event).
-	// NewPairGateUnder declines every other priority rule: those specs
-	// always simulate, whatever Options.Analytic says.
-	if w.e.opt.analytic() && spec.S == 0 && n == 2 {
-		if g := core.NewPairGateUnder(spec.M, spec.NC, spec.Streams[0].D, spec.Streams[1].D, spec.Priority); g.Active() {
-			cs.gate = &g
-			cs.gateTheorem = g.TheoremID()
-		}
+	if cs.gate != nil {
+		cs.gateTheorem = cs.gate.TheoremID()
 	}
 	cs.counter, cs.theorem = w.e.tally(cs.family, cs.gateTheorem)
 	return cs
@@ -666,24 +675,15 @@ func (cs *compiledSpec) load(b []int) {
 }
 
 // pack canonicalises the placement b of the compiled spec into cs.vec
-// and packs the canonical vector into cs.packed, the bytes the cache
-// probe looks up. The canonical representative is the
+// and packs the canonical vector into cs.key, the key the cache probe
+// looks up and a miss puts. The canonical representative is the
 // lexicographically smallest member of the placement's orbit under the
 // spec's pipeline, so isomorphic placements collide in the cache by
 // construction.
 func (cs *compiledSpec) pack(b []int) {
 	cs.load(b)
 	cs.canon.Canonicalize(cs.vec, len(cs.spec.Streams))
-	cs.packed = appendPacked(cs.packed[:0], cs.vec)
-}
-
-// key returns the cache key of the vector pack last packed. It builds
-// the key's vector string, so the route calls it only on a miss, to
-// put the answer.
-func (cs *compiledSpec) key() cacheKey {
-	k := cs.head
-	k.vec = string(cs.packed)
-	return k
+	cs.key.setVec(cs.vec)
 }
 
 // resolve is the engine's single answer route, the paper's three
@@ -713,7 +713,7 @@ func (w *worker) resolve(cs *compiledSpec, b []int, sp SpanSink) Resolution {
 		cs.pack(b)
 		t.end(cs.family)
 		t = w.begin(sp, noSlice, SpanCacheProbe)
-		bw, ok := w.e.cache.get(cs.head, cs.packed)
+		bw, ok := w.e.cache.get(&cs.key)
 		t.end(cs.family)
 		if ok {
 			return w.record(cs, Resolution{BW: bw, Path: PathCache}, 0)
@@ -757,7 +757,7 @@ func (w *worker) record(cs *compiledSpec, r Resolution, simNS int64) Resolution 
 	}
 	r.Canonical = cs.vec
 	tl.instantAt(w.id, TimelineCacheMiss, simNS, -1, cs.family)
-	e.cache.put(cs.key(), r.BW)
+	e.cache.put(&cs.key, r.BW)
 	if sink := e.opt.CacheSink; sink != nil {
 		sink.Put(CacheRecord{
 			Family: cs.family,

@@ -57,15 +57,10 @@ func (r CacheRecord) Validate() error {
 }
 
 // key builds the record's in-RAM cache key.
-func (r CacheRecord) key() cacheKey {
-	return cacheKey{
-		family: r.Family,
-		m:      r.M,
-		s:      r.S,
-		nc:     r.NC,
-		cpus:   packInts(r.CPUs),
-		vec:    packInts(r.Vec),
-	}
+func (r CacheRecord) key() keyBuf {
+	k := newKeyBuf(r.Family, r.M, r.S, r.NC, r.CPUs)
+	k.setVec(r.Vec)
+	return k
 }
 
 // CacheSink receives one CacheRecord per newly simulated canonical
@@ -92,7 +87,8 @@ func (e *Engine) SeedCache(rec CacheRecord) error {
 	if err := rec.Validate(); err != nil {
 		return fmt.Errorf("sweep: %v", err)
 	}
-	e.cache.put(rec.key(), rec.BW)
+	k := rec.key()
+	e.cache.put(&k, rec.BW)
 	return nil
 }
 
@@ -107,17 +103,24 @@ func (e *Engine) CacheRecords() []CacheRecord {
 		return nil
 	}
 	var out []CacheRecord
+	add := func(key []byte, v rat.Rational) {
+		p := parseKey(key)
+		out = append(out, CacheRecord{
+			Family: string(p.family),
+			M:      p.m, S: p.s, NC: p.nc,
+			CPUs: unpackInts(p.cpus),
+			Vec:  unpackInts(p.vec),
+			BW:   v,
+		})
+	}
 	for i := range e.cache.shards {
 		s := &e.cache.shards[i]
 		s.mu.Lock()
 		for k, v := range s.m {
-			out = append(out, CacheRecord{
-				Family: k.family,
-				M:      k.m, S: k.s, NC: k.nc,
-				CPUs: unpackInts(k.cpus),
-				Vec:  unpackInts(k.vec),
-				BW:   v,
-			})
+			add(k.bytes(), v)
+		}
+		for k, v := range s.spill {
+			add([]byte(k), v)
 		}
 		s.mu.Unlock()
 	}

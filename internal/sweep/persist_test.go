@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -96,6 +97,43 @@ func TestCacheRecordsSeedRoundTrip(t *testing.T) {
 	}
 	if m := b.Metrics(); m.CacheMisses != 0 {
 		t.Fatalf("seeded engine still missed %d times", m.CacheMisses)
+	}
+
+	// A key too long to hold inline spills to a string: twelve streams
+	// on a 1000-bank memory. It must export and seed like any other.
+	long := ConfigSpec{M: 1000, NC: 2, Streams: make([]Stream, 12)}
+	for i := range long.Streams {
+		long.Streams[i] = Stream{D: 250 * (1 + i%2), B: 97 * i % 1000, CPU: i % 3}
+	}
+	cs := (&worker{e: a}).compile(long)
+	cs.pack(cs.b)
+	if _, inline := inlineKey(cs.key.buf); inline {
+		t.Fatalf("%d-byte key of the 12-stream spec held inline", len(cs.key.buf))
+	}
+	before := len(a.CacheRecords())
+	want, err := a.Resolve(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Path == PathCache || a.cache.Len() != before+1 {
+		t.Fatalf("12-stream spec resolved on %v, cache %d entries after %d", want.Path, a.cache.Len(), before)
+	}
+	records = a.CacheRecords()
+	c := NewEngine(Options{Workers: 1})
+	for _, rec := range records {
+		if err := c.SeedCache(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(c.CacheRecords(), records) {
+		t.Fatal("records of a seeded engine differ from the records it was seeded with")
+	}
+	got, err := c.Resolve(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Path != PathCache || !got.BW.Equal(want.BW) || !reflect.DeepEqual(got.Canonical, want.Canonical) {
+		t.Fatalf("seeded 12-stream spec: %+v, want %s from the cache", got, want.BW)
 	}
 }
 

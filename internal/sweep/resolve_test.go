@@ -112,8 +112,10 @@ func TestResolveBatchOrderAndSplit(t *testing.T) {
 
 // The detached answer route — no Timeline, Provenance, sinks or span
 // sink, as in a sweep — allocates nothing on an analytic answer nor on
-// a cache hit: the probe looks the packed vector up in place, and the
-// key string is built only on a miss.
+// a cache hit: the probe looks the packed vector up in place. A miss's
+// put of a census-sized key allocates nothing either: the key is held
+// inline, so only the shard maps' growth allocates, amortised over
+// many puts to well below one allocation each.
 func TestDetachedResolveAllocs(t *testing.T) {
 	w := &worker{e: NewEngine(Options{Workers: 1})}
 	gated := w.compile(PairSpec(16, 4, 1, 2)) // eq-29 answers every placement
@@ -131,6 +133,24 @@ func TestDetachedResolveAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { w.resolve(census, census.b, nil) }); n != 0 {
 		t.Errorf("detached cache hit allocates %v per op, want 0", n)
+	}
+
+	stream4 := w.compile(NStreamSpec(8, 2, []int{1, 3, 5, 7}))
+	for _, cs := range []*compiledSpec{census, stream4} {
+		c := newBWCache(DefaultCacheSize)
+		n := len(cs.vec)
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			i++
+			for j := range cs.vec { // a fresh key every put
+				cs.vec[j] = i >> (2 * j) & 3
+			}
+			cs.key.setVec(cs.vec)
+			c.put(&cs.key, rat.One())
+		})
+		if allocs != 0 || c.Len() != 1001 {
+			t.Errorf("%s: %d puts of %d-coordinate keys allocate %v per put, want 0", cs.family, c.Len(), n, allocs)
+		}
 	}
 }
 

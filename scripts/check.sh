@@ -18,8 +18,9 @@
 # Live probes close the run:
 # the default ivmsweep runs under the cyclic and rr-cpu priority rules
 # must exit 0 with nothing on stderr; ivmsweep -triples -m 13 -nc 4
-# -full must print byte-identical tables at -workers 1 and 2, with and
-# without the cache; ivmsweep -m 8 -nc 0 and -m 0, ivmtriad -n 0 and
+# -full must print byte-identical output, engine counters included, at
+# -workers 1 and 2, with and without the cache, and ivmsweep -m 8 -nc 2
+# -streams 4 -full the same table with and without it; ivmsweep -m 8 -nc 0 and -m 0, ivmtriad -n 0 and
 # -maxinc 0, ivmablate -study kernels -n 0 and ivmfigs -clocks -1 must
 # exit 2 with a usage error naming the flag and no goroutine trace;
 # README's ivmsweep -trace-out/-metrics-out command must exit 0 with
@@ -166,14 +167,19 @@ echo "check.sh: quiet-default probe OK, cyclic and rr-cpu sweeps exit 0 with emp
 # states its searches recorded and stops a later search at the first
 # one it meets, so what a worker has recorded depends on which
 # placements the scheduler gave it; the answers must not. The (13, 4)
-# triple grid must print byte-identical tables at -workers 1 and 2,
+# triple grid must print byte-identical output at -workers 1 and 2,
 # with the cache at its default size (-cache 0) and with -cache -1,
 # where every placement is
 # simulated itself rather than its canonical representative, and the
-# two must agree. The cached runs' engine counter footer is left out:
-# two workers may both miss on one key. With -cache -1 the footer is
-# compared too, and its clocks simulated must be the sum of Lead +
-# Length over the grid's 76895 placements as fresh searches find them.
+# two runs' tables must agree. The engine counter footer is compared
+# too: the cached grid folds each class of unit-isomorphic triples in
+# one work item and the classes share no orbit, so no two workers can
+# miss one orbit, and the grid's orbits fit the cache. With -cache -1 its clocks simulated must be the
+# sum of Lead + Length over the grid's 76895 placements as fresh
+# searches find them. The (8, 2, 4) 4-stream grid's table must be the
+# same with and without the cache; its footer is left out, because its
+# orbits overflow the default cache and which ones a shard drop
+# discards depends on the order the workers put them in.
 for cache in 0 -1; do
 	for w in 1 2; do
 		if ! "$tmp/ivmsweep" -triples -m 13 -nc 4 -full -workers "$w" -cache "$cache" > "$tmp/triples-$cache-w$w.txt" 2> "$tmp/triples-stderr"; then
@@ -184,7 +190,7 @@ for cache in 0 -1; do
 		sed '/^engine counter/,$d' "$tmp/triples-$cache-w$w.txt" > "$tmp/triples-$cache-w$w.table"
 	done
 done
-for pair in "0-w1.table 0-w2.table" "-1-w1.txt -1-w2.txt" "0-w1.table -1-w1.table"; do
+for pair in "0-w1.txt 0-w2.txt" "-1-w1.txt -1-w2.txt" "0-w1.table -1-w1.table"; do
 	read -r a b <<< "$pair"
 	if ! cmp -s "$tmp/triples-$a" "$tmp/triples-$b"; then
 		echo "check.sh: ivmsweep -triples -m 13 -nc 4 -full output differs between runs $a and $b (cache-workers):" >&2
@@ -197,7 +203,20 @@ if ! grep -qx 'steps simulated *12464128 *' "$tmp/triples--1-w1.txt"; then
 	grep '^steps simulated' "$tmp/triples--1-w1.txt" >&2
 	exit 1
 fi
-echo "check.sh: worker-count determinism probe OK, (13, 4) triple tables identical at -workers 1 and 2, cached and uncached"
+for cache in 0 -1; do
+	if ! "$tmp/ivmsweep" -m 8 -nc 2 -streams 4 -full -cache "$cache" > "$tmp/stream4-$cache.txt" 2> "$tmp/stream4-stderr"; then
+		echo "check.sh: ivmsweep -m 8 -nc 2 -streams 4 -full -cache $cache failed:" >&2
+		cat "$tmp/stream4-stderr" >&2
+		exit 1
+	fi
+	sed '/^engine counter/,$d' "$tmp/stream4-$cache.txt" > "$tmp/stream4-$cache.table"
+done
+if ! cmp -s "$tmp/stream4-0.table" "$tmp/stream4--1.table"; then
+	echo "check.sh: ivmsweep -m 8 -nc 2 -streams 4 -full tables differ with and without the cache:" >&2
+	diff "$tmp/stream4-0.table" "$tmp/stream4--1.table" | head -20 >&2
+	exit 1
+fi
+echo "check.sh: worker-count determinism probe OK, (13, 4) triple output identical at -workers 1 and 2, cached and uncached; (8, 2, 4) stream4 tables identical with and without the cache"
 
 # Bad-geometry probe: an impossible memory geometry, vector length,
 # increment range or timeline width is a usage error (exit 2) whose
