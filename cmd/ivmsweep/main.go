@@ -24,8 +24,8 @@
 // hides — and -provenance-csv exports it in long form; -progress
 // prints a live status line (items/s, ETA, path split) at the given
 // period. -cpuprofile/-memprofile/-trace write pprof/runtime profiles
-// of the whole run. -cache-export dir appends the run's cached cyclic
-// states to a persistent cache store (internal/cachestore) that
+// of the whole run. -cache-export dir appends every cyclic state the
+// run simulates to a persistent cache store (internal/cachestore) that
 // ivmserved -cache-dir warm-starts from; see docs/SERVING.md.
 //
 // One simulation's bank and port timeline, strip chart and per-bank
@@ -65,7 +65,7 @@ func main() {
 	provenanceCSV := flag.String("provenance-csv", "", "write the result-attribution report as long-form CSV")
 	progressEvery := flag.Duration("progress", 0, "print a live progress line (items/s, ETA, path split) to stderr at this period; 0 disables")
 	latencyFlag := flag.Bool("latency", false, "print the engine's per-work-item latency histogram as p50/p95/p99 (also in -metrics-out)")
-	cacheExport := flag.String("cache-export", "", "after the sweeps, export the cyclic-state cache to the persistent store in this directory (warm-start set for ivmserved -cache-dir)")
+	cacheExport := flag.String("cache-export", "", "append every cyclic state the sweeps simulate to the persistent store in this directory (warm-start set for ivmserved -cache-dir)")
 	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -107,9 +107,17 @@ func main() {
 	if *provenanceFlag || *provenanceCSV != "" || *metricsOut != "" || *metricsAddr != "" {
 		prov = sweep.NewProvenance(0)
 	}
-	eng := sweep.NewEngine(sweep.Options{
-		Workers: *workers, CacheSize: *cache, Timeline: timeline, Provenance: prov,
-	})
+	opt := sweep.Options{Workers: *workers, CacheSize: *cache, Timeline: timeline, Provenance: prov}
+	var store *cachestore.Store
+	var stored int
+	if *cacheExport != "" {
+		if store, err = cachestore.Open(*cacheExport); err != nil {
+			fail("%v", err)
+		}
+		stored = store.Len()
+		opt.CacheSink = store
+	}
+	eng := sweep.NewEngine(opt)
 	var prog *obs.Progress
 	if *progressEvery > 0 || *metricsAddr != "" {
 		prog = obs.NewProgress(eng)
@@ -128,8 +136,8 @@ func main() {
 
 	runSweeps(eng, *m, *nc, *secs, *streams, *triples, *census, *full, priority, mapping)
 
-	if *cacheExport != "" {
-		if err := exportCache(eng, *cacheExport); err != nil {
+	if store != nil {
+		if err := closeExport(store, stored); err != nil {
 			fail("%v", err)
 		}
 	}
@@ -181,28 +189,20 @@ func main() {
 	}
 }
 
-// exportCache appends the engine's cached cyclic states to the
-// persistent store at dir (deduplicated against what the store already
-// holds), so a later ivmserved -cache-dir run starts warm. Analytic
-// answers never enter the cache, so the export holds exactly the
-// simulated orbits — complete for serving, which gates the same
-// placements analytically.
-func exportCache(eng *sweep.Engine, dir string) error {
-	store, err := cachestore.Open(dir)
-	if err != nil {
-		return err
-	}
-	records := eng.CacheRecords()
-	before := store.Len()
-	for _, rec := range records {
-		store.Put(rec)
-	}
-	added := store.Len() - before
+// closeExport flushes and closes the -cache-export store, which was the
+// engine's CacheSink for the run, and reports what the run added to the
+// stored records it opened with. The sink received every orbit the
+// sweeps simulated, deduplicated against what the store already held,
+// so a later ivmserved -cache-dir run starts warm. Analytic answers are
+// never simulated, so the export holds exactly the simulated orbits —
+// complete for serving, which gates the same placements analytically.
+func closeExport(store *cachestore.Store, stored int) error {
+	n := store.Len()
 	if err := store.Close(); err != nil {
 		return fmt.Errorf("cache export: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "exported %d cached states to %s (%d new)\n",
-		len(records), store.Path(), added)
+	fmt.Fprintf(os.Stderr, "exported %d new cached states to %s (%d stored)\n",
+		n-stored, store.Path(), n)
 	return nil
 }
 

@@ -1,11 +1,28 @@
 package main
 
 import (
+	"fmt"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
+	"ivm/internal/cachestore"
 	"ivm/internal/memsys"
+	"ivm/internal/sweep"
 )
+
+// TestMain runs the command itself, with the newline-separated
+// arguments in IVMSWEEP_ARGS, when a test re-executes the test binary
+// with that variable set; otherwise it runs the tests.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("IVMSWEEP_ARGS"); ok {
+		os.Args = append([]string{"ivmsweep"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 func TestValidateSweepFlags(t *testing.T) {
 	good := []sweepFlags{
@@ -61,5 +78,65 @@ func TestValidateSweepFlags(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%+v: error %q does not mention %q", c.f, err, c.want)
 		}
+	}
+}
+
+// -cache-export attaches the store as the engine's CacheSink, so it
+// holds every orbit the sweep simulated, although the triple grid's
+// class leads never fill the in-RAM cache: as many records as the
+// per-placement route caches, the same ones, and a seeded engine
+// answers their placements from the cache.
+func TestCacheExportStoresEverySimulatedOrbit(t *testing.T) {
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "IVMSWEEP_ARGS="+strings.Join([]string{
+		"-triples", "-m", "7", "-nc", "2", "-cache-export", dir}, "\n"))
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("ivmsweep: %v\n%s", err, out)
+	}
+
+	var specs []sweep.ConfigSpec
+	for _, r := range sweep.NewEngine(sweep.Options{CacheSize: -1}).TripleGrid(7, 2) {
+		specs = append(specs, sweep.TripleSpec(7, 2, r.D))
+	}
+	batch := sweep.Placements(specs)
+	perPlacement := sweep.NewEngine(sweep.Options{Workers: 1})
+	if _, err := perPlacement.ResolveBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, rec := range perPlacement.CacheRecords() {
+		want[fmt.Sprint(rec)] = true
+	}
+
+	store, err := cachestore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	records := store.Records()
+	if len(records) != len(want) {
+		t.Fatalf("store holds %d records, the per-placement route caches %d orbits", len(records), len(want))
+	}
+	if !strings.Contains(string(out), fmt.Sprintf("exported %d new cached states", len(want))) {
+		t.Errorf("export line missing or wrong:\n%s", out)
+	}
+	seeded := sweep.NewEngine(sweep.Options{Workers: 1})
+	for _, rec := range records {
+		if !want[fmt.Sprint(rec)] {
+			t.Fatalf("store record %+v is not an orbit of the per-placement route", rec)
+		}
+		if err := seeded.SeedCache(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := batch[len(batch)/2]
+	res, err := seeded.Resolve(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold := sweep.SpecGrid([]sweep.ConfigSpec{spec})[0].SimMin; res.Path != sweep.PathCache || !res.BW.Equal(cold) {
+		t.Fatalf("seeded engine answered %+v with %s on %v, cold %s", spec, res.BW, res.Path, cold)
 	}
 }

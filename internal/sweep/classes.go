@@ -1,5 +1,7 @@
 package sweep
 
+import "ivm/internal/rat"
+
 // Spec classes: the paper's isomorphism d1 ⊕ d2 ≅ k·d1 ⊕ k·d2 (mod m),
 // gcd(k, m) = 1, stated on whole specs. Scaling by a unit u of the
 // spec's canonicalisation group maps every placement (d, b) of a spec
@@ -24,16 +26,17 @@ type classKey struct {
 }
 
 // specClasses returns, for each spec, the index of the first spec of
-// its class in input order: its own index when it leads its class.
-// A spec is a class of its own when the engine has no cache, when a
-// Provenance recorder is attached (it counts each placement's orbit),
-// when the analytic gate answers the spec (gated answers are counted
-// by theorem) and when a fixed stream starts away from bank 0 (a unit
-// moves such a start, so the scaled placements are another spec's).
+// its class in input order (its own index when it leads its class), or
+// -1 when the spec is a class of its own: when the engine has no cache,
+// when a Provenance recorder is attached (it counts each placement's
+// orbit), when the analytic gate answers the spec (gated answers are
+// counted by theorem) and when a fixed stream starts away from bank 0
+// (a unit moves such a start, so the scaled placements are another
+// spec's).
 func (e *Engine) specClasses(specs []ConfigSpec) []int {
 	lead := make([]int, len(specs))
 	for i := range lead {
-		lead[i] = i
+		lead[i] = -1
 	}
 	if e.cache == nil || e.opt.Provenance != nil {
 		return lead
@@ -66,6 +69,7 @@ func (e *Engine) specClasses(specs []ConfigSpec) []int {
 			lead[i] = j
 		} else {
 			seen[k] = i
+			lead[i] = i
 		}
 	}
 	return lead
@@ -83,30 +87,35 @@ func fixedAtZero(spec ConfigSpec) bool {
 }
 
 // specGrid is the engine's capacity-bound sweep (TripleGrid,
-// NStreamGrid, SpecGrid): the first spec of each class is a work item
-// folded by specFold through the answer route, and once every such
-// item has finished, each other spec of the class is a work item that
-// copies that result under its own Spec and counts its placements as
-// cache hits of its family, which is what resolving them one by one
-// would give while the cache keeps its entries. Both passes run
+// NStreamGrid, SpecGrid). The first spec of each class is a work item
+// folded by specFold through the answer route without the orbit cache:
+// the classes share no orbit, so only the lead's own placements could
+// hit, and each placement is simulated as given, with no canonical key,
+// probe or put. A spec that is a class of its own keeps the cached
+// route. Once every such item has finished, each other spec of a class
+// is a work item that copies its lead's result under its own Spec and
+// counts its placements as cache hits of its family. Both passes run
 // through Engine.run, so the planned and completed items, the item
 // latency histogram and the timeline still count one item per spec.
 func (e *Engine) specGrid(specs []ConfigSpec) []SpecResult {
 	lead := e.specClasses(specs)
-	var first []ConfigSpec
-	var firstAt, rest []int
+	var first, rest []int
 	for i, j := range lead {
-		if i == j {
-			first = append(first, specs[i])
-			firstAt = append(firstAt, i)
+		if j < 0 || j == i {
+			first = append(first, i)
 		} else {
 			rest = append(rest, i)
 		}
 	}
 	out := make([]SpecResult, len(specs))
-	for k, r := range sweepSpecs(e, first, specFold) {
-		out[firstAt[k]] = r
-	}
+	e.run(len(first), func(w *worker, k int) {
+		i := first[k]
+		cs := w.compile(specs[i])
+		if lead[i] == i {
+			cs.cache = nil
+		}
+		out[i] = specFold(specs[i], func(b []int) rat.Rational { return w.resolve(cs, b, nil).BW })
+	})
 	e.run(len(rest), func(_ *worker, k int) {
 		i := rest[k]
 		r := out[lead[i]]

@@ -30,6 +30,7 @@ func TestDifferentialConsecutiveSections(t *testing.T) {
 	}
 	eng := NewEngine(Options{Workers: 4})
 	sameRows(t, "consecutive", SpecGrid(specs), eng.SpecGrid(specs))
+	sameResolves(t, "consecutive placements", eng, specs)
 	fam := eng.Metrics().Families["section-consec"]
 	if fam.Misses == 0 {
 		t.Fatalf("consecutive sweeps never simulated: %+v", fam)
@@ -38,6 +39,7 @@ func TestDifferentialConsecutiveSections(t *testing.T) {
 	// Translating the first stream's start by m/s lands every
 	// placement on an orbit the b1=0 pass already simulated: the
 	// second pass must answer entirely from the cache.
+	sameResolves(t, "translated consecutive", eng, moved)
 	sameRows(t, "translated consecutive", SpecGrid(moved), eng.SpecGrid(moved))
 	shifted := eng.Metrics().Families["section-consec"]
 	if shifted.Misses != fam.Misses {

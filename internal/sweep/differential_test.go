@@ -27,6 +27,27 @@ func sameRows[R any](t *testing.T, what string, cold, eng []R) {
 	}
 }
 
+// sameResolves resolves every placement of specs through
+// Engine.ResolveBatch, the one-placement-at-a-time route through the
+// orbit cache, and holds each answer to the cold oracle's b_eff of that
+// placement. A sweep's class leads simulate without the cache, so the
+// cached, warm, translated and seeded legs of the differential tests
+// run here.
+func sameResolves(t *testing.T, what string, eng *Engine, specs []ConfigSpec) {
+	t.Helper()
+	batch := Placements(specs)
+	got, err := eng.ResolveBatch(batch)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	for i, c := range SpecGrid(batch) {
+		if !got[i].BW.Equal(c.SimMin) {
+			t.Fatalf("%s placement %d %+v: engine %s (%v) != cold oracle %s",
+				what, i, batch[i], got[i].BW, got[i].Path, c.SimMin)
+		}
+	}
+}
+
 func TestDifferentialRandomPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(19850712))
 	var specs []ConfigSpec

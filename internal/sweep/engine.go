@@ -50,13 +50,15 @@ type Options struct {
 	// default) records nothing and costs the hot path nothing, exactly
 	// like Timeline.
 	Provenance *Provenance
-	// CacheSink, when non-nil, receives one CacheRecord per simulated
-	// canonical orbit, immediately after the result enters the in-RAM
-	// cache, so a persistent store (internal/cachestore) can append it
-	// to its log. Cache hits, analytic answers and seeded records are
-	// not re-emitted, and nothing is emitted when caching is disabled
-	// (CacheSize < 0). Implementations must be safe for concurrent use;
-	// nil (the default) is off and free.
+	// CacheSink, when non-nil, receives one CacheRecord per simulation,
+	// under the simulated orbit's canonical vector, so a persistent
+	// store (internal/cachestore) can append it to its log. The lead of
+	// a spec class (see Engine.specGrid) canonicalises its placements
+	// only for the sink and can emit one orbit more than once; stores
+	// deduplicate. Cache hits, class copies, analytic answers and seeded
+	// records are not emitted, and nothing is emitted when caching is
+	// disabled (CacheSize < 0). Implementations must be safe for
+	// concurrent use; nil (the default) is off and free.
 	CacheSink CacheSink
 	// Analytic enables the theorem-driven classifier gate in the sweep
 	// hot path: sectionless two-stream placements whose regime has a
@@ -201,7 +203,8 @@ func (m Metrics) Table() string {
 //
 // Every sweep — pair, triple, section or generic N-stream — routes
 // through one path, sweepSpecs: one work item per spec (per class of
-// unit-isomorphic specs in the capacity-bound grids, see specGrid),
+// unit-isomorphic specs in the capacity-bound grids, whose leads
+// simulate without the cache, see specGrid),
 // the spec compiled against the worker (compiledSpec), each placement's
 // configuration vector (d_1..d_N, b_1..b_N) canonicalised by the
 // spec's modmath pipeline (translation orbits composed with the
@@ -610,6 +613,11 @@ type compiledSpec struct {
 	canon   modmath.Pipeline
 	cfg     memsys.Config
 
+	// cache is the orbit cache the spec's placements are answered from:
+	// the engine's, or nil when caching is disabled and for the lead of
+	// a spec class (see specGrid), whose placements resolve as given.
+	cache *bwCache
+
 	// gate is the analytic fast path for this spec, or nil when the
 	// spec is outside the theorems' model (sectioned, not two streams)
 	// or the classifier has no start-independent closed form for it.
@@ -649,6 +657,7 @@ func (w *worker) compile(spec ConfigSpec) *compiledSpec {
 		cpuList: cpus,
 		canon:   w.pipelineFor(spec.M, spec.S, spec.Mapping),
 		cfg:     specConfig(spec),
+		cache:   w.e.cache,
 		vec:     make([]int, 2*n),
 		b:       make([]int, n),
 		gate:    w.e.pairGate(spec),
@@ -692,7 +701,8 @@ func (cs *compiledSpec) pack(b []int) {
 // simulation of the cyclic steady state. On a miss the CANONICAL
 // representative is simulated — not the requested placement — so the
 // cached value is exactly what any placement of the orbit would
-// produce; with caching disabled the placement itself is simulated.
+// produce; without a cache (caching disabled, or a class lead in
+// specGrid) the placement itself is simulated, with no canonical key.
 // Every step is timed by one phaseTimer and every answer is accounted
 // by one record call. sp is the request's span sink, nil when
 // detached. Canonical, when set, aliases the scratch cs.vec, so
@@ -706,14 +716,14 @@ func (w *worker) resolve(cs *compiledSpec, b []int, sp SpanSink) Resolution {
 			return w.record(cs, Resolution{BW: v, Path: PathAnalytic, Theorem: cs.gateTheorem}, 0)
 		}
 	}
-	if w.e.cache == nil {
+	if cs.cache == nil {
 		cs.load(b)
 	} else {
 		t := w.begin(sp, TimelineCanon, SpanCanon)
 		cs.pack(b)
 		t.end(cs.family)
 		t = w.begin(sp, noSlice, SpanCacheProbe)
-		bw, ok := w.e.cache.get(&cs.key)
+		bw, ok := cs.cache.get(&cs.key)
 		t.end(cs.family)
 		if ok {
 			return w.record(cs, Resolution{BW: bw, Path: PathCache}, 0)
@@ -731,9 +741,12 @@ func (w *worker) resolve(cs *compiledSpec, b []int, sp SpanSink) Resolution {
 // the Timeline, adds it to its orbit's Provenance row when it was
 // canonicalised or simulated and, on a cached miss, stores the answer
 // in the cache, under the key of the vector cs.pack packed, and hands
-// it to the CacheSink. simNS is the Timeline stamp at which a
-// simulation began: the cache-miss instant is stamped there, at the
-// miss decision, not when the simulation has finished.
+// it to the CacheSink. A class lead's simulation is a miss of the
+// engine's cache that puts nothing; only with a CacheSink attached is
+// its placement canonicalised, to emit the orbit's record. simNS is the
+// Timeline stamp at which a simulation began: the cache-miss instant is
+// stamped there, at the miss decision, not when the simulation has
+// finished.
 func (w *worker) record(cs *compiledSpec, r Resolution, simNS int64) Resolution {
 	e := w.e
 	tl := e.opt.Timeline
@@ -755,18 +768,25 @@ func (w *worker) record(cs *compiledSpec, r Resolution, simNS int64) Resolution 
 	if e.cache == nil {
 		return r
 	}
-	r.Canonical = cs.vec
 	tl.instantAt(w.id, TimelineCacheMiss, simNS, -1, cs.family)
-	e.cache.put(&cs.key, r.BW)
-	if sink := e.opt.CacheSink; sink != nil {
-		sink.Put(CacheRecord{
-			Family: cs.family,
-			M:      cs.spec.M, S: cs.spec.S, NC: cs.spec.NC,
-			CPUs: append([]int(nil), cs.cpuList...),
-			Vec:  append([]int(nil), cs.vec...),
-			BW:   r.BW,
-		})
+	if cs.cache != nil {
+		r.Canonical = cs.vec
+		cs.cache.put(&cs.key, r.BW)
 	}
+	sink := e.opt.CacheSink
+	if sink == nil {
+		return r
+	}
+	if cs.cache == nil { // a class lead: canonicalise for the record alone
+		cs.canon.Canonicalize(cs.vec, len(cs.spec.Streams))
+	}
+	sink.Put(CacheRecord{
+		Family: cs.family,
+		M:      cs.spec.M, S: cs.spec.S, NC: cs.spec.NC,
+		CPUs: append([]int(nil), cs.cpuList...),
+		Vec:  append([]int(nil), cs.vec...),
+		BW:   r.BW,
+	})
 	return r
 }
 

@@ -63,8 +63,8 @@ func (r CacheRecord) key() keyBuf {
 	return k
 }
 
-// CacheSink receives one CacheRecord per newly simulated canonical
-// orbit (see Options.CacheSink). It is implemented by
+// CacheSink receives one CacheRecord per simulation, under the
+// simulated orbit's canonical vector (see Options.CacheSink). It is implemented by
 // cachestore.Store; implementations must be safe for concurrent use —
 // the engine's workers call Put from their goroutines.
 type CacheSink interface {
@@ -93,11 +93,13 @@ func (e *Engine) SeedCache(rec CacheRecord) error {
 }
 
 // CacheRecords drains the engine's in-RAM cache into portable records,
-// sorted deterministically (family, shape, CPU layout, vector), for
-// ivmsweep -cache-export. Analytically gated placements never enter
-// the cache, so an export holds exactly the simulated orbits — which
-// is complete for serving, because a served query gates the same
-// placements analytically.
+// sorted deterministically (family, shape, CPU layout, vector).
+// Analytically gated placements never enter the cache, and neither do
+// the orbits a spec class's lead simulates in TripleGrid, NStreamGrid
+// or SpecGrid (see Engine.specGrid): the records hold the orbits the
+// cached route simulated (or SeedCache loaded) and the shard drops
+// kept. A CacheSink receives every simulated orbit; that is how
+// ivmsweep -cache-export exports a whole run.
 func (e *Engine) CacheRecords() []CacheRecord {
 	if e.cache == nil {
 		return nil

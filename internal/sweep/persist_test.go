@@ -23,13 +23,17 @@ func (s *recordingSink) Put(rec CacheRecord) {
 }
 
 // TestCacheSinkEmitsSimulationsOnce pins the sink contract: one record
-// per simulated canonical orbit, none for cache hits or analytic
-// answers, and each record valid and canonical (re-seeding it
-// reproduces the cached value).
+// per simulation, none for cache hits or analytic answers, and each
+// record valid and canonical. The swept pair leads its class, so it
+// simulates every placement without the cache and canonicalises each
+// one only to emit it: an engine seeded with the records answers every
+// placement from the cache with the same value. The pair is 2·(1, 6),
+// so no placement of it is its own canonical form.
 func TestCacheSinkEmitsSimulationsOnce(t *testing.T) {
 	sink := &recordingSink{}
 	eng := NewEngine(Options{Workers: 1, CacheSink: sink})
-	eng.SpecGrid([]ConfigSpec{PairSpec(13, 4, 1, 6)})
+	spec := PairSpec(13, 4, 2, 12)
+	eng.SpecGrid([]ConfigSpec{spec})
 	m := eng.Metrics()
 	if m.CacheMisses == 0 {
 		t.Fatal("sweep had no misses; sink test needs simulations")
@@ -44,6 +48,16 @@ func TestCacheSinkEmitsSimulationsOnce(t *testing.T) {
 		if rec.Family != "pair" || rec.M != 13 || rec.NC != 4 {
 			t.Fatalf("sink record %d: %+v", i, rec)
 		}
+	}
+	seeded := NewEngine(Options{Workers: 1})
+	for _, rec := range sink.recs {
+		if err := seeded.SeedCache(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameResolves(t, "seeded from the sink", seeded, []ConfigSpec{spec})
+	if sm := seeded.Metrics(); sm.CacheMisses != 0 || sm.CacheHits != m.CacheMisses {
+		t.Fatalf("seeded engine: %+v; every placement should hit a sink record", sm)
 	}
 
 	// An analytically gated sweep emits nothing: the gate answers
@@ -61,11 +75,17 @@ func TestCacheSinkEmitsSimulationsOnce(t *testing.T) {
 
 // TestCacheRecordsSeedRoundTrip pins the persistence seam end to end
 // in RAM: drain engine A's cache, seed engine B with it, and resolve
-// the same work — every placement B resolves must come from the cache
-// (or the gate) with values byte-identical to A's.
+// the same placements — every placement B resolves must come from the
+// cache with values byte-identical to A's. A sweep's class leads do not
+// use the cache, so both engines resolve the grid's placements one by
+// one; the seeded engine's sweep still reads the cold rows.
 func TestCacheRecordsSeedRoundTrip(t *testing.T) {
 	a := NewEngine(Options{Workers: 2})
-	wantGrid := a.TripleGrid(7, 3)
+	batch := Placements(tripleSpecs(7, 3))
+	want, err := a.ResolveBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
 	records := a.CacheRecords()
 	if len(records) == 0 {
 		t.Fatal("engine A cached nothing")
@@ -85,7 +105,19 @@ func TestCacheRecordsSeedRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gotGrid := b.TripleGrid(7, 3)
+	got, err := b.ResolveBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i].Path != PathCache || !got[i].BW.Equal(want[i].BW) || !reflect.DeepEqual(got[i].Canonical, want[i].Canonical) {
+			t.Fatalf("seeded placement %d %+v: %+v, want %s from the cache", i, batch[i], got[i], want[i].BW)
+		}
+	}
+	if m := b.Metrics(); m.CacheMisses != 0 {
+		t.Fatalf("seeded engine still missed %d times", m.CacheMisses)
+	}
+	wantGrid, gotGrid := TripleGrid(7, 3), b.TripleGrid(7, 3)
 	if len(gotGrid) != len(wantGrid) {
 		t.Fatalf("grid sizes differ: %d vs %d", len(gotGrid), len(wantGrid))
 	}
@@ -94,9 +126,6 @@ func TestCacheRecordsSeedRoundTrip(t *testing.T) {
 		if got != want {
 			t.Fatalf("seeded grid row %d differs:\n%s\nvs\n%s", i, got, want)
 		}
-	}
-	if m := b.Metrics(); m.CacheMisses != 0 {
-		t.Fatalf("seeded engine still missed %d times", m.CacheMisses)
 	}
 
 	// A key too long to hold inline spills to a string: twelve streams
@@ -111,12 +140,12 @@ func TestCacheRecordsSeedRoundTrip(t *testing.T) {
 		t.Fatalf("%d-byte key of the 12-stream spec held inline", len(cs.key.buf))
 	}
 	before := len(a.CacheRecords())
-	want, err := a.Resolve(long)
+	wantLong, err := a.Resolve(long)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Path == PathCache || a.cache.Len() != before+1 {
-		t.Fatalf("12-stream spec resolved on %v, cache %d entries after %d", want.Path, a.cache.Len(), before)
+	if wantLong.Path == PathCache || a.cache.Len() != before+1 {
+		t.Fatalf("12-stream spec resolved on %v, cache %d entries after %d", wantLong.Path, a.cache.Len(), before)
 	}
 	records = a.CacheRecords()
 	c := NewEngine(Options{Workers: 1})
@@ -128,12 +157,12 @@ func TestCacheRecordsSeedRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(c.CacheRecords(), records) {
 		t.Fatal("records of a seeded engine differ from the records it was seeded with")
 	}
-	got, err := c.Resolve(long)
+	gotLong, err := c.Resolve(long)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Path != PathCache || !got.BW.Equal(want.BW) || !reflect.DeepEqual(got.Canonical, want.Canonical) {
-		t.Fatalf("seeded 12-stream spec: %+v, want %s from the cache", got, want.BW)
+	if gotLong.Path != PathCache || !gotLong.BW.Equal(wantLong.BW) || !reflect.DeepEqual(gotLong.Canonical, wantLong.Canonical) {
+		t.Fatalf("seeded 12-stream spec: %+v, want %s from the cache", gotLong, wantLong.BW)
 	}
 }
 

@@ -85,11 +85,12 @@ func TestPolicyFamilyNames(t *testing.T) {
 }
 
 // TestDifferentialPolicies is the zero-mismatch campaign gate: for every
-// (priority, mapping) combo, the cold sequential sweep, the cold engine
-// and a warm second engine pass must agree exactly, the combo's family
-// must see cache traffic only under its own name, and rotating-priority
-// families must show a nonzero hit rate (their orbits collapse like
-// anyone else's).
+// (priority, mapping) combo, the cold sequential sweep and the engine's
+// sweep must agree exactly, and so must a cached and a warm pass of the
+// engine over every placement one by one (the sweep's class leads do
+// not use the cache); the combo's family must see cache traffic only
+// under its own name, and rotating-priority families must show a
+// nonzero hit rate (their orbits collapse like anyone else's).
 func TestDifferentialPolicies(t *testing.T) {
 	for _, combo := range policyCombos {
 		combo := combo
@@ -98,9 +99,10 @@ func TestDifferentialPolicies(t *testing.T) {
 			eng := NewEngine(Options{Workers: 4})
 			cold := SpecGrid(specs)
 			sameRows(t, "cold engine", cold, eng.SpecGrid(specs))
-			// Second pass: same specs, warm cache — still byte-equal.
+			sameResolves(t, "cached engine", eng, specs)
+			// Second pass: same placements, warm cache — still equal.
 			firstMetrics := eng.Metrics()
-			sameRows(t, "warm engine", cold, eng.SpecGrid(specs))
+			sameResolves(t, "warm engine", eng, specs)
 			warmMetrics := eng.Metrics()
 			if warmMetrics.CacheMisses != firstMetrics.CacheMisses {
 				t.Fatalf("warm pass simulated %d new orbits",

@@ -324,42 +324,18 @@ func specCapacity(spec ConfigSpec) core.CapacityBound {
 	return core.NewCapacityBound(spec.M, spec.S, spec.NC, sets)
 }
 
-// specFold is the capacity-bound fold: it enumerates every placement
-// of the spec's swept streams (each over [0, m), nested in stream
-// order) and folds the bandwidths bw reports against the bounds.
-func specFold(spec ConfigSpec, bw func(b []int) rat.Rational) SpecResult {
-	res := SpecResult{Spec: spec}
-	capacity := specCapacity(spec)
+// eachPlacement calls f with every placement of the spec's swept
+// streams, each over [0, m), nested in stream order; fixed streams keep
+// their starts. f must not keep b.
+func eachPlacement(spec ConfigSpec, f func(b []int)) {
 	b := make([]int, len(spec.Streams))
 	for i, st := range spec.Streams {
 		b[i] = st.B
 	}
-	first := true
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(spec.Streams) {
-			v := bw(b)
-			bound := capacity.At(b)
-			if first || v.Cmp(res.SimMin) < 0 {
-				res.SimMin = v
-			}
-			if first || v.Cmp(res.SimMax) > 0 {
-				res.SimMax = v
-			}
-			if first || bound.Cmp(res.BoundMin) < 0 {
-				res.BoundMin = bound
-			}
-			if first || bound.Cmp(res.BoundMax) > 0 {
-				res.BoundMax = bound
-			}
-			first = false
-			res.Starts++
-			switch v.Cmp(bound) {
-			case 0:
-				res.TightStarts++
-			case 1:
-				res.Violations++
-			}
+			f(b)
 			return
 		}
 		if !spec.Streams[i].Sweep {
@@ -373,6 +349,57 @@ func specFold(spec ConfigSpec, bw func(b []int) rat.Rational) SpecResult {
 		b[i] = spec.Streams[i].B
 	}
 	rec(0)
+}
+
+// Placements expands specs into one fixed-placement spec per placement
+// of their swept streams, in sweep order: the batch Engine.ResolveBatch
+// answers one placement at a time through the orbit cache.
+func Placements(specs []ConfigSpec) []ConfigSpec {
+	var out []ConfigSpec
+	for _, spec := range specs {
+		eachPlacement(spec, func(b []int) {
+			p := spec
+			p.Streams = make([]Stream, len(b))
+			for i, st := range spec.Streams {
+				p.Streams[i] = Stream{D: st.D, B: b[i], CPU: st.CPU}
+			}
+			out = append(out, p)
+		})
+	}
+	return out
+}
+
+// specFold is the capacity-bound fold: it folds the bandwidths bw
+// reports for every placement eachPlacement enumerates against the
+// bounds.
+func specFold(spec ConfigSpec, bw func(b []int) rat.Rational) SpecResult {
+	res := SpecResult{Spec: spec}
+	capacity := specCapacity(spec)
+	first := true
+	eachPlacement(spec, func(b []int) {
+		v := bw(b)
+		bound := capacity.At(b)
+		if first || v.Cmp(res.SimMin) < 0 {
+			res.SimMin = v
+		}
+		if first || v.Cmp(res.SimMax) > 0 {
+			res.SimMax = v
+		}
+		if first || bound.Cmp(res.BoundMin) < 0 {
+			res.BoundMin = bound
+		}
+		if first || bound.Cmp(res.BoundMax) > 0 {
+			res.BoundMax = bound
+		}
+		first = false
+		res.Starts++
+		switch v.Cmp(bound) {
+		case 0:
+			res.TightStarts++
+		case 1:
+			res.Violations++
+		}
+	})
 	return res
 }
 

@@ -137,12 +137,15 @@ func pick[F any](e *Engine, cold, eng F) F {
 
 // The two-stream N-stream grid is the pair grid in generic clothing:
 // same distance tuples in the same order, same placements, and —
-// because both compile into the "pair" cache family — a second pass
-// through NStreamGrid must be answered entirely from the cache.
+// because both compile into the "pair" cache family — its placements,
+// resolved one by one after the pair grid, must be answered entirely
+// from the cache (or the gate).
 func TestNStreamGridSharesPairCache(t *testing.T) {
 	eng := NewEngine(Options{Workers: 2})
 	pairs := eng.Grid(8, 2)
 	missesAfterGrid := eng.Metrics().Family("pair").Misses
+	sameResolves(t, "N-stream placements", eng, nStreamSpecs(8, 2, 2))
+	m := eng.Metrics()
 	results := eng.NStreamGrid(8, 2, 2)
 	if len(results) != len(pairs) {
 		t.Fatalf("N-stream grid has %d tuples, pair grid %d", len(results), len(pairs))
@@ -158,7 +161,6 @@ func TestNStreamGridSharesPairCache(t *testing.T) {
 				p.D1, p.D2, r.SimMin, r.SimMax, p.SimMin, p.SimMax)
 		}
 	}
-	m := eng.Metrics()
 	if len(m.Families) != 1 || m.Families["pair"].Hits == 0 {
 		t.Fatalf("expected all traffic in the pair family: %+v", m.Families)
 	}

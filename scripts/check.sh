@@ -173,13 +173,15 @@ echo "check.sh: quiet-default probe OK, cyclic and rr-cpu sweeps exit 0 with emp
 # simulated itself rather than its canonical representative, and the
 # two runs' tables must agree. The engine counter footer is compared
 # too: the cached grid folds each class of unit-isomorphic triples in
-# one work item and the classes share no orbit, so no two workers can
-# miss one orbit, and the grid's orbits fit the cache. With -cache -1 its clocks simulated must be the
-# sum of Lead + Length over the grid's 76895 placements as fresh
-# searches find them. The (8, 2, 4) 4-stream grid's table must be the
-# same with and without the cache; its footer is left out, because its
-# orbits overflow the default cache and which ones a shard drop
-# discards depends on the order the workers put them in.
+# one work item whose lead simulates its own placements without the
+# orbit cache, so what the footer counts does not depend on which
+# worker ran which class. With -cache -1 its clocks simulated must be
+# the sum of Lead + Length over the grid's 76895 placements as fresh
+# searches find them. The (8, 2, 4) 4-stream grid obeys the same rule:
+# its cached output, footer included, must be byte-identical at
+# -workers 1 and 2 (its class leads put nothing, so no shard of the
+# default cache overflows and drops orbits in worker order), and its
+# table must be the same without the cache.
 for cache in 0 -1; do
 	for w in 1 2; do
 		if ! "$tmp/ivmsweep" -triples -m 13 -nc 4 -full -workers "$w" -cache "$cache" > "$tmp/triples-$cache-w$w.txt" 2> "$tmp/triples-stderr"; then
@@ -203,20 +205,24 @@ if ! grep -qx 'steps simulated *12464128 *' "$tmp/triples--1-w1.txt"; then
 	grep '^steps simulated' "$tmp/triples--1-w1.txt" >&2
 	exit 1
 fi
-for cache in 0 -1; do
-	if ! "$tmp/ivmsweep" -m 8 -nc 2 -streams 4 -full -cache "$cache" > "$tmp/stream4-$cache.txt" 2> "$tmp/stream4-stderr"; then
-		echo "check.sh: ivmsweep -m 8 -nc 2 -streams 4 -full -cache $cache failed:" >&2
+for run in "0 1" "0 2" "-1 0"; do
+	read -r cache w <<< "$run"
+	if ! "$tmp/ivmsweep" -m 8 -nc 2 -streams 4 -full -workers "$w" -cache "$cache" > "$tmp/stream4-$cache-w$w.txt" 2> "$tmp/stream4-stderr"; then
+		echo "check.sh: ivmsweep -m 8 -nc 2 -streams 4 -full -workers $w -cache $cache failed:" >&2
 		cat "$tmp/stream4-stderr" >&2
 		exit 1
 	fi
-	sed '/^engine counter/,$d' "$tmp/stream4-$cache.txt" > "$tmp/stream4-$cache.table"
+	sed '/^engine counter/,$d' "$tmp/stream4-$cache-w$w.txt" > "$tmp/stream4-$cache-w$w.table"
 done
-if ! cmp -s "$tmp/stream4-0.table" "$tmp/stream4--1.table"; then
-	echo "check.sh: ivmsweep -m 8 -nc 2 -streams 4 -full tables differ with and without the cache:" >&2
-	diff "$tmp/stream4-0.table" "$tmp/stream4--1.table" | head -20 >&2
-	exit 1
-fi
-echo "check.sh: worker-count determinism probe OK, (13, 4) triple output identical at -workers 1 and 2, cached and uncached; (8, 2, 4) stream4 tables identical with and without the cache"
+for pair in "0-w1.txt 0-w2.txt" "0-w1.table -1-w0.table"; do
+	read -r a b <<< "$pair"
+	if ! cmp -s "$tmp/stream4-$a" "$tmp/stream4-$b"; then
+		echo "check.sh: ivmsweep -m 8 -nc 2 -streams 4 -full output differs between runs $a and $b (cache-workers):" >&2
+		diff "$tmp/stream4-$a" "$tmp/stream4-$b" | head -20 >&2
+		exit 1
+	fi
+done
+echo "check.sh: worker-count determinism probe OK, (13, 4) triple output identical at -workers 1 and 2, cached and uncached; (8, 2, 4) stream4 output identical at -workers 1 and 2 and its table with and without the cache"
 
 # Bad-geometry probe: an impossible memory geometry, vector length,
 # increment range or timeline width is a usage error (exit 2) whose
