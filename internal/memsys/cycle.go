@@ -19,18 +19,17 @@ type Cycle struct {
 	Lead int64
 	// Length is the period of the cyclic state in clocks.
 	Length int64
-	// Grants counts requests granted per port within one period.
-	Grants []int64
-	// Conflicts counts delayed clocks per port within one period,
-	// classified as in Fig. 10c–e.
+	// Conflicts counts, per port within one period, the granted
+	// requests, the idle clocks and the delayed clocks, classified as
+	// in Fig. 10c–e.
 	Conflicts []Counters
 }
 
 // TotalGrants sums the per-port grants over one period.
 func (c Cycle) TotalGrants() int64 {
 	var n int64
-	for _, g := range c.Grants {
-		n += g
+	for _, k := range c.Conflicts {
+		n += k.Grants
 	}
 	return n
 }
@@ -44,7 +43,17 @@ func (c Cycle) EffectiveBandwidth() rat.Rational {
 
 // PortBandwidth returns the cyclic-state bandwidth of a single port.
 func (c Cycle) PortBandwidth(i int) rat.Rational {
-	return rat.New(c.Grants[i], c.Length)
+	return rat.New(c.Conflicts[i].Grants, c.Length)
+}
+
+// reserve gives the emptied c.Conflicts room for np ports, allocating
+// only when it has less. It makes the slice itself rather than grow it
+// with slices.Grow, whose append of a make allocates twice in a race
+// build.
+func (c *Cycle) reserve(np int) {
+	if cap(c.Conflicts) < np {
+		c.Conflicts = make([]Counters, 0, np)
+	}
 }
 
 // ErrNotPeriodic is returned by FindCycle when a source's future
@@ -58,46 +67,64 @@ var ErrNoCycle = errors.New("memsys: no cyclic state found within clock budget")
 type periodicSource interface{ periodic() bool }
 
 // FindCycle simulates until the memory state recurs and returns the
-// cyclic steady state. All sources must be infinite strided streams,
-// and the mapper must be ModuloMapper. The state hashed per clock is
-// (bank busy remainders, per-port pending bank, priority rotation):
-// under the modulo mapping, with each port's stride fixed, that is
-// everything that determines the future. Under any other mapper the
-// pending bank need not determine the next one, so a recurring state
-// would prove no period; FindCycle returns ErrNotPeriodic there.
-// maxClocks and the returned Lead are relative to the clock at the
-// call, so FindCycle returns the same Cycle on a fresh system and on
-// one reused through Reset.
+// cyclic steady state in a new Cycle. It is FindCycleInto on a fresh
+// Cycle; see there for the mechanics. On an error it returns the zero
+// Cycle.
+func (s *System) FindCycle(maxClocks int64) (Cycle, error) {
+	var c Cycle
+	err := s.FindCycleInto(&c, maxClocks)
+	return c, err
+}
+
+// FindCycleInto simulates until the memory state recurs and fills c
+// with the cyclic steady state. All sources must be infinite strided
+// streams, and the mapper must be ModuloMapper. The state hashed per
+// clock is (bank busy remainders, per-port pending bank, priority
+// rotation): under the modulo mapping, with each port's stride fixed,
+// that is everything that determines the future. Under any other
+// mapper the pending bank need not determine the next one, so a
+// recurring state would prove no period; FindCycleInto returns
+// ErrNotPeriodic there. maxClocks and the returned Lead are relative
+// to the clock at the call, so FindCycleInto finds the same Cycle on a
+// fresh system and on one reused through Reset.
+//
+// c.Conflicts is refilled in place, reusing its capacity, so a caller
+// that keeps one Cycle across searches allocates it only when a search
+// has more ports than any before it; the packed search then allocates
+// nothing (see TestFindCyclePackedReusedAllocs). A Cycle obtained
+// earlier from the same c shares its Conflicts and is overwritten.
+// On an error c holds Lead 0, Length 0 and no Conflicts.
 //
 // Either kernel leaves the system in its state at the clock the search
-// stopped at, so Step continues from there. On the packed kernel
-// without a listener, a system reused through Reset keeps the states
-// its earlier searches recorded while the port count and each port's
-// CPU and stride mod m stay the same (docs/KERNEL.md, "Shared
-// recurrence graph"). A search that reaches one of them stops there,
-// possibly before clock start + Lead + Length, so the clock a search
-// stops at is unspecified; only the returned Cycle is. With a listener
-// attached, FindCycle runs the scalar search on either kernel, so the
+// stopped at — bank busy times and owners, each source's address and
+// issue count, the ports' counters — so Step continues from there. On
+// the packed kernel without a listener, a system reused through Reset
+// keeps the states its earlier searches recorded while the port count
+// and each port's CPU and stride mod m stay the same (docs/KERNEL.md,
+// "Shared recurrence graph"). A search that reaches one of them stops
+// there, possibly before clock start + Lead + Length, so the clock a
+// search stops at is unspecified; only the Cycle is. With a listener
+// attached, the search is the scalar one on either kernel, so the
 // events cover every clock of the search.
-func (s *System) FindCycle(maxClocks int64) (Cycle, error) {
+func (s *System) FindCycleInto(c *Cycle, maxClocks int64) error {
+	*c = Cycle{Conflicts: c.Conflicts[:0]}
 	start := s.clock
 	if _, ok := s.mapper.(ModuloMapper); !ok {
-		return Cycle{}, fmt.Errorf("%w (mapper %T)", ErrNotPeriodic, s.mapper)
+		return fmt.Errorf("%w (mapper %T)", ErrNotPeriodic, s.mapper)
 	}
 	for _, p := range s.ports {
 		ps, ok := p.Src.(periodicSource)
 		if !ok || !ps.periodic() {
-			return Cycle{}, fmt.Errorf("%w (port %d is %s)", ErrNotPeriodic, p.ID, describeSource(p.Src))
+			return fmt.Errorf("%w (port %d is %s)", ErrNotPeriodic, p.ID, describeSource(p.Src))
 		}
 	}
 	if s.kernel == KernelPacked && s.listener == nil {
-		return s.findCyclePacked(start, maxClocks)
+		return s.findCyclePacked(c, start, maxClocks)
 	}
 
 	type snapshot struct {
-		clock     int64
-		grants    []int64
-		conflicts []Counters
+		clock  int64
+		counts []Counters
 	}
 	seen := make(map[string]snapshot)
 
@@ -116,14 +143,9 @@ func (s *System) FindCycle(maxClocks int64) (Cycle, error) {
 			fmt.Fprintf(&b, "%d,", s.mapper.Bank(addr))
 		}
 		fmt.Fprintf(&b, "|%d", s.rr)
-		snap := snapshot{
-			clock:     s.clock,
-			grants:    make([]int64, len(s.ports)),
-			conflicts: make([]Counters, len(s.ports)),
-		}
+		snap := snapshot{clock: s.clock, counts: make([]Counters, len(s.ports))}
 		for i, p := range s.ports {
-			snap.grants[i] = p.Count.Grants
-			snap.conflicts[i] = p.Count
+			snap.counts[i] = p.Count
 		}
 		return b.String(), snap
 	}
@@ -131,28 +153,24 @@ func (s *System) FindCycle(maxClocks int64) (Cycle, error) {
 	for s.clock < start+maxClocks {
 		key, snap := record()
 		if prev, ok := seen[key]; ok {
-			c := Cycle{
-				Lead:      prev.clock - start,
-				Length:    snap.clock - prev.clock,
-				Grants:    make([]int64, len(s.ports)),
-				Conflicts: make([]Counters, len(s.ports)),
+			c.Lead, c.Length = prev.clock-start, snap.clock-prev.clock
+			c.reserve(len(snap.counts))
+			for i, now := range snap.counts {
+				was := prev.counts[i]
+				c.Conflicts = append(c.Conflicts, Counters{
+					Grants:       now.Grants - was.Grants,
+					Bank:         now.Bank - was.Bank,
+					Simultaneous: now.Simultaneous - was.Simultaneous,
+					Section:      now.Section - was.Section,
+					Idle:         now.Idle - was.Idle,
+				})
 			}
-			for i := range s.ports {
-				c.Grants[i] = snap.grants[i] - prev.grants[i]
-				c.Conflicts[i] = Counters{
-					Grants:       snap.conflicts[i].Grants - prev.conflicts[i].Grants,
-					Bank:         snap.conflicts[i].Bank - prev.conflicts[i].Bank,
-					Simultaneous: snap.conflicts[i].Simultaneous - prev.conflicts[i].Simultaneous,
-					Section:      snap.conflicts[i].Section - prev.conflicts[i].Section,
-					Idle:         snap.conflicts[i].Idle - prev.conflicts[i].Idle,
-				}
-			}
-			return c, nil
+			return nil
 		}
 		seen[key] = snap
 		s.Step()
 	}
-	return Cycle{}, ErrNoCycle
+	return ErrNoCycle
 }
 
 // SteadyBandwidth is a convenience wrapper: build a system from bank
@@ -187,12 +205,15 @@ type StreamSpec struct {
 //
 // After Reset, AddStreams re-arms the ports (and their sources) it
 // built before, in the order it built them, and allocates only when a
-// placement has more streams than any before it. A re-armed port's
-// ID, CPU, Label, Src and Count describe the new stream, so a caller
-// must not keep a Port that AddStreams built past the next Reset. The
-// exception is a listener: while one is attached, AddStreams builds
-// fresh ports and never re-arms them, because a listener may keep
-// Event.Port. AddPort never re-arms.
+// placement has more streams than any before it. Re-arming writes the
+// port in place: the source's address, stride and issue count, the
+// CPU, the label when it differs, and zeroed counters; the port's Src
+// already points at its own source. A re-armed port's ID, CPU, Label,
+// Src and Count describe the new stream, so a caller must not keep a
+// Port that AddStreams built past the next Reset. The exception is a
+// listener: while one is attached, AddStreams builds fresh ports and
+// never re-arms them, because a listener may keep Event.Port. AddPort
+// never re-arms.
 func (s *System) AddStreams(specs ...StreamSpec) {
 	for i, sp := range specs {
 		label := sp.Label
@@ -202,17 +223,20 @@ func (s *System) AddStreams(specs ...StreamSpec) {
 		var p *streamPort
 		switch {
 		case s.listener != nil:
-			p = new(streamPort)
+			p = newStreamPort()
 		case s.rearmed < len(s.streamPorts):
 			p = s.streamPorts[s.rearmed]
 			s.rearmed++
 		default:
-			p = new(streamPort)
+			p = newStreamPort()
 			s.streamPorts = append(s.streamPorts, p)
 			s.rearmed++
 		}
 		p.src = StridedSource{Addr: int64(sp.Start), Stride: int64(sp.Distance), Remaining: -1}
-		p.Port = Port{CPU: sp.CPU, Label: label, Src: &p.src}
+		if p.Label != label { // a repeated label costs no pointer write
+			p.Label = label
+		}
+		p.CPU, p.Count = sp.CPU, Counters{}
 		s.attach(&p.Port)
 	}
 }
@@ -222,4 +246,12 @@ func (s *System) AddStreams(specs ...StreamSpec) {
 type streamPort struct {
 	Port
 	src StridedSource
+}
+
+// newStreamPort builds a stream port whose Src is its own source, which
+// re-arming keeps.
+func newStreamPort() *streamPort {
+	p := new(streamPort)
+	p.Src = &p.src
+	return p
 }

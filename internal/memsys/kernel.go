@@ -7,10 +7,13 @@ package memsys
 // as a few fixed-width words. The packed state exists only inside a
 // search: findCyclePacked loads it from the scalar counters on entry
 // and writes it back before it returns, so Step, Run and the accessors
-// have one body, the scalar one, on either kernel. The scalar search
-// remains the reference implementation, the oracle the differential
-// suite in kernel_diff_test.go holds this one to. docs/KERNEL.md
-// derives the equivalence argument.
+// have one body, the scalar one, on either kernel. Inside a search the
+// bank owners and each clock's bank winners are int32 port indices and
+// CPUs, not *Port, and no source is called: the write-back restores
+// the owners and advances every source by the grants it received. The
+// scalar search remains the reference implementation, the oracle the
+// differential suite in kernel_diff_test.go holds this one to.
+// docs/KERNEL.md derives the equivalence argument.
 
 import (
 	"fmt"
@@ -72,13 +75,17 @@ func (s *System) SetKernel(k Kernel) { s.kernel = k }
 
 // loadPacked starts a packed search: it builds the packed busy set from
 // the scalar counters, a bank with b clocks left expiring at clock + b,
-// and zeroes the counters, so while the search runs the packed state is
-// the only record of the busy banks. The first search on a system
-// allocates the packed state; later ones empty and refill it.
+// records each busy bank's owner as a port index, and zeroes the
+// counters, so while the search runs the packed state is the only
+// record of the busy banks. The first search on a system allocates the
+// packed state; later ones empty and refill it.
 func (s *System) loadPacked() {
 	if s.words == nil {
-		s.words = make([]uint64, (s.cfg.Banks+63)/64)
-		s.expiry = make([]int64, s.cfg.Banks)
+		m := s.cfg.Banks
+		s.words = make([]uint64, (m+63)/64)
+		s.expiry = make([]int64, m)
+		ids := make([]int32, 2*m)
+		s.ownerID, s.winnerCPU = ids[:m:m], ids[m:]
 		// The smallest power of two above n_c: at least n_c+1 slots,
 		// indexed by a mask. The slots start empty in one shared array
 		// with room for a clock's grants to four ports, so a fresh
@@ -105,22 +112,34 @@ func (s *System) loadPacked() {
 		exp := s.clock + int64(left)
 		s.expiry[b] = exp
 		s.wheel[exp&mask] = append(s.wheel[exp&mask], int32(b))
+		s.ownerID[b] = int32(s.owner[b].ID)
 		s.busy[b] = 0
 	}
 }
 
 // storePacked ends a packed search: it writes each live busy bit back
-// into the scalar counters as the clocks it has left, so Step continues
-// from the clock the search stopped at.
-func (s *System) storePacked() {
+// into the scalar counters as the clocks it has left, with the bank's
+// owner, and advances each port's source by the grants the search gave
+// it, as that many Grant calls would have, so Step continues from the
+// clock the search stopped at. FindCycle admits only infinite strided
+// sources, whose Grant moves Addr on by one stride and counts one
+// issue, so the advance is exact.
+func (s *System) storePacked(pb *pendingBanks) {
 	for wi, word := range s.words {
 		for word != 0 {
 			b := wi<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
 			if s.packedBusy(b) {
 				s.busy[b] = int(s.expiry[b] - s.clock)
+				s.owner[b] = s.ports[s.ownerID[b]]
 			}
 		}
+	}
+	for i, p := range s.ports {
+		n := p.Count.Grants - pb.grants[i]
+		src := p.Src.(*StridedSource)
+		src.Addr += n * src.Stride
+		src.issued += n
 	}
 }
 
@@ -159,8 +178,11 @@ func (s *System) expireTo(t int64) {
 // conflict precedence and counters, with the busy set kept as bits plus
 // an expiry wheel instead of the scalar per-bank counters, and each
 // port's request read from the search's pending-bank vector, which a
-// grant advances (see pendingBanks). A listened search runs on the
-// scalar kernel, so no event is built here.
+// grant advances (see pendingBanks). A grant records the bank's owner
+// as the port's index and the clock's bank winner as its CPU, and
+// calls no source; storePacked restores the owners and advances the
+// sources when the search ends. A listened search runs on the scalar
+// kernel, so no event is built here.
 func (s *System) stepPacked(pb *pendingBanks) {
 	t := s.clock
 	s.expireTo(t)
@@ -173,7 +195,7 @@ func (s *System) stepPacked(pb *pendingBanks) {
 			// earlier this clock was inactive when both ports requested
 			// it, so the loser sees a simultaneous (different CPU) or
 			// section (same CPU) conflict, not a bank conflict.
-			if s.bankWinner[bank].CPU != p.CPU {
+			if s.winnerCPU[bank] != int32(p.CPU) {
 				p.Count.Simultaneous++
 			} else {
 				p.Count.Section++
@@ -188,11 +210,10 @@ func (s *System) stepPacked(pb *pendingBanks) {
 			s.expiry[bank] = exp
 			slot := exp & int64(len(s.wheel)-1)
 			s.wheel[slot] = append(s.wheel[slot], int32(bank))
-			s.owner[bank] = p
+			s.ownerID[bank] = int32(p.ID)
 			s.bankStamp[bank] = t
-			s.bankWinner[bank] = p
+			s.winnerCPU[bank] = int32(p.CPU)
 			s.pathStamp[p.CPU][sec] = t
-			p.Src.Grant(t)
 			pb.advance(s, p)
 			p.Count.Grants++
 		}
@@ -214,12 +235,13 @@ func (s *System) stepPacked(pb *pendingBanks) {
 // the pending-bank vector, which a grant advances (see pendingBanks).
 // The search loads the packed busy set from the scalar counters on
 // entry and writes it back on every return (loadPacked, storePacked).
+// It fills c in place (see FindCycleInto).
 //
 // The visited states go into the system's recurrence table, which
 // outlives the search: while the search geometry stays the same, a
 // later search stops at the first state any earlier one recorded and
 // reads its cycle from the table (see recurrenceTable).
-func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
+func (s *System) findCyclePacked(c *Cycle, start, maxClocks int64) error {
 	np := len(s.ports)
 	t := &s.states
 	pb := &s.pending
@@ -258,23 +280,23 @@ func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
 		h = finishHash(h)
 		prev, slot := t.lookup(h, key)
 		if prev >= 0 {
-			s.storePacked()
+			s.storePacked(pb)
 			t.arena = t.arena[:from]
 			cyc, lead := t.finish(prev, s.ports)
 			length := t.lengths[cyc]
 			if lead+length >= maxClocks {
 				// A fresh search would not have come back to the
 				// cycle's first state within the budget.
-				return Cycle{}, ErrNoCycle
+				return ErrNoCycle
 			}
-			c := Cycle{Lead: lead, Length: length, Grants: make([]int64, np), Conflicts: make([]Counters, np)}
+			c.Lead, c.Length = lead, length
+			c.reserve(np)
 			per := t.periods[int(cyc)*stateStride*np:]
-			for i := range c.Grants {
-				j := stateStride * i
-				c.Grants[i] = per[j]
-				c.Conflicts[i] = Counters{Grants: per[j], Bank: per[j+1], Simultaneous: per[j+2], Section: per[j+3], Idle: per[j+4]}
+			for j := 0; j < stateStride*np; j += stateStride {
+				c.Conflicts = append(c.Conflicts,
+					Counters{Grants: per[j], Bank: per[j+1], Simultaneous: per[j+2], Section: per[j+3], Idle: per[j+4]})
 			}
-			return c, nil
+			return nil
 		}
 		t.insert(h, slot)
 		for _, p := range s.ports {
@@ -284,8 +306,8 @@ func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
 		}
 		s.stepPacked(pb)
 	}
-	s.storePacked()
-	return Cycle{}, ErrNoCycle
+	s.storePacked(pb)
+	return ErrNoCycle
 }
 
 // pendingBanks holds every port's pending request as a bank for one
@@ -302,24 +324,27 @@ func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
 // strides and CPUs it holds are the geometry the next load compares
 // against.
 type pendingBanks struct {
-	bank []int32 // per port: the bank of its pending request
-	step []int32 // per port: its stride reduced mod m
-	cpu  []int32 // per port: its CPU
+	bank   []int32 // per port: the bank of its pending request
+	step   []int32 // per port: its stride reduced mod m
+	cpu    []int32 // per port: its CPU
+	grants []int64 // per port: its granted requests at the load
 }
 
 // load resolves each port's pending request to its bank, panicking on
-// a bank outside [0, m) as Step does, and reduces each source's stride
-// mod m. It reports whether the search geometry — the port count and
-// each port's CPU and reduced stride — differs from the previous
-// load's.
+// a bank outside [0, m) as Step does, reduces each source's stride mod
+// m and notes each port's grants, from which storePacked counts the
+// grants of the search. It reports whether the search geometry — the
+// port count and each port's CPU and reduced stride — differs from the
+// previous load's.
 func (pb *pendingBanks) load(s *System) (changed bool) {
 	np := len(s.ports)
 	changed = np != len(pb.bank)
 	if cap(pb.bank) < np {
 		buf := make([]int32, 3*np)
 		pb.bank, pb.step, pb.cpu = buf[:np:np], buf[np:2*np:2*np], buf[2*np:]
+		pb.grants = make([]int64, np)
 	}
-	pb.bank, pb.step, pb.cpu = pb.bank[:np], pb.step[:np], pb.cpu[:np]
+	pb.bank, pb.step, pb.cpu, pb.grants = pb.bank[:np], pb.step[:np], pb.cpu[:np], pb.grants[:np]
 	mm := ModuloMapper{M: s.cfg.Banks}
 	for i, p := range s.ports {
 		addr, _ := p.Src.Pending(s.clock)
@@ -329,6 +354,7 @@ func (pb *pendingBanks) load(s *System) (changed bool) {
 			changed = true
 		}
 		pb.step[i], pb.cpu[i] = step, cpu
+		pb.grants[i] = p.Count.Grants
 	}
 	return changed
 }

@@ -10,9 +10,10 @@ import (
 
 // The differential equivalence suite for the bit-packed search: every
 // test here runs FindCycle on a scalar system and a packed system built
-// alike and demands identical Cycles and b_eff, then steps both on and
-// demands identical grants, events, per-bank busy state and sources,
-// which pins the packed search's write-back of the bank state. The
+// alike and demands identical Cycles and b_eff, identical per-bank busy
+// state, bank owners and sources right after the search, which pins the
+// packed search's write-back, then steps both on and demands the same
+// grants, events and state after every clock. The
 // scalar kernel is the oracle; see docs/KERNEL.md for the soundness
 // argument this suite is the executable form of.
 
@@ -83,7 +84,7 @@ func (r *eventRecorder) Observe(e Event) {
 }
 
 // stepCompare drives both systems clock by clock and asserts identical
-// grants, event streams, busy state and owners after every clock.
+// grants, event streams and state (sameState) after every clock.
 func stepCompare(t *testing.T, scalar, packed *System, steps int) {
 	t.Helper()
 	sRec, pRec := &eventRecorder{}, &eventRecorder{}
@@ -97,23 +98,41 @@ func stepCompare(t *testing.T, scalar, packed *System, steps int) {
 		if !reflect.DeepEqual(sRec.events, pRec.events) {
 			t.Fatalf("clock %d: event streams diverge:\nscalar %+v\npacked %+v", i, sRec.events, pRec.events)
 		}
-		for b := 0; b < scalar.Config().Banks; b++ {
-			if bs, bp := scalar.BankBusy(b), packed.BankBusy(b); bs != bp {
-				t.Fatalf("clock %d bank %d: scalar busy %d, packed busy %d", i, b, bs, bp)
-			}
-			so, po := scalar.BankOwner(b), packed.BankOwner(b)
-			switch {
-			case (so == nil) != (po == nil):
-				t.Fatalf("clock %d bank %d: owner nil-ness diverges", i, b)
-			case so != nil && so.ID != po.ID:
-				t.Fatalf("clock %d bank %d: scalar owner %d, packed owner %d", i, b, so.ID, po.ID)
-			}
+		sameState(t, scalar, packed, fmt.Sprintf("clock %d", i))
+	}
+}
+
+// sameState asserts that two systems built alike stand in the same
+// state: each bank's busy time and owner (by port ID), and each port's
+// counters and source, a strided source's address and issue count
+// included. at names the moment for the failure message.
+func sameState(t *testing.T, scalar, packed *System, at string) {
+	t.Helper()
+	for b := 0; b < scalar.Config().Banks; b++ {
+		if bs, bp := scalar.BankBusy(b), packed.BankBusy(b); bs != bp {
+			t.Fatalf("%s bank %d: scalar busy %d, packed busy %d", at, b, bs, bp)
+		}
+		so, po := scalar.BankOwner(b), packed.BankOwner(b)
+		switch {
+		case (so == nil) != (po == nil):
+			t.Fatalf("%s bank %d: owner nil-ness diverges", at, b)
+		case so != nil && so.ID != po.ID:
+			t.Fatalf("%s bank %d: scalar owner %d, packed owner %d", at, b, so.ID, po.ID)
 		}
 	}
-	for i := range scalar.Ports() {
-		cs, cp := scalar.Ports()[i].Count, packed.Ports()[i].Count
-		if cs != cp {
-			t.Fatalf("port %d counters diverge: scalar %+v packed %+v", i, cs, cp)
+	for i, port := range scalar.Ports() {
+		pp := packed.Ports()[i]
+		if port.Count != pp.Count {
+			t.Fatalf("%s port %d counters diverge: scalar %+v packed %+v", at, i, port.Count, pp.Count)
+		}
+		ss, ok := port.Src.(*StridedSource)
+		if !ok {
+			continue
+		}
+		sp := pp.Src.(*StridedSource)
+		if ss.Addr != sp.Addr || ss.Issued() != sp.Issued() {
+			t.Fatalf("%s port %d: scalar source at %d after %d grants, packed at %d after %d",
+				at, i, ss.Addr, ss.Issued(), sp.Addr, sp.Issued())
 		}
 	}
 }
@@ -131,10 +150,12 @@ func (r rowSkew) Banks() int          { return r.m }
 // each search starts from the banks those clocks left busy, then runs
 // FindCycle on both and demands identical cycle windows, which the
 // key-free oracle (checkCycleByRun) must accept on a twin scalar
-// system. It then steps both on with stepCompare and demands that
-// every source stands at the same address with the same issue count,
-// so the state the packed search writes back is the scalar search's.
-// err is the scalar search's error; the packed one must fail alike.
+// system. Both searches start fresh, so they stop at the same clock:
+// right after them sameState demands the same bank busy times and
+// owners and every source at the same address with the same issue
+// count, so the state the packed search writes back is the scalar
+// search's. It then steps both on with stepCompare. err is the scalar
+// search's error; the packed one must fail alike.
 func compareFindCycle(t *testing.T, cfg Config, specs []sourceSpec, budget, warm int64) (cs, cp Cycle, err error) {
 	t.Helper()
 	scalar, packed := buildKernelPair(cfg, specs)
@@ -151,17 +172,11 @@ func compareFindCycle(t *testing.T, cfg Config, specs []sourceSpec, budget, warm
 	if !reflect.DeepEqual(cs, cp) {
 		t.Fatalf("cycle windows diverge:\nscalar %+v\npacked %+v", cs, cp)
 	}
+	sameState(t, scalar, packed, "after FindCycle")
 	twin, _ := buildKernelPair(cfg, specs)
 	twin.Run(warm)
 	checkCycleByRun(t, twin, cs)
 	stepCompare(t, scalar, packed, 300)
-	for i, port := range scalar.Ports() {
-		ss, sp := port.Src.(*StridedSource), packed.Ports()[i].Src.(*StridedSource)
-		if ss.Addr != sp.Addr || ss.Issued() != sp.Issued() {
-			t.Fatalf("port %d: scalar source at %d after %d grants, packed at %d after %d",
-				i, ss.Addr, ss.Issued(), sp.Addr, sp.Issued())
-		}
-	}
 	return cs, cp, nil
 }
 
@@ -282,25 +297,39 @@ func TestDifferentialKernelRandom(t *testing.T) {
 // FuzzKernelEquivalence mirrors FuzzSimulatorInvariants' configuration
 // space but, instead of structural invariants, checks the packed search
 // against the scalar oracle: identical FindCycle output, which the
-// key-free oracle must accept, and identical states after it, on a pair
-// of two infinite streams that first runs up to n_c + 1 clocks. Starts
-// and distances are the raw bytes read as signed, unreduced int8s, so
-// they may be negative or at least m.
+// key-free oracle must accept, and identical states right after it and
+// on, for two to four infinite streams that first run up to n_c + 1
+// clocks. Starts and distances are the raw bytes read as signed,
+// unreduced int8s, so they may be negative or at least m. Streams 1 and
+// 2 are always drawn; more holds a (distance, start) byte pair for each
+// further stream, up to two. The system has 2 + cpusRaw mod 3 CPUs,
+// and port i sits on CPU (i + its two bits of cpuShift) mod that count,
+// so CPUs may repeat: the fuzzer reaches section conflicts between
+// ports of one CPU and a bank three ports request in one clock. With
+// cpusRaw, cpuShift and more zero, the streams are the original pair
+// on CPUs 0 and 1, so the first seeds are the earlier two-port ones.
 func FuzzKernelEquivalence(f *testing.F) {
-	f.Add(uint8(16), uint8(4), uint8(4), uint8(1), uint8(6), uint8(3), uint8(0), false)
-	f.Add(uint8(12), uint8(3), uint8(3), uint8(1), uint8(1), uint8(1), uint8(1), false)
-	f.Add(uint8(13), uint8(6), uint8(1), uint8(1), uint8(6), uint8(0), uint8(0), true)
-	f.Add(uint8(8), uint8(2), uint8(2), uint8(0), uint8(0), uint8(0), uint8(1), true)
-	f.Add(uint8(12), uint8(3), uint8(3), uint8(1), uint8(7), uint8(1), uint8(2), false)
+	f.Add(uint8(16), uint8(4), uint8(4), uint8(1), uint8(6), uint8(3), uint8(0), false, uint8(0), uint8(0), []byte(nil))
+	f.Add(uint8(12), uint8(3), uint8(3), uint8(1), uint8(1), uint8(1), uint8(1), false, uint8(0), uint8(0), []byte(nil))
+	f.Add(uint8(13), uint8(6), uint8(1), uint8(1), uint8(6), uint8(0), uint8(0), true, uint8(0), uint8(0), []byte(nil))
+	f.Add(uint8(8), uint8(2), uint8(2), uint8(0), uint8(0), uint8(0), uint8(1), true, uint8(0), uint8(0), []byte(nil))
+	f.Add(uint8(12), uint8(3), uint8(3), uint8(1), uint8(7), uint8(1), uint8(2), false, uint8(0), uint8(0), []byte(nil))
+	// Three ports on three CPUs on one bank every clock: simultaneous
+	// conflicts against the first winner of the clock.
+	f.Add(uint8(8), uint8(2), uint8(8), uint8(1), uint8(1), uint8(0), uint8(0), false, uint8(1), uint8(0), []byte{1, 0})
+	// Four ports, two per CPU, on a sectioned memory: section conflicts
+	// within a CPU beside simultaneous ones across CPUs.
+	f.Add(uint8(12), uint8(3), uint8(3), uint8(1), uint8(2), uint8(1), uint8(1), false, uint8(0), uint8(0b0101_0000), []byte{5, 2, 7, 4})
 
-	f.Fuzz(func(t *testing.T, mRaw, ncRaw, sRaw, d1Raw, d2Raw, b2Raw, prioRaw uint8, consecutive bool) {
+	f.Fuzz(func(t *testing.T, mRaw, ncRaw, sRaw, d1Raw, d2Raw, b2Raw, prioRaw uint8, consecutive bool, cpusRaw, cpuShift uint8, more []byte) {
 		m := int(mRaw%24) + 1
 		nc := int(ncRaw%6) + 1
 		s := int(sRaw%uint8(m)) + 1
 		for m%s != 0 {
 			s--
 		}
-		cfg := Config{Banks: m, Sections: s, BankBusy: nc, CPUs: 2}
+		cpus := 2 + int(cpusRaw%3)
+		cfg := Config{Banks: m, Sections: s, BankBusy: nc, CPUs: cpus}
 		cfg.Priority = PriorityRule(prioRaw % 3)
 		if consecutive {
 			cfg.Mapping = ConsecutiveSections
@@ -308,10 +337,14 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("constructed invalid config: %v", err)
 		}
-		d1, d2, b2 := int64(int8(d1Raw)), int64(int8(d2Raw)), int64(int8(b2Raw))
-		specs := []sourceSpec{
-			infiniteSpec(0, 0, d1),
-			infiniteSpec(1, b2, d2),
+		streams := [][2]uint8{{d1Raw, 0}, {d2Raw, b2Raw}}
+		for i := 0; i+1 < len(more) && len(streams) < 4; i += 2 {
+			streams = append(streams, [2]uint8{more[i], more[i+1]})
+		}
+		specs := make([]sourceSpec, len(streams))
+		for i, st := range streams {
+			cpu := (i + int(cpuShift>>(2*i)&3)) % cpus
+			specs[i] = infiniteSpec(cpu, int64(int8(st[1])), int64(int8(st[0])))
 		}
 		compareFindCycle(t, cfg, specs, 1<<20, int64(prioRaw/3)%int64(nc+2))
 	})

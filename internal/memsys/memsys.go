@@ -314,18 +314,21 @@ type System struct {
 
 	// Packed-search state (see kernel.go), allocated by the first
 	// packed FindCycle and live only inside a packed search, which
-	// loads it from busy and writes it back: the busy set as one bit
-	// per bank, the absolute clock at which each busy bank frees, the
-	// expiry event wheel (a power of two of at least n_c+1 slots,
-	// indexed by the clock masked to the wheel length) and the wheel's
-	// drain cursor.
-	kernel  Kernel
-	words   []uint64
-	expiry  []int64
-	wheel   [][]int32
-	expired int64
-	states  recurrenceTable // FindCycle's visited states, kept across Reset
-	pending pendingBanks    // FindCycle's per-port pending banks, kept across Reset
+	// loads it from busy and owner and writes it back: the busy set as
+	// one bit per bank, the absolute clock at which each busy bank
+	// frees, each busy bank's owner as a port index, the CPU of each
+	// bank's winner in the clock bankStamp names, the expiry event
+	// wheel (a power of two of at least n_c+1 slots, indexed by the
+	// clock masked to the wheel length) and the wheel's drain cursor.
+	kernel    Kernel
+	words     []uint64
+	expiry    []int64
+	ownerID   []int32
+	winnerCPU []int32
+	wheel     [][]int32
+	expired   int64
+	states    recurrenceTable // FindCycle's visited states, kept across Reset
+	pending   pendingBanks    // FindCycle's per-port pending banks, kept across Reset
 
 	// The ports AddStreams built without a listener, in the order it
 	// built them, and how many of them are attached since the last

@@ -71,14 +71,14 @@ func TestPropertyCycleAccounting(t *testing.T) {
 			return false
 		}
 		var sum int64
-		for i := range c.Grants {
-			sum += c.Grants[i]
+		for _, k := range c.Conflicts {
+			sum += k.Grants
 			// Each port is busy every clock of the cycle: granted,
 			// delayed, or (for infinite streams) never idle.
-			if c.Grants[i]+c.Conflicts[i].Delays()+c.Conflicts[i].Idle != c.Length {
+			if k.Grants+k.Delays()+k.Idle != c.Length {
 				return false
 			}
-			if c.Conflicts[i].Idle != 0 {
+			if k.Idle != 0 {
 				return false
 			}
 		}

@@ -33,19 +33,23 @@ func newPackedSystem(m, nc int) *System {
 // Every visited state goes into the system's recurrence table, whose
 // storage a reused system keeps, so a per-clock allocation would make
 // the longer searches allocate more. Ports attached with AddPort cost
-// their two ports and two sources, and the Cycle its two slices; the
-// census attaches with AddStreams, which re-arms the ports it built
-// for the previous placement, so only the Cycle's slices remain.
+// their two ports and two sources, and a Cycle from FindCycle its one
+// slice. AddStreams re-arms the ports it built for the previous
+// placement, so only the Cycle's slice remains, and FindCycleInto
+// refills one kept Cycle, so the census's route allocates nothing.
 func TestFindCyclePackedReusedAllocs(t *testing.T) {
+	addStreams := func(sys *System, d1, b2, d2 int) {
+		sys.AddStreams(StreamSpec{Distance: d1, CPU: 0}, StreamSpec{Start: b2, Distance: d2, CPU: 1})
+	}
 	for _, route := range []struct {
 		name   string
 		want   float64
 		attach func(sys *System, d1, b2, d2 int)
+		into   bool // search with FindCycleInto into one kept Cycle
 	}{
-		{"AddPort", 6, attachPlacement},
-		{"AddStreams", 2, func(sys *System, d1, b2, d2 int) {
-			sys.AddStreams(StreamSpec{Distance: d1, CPU: 0}, StreamSpec{Start: b2, Distance: d2, CPU: 1})
-		}},
+		{"AddPort", 5, attachPlacement, false},
+		{"AddStreams", 1, addStreams, false},
+		{"AddStreams+FindCycleInto", 0, addStreams, true},
 	} {
 		for _, p := range searchPlacements {
 			sys := newPackedSystem(p.m, p.nc)
@@ -54,7 +58,11 @@ func TestFindCyclePackedReusedAllocs(t *testing.T) {
 			allocs := testing.AllocsPerRun(50, func() {
 				sys.Reset()
 				route.attach(sys, p.d1, p.b2, p.d2)
-				c, err = sys.FindCycle(1 << 20)
+				if route.into {
+					err = sys.FindCycleInto(&c, 1<<20)
+				} else {
+					c, err = sys.FindCycle(1 << 20)
+				}
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -139,8 +147,8 @@ func TestFindCyclePackedLongSearch(t *testing.T) {
 	if n := cap(sys.states.hashes); n > keptStates {
 		t.Fatalf("search after the long one kept room for %d states, want the table released", n)
 	}
-	if allocs := testing.AllocsPerRun(20, short); allocs != 2 {
-		t.Errorf("reused short search made %v allocations, want 2", allocs)
+	if allocs := testing.AllocsPerRun(20, short); allocs != 1 {
+		t.Errorf("reused short search made %v allocations, want 1", allocs)
 	}
 }
 

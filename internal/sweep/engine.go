@@ -408,6 +408,8 @@ func (e *Engine) run(n int, f func(w *worker, i int)) {
 		ts := tl.Start()
 		f(w, i)
 		itemNS := time.Since(t0).Nanoseconds()
+		e.cycleNS.Add(w.cycleNS)
+		w.cycleNS = 0
 		w.busyNS += itemNS
 		w.items++
 		e.pairs.Add(1)
@@ -502,11 +504,18 @@ type worker struct {
 	id  int
 	sys *memsys.System
 	cfg memsys.Config
+	cyc memsys.Cycle // simulate's steady state, refilled by every search
 
 	// Per-slot work totals, folded into the engine by finish().
 	items  int64
 	steps  int64
 	busyNS int64
+
+	// cycleNS is the item's steady-state detection time so far, which
+	// run adds to the engine's counter once per item: one shared
+	// atomic add per search would make the workers contend for its
+	// cache line.
+	cycleNS int64
 
 	// Memoised canonicalisation pipeline (see pipelineFor).
 	pipe                     modmath.Pipeline
@@ -790,6 +799,14 @@ func (w *worker) record(cs *compiledSpec, r Resolution, simNS int64) Resolution 
 	return r
 }
 
+// monoEpoch anchors monoNS.
+var monoEpoch = time.Now()
+
+// monoNS returns nanoseconds since monoEpoch. It reads only the
+// monotonic clock, as Timeline.Start does, where time.Now reads the
+// wall clock too.
+func monoNS() int64 { return time.Since(monoEpoch).Nanoseconds() }
+
 // noSlice marks a route phase the Timeline does not slice: the gate
 // and the cache probe appear only as spans.
 const noSlice TimelineKind = -1
@@ -828,16 +845,19 @@ func (t phaseTimer) end(family string) {
 }
 
 // simulate runs the compiled spec at configuration vector v on the
-// worker's reusable simulator and detects its steady state; the answer
-// carries the kernel's path and the cycle's cost, which record counts.
+// worker's reusable simulator and detects its steady state into the
+// worker's Cycle; the answer carries the kernel's path and the cycle's
+// cost, which record counts. The search is timed by two monotonic
+// clock readings (see monoNS) into the worker's cycleNS.
 func (w *worker) simulate(cs *compiledSpec, v []int) Resolution {
 	sys := w.system(cs.cfg)
 	addSpecStreams(sys, cs.spec, v)
 	tl := w.e.opt.Timeline
-	t0 := time.Now()
+	t0 := monoNS()
 	ts := tl.Start()
-	c, err := sys.FindCycle(FindCycleBudget)
-	w.e.cycleNS.Add(time.Since(t0).Nanoseconds())
+	c := &w.cyc
+	err := sys.FindCycleInto(c, FindCycleBudget)
+	w.cycleNS += monoNS() - t0
 	tl.Slice(w.id, TimelineFindCycle, ts, -1, "")
 	if err != nil {
 		panic(fmt.Sprintf("sweep: %s: %v", describeSpec(cs.spec, v), err))

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"slices"
 	"testing"
 
 	"ivm/internal/rat"
@@ -115,7 +116,10 @@ func TestResolveBatchOrderAndSplit(t *testing.T) {
 // a cache hit: the probe looks the packed vector up in place. A miss's
 // put of a census-sized key allocates nothing either: the key is held
 // inline, so only the shard maps' growth allocates, amortised over
-// many puts to well below one allocation each.
+// many puts to well below one allocation each. A class lead, which
+// resolves without the cache, simulates every placement and allocates
+// nothing per placement once warm: the worker's simulator re-arms its
+// ports and the search refills the worker's Cycle.
 func TestDetachedResolveAllocs(t *testing.T) {
 	w := &worker{e: NewEngine(Options{Workers: 1})}
 	gated := w.compile(PairSpec(16, 4, 1, 2)) // eq-29 answers every placement
@@ -133,6 +137,29 @@ func TestDetachedResolveAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { w.resolve(census, census.b, nil) }); n != 0 {
 		t.Errorf("detached cache hit allocates %v per op, want 0", n)
+	}
+
+	for _, spec := range []ConfigSpec{
+		NStreamSpec(8, 2, []int{1, 3, 5, 7}),
+		TripleSpec(13, 4, [3]int{1, 2, 6}),
+	} {
+		lead := w.compile(spec)
+		lead.cache = nil
+		var places [][]int
+		eachPlacement(spec, func(b []int) { places = append(places, slices.Clone(b)) })
+		for _, b := range places {
+			if r := w.resolve(lead, b, nil); r.Path != PathSimPacked {
+				t.Fatalf("%s class lead resolved %v on %v, want a packed simulation", lead.family, b, r.Path)
+			}
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(len(places), func() {
+			w.resolve(lead, places[i%len(places)], nil)
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s class lead: a simulated placement allocates %v, want 0", lead.family, allocs)
+		}
 	}
 
 	stream4 := w.compile(NStreamSpec(8, 2, []int{1, 3, 5, 7}))

@@ -28,7 +28,8 @@ type Snapshot struct {
 	AnalyticHitRate float64 `json:"analytic_hit_rate"`
 	// WallNS is wall time spent inside sweep calls; CycleDetectNS the
 	// part spent in steady-state detection (summed across workers, so
-	// it can exceed WallNS on a multi-core sweep).
+	// it can exceed WallNS on a multi-core sweep, but never their busy
+	// time), added as each work item ends.
 	WallNS        int64 `json:"wall_ns"`
 	CycleDetectNS int64 `json:"cycle_detect_ns"`
 	// MeanCycleClocks and MeanCycleDetectNS are the steady-state

@@ -14,10 +14,11 @@ func TestSnapshotAccounting(t *testing.T) {
 	if snap.Metrics.PairsSwept == 0 {
 		t.Fatal("no pairs recorded")
 	}
-	var items, steps int64
+	var items, steps, busy int64
 	for _, w := range snap.PerWorker {
 		items += w.Items
 		steps += w.Steps
+		busy += w.BusyNS
 		if w.Utilization < 0 || w.Utilization > 1 {
 			t.Errorf("worker %d utilization %v out of [0,1]", w.Worker, w.Utilization)
 		}
@@ -33,6 +34,11 @@ func TestSnapshotAccounting(t *testing.T) {
 	}
 	if snap.CycleDetectNS <= 0 {
 		t.Errorf("cycle-detect time %d, want > 0", snap.CycleDetectNS)
+	}
+	// Every search runs inside a timed work item, and both are timed on
+	// the monotonic clock, so the searches cannot outlast the items.
+	if snap.CycleDetectNS > busy {
+		t.Errorf("cycle-detect time %d exceeds the workers' busy time %d", snap.CycleDetectNS, busy)
 	}
 	if snap.Metrics.CyclesFound > 0 && snap.MeanCycleDetectNS <= 0 {
 		t.Errorf("mean cycle-detect latency %v, want > 0", snap.MeanCycleDetectNS)

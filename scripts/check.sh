@@ -25,7 +25,7 @@
 # exit 2 with a usage error naming the flag and no goroutine trace;
 # README's ivmsweep -trace-out/-metrics-out command must exit 0 with
 # nothing on stderr and write the "sweep workers" timeline and an
-# "engine" snapshot;
+# "engine" snapshot with a positive "cycle_detect_ns";
 # ivmablate's default run (every study, including the policy campaign
 # that exits 1 on any cold/cached/warm mismatch) must exit 0;
 # EXPERIMENTS.md's two Fig. 10c–e ivmsim -csv-out commands must exit 0
@@ -246,7 +246,8 @@ echo "check.sh: bad-geometry probe OK, ivmsweep -m 8 -nc 0 and -m 0, ivmtriad -n
 
 # Sweep-observability probe: README's ivmsweep -trace-out/-metrics-out
 # command on a small grid exits 0 with empty stderr, writes the worker
-# timeline and writes an engine snapshot.
+# timeline and writes an engine snapshot whose cycle-detect time is
+# positive (the grid simulates, so a 0 means the counter went unfed).
 if ! "$tmp/ivmsweep" -m 8 -nc 2 -workers 2 -trace-out "$tmp/sweep-trace.json" \
 	-metrics-out "$tmp/sweep-metrics.json" > /dev/null 2> "$tmp/obs-stderr"; then
 	echo "check.sh: ivmsweep -trace-out/-metrics-out failed:" >&2
@@ -266,7 +267,11 @@ if ! grep -q '"engine"' "$tmp/sweep-metrics.json"; then
 	echo "check.sh: ivmsweep -metrics-out has no \"engine\" snapshot" >&2
 	exit 1
 fi
-echo "check.sh: sweep-observability probe OK, worker trace and engine snapshot written"
+if ! grep -Eq '"cycle_detect_ns": *[1-9]' "$tmp/sweep-metrics.json"; then
+	echo "check.sh: ivmsweep -metrics-out engine snapshot has no positive \"cycle_detect_ns\"" >&2
+	exit 1
+fi
+echo "check.sh: sweep-observability probe OK, worker trace and engine snapshot (cycle_detect_ns > 0) written"
 
 # Ablation probe: every ivmablate study runs; the policy campaign
 # exits 1 on any mismatch between the cold, cached and warm paths.
