@@ -213,7 +213,8 @@ type StreamSpec struct {
 // Port that AddStreams built past the next Reset. The exception is a
 // listener: while one is attached, AddStreams builds fresh ports and
 // never re-arms them, because a listener may keep Event.Port. AddPort
-// never re-arms.
+// never re-arms. A caller whose next streams keep every port's CPU
+// and label can re-arm without Reset through Rearm.
 func (s *System) AddStreams(specs ...StreamSpec) {
 	for i, sp := range specs {
 		label := sp.Label

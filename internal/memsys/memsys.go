@@ -404,15 +404,53 @@ func (s *System) Config() Config { return s.cfg }
 // them for its streams instead of allocating (see AddStreams), so a
 // Port taken from Ports before Reset may describe a different stream
 // after it. Ports attached with AddPort, and ports a listener could
-// have seen (see SetListener), are never re-armed.
+// have seen (see SetListener), are never re-armed. Rearm does Reset
+// and AddStreams in one pass when the new streams keep the attached
+// ports' CPUs.
 func (s *System) Reset() {
 	s.ports = s.ports[:0]
 	s.rearmed = 0
+	s.clearBanks()
+}
+
+// clearBanks frees every bank and returns the priority rotation to
+// zero.
+func (s *System) clearBanks() {
 	for b := range s.busy {
 		s.busy[b] = 0
 		s.owner[b] = nil
 	}
 	s.rr = 0
+}
+
+// Rearm moves the attached ports onto new streams in place: port i
+// takes start starts[i] and distance distances[i], keeps its CPU and
+// label, and its counters are zeroed; every bank is freed and the
+// priority rotation returns to zero. The system is then exactly as
+// Reset followed by AddStreams with the same CPUs and labels would
+// leave it, without a StreamSpec or a label comparison per port, which
+// is how a sweep worker moves one spec from placement to placement.
+//
+// Rearm refuses, returning false and changing nothing, wherever
+// AddStreams would not re-arm: while a listener is attached, when an
+// attached port came from AddPort or was built while a listener was
+// attached, or when the number of ports or a port's CPU differs from
+// cpus. starts and distances must be as long as cpus.
+func (s *System) Rearm(cpus, starts, distances []int) bool {
+	if s.listener != nil || len(cpus) != len(s.ports) || s.rearmed != len(s.ports) {
+		return false
+	}
+	for i, p := range s.ports {
+		if p != &s.streamPorts[i].Port || p.CPU != cpus[i] {
+			return false
+		}
+	}
+	for i, p := range s.streamPorts[:len(cpus)] {
+		p.src = StridedSource{Addr: int64(starts[i]), Stride: int64(distances[i]), Remaining: -1}
+		p.Count = Counters{}
+	}
+	s.clearBanks()
+	return true
 }
 
 // Mapper returns the address-to-bank mapping in use.

@@ -1,6 +1,8 @@
 package memsys
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -216,4 +218,121 @@ func TestAddStreamsKeepsListenedPorts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Rearm must leave exactly the state Reset and AddStreams with the same
+// CPUs and labels leave: two systems fed the same placements, one
+// re-armed and one rebuilt, find the same Cycle, stop in the same state
+// and keep the same ports, on either kernel, with 2–4 ports on
+// repeating CPUs and under each priority rule (the rotation must be
+// emptied too). A few clocks stepped after each search leave banks
+// busy and the rotation moved for the next Rearm to clear.
+func TestRearmMatchesResetAddStreams(t *testing.T) {
+	layouts := [][]int{{0, 1}, {1, 1}, {0, 1, 0}, {0, 0, 0, 0}, {0, 1, 0, 1}, {1, 0, 0, 1}}
+	rules := []PriorityRule{FixedPriority, CyclicPriority, RoundRobinPerCPU}
+	for _, k := range []Kernel{KernelScalar, KernelPacked} {
+		for li, cpus := range layouts {
+			cfg := Config{Banks: 16, BankBusy: 4, CPUs: 2, Priority: rules[li%len(rules)]}
+			rearmed, rebuilt := New(cfg), New(cfg)
+			rearmed.SetKernel(k)
+			rebuilt.SetKernel(k)
+			r := rand.New(rand.NewSource(int64(li)))
+			n := len(cpus)
+			starts, dists := make([]int, n), make([]int, n)
+			specs := make([]StreamSpec, n)
+			for trial := 0; trial < 40; trial++ {
+				for i := range specs {
+					starts[i], dists[i] = r.Intn(16), 1+r.Intn(15)
+					specs[i] = StreamSpec{Start: starts[i], Distance: dists[i], CPU: cpus[i]}
+				}
+				at := fmt.Sprintf("%v cpus %v trial %d", k, cpus, trial)
+				if trial == 0 {
+					rearmed.AddStreams(specs...)
+				} else if !rearmed.Rearm(cpus, starts, dists) {
+					t.Fatalf("%s: Rearm refused the ports it holds", at)
+				}
+				rebuilt.Reset()
+				rebuilt.AddStreams(specs...)
+				if rearmed.rr != rebuilt.rr {
+					t.Fatalf("%s: rotation %d after Rearm, %d after Reset", at, rearmed.rr, rebuilt.rr)
+				}
+				sameState(t, rebuilt, rearmed, at+" after Rearm")
+				var got, want Cycle
+				errGot, errWant := rearmed.FindCycleInto(&got, 1<<20), rebuilt.FindCycleInto(&want, 1<<20)
+				if errGot != nil || errWant != nil {
+					t.Fatalf("%s: %v, %v", at, errGot, errWant)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: re-armed\n%+v\nrebuilt\n%+v", at, got, want)
+				}
+				sameState(t, rebuilt, rearmed, at+" after FindCycleInto")
+				for i, p := range rearmed.Ports() {
+					q := rebuilt.Ports()[i]
+					if p.ID != q.ID || p.CPU != q.CPU || p.Label != q.Label {
+						t.Fatalf("%s: port %d reads %d/%d/%q, rebuilt %d/%d/%q", at, i, p.ID, p.CPU, p.Label, q.ID, q.CPU, q.Label)
+					}
+				}
+				rearmed.Run(int64(trial % 3))
+				rebuilt.Run(int64(trial % 3))
+			}
+		}
+	}
+}
+
+// Rearm refuses wherever AddStreams would not re-arm, and a refusal
+// changes nothing: not the ports, their sources or counters, the banks
+// or the rotation.
+func TestRearmRefuses(t *testing.T) {
+	two := []StreamSpec{{Start: 0, Distance: 1, CPU: 0}, {Start: 3, Distance: 7, CPU: 1}}
+	cases := []struct {
+		name  string
+		build func(*System)
+		cpus  []int
+	}{
+		{"listener attached", func(s *System) { s.AddStreams(two...); s.SetListener(&portRecorder{}) }, []int{0, 1}},
+		{"ports built under a listener", func(s *System) {
+			s.SetListener(&portRecorder{})
+			s.AddStreams(two...)
+			s.SetListener(nil)
+		}, []int{0, 1}},
+		{"port from AddPort", func(s *System) {
+			s.AddStreams(two[0])
+			s.AddPort(1, "2", NewInfiniteStrided(3, 7))
+		}, []int{0, 1}},
+		{"more ports", func(s *System) { s.AddStreams(two...) }, []int{0, 1, 0}},
+		{"fewer ports", func(s *System) { s.AddStreams(two...) }, []int{0}},
+		{"no ports", func(s *System) {}, []int{0, 1}},
+		{"a CPU differs", func(s *System) { s.AddStreams(two...) }, []int{0, 0}},
+	}
+	for _, k := range []Kernel{KernelScalar, KernelPacked} {
+		for _, c := range cases {
+			sys := New(Config{Banks: 16, BankBusy: 4, CPUs: 2, Priority: CyclicPriority})
+			sys.SetKernel(k)
+			c.build(sys)
+			sys.Run(5)
+			before := systemState(sys)
+			n := len(c.cpus)
+			if sys.Rearm(c.cpus, make([]int, n), make([]int, n)) {
+				t.Errorf("%v %s: Rearm accepted", k, c.name)
+			}
+			if after := systemState(sys); after != before {
+				t.Errorf("%v %s: a refused Rearm changed the system\nbefore %s\nafter  %s", k, c.name, before, after)
+			}
+		}
+	}
+}
+
+// systemState renders what Rearm may write: the banks, the rotation
+// and every port with its source.
+func systemState(s *System) string {
+	out := fmt.Sprintf("busy %v rr %d clock %d", s.busy, s.rr, s.clock)
+	for b, o := range s.owner {
+		if o != nil {
+			out += fmt.Sprintf(" owner[%d]=%d", b, o.ID)
+		}
+	}
+	for _, p := range s.ports {
+		out += fmt.Sprintf(" | port %d cpu %d %q %+v %+v", p.ID, p.CPU, p.Label, p.Count, p.Src)
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -125,5 +126,35 @@ func TestCacheSemanticsPreserving(t *testing.T) {
 		if !c.SimMin.Equal(r.SimMin) || !c.SimMax.Equal(r.SimMax) || c.Agree != r.Agree {
 			t.Fatalf("pair (%d,%d): cached sweep %+v != cache-free sweep %+v", r.D1, r.D2, c, r)
 		}
+	}
+}
+
+// TestDifferentialMixedConfigBatch resolves one batch of 4-stream specs
+// on three memory configurations (CPU layouts needing one, two and
+// three CPUs) interleaved at random, so a worker's simulators are
+// evicted and rebuilt, and rows of one spec's swept placements in a row,
+// so they are re-armed. Every answer, at 1 and 2 workers, must be the
+// cold oracle's.
+func TestDifferentialMixedConfigBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1985))
+	var specs []ConfigSpec
+	for i := 0; i < 96; i++ {
+		spec := ConfigSpec{M: 16, NC: 4}
+		top := i % 3 // the highest CPU of this spec's layout
+		for j := 0; j < 4; j++ {
+			cpu := rng.Intn(top + 1)
+			if j == 3 {
+				cpu = top
+			}
+			spec.Streams = append(spec.Streams, Stream{D: 1 + rng.Intn(15), B: rng.Intn(16), CPU: cpu})
+		}
+		if i%16 == 0 {
+			spec.Streams[1].B, spec.Streams[1].Sweep = 0, true
+		}
+		specs = append(specs, spec)
+	}
+	rng.Shuffle(len(specs), func(i, j int) { specs[i], specs[j] = specs[j], specs[i] })
+	for _, workers := range []int{1, 2} {
+		sameResolves(t, fmt.Sprintf("mixed-configuration batch, %d workers", workers), NewEngine(Options{Workers: workers}), specs)
 	}
 }

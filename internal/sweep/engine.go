@@ -242,9 +242,10 @@ type Engine struct {
 
 // familyCounter is one family's answer tally: placements by answer
 // path, analytic answers by theorem, and the clocks its simulations
-// stepped. worker.record is its only writer; compile resolves the
-// family and theorem counters once per spec, so recording an answer
-// is an atomic add away from the maps.
+// stepped. worker.record counts answers on the worker, and Engine.run
+// adds them here once per work item (worker.flushTally); compile
+// resolves the family and theorem counters once per spec, so counting
+// an answer never touches the maps.
 type familyCounter struct {
 	paths    [numPaths]atomic.Int64
 	clocks   atomic.Int64
@@ -294,8 +295,10 @@ func (e *Engine) tally(family, theorem string) (*familyCounter, *atomic.Int64) {
 // placements: per family with traffic, the placements each path
 // answered, the analytic answers per theorem and the clocks simulated.
 // The orbit fields stay zero; Snapshot joins them from the Provenance
-// recorder. Metrics, the provenance view and ivmserved's answer-path
-// counters are all read from here.
+// recorder. Workers add their answers once per work item, so the tally
+// is exact whenever no item is in flight and otherwise lags by the
+// items in flight. Metrics, the provenance view and ivmserved's
+// answer-path counters are all read from here.
 func (e *Engine) Tally() map[string]FamilyProvenance {
 	e.famMu.Lock()
 	defer e.famMu.Unlock()
@@ -391,9 +394,9 @@ func (e *Engine) workers() int {
 }
 
 // run shards n independent work items over the pool. Each worker owns
-// a private simulator (reused across items via memsys.Reset), so f
-// must write results only into its own item's slot — that indexing is
-// what keeps the output deterministic.
+// private simulators (see worker.system), kept across its items and
+// dropped when run returns, so f must write results only into its own
+// item's slot — that indexing is what keeps the output deterministic.
 func (e *Engine) run(n int, f func(w *worker, i int)) {
 	if n == 0 {
 		return
@@ -410,6 +413,7 @@ func (e *Engine) run(n int, f func(w *worker, i int)) {
 		itemNS := time.Since(t0).Nanoseconds()
 		e.cycleNS.Add(w.cycleNS)
 		w.cycleNS = 0
+		w.flushTally()
 		w.busyNS += itemNS
 		w.items++
 		e.pairs.Add(1)
@@ -496,15 +500,29 @@ func (e *Engine) SpecGrid(specs []ConfigSpec) []SpecResult { return e.specGrid(s
 
 // --- Workers ------------------------------------------------------------
 
-// worker is the per-goroutine state of one pool member: a reusable
-// simulator and the memoised canonicalisation pipeline
-// of the current (modulus, sections) pair.
-type worker struct {
-	e   *Engine
-	id  int
+// simSlots is how many simulators a worker keeps, one per memory
+// configuration: a served batch of 4-stream specs on two CPUs mixes
+// two configurations (every stream on CPU 0 needs one CPU, any other
+// layout two), and the bound caps what one batch can make a worker
+// hold.
+const simSlots = 2
+
+// simSlot is one of a worker's simulators and the configuration it
+// was built for.
+type simSlot struct {
 	sys *memsys.System
 	cfg memsys.Config
-	cyc memsys.Cycle // simulate's steady state, refilled by every search
+}
+
+// worker is the per-goroutine state of one pool member: its
+// simulators, the answer tally of the spec it is resolving and the
+// memoised canonicalisation pipeline of the current (modulus,
+// sections) pair.
+type worker struct {
+	e    *Engine
+	id   int
+	sims [simSlots]simSlot // most recently used first
+	cyc  memsys.Cycle      // simulate's steady state, refilled by every search
 
 	// Per-slot work totals, folded into the engine by finish().
 	items  int64
@@ -517,24 +535,78 @@ type worker struct {
 	// cache line.
 	cycleNS int64
 
+	// tally is the answer tally not yet added to the family's counters,
+	// which run folds in once per item for the same reason.
+	tally pendingTally
+
 	// Memoised canonicalisation pipeline (see pipelineFor).
 	pipe                     modmath.Pipeline
 	pipeM, pipeStep, pipeFix int
 }
 
 // system returns the worker's simulator for cfg on the engine's
-// kernel, reset and ready for ports — reusing allocations whenever the
-// configuration repeats. Reset keeps the kernel, so it is set once,
-// when the simulator is built.
+// kernel, holding the ports of its last placement. The worker keeps
+// simSlots simulators, one per configuration, for the life of its
+// Engine.run call, so a batch alternating between configurations
+// reuses each one's ports, recurrence table and packed state; past
+// simSlots configurations the least recently used is rebuilt. Reset
+// keeps the kernel, so it is set once, when the simulator is built.
 func (w *worker) system(cfg memsys.Config) *memsys.System {
-	if w.sys != nil && w.cfg == cfg {
-		w.sys.Reset()
-		return w.sys
+	i := 0
+	for i < simSlots-1 && w.sims[i].cfg != cfg {
+		i++
 	}
-	w.sys = memsys.New(cfg)
-	w.sys.SetKernel(w.e.opt.kernel())
-	w.cfg = cfg
-	return w.sys
+	s := w.sims[i]
+	if s.sys == nil || s.cfg != cfg { // a new configuration: rebuild the last slot
+		s = simSlot{sys: memsys.New(cfg), cfg: cfg}
+		s.sys.SetKernel(w.e.opt.kernel())
+	}
+	copy(w.sims[1:i+1], w.sims[:i])
+	w.sims[0] = s
+	return s.sys
+}
+
+// pendingTally is one family's answer tally as a worker counts it,
+// added to the family's counters by flushTally.
+type pendingTally struct {
+	counter *familyCounter
+	theorem *atomic.Int64
+	paths   [numPaths]int64
+	clocks  int64
+}
+
+// count adds one answer of cs to the worker's pending tally, first
+// flushing the tally of another family or theorem.
+func (w *worker) count(cs *compiledSpec, r Resolution) {
+	t := &w.tally
+	if t.counter != cs.counter || t.theorem != cs.theorem {
+		w.flushTally()
+		t.counter, t.theorem = cs.counter, cs.theorem
+	}
+	t.paths[r.Path]++
+	t.clocks += r.Clocks
+}
+
+// flushTally adds the worker's pending answer tally to its family's
+// counters and empties it. Analytic answers are the only ones the
+// pending theorem counts, so its count is paths[PathAnalytic].
+func (w *worker) flushTally() {
+	t := &w.tally
+	if t.counter == nil {
+		return
+	}
+	for p, n := range t.paths {
+		if n != 0 {
+			t.counter.paths[p].Add(n)
+		}
+	}
+	if t.clocks != 0 {
+		t.counter.clocks.Add(t.clocks)
+	}
+	if n := t.paths[PathAnalytic]; n != 0 && t.theorem != nil {
+		t.theorem.Add(n)
+	}
+	*t = pendingTally{}
 }
 
 // finish folds the worker's work totals into the engine.
@@ -744,9 +816,9 @@ func (w *worker) resolve(cs *compiledSpec, b []int, sp SpanSink) Resolution {
 	return w.record(cs, r, t.tl)
 }
 
-// record is the answer route's one recording point and the only writer
-// of the answer tally: it counts one resolved placement by path (with
-// its theorem when analytic, its clocks when simulated), marks it on
+// record is the answer route's one recording point: it counts one
+// resolved placement by path (with its theorem when analytic, its
+// clocks when simulated) in the worker's pending tally, marks it on
 // the Timeline, adds it to its orbit's Provenance row when it was
 // canonicalised or simulated and, on a cached miss, stores the answer
 // in the cache, under the key of the vector cs.pack packed, and hands
@@ -759,10 +831,9 @@ func (w *worker) resolve(cs *compiledSpec, b []int, sp SpanSink) Resolution {
 func (w *worker) record(cs *compiledSpec, r Resolution, simNS int64) Resolution {
 	e := w.e
 	tl := e.opt.Timeline
-	cs.counter.paths[r.Path].Add(1)
+	w.count(cs, r)
 	switch r.Path {
 	case PathAnalytic:
-		cs.theorem.Add(1)
 		tl.Instant(w.id, TimelineAnalytic, -1, cs.family)
 		return r
 	case PathCache:
@@ -771,7 +842,6 @@ func (w *worker) record(cs *compiledSpec, r Resolution, simNS int64) Resolution 
 		r.Canonical = cs.vec
 		return r
 	}
-	cs.counter.clocks.Add(r.Clocks)
 	w.steps += r.Clocks
 	e.opt.Provenance.observe(cs, r)
 	if e.cache == nil {
@@ -845,13 +915,19 @@ func (t phaseTimer) end(family string) {
 }
 
 // simulate runs the compiled spec at configuration vector v on the
-// worker's reusable simulator and detects its steady state into the
-// worker's Cycle; the answer carries the kernel's path and the cycle's
-// cost, which record counts. The search is timed by two monotonic
+// worker's simulator for its configuration and detects its steady
+// state into the worker's Cycle; the answer carries the kernel's path
+// and the cycle's cost, which record counts. A simulator that holds
+// ports on the spec's CPUs is re-armed in place; any other is Reset
+// and given the spec's streams. The search is timed by two monotonic
 // clock readings (see monoNS) into the worker's cycleNS.
 func (w *worker) simulate(cs *compiledSpec, v []int) Resolution {
 	sys := w.system(cs.cfg)
-	addSpecStreams(sys, cs.spec, v)
+	n := len(cs.cpuList)
+	if !sys.Rearm(cs.cpuList, v[n:], v[:n]) {
+		sys.Reset()
+		addSpecStreams(sys, cs.spec, v)
+	}
 	tl := w.e.opt.Timeline
 	t0 := monoNS()
 	ts := tl.Start()

@@ -75,25 +75,24 @@ const DefaultProvenanceOrbits = 1 << 18
 // concurrent use and a no-op on a nil receiver, which is how the engine
 // runs unrecorded — the detached path adds no allocations (the overhead
 // tests pin that).
+//
+// Each family's rows are keyed by one canonical orbit's packed memory
+// shape and canonical configuration vector, (m, s, n_c, d_1..d_N,
+// b_1..b_N) as packInts packs it: the coordinates cacheKey uses, minus
+// the CPU layout, which the family's shape fixes for every sweep the
+// CLIs run.
 type Provenance struct {
 	mu        sync.Mutex
 	maxOrbits int
 	rows      int // orbit rows tracked across all families
-	orbits    map[string]map[orbitKey]*orbitProvenance
+	orbits    map[string]map[string]*orbitProvenance
 	dropped   int64
-}
-
-// orbitKey identifies one canonical orbit inside a family: the memory
-// shape plus the packed canonical configuration vector (the same
-// coordinates cacheKey uses, minus the CPU layout, which the family's
-// shape fixes for every sweep the CLIs run).
-type orbitKey struct {
-	m, s, nc int
-	vec      string
+	key       []byte // observe's key scratch, so a known row allocates nothing
 }
 
 // orbitProvenance is the observed population of one canonical orbit.
 type orbitProvenance struct {
+	m, s, nc     int   // the memory shape
 	vec          []int // canonical configuration vector (d_1..d_N, b_1..b_N)
 	hits, misses int64
 	cycleLen     int64 // steady-state period of the last simulation
@@ -107,33 +106,34 @@ func NewProvenance(maxOrbits int) *Provenance {
 	if maxOrbits <= 0 {
 		maxOrbits = DefaultProvenanceOrbits
 	}
-	return &Provenance{maxOrbits: maxOrbits, orbits: make(map[string]map[orbitKey]*orbitProvenance)}
+	return &Provenance{maxOrbits: maxOrbits, orbits: make(map[string]map[string]*orbitProvenance)}
 }
 
 // observe adds one canonicalised or simulated placement of cs to its
 // orbit's row: a cache hit, or a simulation with its steady state
 // (cycle length and lead+cycle clocks). cs.vec holds the configuration
-// vector that keyed the cache or was simulated.
+// vector that keyed the cache or was simulated. The row's key is built
+// in the recorder's scratch, so only a new row allocates.
 func (p *Provenance) observe(cs *compiledSpec, r Resolution) {
 	if p == nil {
 		return
 	}
-	key := orbitKey{cs.spec.M, cs.spec.S, cs.spec.NC, packInts(cs.vec)}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	fam := p.orbits[cs.family]
 	if fam == nil {
-		fam = make(map[orbitKey]*orbitProvenance)
+		fam = make(map[string]*orbitProvenance)
 		p.orbits[cs.family] = fam
 	}
-	o := fam[key]
+	p.key = appendPacked(appendPacked(p.key[:0], []int{cs.spec.M, cs.spec.S, cs.spec.NC}), cs.vec)
+	o := fam[string(p.key)]
 	if o == nil {
 		if p.rows >= p.maxOrbits {
 			p.dropped++
 			return
 		}
-		o = &orbitProvenance{vec: append([]int(nil), cs.vec...)}
-		fam[key] = o
+		o = &orbitProvenance{m: cs.spec.M, s: cs.spec.S, nc: cs.spec.NC, vec: append([]int(nil), cs.vec...)}
+		fam[string(p.key)] = o
 		p.rows++
 	}
 	if r.Path == PathCache {
@@ -263,9 +263,9 @@ func (p *Provenance) view(tally map[string]FamilyProvenance) ProvenanceSnapshot 
 	for name, fp := range tally {
 		fam := p.orbits[name]
 		orbits := make([]OrbitInfo, 0, len(fam))
-		for key, o := range fam {
+		for _, o := range fam {
 			orbits = append(orbits, OrbitInfo{
-				M: key.m, S: key.s, NC: key.nc, Vec: o.vec,
+				M: o.m, S: o.s, NC: o.nc, Vec: o.vec,
 				Hits: o.hits, Misses: o.misses, Size: o.hits + o.misses,
 				CycleLength: o.cycleLen, Clocks: o.clocks,
 			})

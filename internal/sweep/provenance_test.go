@@ -290,6 +290,26 @@ func TestDetachedProvenanceAllocatesNothing(t *testing.T) {
 	}
 }
 
+// An attached recorder allocates only for a new orbit row: once a
+// placement's row exists, resolving it again from the cache records
+// the hit without allocating (ivmserved always attaches one).
+func TestRecordedCacheHitAllocs(t *testing.T) {
+	prov := NewProvenance(0)
+	w := &worker{e: NewEngine(Options{Workers: 1, Provenance: prov})}
+	cs := w.compile(TripleCensusSpec(13, 4, [3]int{1, 2, 6}, [3]int{0, 1, 2}))
+	w.resolve(cs, cs.b, nil) // simulate, adding the orbit's row
+	if r := w.resolve(cs, cs.b, nil); r.Path != PathCache {
+		t.Fatalf("repeated census placement resolved on %v", r.Path)
+	}
+	if n := testing.AllocsPerRun(100, func() { w.resolve(cs, cs.b, nil) }); n != 0 {
+		t.Errorf("recorded cache hit allocates %v per op, want 0", n)
+	}
+	w.flushTally()
+	if got := prov.view(w.e.Tally()).Families[cs.family]; got.Orbits != 1 || got.TopOrbits[0].Hits != 102 {
+		t.Errorf("recorded hits: %+v, want one orbit hit 102 times", got)
+	}
+}
+
 // BenchmarkProvenanceAttached quantifies the recording cost against
 // the free detached path (BenchmarkProvenanceDetached).
 func BenchmarkProvenanceDetached(b *testing.B) {

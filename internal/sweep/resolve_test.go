@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -119,7 +120,9 @@ func TestResolveBatchOrderAndSplit(t *testing.T) {
 // many puts to well below one allocation each. A class lead, which
 // resolves without the cache, simulates every placement and allocates
 // nothing per placement once warm: the worker's simulator re-arms its
-// ports and the search refills the worker's Cycle.
+// ports and the search refills the worker's Cycle, and a worker keeps
+// a simulator per configuration, so alternating between two does not
+// rebuild either.
 func TestDetachedResolveAllocs(t *testing.T) {
 	w := &worker{e: NewEngine(Options{Workers: 1})}
 	gated := w.compile(PairSpec(16, 4, 1, 2)) // eq-29 answers every placement
@@ -160,6 +163,34 @@ func TestDetachedResolveAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s class lead: a simulated placement allocates %v, want 0", lead.family, allocs)
 		}
+	}
+
+	// One worker alternating between two class leads on batch-cold's
+	// two memory configurations (every stream on CPU 0 needs one CPU,
+	// {0, 1, 0, 1} two) keeps a simulator for each: past each layout's
+	// first placement, a switch rebuilds nothing.
+	alt := &worker{e: NewEngine(Options{Workers: 1})}
+	var leads []*compiledSpec
+	for _, cpus := range [][]int{{0, 0, 0, 0}, {0, 1, 0, 1}} {
+		spec := ConfigSpec{M: 16, NC: 4}
+		for j, cpu := range cpus {
+			spec.Streams = append(spec.Streams, Stream{D: 2*j + 1, B: 3 * j, CPU: cpu})
+		}
+		lead := alt.compile(spec)
+		lead.cache = nil
+		alt.resolve(lead, lead.b, nil)
+		leads = append(leads, lead)
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		lead := leads[k%2]
+		if r := alt.resolve(lead, lead.b, nil); r.Path != PathSimPacked {
+			t.Fatalf("alternated class lead resolved on %v, want a packed simulation", r.Path)
+		}
+		k++
+	})
+	if allocs != 0 {
+		t.Errorf("class leads alternating between two configurations: a simulated placement allocates %v, want 0", allocs)
 	}
 
 	stream4 := w.compile(NStreamSpec(8, 2, []int{1, 3, 5, 7}))
@@ -209,5 +240,30 @@ func TestResolveRejectsBadSpecs(t *testing.T) {
 	}
 	if n := eng.Metrics().PairsSwept; n != 0 {
 		t.Errorf("failed batch still resolved %d units", n)
+	}
+}
+
+// BenchmarkResolveBatchMixedConfigs resolves one 512-spec batch shaped
+// like ivmbench's batch-cold batches (4 streams on an m = 16, n_c = 4
+// memory, each stream on CPU 0 or 1, so the batch mixes a one-CPU and
+// a two-CPU configuration) on a fresh one-worker engine per iteration.
+// Almost every spec is a new orbit, so its allocations are those of
+// simulator setup, the search and the cache; one worker keeps the
+// counts exact.
+func BenchmarkResolveBatchMixedConfigs(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	batch := make([]ConfigSpec, 512)
+	for i := range batch {
+		spec := ConfigSpec{M: 16, NC: 4}
+		for j := 0; j < 4; j++ {
+			spec.Streams = append(spec.Streams, Stream{D: 1 + rng.Intn(15), B: rng.Intn(16), CPU: rng.Intn(2)})
+		}
+		batch[i] = spec
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewEngine(Options{Workers: 1}).ResolveBatch(batch); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -14,7 +14,9 @@
 # is then diffed against the committed BENCH_sweep.json by
 # scripts/benchdiff.go, gating on catastrophic timing regressions.
 # A one-second ivmbench sweep-census run pins the full census digest,
-# the paper-scale triple and 4-stream tables included.
+# the paper-scale triple and 4-stream tables included, and a one-second
+# batch-cold run pins the served batch route's digests and oracle
+# sample.
 # Live probes close the run:
 # the default ivmsweep runs under the cyclic and rr-cpu priority rules
 # must exit 0 with nothing on stderr; ivmsweep -triples -m 13 -nc 4
@@ -118,6 +120,19 @@ if ! bash bench/run.sh --workload sweep-census --seed 1 --seconds 1 --trace 0 > 
 	exit 1
 fi
 echo "check.sh: full-census pin OK, ivmbench sweep-census exits 0"
+
+# Served batch route: ivmbench's batch-cold workload sends full
+# 512-spec batches of fresh 4-stream orbits through ivmserved's
+# handler, checks its batch digests against their seed-1 pins and
+# re-checks a sample of answers against the cold oracle, and exits
+# nonzero on any wrong answer or failed request. bench's TestQuick
+# sends only a few quick batches.
+if ! bash bench/run.sh --workload batch-cold --seed 1 --seconds 1 --trace 0 > "$tmp/batch.log" 2>&1; then
+	cat "$tmp/batch.log" >&2
+	echo "check.sh: ivmbench batch-cold failed or its batch digest drifted" >&2
+	exit 1
+fi
+echo "check.sh: served batch route OK, ivmbench batch-cold exits 0"
 
 # Benchmark regression gate: a single-iteration bench.sh run diffed
 # against the committed BENCH_sweep.json. One iteration is noisy (the
