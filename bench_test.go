@@ -431,7 +431,13 @@ func BenchmarkPhaseHistogram(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	tot := h.Totals()
+	var tot obs.PhaseCounts
+	for _, p := range h.Phases {
+		tot.Grants += p.Grants
+		tot.Bank += p.Bank
+		tot.Simultaneous += p.Simultaneous
+		tot.Section += p.Section
+	}
 	b.ReportMetric(float64(tot.Grants), "grants")
 	b.ReportMetric(float64(tot.Bank), "bank_conflicts")
 	b.ReportMetric(float64(tot.Simultaneous), "simultaneous_conflicts")

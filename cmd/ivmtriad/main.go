@@ -6,7 +6,7 @@
 // -bounds appends an idealised three-stream capacity study per
 // increment: the triad's three operand streams as equal-stride
 // infinite streams on a 16-bank n_c = 4 memory, swept over all
-// relative placements against core.MultiStreamBound on the cached
+// relative placements against core.CapacityBound on the cached
 // sweep engine (-workers/-cache).
 //
 // Observability: the shared -cpuprofile/-memprofile/-trace flags

@@ -77,7 +77,7 @@ func PairBandwidthBounds(m, nc, d1, d2 int) (lo, hi rat.Rational) {
 	return lo, hi
 }
 
-// StreamSet describes one concurrent stream for MultiStreamBound.
+// StreamSet describes one concurrent stream for NewCapacityBound.
 type StreamSet struct {
 	Stream stream.Stream
 	CPU    int
@@ -87,9 +87,9 @@ type StreamSet struct {
 // CapacityBound.At keeps on the stack.
 const bitsetBanks = 256
 
-// MultiStreamBound returns the tightest of three exact capacity bounds
-// on the aggregate steady-state bandwidth of the given streams against
-// an (m, s, n_c) memory (s = 0 means one section per bank):
+// A CapacityBound is the tightest of three exact capacity bounds on the
+// aggregate steady-state bandwidth of concurrent streams against an
+// (m, s, n_c) memory (s = 0 means one section per bank):
 //
 //  1. the self-conflict bound sum_i min(1, r_i/n_c) of §III-A, which
 //     subsumes the port bound of one request per stream per clock;
@@ -99,24 +99,11 @@ const bitsetBanks = 256
 //  3. the path bound: a CPU with q ports into s sections is granted at
 //     most min(q, s) requests per clock.
 //
-// It is NewCapacityBound(m, s, nc, sets).At of the streams' starts; a
-// caller bounding many placements of the same streams builds the
-// CapacityBound once.
-func MultiStreamBound(m, s, nc int, sets []StreamSet) rat.Rational {
-	starts := make([]int, len(sets))
-	for i, st := range sets {
-		starts[i] = st.Stream.Start
-	}
-	c := NewCapacityBound(m, s, nc, sets)
-	return c.At(starts)
-}
-
-// A CapacityBound is MultiStreamBound with its start-free part worked
-// out once. Only the bank-capacity bound depends on where the streams
-// start: the self-conflict and path bounds read distances and CPUs
-// alone, and by Theorem 1 stream i's access set Z_i is the residue
-// class of its start modulo g_i = gcd(m, d_i) = m/r_i, whatever that
-// start is.
+// Its start-free part is worked out once. Only the bank-capacity bound
+// depends on where the streams start: the self-conflict and path
+// bounds read distances and CPUs alone, and by Theorem 1 stream i's
+// access set Z_i is the residue class of its start modulo
+// g_i = gcd(m, d_i) = m/r_i, whatever that start is.
 type CapacityBound struct {
 	m, nc int
 	// cosets holds each stream's g_i and startFree the tighter of the

@@ -42,7 +42,7 @@ func TestSixPortSaturationTight(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := c.EffectiveBandwidth()
-	bound := MultiStreamBound(16, 0, 4, sets)
+	bound := capacityAt(16, 0, 4, sets)
 	if got.Cmp(bound) > 0 {
 		t.Fatalf("b_eff %s exceeds bound %s", got, bound)
 	}
@@ -51,8 +51,8 @@ func TestSixPortSaturationTight(t *testing.T) {
 	}
 }
 
-// Property: simulated aggregate bandwidth never exceeds
-// MultiStreamBound, over randomised configurations.
+// Property: simulated aggregate bandwidth never exceeds the capacity
+// bound, over randomised configurations.
 func TestMultiStreamBoundHolds(t *testing.T) {
 	rng := rand.New(rand.NewSource(19851001))
 	for trial := 0; trial < 120; trial++ {
@@ -84,7 +84,7 @@ func TestMultiStreamBoundHolds(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := c.EffectiveBandwidth()
-		bound := MultiStreamBound(ms, s, ncs, sets)
+		bound := capacityAt(ms, s, ncs, sets)
 		if got.Cmp(bound) > 0 {
 			t.Fatalf("trial %d (m=%d s=%d nc=%d p=%d): b_eff %s exceeds bound %s",
 				trial, ms, s, ncs, p, got, bound)
@@ -143,7 +143,7 @@ func TestPathBound(t *testing.T) {
 		{Stream: stream.Infinite(8, 0, 2), CPU: 0},
 		{Stream: stream.Infinite(8, 2, 2), CPU: 0},
 	}
-	bound := MultiStreamBound(8, 2, 2, sets)
+	bound := capacityAt(8, 2, 2, sets)
 	// Self bound = 2, bank bound = 4/2 = 2, path bound = min(2,2) = 2 —
 	// the generic bounds don't see the shared section; but simulation
 	// must still respect them.
@@ -170,7 +170,7 @@ func TestSelfConflictBoundDominates(t *testing.T) {
 		{Stream: stream.Infinite(16, 0, 8), CPU: 0}, // r=2, nc=4: 1/2
 		{Stream: stream.Infinite(16, 1, 8), CPU: 1}, // disjoint banks
 	}
-	bound := MultiStreamBound(16, 0, 4, sets)
+	bound := capacityAt(16, 0, 4, sets)
 	if !bound.Equal(rat.One()) {
 		t.Fatalf("bound = %s, want 1 (two half-speed streams)", bound)
 	}
@@ -182,10 +182,21 @@ func TestMultiStreamBoundValidation(t *testing.T) {
 			t.Fatal("mismatched bank counts did not panic")
 		}
 	}()
-	MultiStreamBound(16, 0, 4, []StreamSet{{Stream: stream.Infinite(8, 0, 1)}})
+	capacityAt(16, 0, 4, []StreamSet{{Stream: stream.Infinite(8, 0, 1)}})
 }
 
-// unionBound is the capacity-bound formula MultiStreamBound replaced,
+// capacityAt is the capacity bound of sets at their own starts,
+// built afresh.
+func capacityAt(m, s, nc int, sets []StreamSet) rat.Rational {
+	starts := make([]int, len(sets))
+	for i, st := range sets {
+		starts[i] = st.Stream.Start
+	}
+	c := NewCapacityBound(m, s, nc, sets)
+	return c.At(starts)
+}
+
+// unionBound is the capacity-bound formula CapacityBound replaced,
 // kept as its oracle: the union of the materialised access sets and a
 // map tally of ports per CPU.
 func unionBound(m, s, nc int, sets []StreamSet) rat.Rational {
@@ -214,7 +225,7 @@ func unionBound(m, s, nc int, sets []StreamSet) rat.Rational {
 	return best
 }
 
-// boundGrid is a family of placements to hold MultiStreamBound to the
+// boundGrid is a family of placements to hold CapacityBound to the
 // oracle on: streams with distances d on CPUs cpu, stream 1 at bank 0
 // and every later stream swept over [0, m).
 type boundGrid struct {
@@ -224,8 +235,8 @@ type boundGrid struct {
 	cpu       []int
 }
 
-// checkAgainstOracle compares MultiStreamBound and the per-placement
-// half of a CapacityBound, built once per distance tuple, with
+// checkAgainstOracle compares a CapacityBound built per placement and
+// one built once per distance tuple with
 // unionBound on every placement of g and returns how many it compared.
 func checkAgainstOracle(t *testing.T, g boundGrid) int {
 	t.Helper()
@@ -245,7 +256,7 @@ func checkAgainstOracle(t *testing.T, g boundGrid) int {
 					sets[j] = StreamSet{Stream: stream.Infinite(g.m, b[j], d[j]), CPU: g.cpu[j]}
 				}
 				want := unionBound(g.m, g.s, g.nc, sets)
-				if got := MultiStreamBound(g.m, g.s, g.nc, sets); !got.Equal(want) {
+				if got := capacityAt(g.m, g.s, g.nc, sets); !got.Equal(want) {
 					t.Fatalf("%s: d=%v b=%v: bound %s, oracle %s", g.name, d, b, got, want)
 				}
 				if got := capacity.At(b); !got.Equal(want) {
@@ -265,8 +276,8 @@ func checkAgainstOracle(t *testing.T, g boundGrid) int {
 }
 
 // The capacity bound built once per spec gives, on every placement of
-// the census's specs, the value MultiStreamBound and the union oracle
-// give: the pair grids, the section grids, the (13, 4) triple grid
+// the census's specs, the value a per-placement build and the union
+// oracle give: the pair grids, the section grids, the (13, 4) triple grid
 // and the (8, 2, 4) 4-stream grid, every distance tuple included.
 func TestCapacityBoundMatchesOnCensus(t *testing.T) {
 	var grids []boundGrid
@@ -320,7 +331,7 @@ func distancesFrom(m, minReturn int) []int {
 	return out
 }
 
-// MultiStreamBound counts the access-set union through Theorem 1's
+// CapacityBound counts the access-set union through Theorem 1's
 // cosets and tallies the path bound without a map; it must equal the
 // union-of-sets formula on every placement of the census's triple
 // grid (13, 4), its 4-stream grid (8, 2, 4) and its (16, 4, 4) section
@@ -355,7 +366,7 @@ func TestMultiStreamBoundMatchesUnionOracle(t *testing.T) {
 		for i := range sets {
 			sets[i] = StreamSet{Stream: stream.Infinite(m, rng.Intn(m), rng.Intn(m)), CPU: rng.Intn(3)}
 		}
-		if got, want := MultiStreamBound(m, s, nc, sets), unionBound(m, s, nc, sets); !got.Equal(want) {
+		if got, want := capacityAt(m, s, nc, sets), unionBound(m, s, nc, sets); !got.Equal(want) {
 			t.Fatalf("m=%d s=%d nc=%d %+v: bound %s, oracle %s", m, s, nc, sets, got, want)
 		}
 	}

@@ -67,14 +67,14 @@ func Representations(m, d1, d2 int) []Rep {
 
 // PriorityAssumption states which original stream wins simultaneous
 // bank conflicts (a fixed priority rule), enabling Theorem 7's Eq. 28.
+// The zero value assumes neither, so the equality case of Eq. 28 is
+// never assumed.
 type PriorityAssumption int
 
 const (
-	// NoPriorityInfo: the equality case of Eq. 28 is never assumed.
-	NoPriorityInfo PriorityAssumption = iota
 	// Stream1Priority: the first stream wins ties (e.g. the lower port
 	// index under the simulator's fixed priority).
-	Stream1Priority
+	Stream1Priority PriorityAssumption = iota + 1
 	// Stream2Priority: the second stream wins ties.
 	Stream2Priority
 )

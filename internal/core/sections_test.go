@@ -39,7 +39,7 @@ func simSectionPair(t *testing.T, m, s, nc, b1, d1, b2, d2 int) memsys.Cycle {
 func TestTheorem8MatchesSimulation(t *testing.T) {
 	two := rat.New(2, 1)
 	for _, m := range []int{8, 12, 16} {
-		for _, s := range modmath.Divisors(m) {
+		for _, s := range divisors(m) {
 			if s < 2 || s == m {
 				continue
 			}
@@ -114,7 +114,7 @@ func TestSectionConflictFreeStartsMatchSimulation(t *testing.T) {
 	two := rat.New(2, 1)
 	checked := 0
 	for _, m := range []int{8, 12, 16, 24} {
-		for _, s := range modmath.Divisors(m) {
+		for _, s := range divisors(m) {
 			if s < 2 || s == m {
 				continue
 			}
@@ -187,4 +187,15 @@ func TestOneCPUNeverSimultaneous(t *testing.T) {
 			}
 		}
 	}
+}
+
+// divisors returns the positive divisors of n > 0 in increasing order.
+func divisors(n int) []int {
+	var out []int
+	for d := 1; d <= n; d++ {
+		if n%d == 0 {
+			out = append(out, d)
+		}
+	}
+	return out
 }

@@ -150,9 +150,6 @@ func NewCPU(sys *memsys.System, cpuSlot int, cfg Config) *CPU {
 	return c
 }
 
-// Config returns the CPU's effective configuration.
-func (c *CPU) Config() Config { return c.cfg }
-
 // Ports returns the memsys ports of this CPU (loads first, then
 // stores), for conflict accounting.
 func (c *CPU) Ports() []*memsys.Port {

@@ -33,6 +33,7 @@ const (
 	OpMul
 )
 
+// String returns the operation's mnemonic, such as "vload".
 func (o Op) String() string {
 	switch o {
 	case OpLoad:

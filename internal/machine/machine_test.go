@@ -114,7 +114,7 @@ func TestLoadPortAllocation(t *testing.T) {
 // N plus pipeline latencies, far below 3N.
 func TestChainingOverlapsLoadAluStore(t *testing.T) {
 	sim := newSim(t)
-	cfg := sim.CPUs[0].Config()
+	cfg := sim.CPUs[0].cfg
 	sim.CPUs[0].LoadProgram([]Instr{
 		{Op: OpLoad, Dst: 0, Base: 0, Stride: 1, N: 64},
 		{Op: OpLoad, Dst: 1, Base: 64, Stride: 1, N: 64},
@@ -186,7 +186,7 @@ func TestStoreChainsToLoad(t *testing.T) {
 	if !done {
 		t.Fatal("did not finish")
 	}
-	cfg := sim.CPUs[0].Config()
+	cfg := sim.CPUs[0].cfg
 	// Element e is storable no earlier than its load grant plus the
 	// memory latency, so the run cannot beat 63+MemLatency+1; both
 	// streams cover all 16 banks, so their mutual bank conflicts cost

@@ -3,8 +3,6 @@ package memsys
 import (
 	"strings"
 	"testing"
-
-	"ivm/internal/stream"
 )
 
 func TestEnumStrings(t *testing.T) {
@@ -43,9 +41,6 @@ func TestCountersConflicts(t *testing.T) {
 
 func TestSystemAccessors(t *testing.T) {
 	sys := New(Config{Banks: 8, BankBusy: 3, CPUs: 1})
-	if sys.Mapper().Banks() != 8 {
-		t.Error("Mapper()")
-	}
 	p := sys.AddPort(0, "1", NewInfiniteStrided(5, 0))
 	if sys.BankOwner(5) != nil || sys.BankBusy(5) != 0 {
 		t.Error("idle bank reports owner/busy")
@@ -76,31 +71,6 @@ func TestPriorityHolderCyclic(t *testing.T) {
 	}
 }
 
-func TestFromStream(t *testing.T) {
-	src := FromStream(stream.Infinite(16, 3, 5))
-	addr, ok := src.Pending(0)
-	if !ok || addr != 3 {
-		t.Fatalf("Pending = %d, %v", addr, ok)
-	}
-	if src.Done() {
-		t.Fatal("infinite source done")
-	}
-	src.Grant(0)
-	if addr, _ := src.Pending(1); addr != 8 {
-		t.Fatalf("after grant: %d", addr)
-	}
-	if src.Issued() != 1 {
-		t.Fatalf("Issued = %d", src.Issued())
-	}
-
-	fin := FromStream(stream.New(16, 0, 1, 2))
-	fin.Grant(0)
-	fin.Grant(1)
-	if !fin.Done() {
-		t.Fatal("finite source not done after its 2 elements")
-	}
-}
-
 func TestIdleSourceGrantPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -116,7 +86,7 @@ func TestStridedGrantExhaustedPanics(t *testing.T) {
 			t.Fatal("Grant on exhausted source did not panic")
 		}
 	}()
-	s := NewStrided(0, 1, 1)
+	s := &StridedSource{Addr: 0, Stride: 1, Remaining: 1}
 	s.Grant(0)
 	s.Grant(1)
 }
@@ -149,7 +119,7 @@ func TestDescribeSource(t *testing.T) {
 		want string
 	}{
 		{NewInfiniteStrided(1, 2), "strided{addr=1 stride=2 inf}"},
-		{NewStrided(1, 2, 3), "strided{addr=1 stride=2 left=3}"},
+		{&StridedSource{Addr: 1, Stride: 2, Remaining: 3}, "strided{addr=1 stride=2 left=3}"},
 		{&SequenceSource{Addrs: []int64{1, 2}}, "sequence{0/2}"},
 		{IdleSource{}, "idle"},
 	}
@@ -158,7 +128,7 @@ func TestDescribeSource(t *testing.T) {
 			t.Errorf("describeSource = %q, want %q", got, c.want)
 		}
 	}
-	if got := describeSource(&DelayedSource{}); !strings.Contains(got, "DelayedSource") {
+	if got := describeSource(&delayedSource{}); !strings.Contains(got, "delayedSource") {
 		t.Errorf("fallback description: %q", got)
 	}
 }
@@ -174,10 +144,7 @@ func TestWindowedSourcesAsPlainSources(t *testing.T) {
 	if addr, _ := ws.Pending(1); addr != 2 {
 		t.Fatalf("after grant: %d", addr)
 	}
-	if ws.Issued() != 1 {
-		t.Fatalf("Issued = %d", ws.Issued())
-	}
-	inf := NewInfiniteWindowedStrided(0, 1)
+	inf := &WindowedStrided{Addr: 0, Stride: 1, Remaining: -1}
 	if inf.Done() {
 		t.Fatal("infinite windowed source done")
 	}
@@ -191,7 +158,7 @@ func TestWindowedSourcesAsPlainSources(t *testing.T) {
 		t.Fatalf("sequence Pending = %d, %v", addr, ok)
 	}
 	seq.Grant(1)
-	if !seq.Done() || seq.Issued() != 2 {
+	if !seq.Done() {
 		t.Fatal("sequence not drained")
 	}
 	if _, ok := seq.Pending(2); ok {

@@ -16,18 +16,17 @@ func ExampleSystem_FindCycle() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(cycle.EffectiveBandwidth(), cycle.Kind(), cycle.DelayedPort())
-	// Output: 7/6 barrier 1
+	fmt.Println(cycle.EffectiveBandwidth(), cycle.Kind())
+	// Output: 7/6 barrier
 }
 
-// Finite vector instructions: run until every stream has transferred
-// all of its elements.
-func ExampleSystem_RunUntilDone() {
+// A finite vector instruction: a 64-element unit-stride stream
+// transfers all of its elements in 64 clocks and then falls idle.
+func ExampleSystem_Run() {
 	sys := memsys.New(memsys.Config{Banks: 8, BankBusy: 2, CPUs: 1})
-	p := sys.AddPort(0, "1", memsys.NewStrided(0, 1, 64))
-	clocks, done := sys.RunUntilDone(10_000)
-	fmt.Println(clocks, done, p.Count.Grants)
-	// Output: 64 true 64
+	p := sys.AddPort(0, "1", &memsys.StridedSource{Addr: 0, Stride: 1, Remaining: 64})
+	fmt.Println(sys.Run(64), p.Src.Done(), sys.Run(10))
+	// Output: 64 true 0
 }
 
 func ExampleSteadyBandwidth() {

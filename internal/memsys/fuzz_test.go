@@ -35,7 +35,7 @@ func FuzzSimulatorInvariants(f *testing.F) {
 		sys.SetListener(inv)
 		sys.AddPort(0, "1", NewInfiniteStrided(0, int64(int(d1Raw)%m)))
 		sys.AddPort(1, "2", NewInfiniteStrided(int64(int(b2Raw)%m), int64(int(d2Raw)%m)))
-		sys.AddPort(0, "3", NewStrided(2, 1, 40))
+		sys.AddPort(0, "3", &StridedSource{Addr: 2, Stride: 1, Remaining: 40})
 		for i := 0; i < 300; i++ {
 			inv.beginClock(sys.Clock())
 			sys.Step()

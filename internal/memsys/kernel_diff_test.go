@@ -48,7 +48,7 @@ func infiniteSpec(cpu int, start, dist int64) sourceSpec {
 }
 
 func finiteSpec(cpu int, start, dist int64, n int) sourceSpec {
-	return sourceSpec{cpu, func() Source { return NewStrided(start, dist, n) }}
+	return sourceSpec{cpu, func() Source { return &StridedSource{Addr: start, Stride: dist, Remaining: n} }}
 }
 
 func buildKernelPair(cfg Config, specs []sourceSpec) (scalar, packed *System) {

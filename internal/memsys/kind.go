@@ -42,7 +42,7 @@ func (k CycleKind) String() string {
 }
 
 // Kind classifies the cyclic steady state from its per-port conflict
-// counters. DelayedPort returns which port a barrier delays.
+// counters.
 func (c Cycle) Kind() CycleKind {
 	var bank, section, simult int64
 	delayedPorts := 0
@@ -66,18 +66,4 @@ func (c Cycle) Kind() CycleKind {
 	default:
 		return DoubleCycle
 	}
-}
-
-// DelayedPort returns the index of the single delayed port of a
-// barrier cycle, or -1 if the cycle is not a barrier.
-func (c Cycle) DelayedPort() int {
-	if c.Kind() != BarrierCycle {
-		return -1
-	}
-	for i, cc := range c.Conflicts {
-		if cc.Delays() > 0 {
-			return i
-		}
-	}
-	return -1
 }

@@ -453,9 +453,6 @@ func (s *System) Rearm(cpus, starts, distances []int) bool {
 	return true
 }
 
-// Mapper returns the address-to-bank mapping in use.
-func (s *System) Mapper() BankMapper { return s.mapper }
-
 // SetListener installs an event listener (nil to remove). Installing
 // one retires the ports AddStreams built so far from re-arming, since
 // the listener may keep them.
@@ -504,15 +501,6 @@ func (s *System) checkedBank(addr int64) int {
 
 // BankBusy returns the remaining busy clocks of a bank (0 = idle).
 func (s *System) BankBusy(bank int) int { return s.busy[bank] }
-
-// BankOwner returns the port currently being serviced by the bank, or
-// nil if the bank is idle.
-func (s *System) BankOwner(bank int) *Port {
-	if s.BankBusy(bank) == 0 {
-		return nil
-	}
-	return s.owner[bank]
-}
 
 // Step advances the simulation by one clock period: all ports holding a
 // pending request compete in priority order; winners occupy their bank
@@ -701,48 +689,4 @@ func (s *System) Run(n int64) int64 {
 		total += int64(s.Step())
 	}
 	return total
-}
-
-// RunUntilDone steps until every source is exhausted, or maxClocks
-// elapse. It returns the number of clocks stepped and whether all
-// sources finished.
-func (s *System) RunUntilDone(maxClocks int64) (clocks int64, done bool) {
-	for clocks = 0; clocks < maxClocks; clocks++ {
-		if s.allDone() {
-			return clocks, true
-		}
-		s.Step()
-	}
-	return clocks, s.allDone()
-}
-
-func (s *System) allDone() bool {
-	for _, p := range s.ports {
-		if p.Src != nil && !p.Src.Done() {
-			return false
-		}
-	}
-	return true
-}
-
-// TotalGrants sums grants over all ports.
-func (s *System) TotalGrants() int64 {
-	var n int64
-	for _, p := range s.ports {
-		n += p.Count.Grants
-	}
-	return n
-}
-
-// TotalCounters sums the counters over all ports.
-func (s *System) TotalCounters() Counters {
-	var c Counters
-	for _, p := range s.ports {
-		c.Grants += p.Count.Grants
-		c.Bank += p.Count.Bank
-		c.Simultaneous += p.Count.Simultaneous
-		c.Section += p.Count.Section
-		c.Idle += p.Count.Idle
-	}
-	return c
 }

@@ -191,18 +191,14 @@ func TestSectionPathConflict(t *testing.T) {
 // resolution preserves stream order and total counts.
 func TestFiniteStreamsConservation(t *testing.T) {
 	sys := New(Config{Banks: 4, BankBusy: 3, CPUs: 2})
-	sys.AddPort(0, "1", NewStrided(0, 1, 37))
-	sys.AddPort(1, "2", NewStrided(0, 2, 23))
+	p1 := sys.AddPort(0, "1", &StridedSource{Addr: 0, Stride: 1, Remaining: 37})
+	p2 := sys.AddPort(1, "2", &StridedSource{Addr: 0, Stride: 2, Remaining: 23})
 	clocks, done := sys.RunUntilDone(10000)
 	if !done {
 		t.Fatalf("not done after %d clocks", clocks)
 	}
-	if got := sys.TotalGrants(); got != 60 {
-		t.Fatalf("total grants = %d, want 60", got)
-	}
-	total := sys.TotalCounters()
-	if total.Grants != 60 {
-		t.Fatalf("TotalCounters().Grants = %d", total.Grants)
+	if p1.Count.Grants != 37 || p2.Count.Grants != 23 {
+		t.Fatalf("grants = %d/%d, want 37/23", p1.Count.Grants, p2.Count.Grants)
 	}
 }
 
@@ -213,7 +209,7 @@ func TestBankBusyWindow(t *testing.T) {
 		sys := New(cfg1(4, nc))
 		// Second port hammers bank 0 every clock; first port touches
 		// bank 0 once at clock 0.
-		sys.AddPort(0, "1", NewStrided(0, 1, 1))
+		sys.AddPort(0, "1", &StridedSource{Addr: 0, Stride: 1, Remaining: 1})
 		p2 := sys.AddPort(0, "2", NewInfiniteStrided(0, 0))
 		for i := 0; i < nc; i++ {
 			sys.Step()
@@ -261,9 +257,27 @@ func TestCyclicPriorityAlternates(t *testing.T) {
 	}
 }
 
+// delayedSource wraps a source so that it starts issuing only at clock
+// startAt: a port with nothing pending, then a late start.
+type delayedSource struct {
+	startAt int64
+	inner   Source
+}
+
+func (d *delayedSource) Pending(clock int64) (int64, bool) {
+	if clock < d.startAt {
+		return 0, false
+	}
+	return d.inner.Pending(clock)
+}
+
+func (d *delayedSource) Grant(clock int64) { d.inner.Grant(clock) }
+
+func (d *delayedSource) Done() bool { return d.inner.Done() }
+
 func TestDelayedSourceStartsLate(t *testing.T) {
 	sys := New(cfg1(8, 2))
-	p := sys.AddPort(0, "1", &DelayedSource{StartAt: 3, Inner: NewStrided(0, 1, 4)})
+	p := sys.AddPort(0, "1", &delayedSource{startAt: 3, inner: &StridedSource{Addr: 0, Stride: 1, Remaining: 4}})
 	sys.Run(3)
 	if p.Count.Grants != 0 || p.Count.Idle != 3 {
 		t.Fatalf("before StartAt: %+v", p.Count)
@@ -318,7 +332,7 @@ func TestAddPortBadCPU(t *testing.T) {
 
 func TestFindCycleRejectsFiniteSources(t *testing.T) {
 	sys := New(cfg1(4, 1))
-	sys.AddPort(0, "1", NewStrided(0, 1, 10))
+	sys.AddPort(0, "1", &StridedSource{Addr: 0, Stride: 1, Remaining: 10})
 	if _, err := sys.FindCycle(1000); err == nil {
 		t.Fatal("FindCycle accepted a finite source")
 	}

@@ -1,10 +1,6 @@
 package memsys
 
-import (
-	"fmt"
-
-	"ivm/internal/stream"
-)
+import "fmt"
 
 // StridedSource issues the equally spaced requests of a vector-mode
 // access stream: addresses Addr, Addr+Stride, Addr+2*Stride, …
@@ -18,25 +14,9 @@ type StridedSource struct {
 	issued int64
 }
 
-// NewStrided returns a finite strided source of n elements.
-func NewStrided(addr, stride int64, n int) *StridedSource {
-	return &StridedSource{Addr: addr, Stride: stride, Remaining: n}
-}
-
 // NewInfiniteStrided returns an endless strided source.
 func NewInfiniteStrided(addr, stride int64) *StridedSource {
 	return &StridedSource{Addr: addr, Stride: stride, Remaining: -1}
-}
-
-// FromStream converts a bank-space stream.Stream into a source whose
-// addresses are the bank numbers themselves (valid with the modulo
-// mapper over the same m).
-func FromStream(st stream.Stream) *StridedSource {
-	n := st.Length
-	if st.IsInfinite() {
-		n = -1
-	}
-	return &StridedSource{Addr: int64(st.Start), Stride: int64(st.Distance), Remaining: n}
 }
 
 // Pending implements Source.
@@ -62,9 +42,6 @@ func (s *StridedSource) Grant(int64) {
 // Done implements Source.
 func (s *StridedSource) Done() bool { return s.Remaining == 0 }
 
-// Issued returns how many requests have been granted so far.
-func (s *StridedSource) Issued() int64 { return s.issued }
-
 // periodic marks the source as safe for state-hash cycle detection:
 // under ModuloMapper, its future bank sequence is a pure function of
 // the pending bank.
@@ -81,28 +58,6 @@ func (IdleSource) Grant(int64) { panic("memsys: Grant on IdleSource") }
 
 // Done implements Source.
 func (IdleSource) Done() bool { return true }
-
-// DelayedSource wraps a source so that it starts issuing only at clock
-// StartAt. It models a relative position in time, which the paper notes
-// "can be transformed to a relative position in space".
-type DelayedSource struct {
-	StartAt int64
-	Inner   Source
-}
-
-// Pending implements Source.
-func (d *DelayedSource) Pending(clock int64) (int64, bool) {
-	if clock < d.StartAt {
-		return 0, false
-	}
-	return d.Inner.Pending(clock)
-}
-
-// Grant implements Source.
-func (d *DelayedSource) Grant(clock int64) { d.Inner.Grant(clock) }
-
-// Done implements Source.
-func (d *DelayedSource) Done() bool { return d.Inner.Done() }
 
 // SequenceSource issues a fixed list of addresses in order; useful for
 // gather/scatter-style index streams and for tests.

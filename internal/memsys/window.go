@@ -33,17 +33,11 @@ type WindowedStrided struct {
 	// outstanding element offsets (relative to Addr) not yet granted,
 	// in stream order.
 	pending []int64
-	issued  int64
 }
 
 // NewWindowedStrided returns a finite out-of-order strided source.
 func NewWindowedStrided(addr, stride int64, n int) *WindowedStrided {
 	return &WindowedStrided{Addr: addr, Stride: stride, Remaining: n}
-}
-
-// NewInfiniteWindowedStrided returns an endless out-of-order source.
-func NewInfiniteWindowedStrided(addr, stride int64) *WindowedStrided {
-	return &WindowedStrided{Addr: addr, Stride: stride, Remaining: -1}
 }
 
 func (s *WindowedStrided) fill(w int) {
@@ -91,11 +85,7 @@ func (s *WindowedStrided) GrantIdx(_ int64, i int) {
 		panic(fmt.Sprintf("memsys: GrantIdx(%d) outside window of %d", i, len(s.pending)))
 	}
 	s.pending = append(s.pending[:i], s.pending[i+1:]...)
-	s.issued++
 }
-
-// Issued returns how many requests were granted.
-func (s *WindowedStrided) Issued() int64 { return s.issued }
 
 // WindowedSequence is a fixed address list (gather/scatter indices)
 // whose elements may complete out of order within the window.
@@ -103,7 +93,6 @@ type WindowedSequence struct {
 	Addrs   []int64
 	next    int
 	pending []int64
-	issued  int64
 }
 
 // NewWindowedSequence returns an out-of-order sequence source.
@@ -150,11 +139,7 @@ func (s *WindowedSequence) GrantIdx(_ int64, i int) {
 		panic(fmt.Sprintf("memsys: GrantIdx(%d) outside window of %d", i, len(s.pending)))
 	}
 	s.pending = append(s.pending[:i], s.pending[i+1:]...)
-	s.issued++
 }
-
-// Issued returns how many requests were granted.
-func (s *WindowedSequence) Issued() int64 { return s.issued }
 
 // AddWindowedPort attaches a source serviced through a reorder window
 // of the given width (window = 1 is the paper's in-order rule). The

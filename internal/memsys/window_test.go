@@ -17,7 +17,7 @@ func TestWindowOneEqualsInOrder(t *testing.T) {
 	c1, g1 := run(1)
 
 	sys := New(Config{Banks: 16, BankBusy: 4, CPUs: 2})
-	sys.AddPort(0, "1", NewStrided(0, 8, 64))
+	sys.AddPort(0, "1", &StridedSource{Addr: 0, Stride: 8, Remaining: 64})
 	c2, done := sys.RunUntilDone(10_000)
 	if !done {
 		t.Fatal("plain run did not finish")
@@ -117,7 +117,7 @@ func TestWindowedPortValidation(t *testing.T) {
 
 func TestFindCycleRejectsWindowedSources(t *testing.T) {
 	sys := New(Config{Banks: 4, BankBusy: 2})
-	sys.AddWindowedPort(0, "1", NewInfiniteWindowedStrided(0, 1), 2)
+	sys.AddWindowedPort(0, "1", &WindowedStrided{Addr: 0, Stride: 1, Remaining: -1}, 2)
 	if _, err := sys.FindCycle(1000); err == nil {
 		t.Fatal("FindCycle accepted a windowed source")
 	}
@@ -126,13 +126,12 @@ func TestFindCycleRejectsWindowedSources(t *testing.T) {
 func TestWindowedSequenceConservation(t *testing.T) {
 	addrs := []int64{3, 3, 3, 7, 1, 5, 3, 2}
 	sys := New(Config{Banks: 8, BankBusy: 3, CPUs: 1})
-	src := NewWindowedSequence(addrs)
-	sys.AddWindowedPort(0, "1", src, 3)
+	p := sys.AddWindowedPort(0, "1", NewWindowedSequence(addrs), 3)
 	_, done := sys.RunUntilDone(1000)
 	if !done {
 		t.Fatal("did not finish")
 	}
-	if src.Issued() != int64(len(addrs)) {
-		t.Fatalf("issued %d of %d", src.Issued(), len(addrs))
+	if p.Count.Grants != int64(len(addrs)) {
+		t.Fatalf("granted %d of %d", p.Count.Grants, len(addrs))
 	}
 }

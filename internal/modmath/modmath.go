@@ -29,15 +29,6 @@ func GCD(a, b int) int {
 // GCD3 returns gcd(a, b, c).
 func GCD3(a, b, c int) int { return GCD(GCD(a, b), c) }
 
-// GCDAll returns the gcd of all values; GCDAll() == 0.
-func GCDAll(vs ...int) int {
-	g := 0
-	for _, v := range vs {
-		g = GCD(g, v)
-	}
-	return g
-}
-
 // LCM returns the least common multiple of a and b; LCM(x, 0) == 0.
 func LCM(a, b int) int {
 	if a == 0 || b == 0 {
@@ -47,15 +38,6 @@ func LCM(a, b int) int {
 	l := a / g * b
 	if l < 0 {
 		l = -l
-	}
-	return l
-}
-
-// LCMAll returns the lcm of all values; LCMAll() == 1.
-func LCMAll(vs ...int) int {
-	l := 1
-	for _, v := range vs {
-		l = LCM(l, v)
 	}
 	return l
 }
@@ -128,26 +110,6 @@ func Divides(a, b int) bool {
 		return b == 0
 	}
 	return b%a == 0
-}
-
-// Divisors returns all positive divisors of n > 0 in increasing order.
-func Divisors(n int) []int {
-	if n <= 0 {
-		panic(fmt.Sprintf("modmath: Divisors of non-positive %d", n))
-	}
-	var small, large []int
-	for d := 1; d*d <= n; d++ {
-		if n%d == 0 {
-			small = append(small, d)
-			if d != n/d {
-				large = append(large, n/d)
-			}
-		}
-	}
-	for i := len(large) - 1; i >= 0; i-- {
-		small = append(small, large[i])
-	}
-	return small
 }
 
 // CeilDiv returns ceil(a/b) for b > 0 and a >= 0.

@@ -34,12 +34,6 @@ func TestGCD3AndAll(t *testing.T) {
 	if got := GCD3(16, 8, 0); got != 8 {
 		t.Errorf("GCD3(16,8,0) = %d, want 8", got)
 	}
-	if got := GCDAll(); got != 0 {
-		t.Errorf("GCDAll() = %d, want 0", got)
-	}
-	if got := GCDAll(30, 42, 70); got != 2 {
-		t.Errorf("GCDAll(30,42,70) = %d, want 2", got)
-	}
 }
 
 func TestLCM(t *testing.T) {
@@ -55,12 +49,6 @@ func TestLCM(t *testing.T) {
 		if got := LCM(c.a, c.b); got != c.want {
 			t.Errorf("LCM(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
 		}
-	}
-	if got := LCMAll(); got != 1 {
-		t.Errorf("LCMAll() = %d, want 1", got)
-	}
-	if got := LCMAll(2, 3, 4); got != 12 {
-		t.Errorf("LCMAll(2,3,4) = %d, want 12", got)
 	}
 }
 
@@ -151,33 +139,6 @@ func TestDivides(t *testing.T) {
 	for _, c := range cases {
 		if got := Divides(c.a, c.b); got != c.want {
 			t.Errorf("Divides(%d,%d) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestDivisors(t *testing.T) {
-	got := Divisors(16)
-	want := []int{1, 2, 4, 8, 16}
-	if len(got) != len(want) {
-		t.Fatalf("Divisors(16) = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Divisors(16) = %v, want %v", got, want)
-		}
-	}
-	got = Divisors(13)
-	if len(got) != 2 || got[0] != 1 || got[1] != 13 {
-		t.Fatalf("Divisors(13) = %v", got)
-	}
-	got = Divisors(36)
-	want = []int{1, 2, 3, 4, 6, 9, 12, 18, 36}
-	if len(got) != len(want) {
-		t.Fatalf("Divisors(36) = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Divisors(36) = %v, want %v", got, want)
 		}
 	}
 }

@@ -81,14 +81,6 @@ func CanonicalizeInto(dst, v []int, m int, units []int) {
 	}
 }
 
-// Canonical returns the canonical form of v under the given units of
-// Z_m as a fresh slice; see CanonicalizeInto.
-func Canonical(v []int, m int, units []int) []int {
-	dst := make([]int, len(v))
-	CanonicalizeInto(dst, v, m, units)
-	return dst
-}
-
 // Orbit enumerates the distinct vectors of v's orbit under the given
 // units of Z_m, sorted lexicographically (so Orbit(v)[0] is the
 // canonical form). By the orbit–stabiliser theorem its size divides

@@ -148,21 +148,6 @@ func quantile(counts []int64, total int64, p float64) float64 {
 	return bucketUpperNS(bucketCount-1) / 1e9
 }
 
-// Quantile estimates the p-quantile (0 < p <= 1) of the observed
-// latencies in seconds, 0 when nothing was observed.
-func (h *Hist) Quantile(p float64) float64 {
-	if h == nil {
-		return 0
-	}
-	var counts [bucketCount]int64
-	var total int64
-	for k := range counts {
-		counts[k] = h.buckets[k].Load()
-		total += counts[k]
-	}
-	return quantile(counts[:], total, p)
-}
-
 // fmtSeconds renders a latency in seconds as a compact duration
 // ("1.2ms", "3.4s"), "-" when zero.
 func fmtSeconds(s float64) string {

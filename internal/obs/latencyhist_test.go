@@ -81,18 +81,15 @@ func TestLatencyHistQuantileGolden(t *testing.T) {
 			t.Errorf("%s: quantiles (%g, %g, %g), want (%g, %g, %g)",
 				tc.name, snap.P50, snap.P95, snap.P99, tc.p50, tc.p95, tc.p99)
 		}
-		if got := tc.h.Quantile(0.5); !closeTo(got, tc.p50) {
-			t.Errorf("%s: Quantile(0.5) = %g, want %g", tc.name, got, tc.p50)
-		}
 	}
 }
 
 // TestLatencyHistQuantileEdges covers the estimator's boundaries: an
-// empty histogram, a single observation, and p so small the rank
-// clamps to the first observation.
+// empty histogram and a single observation, where every quantile's
+// rank clamps to that observation.
 func TestLatencyHistQuantileEdges(t *testing.T) {
 	var nilHist *latency.Hist
-	if nilHist.Quantile(0.5) != 0 || nilHist.Count() != 0 {
+	if nilHist.Snapshot().P50 != 0 || nilHist.Count() != 0 {
 		t.Error("nil histogram must report zero quantiles and count")
 	}
 	nilHist.ObserveNS(5) // must not panic
@@ -102,18 +99,18 @@ func TestLatencyHistQuantileEdges(t *testing.T) {
 	}
 
 	empty := new(latency.Hist)
-	if got := empty.Quantile(0.99); got != 0 {
-		t.Errorf("empty Quantile = %g, want 0", got)
+	if got := empty.Snapshot().P99; got != 0 {
+		t.Errorf("empty p99 = %g, want 0", got)
 	}
 
 	one := new(latency.Hist)
 	one.ObserveNS(700) // bucket [512, 1024), rank clamps to 1
-	p01, p99 := one.Quantile(0.01), one.Quantile(0.99)
-	if p01 != p99 {
-		t.Errorf("single observation: p01 %g != p99 %g", p01, p99)
+	snap := one.Snapshot()
+	if snap.P50 != snap.P99 {
+		t.Errorf("single observation: p50 %g != p99 %g", snap.P50, snap.P99)
 	}
-	if p01 < 512e-9 || p01 > 1024e-9 {
-		t.Errorf("single observation quantile %g outside its bucket", p01)
+	if snap.P50 < 512e-9 || snap.P50 > 1024e-9 {
+		t.Errorf("single observation quantile %g outside its bucket", snap.P50)
 	}
 }
 

@@ -29,7 +29,7 @@ type Snapshot struct {
 	Trace *TraceStats `json:"trace,omitempty"`
 	// PhaseHistogram holds the per-cycle conflict phase histogram of a
 	// traced steady state (ivmsim -phase-hist). Readers built before
-	// this field existed ignore it: ReadSnapshot skips unknown keys.
+	// this field existed ignore it: encoding/json skips unknown keys.
 	PhaseHistogram *PhaseHistogram `json:"phase_histogram,omitempty"`
 	// ItemLatency holds the engine's work-item latency histogram when
 	// the run asked for it (ivmsweep/ivmreport -latency): log2 buckets
@@ -43,15 +43,6 @@ func WriteSnapshot(w io.Writer, s Snapshot) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// ReadSnapshot parses a snapshot written by WriteSnapshot.
-func ReadSnapshot(r io.Reader) (Snapshot, error) {
-	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return Snapshot{}, fmt.Errorf("obs: bad metrics snapshot: %w", err)
-	}
-	return s, nil
 }
 
 // WriteSnapshotFile writes the snapshot to a file (the CLIs'

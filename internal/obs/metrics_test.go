@@ -53,8 +53,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if err := WriteSnapshot(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(&buf)
-	if err != nil {
+	var got Snapshot
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, snap) {
@@ -83,8 +83,8 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	got, err := ReadSnapshot(f)
-	if err != nil {
+	var got Snapshot
+	if err := json.NewDecoder(f).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, snap) {
@@ -92,17 +92,11 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadSnapshotRejectsGarbage(t *testing.T) {
-	if _, err := ReadSnapshot(strings.NewReader("not json")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
-// TestReadSnapshotIgnoresUnknownFields pins forward compatibility:
+// TestSnapshotIgnoresUnknownFields pins forward compatibility:
 // a snapshot written by a newer build — unknown sections, unknown keys
 // inside known sections, unknown histogram fields — must decode
 // without error, keeping the fields this build knows.
-func TestReadSnapshotIgnoresUnknownFields(t *testing.T) {
+func TestSnapshotIgnoresUnknownFields(t *testing.T) {
 	in := `{
 	  "engine": {"workers": 2, "future_counter": 7,
 	             "metrics": {"cache_hits": 3, "warp_hits": 9}},
@@ -112,8 +106,8 @@ func TestReadSnapshotIgnoresUnknownFields(t *testing.T) {
 	                      "axion_field": [1, 2, 3]},
 	  "hologram": {"nested": {"deep": 1}}
 	}`
-	s, err := ReadSnapshot(strings.NewReader(in))
-	if err != nil {
+	var s Snapshot
+	if err := json.Unmarshal([]byte(in), &s); err != nil {
 		t.Fatalf("future snapshot rejected: %v", err)
 	}
 	if s.Engine == nil || s.Engine.Workers != 2 || s.Engine.Metrics.CacheHits != 3 {
@@ -154,8 +148,8 @@ func TestOldReaderSkipsPhaseHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSnapshot(bytes.NewReader(data))
-	if err != nil {
+	var back Snapshot
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("old snapshot rejected: %v", err)
 	}
 	if back.PhaseHistogram != nil {

@@ -28,9 +28,6 @@ type PhaseCounts struct {
 	Section      int64 `json:"section"`
 }
 
-// Delays returns the delayed port-clocks of the phase.
-func (p PhaseCounts) Delays() int64 { return p.Bank + p.Simultaneous + p.Section }
-
 // PhaseHistogram bins a traced window by clock phase within a detected
 // steady-state cycle. Phases holds the per-kind totals of each phase;
 // BankGrants and BankDelays resolve each phase further per bank
@@ -120,20 +117,6 @@ func TracePhaseHistogram(cfg memsys.Config, specs []memsys.StreamSpec, maxClocks
 		return PhaseHistogram{}, memsys.Cycle{}, fmt.Errorf("obs: phase histogram: %w", err)
 	}
 	return BuildPhaseHistogram(tr.Events(), cfg.Banks, cyc.Lead, cyc.Length), cyc, nil
-}
-
-// Totals sums the histogram over all phases, the per-run view the
-// pre-histogram tracer reported; on a trace that covers whole cycle
-// repetitions these match the tracer's cyclic-regime counters.
-func (h PhaseHistogram) Totals() PhaseCounts {
-	var t PhaseCounts
-	for _, p := range h.Phases {
-		t.Grants += p.Grants
-		t.Bank += p.Bank
-		t.Simultaneous += p.Simultaneous
-		t.Section += p.Section
-	}
-	return t
 }
 
 // Render formats the histogram as the textplot view: a per-phase

@@ -36,7 +36,7 @@ func TestPhaseHistogramMatchesCycleTotals(t *testing.T) {
 		wantSim += c.Simultaneous
 		wantSec += c.Section
 	}
-	got := h.Totals()
+	got := totals(h)
 	if got.Grants != cyc.TotalGrants() || got.Bank != wantBank || got.Simultaneous != wantSim || got.Section != wantSec {
 		t.Errorf("histogram totals %+v, cycle says grants=%d bank=%d sim=%d sec=%d",
 			got, cyc.TotalGrants(), wantBank, wantSim, wantSec)
@@ -58,8 +58,8 @@ func TestPhaseHistogramMatchesCycleTotals(t *testing.T) {
 		if grants != h.Phases[p].Grants {
 			t.Errorf("phase %d: bank grants sum %d != phase grants %d", p, grants, h.Phases[p].Grants)
 		}
-		if delays != h.Phases[p].Delays() {
-			t.Errorf("phase %d: bank delays sum %d != phase delays %d", p, delays, h.Phases[p].Delays())
+		if ph := h.Phases[p]; delays != ph.Bank+ph.Simultaneous+ph.Section {
+			t.Errorf("phase %d: bank delays sum %d != phase delays %+v", p, delays, ph)
 		}
 	}
 }
@@ -76,8 +76,8 @@ func TestPhaseHistogramSectionKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Totals().Section == 0 {
-		t.Errorf("sectioned same-CPU streams produced no section conflicts: %+v", h.Totals())
+	if totals(h).Section == 0 {
+		t.Errorf("sectioned same-CPU streams produced no section conflicts: %+v", totals(h))
 	}
 }
 
@@ -141,4 +141,18 @@ func TestPhaseHistogramBadGeometryPanics(t *testing.T) {
 		}
 	}()
 	BuildPhaseHistogram(nil, 4, 0, 0)
+}
+
+// totals sums the histogram over all phases, the per-run view the
+// pre-histogram tracer reported; on a trace that covers whole cycle
+// repetitions these match the tracer's cyclic-regime counters.
+func totals(h PhaseHistogram) PhaseCounts {
+	var t PhaseCounts
+	for _, p := range h.Phases {
+		t.Grants += p.Grants
+		t.Bank += p.Bank
+		t.Simultaneous += p.Simultaneous
+		t.Section += p.Section
+	}
+	return t
 }

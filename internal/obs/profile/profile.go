@@ -31,11 +31,6 @@ func AddFlags(fs *flag.FlagSet) *Config {
 	return c
 }
 
-// Enabled reports whether any profile output was requested.
-func (c *Config) Enabled() bool {
-	return c.CPUFile != "" || c.MemFile != "" || c.TraceFile != ""
-}
-
 // Start begins the configured profiling. The returned stop function
 // must run once the measured work is done (defer it): it finishes the
 // CPU profile and the execution trace and writes the heap profile.

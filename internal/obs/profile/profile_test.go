@@ -15,13 +15,13 @@ func TestAddFlagsRegisters(t *testing.T) {
 			t.Errorf("flag -%s not registered", name)
 		}
 	}
-	if cfg.Enabled() {
-		t.Error("zero config reports enabled")
+	if *cfg != (Config{}) {
+		t.Errorf("flags registered with non-empty defaults: %+v", *cfg)
 	}
 	if err := fs.Parse([]string{"-cpuprofile", "cpu.out"}); err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.Enabled() || cfg.CPUFile != "cpu.out" {
+	if cfg.CPUFile != "cpu.out" {
 		t.Errorf("parse did not populate config: %+v", *cfg)
 	}
 }

@@ -108,11 +108,3 @@ func (t *TraceContext) Dropped() int64 {
 	defer t.mu.Unlock()
 	return t.dropped
 }
-
-// Elapsed returns the time since the request began (0 on nil).
-func (t *TraceContext) Elapsed() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.epoch)
-}

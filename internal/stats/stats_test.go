@@ -13,11 +13,11 @@ func TestCollectorSingleStream(t *testing.T) {
 	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1))
 	sys.Run(400)
 
-	if c.TotalGrants() != 400 {
-		t.Fatalf("grants = %d", c.TotalGrants())
+	if g := c.Snapshot().Grants; g != 400 {
+		t.Fatalf("grants = %d", g)
 	}
-	if c.TotalDelays() != 0 {
-		t.Fatalf("delays = %d", c.TotalDelays())
+	if d := c.Snapshot().Delays; d != 0 {
+		t.Fatalf("delays = %d", d)
 	}
 	// d=1 over 4 banks: each bank gets 100 grants, busy 2 of every 4
 	// clocks: utilisation 0.5.
@@ -69,9 +69,6 @@ func TestCollectorConflictKinds(t *testing.T) {
 	}
 	if c.BankDelays[0] == 0 {
 		t.Error("delays must be attributed to bank 0")
-	}
-	if c.HottestBank() != 0 {
-		t.Errorf("hottest bank = %d", c.HottestBank())
 	}
 }
 

@@ -84,16 +84,6 @@ func (s Stream) AccessSet() []int {
 	return set
 }
 
-// VisitsBank reports whether bank j is in the stream's access set. By
-// the structure of Z this holds iff gcd(m, d) divides (j - b) mod m.
-func (s Stream) VisitsBank(j int) bool {
-	g := modmath.GCD(s.Banks, s.Distance)
-	if g == 0 {
-		g = s.Banks
-	}
-	return modmath.Mod(j-s.Start, s.Banks)%g == 0
-}
-
 // SectionSet returns the set of section addresses the stream's access
 // set touches under cyclic bank-to-section distribution k = j mod s,
 // sorted. s must divide m (the paper's assumption s | m).

@@ -88,12 +88,6 @@ func TestAccessSet(t *testing.T) {
 			t.Fatalf("AccessSet = %v, want odd banks", set)
 		}
 	}
-	for j := 0; j < 16; j++ {
-		want := j%2 == 1
-		if got := s.VisitsBank(j); got != want {
-			t.Errorf("VisitsBank(%d) = %v, want %v", j, got, want)
-		}
-	}
 }
 
 func TestAccessSetSizeEqualsReturnNumber(t *testing.T) {
@@ -364,12 +358,9 @@ func TestDisjointMismatchedBanksPanics(t *testing.T) {
 	Disjoint(Infinite(8, 0, 1), Infinite(16, 0, 1))
 }
 
-func TestVisitsBankZeroDistance(t *testing.T) {
-	s := Infinite(16, 5, 0) // only bank 5
-	for j := 0; j < 16; j++ {
-		if got := s.VisitsBank(j); got != (j == 5) {
-			t.Errorf("VisitsBank(%d) = %v", j, got)
-		}
+func TestAccessSetZeroDistance(t *testing.T) {
+	if set := Infinite(16, 5, 0).AccessSet(); len(set) != 1 || set[0] != 5 {
+		t.Errorf("AccessSet = %v, want only bank 5", set)
 	}
 }
 

@@ -60,15 +60,16 @@ func TestDifferentialAnalyticGatePlacements(t *testing.T) {
 					continue
 				}
 				spec := PairSpec(g.m, g.nc, d1, d2)
+				regime := core.Analyze(g.m, g.nc, d1, d2).Regime // the verdict the gate compiles from
 				for b2 := 0; b2 < g.m; b2++ {
 					v, ok := gate.BandwidthAt(0, b2)
 					if !ok {
 						continue
 					}
-					gatedByRegime[gate.Analysis().Regime]++
+					gatedByRegime[regime]++
 					if want := simulateSpecVec(spec, []int{d1, d2, 0, b2}); !v.Equal(want) {
 						t.Fatalf("m=%d nc=%d d=(%d,%d) b2=%d [%s]: gate %s, simulation %s",
-							g.m, g.nc, d1, d2, b2, gate.Analysis().Regime, v, want)
+							g.m, g.nc, d1, d2, b2, regime, v, want)
 					}
 				}
 			}

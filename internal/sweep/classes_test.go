@@ -32,7 +32,7 @@ func classSpecs() []ConfigSpec {
 	sec := ConfigSpec{M: 12, S: 3, NC: 3, Streams: []Stream{
 		{D: 1, CPU: 0}, {D: 2, CPU: 0, Sweep: true}, {D: 4, CPU: 1, Sweep: true},
 	}}
-	consec := ConsecSectionPairSpec(12, 3, 3, 1, 5)
+	consec := SectionPairSpec(12, 3, 3, 1, 5).WithPolicy(memsys.FixedPriority, memsys.ConsecutiveSections)
 	cyc := TripleSpec(7, 2, [3]int{1, 2, 4}).WithPolicy(memsys.CyclicPriority, memsys.CyclicSections)
 	for _, u := range []int{1, 5, 7, 11} {
 		specs = append(specs, scaled(sec, u), scaled(consec, u))

@@ -1,6 +1,10 @@
 package sweep
 
-import "testing"
+import (
+	"testing"
+
+	"ivm/internal/memsys"
+)
 
 // TestDifferentialConsecutiveSections pins the consecutive-mapping
 // cache against the cold sequential sweep. The canonicalisation group
@@ -21,8 +25,8 @@ func TestDifferentialConsecutiveSections(t *testing.T) {
 	for _, g := range grids {
 		for d1 := 0; d1 < g.m; d1 += 3 {
 			for d2 := d1; d2 < g.m; d2 += 2 {
-				specs = append(specs, ConsecSectionPairSpec(g.m, g.s, g.nc, d1, d2))
-				spec := ConsecSectionPairSpec(g.m, g.s, g.nc, d1, d2)
+				specs = append(specs, SectionPairSpec(g.m, g.s, g.nc, d1, d2).WithPolicy(memsys.FixedPriority, memsys.ConsecutiveSections))
+				spec := SectionPairSpec(g.m, g.s, g.nc, d1, d2).WithPolicy(memsys.FixedPriority, memsys.ConsecutiveSections)
 				spec.Streams[0].B = g.m / g.s
 				moved = append(moved, spec)
 			}
@@ -63,7 +67,7 @@ func TestDifferentialConsecutiveSections(t *testing.T) {
 // and values match the cold single-placement simulation.
 func TestDifferentialConsecutiveResolve(t *testing.T) {
 	eng := NewEngine(Options{Workers: 1})
-	spec := ConsecSectionPairSpec(12, 3, 2, 1, 5)
+	spec := SectionPairSpec(12, 3, 2, 1, 5).WithPolicy(memsys.FixedPriority, memsys.ConsecutiveSections)
 	spec.Streams[1].Sweep = false
 	spec.Streams[1].B = 2
 	cold := simulateSpecVec(spec, []int{1, 5, 0, 2})
@@ -79,7 +83,7 @@ func TestDifferentialConsecutiveResolve(t *testing.T) {
 	}
 
 	// Translate both starts by m/s = 4: same orbit, cache hit.
-	shifted := ConsecSectionPairSpec(12, 3, 2, 1, 5)
+	shifted := SectionPairSpec(12, 3, 2, 1, 5).WithPolicy(memsys.FixedPriority, memsys.ConsecutiveSections)
 	shifted.Streams[0].B = 4
 	shifted.Streams[1].Sweep = false
 	shifted.Streams[1].B = 6

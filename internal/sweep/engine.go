@@ -266,9 +266,6 @@ func NewEngine(opt Options) *Engine {
 	return e
 }
 
-// Options returns the engine's configuration.
-func (e *Engine) Options() Options { return e.opt }
-
 // tally returns (creating on first use) the counter of one
 // configuration family and, unless theorem is empty, the counter of
 // one of its analytic theorems.

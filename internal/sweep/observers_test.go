@@ -159,7 +159,7 @@ func checkBatchSpans(t *testing.T, eng *Engine, batch []ConfigSpec, before Metri
 		sims != m.CyclesFound-before.CyclesFound {
 		t.Errorf("batch paths %v disagree with metric deltas", paths)
 	}
-	w := &worker{e: NewEngine(eng.Options())}
+	w := &worker{e: NewEngine(eng.opt)}
 	var gated int64
 	for _, spec := range batch {
 		if w.compile(spec).gate != nil {

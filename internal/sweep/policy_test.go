@@ -64,7 +64,7 @@ func TestPolicyFamilyNames(t *testing.T) {
 	}{
 		{PairSpec(12, 3, 1, 1), "pair"},
 		{SectionPairSpec(12, 3, 3, 1, 1), "section"},
-		{ConsecSectionPairSpec(12, 3, 3, 1, 1), "section-consec"},
+		{SectionPairSpec(12, 3, 3, 1, 1).WithPolicy(memsys.FixedPriority, memsys.ConsecutiveSections), "section-consec"},
 		{PairSpec(12, 3, 1, 1).WithPolicy(memsys.CyclicPriority, memsys.CyclicSections), "pair-cyc"},
 		{PairSpec(12, 3, 1, 1).WithPolicy(memsys.RoundRobinPerCPU, memsys.CyclicSections), "pair-rrcpu"},
 		{SectionPairSpec(12, 3, 3, 1, 1).WithPolicy(memsys.CyclicPriority, memsys.ConsecutiveSections), "section-consec-cyc"},

@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"ivm/internal/modmath"
 )
 
 func TestSectionGridAgrees(t *testing.T) {
@@ -132,7 +130,7 @@ func TestDifferentialRandomSections(t *testing.T) {
 	var specs []ConfigSpec
 	for trial := 0; trial < 30; trial++ {
 		m := 2 + rng.Intn(15) // 2..16
-		divs := modmath.Divisors(m)
+		divs := divisors(m)
 		s := divs[rng.Intn(len(divs))]
 		nc := 1 + rng.Intn(4)
 		specs = append(specs, SectionPairSpec(m, s, nc, rng.Intn(m), rng.Intn(m)))
@@ -155,7 +153,7 @@ func FuzzSweepSectionPair(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, mRaw, sRaw, ncRaw, d1Raw, d2Raw uint8) {
 		m := 1 + int(mRaw%16)
-		divs := modmath.Divisors(m)
+		divs := divisors(m)
 		s := divs[int(sRaw)%len(divs)]
 		nc := 1 + int(ncRaw%4)
 		d1, d2 := int(d1Raw)%m, int(d2Raw)%m
@@ -204,4 +202,15 @@ func TestTripleSweepXMPScale(t *testing.T) {
 	if s.TightStarts == 0 || s.TightStarts == s.Triples {
 		t.Fatalf("tightness degenerate: %d/%d", s.TightStarts, s.Triples)
 	}
+}
+
+// divisors returns the positive divisors of n > 0 in increasing order.
+func divisors(n int) []int {
+	var out []int
+	for d := 1; d <= n; d++ {
+		if n%d == 0 {
+			out = append(out, d)
+		}
+	}
+	return out
 }

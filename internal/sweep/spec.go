@@ -167,17 +167,6 @@ func SectionPairSpec(m, s, nc, d1, d2 int) ConfigSpec {
 	}}
 }
 
-// ConsecSectionPairSpec is SectionPairSpec under the consecutive
-// bank-to-section mapping (the Fig. 9 remedy): section(j) =
-// floor(j / (m/s)). Its placements canonicalise under the
-// section-block translation orbit (see docs/CACHING.md) and cache in
-// the "section-consec" family.
-func ConsecSectionPairSpec(m, s, nc, d1, d2 int) ConfigSpec {
-	spec := SectionPairSpec(m, s, nc, d1, d2)
-	spec.Mapping = memsys.ConsecutiveSections
-	return spec
-}
-
 // TripleSpec is the sectionless three-stream family with stream 1
 // fixed at bank 0 and streams 2 and 3 swept over all m^2 relative
 // placements.
@@ -293,7 +282,7 @@ func coldSpecs[R any](specs []ConfigSpec, fold func(ConfigSpec, func(b []int) ra
 
 // SpecResult compares the simulated cyclic states of one ConfigSpec —
 // over every placement of its swept streams — with the per-placement
-// capacity bounds of core.MultiStreamBound. With no swept stream it is
+// capacity bounds of core.CapacityBound. With no swept stream it is
 // one fixed placement (the triple census row).
 type SpecResult struct {
 	Spec ConfigSpec

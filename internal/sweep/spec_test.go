@@ -295,7 +295,7 @@ func TestMetricsJSONGenericFamilies(t *testing.T) {
 // random CPU layout.
 func randSpec(rng *rand.Rand) ConfigSpec {
 	m := 2 + rng.Intn(15)
-	divs := modmath.Divisors(m)
+	divs := divisors(m)
 	s := 0
 	if rng.Intn(2) == 0 {
 		s = divs[rng.Intn(len(divs))]
@@ -373,7 +373,7 @@ func FuzzSpecCanonical(f *testing.F) {
 	f.Add(uint8(5), uint8(0), uint8(1), uint8(2), uint8(1), uint8(0))
 	f.Fuzz(func(t *testing.T, mRaw, sRaw, nRaw, seedRaw, uRaw, shiftRaw uint8) {
 		m := 2 + int(mRaw)%15
-		divs := modmath.Divisors(m)
+		divs := divisors(m)
 		s := 0
 		if sRaw%2 == 0 {
 			s = divs[int(sRaw/2)%len(divs)]

@@ -10,7 +10,7 @@ import (
 // Three-stream sweeps. The paper analyses one and two streams; these
 // sweeps quantify how far its pairwise reasoning carries for three by
 // measuring every distance triple against the aggregate capacity
-// bounds of core.MultiStreamBound. Both granularities are spec lists
+// bounds of core.CapacityBound. Both granularities are spec lists
 // folded by specFold:
 //
 //   - the census (SpecGrid over TripleCensusSpecs): one fixed placement

@@ -165,27 +165,6 @@ func (r *Recorder) cellAt(bank int, t int64) byte {
 	return '.'
 }
 
-// Row returns the rendered cells of a single bank row as a string.
-func (r *Recorder) Row(bank int) string {
-	var b strings.Builder
-	for t := r.from; t < r.to; t++ {
-		b.WriteByte(r.cellAt(bank, t))
-	}
-	return b.String()
-}
-
-// CountMarks counts occurrences of each marker byte over the window;
-// useful in tests ("the figure contains delays").
-func (r *Recorder) CountMarks() map[byte]int {
-	counts := make(map[byte]int)
-	for bank := 0; bank < r.banks; bank++ {
-		for t := r.from; t < r.to; t++ {
-			counts[r.cellAt(bank, t)]++
-		}
-	}
-	return counts
-}
-
 // Legend returns the marker legend used by Render.
 func Legend() string {
 	return "digits: bank servicing that stream; '<' delay of higher stream by lower; '>' delay of lower by higher; '*' section conflict; '.' idle"

@@ -13,13 +13,13 @@ func TestRecorderSingleStream(t *testing.T) {
 	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1))
 	sys.Run(8)
 	// d=1, nc=2: bank 0 serviced at clocks 0-1, 4-5; bank 1 at 1-2, 5-6...
-	if got := rec.Row(0); got != "11..11.." {
+	if got := row(rec, 0); got != "11..11.." {
 		t.Errorf("Row(0) = %q", got)
 	}
-	if got := rec.Row(1); got != ".11..11." {
+	if got := row(rec, 1); got != ".11..11." {
 		t.Errorf("Row(1) = %q", got)
 	}
-	if got := rec.Row(3); got != "...11..1" {
+	if got := row(rec, 3); got != "...11..1" {
 		t.Errorf("Row(3) = %q", got)
 	}
 }
@@ -36,16 +36,16 @@ func TestRecorderDelayMarkers(t *testing.T) {
 	sys.Run(12)
 	// Port 2 is blocked at bank 0 by port 1 (simultaneous conflict at
 	// clock 0, bank conflicts after): '<' because blocker label 1 < 2.
-	row0 := rec.Row(0)
+	row0 := row(rec, 0)
 	if !strings.Contains(row0, "<") {
 		t.Errorf("Row(0) = %q, expected '<' delay marks", row0)
 	}
-	marks := rec.CountMarks()
+	marks := countMarks(rec)
 	if marks['<'] == 0 {
-		t.Errorf("CountMarks = %v, expected '<'", marks)
+		t.Errorf("marks = %v, expected '<'", marks)
 	}
 	if marks['*'] != 0 {
-		t.Errorf("CountMarks = %v, no section conflicts expected", marks)
+		t.Errorf("marks = %v, no section conflicts expected", marks)
 	}
 }
 
@@ -55,9 +55,9 @@ func TestRecorderSectionMarker(t *testing.T) {
 	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1)) // bank 0, section 0
 	sys.AddPort(0, "2", memsys.NewInfiniteStrided(2, 1)) // bank 2, section 0
 	sys.Run(6)
-	marks := rec.CountMarks()
+	marks := countMarks(rec)
 	if marks['*'] == 0 {
-		t.Errorf("CountMarks = %v, expected '*' section-conflict marks", marks)
+		t.Errorf("marks = %v, expected '*' section-conflict marks", marks)
 	}
 }
 
@@ -107,7 +107,7 @@ func TestWindowClipping(t *testing.T) {
 	sys.Run(8)
 	// Bank 0 is serviced clocks 0-2 and 4-6; visible: clock 2 tail of
 	// the first service and clocks 4-5 of the second.
-	if got := rec.Row(0); got != "1.11" {
+	if got := row(rec, 0); got != "1.11" {
 		t.Errorf("Row(0) = %q", got)
 	}
 }
@@ -150,4 +150,24 @@ func TestLegendMentionsAllMarks(t *testing.T) {
 			t.Errorf("legend misses %q", tok)
 		}
 	}
+}
+
+// row returns the rendered cells of a single bank row as a string.
+func row(r *Recorder, bank int) string {
+	var b strings.Builder
+	for t := r.from; t < r.to; t++ {
+		b.WriteByte(r.cellAt(bank, t))
+	}
+	return b.String()
+}
+
+// countMarks counts occurrences of each marker byte over the window.
+func countMarks(r *Recorder) map[byte]int {
+	counts := make(map[byte]int)
+	for bank := 0; bank < r.banks; bank++ {
+		for t := r.from; t < r.to; t++ {
+			counts[r.cellAt(bank, t)]++
+		}
+	}
+	return counts
 }

@@ -82,16 +82,6 @@ func Distance(inc int, a *Array, k, m int) int {
 	return int(d)
 }
 
-// StartBank returns the bank of the array's first element under m-way
-// modulo interleaving.
-func (a *Array) StartBank(m int) int {
-	b := a.Base % int64(m)
-	if b < 0 {
-		b += int64(m)
-	}
-	return int(b)
-}
-
 // CommonBlock packs arrays consecutively, like a Fortran COMMON block;
 // the paper pins relative start banks this way:
 //
@@ -102,7 +92,6 @@ func (a *Array) StartBank(m int) int {
 type CommonBlock struct {
 	Base int64
 	next int64
-	list []*Array
 }
 
 // NewCommonBlock starts a block at the given word address.
@@ -117,12 +106,8 @@ func (cb *CommonBlock) Declare(name string, dims ...int) *Array {
 	}
 	a := &Array{Name: name, Base: cb.next, Dims: dims}
 	cb.next += a.Words()
-	cb.list = append(cb.list, a)
 	return a
 }
-
-// Arrays returns the declared arrays in declaration order.
-func (cb *CommonBlock) Arrays() []*Array { return cb.list }
 
 // Words returns the block's total size.
 func (cb *CommonBlock) Words() int64 { return cb.next - cb.Base }

@@ -122,10 +122,6 @@ func SkewedTriadExperiment(inc, n int, mapper memsys.BankMapper, cfg machine.Con
 	return res
 }
 
-// PlainMapper returns the standard modulo mapping for the X-MP memory,
-// for symmetric ablation code.
-func PlainMapper() memsys.BankMapper { return memsys.ModuloMapper{M: 16} }
-
 // LinearSkewMapper returns the linear skewing scheme on 16 banks.
 func LinearSkewMapper() memsys.BankMapper { return skew.Linear{M: 16, S: 1} }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ivm/internal/machine"
+	"ivm/internal/memsys"
 )
 
 // Multitasking (conclusion): splitting the triad across both CPUs
@@ -67,7 +68,7 @@ func TestSkewedTriadFixesStride8(t *testing.T) {
 		t.Errorf("INC=8: skewed (%d) not faster than plain (%d)", skewed.Clocks, plain.Clocks)
 	}
 	// And the identity mapper must reproduce the plain experiment.
-	ident := SkewedTriadExperiment(8, 512, PlainMapper(), cfg)
+	ident := SkewedTriadExperiment(8, 512, memsys.ModuloMapper{M: 16}, cfg)
 	if ident != plain {
 		t.Errorf("identity-mapped skew run differs: %+v vs %+v", ident, plain)
 	}

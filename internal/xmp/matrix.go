@@ -30,6 +30,7 @@ const (
 	DiagonalAccess
 )
 
+// String returns the pattern's name: "column", "row" or "diagonal".
 func (p AccessPattern) String() string {
 	switch p {
 	case ColumnAccess:
