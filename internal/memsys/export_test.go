@@ -12,9 +12,6 @@ func (s *System) BankOwner(bank int) *Port {
 	return s.owner[bank]
 }
 
-// Issued returns how many requests have been granted so far.
-func (s *StridedSource) Issued() int64 { return s.issued }
-
 // RunUntilDone steps until every source is exhausted, or maxClocks
 // elapse. It returns the number of clocks stepped and whether all
 // sources finished.

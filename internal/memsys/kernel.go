@@ -122,8 +122,8 @@ func (s *System) loadPacked() {
 // owner, and advances each port's source by the grants the search gave
 // it, as that many Grant calls would have, so Step continues from the
 // clock the search stopped at. FindCycle admits only infinite strided
-// sources, whose Grant moves Addr on by one stride and counts one
-// issue, so the advance is exact.
+// sources, whose Grant only moves Addr on by one stride, so the
+// advance is exact.
 func (s *System) storePacked(pb *pendingBanks) {
 	for wi, word := range s.words {
 		for word != 0 {
@@ -139,7 +139,6 @@ func (s *System) storePacked(pb *pendingBanks) {
 		n := p.Count.Grants - pb.grants[i]
 		src := p.Src.(*StridedSource)
 		src.Addr += n * src.Stride
-		src.issued += n
 	}
 }
 

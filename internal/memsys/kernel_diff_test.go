@@ -130,9 +130,8 @@ func sameState(t *testing.T, scalar, packed *System, at string) {
 			continue
 		}
 		sp := pp.Src.(*StridedSource)
-		if ss.Addr != sp.Addr || ss.Issued() != sp.Issued() {
-			t.Fatalf("%s port %d: scalar source at %d after %d grants, packed at %d after %d",
-				at, i, ss.Addr, ss.Issued(), sp.Addr, sp.Issued())
+		if ss.Addr != sp.Addr {
+			t.Fatalf("%s port %d: scalar source at %d, packed at %d", at, i, ss.Addr, sp.Addr)
 		}
 	}
 }

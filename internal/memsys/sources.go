@@ -10,8 +10,6 @@ type StridedSource struct {
 	Addr      int64 // address of the next (pending) request
 	Stride    int64
 	Remaining int // elements left to request; < 0 means infinite
-
-	issued int64
 }
 
 // NewInfiniteStrided returns an endless strided source.
@@ -33,7 +31,6 @@ func (s *StridedSource) Grant(int64) {
 		panic("memsys: Grant on exhausted StridedSource")
 	}
 	s.Addr += s.Stride
-	s.issued++
 	if s.Remaining > 0 {
 		s.Remaining--
 	}

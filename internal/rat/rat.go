@@ -6,7 +6,7 @@
 // without floating-point tolerance.
 package rat
 
-import "fmt"
+import "strconv"
 
 // Rational is an exact fraction Num/Den, always stored in lowest terms
 // with Den > 0. The zero value is 0/1.
@@ -101,9 +101,17 @@ func (r Rational) Add(o Rational) Rational {
 
 // String renders "n" for integers and "n/d" otherwise.
 func (r Rational) String() string {
+	var buf [41]byte // two int64s and the slash
+	return string(r.Append(buf[:0]))
+}
+
+// Append appends String's rendering to dst, for encoders that build a
+// response in one buffer.
+func (r Rational) Append(dst []byte) []byte {
 	rr := r.reduced()
+	dst = strconv.AppendInt(dst, rr.Num, 10)
 	if rr.Den == 1 {
-		return fmt.Sprintf("%d", rr.Num)
+		return dst
 	}
-	return fmt.Sprintf("%d/%d", rr.Num, rr.Den)
+	return strconv.AppendInt(append(dst, '/'), rr.Den, 10)
 }

@@ -361,17 +361,6 @@ const (
 	spanEncode = "encode"
 )
 
-// decodeBody decodes the request's JSON body into v and closes the
-// body. The decoder has normally read the body to its end, so closing
-// it here spares net/http the discard copy, through a pooled 8 KiB
-// buffer, that it otherwise makes of an unclosed body before writing
-// the response header.
-func decodeBody(r *http.Request, v any) error {
-	err := json.NewDecoder(r.Body).Decode(v)
-	r.Body.Close() //nolint:errcheck // the decode error is the one to report
-	return err
-}
-
 // handleBandwidth answers POST /v1/bandwidth: one SpecJSON in, one
 // ResultJSON out.
 func (s *Server) handleBandwidth(w http.ResponseWriter, r *http.Request) {
@@ -380,19 +369,12 @@ func (s *Server) handleBandwidth(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info := requestInfo(r)
-	ds := info.tc.Start()
-	var sj SpecJSON
-	if err := decodeBody(r, &sj); err != nil {
-		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
-		return
-	}
-	spec, err := sj.Spec()
-	info.tc.Span(spanDecode, ds)
+	specs, err := decodeRequest(r, info, false)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	res, err := s.eng.ResolveCtx(r.Context(), spec)
+	res, err := s.eng.ResolveCtx(r.Context(), specs[0])
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -403,7 +385,7 @@ func (s *Server) handleBandwidth(w http.ResponseWriter, r *http.Request) {
 	info.results = 1
 	w.Header().Set("Content-Type", "application/json")
 	es := info.tc.Start()
-	json.NewEncoder(w).Encode(resultJSON(res)) //nolint:errcheck // client gone
+	w.Write(encodeResult(res)) //nolint:errcheck // client gone
 	info.tc.Span(spanEncode, es)
 }
 
@@ -415,59 +397,42 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info := requestInfo(r)
-	ds := info.tc.Start()
-	var req BatchRequest
-	if err := decodeBody(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad batch: %v", err)
+	specs, err := decodeRequest(r, info, true)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if len(req.Specs) == 0 {
-		httpError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(req.Specs) > MaxBatch {
-		httpError(w, http.StatusBadRequest, "batch of %d specs exceeds the cap of %d", len(req.Specs), MaxBatch)
-		return
-	}
-	specs := make([]sweep.ConfigSpec, len(req.Specs))
-	for i, sj := range req.Specs {
-		spec, err := sj.Spec()
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "spec %d: %v", i, err)
-			return
-		}
-		specs[i] = spec
-	}
-	info.tc.Span(spanDecode, ds)
 	results, err := s.eng.ResolveBatchCtx(r.Context(), specs)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	resp := BatchResponse{Results: make([]ResultJSON, len(results)), Paths: make(map[string]int)}
-	for i, res := range results {
-		resp.Results[i] = resultJSON(res)
-		resp.Paths[res.Path.String()]++
-	}
+	paths := split(results)
 	info.results = len(results)
-	info.path = dominantPath(resp.Paths)
+	info.path = dominantPath(paths)
 	w.Header().Set("Content-Type", "application/json")
 	es := info.tc.Start()
-	json.NewEncoder(w).Encode(resp) //nolint:errcheck // client gone
+	w.Write(encodeBatch(results, paths)) //nolint:errcheck // client gone
 	info.tc.Span(spanEncode, es)
 }
 
-// dominantPath picks the most common answer path of a batch for the
-// access log's one-line attribution (ties break lexically for
-// determinism).
-func dominantPath(paths map[string]int) string {
-	best, bestN := "", -1
-	for p, n := range paths {
-		if n > bestN || (n == bestN && p < best) {
-			best, bestN = p, n
+// decodeRequest reads and decodes a request's specs (decodeSpecs),
+// timed as the request's decode span when they decode.
+func decodeRequest(r *http.Request, info *reqInfo, batch bool) ([]sweep.ConfigSpec, error) {
+	ds := info.tc.Start()
+	body, err := readBody(r)
+	if err != nil {
+		what := "spec"
+		if batch {
+			what = "batch"
 		}
+		return nil, fmt.Errorf("bad %s: %v", what, err)
 	}
-	return best
+	specs, err := decodeSpecs(body, batch)
+	if err == nil {
+		info.tc.Span(spanDecode, ds)
+	}
+	return specs, err
 }
 
 // handleSweep answers GET /v1/sweep: a start sweep of one stride pair
@@ -575,12 +540,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	paths := make(map[string]int)
-	for _, res := range results {
-		paths[res.Path.String()]++
-	}
 	info.results = len(results)
-	info.path = dominantPath(paths)
+	info.path = dominantPath(split(results))
 	if len(results) > 0 {
 		info.family = results[0].Family
 	}

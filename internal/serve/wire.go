@@ -4,7 +4,9 @@ package serve
 // definitions, so responses are byte-stable — scripts/check.sh pins
 // the bandwidth endpoint's exact bytes for a known pair, and the
 // restart acceptance test compares responses across server restarts
-// byte for byte. docs/SERVING.md documents every field.
+// byte for byte. The bandwidth and batch endpoints decode and encode
+// them through codec.go, which holds to encoding/json's reading and
+// writing of these definitions. docs/SERVING.md documents every field.
 
 import (
 	"fmt"

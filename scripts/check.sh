@@ -9,14 +9,16 @@
 # the differential equivalence harness (docs/KERNEL.md) that pins the
 # packed kernel and the analytic gate to the scalar oracle with the
 # fast path forced both on and off, followed by ten seconds of fuzzing
-# the packed kernel against that oracle and ten of fuzzing the sweep's
-# canonical keys. A single-iteration bench.sh run
+# the packed kernel against that oracle, ten of fuzzing the sweep's
+# canonical keys and ten of fuzzing the served request decoder against
+# encoding/json. A single-iteration bench.sh run
 # is then diffed against the committed BENCH_sweep.json by
 # scripts/benchdiff.go, gating on catastrophic timing regressions.
 # A one-second ivmbench sweep-census run pins the full census digest,
-# the paper-scale triple and 4-stream tables included, and a one-second
+# the paper-scale triple and 4-stream tables included, a one-second
 # batch-cold run pins the served batch route's digests and oracle
-# sample.
+# sample, and a one-second restart-warm run checks every replayed
+# answer of a reopened server against its prelude value.
 # Live probes close the run:
 # the default ivmsweep runs under the cyclic and rr-cpu priority rules
 # must exit 0 with nothing on stderr; ivmsweep -triples -m 13 -nc 4
@@ -106,6 +108,13 @@ go test -run '^$' -fuzz '^FuzzKernelEquivalence$' -fuzztime 10s ./internal/memsy
 # to internal/sweep/testdata/fuzz/.
 go test -run '^$' -fuzz '^FuzzSpecCanonical$' -fuzztime 10s ./internal/sweep
 
+# FuzzDecodeSpecs spends ten seconds on new request bodies: the /v1
+# scanner with its encoding/json fallback must accept exactly the
+# bodies encoding/json plus SpecJSON.Spec accepts, in the single and
+# the batch shape, with equal specs and equal 400 texts. Failing inputs
+# go to internal/serve/testdata/fuzz/.
+go test -run '^$' -fuzz '^FuzzDecodeSpecs$' -fuzztime 10s ./internal/serve
+
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"; [ -n "${srv:-}" ] && kill "$srv" 2>/dev/null || true' EXIT
 
@@ -132,6 +141,17 @@ if ! bash bench/run.sh --workload batch-cold --seed 1 --seconds 1 --trace 0 > "$
 	exit 1
 fi
 echo "check.sh: served batch route OK, ivmbench batch-cold exits 0"
+
+# Warm served route: ivmbench's restart-warm workload fills a store,
+# reopens the server on it and replays every spec in 512-spec batches,
+# comparing each replayed answer with its prelude value and the prelude
+# with its pinned batch digest; it exits nonzero on any mismatch.
+if ! bash bench/run.sh --workload restart-warm --seed 1 --seconds 1 --trace 0 > "$tmp/warm.log" 2>&1; then
+	cat "$tmp/warm.log" >&2
+	echo "check.sh: ivmbench restart-warm failed or its batch digest drifted" >&2
+	exit 1
+fi
+echo "check.sh: warm served route OK, ivmbench restart-warm exits 0"
 
 # Benchmark regression gate: a single-iteration bench.sh run diffed
 # against the committed BENCH_sweep.json. One iteration is noisy (the
