@@ -6,16 +6,14 @@ package serve
 // through reflection, which on a 512-spec batch cost more than the
 // resolve it brackets.
 //
-// The scanner accepts only the plain subset of the wire schema: the
-// known lowercase keys, each at most once per object; integers of at
-// most 15 digits with no fraction or exponent; strings of printable
-// ASCII with no escapes; true and false; policy names that parse; and
-// nothing but whitespace after the value. Any other body (null, an
-// unknown, case-folded or repeated key, a float, an escape, trailing
-// data, a bad policy name, a malformed body) takes the encoding/json
-// route through SpecJSON.Spec that served every request before the
-// scanner, so the accepted set, the decoded specs and every 400 text
-// are that route's by construction.
+// The scanner is the only decoder of those bodies. Its grammar is a
+// subset of JSON (docs/SERVING.md): objects with the known lowercase
+// keys, each at most once; integers of at most 15 digits with no
+// leading zero, fraction or exponent; strings of printable ASCII with
+// no escapes; whitespace between tokens and nothing but whitespace
+// after the value. A body outside it is a 400 naming the byte offset
+// where the scan stopped and the field it stopped in; a policy name
+// that does not parse is a 400 naming the field (policy).
 
 import (
 	"bytes"
@@ -23,9 +21,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/http"
 	"slices"
 	"strconv"
+	"unsafe"
 
 	"ivm/internal/memsys"
 	"ivm/internal/sweep"
@@ -50,51 +50,34 @@ func readBody(r *http.Request) ([]byte, error) {
 }
 
 // decodeSpecs decodes a /v1/bandwidth body (one spec) or, with batch,
-// a /v1/batch body. A returned error is the 400 text.
+// a /v1/batch body. A returned error is the 400 text. Every spec's
+// Streams is a capped subslice of one backing array, sized with the
+// specs slice by countObjects.
 func decodeSpecs(body []byte, batch bool) ([]sweep.ConfigSpec, error) {
-	specs, plain := scanSpecs(body, batch)
+	nspecs, nstreams := countObjects(body, batch)
+	s := specScanner{b: body, streams: make([]sweep.Stream, 0, nstreams)}
+	specs := make([]sweep.ConfigSpec, 0, nspecs)
+	one := func() bool {
+		spec, ok := s.spec()
+		specs = append(specs, spec)
+		return ok
+	}
+	var ok bool
+	if batch {
+		ok = s.object(batchKeys, func(string) bool { return s.array(one) })
+	} else {
+		ok = one()
+	}
+	if s.skip(); ok && s.i < len(s.b) {
+		ok = s.fail(s.i, "data after the value")
+	}
 	switch {
-	case !plain && batch:
-		return decodeBatchJSON(body)
-	case !plain:
-		return decodeSpecJSON(body)
+	case !ok:
+		return nil, s.error(batch, len(specs)-1)
 	case batch:
 		if err := batchLenErr(len(specs)); err != nil {
 			return nil, err
 		}
-	}
-	return specs, nil
-}
-
-// decodeSpecJSON is the fallback route of a /v1/bandwidth body.
-func decodeSpecJSON(body []byte) ([]sweep.ConfigSpec, error) {
-	var sj SpecJSON
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&sj); err != nil {
-		return nil, fmt.Errorf("bad spec: %v", err)
-	}
-	spec, err := sj.Spec()
-	if err != nil {
-		return nil, err
-	}
-	return []sweep.ConfigSpec{spec}, nil
-}
-
-// decodeBatchJSON is the fallback route of a /v1/batch body.
-func decodeBatchJSON(body []byte) ([]sweep.ConfigSpec, error) {
-	var req BatchRequest
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-		return nil, fmt.Errorf("bad batch: %v", err)
-	}
-	if err := batchLenErr(len(req.Specs)); err != nil {
-		return nil, err
-	}
-	specs := make([]sweep.ConfigSpec, len(req.Specs))
-	for i, sj := range req.Specs {
-		spec, err := sj.Spec()
-		if err != nil {
-			return nil, fmt.Errorf("spec %d: %v", i, err)
-		}
-		specs[i] = spec
 	}
 	return specs, nil
 }
@@ -110,46 +93,13 @@ func batchLenErr(n int) error {
 	return nil
 }
 
-// scanSpecs parses a plain body, reporting false on anything outside
-// the plain subset. Every spec's Streams is a capped subslice of one
-// backing array, sized with the specs slice by countObjects.
-func scanSpecs(body []byte, batch bool) ([]sweep.ConfigSpec, bool) {
-	nspecs, nstreams, ok := countObjects(body, batch)
-	if !ok {
-		return nil, false
-	}
-	s := specScanner{b: body, streams: make([]sweep.Stream, 0, nstreams)}
-	specs := make([]sweep.ConfigSpec, 0, nspecs)
-	one := func() bool {
-		spec, ok := s.spec()
-		specs = append(specs, spec)
-		return ok
-	}
-	if batch {
-		seen := false
-		ok = s.object(func(key []byte) bool {
-			if string(key) != "specs" || seen {
-				return false
-			}
-			seen = true
-			return s.array(one)
-		})
-	} else {
-		ok = one()
-	}
-	if s.skip(); !ok || s.i != len(s.b) {
-		return nil, false
-	}
-	return specs, true
-}
-
 // countObjects counts the spec and stream objects of a body by the
-// depth they open at: a single spec at 0 and its streams at 2, a
-// batch's specs at 2 ({"specs":[{) and their streams at 4. It reports
-// false on an object at any other depth below the root. Strings are
-// skipped to the next quote, which ends them in a body without
-// escapes: the counts are exact for every body the scanner accepts.
-func countObjects(body []byte, batch bool) (specs, streams int, ok bool) {
+// depth they open at: a batch's specs at 2 ({"specs":[{) and their
+// streams at 4, a single spec's streams at 2. Strings are skipped to
+// the next quote, which ends them in a body without escapes: the
+// counts are exact for every body the scanner accepts, and only size
+// its slices.
+func countObjects(body []byte, batch bool) (specs, streams int) {
 	specDepth := 0
 	if batch {
 		specDepth = 2
@@ -166,9 +116,6 @@ func countObjects(body []byte, batch bool) (specs, streams int, ok bool) {
 				specs++
 			case specDepth + 2:
 				streams++
-			case 0:
-			default:
-				return 0, 0, false
 			}
 			depth++
 		case '[':
@@ -177,15 +124,60 @@ func countObjects(body []byte, batch bool) (specs, streams int, ok bool) {
 			depth--
 		}
 	}
-	return specs, streams, true
+	if !batch {
+		return 1, streams
+	}
+	return specs, streams
 }
 
-// specScanner walks a body in the plain subset. streams is the shared
-// backing array the specs' Streams are carved from.
+// specScanner walks a body in the grammar. streams is the shared
+// backing array the specs' Streams are carved from. The scan stops at
+// its first failure, which it records only then: the byte offset at,
+// what was wanted there, and field, the key of the innermost value
+// holding it; or err, the 400 text of a policy name that does not
+// parse.
 type specScanner struct {
 	b       []byte
 	i       int
 	streams []sweep.Stream
+
+	at    int
+	what  string
+	field []byte
+	err   error
+}
+
+// fail records the scan's failure at byte at and reports false.
+func (s *specScanner) fail(at int, what string) bool {
+	s.at, s.what = at, what
+	return false
+}
+
+// in attributes the failure to key's value unless an inner value
+// already holds it, and reports false.
+func (s *specScanner) in(key []byte) bool {
+	if s.field == nil {
+		s.field = key
+	}
+	return false
+}
+
+// error renders the failure as its 400 text; spec is the index of the
+// batch spec a policy name failed in.
+func (s *specScanner) error(batch bool, spec int) error {
+	shape := "spec"
+	switch {
+	case s.err != nil && batch:
+		return fmt.Errorf("spec %d: %v", spec, s.err)
+	case s.err != nil:
+		return s.err
+	case batch:
+		shape = "batch"
+	}
+	if s.field == nil {
+		return fmt.Errorf("bad %s: byte %d: %s", shape, s.at, s.what)
+	}
+	return fmt.Errorf("bad %s: byte %d: field %q: %s", shape, s.at, s.field, s.what)
 }
 
 // skip advances past JSON whitespace.
@@ -214,33 +206,75 @@ func (s *specScanner) eat(c byte) bool {
 	return false
 }
 
-// object parses an object, handing each key to field, which parses
-// the key's value.
-func (s *specScanner) object(field func(key []byte) bool) bool {
+// The keys of the request objects, at most 64 each: a key's index is
+// its bit in object's repeat check.
+var (
+	batchKeys  = []string{"specs"}
+	specKeys   = []string{"m", "s", "nc", "priority", "mapping", "streams"}
+	streamKeys = []string{"d", "b", "cpu"}
+)
+
+// object parses an object whose keys are among keys, each at most
+// once, handing each key to value, which parses the key's value.
+func (s *specScanner) object(keys []string, value func(key string) bool) bool {
 	if !s.eat('{') {
-		return false
+		return s.fail(s.i, "want '{'")
 	}
 	if s.eat('}') {
 		return true
 	}
+	var seen uint64
 	for {
 		key, ok := s.str()
-		if !ok || !s.eat(':') || !field(key) {
+		if !ok {
 			return false
+		}
+		k := 0
+		for k < len(keys) && !isKey(key, keys[k]) {
+			k++
+		}
+		switch at := s.i - len(key) - 2; {
+		case k == len(keys):
+			s.fail(at, "unknown field")
+			return s.in(key)
+		case seen&(1<<uint(k)) != 0:
+			s.fail(at, "repeated field")
+			return s.in(key)
+		}
+		seen |= 1 << uint(k)
+		if !s.eat(':') {
+			return s.fail(s.i, "want ':'")
+		}
+		if !value(keys[k]) {
+			return s.in(key)
 		}
 		if s.eat('}') {
 			return true
 		}
 		if !s.eat(',') {
+			return s.fail(s.i, "want ',' or '}'")
+		}
+	}
+}
+
+// isKey reports whether key spells name, compared in line: keys are
+// too short to pay for a call.
+func isKey(key []byte, name string) bool {
+	if len(key) != len(name) {
+		return false
+	}
+	for i := range key {
+		if key[i] != name[i] {
 			return false
 		}
 	}
+	return true
 }
 
 // array parses an array, calling elem to parse each element.
 func (s *specScanner) array(elem func() bool) bool {
 	if !s.eat('[') {
-		return false
+		return s.fail(s.i, "want '['")
 	}
 	if s.eat(']') {
 		return true
@@ -253,7 +287,7 @@ func (s *specScanner) array(elem func() bool) bool {
 			return true
 		}
 		if !s.eat(',') {
-			return false
+			return s.fail(s.i, "want ',' or ']'")
 		}
 	}
 }
@@ -262,7 +296,7 @@ func (s *specScanner) array(elem func() bool) bool {
 // its bytes in the body.
 func (s *specScanner) str() ([]byte, bool) {
 	if !s.eat('"') {
-		return nil, false
+		return nil, s.fail(s.i, "want a string")
 	}
 	for start := s.i; s.i < len(s.b); s.i++ {
 		switch c := s.b[s.i]; {
@@ -270,17 +304,18 @@ func (s *specScanner) str() ([]byte, bool) {
 			s.i++
 			return s.b[start : s.i-1], true
 		case c == '\\' || c < 0x20 || c > 0x7e:
-			return nil, false
+			return nil, s.fail(s.i, "want printable ASCII with no escapes")
 		}
 	}
-	return nil, false
+	return nil, s.fail(s.i, "unterminated string")
 }
 
 // num parses an integer of at most 15 digits (so it cannot overflow),
-// in JSON's form: an optional minus and no leading zero. A fraction or
-// exponent is left unread, for the caller's delimiter check to refuse.
+// in JSON's form: an optional minus and no leading zero, fraction or
+// exponent.
 func (s *specScanner) num() (int, bool) {
 	s.skip()
+	at := s.i
 	neg := s.i < len(s.b) && s.b[s.i] == '-'
 	if neg {
 		s.i++
@@ -289,8 +324,12 @@ func (s *specScanner) num() (int, bool) {
 	for ; s.i < len(s.b) && s.b[s.i] >= '0' && s.b[s.i] <= '9'; s.i++ {
 		n = 10*n + int(s.b[s.i]-'0')
 	}
-	if digits := s.i - start; digits == 0 || digits > 15 || (digits > 1 && s.b[start] == '0') {
-		return 0, false
+	digits := s.i - start
+	if s.i < len(s.b) && (s.b[s.i] == '.' || s.b[s.i] == 'e' || s.b[s.i] == 'E') {
+		digits = 0 // a fraction or exponent
+	}
+	if digits == 0 || digits > 15 || (digits > 1 && s.b[start] == '0') {
+		return 0, s.fail(at, "want an integer of at most 15 digits, with no leading zero, fraction or exponent")
 	}
 	if neg {
 		n = -n
@@ -298,135 +337,100 @@ func (s *specScanner) num() (int, bool) {
 	return n, true
 }
 
-// boolean parses true or false.
-func (s *specScanner) boolean() (v, ok bool) {
-	s.skip()
-	switch rest := s.b[s.i:]; {
-	case bytes.HasPrefix(rest, []byte("true")):
-		s.i += len("true")
-		return true, true
-	case bytes.HasPrefix(rest, []byte("false")):
-		s.i += len("false")
-		return false, true
-	}
-	return false, false
-}
-
-// The policy values a plain body may name, matched by their String
-// form, the vocabulary memsys.ParsePriority and memsys.ParseMapping
-// parse. A name outside them takes the fallback, where those parsers
-// decide.
-var (
-	priorities = []memsys.PriorityRule{memsys.FixedPriority, memsys.CyclicPriority, memsys.RoundRobinPerCPU}
-	mappings   = []memsys.SectionMapping{memsys.CyclicSections, memsys.ConsecutiveSections}
-)
-
-// named finds the value among all whose String is name.
-func named[T fmt.Stringer](name []byte, all []T) (T, bool) {
-	for _, v := range all {
-		if v.String() == string(name) {
-			return v, true
-		}
-	}
-	var zero T
-	return zero, false
-}
-
-// spec parses one spec object as SpecJSON.Spec would convert it: an
-// empty policy string means the default, and consecutive=true means
-// the consecutive mapping. A consecutive flag that contradicts the
-// mapping is left to the fallback, whose error names both fields.
+// spec parses one spec object as SpecJSON.Spec converts it: an empty
+// policy name means the default.
 func (s *specScanner) spec() (sweep.ConfigSpec, bool) {
 	var spec sweep.ConfigSpec
-	var seen int
-	var consecutive, mapped bool
 	first := len(s.streams)
-	ok := s.object(func(key []byte) bool {
-		var bit int // one per key, for the repeat check
+	ok := s.object(specKeys, func(key string) bool {
 		var ok bool
-		switch string(key) {
+		switch key {
 		case "m":
-			bit = 1
 			spec.M, ok = s.num()
 		case "s":
-			bit = 2
 			spec.S, ok = s.num()
 		case "nc":
-			bit = 4
 			spec.NC, ok = s.num()
-		case "consecutive":
-			bit = 8
-			consecutive, ok = s.boolean()
 		case "priority":
-			bit = 16
-			var name []byte
-			if name, ok = s.str(); ok && len(name) > 0 {
-				spec.Priority, ok = named(name, priorities)
-			}
+			spec.Priority, ok = policyValue(s, key, memsys.ParsePriority)
 		case "mapping":
-			bit = 32
-			var name []byte
-			if name, ok = s.str(); ok && len(name) > 0 {
-				spec.Mapping, ok = named(name, mappings)
-				mapped = true
-			}
+			spec.Mapping, ok = policyValue(s, key, memsys.ParseMapping)
 		case "streams":
-			bit = 64
 			ok = s.array(func() bool {
 				st, ok := s.stream()
 				s.streams = append(s.streams, st)
 				return ok
 			})
 		}
-		if bit == 0 || seen&bit != 0 {
-			return false
-		}
-		seen |= bit
 		return ok
 	})
-	if consecutive {
-		if mapped && spec.Mapping != memsys.ConsecutiveSections {
-			return spec, false
-		}
-		spec.Mapping = memsys.ConsecutiveSections
-	}
 	n := len(s.streams)
 	spec.Streams = s.streams[first:n:n]
 	return spec, ok
 }
 
+// policyValue parses the policy name of field key with parse. The name
+// is read in place, not copied, so a known one decodes without
+// allocating; nothing writes a body once it is read.
+func policyValue[T any](s *specScanner, key string, parse func(string) (T, error)) (T, bool) {
+	name, ok := s.str()
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	v, err := policy("field", key, unsafe.String(unsafe.SliceData(name), len(name)), parse)
+	if err != nil {
+		s.err = err
+		return v, false
+	}
+	return v, true
+}
+
 // stream parses one stream object.
 func (s *specScanner) stream() (sweep.Stream, bool) {
 	var st sweep.Stream
-	var seen int
-	ok := s.object(func(key []byte) bool {
-		var field *int
-		var bit int
-		switch string(key) {
-		case "d":
-			field, bit = &st.D, 1
+	ok := s.object(streamKeys, func(key string) bool {
+		v := &st.D
+		switch key {
 		case "b":
-			field, bit = &st.B, 2
+			v = &st.B
 		case "cpu":
-			field, bit = &st.CPU, 4
-		default:
-			return false
+			v = &st.CPU
 		}
-		if seen&bit != 0 {
-			return false
-		}
-		seen |= bit
 		var ok bool
-		*field, ok = s.num()
+		*v, ok = s.num()
 		return ok
 	})
 	return st, ok
 }
 
-// resultLenBound bounds appendResult's output for res: every integer
-// at full width and every string escaped at six bytes a byte.
+// resultLenBound bounds appendResult's output for res: 128 bytes of
+// keys, punctuation and path name, each string at strLenBound and each
+// integer at intLenBound (the fraction's parts twice, in b_eff and in
+// num and den).
 func resultLenBound(res sweep.Resolution) int {
-	return 256 + 6*(len(res.Family)+len(res.Theorem)) + 21*len(res.Canonical)
+	n := 128 + strLenBound(res.Family) + strLenBound(res.Theorem) +
+		2*(intLenBound(res.BW.Num)+intLenBound(res.BW.Den)) +
+		intLenBound(res.CycleLength) + intLenBound(res.Clocks)
+	for _, v := range res.Canonical {
+		n += 1 + intLenBound(int64(v))
+	}
+	return n
+}
+
+// strLenBound bounds appendString's output for s: s and its quotes,
+// or six bytes a byte if s needs escaping.
+func strLenBound(s string) int {
+	if needsEscape(s) {
+		return 2 + 6*len(s)
+	}
+	return 2 + len(s)
+}
+
+// intLenBound bounds v's decimal length, sign included: a number of l
+// bits has at most l/3 + 1 digits, since 2³ < 10.
+func intLenBound(v int64) int {
+	return 2 + bits.Len64(uint64(v))/3
 }
 
 // appendResult appends resultJSON(res) as encoding/json writes it:
@@ -532,17 +536,26 @@ func encodeBatch(results []sweep.Resolution, paths pathSplit) []byte {
 	return append(dst, "}}\n"...)
 }
 
-// appendString appends s as a JSON string. Printable ASCII other than
-// the quote, the backslash and the HTML-significant <, > and & is
-// copied as it is; any other string is encoded by json.Marshal, whose
-// escaping matches json.Encoder's default.
-func appendString(dst []byte, s string) []byte {
+// needsEscape reports whether s holds a byte appendString does not
+// copy as it is: one outside printable ASCII, the quote, the backslash
+// or the HTML-significant <, > and &.
+func needsEscape(s string) bool {
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
 		case c < 0x20 || c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
-			b, _ := json.Marshal(s) //nolint:errcheck // a string always marshals
-			return append(dst, b...)
+			return true
 		}
+	}
+	return false
+}
+
+// appendString appends s as a JSON string: copied as it is, or, if it
+// needs escaping, encoded by json.Marshal, whose escaping matches
+// json.Encoder's default.
+func appendString(dst []byte, s string) []byte {
+	if needsEscape(s) {
+		b, _ := json.Marshal(s) //nolint:errcheck // a string always marshals
+		return append(dst, b...)
 	}
 	dst = append(dst, '"')
 	dst = append(dst, s...)

@@ -10,8 +10,8 @@ import (
 
 // Table-driven handler coverage for the policy fields: known policy
 // strings are honoured end to end, unknown strings are a 400 that
-// names the offending field (never a silent default), contradictions
-// between the legacy consecutive flag and mapping are rejected, and
+// names the offending field (never a silent default), the retired
+// consecutive flag is refused as an unknown field and parameter, and
 // the sweep endpoint parses the matching query parameters.
 
 func TestServeBandwidthPolicies(t *testing.T) {
@@ -59,10 +59,10 @@ func TestServeBandwidthPolicies(t *testing.T) {
 			wantFamily: "section-consec",
 		},
 		{
-			name:       "consecutive_flag_and_matching_mapping",
-			body:       `{"m":12,"s":3,"nc":3,"consecutive":true,"mapping":"consecutive","streams":[{"d":1,"b":0,"cpu":0},{"d":1,"b":1,"cpu":0}]}`,
-			status:     http.StatusOK,
-			wantFamily: "section-consec",
+			name:      "consecutive_flag_and_matching_mapping",
+			body:      `{"m":12,"s":3,"nc":3,"consecutive":true,"mapping":"consecutive","streams":[{"d":1,"b":0,"cpu":0},{"d":1,"b":1,"cpu":0}]}`,
+			status:    http.StatusBadRequest,
+			wantField: `"consecutive"`,
 		},
 		{
 			name:      "unknown_priority",

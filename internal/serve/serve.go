@@ -20,11 +20,13 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -435,12 +437,14 @@ func decodeRequest(r *http.Request, info *reqInfo, batch bool) ([]sweep.ConfigSp
 	return specs, err
 }
 
+// sweepParams are /v1/sweep's query parameters; any other is a 400.
+var sweepParams = []string{"m", "nc", "d1", "d2", "s", "b1", "mapping", "priority"}
+
 // handleSweep answers GET /v1/sweep: a start sweep of one stride pair
 // — stream 2's start over all m banks — streamed as NDJSON, one
 // SweepRowJSON per line in b2 order. Query parameters: m, nc, d1, d2
-// (required), s (sections; 0 or absent for sectionless), consecutive
-// (with s: consecutive bank-to-section mapping), mapping
-// (cyclic/consecutive; the spelled-out form of consecutive), priority
+// (required), s (sections; 0 or absent for sectionless), mapping
+// (cyclic/consecutive bank-to-section mapping), priority
 // (fixed/cyclic/rr-cpu arbitration), b1 (stream 1 start, default 0).
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -448,71 +452,43 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	intArg := func(name string, def int, required bool) (int, error) {
+	var unknown []string
+	for name := range q {
+		if !slices.Contains(sweepParams, name) {
+			unknown = append(unknown, name)
+		}
+	}
+	if len(unknown) > 0 {
+		httpError(w, http.StatusBadRequest, "unknown parameter %q", slices.Min(unknown))
+		return
+	}
+	var parseErr error
+	arg := func(name string, required bool) int {
 		v := q.Get(name)
 		if v == "" {
 			if required {
-				return 0, fmt.Errorf("missing parameter %q", name)
+				parseErr = cmp.Or(parseErr, fmt.Errorf("missing parameter %q", name))
 			}
-			return def, nil
+			return 0
 		}
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			return 0, fmt.Errorf("parameter %q: %v", name, err)
-		}
-		return n, nil
-	}
-	var parseErr error
-	arg := func(name string, def int, required bool) int {
-		n, err := intArg(name, def, required)
-		if err != nil && parseErr == nil {
-			parseErr = err
+			parseErr = cmp.Or(parseErr, fmt.Errorf("parameter %q: %v", name, err))
 		}
 		return n
 	}
-	m := arg("m", 0, true)
-	nc := arg("nc", 0, true)
-	d1 := arg("d1", 0, true)
-	d2 := arg("d2", 0, true)
-	sections := arg("s", 0, false)
-	b1 := arg("b1", 0, false)
-	if parseErr != nil {
+	m := arg("m", true)
+	nc := arg("nc", true)
+	d1 := arg("d1", true)
+	d2 := arg("d2", true)
+	sections := arg("s", false)
+	b1 := arg("b1", false)
+	mapping, err := policy("parameter", "mapping", q.Get("mapping"), memsys.ParseMapping)
+	parseErr = cmp.Or(parseErr, err)
+	priority, err := policy("parameter", "priority", q.Get("priority"), memsys.ParsePriority)
+	if parseErr = cmp.Or(parseErr, err); parseErr != nil {
 		httpError(w, http.StatusBadRequest, "%v", parseErr)
 		return
-	}
-	consec := false
-	switch v := q.Get("consecutive"); v {
-	case "", "0", "false":
-	case "1", "true":
-		consec = true
-	default:
-		httpError(w, http.StatusBadRequest, "parameter \"consecutive\": want 0/1/true/false, got %q", v)
-		return
-	}
-	mapping := memsys.CyclicSections
-	if v := q.Get("mapping"); v != "" {
-		sm, err := memsys.ParseMapping(v)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "parameter \"mapping\": unknown section mapping %q (want cyclic or consecutive)", v)
-			return
-		}
-		if consec && sm != memsys.ConsecutiveSections {
-			httpError(w, http.StatusBadRequest, "parameter \"consecutive\" contradicts parameter \"mapping\"=%q", v)
-			return
-		}
-		mapping = sm
-	}
-	if consec {
-		mapping = memsys.ConsecutiveSections
-	}
-	priority := memsys.FixedPriority
-	if v := q.Get("priority"); v != "" {
-		pr, err := memsys.ParsePriority(v)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "parameter \"priority\": unknown priority rule %q (want fixed, cyclic or rr-cpu)", v)
-			return
-		}
-		priority = pr
 	}
 	// A sweep of m rows is an m-spec batch: bound it like /v1/batch
 	// before allocating anything sized by the query.

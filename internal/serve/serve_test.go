@@ -203,8 +203,8 @@ func TestServeErrors(t *testing.T) {
 		{"sweep huge m", 400, func() (int, []byte) {
 			return get(fmt.Sprintf("%s/v1/sweep?m=%d&nc=4&d1=1&d2=2", ts.URL, 1<<40))
 		}},
-		{"sweep bad consecutive", 400, func() (int, []byte) {
-			return get(ts.URL + "/v1/sweep?m=12&s=3&nc=4&d1=1&d2=2&consecutive=maybe")
+		{"sweep unknown parameter", 400, func() (int, []byte) {
+			return get(ts.URL + "/v1/sweep?m=12&s=3&nc=4&d1=1&d2=2&consecutive=1")
 		}},
 	}
 	for _, tc := range cases {

@@ -4,12 +4,14 @@ package serve
 // definitions, so responses are byte-stable — scripts/check.sh pins
 // the bandwidth endpoint's exact bytes for a known pair, and the
 // restart acceptance test compares responses across server restarts
-// byte for byte. The bandwidth and batch endpoints decode and encode
-// them through codec.go, which holds to encoding/json's reading and
-// writing of these definitions. docs/SERVING.md documents every field.
+// byte for byte. The bandwidth and batch endpoints decode requests
+// with codec.go's scanner and append responses as encoding/json writes
+// these definitions; clients marshal SpecJSON and BatchRequest.
+// docs/SERVING.md documents every field.
 
 import (
 	"fmt"
+	"strings"
 
 	"ivm/internal/cachestore"
 	"ivm/internal/memsys"
@@ -30,52 +32,47 @@ type StreamJSON struct {
 // policy fields — priority ("fixed", "cyclic", "rr-cpu") and mapping
 // ("cyclic", "consecutive"); absent fields mean the defaults, unknown
 // strings are a 400, never a silent default — and one stream per port
-// in priority order. The legacy consecutive flag is kept as shorthand
-// for mapping="consecutive" and must not contradict mapping.
+// in priority order.
 type SpecJSON struct {
-	M           int          `json:"m"`
-	S           int          `json:"s,omitempty"`
-	NC          int          `json:"nc"`
-	Consecutive bool         `json:"consecutive,omitempty"`
-	Priority    string       `json:"priority,omitempty"`
-	Mapping     string       `json:"mapping,omitempty"`
-	Streams     []StreamJSON `json:"streams"`
+	M        int          `json:"m"`
+	S        int          `json:"s,omitempty"`
+	NC       int          `json:"nc"`
+	Priority string       `json:"priority,omitempty"`
+	Mapping  string       `json:"mapping,omitempty"`
+	Streams  []StreamJSON `json:"streams"`
 }
 
 // Spec converts the wire form to the engine's ConfigSpec. The policy
-// strings are parsed strictly — an unknown name is an error naming the
-// offending field, surfaced by the handlers as a 400; structural
-// validation still happens in the engine.
+// strings are parsed strictly (policy); structural validation happens
+// in the engine.
 func (sj SpecJSON) Spec() (sweep.ConfigSpec, error) {
 	streams := make([]sweep.Stream, len(sj.Streams))
 	for i, st := range sj.Streams {
 		streams[i] = sweep.Stream{D: st.D, B: st.B, CPU: st.CPU}
 	}
-	spec := sweep.ConfigSpec{
-		M: sj.M, S: sj.S, NC: sj.NC,
-		Streams: streams,
+	spec := sweep.ConfigSpec{M: sj.M, S: sj.S, NC: sj.NC, Streams: streams}
+	var err error
+	if spec.Priority, err = policy("field", "priority", sj.Priority, memsys.ParsePriority); err != nil {
+		return spec, err
 	}
-	if sj.Priority != "" {
-		pr, err := memsys.ParsePriority(sj.Priority)
-		if err != nil {
-			return spec, fmt.Errorf("field %q: unknown priority rule %q (want fixed, cyclic or rr-cpu)", "priority", sj.Priority)
-		}
-		spec.Priority = pr
+	spec.Mapping, err = policy("field", "mapping", sj.Mapping, memsys.ParseMapping)
+	return spec, err
+}
+
+// policy parses a priority or mapping name with its memsys parser, the
+// one vocabulary of every wire surface; the empty name is the default.
+// An unknown name is an error naming where it came from, such as
+// `field "priority"` or `parameter "mapping"`, with memsys's text.
+func policy[T any](kind, name, value string, parse func(string) (T, error)) (T, error) {
+	var v T
+	if value == "" {
+		return v, nil
 	}
-	if sj.Mapping != "" {
-		sm, err := memsys.ParseMapping(sj.Mapping)
-		if err != nil {
-			return spec, fmt.Errorf("field %q: unknown section mapping %q (want cyclic or consecutive)", "mapping", sj.Mapping)
-		}
-		spec.Mapping = sm
+	v, err := parse(value)
+	if err != nil {
+		return v, fmt.Errorf("%s %q: %s", kind, name, strings.TrimPrefix(err.Error(), "memsys: "))
 	}
-	if sj.Consecutive {
-		if sj.Mapping != "" && spec.Mapping != memsys.ConsecutiveSections {
-			return spec, fmt.Errorf("field %q contradicts field %q: consecutive=true with mapping=%q", "consecutive", "mapping", sj.Mapping)
-		}
-		spec.Mapping = memsys.ConsecutiveSections
-	}
-	return spec, nil
+	return v, nil
 }
 
 // ResultJSON is one resolved placement: the effective bandwidth as an

@@ -108,11 +108,12 @@ go test -run '^$' -fuzz '^FuzzKernelEquivalence$' -fuzztime 10s ./internal/memsy
 # to internal/sweep/testdata/fuzz/.
 go test -run '^$' -fuzz '^FuzzSpecCanonical$' -fuzztime 10s ./internal/sweep
 
-# FuzzDecodeSpecs spends ten seconds on new request bodies: the /v1
-# scanner with its encoding/json fallback must accept exactly the
-# bodies encoding/json plus SpecJSON.Spec accepts, in the single and
-# the batch shape, with equal specs and equal 400 texts. Failing inputs
-# go to internal/serve/testdata/fuzz/.
+# FuzzDecodeSpecs spends ten seconds on new request bodies, in the
+# single and the batch shape, holding the /v1 scanner to an oracle
+# (encoding/json plus SpecJSON.Spec): what the scanner accepts the
+# oracle accepts with equal specs, what the oracle refuses the scanner
+# refuses, and what only the scanner refuses holds a token outside its
+# grammar. Failing inputs go to internal/serve/testdata/fuzz/.
 go test -run '^$' -fuzz '^FuzzDecodeSpecs$' -fuzztime 10s ./internal/serve
 
 tmp="$(mktemp -d)"
