@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,6 +73,40 @@ func TestRunGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFig10ConflictCounts runs EXPERIMENTS.md's INC=4 and INC=5
+// -csv-out commands and counts conflict kinds as its awk command does:
+// each reproduces the Fig. 10c–e table's bank/simultaneous/section row.
+func TestFig10ConflictCounts(t *testing.T) {
+	for _, c := range []struct {
+		inc                         string
+		bank, simultaneous, section int
+	}{
+		{"4", 4609, 1535, 1},
+		{"5", 5614, 19, 529},
+	} {
+		path := filepath.Join(t.TempDir(), "inc"+c.inc+".csv")
+		streams := strings.ReplaceAll("0:INC:0,1:INC:0,2:INC:0,0:1:1,4:1:1,8:1:1", "INC", c.inc)
+		if err := run([]string{"-m", "16", "-s", "4", "-nc", "4", "-clocks", "2048",
+			"-streams", streams, "-csv-out", path}, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := map[string]int{}
+		for _, row := range strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")[1:] {
+			if kind := strings.Split(row, ",")[5]; kind != "grant" {
+				n[kind]++
+			}
+		}
+		if n["bank"] != c.bank || n["simultaneous"] != c.simultaneous || n["section"] != c.section {
+			t.Errorf("INC=%s conflict counts %d %d %d, EXPERIMENTS.md says %d %d %d", c.inc,
+				n["bank"], n["simultaneous"], n["section"], c.bank, c.simultaneous, c.section)
+		}
 	}
 }
 

@@ -11,11 +11,7 @@
 // to be implemented twice, in different shapes, to slip through.
 package lockstep
 
-import (
-	"fmt"
-
-	"ivm/internal/rat"
-)
+import "fmt"
 
 // Result is the exact cyclic steady state of the pair.
 type Result struct {
@@ -25,11 +21,6 @@ type Result struct {
 	Grants2 int64
 	// Delays within one period (all bank-busy or simultaneous losses).
 	Delays1, Delays2 int64
-}
-
-// Bandwidth returns (grants1+grants2)/period.
-func (r Result) Bandwidth() rat.Rational {
-	return rat.New(r.Grants1+r.Grants2, r.Period)
 }
 
 // state is everything that determines the future: both streams' next

@@ -27,9 +27,9 @@ func TestLockstepAgreesWithMemsys(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !ls.Bandwidth().Equal(c.EffectiveBandwidth()) {
+						if !rat.New(ls.Grants1+ls.Grants2, ls.Period).Equal(c.EffectiveBandwidth()) {
 							t.Fatalf("m=%d nc=%d d1=%d d2=%d b2=%d: lockstep %s, memsys %s",
-								m, nc, d1, d2, b2, ls.Bandwidth(), c.EffectiveBandwidth())
+								m, nc, d1, d2, b2, rat.New(ls.Grants1+ls.Grants2, ls.Period), c.EffectiveBandwidth())
 						}
 						// Per-stream rates must agree too (scaled to a common
 						// period via rationals).
@@ -61,8 +61,8 @@ func TestLockstepPaperFigures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Bandwidth().Equal(rat.New(7, 6)) {
-		t.Fatalf("Fig. 3: %s", r.Bandwidth())
+	if !rat.New(r.Grants1+r.Grants2, r.Period).Equal(rat.New(7, 6)) {
+		t.Fatalf("Fig. 3: %s", rat.New(r.Grants1+r.Grants2, r.Period))
 	}
 	if r.Delays1 != 0 || r.Delays2 == 0 {
 		t.Fatalf("Fig. 3 barrier roles: delays %d/%d", r.Delays1, r.Delays2)
@@ -72,16 +72,16 @@ func TestLockstepPaperFigures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Bandwidth().Equal(rat.New(2, 1)) || r.Delays1+r.Delays2 != 0 {
-		t.Fatalf("Fig. 2: %s with %d delays", r.Bandwidth(), r.Delays1+r.Delays2)
+	if !rat.New(r.Grants1+r.Grants2, r.Period).Equal(rat.New(2, 1)) || r.Delays1+r.Delays2 != 0 {
+		t.Fatalf("Fig. 2: %s with %d delays", rat.New(r.Grants1+r.Grants2, r.Period), r.Delays1+r.Delays2)
 	}
 	// Fig. 5: 4/3 barrier.
 	r, err = Run(13, 4, 0, 1, 7, 3, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Bandwidth().Equal(rat.New(4, 3)) {
-		t.Fatalf("Fig. 5: %s", r.Bandwidth())
+	if !rat.New(r.Grants1+r.Grants2, r.Period).Equal(rat.New(4, 3)) {
+		t.Fatalf("Fig. 5: %s", rat.New(r.Grants1+r.Grants2, r.Period))
 	}
 }
 
@@ -95,8 +95,8 @@ func TestLockstepAccounting(t *testing.T) {
 	if r.Grants1+r.Delays1 != r.Period || r.Grants2+r.Delays2 != r.Period {
 		t.Fatalf("accounting broken: %+v", r)
 	}
-	if !r.Bandwidth().Equal(rat.New(3, 2)) {
-		t.Fatalf("unique barrier 1(+)2: %s", r.Bandwidth())
+	if !rat.New(r.Grants1+r.Grants2, r.Period).Equal(rat.New(3, 2)) {
+		t.Fatalf("unique barrier 1(+)2: %s", rat.New(r.Grants1+r.Grants2, r.Period))
 	}
 }
 
@@ -106,7 +106,7 @@ func TestLockstepSingleBank(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two streams share the single bank: one grant per nc clocks.
-	if !r.Bandwidth().Equal(rat.New(1, 3)) {
-		t.Fatalf("m=1: %s", r.Bandwidth())
+	if !rat.New(r.Grants1+r.Grants2, r.Period).Equal(rat.New(1, 3)) {
+		t.Fatalf("m=1: %s", rat.New(r.Grants1+r.Grants2, r.Period))
 	}
 }

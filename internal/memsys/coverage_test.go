@@ -31,24 +31,16 @@ func TestEnumStrings(t *testing.T) {
 	}
 }
 
-func TestCountersConflicts(t *testing.T) {
-	c := Counters{Bank: 3, Simultaneous: 2, Section: 1}
-	b, si, se := c.Conflicts()
-	if b != 3 || si != 2 || se != 1 {
-		t.Fatalf("Conflicts() = %d,%d,%d", b, si, se)
-	}
-}
-
 func TestSystemAccessors(t *testing.T) {
 	sys := New(Config{Banks: 8, BankBusy: 3, CPUs: 1})
 	p := sys.AddPort(0, "1", NewInfiniteStrided(5, 0))
-	if sys.BankOwner(5) != nil || sys.BankBusy(5) != 0 {
+	if sys.BankOwner(5) != nil || sys.busy[5] != 0 {
 		t.Error("idle bank reports owner/busy")
 	}
 	sys.Step()
 	// The grant at clock 0 leaves the bank busy for 2 more clocks.
-	if sys.BankBusy(5) != 2 {
-		t.Errorf("BankBusy(5) = %d after one step", sys.BankBusy(5))
+	if sys.busy[5] != 2 {
+		t.Errorf("bank 5 busy %d clocks after one step", sys.busy[5])
 	}
 	if sys.BankOwner(5) != p {
 		t.Error("BankOwner(5) != granting port")
@@ -104,12 +96,12 @@ func TestSequenceGrantExhaustedPanics(t *testing.T) {
 
 func TestSequencePosition(t *testing.T) {
 	s := &SequenceSource{Addrs: []int64{4, 5}}
-	if s.Position() != 0 {
-		t.Fatal("Position != 0")
+	if s.next != 0 {
+		t.Fatal("position != 0")
 	}
 	s.Grant(0)
-	if s.Position() != 1 {
-		t.Fatal("Position != 1")
+	if s.next != 1 {
+		t.Fatal("position != 1")
 	}
 }
 

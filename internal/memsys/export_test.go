@@ -6,7 +6,7 @@ package memsys
 // BankOwner returns the port currently being serviced by the bank, or
 // nil if the bank is idle.
 func (s *System) BankOwner(bank int) *Port {
-	if s.BankBusy(bank) == 0 {
+	if s.busy[bank] == 0 {
 		return nil
 	}
 	return s.owner[bank]

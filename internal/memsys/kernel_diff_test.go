@@ -109,7 +109,7 @@ func stepCompare(t *testing.T, scalar, packed *System, steps int) {
 func sameState(t *testing.T, scalar, packed *System, at string) {
 	t.Helper()
 	for b := 0; b < scalar.Config().Banks; b++ {
-		if bs, bp := scalar.BankBusy(b), packed.BankBusy(b); bs != bp {
+		if bs, bp := scalar.busy[b], packed.busy[b]; bs != bp {
 			t.Fatalf("%s bank %d: scalar busy %d, packed busy %d", at, b, bs, bp)
 		}
 		so, po := scalar.BankOwner(b), packed.BankOwner(b)

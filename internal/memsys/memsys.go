@@ -195,12 +195,6 @@ type Counters struct {
 // Delays returns the total number of delayed clocks.
 func (c Counters) Delays() int64 { return c.Bank + c.Simultaneous + c.Section }
 
-// Conflicts returns the conflict counts as a (bank, simultaneous,
-// section) triple — the three series of Fig. 10c–e.
-func (c Counters) Conflicts() (bank, simultaneous, section int64) {
-	return c.Bank, c.Simultaneous, c.Section
-}
-
 // Port is one access port into the memory system.
 type Port struct {
 	ID    int // index within the System, also the fixed priority
@@ -498,9 +492,6 @@ func (s *System) checkedBank(addr int64) int {
 	}
 	return bank
 }
-
-// BankBusy returns the remaining busy clocks of a bank (0 = idle).
-func (s *System) BankBusy(bank int) int { return s.busy[bank] }
 
 // Step advances the simulation by one clock period: all ports holding a
 // pending request compete in priority order; winners occupy their bank

@@ -116,7 +116,7 @@ func TestResetClearsPackedState(t *testing.T) {
 	reused.Run(3)
 	busy := 0
 	for b := 0; b < cfg.Banks; b++ {
-		if reused.BankBusy(b) != 0 {
+		if reused.busy[b] != 0 {
 			busy++
 		}
 	}
@@ -126,7 +126,7 @@ func TestResetClearsPackedState(t *testing.T) {
 	reused.Reset()
 	reused.Reset() // idempotent: a second Reset must be a no-op
 	for b := 0; b < cfg.Banks; b++ {
-		if reused.BankBusy(b) != 0 || reused.BankOwner(b) != nil {
+		if reused.busy[b] != 0 || reused.BankOwner(b) != nil {
 			t.Fatalf("bank %d still busy after Reset on packed kernel", b)
 		}
 	}
@@ -167,7 +167,7 @@ func TestResetKeepsClock(t *testing.T) {
 		t.Fatalf("%d ports survived Reset", len(sys.Ports()))
 	}
 	for b := 0; b < 8; b++ {
-		if sys.BankBusy(b) != 0 || sys.BankOwner(b) != nil {
+		if sys.busy[b] != 0 || sys.BankOwner(b) != nil {
 			t.Fatalf("bank %d still busy after Reset", b)
 		}
 	}

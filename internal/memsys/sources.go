@@ -82,9 +82,6 @@ func (s *SequenceSource) Grant(int64) {
 // Done implements Source.
 func (s *SequenceSource) Done() bool { return s.next >= len(s.Addrs) }
 
-// Position returns how many of the sequence's requests were granted.
-func (s *SequenceSource) Position() int { return s.next }
-
 func describeSource(src Source) string {
 	switch t := src.(type) {
 	case *StridedSource:

@@ -6,7 +6,7 @@ package obs
 // float values, so a stock Prometheus server can scrape a running
 // sweep from the same -metrics-addr server that exposes the JSON
 // snapshot (/metrics.json), expvar and pprof. The exposition is pinned
-// by a golden test and by scripts/check.sh's live scrape step; metric
+// by a golden test and by cmd/ivmsweep's live scrape test; metric
 // names are documented in docs/OBSERVABILITY.md.
 
 import (

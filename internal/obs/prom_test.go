@@ -15,8 +15,8 @@ import (
 
 // TestWritePromTextGolden pins the exposition format byte-for-byte:
 // HELP/TYPE headers, name-sorted metric families, label escaping and
-// shortest-float values. scripts/check.sh greps a live scrape for the
-// same header lines.
+// shortest-float values. cmd/ivmsweep's TestLiveMetrics looks for the
+// same header lines in a live scrape.
 func TestWritePromTextGolden(t *testing.T) {
 	metrics := []PromMetric{
 		Counter("zeta_total", "Last by name.", 3),

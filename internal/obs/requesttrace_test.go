@@ -63,7 +63,7 @@ func TestWriteRequestTrace(t *testing.T) {
 		t.Errorf("got process=%d threads=%d slices=%d spans=%d, want 1/2/2/2",
 			procName, threads, slices, spans)
 	}
-	// The export is the artifact check.sh greps a request ID out of.
+	// The export is the artifact an operator greps a request ID out of.
 	if !strings.Contains(buf.String(), "req-a") || !strings.Contains(buf.String(), "req-b") {
 		t.Error("request IDs not greppable in the export")
 	}

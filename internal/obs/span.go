@@ -55,14 +55,6 @@ func NewTraceContext(id string) *TraceContext {
 	return &TraceContext{id: id, epoch: time.Now()}
 }
 
-// ID returns the request identifier ("" on nil).
-func (t *TraceContext) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
-}
-
 // Start returns a span-start token: nanoseconds since the request
 // began (0 on nil). Pass it to Span to close the interval.
 func (t *TraceContext) Start() int64 {

@@ -11,8 +11,8 @@ import (
 // TestTraceContextRecords checks the basic record/readback contract.
 func TestTraceContextRecords(t *testing.T) {
 	tc := NewTraceContext("req-1")
-	if tc.ID() != "req-1" {
-		t.Fatalf("ID = %q", tc.ID())
+	if tc.id != "req-1" {
+		t.Fatalf("ID = %q", tc.id)
 	}
 	s := tc.Start()
 	tc.Span("decode", s)
@@ -75,7 +75,7 @@ func TestTraceContextConcurrent(t *testing.T) {
 // request-free sweep pays for the seam existing.
 func TestDetachedTraceContext(t *testing.T) {
 	var tc *TraceContext
-	if tc.ID() != "" || tc.Dropped() != 0 || tc.Spans() != nil {
+	if tc.Dropped() != 0 || tc.Spans() != nil {
 		t.Error("nil TraceContext must read as empty")
 	}
 	var sink sweep.SpanSink // a nil sink, the engine's detached default
@@ -153,7 +153,7 @@ func TestSpanSinkFrom(t *testing.T) {
 	if got != sweep.SpanSink(tc) {
 		t.Error("sink did not round-trip through the context")
 	}
-	if !strings.HasPrefix(tc.ID(), "ctx") {
-		t.Errorf("ID = %q", tc.ID())
+	if !strings.HasPrefix(tc.id, "ctx") {
+		t.Errorf("ID = %q", tc.id)
 	}
 }

@@ -320,9 +320,9 @@ func TestRequestTraceExport(t *testing.T) {
 	}
 }
 
-// TestDurationHistogram pins the new native-histogram metric beside
-// the kept seconds-total counter: _count equals the requests served
-// per endpoint and the bucket series carry le labels.
+// TestDurationHistogram pins the native-histogram metric: _count
+// equals the requests served per endpoint and the bucket series carry
+// le labels.
 func TestDurationHistogram(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	const n = 3
@@ -342,8 +342,6 @@ func TestDurationHistogram(t *testing.T) {
 		fmt.Sprintf(`ivmserved_request_duration_seconds_bucket{endpoint="bandwidth",le="+Inf"} %d`, n),
 		`ivmserved_request_duration_seconds_bucket{endpoint="bandwidth",le="`,
 		`ivmserved_request_duration_seconds_sum{endpoint="bandwidth"}`,
-		// The dashboard-compatibility counter must survive the migration.
-		`ivmserved_request_seconds_total{endpoint="bandwidth"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics lacks %q:\n%s", want, out)
@@ -448,8 +446,7 @@ func scrape(t *testing.T, url string) map[string]float64 {
 // engine tally: ivmserved_responses_total per path equals the paths the
 // responses carried, the tally summed over families, and
 // ivm_provenance_path_total summed over families; and that each
-// endpoint's request count and seconds are its histogram's _count and
-// _sum.
+// endpoint's request count is its histogram's _count.
 func TestServedCountersAgree(t *testing.T) {
 	srv, ts := newTestServer(t, Options{Workers: 1})
 	four := `{"m":16,"nc":4,"streams":[{"d":1,"b":0,"cpu":0},{"d":3,"b":5,"cpu":1},{"d":5,"b":2,"cpu":0},{"d":7,"b":9,"cpu":1}]}`
@@ -501,9 +498,6 @@ func TestServedCountersAgree(t *testing.T) {
 		label := fmt.Sprintf(`{endpoint=%q}`, ep)
 		if req, n := m["ivmserved_requests_total"+label], m["ivmserved_request_duration_seconds_count"+label]; req != n {
 			t.Errorf("%s: requests_total %g != histogram _count %g", ep, req, n)
-		}
-		if secs, sum := m["ivmserved_request_seconds_total"+label], m["ivmserved_request_duration_seconds_sum"+label]; secs != sum {
-			t.Errorf("%s: request_seconds_total %g != histogram _sum %g", ep, secs, sum)
 		}
 	}
 	if m[`ivmserved_requests_total{endpoint="batch"}`] != 1 || m[`ivmserved_requests_total{endpoint="sweep"}`] != 1 {

@@ -305,23 +305,20 @@ func (s *Server) pathCounts() [sweep.PathSimPacked + 1]int64 {
 	return n
 }
 
-// promMetrics renders the ivmserved_* counters: request counts and
-// seconds are each endpoint's histogram count and sum, the answer-path
-// split is the engine's tally.
+// promMetrics renders the ivmserved_* counters: request counts are each
+// endpoint's histogram count, the answer-path split is the engine's
+// tally.
 func (s *Server) promMetrics() []obs.PromMetric {
 	req := obs.PromMetric{Name: "ivmserved_requests_total",
 		Help: "API requests served, by endpoint.", Type: "counter"}
 	errs := obs.PromMetric{Name: "ivmserved_errors_total",
 		Help: "API requests answered with a 4xx/5xx status, by endpoint.", Type: "counter"}
-	secs := obs.PromMetric{Name: "ivmserved_request_seconds_total",
-		Help: "Wall time spent handling API requests, by endpoint.", Type: "counter"}
 	hist := obs.Histogram("ivmserved_request_duration_seconds",
 		"API request latency distribution, by endpoint (log2 buckets).")
 	for i, name := range endpointNames {
 		snap := s.latency[i].Snapshot()
 		req = req.Sample("endpoint", name, snap.Count)
 		errs = errs.Sample("endpoint", name, s.errors[i].Load())
-		secs = secs.Sample("endpoint", name, snap.SumSeconds)
 		hist = hist.HistSample(snap, "endpoint", name)
 	}
 	paths := obs.PromMetric{Name: "ivmserved_responses_total",
@@ -329,7 +326,7 @@ func (s *Server) promMetrics() []obs.PromMetric {
 	for p, n := range s.pathCounts() {
 		paths = paths.Sample("path", sweep.Path(p).String(), n)
 	}
-	out := []obs.PromMetric{req, errs, secs, hist, paths,
+	out := []obs.PromMetric{req, errs, hist, paths,
 		obs.Gauge("ivmserved_cache_seeded_records",
 			"Store records seeded into the in-RAM cache at start.", float64(s.seeded))}
 	if s.store != nil {

@@ -48,12 +48,13 @@ func postJSON(t *testing.T, url, body string) (int, []byte) {
 	return resp.StatusCode, data
 }
 
-// pinnedPairSpec is the probe spec scripts/check.sh byte-pins: the
+// pinnedPairSpec is the probe spec whose answer is byte-pinned: the
 // unique-barrier pair m=16 nc=4 (1,2), provable under eq-29.
 const pinnedPairSpec = `{"m":16,"nc":4,"streams":[{"d":1,"b":0,"cpu":0},{"d":2,"b":0,"cpu":1}]}`
 
 // pinnedPairResult is its exact response. Changing these bytes is an
-// API break: scripts/check.sh probes a live ivmserved for them.
+// API break: cmd/ivmserved's TestServeAndWarmRestart probes a live
+// ivmserved for them.
 const pinnedPairResult = `{"family":"pair","b_eff":"3/2","num":3,"den":2,"path":"analytic","theorem":"eq-29"}` + "\n"
 
 // TestServeBandwidthPinned byte-pins the bandwidth endpoint on the

@@ -1,10 +1,10 @@
 package serve
 
 // The wire types of the /v1 API. Field order is fixed by these struct
-// definitions, so responses are byte-stable — scripts/check.sh pins
-// the bandwidth endpoint's exact bytes for a known pair, and the
-// restart acceptance test compares responses across server restarts
-// byte for byte. The bandwidth and batch endpoints decode requests
+// definitions, so responses are byte-stable — TestServeBandwidthPinned
+// and cmd/ivmserved's live test pin the bandwidth endpoint's exact
+// bytes for a known pair, and the restart acceptance test compares
+// responses across server restarts byte for byte. The bandwidth and batch endpoints decode requests
 // with codec.go's scanner and append responses as encoding/json writes
 // these definitions; clients marshal SpecJSON and BatchRequest.
 // docs/SERVING.md documents every field.

@@ -200,13 +200,3 @@ func (t *Timeline) Dropped() int64 {
 	defer t.mu.Unlock()
 	return t.dropped
 }
-
-// Len reports how many events are recorded (0 on nil).
-func (t *Timeline) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}

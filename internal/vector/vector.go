@@ -108,6 +108,3 @@ func (cb *CommonBlock) Declare(name string, dims ...int) *Array {
 	cb.next += a.Words()
 	return a
 }
-
-// Words returns the block's total size.
-func (cb *CommonBlock) Words() int64 { return cb.next - cb.Base }

@@ -87,8 +87,8 @@ func TestCommonBlockPacking(t *testing.T) {
 			t.Fatalf("start banks = %v, want 0,1,2,3", banks)
 		}
 	}
-	if cb.Words() != 4*idim {
-		t.Errorf("block size = %d", cb.Words())
+	if size := cb.next - cb.Base; size != 4*idim {
+		t.Errorf("block size = %d", size)
 	}
 }
 
