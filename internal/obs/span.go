@@ -13,6 +13,7 @@ package obs
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ivm/internal/sweep"
@@ -27,10 +28,15 @@ type Span struct {
 }
 
 // DefaultTraceContextCapacity bounds the spans one TraceContext
-// retains; a batch of thousands of specs keeps its first spans and
-// counts the rest as dropped, so one request cannot hold unbounded
-// memory.
+// retains through the engine's span seam (Start and Span); a batch of
+// thousands of specs keeps its first spans and counts the rest as
+// dropped, so one request cannot hold unbounded memory. The handler's
+// own spans (Keep) fall outside the bound.
 const DefaultTraceContextCapacity = 512
+
+// fullToken is the Start token of a full context: Span counts it as a
+// drop without reading the clock or taking the lock.
+const fullToken = -1
 
 // TraceContext is the span recorder of one request. Safe for
 // concurrent use (batch resolutions record from many workers); build
@@ -40,9 +46,11 @@ type TraceContext struct {
 	id    string
 	epoch time.Time
 
-	mu      sync.Mutex
-	spans   []Span
-	dropped int64
+	bounded atomic.Int64 // spans recorded through Span, added under mu
+	dropped atomic.Int64
+
+	mu    sync.Mutex
+	spans []Span
 }
 
 // TraceContext must satisfy the engine's span seam.
@@ -55,28 +63,63 @@ func NewTraceContext(id string) *TraceContext {
 	return &TraceContext{id: id, epoch: time.Now()}
 }
 
-// Start returns a span-start token: nanoseconds since the request
-// began (0 on nil). Pass it to Span to close the interval.
+// Start returns a span-start token for Span: nanoseconds since the
+// request began (0 on nil). A full context reads no clock and returns
+// a token that Span counts as dropped.
 func (t *TraceContext) Start() int64 {
+	if t == nil {
+		return 0
+	}
+	if t.bounded.Load() >= DefaultTraceContextCapacity {
+		return fullToken
+	}
+	return t.Now()
+}
+
+// Span records a named span begun at a Start token and ending now.
+// Past DefaultTraceContextCapacity spans it only counts drops, with
+// one atomic add.
+func (t *TraceContext) Span(name string, start int64) {
+	if t == nil {
+		return
+	}
+	if start == fullToken {
+		t.dropped.Add(1)
+		return
+	}
+	end := t.Now()
+	t.mu.Lock()
+	if t.bounded.Load() >= DefaultTraceContextCapacity {
+		t.mu.Unlock()
+		t.dropped.Add(1)
+		return
+	}
+	t.spans = append(t.spans, Span{Name: name, StartNS: start, DurNS: end - start})
+	t.bounded.Add(1)
+	t.mu.Unlock()
+}
+
+// Now returns nanoseconds since the request began (0 on nil), the
+// start token Keep takes; unlike Start it reads the clock whether or
+// not the context is full.
+func (t *TraceContext) Now() int64 {
 	if t == nil {
 		return 0
 	}
 	return time.Since(t.epoch).Nanoseconds()
 }
 
-// Span records a named span begun at a Start token and ending now.
-// Past DefaultTraceContextCapacity spans it only counts drops.
-func (t *TraceContext) Span(name string, start int64) {
+// Keep records a span of the request's handler — decode, encode —
+// begun at a Now token and ending now, whatever the bound: a handler
+// records a few per request, so a batch's engine spans cannot crowd
+// them out.
+func (t *TraceContext) Keep(name string, start int64) {
 	if t == nil {
 		return
 	}
-	end := time.Since(t.epoch).Nanoseconds()
+	end := t.Now()
 	t.mu.Lock()
-	if len(t.spans) >= DefaultTraceContextCapacity {
-		t.dropped++
-	} else {
-		t.spans = append(t.spans, Span{Name: name, StartNS: start, DurNS: end - start})
-	}
+	t.spans = append(t.spans, Span{Name: name, StartNS: start, DurNS: end - start})
 	t.mu.Unlock()
 }
 
@@ -96,7 +139,5 @@ func (t *TraceContext) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
+	return t.dropped.Load()
 }

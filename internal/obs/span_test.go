@@ -70,6 +70,38 @@ func TestTraceContextConcurrent(t *testing.T) {
 	}
 }
 
+// TestTraceContextFull fills a context from concurrent recorders (go
+// test -race watches it): every span attempted is retained or counted
+// dropped, the handler's Keep span is retained past the bound, and a
+// full context records a drop without allocating.
+func TestTraceContextFull(t *testing.T) {
+	tc := NewTraceContext("full")
+	const goroutines, each = 4, 300
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tc.Span(sweep.SpanSimulate, tc.Start())
+			}
+		}()
+	}
+	wg.Wait()
+	tc.Keep("encode", tc.Now())
+	spans := tc.Spans()
+	if len(spans) != DefaultTraceContextCapacity+1 || spans[len(spans)-1].Name != "encode" {
+		t.Fatalf("retained %d spans ending %q, want %d seam spans then encode",
+			len(spans), spans[len(spans)-1].Name, DefaultTraceContextCapacity)
+	}
+	if got := int64(DefaultTraceContextCapacity) + tc.Dropped(); got != goroutines*each {
+		t.Errorf("retained+dropped = %d, want %d attempted", got, goroutines*each)
+	}
+	if n := testing.AllocsPerRun(200, func() { tc.Span(sweep.SpanSimulate, tc.Start()) }); n != 0 {
+		t.Errorf("a full context allocates %v times per span, want 0", n)
+	}
+}
+
 // TestDetachedTraceContext pins the nil contract: every method is a
 // no-op and the detached span path allocates nothing — the cost a
 // request-free sweep pays for the seam existing.

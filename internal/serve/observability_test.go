@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"ivm/internal/obs"
 	"ivm/internal/sweep"
 )
 
@@ -317,6 +318,74 @@ func TestRequestTraceExport(t *testing.T) {
 		if !bytes.Contains(doc, []byte(want)) {
 			t.Errorf("trace export lacks %s", want)
 		}
+	}
+}
+
+// TestBatchTraceKeepsHandlerSpans sends a batch whose engine spans
+// overrun the trace bound: the retained trace still holds exactly one
+// decode and one encode span beside DefaultTraceContextCapacity engine
+// spans, and the slow-query log's spans_dropped counts the rest.
+func TestBatchTraceKeepsHandlerSpans(t *testing.T) {
+	var logw syncWriter
+	s, ts := newTestServer(t, Options{
+		Workers:       1,
+		AccessLog:     slog.New(slog.NewJSONHandler(&logw, nil)),
+		SlowThreshold: time.Nanosecond,
+	})
+	// The gate is active for strides (2, 4) on m=8 but declines this
+	// placement, so every spec records gate, canonicalise and
+	// cache-probe spans, and the first one also simulate.
+	const n = 512
+	spec := `{"m":8,"nc":2,"streams":[{"d":2,"b":0,"cpu":0},{"d":4,"b":2,"cpu":1}]}`
+	body := `{"specs":[` + strings.Repeat(spec+",", n-1) + spec + `]}`
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/batch", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-ID", "big-batch")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck // body irrelevant here
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+
+	var warn map[string]any
+	deadline := time.Now().Add(2 * time.Second)
+	for warn == nil {
+		for _, l := range strings.Split(logw.String(), "\n") {
+			if strings.Contains(l, "slow request") && strings.Contains(l, `"id":"big-batch"`) {
+				if err := json.Unmarshal([]byte(l), &warn); err != nil {
+					t.Fatalf("WARN line not JSON: %v", err)
+				}
+			}
+		}
+		if warn == nil && time.Now().After(deadline) {
+			t.Fatalf("no slow-request WARN logged:\n%s", logw.String())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	traces, _ := s.traces.snapshot()
+	byName := map[string]int{}
+	for _, tr := range traces {
+		if tr.ID == "big-batch" {
+			for _, sp := range tr.Spans {
+				byName[sp.Name]++
+			}
+		}
+	}
+	if byName[spanDecode] != 1 || byName[spanEncode] != 1 {
+		t.Errorf("retained spans %v, want one decode and one encode", byName)
+	}
+	engine := byName[sweep.SpanGate] + byName[sweep.SpanCanon] + byName[sweep.SpanCacheProbe] + byName[sweep.SpanSimulate]
+	if engine != obs.DefaultTraceContextCapacity {
+		t.Errorf("retained %d engine spans, want %d", engine, obs.DefaultTraceContextCapacity)
+	}
+	if dropped, attempted := warn["spans_dropped"], 3*n+1; dropped != float64(attempted-engine) {
+		t.Errorf("spans_dropped = %v, want %d of %d attempted", dropped, attempted-engine, attempted)
 	}
 }
 

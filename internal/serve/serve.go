@@ -383,9 +383,9 @@ func (s *Server) handleBandwidth(w http.ResponseWriter, r *http.Request) {
 	info.family = res.Family
 	info.results = 1
 	w.Header().Set("Content-Type", "application/json")
-	es := info.tc.Start()
+	es := info.tc.Now()
 	w.Write(encodeResult(res)) //nolint:errcheck // client gone
-	info.tc.Span(spanEncode, es)
+	info.tc.Keep(spanEncode, es)
 }
 
 // handleBatch answers POST /v1/batch: up to MaxBatch specs resolved
@@ -410,15 +410,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	info.results = len(results)
 	info.path = dominantPath(paths)
 	w.Header().Set("Content-Type", "application/json")
-	es := info.tc.Start()
+	es := info.tc.Now()
 	w.Write(encodeBatch(results, paths)) //nolint:errcheck // client gone
-	info.tc.Span(spanEncode, es)
+	info.tc.Keep(spanEncode, es)
 }
 
 // decodeRequest reads and decodes a request's specs (decodeSpecs),
 // timed as the request's decode span when they decode.
 func decodeRequest(r *http.Request, info *reqInfo, batch bool) ([]sweep.ConfigSpec, error) {
-	ds := info.tc.Start()
+	ds := info.tc.Now()
 	body, err := readBody(r)
 	if err != nil {
 		what := "spec"
@@ -429,7 +429,7 @@ func decodeRequest(r *http.Request, info *reqInfo, batch bool) ([]sweep.ConfigSp
 	}
 	specs, err := decodeSpecs(body, batch)
 	if err == nil {
-		info.tc.Span(spanDecode, ds)
+		info.tc.Keep(spanDecode, ds)
 	}
 	return specs, err
 }
@@ -521,7 +521,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	f, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	es := info.tc.Start()
+	es := info.tc.Now()
 	for b2, res := range results {
 		if err := enc.Encode(SweepRowJSON{B2: b2, ResultJSON: resultJSON(res)}); err != nil {
 			return // client gone; rows already written stand
@@ -530,7 +530,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			f.Flush() // stream each row; statusWriter forwards the flush
 		}
 	}
-	info.tc.Span(spanEncode, es)
+	info.tc.Keep(spanEncode, es)
 }
 
 // handleRequestTrace serves GET /debug/requests.trace: the retained

@@ -18,12 +18,15 @@ package sweep
 // stream4 family's low hit rate; see docs/OBSERVABILITY.md).
 
 import (
+	"cmp"
+	"encoding/binary"
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
+	"math/bits"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"ivm/internal/textplot"
 )
@@ -76,66 +79,39 @@ const DefaultProvenanceOrbits = 1 << 18
 // runs unrecorded — the detached path adds no allocations (the overhead
 // tests pin that).
 //
-// Each family's rows are keyed by one canonical orbit's packed memory
-// shape and canonical configuration vector, (m, s, n_c, d_1..d_N,
-// b_1..b_N) as packInts packs it: the coordinates cacheKey uses, minus
-// the CPU layout, which the family's shape fixes for every sweep the
-// CLIs run.
+// A row is keyed by its orbit's cache key — family, (m, s, n_c), CPU
+// layout and canonical configuration vector (d_1..d_N, b_1..b_N) — the
+// key the cache probe has just packed, so two specs with equal vectors
+// on different CPU layouts are two orbits, as they are two cache
+// entries. The rows are sharded like the cache, by the same key hash,
+// each shard under its own lock, and a row holds only its counts: a
+// shard's map of inline keys holds no pointer, so the collector never
+// scans it, and a known row is updated without allocating.
 type Provenance struct {
-	mu        sync.Mutex
-	maxOrbits int
-	rows      int // orbit rows tracked across all families
-	orbits    map[string]map[string]*orbitProvenance
-	dropped   int64
-	key       []byte // observe's key scratch, so a known row allocates nothing
+	maxOrbits int64
+	rows      atomic.Int64 // orbit rows held across all shards
+	dropped   atomic.Int64
+	shards    [cacheShardCount]provShard
 }
 
-// orbitProvenance is the observed population of one canonical orbit.
-type orbitProvenance struct {
-	m, s, nc     int   // the memory shape
-	vec          []int // canonical configuration vector (d_1..d_N, b_1..b_N)
+// provShard holds the rows of inline keys in m and of spilled keys in
+// spill, as bwShard does; a spilled row sits behind a pointer so that
+// updating it builds no key string.
+type provShard struct {
+	mu    sync.Mutex
+	m     map[cacheKey]orbitRow
+	spill map[string]*orbitRow
+}
+
+// orbitRow is the observed population of one canonical orbit.
+type orbitRow struct {
 	hits, misses int64
 	cycleLen     int64 // steady-state period of the last simulation
 	clocks       int64 // lead + cycle clocks across re-simulations
 }
 
-// NewProvenance builds a recorder tracking at most maxOrbits distinct
-// canonical orbits (0 selects DefaultProvenanceOrbits); past the
-// bound, further new orbits are only counted as dropped.
-func NewProvenance(maxOrbits int) *Provenance {
-	if maxOrbits <= 0 {
-		maxOrbits = DefaultProvenanceOrbits
-	}
-	return &Provenance{maxOrbits: maxOrbits, orbits: make(map[string]map[string]*orbitProvenance)}
-}
-
-// observe adds one canonicalised or simulated placement of cs to its
-// orbit's row: a cache hit, or a simulation with its steady state
-// (cycle length and lead+cycle clocks). cs.vec holds the configuration
-// vector that keyed the cache or was simulated. The row's key is built
-// in the recorder's scratch, so only a new row allocates.
-func (p *Provenance) observe(cs *compiledSpec, r Resolution) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fam := p.orbits[cs.family]
-	if fam == nil {
-		fam = make(map[string]*orbitProvenance)
-		p.orbits[cs.family] = fam
-	}
-	p.key = appendPacked(appendPacked(p.key[:0], []int{cs.spec.M, cs.spec.S, cs.spec.NC}), cs.vec)
-	o := fam[string(p.key)]
-	if o == nil {
-		if p.rows >= p.maxOrbits {
-			p.dropped++
-			return
-		}
-		o = &orbitProvenance{m: cs.spec.M, s: cs.spec.S, nc: cs.spec.NC, vec: append([]int(nil), cs.vec...)}
-		fam[string(p.key)] = o
-		p.rows++
-	}
+// add counts one placement answered on r's path.
+func (o *orbitRow) add(r Resolution) {
 	if r.Path == PathCache {
 		o.hits++
 		return
@@ -145,6 +121,63 @@ func (p *Provenance) observe(cs *compiledSpec, r Resolution) {
 	o.clocks += r.Clocks
 }
 
+// NewProvenance builds a recorder tracking at most maxOrbits distinct
+// canonical orbits (0 selects DefaultProvenanceOrbits); past the
+// bound, further new orbits are only counted as dropped.
+func NewProvenance(maxOrbits int) *Provenance {
+	if maxOrbits <= 0 {
+		maxOrbits = DefaultProvenanceOrbits
+	}
+	return &Provenance{maxOrbits: int64(maxOrbits)}
+}
+
+// observe adds one canonicalised or simulated placement of cs to its
+// orbit's row: a cache hit, or a simulation with its steady state
+// (cycle length and lead+cycle clocks). cs.key holds the key the cache
+// probe packed; a spec without a cache packs the vector it simulated,
+// cs.vec, itself. Only a new row allocates, and only by map growth.
+func (p *Provenance) observe(cs *compiledSpec, r Resolution) {
+	if p == nil {
+		return
+	}
+	k := &cs.key
+	if cs.cache == nil {
+		k.setVec(cs.vec)
+	}
+	s := &p.shards[k.shard()]
+	s.mu.Lock()
+	if ik, in := inlineKey(k.buf); in {
+		if o, ok := s.m[ik]; ok || p.admit() {
+			o.add(r)
+			if s.m == nil {
+				s.m = make(map[cacheKey]orbitRow)
+			}
+			s.m[ik] = o
+		}
+	} else if o := s.spill[string(k.buf)]; o != nil {
+		o.add(r)
+	} else if p.admit() {
+		o = new(orbitRow)
+		o.add(r)
+		if s.spill == nil {
+			s.spill = make(map[string]*orbitRow)
+		}
+		s.spill[string(k.buf)] = o
+	}
+	s.mu.Unlock()
+}
+
+// admit reserves a row for a new orbit under the bound; past it, it
+// counts the orbit as dropped and reports false.
+func (p *Provenance) admit() bool {
+	if p.rows.Add(1) <= p.maxOrbits {
+		return true
+	}
+	p.rows.Add(-1)
+	p.dropped.Add(1)
+	return false
+}
+
 // --- Aggregated snapshot ------------------------------------------------
 
 // OrbitInfo is the observed population of one canonical orbit in a
@@ -152,12 +185,14 @@ func (p *Provenance) observe(cs *compiledSpec, r Resolution) {
 // split into cache hits (reused simulations) and misses (simulations
 // run), with the simulation cost attached.
 type OrbitInfo struct {
-	// M, S, NC and Vec pin the orbit's canonical representative: the
-	// memory shape and the configuration vector (d_1..d_N, b_1..b_N).
-	M   int   `json:"m"`
-	S   int   `json:"s,omitempty"`
-	NC  int   `json:"nc"`
-	Vec []int `json:"vec"`
+	// M, S, NC, CPUs and Vec pin the orbit's canonical representative:
+	// the memory shape, the CPU of each stream and the configuration
+	// vector (d_1..d_N, b_1..b_N).
+	M    int   `json:"m"`
+	S    int   `json:"s,omitempty"`
+	NC   int   `json:"nc"`
+	CPUs []int `json:"cpus,omitempty"`
+	Vec  []int `json:"vec"`
 	// Hits and Misses are the orbit's observed cache traffic; Size is
 	// their sum — the placements this orbit explains.
 	Hits   int64 `json:"hits"`
@@ -171,7 +206,8 @@ type OrbitInfo struct {
 }
 
 // Label renders the orbit's canonical representative compactly, e.g.
-// "m=13 nc=4 d=[1 6] b=[0 7]".
+// "m=13 nc=4 d=[1 6] b=[0 7]". It leaves out the CPU layout, which
+// each family the CLIs sweep fixes.
 func (o OrbitInfo) Label() string {
 	n := len(o.Vec) / 2
 	s := fmt.Sprintf("m=%d", o.M)
@@ -255,54 +291,31 @@ type ProvenanceSnapshot struct {
 
 // view joins the engine's answer tally with the recorder's orbit rows
 // into the attribution view (Engine.Snapshot is its one caller). Safe
-// to call concurrently with recording.
+// to call concurrently with recording: it walks the shards once, each
+// under its own lock. The counts and the size histogram read only the
+// row values; only the rows the two lists report have their keys
+// decoded.
 func (p *Provenance) view(tally map[string]FamilyProvenance) ProvenanceSnapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := ProvenanceSnapshot{DroppedOrbits: p.dropped}
+	aggs := make(map[string]*orbitAgg, len(tally))
+	for name := range tally {
+		aggs[name] = newOrbitAgg()
+	}
+	var spilled []byte
+	for i := range p.shards {
+		s := &p.shards[i]
+		s.mu.Lock()
+		for k, o := range s.m {
+			addRow(aggs, k.bytes(), o)
+		}
+		for k, o := range s.spill {
+			spilled = append(spilled[:0], k...)
+			addRow(aggs, spilled, *o)
+		}
+		s.mu.Unlock()
+	}
+	s := ProvenanceSnapshot{DroppedOrbits: p.dropped.Load()}
 	for name, fp := range tally {
-		fam := p.orbits[name]
-		orbits := make([]OrbitInfo, 0, len(fam))
-		for _, o := range fam {
-			orbits = append(orbits, OrbitInfo{
-				M: o.m, S: o.s, NC: o.nc, Vec: o.vec,
-				Hits: o.hits, Misses: o.misses, Size: o.hits + o.misses,
-				CycleLength: o.cycleLen, Clocks: o.clocks,
-			})
-		}
-		fp.Orbits = int64(len(orbits))
-		var placements int64
-		for _, o := range orbits {
-			placements += o.Size
-			if o.Size == 1 {
-				fp.SingletonOrbits++
-			}
-		}
-		if fp.Orbits > 0 {
-			fp.MeanOrbitSize = float64(placements) / float64(fp.Orbits)
-		}
-		fp.OrbitSizes = orbitSizeHistogram(orbits)
-		fp.TopOrbits = topOrbits(orbits, TopOrbitK, func(a, b OrbitInfo) bool {
-			if a.Size != b.Size {
-				return a.Size > b.Size
-			}
-			return orbitLess(a, b)
-		})
-		unexplained := orbits[:0]
-		for _, o := range orbits {
-			if o.Misses > 0 {
-				unexplained = append(unexplained, o)
-			}
-		}
-		fp.UnexplainedOrbits = topOrbits(unexplained, TopOrbitK, func(a, b OrbitInfo) bool {
-			if a.Misses != b.Misses {
-				return a.Misses > b.Misses
-			}
-			if a.Clocks != b.Clocks {
-				return a.Clocks > b.Clocks
-			}
-			return orbitLess(a, b)
-		})
+		aggs[name].fill(&fp)
 		if s.Families == nil {
 			s.Families = make(map[string]FamilyProvenance)
 		}
@@ -311,70 +324,147 @@ func (p *Provenance) view(tally map[string]FamilyProvenance) ProvenanceSnapshot 
 	return s
 }
 
-// orbitLess is the deterministic tie-break ordering on orbits: by
-// memory shape, then canonical vector.
-func orbitLess(a, b OrbitInfo) bool {
-	if a.M != b.M {
-		return a.M < b.M
+// addRow adds the row of key to its family's aggregate, if the tally
+// has that family.
+func addRow(aggs map[string]*orbitAgg, key []byte, o orbitRow) {
+	n, w := binary.Varint(key)
+	a := aggs[string(key[w:w+int(n)])]
+	if a == nil {
+		return
 	}
-	if a.S != b.S {
-		return a.S < b.S
+	size := o.hits + o.misses
+	a.orbits++
+	a.placements += size
+	if size == 1 {
+		a.singletons++
 	}
-	if a.NC != b.NC {
-		return a.NC < b.NC
+	b := &a.sizes[bits.Len64(uint64(size-1))]
+	b.orbits++
+	b.placements += size
+	a.top.offer(key, o)
+	if o.misses > 0 {
+		a.unexplained.offer(key, o)
 	}
-	for i := range a.Vec {
-		if i >= len(b.Vec) {
-			return false
-		}
-		if a.Vec[i] != b.Vec[i] {
-			return a.Vec[i] < b.Vec[i]
-		}
-	}
-	return len(a.Vec) < len(b.Vec)
 }
 
-// topOrbits sorts a copy of orbits by less and returns the first k.
-func topOrbits(orbits []OrbitInfo, k int, less func(a, b OrbitInfo) bool) []OrbitInfo {
-	out := append([]OrbitInfo(nil), orbits...)
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
-	if len(out) > k {
-		out = out[:k]
+// orbitAgg aggregates one family's rows: counts, the orbit-size
+// histogram in power-of-two buckets (bucket i holds sizes
+// (2^(i-1), 2^i], bucket 0 size 1), and the rows of its two lists.
+type orbitAgg struct {
+	orbits, singletons, placements int64
+	sizes                          [64]struct{ orbits, placements int64 }
+	top, unexplained               topOrbits
+}
+
+func newOrbitAgg() *orbitAgg {
+	return &orbitAgg{
+		// The largest orbits by explained placements.
+		top: topOrbits{less: func(a, b *orbitRef) bool {
+			if sa, sb := a.row.hits+a.row.misses, b.row.hits+b.row.misses; sa != sb {
+				return sa > sb
+			}
+			return orbitLess(a.key, b.key)
+		}},
+		// The most re-simulated, then most expensive, orbits.
+		unexplained: topOrbits{less: func(a, b *orbitRef) bool {
+			if a.row.misses != b.row.misses {
+				return a.row.misses > b.row.misses
+			}
+			if a.row.clocks != b.row.clocks {
+				return a.row.clocks > b.row.clocks
+			}
+			return orbitLess(a.key, b.key)
+		}},
 	}
-	if len(out) == 0 {
+}
+
+// fill sets fp's orbit fields from the aggregate.
+func (a *orbitAgg) fill(fp *FamilyProvenance) {
+	fp.Orbits, fp.SingletonOrbits = a.orbits, a.singletons
+	if a.orbits > 0 {
+		fp.MeanOrbitSize = float64(a.placements) / float64(a.orbits)
+	}
+	for i, b := range a.sizes {
+		if b.orbits > 0 {
+			fp.OrbitSizes = append(fp.OrbitSizes, OrbitSizeBucket{
+				Lo: int64(1)<<i/2 + 1, Hi: int64(1) << i, Orbits: b.orbits, Placements: b.placements,
+			})
+		}
+	}
+	fp.TopOrbits = a.top.infos()
+	fp.UnexplainedOrbits = a.unexplained.infos()
+}
+
+// orbitRef is a row held by a list: its key, copied out of the shard,
+// and its counts.
+type orbitRef struct {
+	key []byte
+	row orbitRow
+}
+
+// topOrbits keeps the TopOrbitK rows first under less, in that order.
+type topOrbits struct {
+	less func(a, b *orbitRef) bool
+	refs []orbitRef
+}
+
+// offer adds the row of key when it ranks among the first TopOrbitK,
+// evicting the last.
+func (t *topOrbits) offer(key []byte, o orbitRow) {
+	n := len(t.refs)
+	if n == TopOrbitK {
+		if !t.less(&orbitRef{key: key, row: o}, &t.refs[n-1]) {
+			return
+		}
+		n--
+		t.refs[n].key = append(t.refs[n].key[:0], key...)
+		t.refs[n].row = o
+	} else {
+		t.refs = append(t.refs, orbitRef{key: append([]byte(nil), key...), row: o})
+	}
+	for ; n > 0 && t.less(&t.refs[n], &t.refs[n-1]); n-- {
+		t.refs[n], t.refs[n-1] = t.refs[n-1], t.refs[n]
+	}
+}
+
+// infos decodes the kept rows into OrbitInfos (nil when none).
+func (t *topOrbits) infos() []OrbitInfo {
+	if len(t.refs) == 0 {
 		return nil
+	}
+	out := make([]OrbitInfo, len(t.refs))
+	for i, r := range t.refs {
+		kp := parseKey(r.key)
+		out[i] = OrbitInfo{
+			M: kp.m, S: kp.s, NC: kp.nc, CPUs: unpackInts(kp.cpus), Vec: unpackInts(kp.vec),
+			Hits: r.row.hits, Misses: r.row.misses, Size: r.row.hits + r.row.misses,
+			CycleLength: r.row.cycleLen, Clocks: r.row.clocks,
+		}
 	}
 	return out
 }
 
-// orbitSizeHistogram buckets orbit populations into power-of-two bins
-// (1, 2, 3-4, 5-8, ...).
-func orbitSizeHistogram(orbits []OrbitInfo) []OrbitSizeBucket {
-	if len(orbits) == 0 {
-		return nil
-	}
-	var buckets []OrbitSizeBucket
-	find := func(size int64) *OrbitSizeBucket {
-		lo, hi := int64(1), int64(1)
-		for size > hi {
-			lo = hi + 1
-			hi *= 2
+// orbitLess is the deterministic tie-break ordering on the keys of one
+// family's orbits: by memory shape, then canonical vector, then CPU
+// layout. It reads both keys in place.
+func orbitLess(a, b []byte) bool {
+	ka, kb := parseKey(a), parseKey(b)
+	return cmp.Or(cmp.Compare(ka.m, kb.m), cmp.Compare(ka.s, kb.s), cmp.Compare(ka.nc, kb.nc),
+		comparePacked(ka.vec, kb.vec), comparePacked(ka.cpus, kb.cpus)) < 0
+}
+
+// comparePacked orders two packed vectors lexicographically by value,
+// a proper prefix first.
+func comparePacked(a, b []byte) int {
+	for len(a) > 0 && len(b) > 0 {
+		x, n := binary.Varint(a)
+		y, m := binary.Varint(b)
+		if x != y {
+			return cmp.Compare(x, y)
 		}
-		for i := range buckets {
-			if buckets[i].Lo == lo {
-				return &buckets[i]
-			}
-		}
-		buckets = append(buckets, OrbitSizeBucket{Lo: lo, Hi: hi})
-		return &buckets[len(buckets)-1]
+		a, b = a[n:], b[m:]
 	}
-	for _, o := range orbits {
-		b := find(o.Size)
-		b.Orbits++
-		b.Placements += o.Size
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].Lo < buckets[j].Lo })
-	return buckets
+	return cmp.Compare(len(a), len(b))
 }
 
 // FamilyNames lists the snapshot's family names in sorted order

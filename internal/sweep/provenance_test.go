@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -310,6 +312,94 @@ func TestRecordedCacheHitAllocs(t *testing.T) {
 	}
 }
 
+// Two stream4 specs with equal streams on different CPU layouts are
+// two simulations and two cache entries, so they must be two orbits,
+// each observed once.
+func TestProvenanceSeparatesCPULayouts(t *testing.T) {
+	eng := NewEngine(Options{Workers: 1, Provenance: NewProvenance(0)})
+	spec := func(cpus ...int) ConfigSpec {
+		s := ConfigSpec{M: 16, NC: 4}
+		for i, db := range [][2]int{{1, 0}, {3, 5}, {5, 2}, {7, 9}} {
+			s.Streams = append(s.Streams, Stream{D: db[0], B: db[1], CPU: cpus[i]})
+		}
+		return s
+	}
+	for _, s := range []ConfigSpec{spec(0, 0, 1, 1), spec(0, 1, 0, 1)} {
+		if r, err := eng.Resolve(s); err != nil || r.Path == PathCache {
+			t.Fatalf("resolve %v: path %v, err %v; want a simulation", s.Streams, r.Path, err)
+		}
+	}
+	f := eng.Snapshot().Provenance.Families["stream4"]
+	if f.Orbits != 2 || f.SingletonOrbits != 2 {
+		t.Fatalf("orbits %d, singletons %d; want 2 singleton orbits", f.Orbits, f.SingletonOrbits)
+	}
+	if len(f.UnexplainedOrbits) != 2 {
+		t.Fatalf("unexplained orbits %+v, want 2 rows", f.UnexplainedOrbits)
+	}
+	a, b := f.UnexplainedOrbits[0], f.UnexplainedOrbits[1]
+	if a.Misses != 1 || b.Misses != 1 || reflect.DeepEqual(a.CPUs, b.CPUs) {
+		t.Errorf("rows %+v and %+v: want one miss each on distinct CPU layouts", a, b)
+	}
+}
+
+// An orbit whose key is too long to hold inline (twelve streams on a
+// 1000-bank memory) keeps its row in the shard's spill map: a repeat
+// hits it, and the snapshot decodes its CPU layout.
+func TestProvenanceSpilledKey(t *testing.T) {
+	eng := NewEngine(Options{Workers: 1, Provenance: NewProvenance(0)})
+	long := ConfigSpec{M: 1000, NC: 2, Streams: make([]Stream, 12)}
+	cpus := make([]int, len(long.Streams))
+	for i := range long.Streams {
+		cpus[i] = i % 3
+		long.Streams[i] = Stream{D: 250 * (1 + i%2), B: 97 * i % 1000, CPU: cpus[i]}
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := eng.Resolve(long); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := eng.Snapshot().Provenance.Families[long.Family()]
+	if f.Orbits != 1 || len(f.TopOrbits) != 1 {
+		t.Fatalf("family %s: %d orbits, top %+v; want one", long.Family(), f.Orbits, f.TopOrbits)
+	}
+	if o := f.TopOrbits[0]; o.Hits != 1 || o.Misses != 1 || !reflect.DeepEqual(o.CPUs, cpus) {
+		t.Errorf("spilled orbit %+v: want one hit, one miss on CPUs %v", o, cpus)
+	}
+}
+
+// TestProvenanceRowBytes bounds what the recorder retains per orbit
+// row: 1<<16 distinct orbits recorded through the answer route's
+// recording point must leave at most rowBytes each on the heap. At this
+// count each shard holds 4,096 rows, just past a split of its map's
+// tables (at half load), where the pointer-free rows retain about 160 B
+// each; rows held as a heap struct, vector and key string behind a
+// string-keyed map retained about 213 B.
+func TestProvenanceRowBytes(t *testing.T) {
+	const rows, rowBytes = 1 << 16, 184
+	prov := NewProvenance(0)
+	w := &worker{e: NewEngine(Options{Workers: 1, Provenance: prov})}
+	cs := w.compile(ConfigSpec{M: 16, NC: 4, Streams: []Stream{{D: 1}, {D: 3, CPU: 1}, {D: 5, CPU: 2}, {D: 7, CPU: 3}}})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rows; i++ {
+		cs.load([]int{i % 16, i / 16 % 16, i / 256 % 16, i / 4096})
+		cs.key.setVec(cs.vec)
+		w.record(cs, Resolution{Path: PathCache}, 0)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if n := prov.rows.Load(); n != rows {
+		t.Fatalf("recorded %d rows, want %d", n, rows)
+	}
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / rows
+	t.Logf("%d B per orbit row", per)
+	if per > rowBytes {
+		t.Errorf("recorder retains %d B per orbit row, want at most %d", per, rowBytes)
+	}
+	runtime.KeepAlive(prov)
+}
+
 // BenchmarkProvenanceAttached quantifies the recording cost against
 // the free detached path (BenchmarkProvenanceDetached).
 func BenchmarkProvenanceDetached(b *testing.B) {
@@ -326,18 +416,45 @@ func BenchmarkProvenanceDetached(b *testing.B) {
 }
 
 // BenchmarkProvenanceAttached is the same warm resolver loop with a
-// live recorder taking one record per call.
+// live recorder taking one record per call. Its parallel case runs
+// GOMAXPROCS goroutines (two on a 2-vCPU machine), each with its own
+// worker, over the 169 cached placements of a triple spec from its own
+// starting point: their records spread over the recorder's shards, so
+// two goroutines contend only where their orbits share a shard.
 func BenchmarkProvenanceAttached(b *testing.B) {
 	eng := NewEngine(Options{Workers: 1, Provenance: NewProvenance(0)})
-	w := &worker{e: eng}
-	cs := w.compile(PairSpec(13, 4, 1, 6))
-	bb := []int{0, 7}
-	w.resolve(cs, bb, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.Run("serial", func(b *testing.B) {
+		w := &worker{e: eng}
+		cs := w.compile(PairSpec(13, 4, 1, 6))
+		bb := []int{0, 7}
 		w.resolve(cs, bb, nil)
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.resolve(cs, bb, nil)
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		const m = 13
+		spec := TripleCensusSpec(m, 4, [3]int{1, 2, 6}, [3]int{0, 1, 2})
+		w := &worker{e: eng}
+		cs := w.compile(spec)
+		for x := 0; x < m*m; x++ {
+			w.resolve(cs, []int{0, x / m, x % m}, nil)
+		}
+		var goroutines atomic.Int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			w := &worker{e: eng}
+			cs := w.compile(spec)
+			bb := []int{0, 0, 0}
+			for x := int(goroutines.Add(1)) * 61; pb.Next(); x = (x + 1) % (m * m) {
+				bb[1], bb[2] = x/m, x%m
+				w.resolve(cs, bb, nil)
+			}
+		})
+	})
 }
 
 // The tally and the provenance view are read while workers record
