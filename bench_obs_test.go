@@ -31,7 +31,7 @@ func BenchmarkLatencyHist(b *testing.B) {
 		h.ObserveNS(int64(i%1_000_000) + 1)
 	}
 	b.StopTimer()
-	if got := h.Count(); got < int64(b.N) {
+	if got := h.Snapshot().Count; got < int64(b.N) {
 		b.Fatalf("histogram lost observations: %d < %d", got, b.N)
 	}
 }

@@ -24,11 +24,11 @@ func TestEq8MatchesZeroConflictRuns(t *testing.T) {
 					for b2 := 0; b2 < m; b2++ {
 						want := PairConflictFreeAt(m, nc, 0, d1, b2, d2)
 						sys := memsys.New(memsys.Config{Banks: m, BankBusy: nc, CPUs: 2})
-						sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, int64(d1)))
-						sys.AddPort(1, "2", memsys.NewInfiniteStrided(int64(b2), int64(d2)))
+						p1 := sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, int64(d1)))
+						p2 := sys.AddPort(1, "2", memsys.NewInfiniteStrided(int64(b2), int64(d2)))
 						clocks := int64(8*m*nc + 64)
 						sys.Run(clocks)
-						delays := sys.Ports()[0].Count.Delays() + sys.Ports()[1].Count.Delays()
+						delays := p1.Count.Delays() + p2.Count.Delays()
 						got := delays == 0
 						if got != want {
 							t.Fatalf("m=%d nc=%d d1=%d d2=%d b2=%d: zero-conflict=%v, Eq. 8 says %v",

@@ -176,10 +176,10 @@ func TestOneCPUNeverSimultaneous(t *testing.T) {
 		for d1 := 0; d1 < 12; d1++ {
 			for b2 := 0; b2 < 3; b2++ {
 				sys := memsys.New(memsys.Config{Banks: 12, Sections: s, BankBusy: 3, CPUs: 1})
-				sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, int64(d1)))
-				sys.AddPort(0, "2", memsys.NewInfiniteStrided(int64(b2), 1))
+				p1 := sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, int64(d1)))
+				p2 := sys.AddPort(0, "2", memsys.NewInfiniteStrided(int64(b2), 1))
 				sys.Run(300)
-				for _, p := range sys.Ports() {
+				for _, p := range []*memsys.Port{p1, p2} {
 					if p.Count.Simultaneous != 0 {
 						t.Fatalf("s=%d d1=%d b2=%d: simultaneous conflict within one CPU", s, d1, b2)
 					}

@@ -41,7 +41,7 @@ func FuzzSimulatorInvariants(f *testing.F) {
 			sys.Step()
 		}
 		// Conservation: the finite stream transferred at most 40.
-		if g := sys.Ports()[2].Count.Grants; g > 40 {
+		if g := sys.ports[2].Count.Grants; g > 40 {
 			t.Fatalf("finite stream granted %d > 40", g)
 		}
 	})

@@ -120,8 +120,8 @@ func sameState(t *testing.T, scalar, packed *System, at string) {
 			t.Fatalf("%s bank %d: scalar owner %d, packed owner %d", at, b, so.ID, po.ID)
 		}
 	}
-	for i, port := range scalar.Ports() {
-		pp := packed.Ports()[i]
+	for i, port := range scalar.ports {
+		pp := packed.ports[i]
 		if port.Count != pp.Count {
 			t.Fatalf("%s port %d counters diverge: scalar %+v packed %+v", at, i, port.Count, pp.Count)
 		}

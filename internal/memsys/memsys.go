@@ -395,12 +395,10 @@ func (s *System) Config() Config { return s.cfg }
 // the clock at reuse.
 //
 // The ports AddStreams built are kept too: the next AddStreams re-arms
-// them for its streams instead of allocating (see AddStreams), so a
-// Port taken from Ports before Reset may describe a different stream
-// after it. Ports attached with AddPort, and ports a listener could
-// have seen (see SetListener), are never re-armed. Rearm does Reset
-// and AddStreams in one pass when the new streams keep the attached
-// ports' CPUs.
+// them for its streams instead of allocating (see AddStreams). Ports
+// attached with AddPort, and ports a listener could have seen (see
+// SetListener), are never re-armed. Rearm does Reset and AddStreams in
+// one pass when the new streams keep the attached ports' CPUs.
 func (s *System) Reset() {
 	s.ports = s.ports[:0]
 	s.rearmed = 0
@@ -473,9 +471,6 @@ func (s *System) attach(p *Port) {
 	p.ID = len(s.ports)
 	s.ports = append(s.ports, p)
 }
-
-// Ports returns the attached ports in ID order.
-func (s *System) Ports() []*Port { return s.ports }
 
 // Clock returns the number of clock periods simulated so far.
 func (s *System) Clock() int64 { return s.clock }

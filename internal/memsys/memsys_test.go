@@ -69,7 +69,7 @@ func TestSingleStreamFullBandwidth(t *testing.T) {
 	if got != 100 {
 		t.Fatalf("grants = %d, want 100", got)
 	}
-	if c := sys.Ports()[0].Count; c.Delays() != 0 {
+	if c := sys.ports[0].Count; c.Delays() != 0 {
 		t.Fatalf("unexpected delays: %+v", c)
 	}
 }
@@ -235,10 +235,10 @@ func TestFixedPriorityWinsByID(t *testing.T) {
 	}
 	// With nc=1 the bank frees every clock; port 0 always wins the
 	// simultaneous conflict under fixed priority.
-	if g := sys.Ports()[0].Count.Grants; g != 10 {
+	if g := sys.ports[0].Count.Grants; g != 10 {
 		t.Fatalf("port 0 grants = %d, want 10", g)
 	}
-	if g := sys.Ports()[1].Count.Grants; g != 0 {
+	if g := sys.ports[1].Count.Grants; g != 0 {
 		t.Fatalf("port 1 grants = %d, want 0", g)
 	}
 }
@@ -250,8 +250,8 @@ func TestCyclicPriorityAlternates(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		sys.Step()
 	}
-	g0 := sys.Ports()[0].Count.Grants
-	g1 := sys.Ports()[1].Count.Grants
+	g0 := sys.ports[0].Count.Grants
+	g1 := sys.ports[1].Count.Grants
 	if g0 != 5 || g1 != 5 {
 		t.Fatalf("grants = %d/%d, want 5/5 under rotating priority", g0, g1)
 	}

@@ -21,7 +21,7 @@ func checkCycleByRun(t testing.TB, twin *System, c Cycle) {
 	t.Helper()
 	twin.SetKernel(KernelScalar)
 	twin.Run(c.Lead)
-	ports := twin.Ports()
+	ports := twin.ports
 	before := make([]Counters, len(ports))
 	for i, p := range ports {
 		before[i] = p.Count

@@ -128,7 +128,7 @@ func TestPriorityHolderAtAfterReset(t *testing.T) {
 			// rr was rewound to zero: the first post-Reset clock must be
 			// held by the rotation's zero position, and every later clock
 			// by the observed winner.
-			if h := sys.PriorityHolderAt(sys.Clock()); h.ID != sys.Ports()[0].ID {
+			if h := sys.PriorityHolderAt(sys.Clock()); h.ID != sys.ports[0].ID {
 				t.Fatalf("post-Reset holder is port %d, want port 0 (rr rewound)", h.ID)
 			}
 			for clk := 0; clk < 9; clk++ {
@@ -197,7 +197,7 @@ func TestRoundRobinCoincidences(t *testing.T) {
 		}
 		sys.Run(500)
 		var grants []int64
-		for _, p := range sys.Ports() {
+		for _, p := range sys.ports {
 			grants = append(grants, p.Count.Grants, p.Count.Bank, p.Count.Simultaneous, p.Count.Section)
 		}
 		return grants

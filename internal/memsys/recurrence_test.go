@@ -86,7 +86,7 @@ func TestFindCyclePackedCounterWrap(t *testing.T) {
 	for _, p := range searchPlacements {
 		packed := newPackedSystem(p.m, p.nc)
 		attachPlacement(packed, p.d1, p.b2, p.d2)
-		for _, port := range packed.Ports() {
+		for _, port := range packed.ports {
 			port.Count = Counters{Grants: near, Bank: near, Simultaneous: near, Section: near, Idle: near}
 		}
 		scalar := New(packed.Config())

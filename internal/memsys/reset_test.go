@@ -163,8 +163,8 @@ func TestResetKeepsClock(t *testing.T) {
 	if sys.Clock() != before {
 		t.Fatalf("clock rewound: %d -> %d", before, sys.Clock())
 	}
-	if len(sys.Ports()) != 0 {
-		t.Fatalf("%d ports survived Reset", len(sys.Ports()))
+	if len(sys.ports) != 0 {
+		t.Fatalf("%d ports survived Reset", len(sys.ports))
 	}
 	for b := 0; b < 8; b++ {
 		if sys.busy[b] != 0 || sys.BankOwner(b) != nil {
@@ -199,7 +199,7 @@ func TestAddStreamsKeepsListenedPorts(t *testing.T) {
 		if len(rec.ports) == 0 {
 			t.Fatal("listener saw no events")
 		}
-		kept := append([]*Port(nil), sys.Ports()...)
+		kept := append([]*Port(nil), sys.ports...)
 		if !attachFirst {
 			sys.SetListener(nil)
 		}
@@ -211,7 +211,7 @@ func TestAddStreamsKeepsListenedPorts(t *testing.T) {
 			if p.ID != i || p.Label != "ab"[i:i+1] {
 				t.Errorf("listener attached first %v: kept port %d reads ID %d label %q after the next AddStreams", attachFirst, i, p.ID, p.Label)
 			}
-			for _, now := range sys.Ports() {
+			for _, now := range sys.ports {
 				if now == p {
 					t.Errorf("listener attached first %v: kept port %d was re-armed", attachFirst, i)
 				}
@@ -266,8 +266,8 @@ func TestRearmMatchesResetAddStreams(t *testing.T) {
 					t.Fatalf("%s: re-armed\n%+v\nrebuilt\n%+v", at, got, want)
 				}
 				sameState(t, rebuilt, rearmed, at+" after FindCycleInto")
-				for i, p := range rearmed.Ports() {
-					q := rebuilt.Ports()[i]
+				for i, p := range rearmed.ports {
+					q := rebuilt.ports[i]
 					if p.ID != q.ID || p.CPU != q.CPU || p.Label != q.Label {
 						t.Fatalf("%s: port %d reads %d/%d/%q, rebuilt %d/%d/%q", at, i, p.ID, p.CPU, p.Label, q.ID, q.CPU, q.Label)
 					}

@@ -12,7 +12,7 @@ func TestWindowOneEqualsInOrder(t *testing.T) {
 		if !done {
 			t.Fatal("did not finish")
 		}
-		return clocks, sys.Ports()[0].Count.Grants
+		return clocks, sys.ports[0].Count.Grants
 	}
 	c1, g1 := run(1)
 

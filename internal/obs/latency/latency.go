@@ -30,12 +30,11 @@ const bucketCount = 64
 // mirroring the detached tracer).
 type Hist struct {
 	buckets [bucketCount]atomic.Int64
-	count   atomic.Int64
 	sumNS   atomic.Int64
 }
 
 // ObserveNS records one latency observation of ns nanoseconds
-// (negative observations clamp to zero) with three atomic adds — no
+// (negative observations clamp to zero) with two atomic adds — no
 // locks, no allocation.
 func (h *Hist) ObserveNS(ns int64) {
 	if h == nil {
@@ -45,20 +44,11 @@ func (h *Hist) ObserveNS(ns int64) {
 		ns = 0
 	}
 	h.buckets[bits.Len64(uint64(ns))].Add(1)
-	h.count.Add(1)
 	h.sumNS.Add(ns)
 }
 
 // Observe records one duration.
 func (h *Hist) Observe(d time.Duration) { h.ObserveNS(d.Nanoseconds()) }
-
-// Count returns the number of observations (0 on nil).
-func (h *Hist) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
 
 // Bucket is one non-empty log2 bucket of a snapshot: the count of
 // observations below UpperSeconds but at or above the previous

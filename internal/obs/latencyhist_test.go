@@ -89,7 +89,7 @@ func TestLatencyHistQuantileGolden(t *testing.T) {
 // rank clamps to that observation.
 func TestLatencyHistQuantileEdges(t *testing.T) {
 	var nilHist *latency.Hist
-	if nilHist.Snapshot().P50 != 0 || nilHist.Count() != 0 {
+	if s := nilHist.Snapshot(); s.P50 != 0 || s.Count != 0 {
 		t.Error("nil histogram must report zero quantiles and count")
 	}
 	nilHist.ObserveNS(5) // must not panic

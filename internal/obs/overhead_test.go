@@ -14,17 +14,18 @@ import (
 // the detached path is the seed path, byte for byte — and the
 // attached cost.
 
-func contendedSystem() *memsys.System {
+func contendedSystem() (*memsys.System, []*memsys.Port) {
 	sys := memsys.New(memsys.Config{Banks: 16, Sections: 4, BankBusy: 4, CPUs: 2})
+	var ports []*memsys.Port
 	for i := 0; i < 3; i++ {
-		sys.AddPort(0, "1", memsys.NewInfiniteStrided(int64(i), 1))
-		sys.AddPort(1, "2", memsys.NewInfiniteStrided(int64(i), 2))
+		ports = append(ports, sys.AddPort(0, "1", memsys.NewInfiniteStrided(int64(i), 1)),
+			sys.AddPort(1, "2", memsys.NewInfiniteStrided(int64(i), 2)))
 	}
-	return sys
+	return sys, ports
 }
 
 func TestDetachedTracerAllocatesNothing(t *testing.T) {
-	sys := contendedSystem()
+	sys, _ := contendedSystem()
 	_ = NewTracer(1024) // exists, never installed
 	sys.Run(64)         // warm up past the transient
 	if allocs := testing.AllocsPerRun(200, func() { sys.Step() }); allocs != 0 {
@@ -33,7 +34,7 @@ func TestDetachedTracerAllocatesNothing(t *testing.T) {
 }
 
 func TestAttachThenDetachRestoresZeroAllocs(t *testing.T) {
-	sys := contendedSystem()
+	sys, _ := contendedSystem()
 	tr := Attach(sys, 1024)
 	sys.Run(64)
 	if tr.Stats().Grants == 0 {
@@ -56,7 +57,7 @@ func TestDetachedTracerOverheadGuard(t *testing.T) {
 	}
 	const clocks = 1 << 15
 	run := func() time.Duration {
-		sys := contendedSystem()
+		sys, _ := contendedSystem()
 		start := time.Now()
 		sys.Run(clocks)
 		return time.Since(start)
@@ -89,7 +90,7 @@ func TestDetachedTracerOverheadGuard(t *testing.T) {
 // observability overhead (acceptance: detached within 2% of seed —
 // the detached code path is unchanged from the seed).
 func BenchmarkStepDetached(b *testing.B) {
-	sys := contendedSystem()
+	sys, _ := contendedSystem()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -100,7 +101,7 @@ func BenchmarkStepDetached(b *testing.B) {
 // BenchmarkStepTracerAttached measures the full tracer on the same
 // loop: ring writes every clock.
 func BenchmarkStepTracerAttached(b *testing.B) {
-	sys := contendedSystem()
+	sys, _ := contendedSystem()
 	Attach(sys, 1<<12)
 	b.ReportAllocs()
 	b.ResetTimer()

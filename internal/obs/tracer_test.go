@@ -9,20 +9,21 @@ import (
 // fig3 builds the paper's Fig. 3 barrier (m=13, nc=6, d1=1, d2=6):
 // stream 2 is delayed by bank conflicts in the steady state, so the
 // tracer sees both grants and classified delays.
-func fig3() *memsys.System {
+func fig3() (*memsys.System, []*memsys.Port) {
 	sys := memsys.New(memsys.Config{Banks: 13, BankBusy: 6, CPUs: 2})
-	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1))
-	sys.AddPort(1, "2", memsys.NewInfiniteStrided(0, 6))
-	return sys
+	return sys, []*memsys.Port{
+		sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1)),
+		sys.AddPort(1, "2", memsys.NewInfiniteStrided(0, 6)),
+	}
 }
 
 func TestTracerCountsMatchPortCounters(t *testing.T) {
-	sys := fig3()
+	sys, ports := fig3()
 	tr := Attach(sys, DefaultTracerCapacity)
 	sys.Run(200)
 
 	var wantGrants, wantBank, wantSim, wantSec int64
-	for _, p := range sys.Ports() {
+	for _, p := range ports {
 		wantGrants += p.Count.Grants
 		wantBank += p.Count.Bank
 		wantSim += p.Count.Simultaneous
@@ -57,13 +58,13 @@ func TestTracerCountsMatchPortCounters(t *testing.T) {
 // and delays.
 func TestTracerSizedRingKeepsEveryEvent(t *testing.T) {
 	const clocks = 512
-	sys := contendedSystem()
-	tr := Attach(sys, clocks*len(sys.Ports()))
+	sys, ports := contendedSystem()
+	tr := Attach(sys, clocks*len(ports))
 	sys.Run(clocks)
 	if d := tr.Dropped(); d != 0 {
 		t.Fatalf("sized ring dropped %d events", d)
 	}
-	got := make([]memsys.Counters, len(sys.Ports()))
+	got := make([]memsys.Counters, len(ports))
 	for _, e := range tr.Events() {
 		c := &got[e.Port]
 		switch e.Kind {
@@ -78,7 +79,7 @@ func TestTracerSizedRingKeepsEveryEvent(t *testing.T) {
 		}
 	}
 	var kinds [4]int64
-	for i, p := range sys.Ports() {
+	for i, p := range ports {
 		want := p.Count
 		if got[i].Grants != want.Grants || got[i].Bank != want.Bank ||
 			got[i].Simultaneous != want.Simultaneous || got[i].Section != want.Section {
@@ -102,7 +103,7 @@ func TestTracerSizedRingKeepsEveryEvent(t *testing.T) {
 }
 
 func TestTracerEventsAreValueCopies(t *testing.T) {
-	sys := fig3()
+	sys, _ := fig3()
 	tr := Attach(sys, 64)
 	sys.Run(20)
 	for _, e := range tr.Events() {
@@ -119,7 +120,7 @@ func TestTracerEventsAreValueCopies(t *testing.T) {
 }
 
 func TestTracerRingWrapKeepsMostRecent(t *testing.T) {
-	sys := fig3()
+	sys, _ := fig3()
 	tr := Attach(sys, 16)
 	sys.Run(100)
 
@@ -143,7 +144,7 @@ func TestTracerRingWrapKeepsMostRecent(t *testing.T) {
 }
 
 func TestTeeFansOut(t *testing.T) {
-	sys := fig3()
+	sys, _ := fig3()
 	a := NewTracer(0)
 	b := NewTracer(0)
 	sys.SetListener(Tee{a, nil, b})

@@ -131,9 +131,8 @@ func TestSkewKeepsUnitStrideFast(t *testing.T) {
 func TestSkewWithMemsysSystem(t *testing.T) {
 	cfg := memsys.Config{Banks: 16, BankBusy: 4, CPUs: 1}
 	sys := memsys.NewWithMapper(cfg, Linear{M: 16, S: 1})
-	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 16))
+	p := sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 16))
 	sys.Run(256)
-	p := sys.Ports()[0]
 	if p.Count.Grants != 256 {
 		t.Fatalf("grants = %d, want 256 (skew removes the self-conflict)", p.Count.Grants)
 	}

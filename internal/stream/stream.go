@@ -47,12 +47,6 @@ func Infinite(m, start, distance int) Stream { return New(m, start, distance, 0)
 // IsInfinite reports whether the stream has no element bound.
 func (s Stream) IsInfinite() bool { return s.Length <= 0 }
 
-// Bank returns the bank address of the (k+1)-th access request,
-// (b + k*d) mod m.
-func (s Stream) Bank(k int) int {
-	return modmath.Mod(s.Start+k*s.Distance, s.Banks)
-}
-
 // ReturnNumber implements Theorem 1: the number of accesses made before
 // the same bank is requested again, r = m / gcd(m, d). By the paper's
 // convention gcd(m, 0) = m, so a stream with d = 0 has return number 1.

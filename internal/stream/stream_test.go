@@ -23,6 +23,13 @@ func TestNewNormalises(t *testing.T) {
 	}
 }
 
+// Bank returns the bank address of the (k+1)-th access request,
+// (b + k*d) mod m: the definition the tests hold the stream's
+// predicates to.
+func (s Stream) Bank(k int) int {
+	return modmath.Mod(s.Start+k*s.Distance, s.Banks)
+}
+
 func TestBankSequence(t *testing.T) {
 	s := Infinite(12, 3, 7)
 	want := []int{3, 10, 5, 0, 7, 2, 9, 4, 11, 6, 1, 8, 3}

@@ -1,6 +1,6 @@
 // Command docscheck is the documentation and exported-surface gate
-// run by scripts/check.sh. It walks the repository and fails (exit
-// status 1) when
+// run by scripts/check.sh. It type-checks the repository and fails
+// (exit status 1) when
 //
 //  1. an exported top-level identifier of a non-main package of the
 //     root module lacks a doc comment, or such a package lacks a
@@ -11,12 +11,15 @@
 //     identifier that is gone or referenced;
 //  3. a relative link in a Markdown file does not resolve.
 //
-// The reference scan matches names, not types: a package-level
-// identifier is referenced by its bare name in its own package or as
-// pkg.Name where the package is imported, and a method by any selector
-// .Name. A directory with its own go.mod (bench/) is a separate module
-// that cannot change along with the library: all its files, tests
-// included, count as references, and it is never audited.
+// References resolve by type: a reference is the object go/types
+// resolves an identifier to, so a call of other.U.Count does not
+// count for lib.T.Count. A method also counts as referenced when its
+// receiver type implements an interface that has the method, declared
+// in a checked package or in a package one imports (fmt.Stringer,
+// json.Marshaler). The bench/ module, which has its own go.mod, is a
+// consumer that cannot change along with the library: it is
+// type-checked against the same root packages, its in-package tests
+// included, and it is never audited.
 //
 // Usage:
 //
@@ -24,14 +27,19 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
-	"path"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -59,17 +67,19 @@ func main() {
 	}
 }
 
-// pkg is one package directory's parsed files.
+// pkg is one type-checked package.
 type pkg struct {
-	dir, path, name string // dir is slash-separated, relative to the root
-	module          bool   // in the root module, where tests do not count
-	files           []*ast.File
+	dir, name string // dir is slash-separated, relative to its module
+	module    bool   // in the root module, where tests do not count
+	files     []*ast.File
+	types     *types.Package
+	info      *types.Info
 }
 
 // check runs every invariant over the tree at root.
 func check(root string) []string {
 	fset := token.NewFileSet()
-	pkgs, err := loadTree(fset, root)
+	pkgs, err := load(fset, root)
 	if err != nil {
 		return []string{err.Error()}
 	}
@@ -83,72 +93,107 @@ func check(root string) []string {
 	return append(findings, checkMarkdownLinks(root)...)
 }
 
-// loadTree parses every package directory under root, skipping
-// testdata and directories starting with "." or "_" as the go tool
-// does. Test files are parsed only in nested modules.
-func loadTree(fset *token.FileSet, root string) ([]*pkg, error) {
-	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	modPath := ""
-	for _, line := range strings.Split(string(gomod), "\n") {
-		if p, ok := strings.CutPrefix(line, "module "); ok {
-			modPath = strings.TrimSpace(p)
-		}
-	}
-	var pkgs []*pkg
-	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); p != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		rel, err := filepath.Rel(root, p)
-		if err != nil {
-			return err
-		}
-		pk := &pkg{dir: filepath.ToSlash(rel), path: modPath, module: true}
-		if pk.dir != "." {
-			pk.path += "/" + pk.dir
-		}
-		for dir := pk.dir; dir != "." && pk.module; dir = path.Dir(dir) {
-			_, err := os.Stat(filepath.Join(root, filepath.FromSlash(dir), "go.mod"))
-			pk.module = err != nil
-		}
-		entries, err := os.ReadDir(p)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			n := e.Name()
-			if e.IsDir() || !strings.HasSuffix(n, ".go") || (pk.module && strings.HasSuffix(n, "_test.go")) {
-				continue
-			}
-			f, err := parser.ParseFile(fset, filepath.Join(p, n), nil, parser.ParseComments)
-			if err != nil {
-				return err
-			}
-			if !strings.HasSuffix(n, "_test.go") {
-				pk.name = f.Name.Name
-			}
-			pk.files = append(pk.files, f)
-		}
-		if len(pk.files) > 0 {
-			pkgs = append(pkgs, pk)
-		}
-		return nil
-	})
-	return pkgs, err
+// listed is the part of a go list -json record that load reads.
+type listed struct {
+	Dir, ImportPath, Name string
+	Standard              bool
+	Module                struct{ Dir string }
+	GoFiles, TestGoFiles  []string
 }
 
+// load type-checks the root module's packages from their non-test
+// files, then the bench module's packages with their in-package tests,
+// each after its dependencies in go list's order. Standard packages
+// come from export data. A method's receiver type is not a use of the
+// type.
+func load(fset *token.FileSet, root string) ([]*pkg, error) {
+	std := importer.Default()
+	checked := map[string]*types.Package{}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	var pkgs []*pkg
+	for _, mod := range []string{".", "bench"} {
+		if _, err := os.Stat(filepath.Join(root, mod, "go.mod")); mod != "." && err != nil {
+			continue
+		}
+		list, err := goList(root, mod)
+		if err != nil {
+			return nil, err
+		}
+		for _, l := range list {
+			if l.Standard || checked[l.ImportPath] != nil {
+				continue
+			}
+			rel, _ := filepath.Rel(l.Module.Dir, l.Dir) // both absolute
+			p := &pkg{dir: filepath.ToSlash(rel), name: l.Name, module: mod == "."}
+			names := l.GoFiles
+			if !p.module {
+				names = append(names, l.TestGoFiles...)
+			}
+			for _, n := range names {
+				f, err := parser.ParseFile(fset, filepath.Join(root, mod, rel, n), nil, parser.ParseComments)
+				if err != nil {
+					return nil, err
+				}
+				p.files = append(p.files, f)
+			}
+			p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+			if p.types, err = conf.Check(l.ImportPath, fset, p.files, p.info); err != nil {
+				return nil, fmt.Errorf("type-check %s: %v", l.ImportPath, err)
+			}
+			for _, f := range p.files {
+				for _, d := range f.Decls {
+					if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+						delete(p.info.Uses, baseType(fd.Recv.List[0].Type))
+					}
+				}
+			}
+			checked[l.ImportPath] = p.types
+			pkgs = append(pkgs, p)
+		}
+	}
+	return pkgs, nil
+}
+
+// goList lists the packages of the module in dir, relative to root,
+// and all their dependencies, each after its own. It never downloads.
+func goList(root, dir string) ([]listed, error) {
+	cmd := exec.Command("go", "list", "-C", filepath.Join(root, dir), "-deps", "-json", "./...")
+	cmd.Env = append(os.Environ(), "GOPROXY=off", "GOTOOLCHAIN=local")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list in %s: %v\n%s", dir, err, stderr.String())
+	}
+	var list []listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var l listed
+		if err := dec.Decode(&l); err == io.EOF {
+			return list, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("go list in %s: %v", dir, err)
+		}
+		list = append(list, l)
+	}
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+// Import implements types.Importer.
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
 // eachExport calls fn for every exported top-level identifier of f:
-// its name (Recv.Name for a method), its kind, the receiver's base
-// type name ("" for none), its position and whether it is documented.
-// For grouped const/var/type declarations a doc comment on either the
-// group or the individual spec counts, mirroring godoc.
-func eachExport(f *ast.File, fn func(name, kind, recv string, pos token.Pos, doc bool)) {
+// its name, its kind, the receiver's base type name ("" for none) and
+// whether it is documented. For grouped const/var/type declarations a
+// doc comment on either the group or the individual spec counts,
+// mirroring godoc.
+func eachExport(f *ast.File, fn func(id *ast.Ident, kind, recv string, doc bool)) {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
@@ -156,22 +201,21 @@ func eachExport(f *ast.File, fn func(name, kind, recv string, pos token.Pos, doc
 				continue
 			}
 			if d.Recv == nil {
-				fn(d.Name.Name, "function", "", d.Pos(), d.Doc != nil)
+				fn(d.Name, "function", "", d.Doc != nil)
 				continue
 			}
-			recv := baseType(d.Recv.List[0].Type)
-			fn(recv+"."+d.Name.Name, "method", recv, d.Pos(), d.Doc != nil)
+			fn(d.Name, "method", baseType(d.Recv.List[0].Type).Name, d.Doc != nil)
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
 					if s.Name.IsExported() {
-						fn(s.Name.Name, "type", "", s.Pos(), d.Doc != nil || s.Doc != nil)
+						fn(s.Name, "type", "", d.Doc != nil || s.Doc != nil)
 					}
 				case *ast.ValueSpec:
 					for _, n := range s.Names {
 						if n.IsExported() {
-							fn(n.Name, "value", "", n.Pos(), d.Doc != nil || s.Doc != nil || s.Comment != nil)
+							fn(n, "value", "", d.Doc != nil || s.Doc != nil || s.Comment != nil)
 						}
 					}
 				}
@@ -182,7 +226,7 @@ func eachExport(f *ast.File, fn func(name, kind, recv string, pos token.Pos, doc
 
 // baseType is the type name of a method receiver: T for T, *T, T[P]
 // and T[P, Q].
-func baseType(e ast.Expr) string {
+func baseType(e ast.Expr) *ast.Ident {
 	switch t := e.(type) {
 	case *ast.StarExpr:
 		return baseType(t.X)
@@ -190,10 +234,8 @@ func baseType(e ast.Expr) string {
 		return baseType(t.X)
 	case *ast.IndexListExpr:
 		return baseType(t.X)
-	case *ast.Ident:
-		return t.Name
 	}
-	return ""
+	return e.(*ast.Ident)
 }
 
 // checkPackageDocs reports exported identifiers without doc comments,
@@ -204,11 +246,11 @@ func checkPackageDocs(fset *token.FileSet, p *pkg) []string {
 	hasPkgDoc := false
 	for _, f := range p.files {
 		hasPkgDoc = hasPkgDoc || f.Doc != nil
-		eachExport(f, func(name, kind, recv string, pos token.Pos, doc bool) {
+		eachExport(f, func(id *ast.Ident, kind, recv string, doc bool) {
 			if !doc && (recv == "" || ast.IsExported(recv)) {
-				at := fset.Position(pos)
+				at := fset.Position(id.Pos())
 				findings = append(findings, fmt.Sprintf("%s:%d: exported %s %s has no doc comment",
-					at.Filename, at.Line, kind, strings.TrimPrefix(name, recv+".")))
+					at.Filename, at.Line, kind, id.Name))
 			}
 		})
 	}
@@ -218,73 +260,47 @@ func checkPackageDocs(fset *token.FileSet, p *pkg) []string {
 	return findings
 }
 
-// references collects what the tree's parsed files name: every
-// "importpath.Name" a file reaches bare (its own package) or through an
-// import, and every selector name. Declared names are not references:
-// a declaration's own name, a method's receiver type and the names in
-// field lists are skipped.
-func references(pkgs []*pkg) (qualified, selectors map[string]bool) {
-	qualified, selectors = map[string]bool{}, map[string]bool{}
-	names := map[string]string{} // import path -> package name
+// uses collects the objects that the checked files use, a generic
+// method by its origin, and every interface with methods that a
+// checked package, or a package one imports, declares at package
+// level.
+func uses(pkgs []*pkg) (map[types.Object]bool, []*types.Interface) {
+	used := map[types.Object]bool{}
+	var ifaces []*types.Interface
+	seen := map[*types.Package]bool{}
 	for _, p := range pkgs {
-		names[p.path] = p.name
-	}
-	for _, p := range pkgs {
-		for _, f := range p.files {
-			imports := map[string]string{}
-			for _, is := range f.Imports {
-				ip := strings.Trim(is.Path.Value, `"`)
-				local := names[ip]
-				switch {
-				case is.Name != nil:
-					local = is.Name.Name
-				case local == "":
-					local = path.Base(ip)
-				}
-				imports[local] = ip
+		for _, obj := range p.info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				obj = fn.Origin()
 			}
-			skip := map[*ast.Ident]bool{f.Name: true}
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.ImportSpec:
-					return false
-				case *ast.FuncDecl:
-					skip[x.Name] = true
-					if x.Recv != nil {
-						ast.Inspect(x.Recv, func(n ast.Node) bool {
-							if id, ok := n.(*ast.Ident); ok {
-								skip[id] = true
-							}
-							return true
-						})
-					}
-				case *ast.TypeSpec:
-					skip[x.Name] = true
-				case *ast.ValueSpec:
-					for _, id := range x.Names {
-						skip[id] = true
-					}
-				case *ast.Field:
-					for _, id := range x.Names {
-						skip[id] = true
-					}
-				case *ast.SelectorExpr:
-					selectors[x.Sel.Name] = true
-					skip[x.Sel] = true
-					if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
-						qualified[imports[id.Name]+"."+x.Sel.Name] = true
-						skip[id] = true
-					}
-				case *ast.Ident:
-					if !skip[x] {
-						qualified[p.path+"."+x.Name] = true
-					}
+			used[obj] = true
+		}
+		for _, q := range append([]*types.Package{p.types}, p.types.Imports()...) {
+			if seen[q] {
+				continue
+			}
+			seen[q] = true
+			for _, name := range q.Scope().Names() {
+				if it, ok := q.Scope().Lookup(name).Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+					ifaces = append(ifaces, it)
 				}
-				return true
-			})
+			}
 		}
 	}
-	return qualified, selectors
+	return used, ifaces
+}
+
+// implements reports whether method fn is a method of one of ifaces
+// that its receiver type T, or *T, implements.
+func implements(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	for _, it := range ifaces {
+		if m, _, _ := types.LookupFieldOrMethod(it, false, fn.Pkg(), fn.Name()); m != nil &&
+			(types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it)) {
+			return true
+		}
+	}
+	return false
 }
 
 // checkUnused reports exports under internal/ that no non-test file
@@ -293,7 +309,7 @@ func references(pkgs []*pkg) (qualified, selectors map[string]bool) {
 func checkUnused(fset *token.FileSet, root string, pkgs []*pkg) []string {
 	file := filepath.Join(root, filepath.FromSlash(allowlistPath))
 	allow, findings := readAllowlist(file)
-	qualified, selectors := references(pkgs)
+	used, ifaces := uses(pkgs)
 	seen := map[string]bool{}
 	for _, p := range pkgs {
 		short, ok := strings.CutPrefix(p.dir, "internal/")
@@ -301,20 +317,18 @@ func checkUnused(fset *token.FileSet, root string, pkgs []*pkg) []string {
 			continue
 		}
 		for _, f := range p.files {
-			eachExport(f, func(name, _, recv string, pos token.Pos, _ bool) {
-				used := qualified[p.path+"."+name]
-				if recv != "" {
-					used = selectors[strings.TrimPrefix(name, recv+".")]
-				}
-				name = short + "." + name
+			eachExport(f, func(id *ast.Ident, _, recv string, _ bool) {
+				obj := p.info.Defs[id]
+				referenced := used[obj] || recv != "" && implements(obj.(*types.Func), ifaces)
+				name := short + "." + strings.TrimPrefix(recv+"."+id.Name, ".")
 				seen[name] = true
 				line, listed := allow[name]
 				switch {
-				case !used && !listed:
-					at := fset.Position(pos)
+				case !referenced && !listed:
+					at := fset.Position(id.Pos())
 					findings = append(findings, fmt.Sprintf("%s:%d: exported %s has no non-test reference; delete it or add it to %s",
 						at.Filename, at.Line, name, allowlistPath))
-				case used && listed:
+				case referenced && listed:
 					findings = append(findings, fmt.Sprintf("%s:%d: allowlisted %s is referenced; drop its entry", file, line, name))
 				}
 			})

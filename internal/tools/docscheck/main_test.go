@@ -82,6 +82,40 @@ func TestSameNameElsewhereFails(t *testing.T) {
 	}), "exported lib.Helper has no non-test reference")
 }
 
+// References resolve by type: a call of other.U.Count is not a
+// reference to lib.T.Count, which only a test calls.
+func TestSameNameMethodElsewhereFails(t *testing.T) {
+	wantFindings(t, writeTree(t, map[string]string{
+		"internal/lib/lib.go":      lib("\n// T is used.\ntype T struct{}\n\n// Count is called only by a test.\nfunc (T) Count() int { return 0 }\n"),
+		"internal/lib/lib_test.go": "package lib\n\nimport \"testing\"\n\nfunc TestCount(t *testing.T) { T{}.Count() }\n",
+		"internal/other/other.go":  "// Package other is a fixture.\npackage other\n\n// U is used by the command.\ntype U struct{}\n\n// Count is called by the command.\nfunc (U) Count() int { return 1 }\n",
+		"cmd/c/main.go":            "package main\n\nimport (\n\t\"fix/internal/lib\"\n\t\"fix/internal/other\"\n)\n\nfunc main() { lib.Used(); _ = lib.T{}; other.U{}.Count() }\n",
+	}), "exported lib.T.Count has no non-test reference")
+}
+
+// A method that implements an interface the module declares, or one
+// of a package it imports (fmt.Stringer), is referenced without being
+// called by name.
+func TestInterfaceMethodPasses(t *testing.T) {
+	wantFindings(t, writeTree(t, map[string]string{
+		"internal/lib/lib.go": lib("\n// Shape is the command's view of a shape.\ntype Shape interface{ Area() int }\n\n" +
+			"// Sq is a shape.\ntype Sq struct{}\n\n// Area implements Shape.\nfunc (*Sq) Area() int { return 1 }\n\n" +
+			"// String implements fmt.Stringer.\nfunc (Sq) String() string { return \"sq\" }\n"),
+		"cmd/c/main.go": "package main\n\nimport (\n\t\"fmt\"\n\n\t\"fix/internal/lib\"\n)\n\n" +
+			"func main() { lib.Used(); var s lib.Shape = &lib.Sq{}; fmt.Println(s) }\n",
+	}))
+}
+
+// A method's receiver is not a reference to its type: a type that
+// nothing else names is unreferenced, whatever its methods implement.
+func TestReceiverOnlyTypeFails(t *testing.T) {
+	wantFindings(t, writeTree(t, map[string]string{
+		"internal/lib/lib.go": lib("\n// Dead is named only by its method's receiver.\ntype Dead struct{}\n\n" +
+			"// String implements fmt.Stringer.\nfunc (Dead) String() string { return \"\" }\n"),
+		"cmd/c/main.go": "package main\n\nimport (\n\t\"fmt\"\n\n\t\"fix/internal/lib\"\n)\n\nfunc main() { lib.Used(); fmt.Println() }\n",
+	}), "exported lib.Dead has no non-test reference")
+}
+
 func TestAllowlistedExportPasses(t *testing.T) {
 	wantFindings(t, writeTree(t, map[string]string{
 		"internal/lib/lib.go": lib("\n// Claim is a paper predicate only tests call.\nfunc Claim() bool { return true }\n"),
@@ -100,6 +134,25 @@ func TestSiblingModuleReferencePasses(t *testing.T) {
 		"bench/harness/h.go":      "package harness\n\nfunc Undocumented() {}\n",
 		"bench/harness/h_test.go": "package harness\n\nimport (\n\t\"testing\"\n\n\t\"fix/internal/lib\"\n)\n\nfunc TestMeasured(t *testing.T) { lib.Measured() }\n",
 	}))
+}
+
+// A bench call of another type's same-named method does not count.
+func TestSiblingModuleOtherTypeFails(t *testing.T) {
+	wantFindings(t, writeTree(t, map[string]string{
+		"internal/lib/lib.go": lib("\n// T is used.\ntype T struct{}\n\n// Count is called by nothing.\nfunc (T) Count() int { return 0 }\n\n" +
+			"// U is used.\ntype U struct{}\n\n// Count is called by the bench module.\nfunc (U) Count() int { return 1 }\n"),
+		"cmd/c/main.go":      "package main\n\nimport \"fix/internal/lib\"\n\nfunc main() { lib.Used(); _ = lib.T{} }\n",
+		"bench/go.mod":       "module fix/bench\n\ngo 1.22\n\nrequire fix v0.0.0\n\nreplace fix => ../\n",
+		"bench/harness/h.go": "package harness\n\nimport \"fix/internal/lib\"\n\nvar _ = lib.U{}.Count()\n",
+	}), "exported lib.T.Count has no non-test reference")
+}
+
+// A tree that does not type-check is a finding, not a pass.
+func TestTypeErrorFails(t *testing.T) {
+	wantFindings(t, writeTree(t, map[string]string{
+		"internal/lib/lib.go": lib(""),
+		"cmd/c/main.go":       "package main\n\nimport \"fix/internal/lib\"\n\nfunc main() { lib.Used(); lib.Gone() }\n",
+	}), "type-check fix/cmd/c")
 }
 
 func TestStaleAllowlistEntryFails(t *testing.T) {

@@ -52,7 +52,9 @@ go vet ./...
 # docs step: every exported identifier of every non-main package must
 # carry a doc comment, every exported identifier under internal/ must
 # have a non-test reference or an entry in docscheck's allowlist, and
-# every relative Markdown link must resolve.
+# every relative Markdown link must resolve. References resolve by
+# type (go list + go/types), and a method that implements an interface
+# the module declares or imports counts as referenced.
 go run ./internal/tools/docscheck
 
 # The observability, simulator and sweep packages are raced even in a
