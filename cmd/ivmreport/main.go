@@ -8,7 +8,7 @@
 // the report is byte-identical to the sequential path apart from the
 // appended engine-counter and result-provenance sections (the latter
 // attributes every grid placement to the theorem, cache orbit or
-// simulation that answered it; -provenance=false drops it).
+// simulation that answered it).
 // -metrics-out captures the engine snapshot (cache hit rate,
 // per-worker utilisation, provenance) as JSON, -metrics-addr serves it
 // live (Prometheus text at /metrics, JSON at /metrics.json, /healthz,
@@ -33,7 +33,6 @@ func main() {
 	cache := flag.Int("cache", sweep.DefaultCacheSize, "cyclic-state cache entries, shared by pair, triple and section sweeps; negative disables caching")
 	metricsOut := flag.String("metrics-out", "", "write the engine metrics snapshot as JSON to this file")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address: /metrics Prometheus text, /metrics.json, /healthz, /debug/vars expvar, /debug/pprof")
-	provenanceFlag := flag.Bool("provenance", true, "record result provenance and append the attribution section to the report")
 	latencyFlag := flag.Bool("latency", false, "print the engine's per-work-item latency histogram as p50/p95/p99 to stderr (also in -metrics-out); off by default so regenerated reports stay deterministic")
 	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -47,11 +46,7 @@ func main() {
 	if *fast {
 		opts = report.Fast()
 	}
-	var prov *sweep.Provenance
-	if *provenanceFlag {
-		prov = sweep.NewProvenance(0)
-	}
-	eng := sweep.NewEngine(sweep.Options{Workers: *workers, CacheSize: *cache, Provenance: prov})
+	eng := sweep.NewEngine(sweep.Options{Workers: *workers, CacheSize: *cache, Provenance: sweep.NewProvenance(0)})
 	opts.Engine = eng
 	if *metricsAddr != "" {
 		closer, err := obs.ServeMetrics(*metricsAddr, eng, nil)

@@ -240,6 +240,30 @@ func TestWorkerCountDeterminism(t *testing.T) {
 	}
 }
 
+// Attaching the provenance recorder never changes the route a sweep
+// takes: the (8, 2, 4) 4-stream run prints the same engine footer with
+// and without -provenance, the class-copy hit rate 19.0 %, and the
+// attribution table counts the grid's 83,764 orbits.
+func TestProvenanceKeepsTheRoute(t *testing.T) {
+	args := []string{"-m", "8", "-nc", "2", "-streams", "4", "-workers", "1"}
+	plain, _ := runSweep(t, 0, args...)
+	observed, _ := runSweep(t, 0, append(args, "-provenance")...)
+	report := strings.Index(observed, "\n\nresult provenance")
+	if report < 0 {
+		t.Fatalf("-provenance printed no attribution table:\n%s", observed)
+	}
+	footer := func(out string) string { return out[strings.Index(out, "\nengine counter"):] }
+	if footer(plain) != footer(observed[:report+1]) {
+		t.Errorf("-provenance changed the engine footer:\n%s\n----\n%s", footer(plain), footer(observed[:report+1]))
+	}
+	if !regexp.MustCompile(`(?m)^stream4 hit rate +19\.0% \(20480/107520\) *$`).MatchString(plain) {
+		t.Errorf("footer lacks the 19.0%% (20480/107520) stream4 hit rate:\n%s", footer(plain))
+	}
+	if !regexp.MustCompile(`(?m)^stream4 +107520 +0\.0% +19\.0% +81\.0% +83764 `).MatchString(observed[report:]) {
+		t.Errorf("attribution table does not split 107520 placements 19.0/81.0 over 83764 orbits:\n%s", observed[report:])
+	}
+}
+
 // A sweep serving -metrics-addr answers /healthz with "ok" and serves
 // the pinned exposition lines in format 0.0.4 (internal/obs pins the
 // bytes; this pins the served wire format end to end). Once the sweep

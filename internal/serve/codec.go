@@ -433,8 +433,9 @@ func intLenBound(v int64) int {
 	return 2 + bits.Len64(uint64(v))/3
 }
 
-// appendResult appends resultJSON(res) as encoding/json writes it:
-// the fields in struct order, the omitempty ones left out when zero.
+// appendResult appends res in its wire form, ResultJSON, as
+// encoding/json writes it: the fields in struct order, the omitempty
+// ones left out when zero.
 func appendResult(dst []byte, res sweep.Resolution) []byte {
 	dst = appendString(append(dst, `{"family":`...), res.Family)
 	dst = res.BW.Append(append(dst, `,"b_eff":"`...))
@@ -464,9 +465,21 @@ func appendResult(dst []byte, res sweep.Resolution) []byte {
 }
 
 // encodeResult renders a /v1/bandwidth response: json.Encoder's
-// encoding of resultJSON(res), trailing newline included.
+// encoding of res's ResultJSON, trailing newline included.
 func encodeResult(res sweep.Resolution) []byte {
 	return append(appendResult(make([]byte, 0, resultLenBound(res)), res), '\n')
+}
+
+// appendSweepRow appends one /v1/sweep NDJSON row: an object holding
+// stream 2's start b2 and then the fields of res's ResultJSON, as
+// json.Encoder writes a struct embedding ResultJSON behind a "b2"
+// field, trailing newline included.
+func appendSweepRow(dst []byte, b2 int, res sweep.Resolution) []byte {
+	dst = strconv.AppendInt(append(dst, `{"b2":`...), int64(b2), 10)
+	n := len(dst)
+	dst = appendResult(dst, res)
+	dst[n] = ',' // the result's opening brace
+	return append(dst, '\n')
 }
 
 // pathSplit counts a response's results by answer path.

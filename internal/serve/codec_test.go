@@ -454,6 +454,29 @@ func syntheticResults() []sweep.Resolution {
 	}
 }
 
+// resultJSON converts an engine resolution to its wire form, the
+// reflective oracle of the append encoder.
+func resultJSON(res sweep.Resolution) ResultJSON {
+	return ResultJSON{
+		Family:      res.Family,
+		BEff:        res.BW.String(),
+		Num:         res.BW.Num,
+		Den:         res.BW.Den,
+		Path:        res.Path.String(),
+		Theorem:     res.Theorem,
+		Canonical:   res.Canonical,
+		CycleLength: res.CycleLength,
+		Clocks:      res.Clocks,
+	}
+}
+
+// SweepRowJSON is one NDJSON row of /v1/sweep in reflective form: the
+// swept stream 2 start and its result.
+type SweepRowJSON struct {
+	B2 int `json:"b2"`
+	ResultJSON
+}
+
 // encodeJSON is json.Encoder's encoding of v.
 func encodeJSON(t *testing.T, v any) string {
 	t.Helper()
@@ -465,14 +488,19 @@ func encodeJSON(t *testing.T, v any) string {
 }
 
 // TestEncodeMatchesEncodingJSON holds the append encoder to
-// json.Encoder byte for byte on single results and on batches, whose
-// paths maps hold one key or several.
+// json.Encoder byte for byte on single results, on /v1/sweep rows and
+// on batches, whose paths maps hold one key or several.
 func TestEncodeMatchesEncodingJSON(t *testing.T) {
 	results := syntheticResults()
 	batches := [][]sweep.Resolution{results}
 	for i, res := range results {
 		if got, want := string(encodeResult(res)), encodeJSON(t, resultJSON(res)); got != want {
 			t.Errorf("result %d:\n got %s\nwant %s", i, got, want)
+		}
+		b2 := i * i * 997
+		row := SweepRowJSON{B2: b2, ResultJSON: resultJSON(res)}
+		if got, want := string(appendSweepRow([]byte("kept"), b2, res)), "kept"+encodeJSON(t, row); got != want {
+			t.Errorf("sweep row %d:\n got %s\nwant %s", i, got, want)
 		}
 		if n, bound := len(appendResult(nil, res)), resultLenBound(res); n > bound {
 			t.Errorf("result %d: %d bytes, over its bound of %d", i, n, bound)

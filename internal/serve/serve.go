@@ -438,8 +438,9 @@ func decodeRequest(r *http.Request, info *reqInfo, batch bool) ([]sweep.ConfigSp
 var sweepParams = []string{"m", "nc", "d1", "d2", "s", "b1", "mapping", "priority"}
 
 // handleSweep answers GET /v1/sweep: a start sweep of one stride pair
-// — stream 2's start over all m banks — streamed as NDJSON, one
-// SweepRowJSON per line in b2 order. Query parameters: m, nc, d1, d2
+// — stream 2's start over all m banks — streamed as NDJSON, one row
+// per line in b2 order: {"b2": …} followed by the result's ResultJSON
+// fields (appendSweepRow). Query parameters: m, nc, d1, d2
 // (required), s (sections; 0 or absent for sectionless), mapping
 // (cyclic/consecutive bank-to-section mapping), priority
 // (fixed/cyclic/rr-cpu arbitration), b1 (stream 1 start, default 0).
@@ -520,10 +521,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	f, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	es := info.tc.Now()
+	var row []byte
 	for b2, res := range results {
-		if err := enc.Encode(SweepRowJSON{B2: b2, ResultJSON: resultJSON(res)}); err != nil {
+		row = appendSweepRow(row[:0], b2, res)
+		if _, err := w.Write(row); err != nil {
 			return // client gone; rows already written stand
 		}
 		if f != nil {

@@ -94,21 +94,6 @@ type ResultJSON struct {
 	Clocks      int64  `json:"clocks,omitempty"`
 }
 
-// resultJSON converts an engine resolution to the wire form.
-func resultJSON(res sweep.Resolution) ResultJSON {
-	return ResultJSON{
-		Family:      res.Family,
-		BEff:        res.BW.String(),
-		Num:         res.BW.Num,
-		Den:         res.BW.Den,
-		Path:        res.Path.String(),
-		Theorem:     res.Theorem,
-		Canonical:   res.Canonical,
-		CycleLength: res.CycleLength,
-		Clocks:      res.Clocks,
-	}
-}
-
 // BatchRequest is the /v1/batch request body.
 type BatchRequest struct {
 	Specs []SpecJSON `json:"specs"`
@@ -119,13 +104,6 @@ type BatchRequest struct {
 type BatchResponse struct {
 	Results []ResultJSON   `json:"results"`
 	Paths   map[string]int `json:"paths"`
-}
-
-// SweepRowJSON is one NDJSON row of /v1/sweep: the swept stream 2
-// start and its result.
-type SweepRowJSON struct {
-	B2 int `json:"b2"`
-	ResultJSON
 }
 
 // HealthJSON is the /healthz response: "ok" or "degraded", with the

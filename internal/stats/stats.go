@@ -18,7 +18,6 @@ import (
 type Collector struct {
 	banks    int
 	bankBusy int
-	ports    int
 
 	BankGrants []int64 // grants per bank
 	BankDelays []int64 // delay events observed per bank
@@ -43,9 +42,9 @@ type Collector struct {
 	totalDelays int64
 }
 
-// Attach creates a collector sized for the system and installs it as
-// the system's listener. The expected number of ports bounds the
-// grant histogram; ports added later are accommodated automatically.
+// Attach creates a collector sized for the system's banks and installs
+// it as the system's listener. The grant histogram grows with the most
+// grants seen in one clock.
 func Attach(sys *memsys.System) *Collector {
 	c := &Collector{
 		banks:      sys.Config().Banks,

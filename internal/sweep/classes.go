@@ -28,17 +28,17 @@ type classKey struct {
 // specClasses returns, for each spec, the index of the first spec of
 // its class in input order (its own index when it leads its class), or
 // -1 when the spec is a class of its own: when the engine has no cache,
-// when a Provenance recorder is attached (it counts each placement's
-// orbit), when the analytic gate answers the spec (gated answers are
-// counted by theorem) and when a fixed stream starts away from bank 0
-// (a unit moves such a start, so the scaled placements are another
-// spec's).
+// when the analytic gate answers the spec (gated answers are counted by
+// theorem) and when a fixed stream starts away from bank 0 (a unit
+// moves such a start, so the scaled placements are another spec's).
+// The classes depend on the specs and the cache alone: no observer
+// changes them.
 func (e *Engine) specClasses(specs []ConfigSpec) []int {
 	lead := make([]int, len(specs))
 	for i := range lead {
 		lead[i] = -1
 	}
-	if e.cache == nil || e.opt.Provenance != nil {
+	if e.cache == nil {
 		return lead
 	}
 	w := &worker{e: e}
@@ -94,9 +94,11 @@ func fixedAtZero(spec ConfigSpec) bool {
 // probe or put. A spec that is a class of its own keeps the cached
 // route. Once every such item has finished, each other spec of a class
 // is a work item that copies its lead's result under its own Spec and
-// counts its placements as cache hits of its family. Both passes run
-// through Engine.run, so the planned and completed items, the item
-// latency histogram and the timeline still count one item per spec.
+// counts its placements as cache hits of its family; with a Provenance
+// recorder attached it also adds each of its placements to its orbit's
+// row as a hit (Provenance.observeCopy). Both passes run through
+// Engine.run, so the planned and completed items, the item latency
+// histogram and the timeline still count one item per spec.
 func (e *Engine) specGrid(specs []ConfigSpec) []SpecResult {
 	lead := e.specClasses(specs)
 	var first, rest []int
@@ -116,13 +118,14 @@ func (e *Engine) specGrid(specs []ConfigSpec) []SpecResult {
 		}
 		out[i] = specFold(specs[i], func(b []int) rat.Rational { return w.resolve(cs, b, nil).BW })
 	})
-	e.run(len(rest), func(_ *worker, k int) {
+	e.run(len(rest), func(w *worker, k int) {
 		i := rest[k]
 		r := out[lead[i]]
 		r.Spec = specs[i]
 		out[i] = r
 		c, _ := e.tally(specs[i].Family(), "")
 		c.paths[PathCache].Add(int64(r.Starts))
+		e.opt.Provenance.observeCopy(w, specs[i])
 	})
 	return out
 }

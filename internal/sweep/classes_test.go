@@ -46,6 +46,25 @@ func classSpecs() []ConfigSpec {
 	return append(specs, census, scaled(census, 3))
 }
 
+// classGrid is a spec list the engine folds by class, with a cache
+// size at which neither the class-folded nor the per-placement route
+// evicts.
+type classGrid struct {
+	name  string
+	specs []ConfigSpec
+	size  int
+}
+
+// classGrids are the (13, 4) triple grid, the (8, 2, 4) 4-stream grid
+// and the class list of every grouping rule.
+func classGrids() []classGrid {
+	return []classGrid{
+		{"triple (13, 4)", tripleSpecs(13, 4), 0},
+		{"stream4 (8, 2, 4)", nStreamSpecs(8, 2, 4), 1 << 18},
+		{"class list", classSpecs(), 0},
+	}
+}
+
 // The engine folds each class of unit-isomorphic specs once and copies
 // the result to the class's other specs; its rows must still be the
 // cold oracle's, byte for byte, at any worker count.
@@ -88,16 +107,16 @@ func TestSpecGridClassesMatchCold(t *testing.T) {
 	}
 	t.Logf("%d specs in %d classes", len(specs), leaders)
 
-	// Each rule that makes a spec its own class.
-	for name, opt := range map[string]Options{
-		"no cache":   {CacheSize: -1},
-		"provenance": {Provenance: NewProvenance(0)},
-	} {
-		for i, j := range NewEngine(opt).specClasses(specs) {
-			if j != -1 {
-				t.Fatalf("%s: spec %d joined the class of spec %d", name, i, j)
-			}
+	// Each rule that makes a spec its own class. An observer is none:
+	// an engine with a Provenance recorder groups the specs as one
+	// without.
+	for i, j := range NewEngine(Options{CacheSize: -1}).specClasses(specs) {
+		if j != -1 {
+			t.Fatalf("no cache: spec %d joined the class of spec %d", i, j)
 		}
+	}
+	if got := NewEngine(Options{Provenance: NewProvenance(0)}).specClasses(specs); !reflect.DeepEqual(got, lead) {
+		t.Fatal("a Provenance recorder changed the spec classes")
 	}
 	gated := []ConfigSpec{PairSpec(16, 4, 1, 2), PairSpec(16, 4, 3, 6)} // eq-29 answers both
 	if lead := NewEngine(Options{}).specClasses(gated); lead[1] != -1 {
@@ -114,15 +133,7 @@ func TestSpecGridClassesMatchCold(t *testing.T) {
 // per-placement route, whose counts it adds on its own. The (13, 4)
 // triple grid's hit rate is EXPERIMENTS.md's 69.9 %.
 func TestSpecGridClassMetricsMatchPerPlacement(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		specs []ConfigSpec
-		size  int
-	}{
-		{"triple (13, 4)", tripleSpecs(13, 4), 0},
-		{"stream4 (8, 2, 4)", nStreamSpecs(8, 2, 4), 1 << 18},
-		{"class list", classSpecs(), 0},
-	} {
+	for _, c := range classGrids() {
 		folded := NewEngine(Options{Workers: 1, CacheSize: c.size})
 		perPlacement := NewEngine(Options{Workers: 1, CacheSize: c.size})
 		got := folded.SpecGrid(c.specs)
@@ -184,5 +195,122 @@ func TestSpecGridClassMetricsMatchPerPlacement(t *testing.T) {
 	eng.TripleGrid(13, 4)
 	if got := fmt.Sprintf("%.1f%%", 100*eng.Metrics().HitRate()); got != "69.9%" {
 		t.Errorf("(13, 4) triple hit rate %s, EXPERIMENTS.md says 69.9%%", got)
+	}
+}
+
+// Observing a sweep never changes its route: each grid's results,
+// Metrics and tally read the same with no observer, with each of
+// Provenance, Timeline and CacheSink, and with all three. With a
+// recorder attached, its orbit rows hold the run the tally counts: per
+// family, the rows' hits are the tally's cache hits (the class copies'
+// placements) and their misses its simulations (the leads' placements
+// and the per-placement route's misses).
+func TestObserversKeepTheRoute(t *testing.T) {
+	for _, g := range classGrids() {
+		type run struct {
+			results []SpecResult
+			metrics Metrics
+			tally   map[string]FamilyProvenance
+		}
+		sweepWith := func(opt Options) (run, *Engine) {
+			opt.Workers, opt.CacheSize = 1, g.size
+			eng := NewEngine(opt)
+			res := eng.SpecGrid(g.specs)
+			return run{res, eng.Metrics(), eng.Tally()}, eng
+		}
+		bare, _ := sweepWith(Options{})
+		for _, o := range []struct {
+			name string
+			opt  func() Options
+		}{
+			{"provenance", func() Options { return Options{Provenance: NewProvenance(0)} }},
+			{"timeline", func() Options { return Options{Timeline: NewTimeline(1 << 10)} }},
+			{"cache sink", func() Options { return Options{CacheSink: &countingCacheSink{}} }},
+			{"all three", func() Options {
+				return Options{Provenance: NewProvenance(0), Timeline: NewTimeline(1 << 10), CacheSink: &countingCacheSink{}}
+			}},
+		} {
+			got, eng := sweepWith(o.opt())
+			if !reflect.DeepEqual(got.results, bare.results) {
+				t.Errorf("%s, %s: results differ from the unobserved sweep", g.name, o.name)
+			}
+			if !reflect.DeepEqual(got.metrics, bare.metrics) {
+				t.Errorf("%s, %s: metrics\nobserved   %+v\nunobserved %+v", g.name, o.name, got.metrics, bare.metrics)
+			}
+			if !reflect.DeepEqual(got.tally, bare.tally) {
+				t.Errorf("%s, %s: tally\nobserved   %+v\nunobserved %+v", g.name, o.name, got.tally, bare.tally)
+			}
+			prov := eng.opt.Provenance
+			if prov == nil {
+				continue
+			}
+			rows := rowTotals(prov)
+			for fam, f := range got.tally {
+				if r := rows[fam]; r.hits != f.CacheHits || r.misses != f.SimScalar+f.SimPacked {
+					t.Errorf("%s, %s: %s rows hold %d hits and %d misses, the tally %d cache hits and %d simulations",
+						g.name, o.name, fam, r.hits, r.misses, f.CacheHits, f.SimScalar+f.SimPacked)
+				}
+			}
+			for fam := range rows {
+				if _, ok := got.tally[fam]; !ok {
+					t.Errorf("%s, %s: rows of family %s, which the tally lacks", g.name, o.name, fam)
+				}
+			}
+		}
+	}
+}
+
+// rowTotals sums a recorder's orbit rows per family.
+func rowTotals(p *Provenance) map[string]orbitRow {
+	out := map[string]orbitRow{}
+	add := func(key []byte, o orbitRow) {
+		fam := string(parseKey(key).family)
+		t := out[fam]
+		t.hits += o.hits
+		t.misses += o.misses
+		out[fam] = t
+	}
+	for i := range p.shards {
+		s := &p.shards[i]
+		for k, o := range s.m {
+			add(k.bytes(), o)
+		}
+		for k, o := range s.spill {
+			add([]byte(k), *o)
+		}
+	}
+	return out
+}
+
+// A class-folded grid observes every placement under its orbit's key:
+// the leads' simulations and the copies' canonicalised placements. So
+// each family's orbit populations — Orbits, SingletonOrbits,
+// MeanOrbitSize and OrbitSizes — are those of the per-placement route,
+// where every placement probes the cache, and so are those of an
+// engine with caching disabled, whose simulations are keyed by their
+// orbit too. The hit/miss split of a row is the route's own.
+func TestClassOrbitsMatchPerPlacement(t *testing.T) {
+	populations := func(eng *Engine) map[string]FamilyProvenance {
+		out := map[string]FamilyProvenance{}
+		for fam, f := range eng.Snapshot().Provenance.Families {
+			out[fam] = FamilyProvenance{Orbits: f.Orbits, SingletonOrbits: f.SingletonOrbits,
+				MeanOrbitSize: f.MeanOrbitSize, OrbitSizes: f.OrbitSizes}
+		}
+		return out
+	}
+	for _, g := range classGrids() {
+		perPlacement := NewEngine(Options{Workers: 1, CacheSize: g.size, Provenance: NewProvenance(0)})
+		sweepSpecs(perPlacement, g.specs, specFold)
+		if perPlacement.CacheEvicted() != 0 {
+			t.Fatalf("%s: the per-placement route evicted", g.name)
+		}
+		want := populations(perPlacement)
+		for name, size := range map[string]int{"class-folded": g.size, "CacheSize -1": -1} {
+			eng := NewEngine(Options{Workers: 1, CacheSize: size, Provenance: NewProvenance(0)})
+			eng.SpecGrid(g.specs)
+			if got := populations(eng); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %s: orbit populations\ngot  %+v\nwant %+v", g.name, name, got, want)
+			}
+		}
 	}
 }

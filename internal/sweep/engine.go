@@ -43,22 +43,24 @@ type Options struct {
 	// simulation slices) for Chrome-trace export; nil (the default)
 	// records nothing and costs the hot path nothing.
 	Timeline *Timeline
-	// Provenance, when non-nil, records which path resolved every
-	// placement — analytic gate (with the theorem identifier), cache
-	// hit (with the canonical key), or simulation (with the kernel,
-	// cycle length and clocks) — for the attribution reports; nil (the
-	// default) records nothing and costs the hot path nothing, exactly
-	// like Timeline.
+	// Provenance, when non-nil, keeps a row per canonical orbit: the
+	// placements of the orbit answered from the cache (or copied by a
+	// spec class) and simulated, with the cycle length and clocks of
+	// the simulations. The answer tally counts paths and theorems
+	// whether or not it is set; Snapshot joins the two for the
+	// attribution reports. Like every observer it never changes the
+	// route a placement takes; nil (the default) records nothing and
+	// costs the hot path nothing, exactly like Timeline.
 	Provenance *Provenance
 	// CacheSink, when non-nil, receives one CacheRecord per simulation,
 	// under the simulated orbit's canonical vector, so a persistent
 	// store (internal/cachestore) can append it to its log. The lead of
 	// a spec class (see Engine.specGrid) canonicalises its placements
-	// only for the sink and can emit one orbit more than once; stores
-	// deduplicate. Cache hits, class copies, analytic answers and seeded
-	// records are not emitted, and nothing is emitted when caching is
-	// disabled (CacheSize < 0). Implementations must be safe for
-	// concurrent use; nil (the default) is off and free.
+	// only for its observers and can emit one orbit more than once;
+	// stores deduplicate. Cache hits, class copies, analytic answers
+	// and seeded records are not emitted, and nothing is emitted when
+	// caching is disabled (CacheSize < 0). Implementations must be safe
+	// for concurrent use; nil (the default) is off and free.
 	CacheSink CacheSink
 	// Analytic enables the theorem-driven classifier gate in the sweep
 	// hot path: sectionless two-stream placements whose regime has a
@@ -780,7 +782,8 @@ func (cs *compiledSpec) pack(b []int) {
 // representative is simulated — not the requested placement — so the
 // cached value is exactly what any placement of the orbit would
 // produce; without a cache (caching disabled, or a class lead in
-// specGrid) the placement itself is simulated, with no canonical key.
+// specGrid) the placement itself is simulated, and record keys it only
+// for an observer.
 // Every step is timed by one phaseTimer and every answer is accounted
 // by one record call. sp is the request's span sink, nil when
 // detached. Canonical, when set, aliases the scratch cs.vec, so
@@ -819,12 +822,14 @@ func (w *worker) resolve(cs *compiledSpec, b []int, sp SpanSink) Resolution {
 // the Timeline, adds it to its orbit's Provenance row when it was
 // canonicalised or simulated and, on a cached miss, stores the answer
 // in the cache, under the key of the vector cs.pack packed, and hands
-// it to the CacheSink. A class lead's simulation is a miss of the
-// engine's cache that puts nothing; only with a CacheSink attached is
-// its placement canonicalised, to emit the orbit's record. simNS is the
-// Timeline stamp at which a simulation began: the cache-miss instant is
-// stamped there, at the miss decision, not when the simulation has
-// finished.
+// it to the CacheSink. A placement simulated without a cache probe (a
+// class lead, or caching disabled) has no key yet: only when an
+// observer will read one — a Provenance recorder, or a CacheSink while
+// caching is on — is its vector canonicalised and packed, once, for
+// both. A class lead's simulation is a miss of the engine's cache that
+// puts nothing. simNS is the Timeline stamp at which a simulation
+// began: the cache-miss instant is stamped there, at the miss
+// decision, not when the simulation has finished.
 func (w *worker) record(cs *compiledSpec, r Resolution, simNS int64) Resolution {
 	e := w.e
 	tl := e.opt.Timeline
@@ -840,6 +845,11 @@ func (w *worker) record(cs *compiledSpec, r Resolution, simNS int64) Resolution 
 		return r
 	}
 	w.steps += r.Clocks
+	sink := e.opt.CacheSink
+	if cs.cache == nil && (e.opt.Provenance != nil || e.cache != nil && sink != nil) {
+		cs.canon.Canonicalize(cs.vec, len(cs.spec.Streams))
+		cs.key.setVec(cs.vec)
+	}
 	e.opt.Provenance.observe(cs, r)
 	if e.cache == nil {
 		return r
@@ -849,12 +859,8 @@ func (w *worker) record(cs *compiledSpec, r Resolution, simNS int64) Resolution 
 		r.Canonical = cs.vec
 		cs.cache.put(&cs.key, r.BW)
 	}
-	sink := e.opt.CacheSink
 	if sink == nil {
 		return r
-	}
-	if cs.cache == nil { // a class lead: canonicalise for the record alone
-		cs.canon.Canonicalize(cs.vec, len(cs.spec.Streams))
 	}
 	sink.Put(CacheRecord{
 		Family: cs.family,

@@ -72,7 +72,10 @@ func TestObserversSeeOneRecord(t *testing.T) {
 					Workers: workers, CacheSize: cacheSize,
 					Timeline: tl, Provenance: NewProvenance(0), CacheSink: &sink,
 				})
-				eng.SpecGrid(specs)
+				// The per-placement route, where every placement the cache
+				// counts is canonicalised and probed; the class-folded
+				// SpecGrid's observers are TestObserversKeepTheRoute's.
+				sweepSpecs(eng, specs, specFold)
 				before := eng.Metrics()
 				spans := &countingSpans{n: map[string]int64{}}
 				ctx := WithSpanSink(context.Background(), spans)

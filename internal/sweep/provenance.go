@@ -81,7 +81,8 @@ const DefaultProvenanceOrbits = 1 << 18
 //
 // A row is keyed by its orbit's cache key — family, (m, s, n_c), CPU
 // layout and canonical configuration vector (d_1..d_N, b_1..b_N) — the
-// key the cache probe has just packed, so two specs with equal vectors
+// key the cache probe has just packed (worker.record packs it for a
+// placement simulated without a probe), so two specs with equal vectors
 // on different CPU layouts are two orbits, as they are two cache
 // entries. The rows are sharded like the cache, by the same key hash,
 // each shard under its own lock, and a row holds only its counts: a
@@ -131,19 +132,16 @@ func NewProvenance(maxOrbits int) *Provenance {
 	return &Provenance{maxOrbits: int64(maxOrbits)}
 }
 
-// observe adds one canonicalised or simulated placement of cs to its
-// orbit's row: a cache hit, or a simulation with its steady state
-// (cycle length and lead+cycle clocks). cs.key holds the key the cache
-// probe packed; a spec without a cache packs the vector it simulated,
-// cs.vec, itself. Only a new row allocates, and only by map growth.
+// observe adds one placement of cs to its orbit's row: a cache hit, or
+// a simulation with its steady state (cycle length and lead+cycle
+// clocks). cs.key holds the placement's orbit key, packed by the cache
+// probe or, for a placement simulated without one, by worker.record.
+// Only a new row allocates, and only by map growth.
 func (p *Provenance) observe(cs *compiledSpec, r Resolution) {
 	if p == nil {
 		return
 	}
 	k := &cs.key
-	if cs.cache == nil {
-		k.setVec(cs.vec)
-	}
 	s := &p.shards[k.shard()]
 	s.mu.Lock()
 	if ik, in := inlineKey(k.buf); in {
@@ -165,6 +163,23 @@ func (p *Provenance) observe(cs *compiledSpec, r Resolution) {
 		s.spill[string(k.buf)] = o
 	}
 	s.mu.Unlock()
+}
+
+// observeCopy adds every placement of spec, a class copy whose result
+// specGrid took from its lead, to its orbit's row as a cache hit. The
+// copy's placements are canonicalised but never probe the cache: a unit
+// maps them onto the lead's placements with the same keys
+// (docs/CACHING.md §8), so these are the rows the lead's simulations
+// opened, and the hits are the ones the tally counts for the copy.
+func (p *Provenance) observeCopy(w *worker, spec ConfigSpec) {
+	if p == nil {
+		return
+	}
+	cs := w.compile(spec)
+	eachPlacement(spec, func(b []int) {
+		cs.pack(b)
+		p.observe(cs, Resolution{Path: PathCache})
+	})
 }
 
 // admit reserves a row for a new orbit under the bound; past it, it

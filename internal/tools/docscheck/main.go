@@ -9,14 +9,18 @@
 //     reference and no entry in allowlist.txt (next to this file)
 //     naming its kind and why it stays, or an entry names an
 //     identifier that is gone or referenced;
-//  3. a relative link in a Markdown file does not resolve.
+//  3. an unexported top-level identifier, method or struct field
+//     declared in a non-test file of the root module has no non-test
+//     reference (main and init excepted);
+//  4. a relative link in a Markdown file does not resolve.
 //
 // References resolve by type: a reference is the object go/types
 // resolves an identifier to, so a call of other.U.Count does not
-// count for lib.T.Count. A method also counts as referenced when its
-// receiver type implements an interface that has the method, declared
-// in a checked package or in a package one imports (fmt.Stringer,
-// json.Marshaler). The bench/ module, which has its own go.mod, is a
+// count for lib.T.Count, and a field or method of an instantiated
+// generic type counts for its generic declaration. A method also
+// counts as referenced when its receiver type implements an interface
+// that has the method, declared in a checked package or in a package
+// one imports (fmt.Stringer, json.Marshaler). The bench/ module, which has its own go.mod, is a
 // consumer that cannot change along with the library: it is
 // type-checked against the same root packages, its in-package tests
 // included, and it is never audited.
@@ -89,7 +93,9 @@ func check(root string) []string {
 			findings = append(findings, checkPackageDocs(fset, p)...)
 		}
 	}
-	findings = append(findings, checkUnused(fset, root, pkgs)...)
+	used, ifaces := uses(pkgs)
+	findings = append(findings, checkUnused(fset, root, pkgs, used, ifaces)...)
+	findings = append(findings, checkUnexported(fset, pkgs, used, ifaces)...)
 	return append(findings, checkMarkdownLinks(root)...)
 }
 
@@ -261,8 +267,8 @@ func checkPackageDocs(fset *token.FileSet, p *pkg) []string {
 }
 
 // uses collects the objects that the checked files use, a generic
-// method by its origin, and every interface with methods that a
-// checked package, or a package one imports, declares at package
+// method or field by its origin, and every interface with methods that
+// a checked package, or a package one imports, declares at package
 // level.
 func uses(pkgs []*pkg) (map[types.Object]bool, []*types.Interface) {
 	used := map[types.Object]bool{}
@@ -270,10 +276,7 @@ func uses(pkgs []*pkg) (map[types.Object]bool, []*types.Interface) {
 	seen := map[*types.Package]bool{}
 	for _, p := range pkgs {
 		for _, obj := range p.info.Uses {
-			if fn, ok := obj.(*types.Func); ok {
-				obj = fn.Origin()
-			}
-			used[obj] = true
+			used[origin(obj)] = true
 		}
 		for _, q := range append([]*types.Package{p.types}, p.types.Imports()...) {
 			if seen[q] {
@@ -288,6 +291,18 @@ func uses(pkgs []*pkg) (map[types.Object]bool, []*types.Interface) {
 		}
 	}
 	return used, ifaces
+}
+
+// origin maps a method or field of an instantiated generic type to its
+// generic declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
 }
 
 // implements reports whether method fn is a method of one of ifaces
@@ -306,10 +321,9 @@ func implements(fn *types.Func, ifaces []*types.Interface) bool {
 // checkUnused reports exports under internal/ that no non-test file
 // references and the allowlist does not name, and allowlist entries
 // that are malformed, gone or referenced.
-func checkUnused(fset *token.FileSet, root string, pkgs []*pkg) []string {
+func checkUnused(fset *token.FileSet, root string, pkgs []*pkg, used map[types.Object]bool, ifaces []*types.Interface) []string {
 	file := filepath.Join(root, filepath.FromSlash(allowlistPath))
 	allow, findings := readAllowlist(file)
-	used, ifaces := uses(pkgs)
 	seen := map[string]bool{}
 	for _, p := range pkgs {
 		short, ok := strings.CutPrefix(p.dir, "internal/")
@@ -342,6 +356,76 @@ func checkUnused(fset *token.FileSet, root string, pkgs []*pkg) []string {
 	}
 	sort.Strings(stale)
 	return append(findings, stale...)
+}
+
+// checkUnexported reports the unexported top-level identifiers,
+// methods and struct fields of the root module's non-test files that
+// no non-test file references, in source order; nothing is
+// allowlisted.
+func checkUnexported(fset *token.FileSet, pkgs []*pkg, used map[types.Object]bool, ifaces []*types.Interface) []string {
+	type finding struct {
+		at  token.Position
+		msg string
+	}
+	var unused []finding
+	for _, p := range pkgs {
+		if !p.module {
+			continue
+		}
+		for id, obj := range p.info.Defs {
+			if obj == nil || obj.Exported() || id.Name == "_" || used[obj] {
+				continue
+			}
+			kind := unexportedKind(obj, p)
+			if kind == "" || kind == "method" && implements(obj.(*types.Func), ifaces) {
+				continue
+			}
+			at := fset.Position(obj.Pos())
+			unused = append(unused, finding{at, fmt.Sprintf("%s:%d: unexported %s %s.%s has no non-test reference; delete it",
+				at.Filename, at.Line, kind, p.name, obj.Name())})
+		}
+	}
+	sort.Slice(unused, func(i, j int) bool {
+		a, b := unused[i].at, unused[j].at
+		return a.Filename < b.Filename || a.Filename == b.Filename && a.Offset < b.Offset
+	})
+	findings := make([]string, len(unused))
+	for i, f := range unused {
+		findings[i] = f.msg
+	}
+	return findings
+}
+
+// unexportedKind names the kind of declaration obj is when the gate
+// audits it: a package-level function, var, const or type, a method or
+// a struct field. It is "" for anything else: locals, parameters,
+// embedded fields (used through what they promote), and init and a
+// command's main, which the runtime calls.
+func unexportedKind(obj types.Object, p *pkg) string {
+	top := obj.Parent() == p.types.Scope()
+	switch o := obj.(type) {
+	case *types.Var:
+		if o.IsField() && !o.Embedded() {
+			return "field"
+		} else if top {
+			return "var"
+		}
+	case *types.Func:
+		if o.Type().(*types.Signature).Recv() != nil {
+			return "method"
+		} else if top && o.Name() != "init" && (o.Name() != "main" || p.name != "main") {
+			return "function"
+		}
+	case *types.Const:
+		if top {
+			return "const"
+		}
+	case *types.TypeName:
+		if top {
+			return "type"
+		}
+	}
+	return ""
 }
 
 // readAllowlist maps each allowlisted identifier to its line. An entry

@@ -116,6 +116,35 @@ func TestReceiverOnlyTypeFails(t *testing.T) {
 	}), "exported lib.Dead has no non-test reference")
 }
 
+// A struct field that non-test code never reads or writes is a
+// finding, whatever a test does with it, and so is an unexported
+// function only a test calls. Nothing can allowlist either.
+func TestUnreferencedUnexportedFails(t *testing.T) {
+	wantFindings(t, writeTree(t, map[string]string{
+		"internal/lib/lib.go": lib("\n// Counter counts calls.\ntype Counter struct {\n\tn     int\n\tports int\n}\n\n" +
+			"// Add counts one call.\nfunc (c *Counter) Add() int { c.n++; return c.n }\n\nfunc helper() int { return 1 }\n"),
+		"internal/lib/lib_test.go": "package lib\n\nimport \"testing\"\n\n" +
+			"func TestPorts(t *testing.T) { c := Counter{ports: 2}; c.ports = helper() }\n",
+		"cmd/c/main.go": "package main\n\nimport \"fix/internal/lib\"\n\nfunc main() { lib.Used(); var c lib.Counter; c.Add() }\n",
+		allowlistPath:   "lib.helper  oracle  the gate reads no entry for an unexported name\n",
+	}), "allowlisted lib.helper is not an exported identifier",
+		"lib.go:10: unexported field lib.ports has no non-test reference",
+		"lib.go:16: unexported function lib.helper has no non-test reference")
+}
+
+// An unexported field or method of a generic type counts as
+// referenced through an instantiation, and a method reached only
+// through an interface it implements counts as referenced.
+func TestUnexportedReferencesPass(t *testing.T) {
+	wantFindings(t, writeTree(t, map[string]string{
+		"internal/lib/lib.go": "// Package lib is a fixture.\npackage lib\n\ntype shape interface{ area() int }\n\ntype sq struct{}\n\n" +
+			"func (sq) area() int { return 1 }\n\n// Box holds one value.\ntype Box[T any] struct{ v T }\n\n" +
+			"func (b Box[T]) peek() T { return b.v }\n\n// Used is referenced by the command.\n" +
+			"func Used() int {\n\tvar s shape = sq{}\n\treturn s.area() + Box[int]{v: 1}.peek()\n}\n",
+		"cmd/c/main.go": cmdUsesLib,
+	}))
+}
+
 func TestAllowlistedExportPasses(t *testing.T) {
 	wantFindings(t, writeTree(t, map[string]string{
 		"internal/lib/lib.go": lib("\n// Claim is a paper predicate only tests call.\nfunc Claim() bool { return true }\n"),

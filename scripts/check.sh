@@ -51,10 +51,11 @@ go vet ./...
 
 # docs step: every exported identifier of every non-main package must
 # carry a doc comment, every exported identifier under internal/ must
-# have a non-test reference or an entry in docscheck's allowlist, and
-# every relative Markdown link must resolve. References resolve by
-# type (go list + go/types), and a method that implements an interface
-# the module declares or imports counts as referenced.
+# have a non-test reference or an entry in docscheck's allowlist, every
+# unexported declaration and struct field must have a non-test
+# reference, and every relative Markdown link must resolve. References
+# resolve by type (go list + go/types), and a method that implements an
+# interface the module declares or imports counts as referenced.
 go run ./internal/tools/docscheck
 
 # The observability, simulator and sweep packages are raced even in a
