@@ -88,8 +88,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ivmserved: %s: skipped %d corrupt tail record(s), %d byte(s) truncated\n",
 				store.Path(), skipped, bytes)
 		}
-		fmt.Fprintf(os.Stderr, "ivmserved: loaded %d cached state(s) from %s\n",
-			len(store.Records()), store.Path())
 		if *syncEvery > 0 {
 			store.AutoSync(*syncEvery)
 		}
@@ -99,6 +97,14 @@ func main() {
 	srv, err := serve.New(opt)
 	if err != nil {
 		fail("%v", err)
+	}
+	if store != nil {
+		h, compacted := store.Health(), ""
+		if h.Compacted {
+			compacted = ", log compacted"
+		}
+		fmt.Fprintf(os.Stderr, "ivmserved: seeded %d cached state(s) from %s (%d duplicate frame(s) dropped%s)\n",
+			srv.Seeded(), store.Path(), h.DuplicateRecords, compacted)
 	}
 
 	ln, err := net.Listen("tcp", *addr)

@@ -114,7 +114,8 @@ func main() {
 		if store, err = cachestore.Open(*cacheExport); err != nil {
 			fail("%v", err)
 		}
-		stored = store.Len()
+		store.ReleaseRecords() // the export appends; it never seeds from the store
+		stored = store.Health().Records
 		opt.CacheSink = store
 	}
 	eng := sweep.NewEngine(opt)
@@ -137,7 +138,7 @@ func main() {
 	runSweeps(eng, *m, *nc, *secs, *streams, *triples, *census, *full, priority, mapping)
 
 	if store != nil {
-		if err := closeExport(store, stored); err != nil {
+		if err := closeExport(store, *cacheExport, stored); err != nil {
 			fail("%v", err)
 		}
 	}
@@ -190,19 +191,34 @@ func main() {
 }
 
 // closeExport flushes and closes the -cache-export store, which was the
-// engine's CacheSink for the run, and reports what the run added to the
-// stored records it opened with. The sink received every orbit the
-// sweeps simulated, deduplicated against what the store already held,
-// so a later ivmserved -cache-dir run starts warm. Analytic answers are
-// never simulated, so the export holds exactly the simulated orbits —
-// complete for serving, which gates the same placements analytically.
-func closeExport(store *cachestore.Store, stored int) error {
-	n := store.Len()
+// engine's CacheSink for the run, and reports the frames the run
+// appended to the stored frames it opened with. The sink received
+// every orbit the sweeps simulated, so a later ivmserved -cache-dir
+// run starts warm. Analytic answers are never simulated, so the export
+// holds exactly the simulated orbits — complete for serving, which
+// gates the same placements analytically. The store appends repeats
+// as they come, so the export reopens it as ivmserved will and reports
+// the distinct states and the duplicate frames that Open drops (and
+// compacts away past its share).
+func closeExport(store *cachestore.Store, dir string, stored int) error {
+	appended := store.Health().Records - stored
 	if err := store.Close(); err != nil {
 		return fmt.Errorf("cache export: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "exported %d new cached states to %s (%d stored)\n",
-		n-stored, store.Path(), n)
+	reopened, err := cachestore.Open(dir)
+	if err != nil {
+		return fmt.Errorf("cache export: %v", err)
+	}
+	h, distinct := reopened.Health(), len(reopened.Records())
+	if err := reopened.Close(); err != nil {
+		return fmt.Errorf("cache export: %v", err)
+	}
+	compacted := ""
+	if h.Compacted {
+		compacted = ", log compacted"
+	}
+	fmt.Fprintf(os.Stderr, "exported %d cached-state frames to %s (%d distinct states stored, %d duplicate frames dropped%s)\n",
+		appended, store.Path(), distinct, h.DuplicateRecords, compacted)
 	return nil
 }
 

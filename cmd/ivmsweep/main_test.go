@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
@@ -139,8 +140,11 @@ func TestCacheExportStoresEverySimulatedOrbit(t *testing.T) {
 	if len(records) != len(want) {
 		t.Fatalf("store holds %d records, the per-placement route caches %d orbits", len(records), len(want))
 	}
-	if !strings.Contains(stderr, fmt.Sprintf("exported %d new cached states", len(want))) {
-		t.Errorf("export line missing or wrong:\n%s", stderr)
+	// The class leads simulate 1,715 orbits of which 40 repeat; the
+	// store appends every frame and the reopen drops the repeats.
+	if line := fmt.Sprintf("exported 1715 cached-state frames to %s (%d distinct states stored, %d duplicate frames dropped)",
+		store.Path(), len(want), 1715-len(want)); !strings.Contains(stderr, line) {
+		t.Errorf("export line missing or wrong, want %q:\n%s", line, stderr)
 	}
 	seeded := sweep.NewEngine(sweep.Options{Workers: 1})
 	for _, rec := range records {
@@ -158,6 +162,40 @@ func TestCacheExportStoresEverySimulatedOrbit(t *testing.T) {
 	}
 	if cold := sweep.SpecGrid([]sweep.ConfigSpec{spec})[0].SimMin; res.Path != sweep.PathCache || !res.BW.Equal(cold) {
 		t.Fatalf("seeded engine answered %+v with %s on %v, cold %s", spec, res.BW, res.Path, cold)
+	}
+}
+
+// Exporting the same sweep twice into one directory appends every frame
+// again, so more than half the log repeats: the second export's reopen
+// compacts it, and the store holds the first export's distinct records
+// in the same order, with no duplicate left on disk.
+func TestCacheExportTwiceCompacts(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-triples", "-m", "7", "-nc", "2", "-cache-export", dir}
+	runSweep(t, 0, args...)
+	store, err := cachestore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	once := store.Records()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, stderr := runSweep(t, 0, args...)
+	if !strings.Contains(stderr, "log compacted)") {
+		t.Errorf("second export did not compact the log:\n%s", stderr)
+	}
+	store, err = cachestore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if h := store.Health(); h.DuplicateRecords != 0 || h.Records != len(once) {
+		t.Fatalf("twice-exported store: %+v, want %d frames and no duplicate", h, len(once))
+	}
+	if !reflect.DeepEqual(store.Records(), once) {
+		t.Fatal("twice-exported store does not hold the first export's records")
 	}
 }
 

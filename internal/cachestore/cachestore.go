@@ -19,9 +19,14 @@
 // (count + values) and the canonical vector (count + values) as
 // signed varints, then the bandwidth numerator and denominator.
 // Records are content-addressed by the (family, m, s, n_c, CPUs,
-// Vec) tuple — the same coordinates as the engine's in-RAM cache key
-// — and the store deduplicates appends on it, so replaying a log
-// never grows it.
+// Vec) tuple — the same coordinates as the engine's in-RAM cache key.
+// Put appends whatever the engine sends and keeps nothing per record,
+// so the log may repeat an orbit (a shard drop or two workers missing
+// one orbit at once re-simulate it; a repeated ivmsweep -cache-export
+// into one directory repeats a whole run). Open drops the repeats and
+// counts them, and once they pass 1/compactShare of the log's frames
+// it rewrites the log without them, so no duplicate survives a reopen
+// past that share.
 //
 // Recovery: a crash can leave a partial frame (or a torn write the
 // CRC catches) at the tail. Open stops at the first bad frame,
@@ -55,8 +60,16 @@ const logMagic = "IVMCSTR1"
 // LogName is the log's file name inside the store directory.
 const LogName = "cache.log"
 
-// Store is a persistent, deduplicated set of cache records backed by
-// one append-only log. All methods are safe for concurrent use; Put
+// compactShare sets when Open rewrites the log: once the frames that
+// repeat an earlier frame's content address are more than
+// 1/compactShare of all the frames it read. Below that share the
+// repeats stay on disk, dropped at every Open but not worth a rewrite.
+const compactShare = 4
+
+// Store is a persistent set of cache records backed by one append-only
+// log. While it serves it holds no per-record state: Put only appends,
+// and the records Open loaded are dropped by ReleaseRecords once they
+// have seeded an engine. All methods are safe for concurrent use; Put
 // in particular is called from every engine worker goroutine.
 type Store struct {
 	path string
@@ -64,28 +77,39 @@ type Store struct {
 	mu      sync.Mutex
 	f       *os.File
 	w       *bufio.Writer
-	index   map[string]struct{}
 	loaded  []sweep.CacheRecord
+	frames  int
 	dirty   bool
 	lastErr error
 	closed  bool
 	stop    chan struct{}
 
-	skipped   int
-	truncated int64
+	skipped    int
+	truncated  int64
+	duplicates int
+	compacted  bool
 }
 
-// Health is the store's integrity summary for /healthz: the record
-// count, what the last Open dropped from a corrupt tail, and the most
-// recent append/sync error (empty when healthy).
+// Health is the store's integrity summary for /healthz: the frame
+// count, what the last Open dropped from a corrupt tail or as
+// duplicates, and the most recent append/sync error (empty when
+// healthy).
 type Health struct {
-	// Records is the deduplicated record count (loaded + appended).
+	// Records counts frames, not distinct records: the frames in the
+	// log when the last Open finished (duplicates included unless it
+	// compacted them away) plus those appended since. An appended frame
+	// may repeat an orbit already on disk; the next Open drops it.
 	Records int `json:"records"`
 	// SkippedRecords and TruncatedBytes describe the corrupt tail the
 	// last Open dropped: the number of unreadable frames (at most the
 	// one that framing was lost in) and the bytes truncated away.
 	SkippedRecords int   `json:"skipped_records,omitempty"`
 	TruncatedBytes int64 `json:"truncated_bytes,omitempty"`
+	// DuplicateRecords counts the frames the last Open read that repeat
+	// an earlier frame's content address and left out of Records;
+	// Compacted reports that it also rewrote the log without them.
+	DuplicateRecords int  `json:"duplicate_records,omitempty"`
+	Compacted        bool `json:"compacted,omitempty"`
 	// Err is the most recent append or sync failure, "" when healthy.
 	Err string `json:"err,omitempty"`
 }
@@ -93,15 +117,16 @@ type Health struct {
 // Open opens (creating as needed) the store rooted at dir, loading and
 // verifying every record in its log. A corrupt or truncated tail is
 // dropped and counted (see Skipped), never an error; a log whose
-// header is not a cache log is.
+// header is not a cache log is. Frames repeating an earlier frame's
+// content address are dropped and counted too, and past
+// 1/compactShare of the frames the log is rewritten without them.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cachestore: %v", err)
 	}
 	s := &Store{
-		path:  filepath.Join(dir, LogName),
-		index: make(map[string]struct{}),
-		stop:  make(chan struct{}),
+		path: filepath.Join(dir, LogName),
+		stop: make(chan struct{}),
 	}
 	data, err := os.ReadFile(s.path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -112,6 +137,7 @@ func Open(dir string) (*Store, error) {
 		if len(data) < len(logMagic) || string(data[:len(logMagic)]) != logMagic {
 			return nil, fmt.Errorf("cachestore: %s: not a cache log (bad magic)", s.path)
 		}
+		seen := make(map[string]struct{})
 		off := len(logMagic)
 		for off < len(data) {
 			rec, next, ok := parseFrame(data, off)
@@ -120,13 +146,22 @@ func Open(dir string) (*Store, error) {
 				s.truncated = int64(len(data) - off)
 				break
 			}
-			if key := contentKey(rec); !s.has(key) {
-				s.index[key] = struct{}{}
+			key := contentKey(rec)
+			if _, dup := seen[key]; dup {
+				s.duplicates++
+			} else {
+				seen[key] = struct{}{}
 				s.loaded = append(s.loaded, rec)
 			}
 			off = next
 		}
 		good = off
+	}
+	s.frames = len(s.loaded) + s.duplicates
+	if s.duplicates*compactShare > s.frames {
+		if err := s.compact(dir); err != nil {
+			return nil, fmt.Errorf("cachestore: compacting %s: %v", s.path, err)
+		}
 	}
 	f, err := os.OpenFile(s.path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -137,7 +172,7 @@ func Open(dir string) (*Store, error) {
 			f.Close()
 			return nil, fmt.Errorf("cachestore: %v", err)
 		}
-	} else if s.truncated > 0 {
+	} else if s.truncated > 0 && !s.compacted {
 		if err := f.Truncate(int64(good)); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("cachestore: truncating corrupt tail: %v", err)
@@ -152,28 +187,62 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// has reports whether key is indexed. Callers hold s.mu (or, during
-// Open, have exclusive access).
-func (s *Store) has(key string) bool {
-	_, ok := s.index[key]
-	return ok
+// compact replaces the log with one holding only the loaded records,
+// in log order: written to a temporary file, fsynced, renamed over the
+// log, and made durable by an fsync of dir, so a crash leaves either
+// the old log or the new one.
+func (s *Store) compact(dir string) error {
+	b := []byte(logMagic)
+	for _, rec := range s.loaded {
+		b = appendFrame(b, rec)
+	}
+	tmp := s.path + ".tmp"
+	f, err := os.Create(tmp)
+	if err == nil {
+		if _, err = f.Write(b); err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		err = os.Rename(tmp, s.path)
+	}
+	if err != nil {
+		os.Remove(tmp) //nolint:errcheck // already failing
+		return err
+	}
+	s.frames, s.compacted = len(s.loaded), true
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Path returns the log file's path.
 func (s *Store) Path() string { return s.path }
 
-// Records returns the records loaded from disk at Open, in log order
-// and deduplicated — the warm-start set to feed Engine.SeedCache.
-// Records appended later are not included (their simulations are
-// already in the engine that produced them). The slice is shared; do
-// not mutate.
-func (s *Store) Records() []sweep.CacheRecord { return s.loaded }
-
-// Len is the deduplicated record count, loaded plus appended.
-func (s *Store) Len() int {
+// Records returns the distinct records loaded from disk at Open, in
+// the order of their first frames — the warm-start set to feed
+// Engine.SeedCache — until ReleaseRecords drops them. Records appended
+// later are not included (their simulations are already in the engine
+// that produced them). The slice is shared; do not mutate.
+func (s *Store) Records() []sweep.CacheRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.index)
+	return s.loaded
+}
+
+// ReleaseRecords drops the records Open loaded, once they have seeded
+// an engine, so the store retains nothing per record while it serves;
+// Records returns nil afterwards.
+func (s *Store) ReleaseRecords() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.loaded = nil
 }
 
 // Skipped reports the corrupt tail the last Open dropped: unreadable
@@ -187,9 +256,11 @@ func (s *Store) Health() Health {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	h := Health{
-		Records:        len(s.index),
-		SkippedRecords: s.skipped,
-		TruncatedBytes: s.truncated,
+		Records:          s.frames,
+		SkippedRecords:   s.skipped,
+		TruncatedBytes:   s.truncated,
+		DuplicateRecords: s.duplicates,
+		Compacted:        s.compacted,
 	}
 	if s.lastErr != nil {
 		h.Err = s.lastErr.Error()
@@ -197,10 +268,11 @@ func (s *Store) Health() Health {
 	return h
 }
 
-// Put appends one record to the log, deduplicating on its content
-// address. It implements sweep.CacheSink, so it must not fail the
-// engine's hot path: append errors are remembered and surfaced
-// through Health (and by Sync/Close), not returned.
+// Put appends one record to the log. It implements sweep.CacheSink,
+// so it must not fail the engine's hot path: append errors are
+// remembered and surfaced through Health (and by Sync/Close), not
+// returned. It does not look for the record on disk: a repeat costs
+// one frame, which the next Open drops.
 func (s *Store) Put(rec sweep.CacheRecord) {
 	if err := rec.Validate(); err != nil {
 		s.mu.Lock()
@@ -208,17 +280,17 @@ func (s *Store) Put(rec sweep.CacheRecord) {
 		s.mu.Unlock()
 		return
 	}
-	key := contentKey(rec)
+	frame := appendFrame(nil, rec)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.has(key) {
+	if s.closed {
 		return
 	}
-	s.index[key] = struct{}{}
-	if _, err := s.w.Write(appendFrame(nil, rec)); err != nil {
+	if _, err := s.w.Write(frame); err != nil {
 		s.lastErr = err
 		return
 	}
+	s.frames++
 	s.dirty = true
 }
 
@@ -287,7 +359,8 @@ func (s *Store) Close() error {
 // --- Encoding -----------------------------------------------------------
 
 // contentKey derives a record's content address: the same coordinates
-// as the engine's cache key, packed into one string.
+// as the engine's cache key, packed into one string. Open keys its
+// duplicate check on it.
 func contentKey(rec sweep.CacheRecord) string {
 	b := make([]byte, 0, 16+len(rec.Family)+2*(len(rec.CPUs)+len(rec.Vec)))
 	b = append(b, rec.Family...)

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ivm/internal/rat"
@@ -31,15 +32,15 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Records()) != 0 || s.Len() != 0 {
-		t.Fatalf("fresh store not empty: %d records", s.Len())
+	if n := s.Health().Records; len(s.Records()) != 0 || n != 0 {
+		t.Fatalf("fresh store not empty: %d frames", n)
 	}
 	want := []sweep.CacheRecord{rec(0), rec(1), rec(2), rec(3)}
 	for _, r := range want {
 		s.Put(r)
 	}
-	if s.Len() != len(want) {
-		t.Fatalf("store holds %d records, put %d", s.Len(), len(want))
+	if n := s.Health().Records; n != len(want) {
+		t.Fatalf("store holds %d frames, put %d", n, len(want))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -58,46 +59,145 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoreDeduplicates pins content addressing: re-putting a record
-// (or replaying a whole log into itself) never grows the store, while
-// a record differing only in one coordinate does.
+// TestStoreDeduplicates pins content addressing, which Open applies: a
+// repeated frame is dropped from Records and counted, and the log is
+// left as it is while repeats stay within 1/compactShare of its
+// frames. Replaying the whole log into itself passes that share, so
+// the next Open compacts the log back to its byte size before the
+// replay: no duplicate survives a reopen past the threshold. A record
+// differing in one coordinate is distinct.
 func TestStoreDeduplicates(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Put(rec(0))
-	s.Put(rec(0))
-	if s.Len() != 1 {
-		t.Fatalf("duplicate put grew the store to %d", s.Len())
-	}
 	other := rec(0)
 	other.Vec = append([]int(nil), other.Vec...)
 	other.Vec[3] = 5
-	s.Put(other)
-	if s.Len() != 2 {
-		t.Fatalf("distinct vector deduplicated: %d records", s.Len())
+	distinct := []sweep.CacheRecord{rec(0), other, rec(1), rec(2)}
+	s := reopen(t, dir, nil)
+	for _, r := range distinct {
+		s.Put(r)
 	}
-	if err := s.Close(); err != nil {
+	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	size := logSize(t, dir)
+	s.Put(rec(0))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	grown := logSize(t, dir)
+	s = reopen(t, dir, nil)
 
-	// Replaying the log into a reopened store must not append.
-	s2, err := Open(dir)
+	// One repeat in five frames: dropped and counted, the log untouched.
+	if got := s.Records(); !reflect.DeepEqual(got, distinct) {
+		t.Fatalf("records:\n got %+v\nwant %+v", got, distinct)
+	}
+	if h := s.Health(); h.Records != 5 || h.DuplicateRecords != 1 || h.Compacted || logSize(t, dir) != grown {
+		t.Fatalf("Health with one repeat: %+v", h)
+	}
+
+	// Replaying the log into itself: 5 repeats in 9 frames.
+	for _, r := range s.Records() {
+		s.Put(r)
+	}
+	s = reopen(t, dir, s)
+	if h := s.Health(); h.Records != len(distinct) || h.DuplicateRecords != 5 || !h.Compacted {
+		t.Fatalf("Health after replay: %+v", h)
+	}
+	if got := s.Records(); !reflect.DeepEqual(got, distinct) {
+		t.Fatalf("compacted records:\n got %+v\nwant %+v", got, distinct)
+	}
+	if got := logSize(t, dir); got != size {
+		t.Fatalf("compacted log is %d bytes, the distinct frames %d", got, size)
+	}
+	s = reopen(t, dir, s)
+	defer s.Close()
+	if h := s.Health(); h.Records != len(distinct) || h.DuplicateRecords != 0 || h.Compacted {
+		t.Fatalf("Health after compaction: %+v", h)
+	}
+}
+
+// TestStoreEngineDuplicate drives a repeat through a real engine: an
+// orbit evicted from the engine's cache is simulated again and the
+// store, its sink, appends it again. The reopened store seeds one cache
+// entry, counts one duplicate and, past 1/compactShare, compacts the
+// log to one frame.
+func TestStoreEngineDuplicate(t *testing.T) {
+	var spec sweep.ConfigSpec
+	probe := sweep.NewEngine(sweep.Options{Workers: 1})
+	for _, p := range sweep.Placements([]sweep.ConfigSpec{sweep.PairSpec(13, 4, 1, 6)}) {
+		if r, err := probe.Resolve(p); err != nil {
+			t.Fatal(err)
+		} else if r.Path == sweep.PathSimPacked || r.Path == sweep.PathSimScalar {
+			spec = p
+			break
+		}
+	}
+	if spec.M == 0 {
+		t.Fatal("no placement of the (13, 4) pair 1 ⊕ 6 simulates")
+	}
+
+	dir := t.TempDir()
+	s := reopen(t, dir, nil)
+	// One entry per shard: seeding a record into the orbit's shard
+	// evicts it without an append (seeds are not emitted).
+	a := sweep.NewEngine(sweep.Options{Workers: 1, CacheSize: 16, CacheSink: s})
+	first, err := a.Resolve(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range s2.Records() {
-		s2.Put(r)
+	for i := 0; a.Metrics().CacheMisses < 2; i++ {
+		if i == 1000 {
+			t.Fatal("seeding never evicted the orbit")
+		}
+		if err := a.SeedCache(sweep.CacheRecord{Family: "pair", M: 13, NC: 4,
+			CPUs: []int{0, 1}, Vec: []int{100 + i, 1, 0, 0}, BW: rat.New(1, 1)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Resolve(spec); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
+	if h := s.Health(); h.Records != 2 {
+		t.Fatalf("store appended %d frames for one orbit simulated twice", h.Records)
 	}
-	if got := logSize(t, dir); got != size {
-		t.Fatalf("replay grew the log from %d to %d bytes", size, got)
+
+	s = reopen(t, dir, s)
+	defer s.Close()
+	if h := s.Health(); len(s.Records()) != 1 || h.DuplicateRecords != 1 || !h.Compacted || h.Records != 1 {
+		t.Fatalf("reopened store: %d records, %+v", len(s.Records()), h)
 	}
+	b := sweep.NewEngine(sweep.Options{Workers: 1})
+	for _, r := range s.Records() {
+		if err := b.SeedCache(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := b.Metrics().CacheEntries; n != 1 {
+		t.Fatalf("store seeded %d cache entries, want 1", n)
+	}
+	if r, err := b.Resolve(spec); err != nil || r.Path != sweep.PathCache || !r.BW.Equal(first.BW) {
+		t.Fatalf("seeded engine: %s on %v (%v), cold %s", r.BW, r.Path, err, first.BW)
+	}
+}
+
+// TestStorePutRetainsNothing pins what Put keeps: nothing per record.
+// The log's write buffer is allocated by Open, so the heap retained
+// over 1<<16 distinct puts stays under a byte per put.
+func TestStorePutRetainsNothing(t *testing.T) {
+	const n = 1 << 16
+	s := reopen(t, t.TempDir(), nil)
+	defer s.Close()
+	before := liveHeap()
+	for i := 0; i < n; i++ {
+		s.Put(sweep.CacheRecord{Family: "stream4", M: 16, NC: 4, CPUs: []int{0, 1, 0, 1},
+			Vec: []int{1, 3, 5, 7, i % 16, i / 16 % 16, i / 256 % 16, i / 4096}, BW: rat.New(1, 2)})
+	}
+	per := float64(liveHeap()-before) / n
+	t.Logf("%.2f B retained per put", per)
+	if per >= 1 {
+		t.Errorf("store retains %.2f B per put, want under 1", per)
+	}
+	runtime.KeepAlive(s)
 }
 
 // TestStoreRejectsInvalid pins the sink contract: an invalid record is
@@ -110,8 +210,8 @@ func TestStoreRejectsInvalid(t *testing.T) {
 	}
 	defer s.Close()
 	s.Put(sweep.CacheRecord{Family: "pair", M: 13, NC: 4, CPUs: []int{0, 1}, Vec: []int{1}})
-	if s.Len() != 0 {
-		t.Fatalf("invalid record indexed: %d records", s.Len())
+	if n := s.Health().Records; n != 0 {
+		t.Fatalf("invalid record appended: %d frames", n)
 	}
 	if h := s.Health(); h.Err == "" {
 		t.Fatal("invalid put left Health clean")
@@ -300,4 +400,28 @@ func logSize(t *testing.T, dir string) int64 {
 		t.Fatal(err)
 	}
 	return fi.Size()
+}
+
+// reopen closes s (when non-nil) and opens the store in dir again.
+func reopen(t *testing.T, dir string, s *Store) *Store {
+	t.Helper()
+	if s != nil {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// liveHeap returns the bytes of live heap after two collections.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

@@ -95,9 +95,12 @@ type Server struct {
 
 // New builds a server: a provenance-recording engine sized for the
 // store's record set, warm-seeded from it, with new simulations
-// appended back to the store. A store record that fails seeding
-// (shape corruption the CRC could not catch) fails construction — the
-// store should be deleted and rebuilt rather than served from.
+// appended back to the store. Once seeded, the store's loaded records
+// are released (cachestore.Store.ReleaseRecords), so the store keeps
+// nothing per record while the server runs. A store record that fails
+// seeding (shape corruption the CRC could not catch) fails
+// construction — the store should be deleted and rebuilt rather than
+// served from.
 func New(opt Options) (*Server, error) {
 	var records []sweep.CacheRecord
 	if opt.Store != nil {
@@ -137,6 +140,9 @@ func New(opt Options) (*Server, error) {
 			return nil, fmt.Errorf("serve: warm start: %v", err)
 		}
 		s.seeded++
+	}
+	if opt.Store != nil {
+		opt.Store.ReleaseRecords() // the engine's cache holds them now
 	}
 	s.reg.RegisterProm("sweep", obs.SweepPromMetrics(s.eng))
 	s.reg.RegisterProm("served", s.promMetrics)
@@ -336,7 +342,7 @@ func (s *Server) promMetrics() []obs.PromMetric {
 			up = 0
 		}
 		out = append(out,
-			obs.Gauge("ivmserved_store_records", "Deduplicated records in the persistent cache store.", float64(h.Records)),
+			obs.Gauge("ivmserved_store_records", "Frames in the persistent cache store's log: kept at open plus appended since.", float64(h.Records)),
 			obs.Gauge("ivmserved_store_skipped_records", "Corrupt tail records dropped when the store was opened.", float64(h.SkippedRecords)),
 			obs.Gauge("ivmserved_store_up", "Whether the persistent store is healthy (no pending append/sync error).", up))
 	}

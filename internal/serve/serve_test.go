@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -453,6 +454,59 @@ func TestServeNewSeedsWholeStore(t *testing.T) {
 			t.Fatalf("CacheRecords returned %+v, not a seeded record", rec)
 		}
 	}
+}
+
+// Once New has seeded the engine from a store, the store keeps none of
+// the records it loaded: with the server dropped and the store still
+// open, the heap retained over the store's 1<<16 records stays under a
+// byte per record (the records themselves take about 200 B each).
+func TestServeNewReleasesStoreRecords(t *testing.T) {
+	const n = 1 << 16
+	dir := t.TempDir()
+	store, err := cachestore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		store.Put(sweep.CacheRecord{Family: "stream4", M: 16, NC: 4, CPUs: []int{0, 1, 0, 1},
+			Vec: []int{1, 3, 5, 7, i % 16, i / 16 % 16, i / 256 % 16, i / 4096}, BW: rat.New(1, 2)})
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	before := liveHeap()
+	store, err = cachestore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	s, err := New(Options{Workers: 1, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Seeded(); got != n {
+		t.Fatalf("seeded %d of %d records", got, n)
+	}
+	if got := len(store.Records()); got != 0 {
+		t.Fatalf("store still holds %d records after seeding", got)
+	}
+	s = nil
+	per := float64(liveHeap()-before) / n
+	t.Logf("%.2f B retained per record", per)
+	if per >= 1 {
+		t.Errorf("store retains %.2f B per record after seeding, want under 1", per)
+	}
+	runtime.KeepAlive(store)
+}
+
+// liveHeap returns the bytes of live heap after two collections.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // recordID is a cache record's content address as a map key.

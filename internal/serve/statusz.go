@@ -69,9 +69,9 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	if s.store != nil {
 		h := s.store.Health()
 		b.WriteString("\nstore\n-----\n")
-		fmt.Fprintf(&b, "records:  %d\nskipped:  %d\n", h.Records, h.SkippedRecords)
+		fmt.Fprintf(&b, "frames:     %d\nskipped:    %d\nduplicates: %d\n", h.Records, h.SkippedRecords, h.DuplicateRecords)
 		if h.Err != "" {
-			fmt.Fprintf(&b, "ERROR:    %s\n", h.Err)
+			fmt.Fprintf(&b, "ERROR:      %s\n", h.Err)
 		} else {
 			b.WriteString("healthy\n")
 		}

@@ -57,10 +57,11 @@ type Options struct {
 	// store (internal/cachestore) can append it to its log. The lead of
 	// a spec class (see Engine.specGrid) canonicalises its placements
 	// only for its observers and can emit one orbit more than once;
-	// stores deduplicate. Cache hits, class copies, analytic answers
-	// and seeded records are not emitted, and nothing is emitted when
-	// caching is disabled (CacheSize < 0). Implementations must be safe
-	// for concurrent use; nil (the default) is off and free.
+	// a store drops the repeats when it opens. Cache hits, class
+	// copies, analytic answers and seeded records are not emitted, and
+	// nothing is emitted when caching is disabled (CacheSize < 0).
+	// Implementations must be safe for concurrent use; nil (the
+	// default) is off and free.
 	CacheSink CacheSink
 	// Analytic enables the theorem-driven classifier gate in the sweep
 	// hot path: sectionless two-stream placements whose regime has a

@@ -22,7 +22,7 @@ import (
 // hold orbit representatives, never raw placements — and the orbit's
 // effective bandwidth. The (Family, M, S, NC, CPUs, Vec) tuple is the
 // content address: equal tuples are the same simulation by
-// construction, so stores deduplicate on it.
+// construction, so a store drops the repeats of one when it opens.
 type CacheRecord struct {
 	// Family is the configuration family (ConfigSpec.Family).
 	Family string
