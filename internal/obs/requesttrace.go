@@ -9,10 +9,11 @@ import (
 // Chrome trace process, "requests", beside the banks/ports/workers
 // tracks. Each retained request gets its own thread lane holding one
 // outer slice for the request (named by endpoint, with the request ID
-// in args so a trace can be grepped for one ID) and one child slice
-// per recorded span (decode, gate, canonicalise, cache-probe,
-// simulate, encode), so one slow request's anatomy reads directly off
-// the timeline.
+// in args so a trace can be grepped for one ID, and each phase's
+// count, total and maximum) and one child slice per span its summary
+// kept (decode and encode, and the slowest of gate, canonicalise,
+// cache-probe and simulate), so one slow request's anatomy reads
+// directly off the timeline.
 
 // chromePidRequests is the trace process ID of the request track
 // (banks, ports and sweep workers are 1-3, see chrometrace.go).
@@ -20,14 +21,15 @@ const chromePidRequests = 4
 
 // RequestTrace is one completed, exportable request: identity, HTTP
 // outcome, when it ran (nanoseconds since the serving process's
-// epoch), and its recorded spans (relative to the request's start).
+// epoch), and the summary of its spans (stamped relative to the
+// request's start).
 type RequestTrace struct {
-	ID       string `json:"id"`
-	Endpoint string `json:"endpoint"`
-	Status   int    `json:"status"`
-	StartNS  int64  `json:"start_ns"`
-	DurNS    int64  `json:"dur_ns"`
-	Spans    []Span `json:"spans,omitempty"`
+	ID       string
+	Endpoint string
+	Status   int
+	StartNS  int64
+	DurNS    int64
+	Trace    TraceSummary
 }
 
 // requestChromeEvents renders the requests as trace events: process
@@ -44,12 +46,18 @@ func requestChromeEvents(reqs []RequestTrace) []chromeEvent {
 		if dur < 1 {
 			dur = 1
 		}
+		args := map[string]any{"id": r.ID, "status": fmt.Sprintf("%d", r.Status)}
+		for _, p := range r.Trace.Phases() {
+			args[p.Name] = fmt.Sprintf("%dx total %dus max %dus", p.Count, p.TotalNS/1000, p.MaxNS/1000)
+		}
+		if r.Trace.Dropped > 0 {
+			args["spans_dropped"] = r.Trace.Dropped
+		}
 		out = append(out, chromeEvent{
 			Name: r.Endpoint, Ph: "X", Ts: r.StartNS / 1000, Dur: dur,
-			Pid: chromePidRequests, Tid: tid, Cat: "request",
-			Args: map[string]any{"id": r.ID, "status": fmt.Sprintf("%d", r.Status)},
+			Pid: chromePidRequests, Tid: tid, Cat: "request", Args: args,
 		})
-		for _, sp := range r.Spans {
+		for _, sp := range r.Trace.Spans {
 			sd := sp.DurNS / 1000
 			if sd < 1 {
 				sd = 1

@@ -9,12 +9,15 @@ import (
 
 // TestWriteRequestTrace checks the Chrome trace_event document built
 // from completed requests: the "requests" process metadata, one named
-// thread per request, the outer endpoint slice carrying the request ID
-// and status, and the span children.
+// thread per request, the outer endpoint slice carrying the request ID,
+// status and phase sums, and the kept spans as children.
 func TestWriteRequestTrace(t *testing.T) {
 	reqs := []RequestTrace{
 		{ID: "req-a", Endpoint: "bandwidth", Status: 200, StartNS: 5_000, DurNS: 2_000_000,
-			Spans: []Span{{Name: "decode", StartNS: 100, DurNS: 50_000}, {Name: "simulate", StartNS: 60_000, DurNS: 1_500_000}}},
+			Trace: TraceSummary{
+				Spans:  []Span{{Name: "decode", StartNS: 100, DurNS: 50_000}, {Name: "simulate", StartNS: 60_000, DurNS: 1_500_000}},
+				Folded: []PhaseSum{{Name: "simulate", Count: 3, TotalNS: 2_000_000, MaxNS: 900_000}},
+			}},
 		{ID: "req-b", Endpoint: "sweep", Status: 400, StartNS: 9_000_000, DurNS: 300},
 	}
 	var buf bytes.Buffer
@@ -54,6 +57,10 @@ func TestWriteRequestTrace(t *testing.T) {
 			}
 			if ev.Dur < 1 {
 				t.Errorf("request slice %q has dur %d, want >= 1us", ev.Name, ev.Dur)
+			}
+			// The phase sums ride as args: kept and folded spans together.
+			if ev.Name == "bandwidth" && (ev.Args["simulate"] != "4x total 3500us max 1500us" || ev.Args["decode"] != "1x total 50us max 50us") {
+				t.Errorf("bandwidth slice args %v lack the phase sums", ev.Args)
 			}
 		case ev.Ph == "X":
 			spans++

@@ -14,6 +14,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -322,9 +323,10 @@ func TestRequestTraceExport(t *testing.T) {
 }
 
 // TestBatchTraceKeepsHandlerSpans sends a batch whose engine spans
-// overrun the trace bound: the retained trace still holds exactly one
-// decode and one encode span beside DefaultTraceContextCapacity engine
-// spans, and the slow-query log's spans_dropped counts the rest.
+// overrun the trace bound: the retained summary keeps exactly one
+// decode and one encode span, its engine phases count
+// DefaultTraceContextCapacity spans between them, and the slow-query
+// log's spans_dropped counts the rest.
 func TestBatchTraceKeepsHandlerSpans(t *testing.T) {
 	var logw syncWriter
 	s, ts := newTestServer(t, Options{
@@ -369,24 +371,87 @@ func TestBatchTraceKeepsHandlerSpans(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	traces, _ := s.traces.snapshot()
-	byName := map[string]int{}
+	var sum obs.TraceSummary
 	for _, tr := range traces {
 		if tr.ID == "big-batch" {
-			for _, sp := range tr.Spans {
-				byName[sp.Name]++
-			}
+			sum = tr.Trace
 		}
 	}
-	if byName[spanDecode] != 1 || byName[spanEncode] != 1 {
-		t.Errorf("retained spans %v, want one decode and one encode", byName)
+	kept := map[string]int{}
+	for _, sp := range sum.Spans {
+		kept[sp.Name]++
 	}
-	engine := byName[sweep.SpanGate] + byName[sweep.SpanCanon] + byName[sweep.SpanCacheProbe] + byName[sweep.SpanSimulate]
+	if kept[spanDecode] != 1 || kept[spanEncode] != 1 {
+		t.Errorf("kept spans %v, want one decode and one encode", kept)
+	}
+	if engine := len(sum.Spans) - 2; engine != obs.SlowestSpans {
+		t.Errorf("kept %d engine spans, want the %d slowest", engine, obs.SlowestSpans)
+	}
+	var engine int64
+	for _, p := range sum.Phases() {
+		switch p.Name {
+		case sweep.SpanGate, sweep.SpanCanon, sweep.SpanCacheProbe, sweep.SpanSimulate:
+			engine += p.Count
+		}
+	}
 	if engine != obs.DefaultTraceContextCapacity {
-		t.Errorf("retained %d engine spans, want %d", engine, obs.DefaultTraceContextCapacity)
+		t.Errorf("engine phases count %d spans, want %d", engine, obs.DefaultTraceContextCapacity)
 	}
-	if dropped, attempted := warn["spans_dropped"], 3*n+1; dropped != float64(attempted-engine) {
-		t.Errorf("spans_dropped = %v, want %d of %d attempted", dropped, attempted-engine, attempted)
+	if dropped, attempted := warn["spans_dropped"], 3*n+1; dropped != float64(int64(attempted)-engine) || sum.Dropped != int64(attempted)-engine {
+		t.Errorf("spans_dropped = %v (summary %d), want %d of %d attempted", dropped, sum.Dropped, int64(attempted)-engine, attempted)
 	}
+}
+
+// TestTraceRingRetention drives 300 batches of 512 placements through
+// the handler, enough to wrap the trace ring, and weighs what the ring
+// retains: the heap after two collections with the ring, less the heap
+// once it is emptied, per retained trace. A retained trace is its
+// summary, under 2 KiB; a copy of every span held about 17 KB.
+func TestTraceRingRetention(t *testing.T) {
+	s, err := New(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	const batches, n = 300, 512
+	var body strings.Builder
+	body.WriteString(`{"specs":[`)
+	for i := range n {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		// The (2, 4) pair on m=8: the gate declines, so every spec
+		// records gate, canonicalise and cache-probe spans.
+		fmt.Fprintf(&body, `{"m":8,"nc":2,"streams":[{"d":2,"b":%d,"cpu":0},{"d":4,"b":%d,"cpu":1}]}`, 2*(i%4), (2*(i%4)+2)%8)
+	}
+	body.WriteString(`]}`)
+	for range batches {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(body.String())))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	traces, total := s.traces.snapshot()
+	if total != batches || len(traces) != traceRingCapacity {
+		t.Fatalf("ring holds %d of %d traces, want %d", len(traces), total, traceRingCapacity)
+	}
+	traces = nil
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	with := heap()
+	s.traces = newRing[obs.RequestTrace](traceRingCapacity)
+	per := (with - heap()) / traceRingCapacity
+	t.Logf("the trace ring retains %d B per trace", per)
+	if per >= 2048 {
+		t.Errorf("the trace ring retains %d B per trace, want under 2 KiB", per)
+	}
+	runtime.KeepAlive(s)
 }
 
 // TestDurationHistogram pins the native-histogram metric: _count

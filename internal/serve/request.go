@@ -149,7 +149,7 @@ func (r *ring[T]) snapshot() ([]T, int64) {
 }
 
 // slowEntry is one retained slow request: identity, outcome, full
-// provenance and the span breakdown, enough to triage without
+// provenance and the span summary, enough to triage without
 // re-running the query.
 type slowEntry struct {
 	ID       string
@@ -161,5 +161,5 @@ type slowEntry struct {
 	Theorem  string
 	Family   string
 	Results  int
-	Spans    []obs.Span
+	Trace    obs.TraceSummary
 }

@@ -28,6 +28,7 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -210,7 +211,9 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // observability: the ivmserved_* counters and latency histogram, the
 // per-request TraceContext (honoring or minting X-Request-ID, echoed
 // on the response), the slog access log, the slow-query log, and the
-// completed-request trace ring.
+// completed-request trace ring. A completed request's spans are folded
+// once into a summary (obs.TraceSummary), which both rings and the
+// slow-query log share.
 func (s *Server) instrument(endpoint int, h http.Handler) http.Handler {
 	name := endpointNames[endpoint]
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -227,18 +230,18 @@ func (s *Server) instrument(endpoint int, h http.Handler) http.Handler {
 		if sw.status >= 400 {
 			s.errors[endpoint].Add(1)
 		}
-		spans := tc.Spans()
+		sum := tc.Summary()
 		s.traces.add(obs.RequestTrace{
 			ID: id, Endpoint: name, Status: sw.status,
 			StartNS: t0.Sub(s.start).Nanoseconds(), DurNS: dur.Nanoseconds(),
-			Spans: spans,
+			Trace: sum,
 		})
 		slow := s.slowThreshold > 0 && dur >= s.slowThreshold
 		if slow {
 			s.slow.add(slowEntry{
 				ID: id, Endpoint: name, Status: sw.status, When: t0, Dur: dur,
 				Path: info.path, Theorem: info.theorem, Family: info.family,
-				Results: info.results, Spans: spans,
+				Results: info.results, Trace: sum,
 			})
 		}
 		if s.accessLog != nil {
@@ -254,48 +257,28 @@ func (s *Server) instrument(endpoint int, h http.Handler) http.Handler {
 					slog.Float64("dur_ms", float64(dur.Nanoseconds())/1e6),
 					slog.String("path", info.path), slog.String("theorem", info.theorem),
 					slog.String("family", info.family), slog.Int("results", info.results),
-					slog.String("spans", spanBreakdown(spans)),
-					slog.Int64("spans_dropped", tc.Dropped()))
+					slog.String("spans", spanBreakdown(sum)),
+					slog.Int64("spans_dropped", sum.Dropped))
 			}
 		}
 	})
 }
 
-// spanBreakdown folds a request's spans into a compact per-phase
-// summary ("simulate:3x42.1ms gate:3x0.2ms") ordered by total time,
-// the shape the slow-query log and /statusz print.
-func spanBreakdown(spans []obs.Span) string {
-	type agg struct {
-		name  string
-		count int
-		ns    int64
-	}
-	var order []*agg
-	byName := make(map[string]*agg)
-	for _, sp := range spans {
-		a := byName[sp.Name]
-		if a == nil {
-			a = &agg{name: sp.Name}
-			byName[sp.Name] = a
-			order = append(order, a)
-		}
-		a.count++
-		a.ns += sp.DurNS
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && order[j].ns > order[j-1].ns; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	out := ""
-	for i, a := range order {
+// spanBreakdown prints a request's phases compactly
+// ("simulate:3x42.1ms gate:3x0.2ms"), ordered by total time, the shape
+// the slow-query log and /statusz print. A phase with no span is not
+// printed.
+func spanBreakdown(sum obs.TraceSummary) string {
+	phases := sum.Phases()
+	slices.SortStableFunc(phases, func(a, b obs.PhaseSum) int { return cmp.Compare(b.TotalNS, a.TotalNS) })
+	var b strings.Builder
+	for i, p := range phases {
 		if i > 0 {
-			out += " "
+			b.WriteByte(' ')
 		}
-		out += fmt.Sprintf("%s:%dx%s", a.name, a.count,
-			time.Duration(a.ns).Round(time.Microsecond))
+		fmt.Fprintf(&b, "%s:%dx%s", p.Name, p.Count, time.Duration(p.TotalNS).Round(time.Microsecond))
 	}
-	return out
+	return b.String()
 }
 
 // pathCounts sums the engine's answer tally over families: the

@@ -91,8 +91,8 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 				e.Dur.Round(time.Microsecond))
 			fmt.Fprintf(&b, "    path=%s theorem=%s family=%s results=%d\n",
 				orDash(e.Path), orDash(e.Theorem), orDash(e.Family), e.Results)
-			if len(e.Spans) > 0 {
-				fmt.Fprintf(&b, "    spans: %s\n", spanBreakdown(e.Spans))
+			if len(e.Trace.Spans) > 0 {
+				fmt.Fprintf(&b, "    spans: %s\n", spanBreakdown(e.Trace))
 			}
 		}
 	}

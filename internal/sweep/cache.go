@@ -9,29 +9,31 @@ import (
 )
 
 // A cache key identifies one cyclic steady state in canonical
-// (orbit-minimal) form: the spec's configuration family, the memory
-// shape (m, s, n_c), the structural CPU layout, and the packed
-// configuration vector (d_1..d_N, b_1..b_N) after canonicalisation
-// through the spec's pipeline (see compiledSpec.pack and
-// docs/CACHING.md). The CPU layout is part of the key because two
-// specs with equal vectors but different port topologies are different
-// simulations; the family string alone does not pin it for the generic
-// "streamN"/"sectionN" shapes.
+// (orbit-minimal) form: the spec's policy, the memory shape (m, s,
+// n_c), the structural CPU layout, and the packed configuration vector
+// (d_1..d_N, b_1..b_N) after canonicalisation through the spec's
+// pipeline (see compiledSpec.pack and docs/CACHING.md). The CPU layout
+// is part of the key because two specs with equal vectors but
+// different port topologies are different simulations. The key holds
+// no family name: (s, the CPU layout) fix the name's stem and the
+// policy code its suffixes (appendFamily), so the keys partition the
+// orbits exactly as ConfigSpec.Family does.
 //
 // A key is one byte string: the head, which the spec fixes, then the
 // vector.
 //
-//	varint len(family), family,
+//	policy code (one byte, see policyCode),
 //	varint m, varint s, varint n_c,
 //	varint len(cpus), cpus (varint per stream),
 //	vec (varint per coordinate, to the end)
 //
 // Every field is delimited, so equal strings are equal keys.
 
-// cacheKeyInline is the longest key held inline in a cacheKey. A
-// census key takes 15 to 24 bytes; a longer key (a long policy family
-// name, many streams or a large m) spills to a string.
-const cacheKeyInline = 39
+// cacheKeyInline is the longest key held inline in a cacheKey, so a
+// cacheKey is 24 bytes. A census or batch key takes 11 to 17 bytes; a
+// longer key (many streams, or a coordinate or shape of 64 or more,
+// which takes two varint bytes) spills to a string.
+const cacheKeyInline = 23
 
 // cacheKey is a key of at most cacheKeyInline bytes, held inline and
 // zero-padded beside its length. It holds no pointer, so a shard map
@@ -66,21 +68,27 @@ type keyBuf struct {
 	mix  uint64
 }
 
-// newKeyBuf builds the key head of a spec's family, memory shape and
-// CPU layout.
-func newKeyBuf(family string, m, s, nc int, cpus []int) keyBuf {
-	cpuBytes := appendPacked(nil, cpus)
+// familyBufLen sizes the stack buffers a family name or a packed CPU
+// layout is built in; a longer one only moves to the heap.
+const familyBufLen = 32
+
+// newKeyBuf builds the key head of a spec's policy code, memory shape
+// and CPU layout (packed, appendPacked); family is the name
+// appendFamily derives from them. The shard mix reads the name, not
+// the policy code, so an orbit's shard does not depend on how the key
+// spells its family: restart-warm's hit rate rests on shard placement
+// (bench/README.md).
+func newKeyBuf(family []byte, pol byte, m, s, nc int, cpus []byte) keyBuf {
 	// Room for the head and a vector of 2N coordinates of up to two
 	// bytes each, so packing a placement does not grow it.
-	buf := make([]byte, 0, len(family)+len(cpuBytes)+16+4*len(cpus))
-	buf = binary.AppendVarint(buf, int64(len(family)))
-	buf = append(buf, family...)
+	buf := make([]byte, 0, 1+len(cpus)+16+4*len(cpus))
+	buf = append(buf, pol)
 	buf = binary.AppendVarint(buf, int64(m))
 	buf = binary.AppendVarint(buf, int64(s))
 	buf = binary.AppendVarint(buf, int64(nc))
-	buf = binary.AppendVarint(buf, int64(len(cpuBytes)))
-	buf = append(buf, cpuBytes...)
-	return keyBuf{buf: buf, head: len(buf), mix: headMix(family, m, s, nc, cpuBytes)}
+	buf = binary.AppendVarint(buf, int64(len(cpus)))
+	buf = append(buf, cpus...)
+	return keyBuf{buf: buf, head: len(buf), mix: headMix(family, m, s, nc, cpus)}
 }
 
 // setVec packs vec after the head.
@@ -91,7 +99,7 @@ func (k *keyBuf) shard() int { return finishShard(k.mix, k.buf[k.head:]) }
 
 // keyParts are the decoded fields of a key.
 type keyParts struct {
-	family    []byte
+	pol       byte
 	m, s, nc  int
 	cpus, vec []byte
 }
@@ -99,7 +107,11 @@ type keyParts struct {
 // parseKey decodes a key built by keyBuf. Keys never leave the
 // process, so a malformed one is a bug and panics.
 func parseKey(key []byte) keyParts {
-	var p keyParts
+	if len(key) == 0 {
+		panic("sweep: empty cache key")
+	}
+	p := keyParts{pol: key[0]}
+	key = key[1:]
 	next := func() int {
 		x, n := binary.Varint(key)
 		if n <= 0 {
@@ -108,13 +120,14 @@ func parseKey(key []byte) keyParts {
 		key = key[n:]
 		return int(x)
 	}
-	n := next()
-	p.family, key = key[:n], key[n:]
 	p.m, p.s, p.nc = next(), next(), next()
-	n = next()
+	n := next()
 	p.cpus, p.vec = key[:n], key[n:]
 	return p
 }
+
+// appendFamily appends the name of the key's configuration family.
+func (p keyParts) appendFamily(dst []byte) []byte { return appendFamily(dst, p.s, p.cpus, p.pol) }
 
 // packInts encodes a vector as a compact varint string for use as a
 // map-key component.
@@ -145,17 +158,17 @@ func unpackInts(b []byte) []int {
 }
 
 // headMix and finishShard spread keys over the cache shards: an
-// FNV-style mix of every key component (the family's bytes, m, s and
-// n_c, the packed CPU layout's bytes, then the packed vector's),
-// finished with the murmur3 64-bit avalanche, whose top bits select the
-// shard. The cache is itself a cacheShardCount-way interleaved memory,
-// and the mix alone repeats its low bits with period 2: h % 16 sent
-// every 4-stream key to the 8 odd shards, as a stride sharing a factor
-// with m reaches only m/gcd(d, m) banks. So the index must come from
-// avalanched high bits. There is no per-process seed: shard placement
+// FNV-style mix of the family's name, then every key component but
+// the policy code (m, s and n_c, the packed CPU layout's bytes, then
+// the packed vector's), finished with the murmur3 64-bit avalanche,
+// whose top bits select the shard. The cache is itself a
+// cacheShardCount-way interleaved memory, and the mix alone repeats its
+// low bits with period 2: h % 16 sent every 4-stream key to the 8 odd
+// shards, as a stride sharing a factor with m reaches only
+// m/gcd(d, m) banks. So the index must come from avalanched high bits. There is no per-process seed: shard placement
 // repeats from run to run. headMix mixes the head, which a spec fixes,
 // so the answer route mixes only the vector per placement.
-func headMix[S string | []byte](family S, m, s, nc int, cpus []byte) uint64 {
+func headMix(family []byte, m, s, nc int, cpus []byte) uint64 {
 	h := uint64(2166136261)
 	for i := 0; i < len(family); i++ {
 		h = mixShard(h, int(family[i]))

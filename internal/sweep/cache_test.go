@@ -23,7 +23,7 @@ func keyAt(cs *compiledSpec, b []int) cacheKey {
 // answer route works it out from a spec's head and a packed vector.
 func (k cacheKey) shard() int {
 	p := parseKey(k.bytes())
-	return finishShard(headMix(p.family, p.m, p.s, p.nc, p.cpus), p.vec)
+	return finishShard(headMix(p.appendFamily(nil), p.m, p.s, p.nc, p.cpus), p.vec)
 }
 
 // spreadKeys collects the distinct canonical cache keys of every

@@ -264,7 +264,7 @@ func TestObserversKeepTheRoute(t *testing.T) {
 func rowTotals(p *Provenance) map[string]orbitRow {
 	out := map[string]orbitRow{}
 	add := func(key []byte, o orbitRow) {
-		fam := string(parseKey(key).family)
+		fam := string(parseKey(key).appendFamily(nil))
 		t := out[fam]
 		t.hits += o.hits
 		t.misses += o.misses

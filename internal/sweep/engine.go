@@ -732,9 +732,13 @@ func (w *worker) compile(spec ConfigSpec) *compiledSpec {
 	for i, st := range spec.Streams {
 		cpus[i] = st.CPU
 	}
+	pol := policyCode(spec.Mapping, spec.Priority)
+	var cb, fb [familyBufLen]byte
+	cpuBytes := appendPacked(cb[:0], cpus)
+	family := appendFamily(fb[:0], spec.S, cpuBytes, pol)
 	cs := &compiledSpec{
 		spec:    spec,
-		family:  spec.Family(),
+		family:  string(family),
 		cpuList: cpus,
 		canon:   w.pipelineFor(spec.M, spec.S, spec.Mapping),
 		cfg:     specConfig(spec),
@@ -743,7 +747,7 @@ func (w *worker) compile(spec ConfigSpec) *compiledSpec {
 		b:       make([]int, n),
 		gate:    w.e.pairGate(spec),
 	}
-	cs.key = newKeyBuf(cs.family, spec.M, spec.S, spec.NC, cpus)
+	cs.key = newKeyBuf(family, pol, spec.M, spec.S, spec.NC, cpuBytes)
 	for i, st := range spec.Streams {
 		cs.b[i] = st.B
 	}

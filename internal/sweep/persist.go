@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 
+	"ivm/internal/memsys"
 	"ivm/internal/rat"
 )
 
@@ -56,11 +57,26 @@ func (r CacheRecord) Validate() error {
 	return nil
 }
 
-// key builds the record's in-RAM cache key.
-func (r CacheRecord) key() keyBuf {
-	k := newKeyBuf(r.Family, r.M, r.S, r.NC, r.CPUs)
+// key builds the record's in-RAM cache key. The key carries the policy
+// code read off the family's suffixes and not the name, so the name
+// must be the one the record's sections, CPUs and policy derive: a
+// record whose family contradicts its CPU layout or its policy is
+// refused, as is a consecutive mapping without sections.
+func (r CacheRecord) key() (keyBuf, error) {
+	pol := familyPolicy(r.Family)
+	if r.S == 0 && memsys.SectionMapping(pol&1) == memsys.ConsecutiveSections {
+		return keyBuf{}, fmt.Errorf("cache record: family %q needs sections, s=0", r.Family)
+	}
+	var cb, fb [familyBufLen]byte
+	cpus := appendPacked(cb[:0], r.CPUs)
+	family := appendFamily(fb[:0], r.S, cpus, pol)
+	if string(family) != r.Family {
+		return keyBuf{}, fmt.Errorf("cache record: family %q contradicts s=%d cpus=%v, which make %q",
+			r.Family, r.S, r.CPUs, string(family))
+	}
+	k := newKeyBuf(family, pol, r.M, r.S, r.NC, cpus)
 	k.setVec(r.Vec)
-	return k
+	return k, nil
 }
 
 // CacheSink receives one CacheRecord per simulation, under the
@@ -78,8 +94,9 @@ type CacheSink interface {
 // re-simulating, so a warm start answers the record's whole orbit with
 // path=cache. Records are trusted (they come from this engine's own
 // CacheSink via a store that checksums its log); only shape invariants
-// are checked. Seeding does not re-emit to the CacheSink and is a
-// no-op error when caching is disabled.
+// and the family's agreement with the CPU layout and policy are
+// checked. Seeding does not re-emit to the CacheSink and is a no-op
+// error when caching is disabled.
 func (e *Engine) SeedCache(rec CacheRecord) error {
 	if e.cache == nil {
 		return fmt.Errorf("sweep: seeding a cache-disabled engine")
@@ -87,7 +104,10 @@ func (e *Engine) SeedCache(rec CacheRecord) error {
 	if err := rec.Validate(); err != nil {
 		return fmt.Errorf("sweep: %v", err)
 	}
-	k := rec.key()
+	k, err := rec.key()
+	if err != nil {
+		return fmt.Errorf("sweep: %v", err)
+	}
 	e.cache.put(&k, rec.BW)
 	return nil
 }
@@ -105,10 +125,11 @@ func (e *Engine) CacheRecords() []CacheRecord {
 		return nil
 	}
 	var out []CacheRecord
+	var fb [familyBufLen]byte
 	add := func(key []byte, v rat.Rational) {
 		p := parseKey(key)
 		out = append(out, CacheRecord{
-			Family: string(p.family),
+			Family: string(p.appendFamily(fb[:0])),
 			M:      p.m, S: p.s, NC: p.nc,
 			CPUs: unpackInts(p.cpus),
 			Vec:  unpackInts(p.vec),

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"ivm/internal/memsys"
 	"ivm/internal/rat"
 )
 
@@ -188,5 +189,90 @@ func TestSeedCacheRejectsBadRecords(t *testing.T) {
 	}
 	if err := eng.SeedCache(ok); err != nil {
 		t.Errorf("valid record rejected: %v", err)
+	}
+}
+
+// TestCacheKeyFamilyRoundTrip pins the family-free key on every family
+// spelling: the key holds only a policy code and the CPU layout, yet it
+// stays inline and decodes to ConfigSpec.Family, CacheRecords exports
+// the family by name, and seeding the export into a fresh engine
+// exports it again unchanged. A sectionless family under the
+// consecutive mapping is no spec at all (Validate refuses it), so its
+// record is refused too, as are records whose family contradicts their
+// CPU layout or whose suffixes are out of order.
+func TestCacheKeyFamilyRoundTrip(t *testing.T) {
+	stems := []struct {
+		stem string
+		spec ConfigSpec
+	}{
+		{"pair", ConfigSpec{M: 13, NC: 4, Streams: []Stream{{D: 1, CPU: 0}, {D: 6, B: 7, CPU: 1}}}},
+		{"triple", TripleCensusSpec(13, 4, [3]int{1, 2, 6}, [3]int{0, 1, 2})},
+		{"stream4", ConfigSpec{M: 16, NC: 4, Streams: []Stream{{D: 1}, {D: 3, B: 5, CPU: 1}, {D: 5, B: 2}, {D: 7, B: 9, CPU: 1}}}},
+		{"section", ConfigSpec{M: 16, S: 4, NC: 4, Streams: []Stream{{D: 1}, {D: 3, B: 6}}}},
+		{"section3", ConfigSpec{M: 12, S: 3, NC: 3, Streams: []Stream{{D: 1}, {D: 5, B: 4}, {D: 7, B: 2, CPU: 1}}}},
+	}
+	policies := []struct {
+		suffix   string
+		priority memsys.PriorityRule
+		mapping  memsys.SectionMapping
+	}{
+		{"", memsys.FixedPriority, memsys.CyclicSections},
+		{"-consec", memsys.FixedPriority, memsys.ConsecutiveSections},
+		{"-cyc", memsys.CyclicPriority, memsys.CyclicSections},
+		{"-rrcpu", memsys.RoundRobinPerCPU, memsys.CyclicSections},
+		{"-consec-rrcpu", memsys.RoundRobinPerCPU, memsys.ConsecutiveSections},
+	}
+	for _, st := range stems {
+		for _, pol := range policies {
+			name := st.stem + pol.suffix
+			spec := st.spec.WithPolicy(pol.priority, pol.mapping)
+			t.Run(name, func(t *testing.T) {
+				rec := CacheRecord{Family: name, M: spec.M, S: spec.S, NC: spec.NC,
+					CPUs: make([]int, len(spec.Streams)), Vec: make([]int, 2*len(spec.Streams)), BW: rat.New(3, 2)}
+				for i, s := range spec.Streams {
+					rec.CPUs[i] = s.CPU
+				}
+				if spec.S == 0 && pol.mapping == memsys.ConsecutiveSections {
+					if err := NewEngine(Options{}).SeedCache(rec); err == nil {
+						t.Fatalf("record of family %q on a sectionless memory seeded", name)
+					}
+					return
+				}
+				if got := spec.Family(); got != name {
+					t.Fatalf("spec family %q, want %q", got, name)
+				}
+				w := &worker{e: NewEngine(Options{Workers: 1})}
+				cs := w.compile(spec)
+				k := keyAt(cs, cs.b)
+				if got := string(parseKey(k.bytes()).appendFamily(nil)); got != name {
+					t.Fatalf("%d-byte key decodes to family %q, want %q", k.n, got, name)
+				}
+				w.e.cache.put(&cs.key, rat.New(3, 2))
+				records := w.e.CacheRecords()
+				if len(records) != 1 || records[0].Family != name || !reflect.DeepEqual(records[0].CPUs, rec.CPUs) {
+					t.Fatalf("exported %+v, want one %q record on CPUs %v", records, name, rec.CPUs)
+				}
+				seeded := NewEngine(Options{Workers: 1})
+				if err := seeded.SeedCache(records[0]); err != nil {
+					t.Fatal(err)
+				}
+				if again := seeded.CacheRecords(); !reflect.DeepEqual(again, records) {
+					t.Fatalf("re-exported %+v, want %+v", again, records)
+				}
+
+				// The family must be the one the CPU layout and policy
+				// make: one stream fewer names another family.
+				n := len(rec.CPUs) - 1
+				moved := records[0]
+				moved.CPUs, moved.Vec = moved.CPUs[:n], append(moved.Vec[:n:n], moved.Vec[n+1:2*n+1]...)
+				outOfOrder := records[0]
+				outOfOrder.Family = st.stem + "-cyc-consec"
+				for _, bad := range []CacheRecord{moved, outOfOrder} {
+					if err := seeded.SeedCache(bad); err == nil {
+						t.Errorf("record of family %q on s=%d CPUs %v seeded", bad.Family, bad.S, bad.CPUs)
+					}
+				}
+			})
+		}
 	}
 }

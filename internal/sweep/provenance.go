@@ -79,7 +79,7 @@ const DefaultProvenanceOrbits = 1 << 18
 // runs unrecorded — the detached path adds no allocations (the overhead
 // tests pin that).
 //
-// A row is keyed by its orbit's cache key — family, (m, s, n_c), CPU
+// A row is keyed by its orbit's cache key — policy, (m, s, n_c), CPU
 // layout and canonical configuration vector (d_1..d_N, b_1..b_N) — the
 // key the cache probe has just packed (worker.record packs it for a
 // placement simulated without a probe), so two specs with equal vectors
@@ -307,24 +307,26 @@ type ProvenanceSnapshot struct {
 // view joins the engine's answer tally with the recorder's orbit rows
 // into the attribution view (Engine.Snapshot is its one caller). Safe
 // to call concurrently with recording: it walks the shards once, each
-// under its own lock. The counts and the size histogram read only the
-// row values; only the rows the two lists report have their keys
-// decoded.
+// under its own lock, copying each key into one scratch buffer, so its
+// allocations do not grow with the rows. The counts and the size
+// histogram read only the row values; only the rows the two lists
+// report have their keys decoded.
 func (p *Provenance) view(tally map[string]FamilyProvenance) ProvenanceSnapshot {
 	aggs := make(map[string]*orbitAgg, len(tally))
 	for name := range tally {
 		aggs[name] = newOrbitAgg()
 	}
-	var spilled []byte
+	var key, fam []byte // scratch: a row's key and its family's name
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
 		for k, o := range s.m {
-			addRow(aggs, k.bytes(), o)
+			key = append(key[:0], k.b[:k.n]...)
+			fam = addRow(aggs, fam, key, o)
 		}
 		for k, o := range s.spill {
-			spilled = append(spilled[:0], k...)
-			addRow(aggs, spilled, *o)
+			key = append(key[:0], k...)
+			fam = addRow(aggs, fam, key, *o)
 		}
 		s.mu.Unlock()
 	}
@@ -340,12 +342,13 @@ func (p *Provenance) view(tally map[string]FamilyProvenance) ProvenanceSnapshot 
 }
 
 // addRow adds the row of key to its family's aggregate, if the tally
-// has that family.
-func addRow(aggs map[string]*orbitAgg, key []byte, o orbitRow) {
-	n, w := binary.Varint(key)
-	a := aggs[string(key[w:w+int(n)])]
+// has that family. It derives the family's name into fam, scratch it
+// returns for the next row, so a row costs no allocation.
+func addRow(aggs map[string]*orbitAgg, fam, key []byte, o orbitRow) []byte {
+	fam = parseKey(key).appendFamily(fam[:0])
+	a := aggs[string(fam)]
 	if a == nil {
-		return
+		return fam
 	}
 	size := o.hits + o.misses
 	a.orbits++
@@ -360,6 +363,7 @@ func addRow(aggs map[string]*orbitAgg, key []byte, o orbitRow) {
 	if o.misses > 0 {
 		a.unexplained.offer(key, o)
 	}
+	return fam
 }
 
 // orbitAgg aggregates one family's rows: counts, the orbit-size
@@ -374,14 +378,14 @@ type orbitAgg struct {
 func newOrbitAgg() *orbitAgg {
 	return &orbitAgg{
 		// The largest orbits by explained placements.
-		top: topOrbits{less: func(a, b *orbitRef) bool {
+		top: topOrbits{less: func(a, b orbitRef) bool {
 			if sa, sb := a.row.hits+a.row.misses, b.row.hits+b.row.misses; sa != sb {
 				return sa > sb
 			}
 			return orbitLess(a.key, b.key)
 		}},
 		// The most re-simulated, then most expensive, orbits.
-		unexplained: topOrbits{less: func(a, b *orbitRef) bool {
+		unexplained: topOrbits{less: func(a, b orbitRef) bool {
 			if a.row.misses != b.row.misses {
 				return a.row.misses > b.row.misses
 			}
@@ -418,8 +422,10 @@ type orbitRef struct {
 }
 
 // topOrbits keeps the TopOrbitK rows first under less, in that order.
+// less takes its refs by value, so offering a row builds none on the
+// heap.
 type topOrbits struct {
-	less func(a, b *orbitRef) bool
+	less func(a, b orbitRef) bool
 	refs []orbitRef
 }
 
@@ -428,7 +434,7 @@ type topOrbits struct {
 func (t *topOrbits) offer(key []byte, o orbitRow) {
 	n := len(t.refs)
 	if n == TopOrbitK {
-		if !t.less(&orbitRef{key: key, row: o}, &t.refs[n-1]) {
+		if !t.less(orbitRef{key: key, row: o}, t.refs[n-1]) {
 			return
 		}
 		n--
@@ -437,7 +443,7 @@ func (t *topOrbits) offer(key []byte, o orbitRow) {
 	} else {
 		t.refs = append(t.refs, orbitRef{key: append([]byte(nil), key...), row: o})
 	}
-	for ; n > 0 && t.less(&t.refs[n], &t.refs[n-1]); n-- {
+	for ; n > 0 && t.less(t.refs[n], t.refs[n-1]); n-- {
 		t.refs[n], t.refs[n-1] = t.refs[n-1], t.refs[n]
 	}
 }

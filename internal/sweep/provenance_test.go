@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"ivm/internal/memsys"
 )
 
 // Conservation: every placement the engine resolves takes exactly one
@@ -312,6 +314,33 @@ func TestRecordedCacheHitAllocs(t *testing.T) {
 	}
 }
 
+// The view derives each row's family name from its key into one
+// scratch buffer, so its allocations do not grow with the rows: 4,096
+// rows of a policy family (the longest names) cost what 16 rows cost.
+func TestProvenanceViewAllocsPerRow(t *testing.T) {
+	allocs := func(rows int) float64 {
+		prov := NewProvenance(0)
+		w := &worker{e: NewEngine(Options{Workers: 1, Provenance: prov})}
+		spec := ConfigSpec{M: 16, S: 4, NC: 4, Streams: []Stream{{D: 1}, {D: 3}, {D: 5, CPU: 1}, {D: 7, CPU: 1}},
+			Mapping: memsys.ConsecutiveSections, Priority: memsys.RoundRobinPerCPU}
+		cs := w.compile(spec)
+		for i := 0; i < rows; i++ {
+			cs.load([]int{i % 16, i / 16 % 16, i / 256 % 16, 0})
+			cs.key.setVec(cs.vec)
+			w.record(cs, Resolution{Path: PathCache}, 0)
+		}
+		w.flushTally()
+		tally := w.e.Tally()
+		if got := prov.view(tally).Families[spec.Family()].Orbits; got != int64(rows) {
+			t.Fatalf("view of %d rows counts %d orbits of %s", rows, got, spec.Family())
+		}
+		return testing.AllocsPerRun(10, func() { prov.view(tally) })
+	}
+	if few, many := allocs(16), allocs(4096); many > few {
+		t.Errorf("the view allocates %v times over 4096 rows, %v over 16: want no allocation per row", many, few)
+	}
+}
+
 // Two stream4 specs with equal streams on different CPU layouts are
 // two simulations and two cache entries, so they must be two orbits,
 // each observed once.
@@ -371,11 +400,12 @@ func TestProvenanceSpilledKey(t *testing.T) {
 // row: 1<<16 distinct orbits recorded through the answer route's
 // recording point must leave at most rowBytes each on the heap. At this
 // count each shard holds 4,096 rows, just past a split of its map's
-// tables (at half load), where the pointer-free rows retain about 160 B
-// each; rows held as a heap struct, vector and key string behind a
-// string-keyed map retained about 213 B.
+// tables (at half load), where the pointer-free rows of 24-byte keys
+// retain about 127 B each. Keys that carried the family's name took
+// 40 bytes and retained about 159 B; rows held as a heap struct, vector
+// and key string behind a string-keyed map retained about 213 B.
 func TestProvenanceRowBytes(t *testing.T) {
-	const rows, rowBytes = 1 << 16, 184
+	const rows, rowBytes = 1 << 16, 139
 	prov := NewProvenance(0)
 	w := &worker{e: NewEngine(Options{Workers: 1, Provenance: prov})}
 	cs := w.compile(ConfigSpec{M: 16, NC: 4, Streams: []Stream{{D: 1}, {D: 3, CPU: 1}, {D: 5, CPU: 2}, {D: 7, CPU: 3}}})

@@ -1,8 +1,10 @@
 package sweep
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"ivm/internal/core"
 	"ivm/internal/memsys"
@@ -106,46 +108,88 @@ func (c ConfigSpec) Validate() error {
 }
 
 // Family names the spec's configuration family — the string that keys
-// the per-family cache counters and, together with the CPU layout,
-// partitions the cache. The three historical families keep their
-// names: "pair" (two sectionless streams on CPUs 0 and 1), "triple"
-// (three sectionless streams on CPUs 0, 1, 2) and "section" (two
-// streams of one CPU against a sectioned memory). Other shapes derive
-// "streamN" / "sectionN" names from the stream count. Non-default
-// policies append suffixes — "-consec" for the consecutive mapping,
-// then "-cyc" / "-rrcpu" for a rotating priority rule — so specs that
-// differ in policy produce different conflict structures and must
-// never collide in the cache; the default (cyclic mapping, fixed
-// priority) keeps the bare historical names, which pins every
+// the per-family cache counters. The three historical families keep
+// their names: "pair" (two sectionless streams on CPUs 0 and 1),
+// "triple" (three sectionless streams on CPUs 0, 1, 2) and "section"
+// (two streams of one CPU against a sectioned memory). Other shapes
+// derive "streamN" / "sectionN" names from the stream count.
+// Non-default policies append suffixes — "-consec" for the consecutive
+// mapping, then "-cyc" / "-rrcpu" for a rotating priority rule — so
+// specs that differ in policy produce different conflict structures
+// and must never collide in the cache; the default (cyclic mapping,
+// fixed priority) keeps the bare historical names, which pins every
 // pre-policy golden, benchmark family key and served response byte.
+// The name is a function of (s, the CPU layout, the policy), which is
+// why a cache key carries those and not the name (appendFamily).
 func (c ConfigSpec) Family() string {
-	n := len(c.Streams)
-	var name string
-	if c.S == 0 {
-		switch {
-		case n == 2 && c.Streams[0].CPU == 0 && c.Streams[1].CPU == 1:
-			name = "pair"
-		case n == 3 && c.Streams[0].CPU == 0 && c.Streams[1].CPU == 1 && c.Streams[2].CPU == 2:
-			name = "triple"
-		default:
-			name = "stream" + strconv.Itoa(n)
-		}
-	} else {
-		name = "section" + strconv.Itoa(n)
-		if n == 2 && c.Streams[0].CPU == 0 && c.Streams[1].CPU == 0 {
-			name = "section"
-		}
+	var cb, fb [familyBufLen]byte
+	cpus := cb[:0]
+	for _, st := range c.Streams {
+		cpus = binary.AppendVarint(cpus, int64(st.CPU))
 	}
-	if c.Mapping == memsys.ConsecutiveSections {
-		name += "-consec"
+	return string(appendFamily(fb[:0], c.S, cpus, policyCode(c.Mapping, c.Priority)))
+}
+
+// policyCode packs a spec's policy into the one byte a cache key
+// carries: the section mapping in bit 0, the priority rule above it.
+func policyCode(mapping memsys.SectionMapping, priority memsys.PriorityRule) byte {
+	return byte(priority)<<1 | byte(mapping)
+}
+
+// appendFamily appends the name of the configuration family of a spec
+// with s sections whose streams issue from the CPUs packed in cpus
+// (varints, as a cache key holds them) under policy code pol. It is
+// the one derivation of a family name: ConfigSpec.Family, cache keys'
+// shard mix, CacheRecords and the provenance view all read it.
+func appendFamily(dst []byte, s int, cpus []byte, pol byte) []byte {
+	switch {
+	case s == 0 && string(cpus) == "\x00\x02": // CPUs 0, 1
+		dst = append(dst, "pair"...)
+	case s == 0 && string(cpus) == "\x00\x02\x04": // CPUs 0, 1, 2
+		dst = append(dst, "triple"...)
+	case s > 0 && string(cpus) == "\x00\x00": // CPUs 0, 0
+		dst = append(dst, "section"...)
+	default:
+		if s == 0 {
+			dst = append(dst, "stream"...)
+		} else {
+			dst = append(dst, "section"...)
+		}
+		n := 0
+		for _, c := range cpus {
+			if c < 0x80 { // the last byte of a varint
+				n++
+			}
+		}
+		dst = strconv.AppendInt(dst, int64(n), 10)
 	}
-	switch c.Priority {
+	if memsys.SectionMapping(pol&1) == memsys.ConsecutiveSections {
+		dst = append(dst, "-consec"...)
+	}
+	switch memsys.PriorityRule(pol >> 1) {
 	case memsys.CyclicPriority:
-		name += "-cyc"
+		dst = append(dst, "-cyc"...)
 	case memsys.RoundRobinPerCPU:
-		name += "-rrcpu"
+		dst = append(dst, "-rrcpu"...)
 	}
-	return name
+	return dst
+}
+
+// familyPolicy reads the policy code off a family name's suffixes,
+// the ones appendFamily writes. It does not check the stem: a caller
+// that needs the name to be a family derives it again and compares.
+func familyPolicy(name string) byte {
+	var priority memsys.PriorityRule
+	if rest, ok := strings.CutSuffix(name, "-cyc"); ok {
+		name, priority = rest, memsys.CyclicPriority
+	} else if rest, ok := strings.CutSuffix(name, "-rrcpu"); ok {
+		name, priority = rest, memsys.RoundRobinPerCPU
+	}
+	mapping := memsys.CyclicSections
+	if strings.HasSuffix(name, "-consec") {
+		mapping = memsys.ConsecutiveSections
+	}
+	return policyCode(mapping, priority)
 }
 
 // PairSpec is the sectionless two-stream family: stream 1 fixed at

@@ -365,8 +365,9 @@ func TestSpecKeyOrbitInvariantRandom(t *testing.T) {
 
 // FuzzSpecCanonical drives the same property from fuzz inputs: the
 // canonical key is orbit-invariant and canonicalisation idempotent for
-// arbitrary spec shapes, and a worker that canonicalised one spec
-// keys the next as a fresh worker would.
+// arbitrary spec shapes and policies, the key's policy code and CPU
+// layout decode to the spec's family, and a worker that canonicalised
+// one spec keys the next as a fresh worker would.
 func FuzzSpecCanonical(f *testing.F) {
 	f.Add(uint8(11), uint8(1), uint8(2), uint8(3), uint8(7), uint8(2))
 	f.Add(uint8(15), uint8(4), uint8(3), uint8(1), uint8(3), uint8(9))
@@ -384,7 +385,11 @@ func FuzzSpecCanonical(f *testing.F) {
 		for i := range streams {
 			streams[i] = Stream{D: rng.Intn(m), B: rng.Intn(m), CPU: rng.Intn(n)}
 		}
-		spec := ConfigSpec{M: m, S: s, NC: 1 + int(seedRaw)%4, Streams: streams}
+		spec := ConfigSpec{M: m, S: s, NC: 1 + int(seedRaw)%4, Streams: streams,
+			Priority: memsys.PriorityRule(rng.Intn(3))}
+		if s > 0 && rng.Intn(2) == 1 {
+			spec.Mapping = memsys.ConsecutiveSections
+		}
 
 		step := 1
 		if s > 1 {
@@ -392,9 +397,17 @@ func FuzzSpecCanonical(f *testing.F) {
 		}
 		units := modmath.Units(m)
 		u := units[int(uRaw)%len(units)]
+		if spec.Mapping == memsys.ConsecutiveSections {
+			// The consecutive mapping's group: translations by the
+			// section width, no scaling (worker.pipelineFor).
+			step, u = m/s, 1
+		}
 		shift := step * (int(shiftRaw) % (m / step))
 		w := &worker{e: NewEngine(Options{})}
 		specKeyTransformInvariant(t, w, spec, u, shift)
+		if got, want := string(parseKey(w.compile(spec).key.buf).appendFamily(nil)), spec.Family(); got != want {
+			t.Fatalf("spec %+v: key decodes to family %q, want %q", spec, got, want)
+		}
 
 		// A second spec of the same (m, s) with other distances, then
 		// the first again, on the same worker: each key must be the one

@@ -6,8 +6,8 @@
 # Pass package patterns to narrow the race run (default: everything).
 #
 # Steps, in order: gofmt; go vet over the whole module; docscheck; the
-# race run, which always covers internal/obs/..., internal/memsys and
-# internal/sweep; bench/'s vet and tests; a race pass over the
+# race run, which always covers internal/obs/..., internal/memsys,
+# internal/sweep and internal/serve; bench/'s vet and tests; a race pass over the
 # differential equivalence harness (docs/KERNEL.md) in short mode,
 # which pins the packed kernel and the analytic gate to the scalar
 # oracle with the fast path forced both on and off; ten seconds each of
@@ -58,11 +58,12 @@ go vet ./...
 # interface the module declares or imports counts as referenced.
 go run ./internal/tools/docscheck
 
-# The observability, simulator and sweep packages are raced even in a
-# narrowed run: their metrics registry, progress reporter, request
-# traces, kernel and worker pool are read across goroutines. go test
-# runs a package named twice once.
-go test -race "$@" ./internal/obs/... ./internal/memsys ./internal/sweep
+# The observability, simulator, sweep and serving packages are raced
+# even in a narrowed run: their metrics registry, progress reporter,
+# request traces, kernel, worker pool and the server's trace and
+# slow-request rings are read across goroutines. go test runs a
+# package named twice once.
+go test -race "$@" ./internal/obs/... ./internal/memsys ./internal/sweep ./internal/serve
 
 # bench/ is its own module (replace ivm => ../), so the root ./...
 # patterns above never compile it — yet it imports the sweep surface.
